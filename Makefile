@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race race-par race-te race-chaos race-sched race-ctl race-wal bench bench-sim bench-dcn bench-te bench-chaos bench-sched bench-ctl bench-wal profile-dcn experiments clean
+.PHONY: check vet lint build test race race-par race-te race-chaos race-sched race-ctl race-wal bench ledger profile-dcn experiments clean
 
 # The gate every change must pass: vet, build everything, race-test the
 # parallel engine under contention, race-test the TE loop (its Loop is
@@ -8,12 +8,13 @@ GO ?= go
 # chaos subsystem (its injector threads live reconciler workers through
 # scenario replays), race-test the online scheduler (its Scheduler is
 # shared between the runner tick loop, fleet-event feedback, and RPC
-# status/submit), race-test the control protocol (one pipelined client is
-# shared by N callers and one server connection runs decode, a worker
-# pool and encode concurrently), race-test the durable-state subsystem
-# (its group-commit writer batches concurrent appenders and the store is
-# shared by three journal sources plus the checkpointer), then race-test
-# everything.
+# status/submit), race-test the control protocol and the daemon
+# lifecycle (one pipelined client is shared by N callers, one server
+# connection runs decode, a worker pool and encode concurrently, and
+# shutdown joins every loop before the store closes), race-test the
+# durable-state subsystem (its group-commit writer batches concurrent
+# appenders and the store is shared by three journal sources plus the
+# checkpointer), then race-test everything.
 check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race
 
 race-par:
@@ -29,7 +30,7 @@ race-sched:
 	$(GO) test -race ./internal/sched/... ./internal/superpod/...
 
 race-ctl:
-	$(GO) test -race ./internal/ctlrpc/...
+	$(GO) test -race ./internal/ctlrpc/... ./internal/daemon/... ./cmd/lwfd/...
 
 race-wal:
 	$(GO) test -race ./internal/wal/...
@@ -62,65 +63,16 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Repeated runs of the parallelized Monte Carlo benchmarks (Fig 11b BER,
-# Fig 13 fleet BER, Fig 15 goodput) in machine-readable form, for tracking
-# the internal/par speedup across changes.
-bench-sim:
-	$(GO) test -json -run '^$$' -bench 'Fig11b|Fig13|Fig15' -benchmem -count=5 . > BENCH_sim.json
-
-# Repeated runs of the DCN flow-simulator benchmarks in machine-readable
-# form: the end-to-end §4.2 reproduction (DCNTopologyEngineering), the
-# per-event hot loop (FlowSimEvents, MaxMinRates — the latter two must stay
-# at 0 allocs/op), and the control-plane composition path (ComposeFullPod)
-# for contrast. Run before and after any change to internal/dcn's hot paths
-# and commit BENCH_dcn.json so the perf trajectory is tracked in-repo.
-bench-dcn:
-	$(GO) test -json -run '^$$' -bench 'DCNTopologyEngineering|FlowSimEvents|MaxMinRates|ComposeFullPod' -benchmem -count=5 . ./internal/dcn > BENCH_dcn.json
-
-# Repeated runs of the TE-loop hot paths in machine-readable form: the
-# per-epoch predictor update and the full planner decision (engineer +
-# two fluid solves + staging). Commit BENCH_te.json so the decision
-# latency trajectory is tracked in-repo.
-bench-te:
-	$(GO) test -json -run '^$$' -bench 'PredictorUpdate|PlannerDecide' -benchmem -count=5 ./internal/te > BENCH_te.json
+# The perf ledger (bench/README.md): builds the bench module and runs
+# every workload end to end; `bash bench/run.sh --workload <w> --seed <n>
+# --seconds <s> --trace <0|1>` picks one and adds the per-layer breakdown.
+# BENCHMARK.json names the workloads and the gated metrics.
+ledger:
+	bash bench/run.sh
 
 # CPU profile of the heaviest bench; inspect with
 # `$(GO) tool pprof dcn.test dcn.cpuprof` (live daemons expose the same
 # data on <metrics-addr>/debug/pprof/profile).
-# Repeated runs of the fault-injection hot paths in machine-readable form:
-# full scenario replay through a live fleet manager (ScenarioReplay) and the
-# injector's trunk bookkeeping (InjectorHotPath — must stay at 0 allocs/op).
-# Commit BENCH_chaos.json so the injection overhead trajectory is tracked
-# in-repo.
-bench-chaos:
-	$(GO) test -json -run '^$$' -bench 'ScenarioReplay|InjectorHotPath' -benchmem -count=5 ./internal/chaos > BENCH_chaos.json
-
-# Repeated runs of the online-scheduler hot paths in machine-readable form:
-# the steady-state submit/advance loop (SchedulerHotPath) and the bare
-# placement decision per policy (PlacementDecision). Commit BENCH_sched.json
-# so the per-job scheduling overhead is tracked in-repo.
-bench-sched:
-	$(GO) test -json -run '^$$' -bench 'SchedulerHotPath|PlacementDecision' -benchmem -count=5 ./internal/sched > BENCH_sched.json
-
-# Repeated runs of the control-plane load harness in machine-readable form:
-# the single-in-flight baseline (CtlRPCThroughput) against the pipelined
-# configurations (CtlRPCPipelined at 8 conns x 8 in-flight, and
-# CtlRPCPipelinedOneConn isolating pipelining from connection fan-out).
-# Each run reports sustained req/s plus p50/p99 latency. Commit
-# BENCH_ctl.json so the control-plane throughput trajectory is tracked
-# in-repo; the pipelined configuration must sustain >=5x the baseline.
-bench-ctl:
-	$(GO) test -json -run '^$$' -bench 'CtlRPCThroughput|CtlRPCPipelined' -benchmem -count=5 ./internal/ctlrpc > BENCH_ctl.json
-
-# Repeated runs of the WAL hot paths in machine-readable form: the
-# group-commit append under real fsyncs (WALAppend), the fsync-free
-# framing cost (WALAppendNoSync), fsync amortization across concurrent
-# appenders (WALAppendParallel), and cold-start replay (WALReplay).
-# Commit BENCH_wal.json so the durability overhead trajectory is tracked
-# in-repo.
-bench-wal:
-	$(GO) test -json -run '^$$' -bench 'WALAppend|WALReplay' -benchmem -count=5 ./internal/wal > BENCH_wal.json
-
 profile-dcn:
 	$(GO) test -run '^$$' -bench 'DCNTopologyEngineering' -benchtime 5x -cpuprofile dcn.cpuprof -o dcn.test .
 

@@ -25,19 +25,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"os"
-	"os/signal"
 	"sync"
-	"syscall"
-	"time"
 
 	"lightwave/internal/chaos"
 	"lightwave/internal/core"
 	"lightwave/internal/ctlrpc"
+	"lightwave/internal/daemon"
 	"lightwave/internal/dcn"
-	"lightwave/internal/ocs"
-	"lightwave/internal/par"
+	"lightwave/internal/optics"
 	"lightwave/internal/te"
 	"lightwave/internal/telemetry"
 	"lightwave/internal/topo"
@@ -45,45 +40,21 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7600", "listen address")
-	cubes := flag.Int("cubes", 64, "installed elemental cubes (1-64)")
-	transceiver := flag.String("transceiver", "2x200G-bidi-CWDM4", "transceiver generation")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP /metrics and /debug/pprof listen address (disabled when empty)")
-	teEpoch := flag.Duration("te-epoch", 0, "topology-engineering epoch length (0 disables the TE loop)")
-	teBlocks := flag.Int("te-blocks", 8, "aggregation blocks in the TE loop's DCN fabric")
-	teUplinks := flag.Int("te-uplinks", 14, "uplinks per block in the TE loop's DCN fabric")
-	chaosOn := flag.Bool("chaos", false, "enable fault injection (ber-degrade via chaos-inject)")
-	stateDir := flag.String("state-dir", "", "durable-state directory: WAL + snapshots with crash recovery (disabled when empty)")
-	stateSnapshotEvery := flag.Duration("state-snapshot", time.Minute, "periodic snapshot + log compaction interval (0 snapshots only on shutdown)")
+	var f daemon.Flags
+	f.Register(flag.CommandLine, "127.0.0.1:7600", "installed elemental cubes (1-64)",
+		"enable fault injection (ber-degrade via chaos-inject)")
 	flag.Parse()
 
-	if err := validateFlags(*cubes, *transceiver, *teEpoch, *teBlocks, *teUplinks, *stateSnapshotEvery); err != nil {
+	if err := f.Validate(); err != nil {
 		log.Fatalf("lwfd: %v", err)
 	}
-	if err := run(*addr, *metricsAddr, *cubes, *transceiver, *teEpoch, *teBlocks, *teUplinks, *chaosOn, *stateDir, *stateSnapshotEvery); err != nil {
+	d, err := daemon.Start(context.Background(), "lwfd", &f, compose)
+	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-// validateFlags rejects nonsense flag values up front with a one-line
-// error instead of a late failure deep in construction.
-func validateFlags(cubes int, transceiver string, teEpoch time.Duration, teBlocks, teUplinks int, snapEvery time.Duration) error {
-	if cubes < 1 || cubes > 64 {
-		return fmt.Errorf("-cubes must be in 1-64, got %d", cubes)
+	if err := d.Wait(); err != nil {
+		log.Fatal(err)
 	}
-	if _, err := generationByName(transceiver); err != nil {
-		return fmt.Errorf("-transceiver: %v", err)
-	}
-	if teEpoch < 0 {
-		return fmt.Errorf("-te-epoch must not be negative, got %s", teEpoch)
-	}
-	if teEpoch > 0 && (teBlocks < 2 || teUplinks < 1) {
-		return fmt.Errorf("-te-blocks/-te-uplinks must be at least 2/1, got %d/%d", teBlocks, teUplinks)
-	}
-	if snapEvery < 0 {
-		return fmt.Errorf("-state-snapshot must not be negative, got %s", snapEvery)
-	}
-	return nil
 }
 
 // fabricChaos adapts the single-fabric daemon to the chaos RPCs. The only
@@ -127,170 +98,64 @@ func (p *fabricChaos) ChaosStatus() ctlrpc.ChaosStatusResult {
 	}
 }
 
-// startTE builds the DCN fabric + TE loop and ticks it in the background
-// until ctx cancels, returning the loop for status serving. The returned
-// channel closes when the loop goroutine has fully stopped.
-func startTE(ctx context.Context, epoch time.Duration, blocks, uplinks int) (*te.Loop, chan struct{}, error) {
-	fabric, err := dcn.NewFabric(blocks, uplinks+2, ocs.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	runner, err := te.NewRunner(te.RunnerConfig{
-		Loop: te.Config{
-			Blocks: blocks, Uplinks: uplinks, TrunkBps: 50e9,
-			EpochSeconds: epoch.Seconds(),
-			Applier:      &te.FabricApplier{F: fabric},
-		},
-		Interval: epoch,
-		OnStep: func(e int, plan *te.Plan) {
-			if plan.Reconfigure {
-				log.Printf("lwfd: te epoch %d: reconfigured in %d stages (gain %.3f, %.2fs, min residual %.2f)",
-					e, len(plan.Stages), plan.PredictedGain, plan.Seconds, plan.MinResidualFraction)
-			}
-		},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := fabric.Program(runner.Loop().Current()); err != nil {
-		return nil, nil, err
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := runner.Run(ctx); err != nil {
-			log.Printf("lwfd: te loop stopped: %v", err)
-		}
-	}()
-	return runner.Loop(), done, nil
-}
-
-func run(addr, metricsAddr string, cubes int, transceiver string, teEpoch time.Duration, teBlocks, teUplinks int, chaosOn bool, stateDir string, stateSnapshotEvery time.Duration) error {
-	cfg := core.DefaultConfig(cubes)
-	if transceiver != cfg.Transceiver.Name {
-		gen, err := generationByName(transceiver)
+// compose builds the fabric and its server on the shared daemon skeleton.
+func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
+	f := d.Flags
+	cfg := core.DefaultConfig(f.Cubes)
+	if f.Transceiver != cfg.Transceiver.Name {
+		gen, err := optics.GenerationByName(f.Transceiver)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cfg.Transceiver = gen
 	}
-	cfg.Metrics = telemetry.NewRegistry()
-	// Any simulation work the daemon runs (Monte Carlo sizing, sweeps,
-	// flow-level DCN runs) reports its par_* and dcn_flowsim_* counters
-	// alongside the fabric metrics.
-	par.SetRegistry(cfg.Metrics)
-	dcn.SetRegistry(cfg.Metrics)
-	te.SetRegistry(cfg.Metrics)
-	chaos.SetRegistry(cfg.Metrics)
-	cfg.Alerts = telemetry.SinkFunc(func(a telemetry.Alert) {
-		log.Printf("ALERT [%s] %s: %s", a.Severity, a.Source, a.Message)
-	})
-
+	cfg.Metrics = d.Reg
+	cfg.Alerts = d.Alerts
 	fabric, err := core.New(cfg)
 	if err != nil {
-		return fmt.Errorf("building fabric: %w", err)
+		return nil, fmt.Errorf("building fabric: %w", err)
 	}
+	log.Printf("lwfd: %d cubes, %s modules", f.Cubes, cfg.Transceiver.Name)
 
 	srv := ctlrpc.NewServer(fabric)
 	// ctl_requests_total / ctl_inflight / ctl_request_latency_seconds ride
 	// the same registry as the fabric metrics.
-	srv.SetMetrics(cfg.Metrics)
+	srv.SetMetrics(d.Reg)
 
 	// Durable state: replay the snapshot's command list plus the journaled
 	// tail against the fresh fabric, then journal every mutating command
-	// from here on. Replay runs before the listener opens, so no client
+	// from here on. compose runs before the listener opens, so no client
 	// observes a half-recovered fabric.
-	var store *wal.Store
-	if stateDir != "" {
-		var err error
-		store, err = wal.OpenStore(stateDir, wal.Options{Metrics: cfg.Metrics})
-		if err != nil {
-			return fmt.Errorf("lwfd: opening -state-dir: %w", err)
-		}
-		defer func() {
-			if err := store.Close(); err != nil {
-				log.Printf("lwfd: closing state dir: %v", err)
-			}
-		}()
+	if store := d.Store; store != nil {
 		applied, failed := store.ReplayCommands(srv.ApplyCommand)
 		if applied+failed > 0 {
 			log.Printf("lwfd: state dir %s: replayed %d commands (%d failed) to lsn %d",
-				stateDir, applied, failed, store.Log().LastLSN())
+				f.StateDir, applied, failed, store.Log().LastLSN())
 		}
+		store.EndRecovery()
 		store.SetFabricSnapshot(func() ([]wal.Command, error) {
-			return srv.SnapshotCommands(cubes)
+			return srv.SnapshotCommands(f.Cubes)
 		})
 		srv.SetJournal(store)
 		srv.SetWAL(ctlrpc.StoreWALProvider{Store: store})
 	}
 
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("lwfd: %d cubes, %s modules, serving on %s", cubes, cfg.Transceiver.Name, lis.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if metricsAddr != "" {
-		mlis, err := cfg.Metrics.ServeMetrics(ctx, metricsAddr)
+	if f.TEEpoch > 0 {
+		loop, err := d.StartTE(func(fab *dcn.Fabric) (te.Applier, error) {
+			return &te.FabricApplier{F: fab}, nil
+		})
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("starting te loop: %w", err)
 		}
-		log.Printf("lwfd: metrics on http://%s/metrics", mlis.Addr())
-	}
-
-	var teDone chan struct{}
-	if teEpoch > 0 {
-		loop, done, err := startTE(ctx, teEpoch, teBlocks, teUplinks)
-		if err != nil {
-			return fmt.Errorf("starting te loop: %w", err)
-		}
-		teDone = done
 		srv.SetTE(ctlrpc.LoopTEProvider{L: loop})
-		log.Printf("lwfd: te loop on %d blocks x %d uplinks, epoch %s", teBlocks, teUplinks, teEpoch)
+		log.Printf("lwfd: te loop on %d blocks x %d uplinks, epoch %s", f.TEBlocks, f.TEUplinks, f.TEEpoch)
 	}
-	if chaosOn {
+	if f.Chaos {
 		srv.SetChaos(&fabricChaos{
 			fabric:    fabric,
-			cInjected: cfg.Metrics.Counter("chaos_injected_total"),
+			cInjected: d.Reg.Counter("chaos_injected_total"),
 		})
 		log.Printf("lwfd: fault injection enabled (ber-degrade)")
 	}
-
-	if store != nil && stateSnapshotEvery > 0 {
-		go func() {
-			tick := time.NewTicker(stateSnapshotEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if err := store.Checkpoint(); err != nil {
-						log.Printf("lwfd: periodic snapshot: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
-	serveErr := srv.Serve(ctx, lis)
-
-	// Shutdown ordering: Serve has returned (all connections drained, so
-	// no command is mid-execution), the TE loop is stopped, then the
-	// clean-shutdown snapshot captures the fabric.
-	stop()
-	if teDone != nil {
-		<-teDone
-	}
-	if store != nil {
-		if err := store.Checkpoint(); err != nil {
-			log.Printf("lwfd: shutdown snapshot: %v", err)
-		} else {
-			log.Printf("lwfd: shutdown snapshot at lsn %d", store.Log().LastLSN())
-		}
-	}
-	return serveErr
+	return srv, nil
 }

@@ -39,88 +39,60 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"lightwave/internal/chaos"
 	"lightwave/internal/core"
 	"lightwave/internal/ctlrpc"
+	"lightwave/internal/daemon"
 	"lightwave/internal/dcn"
 	"lightwave/internal/fleet"
-	"lightwave/internal/ocs"
 	"lightwave/internal/optics"
-	"lightwave/internal/par"
-	"lightwave/internal/sched"
 	"lightwave/internal/superpod"
 	"lightwave/internal/te"
 	"lightwave/internal/telemetry"
-	"lightwave/internal/wal"
 )
 
-// config carries the parsed, validated flags into run.
+// config carries the parsed flags into compose: the ones every daemon
+// shares plus the fleet daemon's own.
 type config struct {
-	addr, metricsAddr   string
-	pods, cubes         int
-	transceiver         string
-	teEpoch             time.Duration
-	teBlocks, teUplinks int
-	chaosOn, schedOn    bool
-	schedTick           time.Duration
-	stateDir            string
-	stateSnapshotEvery  time.Duration
+	daemon.Flags
+	pods      int
+	schedOn   bool
+	schedTick time.Duration
 }
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:7700", "listen address")
+	cfg.Register(flag.CommandLine, "127.0.0.1:7700", "installed elemental cubes per pod (1-64)",
+		"enable fault injection (chaos-inject / chaos-status RPCs)")
 	flag.IntVar(&cfg.pods, "pods", 4, "number of superpod fabrics to manage")
-	flag.IntVar(&cfg.cubes, "cubes", 64, "installed elemental cubes per pod (1-64)")
-	flag.StringVar(&cfg.transceiver, "transceiver", "2x200G-bidi-CWDM4", "transceiver generation")
-	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "HTTP /metrics and /debug/pprof listen address (disabled when empty)")
-	flag.DurationVar(&cfg.teEpoch, "te-epoch", 0, "topology-engineering epoch length (0 disables the TE loop)")
-	flag.IntVar(&cfg.teBlocks, "te-blocks", 8, "aggregation blocks in the TE loop's DCN fabric")
-	flag.IntVar(&cfg.teUplinks, "te-uplinks", 14, "uplinks per block in the TE loop's DCN fabric")
-	flag.BoolVar(&cfg.chaosOn, "chaos", false, "enable fault injection (chaos-inject / chaos-status RPCs)")
 	flag.BoolVar(&cfg.schedOn, "sched", false, "run the online slice scheduler (sched-status / sched-submit RPCs)")
 	flag.DurationVar(&cfg.schedTick, "sched-tick", 2*time.Second, "scheduler wall-clock tick; each tick advances one virtual minute")
-	flag.StringVar(&cfg.stateDir, "state-dir", "", "durable-state directory: WAL + snapshots with crash recovery (disabled when empty)")
-	flag.DurationVar(&cfg.stateSnapshotEvery, "state-snapshot", time.Minute, "periodic snapshot + log compaction interval (0 snapshots only on shutdown)")
 	flag.Parse()
 
-	if err := validateFlags(cfg); err != nil {
+	if err := cfg.validate(); err != nil {
 		log.Fatalf("lwfleetd: %v", err)
 	}
-	if err := run(cfg); err != nil {
+	d, err := daemon.Start(context.Background(), "lwfleetd", &cfg.Flags, cfg.compose)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := d.Wait(); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// validateFlags rejects nonsense flag combinations up front with a
-// one-line error instead of a late failure deep in construction.
-func validateFlags(cfg config) error {
+// validate adds the fleet daemon's own flags to the shared checks.
+func (cfg config) validate() error {
 	if cfg.pods < 1 {
 		return fmt.Errorf("-pods must be at least 1, got %d", cfg.pods)
 	}
-	if cfg.cubes < 1 || cfg.cubes > 64 {
-		return fmt.Errorf("-cubes must be in 1-64, got %d", cfg.cubes)
-	}
-	if _, err := optics.GenerationByName(cfg.transceiver); err != nil {
-		return fmt.Errorf("-transceiver: %v", err)
-	}
-	if cfg.teEpoch < 0 {
-		return fmt.Errorf("-te-epoch must not be negative, got %s", cfg.teEpoch)
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if cfg.schedTick <= 0 {
 		return fmt.Errorf("-sched-tick must be positive, got %s", cfg.schedTick)
-	}
-	if cfg.teEpoch > 0 && (cfg.teBlocks < 2 || cfg.teUplinks < 1) {
-		return fmt.Errorf("-te-blocks/-te-uplinks must be at least 2/1, got %d/%d", cfg.teBlocks, cfg.teUplinks)
-	}
-	if cfg.stateSnapshotEvery < 0 {
-		return fmt.Errorf("-state-snapshot must not be negative, got %s", cfg.stateSnapshotEvery)
 	}
 	return nil
 }
@@ -137,49 +109,6 @@ func newSchedRunner(m *fleet.Manager, podNames []string, cubes int, tick time.Du
 		VirtualPerTick: 60,
 		Seed:           1,
 	})
-}
-
-// startTE registers a DCN fabric as the "dcn" pod and ticks the TE loop
-// in the background; every stage's OCS drains ride the manager's
-// reconcile path. The returned channel closes when the loop goroutine
-// has fully stopped.
-func startTE(ctx context.Context, m *fleet.Manager, epoch time.Duration, blocks, uplinks int) (*te.Loop, chan struct{}, error) {
-	fabric, err := dcn.NewFabric(blocks, uplinks+2, ocs.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	applier, err := te.NewFleetApplier(m, "dcn", fabric)
-	if err != nil {
-		return nil, nil, err
-	}
-	runner, err := te.NewRunner(te.RunnerConfig{
-		Loop: te.Config{
-			Blocks: blocks, Uplinks: uplinks, TrunkBps: 50e9,
-			EpochSeconds: epoch.Seconds(),
-			Applier:      applier,
-		},
-		Interval: epoch,
-		OnStep: func(e int, plan *te.Plan) {
-			if plan.Reconfigure {
-				log.Printf("lwfleetd: te epoch %d: reconfigured in %d stages (gain %.3f, min residual %.2f)",
-					e, len(plan.Stages), plan.PredictedGain, plan.MinResidualFraction)
-			}
-		},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := fabric.Program(runner.Loop().Current()); err != nil {
-		return nil, nil, err
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := runner.Run(ctx); err != nil {
-			log.Printf("lwfleetd: te loop stopped: %v", err)
-		}
-	}()
-	return runner.Loop(), done, nil
 }
 
 // buildFleet constructs a manager over n simulated pods named pod0..podN-1.
@@ -229,110 +158,70 @@ func buildFleet(n, cubes int, transceiver string, reg *telemetry.Registry, alert
 	return m, injectable, nil
 }
 
-func run(cfg config) error {
-	reg := telemetry.NewRegistry()
-	// Simulation fan-out (Monte Carlo, sweeps), the DCN flow simulator,
-	// the TE loop, fault injection and the slice scheduler share the fleet
-	// registry so par_*, dcn_flowsim_*, te_*, chaos_* and sched_* counters
-	// show up on /metrics.
-	par.SetRegistry(reg)
-	dcn.SetRegistry(reg)
-	te.SetRegistry(reg)
-	chaos.SetRegistry(reg)
-	sched.SetRegistry(reg)
-	alerts := telemetry.SinkFunc(func(a telemetry.Alert) {
-		log.Printf("ALERT [%s] %s: %s", a.Severity, a.Source, a.Message)
-	})
-
-	// Durable state: open the WAL before anything mutates, suppress
-	// journaling while the daemon reconstructs what the log already
-	// records, and resume once recovery is done.
-	var store *wal.Store
+// compose builds the fleet and its server on the shared daemon skeleton.
+// Recovery order: the store arrives with journaling suppressed
+// (BeginRecovery), the pods are rebuilt, RecoverFleet re-applies the
+// recovered intents, RecoverSched restores the scheduler, EndRecovery
+// resumes journaling, and only then does the TE loop register its pod.
+func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
+	store := d.Store
 	var journal fleet.Journal
-	if cfg.stateDir != "" {
-		var err error
-		store, err = wal.OpenStore(cfg.stateDir, wal.Options{Metrics: reg})
-		if err != nil {
-			return fmt.Errorf("lwfleetd: opening -state-dir: %w", err)
-		}
-		defer func() {
-			if err := store.Close(); err != nil {
-				log.Printf("lwfleetd: closing state dir: %v", err)
-			}
-		}()
-		store.BeginRecovery()
+	if store != nil {
 		journal = store
 		st := store.Status()
 		log.Printf("lwfleetd: state dir %s: replayed %d records to lsn %d (%d pods, %d slices, %d errors)",
-			cfg.stateDir, st.ReplayRecords, st.Log.LastLSN, st.FleetPods, st.FleetSlices, st.ReplayErrors)
+			cfg.StateDir, st.ReplayRecords, st.Log.LastLSN, st.FleetPods, st.FleetSlices, st.ReplayErrors)
 	}
 
-	m, injectable, err := buildFleet(cfg.pods, cfg.cubes, cfg.transceiver, reg, alerts, cfg.chaosOn, journal)
+	m, injectable, err := buildFleet(cfg.pods, cfg.Cubes, cfg.Transceiver, d.Reg, d.Alerts, cfg.Chaos, journal)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer m.Close()
+	d.OnShutdown(m.Close)
 	if store != nil {
 		if err := store.RecoverFleet(m); err != nil {
-			return fmt.Errorf("lwfleetd: restoring intents: %w", err)
+			return nil, fmt.Errorf("lwfleetd: restoring intents: %w", err)
 		}
 	}
-
-	lis, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("lwfleetd: %d pods x %d cubes, %s modules, serving on %s",
-		cfg.pods, cfg.cubes, cfg.transceiver, lis.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if cfg.metricsAddr != "" {
-		mlis, err := reg.ServeMetrics(ctx, cfg.metricsAddr)
-		if err != nil {
-			return err
-		}
-		log.Printf("lwfleetd: metrics on http://%s/metrics", mlis.Addr())
-	}
+	log.Printf("lwfleetd: %d pods x %d cubes, %s modules", cfg.pods, cfg.Cubes, cfg.Transceiver)
 
 	srv := ctlrpc.NewFleetServer(m)
 	// ctl_requests_total / ctl_inflight / ctl_request_latency_seconds ride
 	// the same registry as the fleet metrics.
-	srv.SetMetrics(reg)
+	srv.SetMetrics(d.Reg)
 	if store != nil {
 		srv.SetWAL(ctlrpc.StoreWALProvider{Store: store})
 	}
 
-	var inj *chaos.Injector
-	if cfg.chaosOn {
+	if cfg.Chaos {
 		// Fleet-plane faults only: pod-loss/-restore through the wrapped
 		// backends, drains through the manager, trunk impairments as
 		// injector bookkeeping. OCS outages need a fabric target and are
 		// rejected — the shared te fabric is driven by its own loop.
-		det := telemetry.NewDetector("chaos-ber", alerts)
+		det := telemetry.NewDetector("chaos-ber", d.Alerts)
 		det.HardLimit = chaos.KP4BERLimit
-		inj, err = chaos.NewInjector(chaos.Targets{
+		inj, err := chaos.NewInjector(chaos.Targets{
 			Fleet:    m,
 			Backends: injectable,
 			Detector: det,
 		})
 		if err != nil {
-			return fmt.Errorf("starting chaos injector: %w", err)
+			return nil, fmt.Errorf("starting chaos injector: %w", err)
 		}
+		// Stops the lift timers, so nothing mutates state mid-snapshot.
+		d.OnShutdown(inj.Close)
 		srv.SetChaos(ctlrpc.InjectorProvider{In: inj})
 		log.Printf("lwfleetd: fault injection enabled (%d injectable pods)", len(injectable))
 	}
 
-	var schedDone chan struct{}
 	if cfg.schedOn {
 		podNames := make([]string, cfg.pods)
 		for i := range podNames {
 			podNames[i] = fmt.Sprintf("pod%d", i)
 		}
-		runner, err := newSchedRunner(m, podNames, cfg.cubes, cfg.schedTick)
+		runner, err := newSchedRunner(m, podNames, cfg.Cubes, cfg.schedTick)
 		if err != nil {
-			return fmt.Errorf("starting sched loop: %w", err)
+			return nil, fmt.Errorf("starting sched loop: %w", err)
 		}
 		s := runner.Scheduler()
 		if store != nil {
@@ -341,7 +230,7 @@ func run(cfg config) error {
 			// journaling new inputs.
 			applied, failed, err := store.RecoverSched(s)
 			if err != nil {
-				return fmt.Errorf("lwfleetd: restoring scheduler: %w", err)
+				return nil, fmt.Errorf("lwfleetd: restoring scheduler: %w", err)
 			}
 			if applied+failed > 0 {
 				log.Printf("lwfleetd: sched recovery: %d entries replayed, %d failed", applied, failed)
@@ -349,13 +238,7 @@ func run(cfg config) error {
 			store.AttachSched(s)
 			s.SetJournal(store)
 		}
-		schedDone = make(chan struct{})
-		go func() {
-			defer close(schedDone)
-			if err := runner.Run(ctx); err != nil {
-				log.Printf("lwfleetd: sched loop stopped: %v", err)
-			}
-		}()
+		d.Go("sched loop", runner.Run)
 		srv.SetSched(ctlrpc.SchedulerProvider{S: s})
 		log.Printf("lwfleetd: slice scheduler on %d pods (tick %s, policy %s)",
 			cfg.pods, cfg.schedTick, s.Policy())
@@ -367,57 +250,18 @@ func run(cfg config) error {
 		store.EndRecovery()
 	}
 
-	var teDone chan struct{}
-	if cfg.teEpoch > 0 {
-		loop, done, err := startTE(ctx, m, cfg.teEpoch, cfg.teBlocks, cfg.teUplinks)
+	if cfg.TEEpoch > 0 {
+		// The DCN fabric joins the fleet as the "dcn" pod; every stage's
+		// OCS drains ride the manager's reconcile path.
+		loop, err := d.StartTE(func(fab *dcn.Fabric) (te.Applier, error) {
+			return te.NewFleetApplier(m, "dcn", fab)
+		})
 		if err != nil {
-			return fmt.Errorf("starting te loop: %w", err)
+			return nil, fmt.Errorf("starting te loop: %w", err)
 		}
-		teDone = done
 		srv.SetTE(ctlrpc.LoopTEProvider{L: loop})
 		log.Printf("lwfleetd: te loop on %d blocks x %d uplinks, epoch %s (pod \"dcn\")",
-			cfg.teBlocks, cfg.teUplinks, cfg.teEpoch)
+			cfg.TEBlocks, cfg.TEUplinks, cfg.TEEpoch)
 	}
-
-	if store != nil && cfg.stateSnapshotEvery > 0 {
-		go func() {
-			tick := time.NewTicker(cfg.stateSnapshotEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if err := store.Checkpoint(); err != nil {
-						log.Printf("lwfleetd: periodic snapshot: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
-	serveErr := srv.Serve(ctx, lis)
-
-	// Shutdown ordering: cancel the run context, drain the sched and TE
-	// loops and the chaos lift timers so nothing mutates state
-	// mid-snapshot, then take the clean-shutdown snapshot. The manager and
-	// store close via the deferred calls after this returns.
-	stop()
-	if schedDone != nil {
-		<-schedDone
-	}
-	if teDone != nil {
-		<-teDone
-	}
-	if inj != nil {
-		inj.Close()
-	}
-	if store != nil {
-		if err := store.Checkpoint(); err != nil {
-			log.Printf("lwfleetd: shutdown snapshot: %v", err)
-		} else {
-			log.Printf("lwfleetd: shutdown snapshot at lsn %d", store.Log().LastLSN())
-		}
-	}
-	return serveErr
+	return srv, nil
 }

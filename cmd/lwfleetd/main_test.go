@@ -149,7 +149,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestFlowSimCountersOnMetrics mirrors run()'s dcn.SetRegistry wiring: any
+// TestFlowSimCountersOnMetrics mirrors daemon.Start's dcn.SetRegistry wiring: any
 // flow-level DCN simulation the daemon performs must surface its
 // dcn_flowsim_* event-loop counters on the shared /metrics registry.
 func TestFlowSimCountersOnMetrics(t *testing.T) {
@@ -182,7 +182,7 @@ func TestFlowSimCountersOnMetrics(t *testing.T) {
 	}
 }
 
-// TestSchedCountersOnMetrics mirrors run()'s -sched wiring: the background
+// TestSchedCountersOnMetrics mirrors compose's -sched wiring: the background
 // scheduler loop must surface its sched_* counters on the shared /metrics
 // registry, and they must move once the job stream starts placing.
 func TestSchedCountersOnMetrics(t *testing.T) {

@@ -303,6 +303,18 @@ func (f *Fabric) ComposeSlice(name string, shape topo.Shape, cubes []int) (*Slic
 	return s, nil
 }
 
+// circuitBudget computes one circuit's optical budget on its target OCS
+// through the current port map.
+func (f *Fabric) circuitBudget(a, b *optics.Transceiver, r topo.CircuitReq) (optics.Budget, error) {
+	sw := f.switches[r.OCS]
+	loss := sw.IntrinsicLossDB(f.PortFor(r.OCS, r.North), f.PortFor(r.OCS, r.South)) + 0.1 // alignment residual allowance
+	rl, err := sw.ReturnLossDB(f.PortFor(r.OCS, r.North))
+	if err != nil {
+		return optics.Budget{}, err
+	}
+	return optics.NewBidiLink(a, b, f.cfg.Circulator, loss, rl, f.cfg.FiberKM).BudgetTowardB()
+}
+
 // validateBudgets computes each circuit's optical budget and post-FEC BER
 // and returns the worst margin.
 func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) (float64, error) {
@@ -310,14 +322,7 @@ func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) (float64, error) {
 	a := optics.NewTransceiver(f.cfg.Transceiver)
 	b := optics.NewTransceiver(f.cfg.Transceiver)
 	for _, r := range reqs {
-		sw := f.switches[r.OCS]
-		loss := sw.IntrinsicLossDB(f.PortFor(r.OCS, r.North), f.PortFor(r.OCS, r.South)) + 0.1 // alignment residual allowance
-		rl, err := sw.ReturnLossDB(f.PortFor(r.OCS, r.North))
-		if err != nil {
-			return 0, err
-		}
-		link := optics.NewBidiLink(a, b, f.cfg.Circulator, loss, rl, f.cfg.FiberKM)
-		bud, err := link.BudgetTowardB()
+		bud, err := f.circuitBudget(a, b, r)
 		if err != nil {
 			return 0, err
 		}
@@ -341,6 +346,29 @@ func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) (float64, error) {
 		}
 	}
 	return worst, nil
+}
+
+// refreshWorstMargin recomputes a slice's WorstMarginDB from the circuits
+// it holds now. Every path that rewires part of a slice (reshape, cube
+// swap, link repair) ends here, so the figure is a function of the
+// slice's current circuits and port map — not of how it got there, which
+// is what lets a snapshot restore reproduce it. The circuits were already
+// validated (and observed on the margin metric) when they were programmed.
+func (f *Fabric) refreshWorstMargin(s *Slice) error {
+	worst := 1e9
+	a := optics.NewTransceiver(f.cfg.Transceiver)
+	b := optics.NewTransceiver(f.cfg.Transceiver)
+	for _, r := range s.Circuits {
+		bud, err := f.circuitBudget(a, b, r)
+		if err != nil {
+			return err
+		}
+		if bud.MarginDB < worst {
+			worst = bud.MarginDB
+		}
+	}
+	s.WorstMarginDB = worst
+	return nil
 }
 
 // applyCircuits groups circuits per OCS and applies them as batch

@@ -115,7 +115,7 @@ func (f *Fabric) swapCube(name string, old int) (int, error) {
 	if f.metricSwaps != nil {
 		f.metricSwaps.Inc()
 	}
-	return replacement, nil
+	return replacement, f.refreshWorstMargin(s)
 }
 
 // RepairLink handles a damaged fiber pair: cube's pigtail on OCS o has
@@ -144,11 +144,16 @@ func (f *Fabric) RepairLink(o topo.OCSID, cube int) (ocs.PortID, error) {
 
 	// Re-establish the slice circuits that ran through the failed port.
 	var delta []topo.CircuitReq
+	var moved []*Slice
 	for _, s := range f.slices {
+		n := len(delta)
 		for _, r := range s.Circuits {
 			if r.OCS == o && (r.North == cube || r.South == cube) {
 				delta = append(delta, r)
 			}
+		}
+		if len(delta) > n {
+			moved = append(moved, s)
 		}
 	}
 	if len(delta) > 0 {
@@ -156,6 +161,11 @@ func (f *Fabric) RepairLink(o topo.OCSID, cube int) (ocs.PortID, error) {
 			return spare, err
 		}
 		if err := f.applyCircuits(delta); err != nil {
+			return spare, err
+		}
+	}
+	for _, s := range moved {
+		if err := f.refreshWorstMargin(s); err != nil {
 			return spare, err
 		}
 	}

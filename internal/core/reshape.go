@@ -65,15 +65,8 @@ func (f *Fabric) ReshapeSlice(name string, shape topo.Shape, cubes []int) (*Slic
 	}
 
 	// Validate budgets for the fresh circuits before touching hardware.
-	worst := s.WorstMarginDB
-	if len(fresh) > 0 {
-		w, err := f.validateBudgets(fresh)
-		if err != nil {
-			return nil, err
-		}
-		if w < worst {
-			worst = w
-		}
+	if _, err := f.validateBudgets(fresh); err != nil {
+		return nil, err
 	}
 
 	// Tear down stale circuits, then program the fresh ones.
@@ -99,6 +92,5 @@ func (f *Fabric) ReshapeSlice(name string, shape topo.Shape, cubes []int) (*Slic
 	s.Shape = shape
 	s.Cubes = append([]int(nil), cubes...)
 	s.Circuits = newReqs
-	s.WorstMarginDB = worst
-	return s, nil
+	return s, f.refreshWorstMargin(s)
 }

@@ -154,3 +154,34 @@ func TestReshapeValidation(t *testing.T) {
 		t.Fatalf("circuits = %d after rejected reshapes", f.TotalCircuits())
 	}
 }
+
+// TestWorstMarginFollowsCurrentCircuits: a slice that was reshaped and had
+// a cube swapped must report the same WorstMarginDB as one composed
+// directly in its final form on a fresh fabric — the margin is a function
+// of the circuits the slice holds, not of the ones it used to hold. (A
+// snapshot restore rebuilds slices directly in their final form, so a
+// history-dependent margin would not survive a restart.)
+func TestWorstMarginFollowsCurrentCircuits(t *testing.T) {
+	f := newFabric(t, 12)
+	if _, err := f.ComposeSlice("job", topo.Shape{X: 4, Y: 4, Z: 16}, []int{0, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReshapeSlice("job", topo.Shape{X: 4, Y: 8, Z: 8}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.MarkCubeFailed(1); err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.GetSlice("job")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	direct, err := newFabric(t, 12).ComposeSlice("job", s.Shape, s.Cubes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.WorstMarginDB != direct.WorstMarginDB {
+		t.Fatalf("margin after reshape+swap = %v, composed directly = %v", s.WorstMarginDB, direct.WorstMarginDB)
+	}
+}

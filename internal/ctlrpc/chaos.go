@@ -1,8 +1,8 @@
 package ctlrpc
 
 import (
+	"encoding/json"
 	"errors"
-	"fmt"
 
 	"lightwave/internal/chaos"
 )
@@ -103,21 +103,18 @@ func (p InjectorProvider) ChaosStatus() ChaosStatusResult {
 	}
 }
 
-// chaosCall dispatches the chaos methods against an optional provider —
-// shared by the fabric and fleet servers.
-func chaosCall(p ChaosProvider, method string, unmarshal func(any) error) (any, error) {
-	if method == MethodChaosStatus {
-		if p == nil {
-			return ChaosStatusResult{}, nil
-		}
-		return p.ChaosStatus(), nil
+func (s *Server) handleChaosStatus(json.RawMessage) (any, error) {
+	if s.chaos == nil {
+		return ChaosStatusResult{}, nil
 	}
-	if p == nil {
+	return s.chaos.ChaosStatus(), nil
+}
+
+// handleChaosInject rejects before it decodes: a daemon without the
+// provider answers ErrChaosDisabled whatever the params look like.
+func (s *Server) handleChaosInject(params json.RawMessage) (any, error) {
+	if s.chaos == nil {
 		return nil, ErrChaosDisabled
 	}
-	var params ChaosInjectParams
-	if err := unmarshal(&params); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	return p.ChaosInject(params)
+	return typed(s.chaos.ChaosInject)(params)
 }

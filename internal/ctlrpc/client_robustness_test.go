@@ -53,7 +53,7 @@ func TestCallContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.StatusContext(ctx)
+	err = c.CallContext(ctx, MethodStatus, nil, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v", err)
 	}
@@ -66,7 +66,7 @@ func TestCallContextDeadline(t *testing.T) {
 	// instead of failing fast with ErrClientBroken.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel2()
-	if _, err := c.StatusContext(ctx2); !errors.Is(err, context.DeadlineExceeded) {
+	if err := c.CallContext(ctx2, MethodStatus, nil, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("call after abandoned call: %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestAbandonedCallDoesNotPoisonLater(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := c.StatusContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if err := c.CallContext(ctx, MethodStatus, nil, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("first call: %v", err)
 	}
 	st, err := c.Status()
@@ -145,7 +145,7 @@ func TestCallContextCancel(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := c.StatusContext(ctx); !errors.Is(err, context.Canceled) {
+	if err := c.CallContext(ctx, MethodStatus, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -154,7 +154,7 @@ func TestCallContextAlreadyExpired(t *testing.T) {
 	c := startServer(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.StatusContext(ctx); !errors.Is(err, context.Canceled) {
+	if err := c.CallContext(ctx, MethodStatus, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 	// A pre-call context error must NOT break the client: nothing hit the

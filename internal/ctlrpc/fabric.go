@@ -1,0 +1,188 @@
+package ctlrpc
+
+import (
+	"encoding/json"
+	"errors"
+
+	"lightwave/internal/core"
+	"lightwave/internal/topo"
+	"lightwave/internal/wal"
+)
+
+// NewServer returns a server with the per-fabric methods registered
+// (cmd/lwfd). Fabric methods are not concurrency-safe, so mutations take
+// the write lock and reads share the read lock — with each other, and
+// across connections. The provider methods touch the fabric too (lwfd's
+// chaos provider feeds its BER path), so they are classified the same way.
+func NewServer(f *core.Fabric) *Server {
+	s := &Server{fabric: f, methods: registry{}}
+	for _, m := range []*method{
+		{name: MethodStatus, lock: lockRead, inline: true, cached: true, fn: s.handleStatus},
+		{name: MethodSlice, lock: lockRead, inline: true, fn: typed(s.handleSlice)},
+		{name: MethodMetrics, lock: lockRead, inline: true, fn: s.handleMetrics},
+
+		{name: MethodCompose, lock: lockWrite, journal: true, fn: typed(s.handleCompose)},
+		{name: MethodDestroy, lock: lockWrite, journal: true, fn: typed(s.handleDestroy)},
+		{name: MethodEnsure, lock: lockWrite, journal: true, fn: typed(s.handleEnsure)},
+		{name: MethodReshape, lock: lockWrite, journal: true, fn: typed(s.handleReshape)},
+		{name: MethodFailCube, lock: lockWrite, journal: true, fn: typed(s.handleFailCube)},
+		{name: MethodRepairCube, lock: lockWrite, journal: true, fn: typed(s.handleRepairCube)},
+		{name: MethodInstallCube, lock: lockWrite, journal: true, fn: typed(s.handleInstallCube)},
+		{name: MethodRepairLink, lock: lockWrite, journal: true, fn: typed(s.handleRepairLink)},
+		// A telemetry feed, not fabric state: it mutates the detectors
+		// (write lock) but is not journaled.
+		{name: MethodObserveBER, lock: lockWrite, fn: typed(s.handleObserveBER)},
+	} {
+		s.methods.add(m)
+	}
+	s.registerProviders(lockRead, lockWrite)
+	return s
+}
+
+func shapeOf(s [3]int) topo.Shape { return topo.Shape{X: s[0], Y: s[1], Z: s[2]} }
+
+func sliceResult(sl *core.Slice) SliceResult {
+	return SliceResult{
+		Name:          sl.Name,
+		Shape:         [3]int{sl.Shape.X, sl.Shape.Y, sl.Shape.Z},
+		Cubes:         sl.Cubes,
+		Circuits:      len(sl.Circuits),
+		WorstMarginDB: sl.WorstMarginDB,
+	}
+}
+
+func (s *Server) handleStatus(json.RawMessage) (any, error) {
+	st := StatusResult{
+		InstalledCubes: s.fabric.InstalledCubes(),
+		FreeCubes:      s.fabric.FreeCubes(),
+		TotalCircuits:  s.fabric.TotalCircuits(),
+	}
+	for _, sl := range s.fabric.Slices() {
+		st.Slices = append(st.Slices, sl.Name)
+	}
+	return st, nil
+}
+
+func (s *Server) handleSlice(p NameParams) (any, error) {
+	sl, err := s.fabric.GetSlice(p.Name)
+	if err != nil {
+		return nil, err
+	}
+	return sliceResult(sl), nil
+}
+
+func (s *Server) handleMetrics(json.RawMessage) (any, error) {
+	reg := s.fabric.Metrics()
+	if reg == nil {
+		return MetricsResult{}, nil
+	}
+	return MetricsResult{Text: reg.Text()}, nil
+}
+
+func (s *Server) handleCompose(p ComposeParams) (any, error) {
+	sl, err := s.fabric.ComposeSlice(p.Name, shapeOf(p.Shape), p.Cubes)
+	if err != nil {
+		return nil, err
+	}
+	return sliceResult(sl), nil
+}
+
+func (s *Server) handleDestroy(p NameParams) (any, error) {
+	if err := s.fabric.DestroySlice(p.Name); err != nil {
+		if p.IfPresent && errors.Is(err, core.ErrNoSlice) {
+			return struct{}{}, nil
+		}
+		return nil, err
+	}
+	return struct{}{}, nil
+}
+
+func (s *Server) handleEnsure(p EnsureParams) (any, error) {
+	sl, changed, err := s.fabric.EnsureSlice(p.Name, shapeOf(p.Shape), p.Cubes)
+	if err != nil {
+		return nil, err
+	}
+	return EnsureResult{Slice: sliceResult(sl), Changed: changed}, nil
+}
+
+func (s *Server) handleReshape(p ReshapeParams) (any, error) {
+	sl, err := s.fabric.ReshapeSlice(p.Name, shapeOf(p.Shape), p.Cubes)
+	if err != nil {
+		return nil, err
+	}
+	return sliceResult(sl), nil
+}
+
+func (s *Server) handleFailCube(p CubeParams) (any, error) {
+	rc, err := s.fabric.MarkCubeFailed(p.Cube)
+	if err != nil {
+		return nil, err
+	}
+	return FailCubeResult{Replacement: rc}, nil
+}
+
+func (s *Server) handleRepairCube(p CubeParams) (any, error) {
+	return struct{}{}, s.fabric.RepairCube(p.Cube)
+}
+
+func (s *Server) handleInstallCube(p CubeParams) (any, error) {
+	return struct{}{}, s.fabric.InstallCube(p.Cube)
+}
+
+func (s *Server) handleRepairLink(p RepairLinkParams) (any, error) {
+	spare, err := s.fabric.RepairLink(topo.OCSID(p.OCS), p.Cube)
+	if err != nil {
+		return nil, err
+	}
+	return RepairLinkResult{SparePort: int(spare)}, nil
+}
+
+func (s *Server) handleObserveBER(p ObserveBERParams) (any, error) {
+	return ObserveBERResult{Anomalous: s.fabric.ObserveLinkBER(topo.OCSID(p.OCS), p.Port, p.BER)}, nil
+}
+
+// SnapshotCommands captures the fabric's current state as a replayable
+// command list: install-cube for every cube installed beyond the boot
+// config's first bootCubes, ensure for every composed slice (explicit
+// cube lists, so replay reproduces placement exactly), then fail-cube
+// for every installed-but-unhealthy cube. Replaying the list through
+// ApplyCommand on a freshly built fabric reproduces the state. The
+// capture takes the server's read lock so it never interleaves with a
+// mutating RPC.
+func (s *Server) SnapshotCommands(bootCubes int) ([]wal.Command, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var cmds []wal.Command
+	add := func(method string, params any) error {
+		b, err := json.Marshal(params)
+		if err != nil {
+			return err
+		}
+		cmds = append(cmds, wal.Command{Method: method, Params: b})
+		return nil
+	}
+	for c := bootCubes; c < 64; c++ {
+		if s.fabric.CubeInstalled(c) {
+			if err := add(MethodInstallCube, CubeParams{Cube: c}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, sl := range s.fabric.Slices() {
+		if err := add(MethodEnsure, EnsureParams{
+			Name:  sl.Name,
+			Shape: [3]int{sl.Shape.X, sl.Shape.Y, sl.Shape.Z},
+			Cubes: append([]int(nil), sl.Cubes...),
+		}); err != nil {
+			return nil, err
+		}
+	}
+	for c := 0; c < 64; c++ {
+		if s.fabric.CubeInstalled(c) && !s.fabric.CubeHealthy(c) {
+			if err := add(MethodFailCube, CubeParams{Cube: c}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return cmds, nil
+}

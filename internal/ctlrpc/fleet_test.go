@@ -65,7 +65,7 @@ func (b *memBackend) Info() fleet.PodInfo {
 }
 
 // startFleetServer brings up a manager with the given pods behind a
-// FleetServer and returns a dialer for fresh clients.
+// fleet server and returns a dialer for fresh clients.
 func startFleetServer(t *testing.T, pods map[string]fleet.Backend) (dial func() *Client, m *fleet.Manager) {
 	t.Helper()
 	m = fleet.NewManager(fleet.Options{

@@ -1,24 +1,16 @@
 package ctlrpc
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 )
 
-// Fleet-scoped typed calls for a FleetServer (cmd/lwfleetd).
+// Fleet-scoped typed calls, served by NewFleetServer (cmd/lwfleetd).
 
 // FleetStatus fetches fleet state.
 func (c *Client) FleetStatus() (FleetStatusResult, error) {
 	var r FleetStatusResult
 	err := c.call(MethodFleetStatus, nil, &r)
-	return r, err
-}
-
-// FleetStatusContext is FleetStatus with a deadline.
-func (c *Client) FleetStatusContext(ctx context.Context) (FleetStatusResult, error) {
-	var r FleetStatusResult
-	err := c.CallContext(ctx, MethodFleetStatus, nil, &r)
 	return r, err
 }
 

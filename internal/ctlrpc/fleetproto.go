@@ -1,7 +1,7 @@
 package ctlrpc
 
-// Fleet-scoped methods served by FleetServer (cmd/lwfleetd). They ride the
-// same NDJSON framing as the per-fabric methods; MethodWatch upgrades the
+// Fleet-scoped methods NewFleetServer registers (cmd/lwfleetd). They ride
+// the same NDJSON framing as the per-fabric methods; MethodWatch upgrades the
 // connection to a server-push event stream (every subsequent Response
 // carries one event under the watch request's ID).
 const (

@@ -4,84 +4,43 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 
 	"lightwave/internal/fleet"
-	"lightwave/internal/telemetry"
-	"lightwave/internal/topo"
 )
 
-// FleetServer serves the fleet-scoped control protocol for a fleet.Manager
-// (cmd/lwfleetd). Unlike the per-fabric Server it needs no dispatch lock:
-// the manager is safe for concurrent use and reconciliation runs in its own
-// workers, so slow pods never block the control socket. Each connection
-// runs the shared decode/execute/encode pipeline, so pipelined clients get
-// several requests in flight at once.
-type FleetServer struct {
-	m       *fleet.Manager
-	te      TEStatusProvider
-	chaos   ChaosProvider
-	sched   SchedProvider
-	wal     WALProvider
-	metrics *ctlMetrics
-
-	// MaxRequestBytes caps one request line; 0 means
-	// DefaultMaxRequestBytes. Set before Serve.
-	MaxRequestBytes int
-}
-
-// NewFleetServer wraps a fleet manager.
-func NewFleetServer(m *fleet.Manager) *FleetServer {
-	return &FleetServer{m: m}
-}
-
-// SetTE attaches a topology-engineering status provider. Call before
-// Serve; a nil provider reports TE as disabled.
-func (s *FleetServer) SetTE(p TEStatusProvider) { s.te = p }
-
-// SetChaos attaches a fault-injection provider. Call before Serve; a nil
-// provider reports chaos as disabled and rejects chaos-inject.
-func (s *FleetServer) SetChaos(p ChaosProvider) { s.chaos = p }
-
-// SetSched attaches a slice-scheduler provider. Call before Serve; a nil
-// provider reports the scheduler disabled and rejects sched-submit.
-func (s *FleetServer) SetSched(p SchedProvider) { s.sched = p }
-
-// SetWAL attaches a durable-state status provider. Call before Serve; a
-// nil provider reports the WAL as disabled.
-func (s *FleetServer) SetWAL(p WALProvider) { s.wal = p }
-
-// SetMetrics exposes ctl_requests_total / ctl_inflight /
-// ctl_request_latency_seconds on the registry. Call before Serve.
-func (s *FleetServer) SetMetrics(reg *telemetry.Registry) { s.metrics = newCtlMetrics(reg) }
-
-// Serve accepts connections until the listener closes or ctx is cancelled.
-func (s *FleetServer) Serve(ctx context.Context, lis net.Listener) error {
-	return serveLoop(ctx, lis, s.handleConn)
-}
-
-func (s *FleetServer) handleConn(ctx context.Context, conn net.Conn) {
-	// The watch upgrade dedicates the connection to the event stream: the
-	// pipeline stops decoding further requests, drains in-flight workers,
-	// and hands the writer to streamEvents until the client hangs up or
-	// ctx cancels.
-	// No inline hook: fleet methods call into the manager, whose own
-	// locking the reader cannot probe with a TryRLock.
-	servePipelinedConn(ctx, conn, s.MaxRequestBytes, s.metrics, s.dispatch, nil,
-		&watchHook{method: MethodWatch, run: s.streamEvents})
-}
-
-func (s *FleetServer) dispatch(req Request) Response {
-	result, err := s.call(req.Method, req.Params)
-	return marshalResponse(req.ID, result, err)
+// NewFleetServer returns a server with the fleet-scoped methods and the
+// watch stream registered (cmd/lwfleetd). Every entry is lockNone: the
+// manager is safe for concurrent use and reconciliation runs in its own
+// workers, so slow pods never block the control socket — and none is
+// inline, because the reader cannot probe the manager's own locking with
+// a TryRLock.
+func NewFleetServer(m *fleet.Manager) *Server {
+	s := &Server{fleet: m, methods: registry{}}
+	for _, e := range []*method{
+		{name: MethodFleetStatus, fn: s.handleFleetStatus},
+		{name: MethodApplyIntent, fn: typed(s.handleApplyIntent)},
+		{name: MethodDrain, fn: typed(s.handleDrain)},
+		{name: MethodUndrain, fn: typed(s.handleUndrain)},
+		{name: MethodSchedStatus, fn: s.handleSchedStatus},
+		{name: MethodSchedSubmit, fn: s.handleSchedSubmit},
+		// The watch upgrade dedicates the connection to the event stream:
+		// the pipeline stops decoding further requests, drains in-flight
+		// workers, and hands the writer to streamEvents until the client
+		// hangs up or ctx cancels.
+		{name: MethodWatch, stream: s.streamEvents},
+	} {
+		s.methods.add(e)
+	}
+	s.registerProviders(lockNone, lockNone)
+	return s
 }
 
 // streamEvents acknowledges the watch and pushes every fleet event as a
 // Response carrying a WatchEvent, all under the watch request's ID. send
 // reports false once the connection's write half failed, which ends the
 // stream.
-func (s *FleetServer) streamEvents(ctx context.Context, send func(Response) bool, id uint64) {
-	sub := s.m.Subscribe(256)
+func (s *Server) streamEvents(ctx context.Context, send func(Response) bool, id uint64) {
+	sub := s.fleet.Subscribe(256)
 	defer sub.Close()
 	if !send(marshalResponse(id, WatchAck{Watching: true}, nil)) {
 		return
@@ -109,112 +68,82 @@ func (s *FleetServer) streamEvents(ctx context.Context, send func(Response) bool
 	}
 }
 
-func (s *FleetServer) call(method string, params json.RawMessage) (any, error) {
-	switch method {
-	case MethodFleetStatus:
-		st := s.m.Status()
-		out := FleetStatusResult{
-			QueueDepth:      st.QueueDepth,
-			QuarantinedPods: st.QuarantinedPods,
-		}
-		for _, ps := range st.Pods {
-			out.Pods = append(out.Pods, FleetPodStatus{
-				Name:                ps.Name,
-				Drained:             ps.Drained,
-				DrainedOCS:          ps.DrainedOCS,
-				Quarantined:         ps.Quarantined,
-				Converged:           ps.Converged,
-				ConsecutiveFailures: ps.ConsecutiveFailures,
-				LastError:           ps.LastError,
-				DesiredSlices:       ps.DesiredSlices,
-				ActualSlices:        ps.ActualSlices,
-				InstalledCubes:      ps.InstalledCubes,
-				FreeCubes:           ps.FreeCubes,
-				Circuits:            ps.Circuits,
-			})
-		}
-		return out, nil
-
-	case MethodApplyIntent:
-		var p ApplyIntentParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("bad params: %w", err)
-		}
-		if p.Pod == "" {
-			return nil, fmt.Errorf("apply-intent: missing pod")
-		}
-		if p.Replace {
-			ins := make([]fleet.SliceIntent, 0, len(p.Slices))
-			for _, sp := range p.Slices {
-				if sp.Remove {
-					return nil, fmt.Errorf("apply-intent: remove is meaningless with replace")
-				}
-				ins = append(ins, intentFromSpec(sp))
-			}
-			if err := s.m.ReplaceIntent(p.Pod, ins); err != nil {
-				return nil, err
-			}
-			return ApplyIntentResult{Accepted: len(ins)}, nil
-		}
-		accepted := 0
-		for _, sp := range p.Slices {
-			var err error
-			if sp.Remove {
-				err = s.m.RemoveSliceIntent(p.Pod, sp.Name)
-			} else {
-				err = s.m.SetSliceIntent(p.Pod, intentFromSpec(sp))
-			}
-			if err != nil {
-				return nil, err
-			}
-			accepted++
-		}
-		return ApplyIntentResult{Accepted: accepted}, nil
-
-	case MethodDrain:
-		var p DrainParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("bad params: %w", err)
-		}
-		if p.OCS != nil {
-			return struct{}{}, s.m.DrainOCS(p.Pod, *p.OCS)
-		}
-		return struct{}{}, s.m.DrainPod(p.Pod)
-
-	case MethodUndrain:
-		var p DrainParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("bad params: %w", err)
-		}
-		if p.OCS != nil {
-			return struct{}{}, s.m.UndrainOCS(p.Pod, *p.OCS)
-		}
-		return struct{}{}, s.m.UndrainPod(p.Pod)
-
-	case MethodTEStatus:
-		if s.te == nil {
-			return TEStatusResult{}, nil
-		}
-		return s.te.TEStatus(), nil
-
-	case MethodChaosInject, MethodChaosStatus:
-		return chaosCall(s.chaos, method, func(v any) error { return json.Unmarshal(params, v) })
-
-	case MethodSchedStatus, MethodSchedSubmit:
-		return schedCall(s.sched, method, func(v any) error { return json.Unmarshal(params, v) })
-
-	case MethodWALStatus:
-		return walCall(s.wal)
-
-	default:
-		return nil, fmt.Errorf("unknown method %q", method)
+func (s *Server) handleFleetStatus(json.RawMessage) (any, error) {
+	st := s.fleet.Status()
+	out := FleetStatusResult{
+		QueueDepth:      st.QueueDepth,
+		QuarantinedPods: st.QuarantinedPods,
 	}
+	for _, ps := range st.Pods {
+		out.Pods = append(out.Pods, FleetPodStatus{
+			Name:                ps.Name,
+			Drained:             ps.Drained,
+			DrainedOCS:          ps.DrainedOCS,
+			Quarantined:         ps.Quarantined,
+			Converged:           ps.Converged,
+			ConsecutiveFailures: ps.ConsecutiveFailures,
+			LastError:           ps.LastError,
+			DesiredSlices:       ps.DesiredSlices,
+			ActualSlices:        ps.ActualSlices,
+			InstalledCubes:      ps.InstalledCubes,
+			FreeCubes:           ps.FreeCubes,
+			Circuits:            ps.Circuits,
+		})
+	}
+	return out, nil
+}
+
+func (s *Server) handleApplyIntent(p ApplyIntentParams) (any, error) {
+	if p.Pod == "" {
+		return nil, fmt.Errorf("apply-intent: missing pod")
+	}
+	if p.Replace {
+		ins := make([]fleet.SliceIntent, 0, len(p.Slices))
+		for _, sp := range p.Slices {
+			if sp.Remove {
+				return nil, fmt.Errorf("apply-intent: remove is meaningless with replace")
+			}
+			ins = append(ins, intentFromSpec(sp))
+		}
+		if err := s.fleet.ReplaceIntent(p.Pod, ins); err != nil {
+			return nil, err
+		}
+		return ApplyIntentResult{Accepted: len(ins)}, nil
+	}
+	accepted := 0
+	for _, sp := range p.Slices {
+		var err error
+		if sp.Remove {
+			err = s.fleet.RemoveSliceIntent(p.Pod, sp.Name)
+		} else {
+			err = s.fleet.SetSliceIntent(p.Pod, intentFromSpec(sp))
+		}
+		if err != nil {
+			return nil, err
+		}
+		accepted++
+	}
+	return ApplyIntentResult{Accepted: accepted}, nil
+}
+
+func (s *Server) handleDrain(p DrainParams) (any, error) {
+	if p.OCS != nil {
+		return struct{}{}, s.fleet.DrainOCS(p.Pod, *p.OCS)
+	}
+	return struct{}{}, s.fleet.DrainPod(p.Pod)
+}
+
+func (s *Server) handleUndrain(p DrainParams) (any, error) {
+	if p.OCS != nil {
+		return struct{}{}, s.fleet.UndrainOCS(p.Pod, *p.OCS)
+	}
+	return struct{}{}, s.fleet.UndrainPod(p.Pod)
 }
 
 func intentFromSpec(sp SliceIntentSpec) fleet.SliceIntent {
 	return fleet.SliceIntent{
 		Name:  sp.Name,
-		Shape: topo.Shape{X: sp.Shape[0], Y: sp.Shape[1], Z: sp.Shape[2]},
+		Shape: shapeOf(sp.Shape),
 		Cubes: sp.Cubes,
 	}
 }

@@ -16,11 +16,11 @@ import (
 	"lightwave/internal/telemetry"
 )
 
-// Per-connection request pipeline shared by the fabric and fleet servers.
+// Per-connection request pipeline.
 //
-// The old servers ran decode → execute → encode strictly sequentially per
-// connection, so a slow mutation stalled every queued request and encoding
-// never overlapped execution. The pipeline splits the stages: one reader
+// Running decode → execute → encode strictly sequentially per connection
+// lets a slow mutation stall every queued request, and encoding never
+// overlaps execution. The pipeline splits the stages: one reader
 // goroutine decodes newline-delimited requests, a small worker pool
 // executes them (read-only methods run concurrently under the server's
 // RWMutex), and one writer goroutine drains encoded responses through a
@@ -45,7 +45,7 @@ const (
 	writeBufBytes = 32 * 1024
 )
 
-// ctlMetrics carries the control-plane serving metrics both daemons expose
+// ctlMetrics carries the control-plane serving metrics the daemons expose
 // on /metrics. A nil *ctlMetrics is a valid no-op.
 type ctlMetrics struct {
 	requests *telemetry.Counter
@@ -202,59 +202,53 @@ func (w *connWriter) close() {
 	<-w.done
 }
 
-// watchHook intercepts one method before it reaches the worker pool,
-// dedicating the connection to a server-push stream. It runs after all
-// in-flight workers for the connection have drained.
-type watchHook struct {
-	method string
-	run    func(ctx context.Context, send func(Response) bool, id uint64)
-}
-
-// servePipelinedConn runs the pipelined request loop for one connection.
-// maxLine ≤ 0 uses DefaultMaxRequestBytes. inline, when non-nil, gives the
-// reader a chance to execute a request in place of the worker handoff; it
-// must decline (ok=false) rather than block, and a batch of inline-served
-// requests then completes synchronously inside one read timeslice — the
-// whole response batch is already encoded when the flusher next runs.
-func servePipelinedConn(ctx context.Context, conn net.Conn, maxLine int, m *ctlMetrics, dispatch func(Request) Response, inline func(Request) (Response, bool), watch *watchHook) {
+// serveConn runs the pipelined request loop for one connection. A call
+// whose registry entry is inline-marked gets a chance to execute on the
+// reader in place of the worker handoff; the attempt declines rather than
+// blocks, and a batch of inline-served requests then completes
+// synchronously inside one read timeslice — the whole response batch is
+// already encoded when the flusher next runs. A stream entry dedicates the
+// connection to its server-push stream once in-flight workers drained.
+func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	go func() {
 		<-ctx.Done()
 		conn.Close()
 	}()
+	maxLine := s.MaxRequestBytes
 	if maxLine <= 0 {
 		maxLine = DefaultMaxRequestBytes
 	}
+	m := s.metrics
 
 	w := newConnWriter()
 	go w.run(conn)
 
-	reqCh := make(chan Request, connWorkers)
+	callCh := make(chan call, connWorkers)
 	var wg sync.WaitGroup
 	for i := 0; i < connWorkers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for req := range reqCh {
+			for c := range callCh {
 				start := m.begin()
-				resp := dispatch(req)
+				resp := s.dispatch(c)
 				m.end(start)
 				w.send(resp)
 			}
 		}()
 	}
 
-	var watchID uint64
-	watching := false
+	var stream *method
 	br := bufio.NewReaderSize(conn, 64*1024)
 	// inlineBuf accumulates inline-served responses while more complete
 	// requests are already buffered, so a pipelined burst of cached reads
 	// reaches the flusher as one append instead of one per response.
 	var inlineBuf []byte
-	// Hoisted out of the loop: &req escapes into parseRequest, so an
+	// Hoisted out of the loop: &c escapes into parseRequest, so an
 	// in-loop declaration heap-allocates per request. Each channel send
 	// copies the value, so reuse is safe.
-	var req Request
+	var c call
 	for {
 		line, tooLong, err := readLimitedLine(br, maxLine)
 		if tooLong {
@@ -273,20 +267,19 @@ func servePipelinedConn(ctx context.Context, conn net.Conn, maxLine int, m *ctlM
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if uerr := parseRequest(line, &req); uerr != nil {
+		if uerr := s.methods.parseRequest(line, &c); uerr != nil {
 			w.send(Response{Error: fmt.Sprintf("bad request: %v", uerr)})
 			continue
 		}
-		if watch != nil && req.Method == watch.method {
-			watchID = req.ID
-			watching = true
+		if c.m != nil && c.m.stream != nil {
+			stream = c.m
 			break
 		}
-		if inline != nil {
-			// Inline execution consumes Params before the next read, so
+		if c.m != nil && c.m.inline {
+			// Inline execution consumes params before the next read, so
 			// the buffer-aliasing fast-path slices need no detach copy.
 			start := m.begin()
-			if resp, ok := inline(req); ok {
+			if resp, ok := s.tryInline(c); ok {
 				m.end(start)
 				inlineBuf = appendResponse(inlineBuf, &resp)
 				if !hasCompleteLine(br) {
@@ -299,10 +292,10 @@ func servePipelinedConn(ctx context.Context, conn net.Conn, maxLine int, m *ctlM
 			}
 			m.abort() // the worker path re-counts the request
 		}
-		// The fast-path Params alias the reader buffer; the worker outlives
+		// The fast-path params alias the reader buffer; the worker outlives
 		// the next read, so detach them.
-		if len(req.Params) != 0 {
-			req.Params = append(json.RawMessage(nil), req.Params...)
+		if len(c.params) != 0 {
+			c.params = append(json.RawMessage(nil), c.params...)
 		}
 		if len(inlineBuf) > 0 {
 			// The worker handoff below may block on a busy pool; finished
@@ -310,16 +303,16 @@ func servePipelinedConn(ctx context.Context, conn net.Conn, maxLine int, m *ctlM
 			w.sendBytes(inlineBuf)
 			inlineBuf = inlineBuf[:0]
 		}
-		reqCh <- req
+		callCh <- c
 	}
 
 	w.sendBytes(inlineBuf) // responses still parked when the loop exited
-	close(reqCh)
+	close(callCh)
 	wg.Wait()
-	if watching {
+	if stream != nil {
 		// The connection is now dedicated to the stream; in-flight unary
 		// responses are already queued, and the client demuxes by ID.
-		watch.run(ctx, w.send, watchID)
+		stream.stream(ctx, w.send, c.id)
 	}
 	w.close()
 }

@@ -6,10 +6,7 @@
 // calls for tooling such as cmd/lwfctl.
 package ctlrpc
 
-import (
-	"encoding/json"
-	"strings"
-)
+import "encoding/json"
 
 // Request is one control-plane call.
 type Request struct {
@@ -44,14 +41,8 @@ const (
 
 // errRequestTooLarge is the wire error text for a request line exceeding
 // the server's size cap. The oversized line is drained and the connection
-// stays usable; IsRequestTooLarge recognizes the error on the client side.
+// stays usable.
 const errRequestTooLarge = "request too large"
-
-// IsRequestTooLarge reports whether a call failed because the request line
-// exceeded the server's per-request size cap.
-func IsRequestTooLarge(err error) bool {
-	return err != nil && strings.Contains(err.Error(), errRequestTooLarge)
-}
 
 // TEStatusResult reports the state of a daemon's topology-engineering
 // loop. Enabled is false when the daemon runs no TE loop; the remaining

@@ -1,8 +1,8 @@
 package ctlrpc
 
 import (
+	"encoding/json"
 	"errors"
-	"fmt"
 
 	"lightwave/internal/sched"
 )
@@ -97,20 +97,16 @@ func (p SchedulerProvider) SchedSubmit(params SchedSubmitParams) (SchedSubmitRes
 	return SchedSubmitResult{JobID: id, Placed: placed}, nil
 }
 
-// schedCall dispatches the scheduler methods against an optional provider.
-func schedCall(p SchedProvider, method string, unmarshal func(any) error) (any, error) {
-	if method == MethodSchedStatus {
-		if p == nil {
-			return SchedStatusResult{}, nil
-		}
-		return p.SchedStatus(), nil
+func (s *Server) handleSchedStatus(json.RawMessage) (any, error) {
+	if s.sched == nil {
+		return SchedStatusResult{}, nil
 	}
-	if p == nil {
+	return s.sched.SchedStatus(), nil
+}
+
+func (s *Server) handleSchedSubmit(params json.RawMessage) (any, error) {
+	if s.sched == nil {
 		return nil, ErrSchedDisabled
 	}
-	var params SchedSubmitParams
-	if err := unmarshal(&params); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	return p.SchedSubmit(params)
+	return typed(s.sched.SchedSubmit)(params)
 }

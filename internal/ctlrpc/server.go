@@ -10,77 +10,161 @@ import (
 	"sync/atomic"
 
 	"lightwave/internal/core"
+	"lightwave/internal/fleet"
 	"lightwave/internal/telemetry"
-	"lightwave/internal/topo"
 )
 
-// Server serves the control protocol for one fabric. Fabric methods are
-// not concurrency-safe, so mutations serialize on a write lock; the
-// methods marked read-only in the dispatch table (status, slice, metrics,
-// te-status, chaos-status) share a read lock and run concurrently — with
-// each other, and across connections.
+// Server serves the control protocol. Its only dispatch structure is the
+// method registry built at construction: NewServer registers the fabric
+// methods, NewFleetServer the fleet methods and the watch stream, and
+// everything else — the per-connection pipeline, lock classification, the
+// generation-keyed result cache, inline read dispatch, journaling and the
+// ctl_* metrics — is a property of a registry entry, applied the same way
+// whichever constructor filled the table.
 type Server struct {
+	// mu guards state that is not concurrency-safe on its own (the
+	// fabric): lockRead methods share it, lockWrite methods own it.
 	mu      sync.RWMutex
-	fabric  *core.Fabric
+	methods registry
+
+	fabric *core.Fabric   // state of the fabric methods
+	fleet  *fleet.Manager // state of the fleet methods
+
 	te      TEStatusProvider
 	chaos   ChaosProvider
+	sched   SchedProvider
 	wal     WALProvider
 	journal Journal
 	metrics *ctlMetrics
 
-	// gen counts fabric mutations; statusCache holds the marshaled status
-	// result for one generation, so the read-mostly pollers that dominate
-	// control-plane load skip both the fabric walk and the marshal.
-	gen         atomic.Uint64
-	statusCache atomic.Pointer[cachedStatus]
+	// gen counts lockWrite calls; cached entries key their encoded result
+	// on it, so the read-mostly pollers that dominate control-plane load
+	// skip both the handler and the marshal.
+	gen atomic.Uint64
 
 	// MaxRequestBytes caps one request line; 0 means
 	// DefaultMaxRequestBytes. Set before Serve.
 	MaxRequestBytes int
 }
 
-// cachedStatus is one generation's marshaled status result.
-type cachedStatus struct {
+// lockClass says which side of Server.mu a method runs under.
+type lockClass uint8
+
+const (
+	// lockNone: the handler's state is concurrency-safe on its own (the
+	// fleet manager and everything attached to the fleet daemon).
+	lockNone lockClass = iota
+	// lockRead: runs under RLock, concurrently with other reads.
+	lockRead
+	// lockWrite: runs under Lock and bumps the generation counter.
+	lockWrite
+)
+
+// handler executes one call against its already-locked state.
+type handler func(params json.RawMessage) (any, error)
+
+// method is one registry entry.
+type method struct {
+	name string
+	lock lockClass
+	// inline lets the connection reader run the handler in place of a
+	// worker handoff. Only for lockRead handlers that touch nothing but
+	// the server's own state and so cannot block once the read lock is
+	// held: a handler that calls out to an attached provider stays off the
+	// reader, because a slow provider must stall one worker, never request
+	// decoding.
+	inline bool
+	// journal marks mutations that must be durable before their response:
+	// on success dispatch hands name+params to the attached Journal, and
+	// ApplyCommand accepts the method for recovery replay.
+	journal bool
+	// cached marks a lockRead handler that ignores its params: its encoded
+	// result is reused until the next lockWrite call.
+	cached bool
+	cache  atomic.Pointer[cachedResult]
+
+	fn handler
+	// stream, when set, dedicates the connection to a server-push stream
+	// in place of a unary answer.
+	stream func(ctx context.Context, send func(Response) bool, id uint64)
+}
+
+// cachedResult is one generation's marshaled result.
+type cachedResult struct {
 	gen uint64
 	raw json.RawMessage
 }
 
-// NewServer wraps a fabric.
-func NewServer(f *core.Fabric) *Server {
-	return &Server{fabric: f}
+// registry maps method names to entries. It is written only by the
+// constructors and read-only from Serve on, so the wire parser and
+// dispatch share it without locking.
+type registry map[string]*method
+
+func (r registry) add(m *method) { r[m.name] = m }
+
+// call is one decoded request bound to its registry entry.
+type call struct {
+	id uint64
+	// m is nil for a method nobody registered; name then carries the
+	// token for the error message.
+	m      *method
+	name   string
+	params json.RawMessage
+}
+
+// typed adapts a handler with typed params: the decode and its error text
+// live here once instead of in every handler.
+func typed[P, R any](fn func(P) (R, error)) handler {
+	return func(params json.RawMessage) (any, error) {
+		var p P
+		if err := json.Unmarshal(params, &p); err != nil {
+			return nil, fmt.Errorf("bad params: %w", err)
+		}
+		return fn(p)
+	}
+}
+
+// registerProviders adds the methods backed by optional providers. read
+// and write are the lock classes their status reads and injections take:
+// the fabric daemon's providers touch the fabric, the fleet daemon's are
+// safe on their own.
+func (s *Server) registerProviders(read, write lockClass) {
+	s.methods.add(&method{name: MethodTEStatus, lock: read, fn: s.handleTEStatus})
+	s.methods.add(&method{name: MethodChaosStatus, lock: read, fn: s.handleChaosStatus})
+	s.methods.add(&method{name: MethodChaosInject, lock: write, fn: s.handleChaosInject})
+	s.methods.add(&method{name: MethodWALStatus, lock: read, fn: s.handleWALStatus})
 }
 
 // SetTE attaches a topology-engineering status provider. Call before
-// Serve; a nil provider reports TE as disabled.
+// Serve; without one te-status reports TE as disabled.
 func (s *Server) SetTE(p TEStatusProvider) { s.te = p }
 
-// SetChaos attaches a fault-injection provider. Call before Serve; a nil
-// provider reports chaos as disabled and rejects chaos-inject.
+// SetChaos attaches a fault-injection provider. Call before Serve;
+// without one chaos-status reports chaos as disabled and chaos-inject is
+// rejected.
 func (s *Server) SetChaos(p ChaosProvider) { s.chaos = p }
 
-// SetWAL attaches a durable-state status provider. Call before Serve; a
-// nil provider reports the WAL as disabled.
+// SetSched attaches a slice-scheduler provider. Call before Serve;
+// without one sched-status reports the scheduler disabled and
+// sched-submit is rejected.
+func (s *Server) SetSched(p SchedProvider) { s.sched = p }
+
+// SetWAL attaches a durable-state status provider. Call before Serve;
+// without one wal-status reports the WAL as disabled.
 func (s *Server) SetWAL(p WALProvider) { s.wal = p }
 
-// SetJournal attaches a command journal: every mutating fabric method the
+// SetJournal attaches a command journal: every journal-marked method the
 // server executes successfully is journaled before its response is
-// written. Call before Serve (and after replaying recovered commands); a
-// nil journal disables command journaling.
+// written. Call before Serve (and after replaying recovered commands).
 func (s *Server) SetJournal(j Journal) { s.journal = j }
 
 // SetMetrics exposes ctl_requests_total / ctl_inflight /
 // ctl_request_latency_seconds on the registry. Call before Serve.
 func (s *Server) SetMetrics(reg *telemetry.Registry) { s.metrics = newCtlMetrics(reg) }
 
-// Serve accepts connections until the listener closes or ctx is cancelled.
+// Serve accepts connections until the listener closes or ctx is cancelled,
+// and returns once every connection has drained.
 func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
-	return serveLoop(ctx, lis, s.handleConn)
-}
-
-// serveLoop accepts connections and runs handle per connection until the
-// listener closes or ctx is cancelled. Shared by the fabric and fleet
-// servers.
-func serveLoop(ctx context.Context, lis net.Listener, handle func(context.Context, net.Conn)) error {
 	go func() {
 		<-ctx.Done()
 		lis.Close()
@@ -90,10 +174,7 @@ func serveLoop(ctx context.Context, lis net.Listener, handle func(context.Contex
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			if errors.Is(err, net.ErrClosed) {
+			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -101,152 +182,87 @@ func serveLoop(ctx context.Context, lis net.Listener, handle func(context.Contex
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			handle(ctx, conn)
+			s.serveConn(ctx, conn)
 		}()
 	}
 }
 
-func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
-	servePipelinedConn(ctx, conn, s.MaxRequestBytes, s.metrics, s.dispatch, s.tryInline, nil)
-}
-
-// fabricHandler is one dispatch-table entry: the read/mutate
-// classification decides which side of the server's RWMutex the call
-// takes, and inline marks read-only handlers the connection reader may
-// execute in place of a worker handoff.
-type fabricHandler struct {
-	readOnly bool
-	// inline is set only on handlers that read the server's own fabric
-	// or telemetry state and therefore cannot block once the read lock is
-	// held. Handlers that call out to attached providers (te, chaos) stay
-	// off the reader even though they are read-only: a slow provider must
-	// stall one worker, never request decoding.
-	inline bool
-	// journal marks fabric mutations that must be durable before their
-	// response: on success the dispatch hands method+params to the
-	// attached Journal. Telemetry feeds (observe-ber) and provider
-	// methods (chaos-inject) are not journaled — they are not fabric
-	// state.
-	journal bool
-	fn      func(*Server, json.RawMessage) (any, error)
-}
-
-// fabricHandlers classifies every fabric method. Read-only methods must
-// not mutate the fabric, its slices, or any provider state guarded by the
-// server lock; providers (te/chaos) are concurrency-safe by contract, so
-// their status calls are reads even though chaos-inject is a mutation.
-var fabricHandlers = map[string]fabricHandler{
-	MethodStatus:      {readOnly: true, inline: true, fn: (*Server).handleStatus},
-	MethodSlice:       {readOnly: true, inline: true, fn: (*Server).handleSlice},
-	MethodMetrics:     {readOnly: true, inline: true, fn: (*Server).handleMetrics},
-	MethodTEStatus:    {readOnly: true, fn: (*Server).handleTEStatus},
-	MethodChaosStatus: {readOnly: true, fn: chaosHandler(MethodChaosStatus)},
-	MethodWALStatus:   {readOnly: true, fn: (*Server).handleWALStatus},
-
-	MethodCompose:     {journal: true, fn: (*Server).handleCompose},
-	MethodDestroy:     {journal: true, fn: (*Server).handleDestroy},
-	MethodEnsure:      {journal: true, fn: (*Server).handleEnsure},
-	MethodReshape:     {journal: true, fn: (*Server).handleReshape},
-	MethodFailCube:    {journal: true, fn: (*Server).handleFailCube},
-	MethodRepairCube:  {journal: true, fn: (*Server).handleRepairCube},
-	MethodInstallCube: {journal: true, fn: (*Server).handleInstallCube},
-	MethodRepairLink:  {journal: true, fn: (*Server).handleRepairLink},
-	MethodObserveBER:  {fn: (*Server).handleObserveBER},
-	MethodChaosInject: {fn: chaosHandler(MethodChaosInject)},
-}
-
-// chaosHandler adapts chaosCall to a dispatch-table entry for one of the
-// two chaos methods.
-func chaosHandler(method string) func(*Server, json.RawMessage) (any, error) {
-	return func(s *Server, params json.RawMessage) (any, error) {
-		return chaosCall(s.chaos, method, func(v any) error { return json.Unmarshal(params, v) })
+// dispatch executes one call under the lock its registry entry names.
+func (s *Server) dispatch(c call) Response {
+	m := c.m
+	if m == nil {
+		return marshalResponse(c.id, nil, fmt.Errorf("unknown method %q", c.name))
 	}
-}
-
-func (s *Server) dispatch(req Request) Response {
-	h, ok := fabricHandlers[req.Method]
-	if !ok {
-		return marshalResponse(req.ID, nil, fmt.Errorf("unknown method %q", req.Method))
-	}
-	if h.readOnly {
+	switch m.lock {
+	case lockRead:
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return s.dispatchReadLocked(req, h)
+		return s.readLocked(c)
+	case lockWrite:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.gen.Add(1) // any mutation invalidates the cached results
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen.Add(1) // any mutation invalidates the status cache
-	result, err := h.fn(s, req.Params)
-	if err == nil && h.journal && s.journal != nil {
-		// Journal after success, before the response: the fabric state
-		// already changed, so a journal failure is surfaced as the call's
-		// error — the client retries and the command is re-journaled
-		// (handlers are idempotent or fail cleanly on re-execution).
-		if jerr := s.journal.JournalCommand(req.Method, req.Params); jerr != nil {
-			return marshalResponse(req.ID, nil, fmt.Errorf("journal: %w", jerr))
+	result, err := m.fn(c.params)
+	if err == nil && m.journal && s.journal != nil {
+		// Journal after success, before the response: the state already
+		// changed, so a journal failure is surfaced as the call's error —
+		// the client retries and the command is re-journaled (handlers
+		// are idempotent or fail cleanly on re-execution).
+		if jerr := s.journal.JournalCommand(m.name, c.params); jerr != nil {
+			return marshalResponse(c.id, nil, fmt.Errorf("journal: %w", jerr))
 		}
 	}
-	return marshalResponse(req.ID, result, err)
+	return marshalResponse(c.id, result, err)
 }
 
-// ApplyCommand re-executes one journaled command during recovery replay,
-// before the server starts serving. It accepts only journaled mutating
-// methods.
-func (s *Server) ApplyCommand(method string, params json.RawMessage) error {
-	h, ok := fabricHandlers[method]
-	if !ok || !h.journal {
-		return fmt.Errorf("ctlrpc: method %q is not replayable", method)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen.Add(1)
-	_, err := h.fn(s, params)
-	return err
-}
-
-func (s *Server) handleWALStatus(json.RawMessage) (any, error) {
-	return walCall(s.wal)
-}
-
-// tryInline executes read-only, provider-free methods on the connection
-// reader's goroutine, skipping the worker handoff. It declines — sending
-// the request down the normal worker path — when the method is not
-// inline-safe or a mutation currently holds the write lock, so decoding
-// never stalls behind the fabric.
-func (s *Server) tryInline(req Request) (Response, bool) {
-	h, ok := fabricHandlers[req.Method]
-	if !ok || !h.inline {
-		return Response{}, false
-	}
+// tryInline executes an inline-marked call on the connection reader's
+// goroutine, skipping the worker handoff. It declines — sending the call
+// down the normal worker path — when a mutation currently holds the write
+// lock, so decoding never stalls behind the fabric.
+func (s *Server) tryInline(c call) (Response, bool) {
 	if !s.mu.TryRLock() {
 		return Response{}, false
 	}
 	defer s.mu.RUnlock()
-	return s.dispatchReadLocked(req, h), true
+	return s.readLocked(c), true
 }
 
-// dispatchReadLocked runs one read-only handler; s.mu must be read-held.
-func (s *Server) dispatchReadLocked(req Request, h fabricHandler) Response {
-	if req.Method == MethodStatus {
-		// Serve status from the generation-keyed cache: under the read
-		// lock no mutation can interleave, so a hit is exactly the
-		// fabric's current state and a rebuild is safe to publish.
-		gen := s.gen.Load()
-		if c := s.statusCache.Load(); c != nil && c.gen == gen {
-			return Response{ID: req.ID, Result: c.raw}
-		}
-		resp := marshalResponse(req.ID, mustStatus(s.handleStatus(nil)), nil)
-		if resp.Error == "" {
-			s.statusCache.Store(&cachedStatus{gen: gen, raw: resp.Result})
-		}
-		return resp
+// readLocked runs one lockRead handler; s.mu must be read-held.
+func (s *Server) readLocked(c call) Response {
+	m := c.m
+	if !m.cached {
+		result, err := m.fn(c.params)
+		return marshalResponse(c.id, result, err)
 	}
-	result, err := h.fn(s, req.Params)
-	return marshalResponse(req.ID, result, err)
+	// Under the read lock no mutation can interleave, so a hit is exactly
+	// the current state and a rebuild is safe to publish.
+	gen := s.gen.Load()
+	if hit := m.cache.Load(); hit != nil && hit.gen == gen {
+		return Response{ID: c.id, Result: hit.raw}
+	}
+	result, err := m.fn(nil)
+	resp := marshalResponse(c.id, result, err)
+	if resp.Error == "" {
+		m.cache.Store(&cachedResult{gen: gen, raw: resp.Result})
+	}
+	return resp
 }
 
-// mustStatus narrows handleStatus's (any, error) — it never fails.
-func mustStatus(result any, _ error) any { return result }
+// ApplyCommand re-executes one journaled command during recovery replay,
+// before the server starts serving. It accepts only journal-marked
+// methods.
+func (s *Server) ApplyCommand(name string, params json.RawMessage) error {
+	m := s.methods[name]
+	if m == nil || !m.journal {
+		return fmt.Errorf("ctlrpc: method %q is not replayable", name)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gen.Add(1)
+	_, err := m.fn(params)
+	return err
+}
 
 // marshalResponse packages a call's outcome as the wire response.
 func marshalResponse(id uint64, result any, err error) Response {
@@ -262,161 +278,4 @@ func marshalResponse(id uint64, result any, err error) Response {
 	}
 	resp.Result = raw
 	return resp
-}
-
-func (s *Server) handleStatus(json.RawMessage) (any, error) {
-	st := StatusResult{
-		InstalledCubes: s.fabric.InstalledCubes(),
-		FreeCubes:      s.fabric.FreeCubes(),
-		TotalCircuits:  s.fabric.TotalCircuits(),
-	}
-	for _, sl := range s.fabric.Slices() {
-		st.Slices = append(st.Slices, sl.Name)
-	}
-	return st, nil
-}
-
-func (s *Server) handleCompose(params json.RawMessage) (any, error) {
-	var p ComposeParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	shape := topo.Shape{X: p.Shape[0], Y: p.Shape[1], Z: p.Shape[2]}
-	sl, err := s.fabric.ComposeSlice(p.Name, shape, p.Cubes)
-	if err != nil {
-		return nil, err
-	}
-	return sliceResult(sl), nil
-}
-
-func (s *Server) handleDestroy(params json.RawMessage) (any, error) {
-	var p NameParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	if err := s.fabric.DestroySlice(p.Name); err != nil {
-		if p.IfPresent && errors.Is(err, core.ErrNoSlice) {
-			return struct{}{}, nil
-		}
-		return nil, err
-	}
-	return struct{}{}, nil
-}
-
-func (s *Server) handleEnsure(params json.RawMessage) (any, error) {
-	var p EnsureParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	shape := topo.Shape{X: p.Shape[0], Y: p.Shape[1], Z: p.Shape[2]}
-	sl, changed, err := s.fabric.EnsureSlice(p.Name, shape, p.Cubes)
-	if err != nil {
-		return nil, err
-	}
-	return EnsureResult{Slice: sliceResult(sl), Changed: changed}, nil
-}
-
-func (s *Server) handleReshape(params json.RawMessage) (any, error) {
-	var p ReshapeParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	shape := topo.Shape{X: p.Shape[0], Y: p.Shape[1], Z: p.Shape[2]}
-	sl, err := s.fabric.ReshapeSlice(p.Name, shape, p.Cubes)
-	if err != nil {
-		return nil, err
-	}
-	return sliceResult(sl), nil
-}
-
-func (s *Server) handleSlice(params json.RawMessage) (any, error) {
-	var p NameParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	sl, err := s.fabric.GetSlice(p.Name)
-	if err != nil {
-		return nil, err
-	}
-	return sliceResult(sl), nil
-}
-
-func (s *Server) handleFailCube(params json.RawMessage) (any, error) {
-	var p CubeParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	rc, err := s.fabric.MarkCubeFailed(p.Cube)
-	if err != nil {
-		return nil, err
-	}
-	return FailCubeResult{Replacement: rc}, nil
-}
-
-func (s *Server) handleRepairCube(params json.RawMessage) (any, error) {
-	var p CubeParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	if err := s.fabric.RepairCube(p.Cube); err != nil {
-		return nil, err
-	}
-	return struct{}{}, nil
-}
-
-func (s *Server) handleInstallCube(params json.RawMessage) (any, error) {
-	var p CubeParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	if err := s.fabric.InstallCube(p.Cube); err != nil {
-		return nil, err
-	}
-	return struct{}{}, nil
-}
-
-func (s *Server) handleRepairLink(params json.RawMessage) (any, error) {
-	var p RepairLinkParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	spare, err := s.fabric.RepairLink(topo.OCSID(p.OCS), p.Cube)
-	if err != nil {
-		return nil, err
-	}
-	return RepairLinkResult{SparePort: int(spare)}, nil
-}
-
-func (s *Server) handleMetrics(json.RawMessage) (any, error) {
-	reg := s.fabric.Metrics()
-	if reg == nil {
-		return MetricsResult{}, nil
-	}
-	return MetricsResult{Text: reg.Text()}, nil
-}
-
-func (s *Server) handleObserveBER(params json.RawMessage) (any, error) {
-	var p ObserveBERParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, fmt.Errorf("bad params: %w", err)
-	}
-	anom := s.fabric.ObserveLinkBER(topo.OCSID(p.OCS), p.Port, p.BER)
-	return ObserveBERResult{Anomalous: anom}, nil
-}
-
-func (s *Server) handleTEStatus(json.RawMessage) (any, error) {
-	if s.te == nil {
-		return TEStatusResult{}, nil
-	}
-	return s.te.TEStatus(), nil
-}
-
-func sliceResult(sl *core.Slice) SliceResult {
-	return SliceResult{
-		Name:          sl.Name,
-		Shape:         [3]int{sl.Shape.X, sl.Shape.Y, sl.Shape.Z},
-		Cubes:         sl.Cubes,
-		Circuits:      len(sl.Circuits),
-		WorstMarginDB: sl.WorstMarginDB,
-	}
 }

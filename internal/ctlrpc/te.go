@@ -1,6 +1,10 @@
 package ctlrpc
 
-import "lightwave/internal/te"
+import (
+	"encoding/json"
+
+	"lightwave/internal/te"
+)
 
 // LoopTEProvider adapts a te.Loop to the TEStatusProvider interface, so
 // both daemons serve te-status with one line of wiring.
@@ -28,4 +32,11 @@ func (p LoopTEProvider) TEStatus() TEStatusResult {
 		LastReason:                s.LastReason,
 		CurrentTrunks:             s.CurrentTrunks,
 	}
+}
+
+func (s *Server) handleTEStatus(json.RawMessage) (any, error) {
+	if s.te == nil {
+		return TEStatusResult{}, nil
+	}
+	return s.te.TEStatus(), nil
 }

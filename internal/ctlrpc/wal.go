@@ -78,59 +78,11 @@ func (p StoreWALProvider) WALStatus() WALStatusResult {
 	}
 }
 
-// SnapshotCommands captures the fabric's current state as a replayable
-// command list: install-cube for every cube installed beyond the boot
-// config's first bootCubes, ensure for every composed slice (explicit
-// cube lists, so replay reproduces placement exactly), then fail-cube
-// for every installed-but-unhealthy cube. Replaying the list through
-// ApplyCommand on a freshly built fabric reproduces the state. The
-// capture takes the server's read lock so it never interleaves with a
-// mutating RPC.
-func (s *Server) SnapshotCommands(bootCubes int) ([]wal.Command, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var cmds []wal.Command
-	add := func(method string, params any) error {
-		b, err := json.Marshal(params)
-		if err != nil {
-			return err
-		}
-		cmds = append(cmds, wal.Command{Method: method, Params: b})
-		return nil
-	}
-	for c := bootCubes; c < 64; c++ {
-		if s.fabric.CubeInstalled(c) {
-			if err := add(MethodInstallCube, CubeParams{Cube: c}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, sl := range s.fabric.Slices() {
-		if err := add(MethodEnsure, EnsureParams{
-			Name:  sl.Name,
-			Shape: [3]int{sl.Shape.X, sl.Shape.Y, sl.Shape.Z},
-			Cubes: append([]int(nil), sl.Cubes...),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	for c := 0; c < 64; c++ {
-		if s.fabric.CubeInstalled(c) && !s.fabric.CubeHealthy(c) {
-			if err := add(MethodFailCube, CubeParams{Cube: c}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return cmds, nil
-}
-
-// walCall dispatches wal-status against an optional provider; a nil
-// provider reports the WAL disabled.
-func walCall(p WALProvider) (any, error) {
-	if p == nil {
+func (s *Server) handleWALStatus(json.RawMessage) (any, error) {
+	if s.wal == nil {
 		return WALStatusResult{}, nil
 	}
-	return p.WALStatus(), nil
+	return s.wal.WALStatus(), nil
 }
 
 // WALStatus reports the daemon's durable-state subsystem.

@@ -71,34 +71,6 @@ func appendResponse(dst []byte, resp *Response) []byte {
 	return append(dst, '}', '\n')
 }
 
-// internedMethods maps every known method name to itself, so the request
-// parser's string(bytes) conversion is alloc-free for real traffic (a
-// map[string]X lookup keyed by []byte does not allocate).
-var internedMethods = map[string]string{}
-
-func init() {
-	for _, m := range []string{
-		MethodStatus, MethodCompose, MethodDestroy, MethodEnsure,
-		MethodSlice, MethodFailCube, MethodRepairCube, MethodInstallCube,
-		MethodObserveBER, MethodReshape, MethodMetrics, MethodRepairLink,
-		MethodTEStatus, MethodChaosInject, MethodChaosStatus,
-		MethodFleetStatus, MethodApplyIntent, MethodDrain, MethodUndrain,
-		MethodWatch, MethodSchedStatus, MethodSchedSubmit, MethodWALStatus,
-	} {
-		internedMethods[m] = m
-	}
-}
-
-// internMethod converts a method token without allocating when known.
-//
-//lwlint:hotpath
-func internMethod(b []byte) string {
-	if m, ok := internedMethods[string(b)]; ok {
-		return m
-	}
-	return string(b)
-}
-
 // eatUint consumes a decimal literal at line[i:].
 //
 //lwlint:hotpath
@@ -150,11 +122,12 @@ func parseResponse(line []byte, resp *Response) error {
 	return json.Unmarshal(line, resp)
 }
 
-// parseRequest decodes one request line. The returned Method and Params
-// alias line on the fast path; callers must copy what outlives the buffer.
+// parseRequest decodes one request line and binds it to its registry
+// entry. The returned params alias line on the fast path; callers must
+// copy what outlives the buffer.
 //
 //lwlint:hotpath
-func parseRequest(line []byte, req *Request) error {
+func (r registry) parseRequest(line []byte, c *call) error {
 	if rest, ok := bytes.CutPrefix(line, []byte(`{"id":`)); ok {
 		id, i, ok := eatUint(rest, 0)
 		if ok && bytes.HasPrefix(rest[i:], []byte(`,"method":"`)) {
@@ -164,20 +137,43 @@ func parseRequest(line []byte, req *Request) error {
 				j++
 			}
 			if j < len(rest) && rest[j] == '"' {
-				method := rest[i:j]
 				switch {
 				case j+1 < len(rest) && rest[j+1] == '}':
-					*req = Request{ID: id, Method: internMethod(method)}
+					r.bind(c, id, rest[i:j], nil)
 					return nil
 				case bytes.HasPrefix(rest[j+1:], []byte(`,"params":`)):
 					if payload, ok := tail(rest, j+1+len(`,"params":`)); ok {
-						*req = Request{ID: id, Method: internMethod(method), Params: payload}
+						r.bind(c, id, rest[i:j], payload)
 						return nil
 					}
 				}
 			}
 		}
 	}
-	*req = Request{}
-	return json.Unmarshal(line, req)
+	return r.parseRequestSlow(line, c)
+}
+
+// bind resolves a method token against the registry. The map lookup keyed
+// by the token's bytes does not allocate, so a known method costs no
+// string at all; an unknown one keeps a copy of its name for the error.
+//
+//lwlint:hotpath
+func (r registry) bind(c *call, id uint64, method, params []byte) {
+	*c = call{id: id, m: r[string(method)], params: params}
+	if c.m == nil {
+		c.name = string(method)
+	}
+}
+
+// parseRequestSlow is the encoding/json fallback for frames the fast path
+// cannot claim: reordered fields, escaped method names, whitespace. It is
+// its own function so the escaping Request is only allocated here.
+func (r registry) parseRequestSlow(line []byte, c *call) error {
+	var req Request
+	if err := json.Unmarshal(line, &req); err != nil {
+		*c = call{}
+		return err
+	}
+	*c = call{id: req.ID, m: r[req.Method], name: req.Method, params: req.Params}
+	return nil
 }

@@ -53,18 +53,28 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 // including ones that must take the encoding/json fallback (reordered
 // fields, escaped strings, whitespace).
 func TestParseRoundTrip(t *testing.T) {
+	reg := registry{}
+	reg.add(&method{name: "status"})
+	reg.add(&method{name: "compose"})
 	reqs := []Request{
 		{ID: 1, Method: "status"},
 		{ID: 2, Method: "compose", Params: json.RawMessage(`{"name":"j","shape":[4,4,8]}`)},
 		{ID: 3, Method: `esc"aped`},
+		{ID: 4, Method: "unregistered"},
 	}
 	for _, want := range reqs {
 		line := appendRequest(nil, &want)
-		var got Request
-		if err := parseRequest(line, &got); err != nil {
+		var got call
+		if err := reg.parseRequest(line, &got); err != nil {
 			t.Fatalf("parseRequest(%s): %v", line, err)
 		}
-		if got.ID != want.ID || got.Method != want.Method || !bytes.Equal(got.Params, want.Params) {
+		// A registered method binds to its entry; anything else keeps its
+		// name for the unknown-method error.
+		method := got.name
+		if got.m != nil {
+			method = got.m.name
+		}
+		if got.m != reg[want.Method] || got.id != want.ID || method != want.Method || !bytes.Equal(got.params, want.Params) {
 			t.Errorf("round trip %+v -> %+v", want, got)
 		}
 	}
@@ -85,15 +95,15 @@ func TestParseRoundTrip(t *testing.T) {
 		}
 	}
 	// Fallback shapes the fast path cannot claim.
-	var req Request
-	if err := parseRequest([]byte(`{"method":"status","id":9}`), &req); err != nil || req.ID != 9 || req.Method != "status" {
+	var req call
+	if err := reg.parseRequest([]byte(`{"method":"status","id":9}`), &req); err != nil || req.id != 9 || req.m != reg["status"] {
 		t.Errorf("reordered request parse = %+v (err %v)", req, err)
 	}
 	var resp Response
 	if err := parseResponse([]byte(`{"result":[1],"id":8}`), &resp); err != nil || resp.ID != 8 || string(resp.Result) != "[1]" {
 		t.Errorf("reordered response parse = %+v (err %v)", resp, err)
 	}
-	if err := parseRequest([]byte(`not json`), &req); err == nil {
+	if err := reg.parseRequest([]byte(`not json`), &req); err == nil {
 		t.Error("garbage request parsed")
 	}
 	if err := parseResponse([]byte(`not json`), &resp); err == nil {

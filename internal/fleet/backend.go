@@ -56,10 +56,6 @@ func NewFabricBackend(f *core.Fabric, placer sched.Placer) *FabricBackend {
 	return &FabricBackend{f: f, placer: placer}
 }
 
-// Fabric returns the wrapped fabric. Callers must not mutate it while the
-// backend is attached to a running Manager.
-func (b *FabricBackend) Fabric() *core.Fabric { return b.f }
-
 // Ensure implements Backend.
 func (b *FabricBackend) Ensure(name string, shape topo.Shape, cubes []int) (bool, error) {
 	b.mu.Lock()

@@ -27,7 +27,7 @@ func TestFabricBackendAutoPlacement(t *testing.T) {
 	if !changed {
 		t.Fatal("fresh ensure reported unchanged")
 	}
-	sl, err := b.Fabric().GetSlice("j")
+	sl, err := b.f.GetSlice("j")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFabricBackendResizePlacesFreshCubes(t *testing.T) {
 	if !changed {
 		t.Fatal("resize reported unchanged")
 	}
-	sl, err := b.Fabric().GetSlice("j")
+	sl, err := b.f.GetSlice("j")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFabricBackendExplicitCubesAndDestroy(t *testing.T) {
 	if err != nil || !changed {
 		t.Fatalf("explicit ensure: changed=%v err=%v", changed, err)
 	}
-	sl, err := b.Fabric().GetSlice("j")
+	sl, err := b.f.GetSlice("j")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,10 @@ func TestManagerWithFabricBackends(t *testing.T) {
 		return countEvents(evs, "p0", EventSliceReady) >= 1 &&
 			countEvents(evs, "p1", EventSliceReady) >= 1
 	})
-	if _, err := b0.Fabric().GetSlice("train"); err != nil {
+	if _, err := b0.f.GetSlice("train"); err != nil {
 		t.Fatal(err)
 	}
-	sl, err := b1.Fabric().GetSlice("serve")
+	sl, err := b1.f.GetSlice("serve")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFabricBackendCubeFaultSeams(t *testing.T) {
 	if b.CubeHealthy(0) {
 		t.Fatal("cube 0 still healthy after FailCube")
 	}
-	sl, err := b.Fabric().GetSlice("j")
+	sl, err := b.f.GetSlice("j")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +210,14 @@ func TestManagerResolvesCyclicCubeMigration(t *testing.T) {
 		st := m.Status()
 		return len(st.Pods) == 1 && st.Pods[0].Converged && !st.Pods[0].Quarantined
 	})
-	sl, err := b.Fabric().GetSlice("a")
+	sl, err := b.f.GetSlice("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sl.Cubes[0] != 2 || sl.Cubes[1] != 3 {
 		t.Fatalf("slice a cubes = %v, want [2 3]", sl.Cubes)
 	}
-	sl, err = b.Fabric().GetSlice("z")
+	sl, err = b.f.GetSlice("z")
 	if err != nil {
 		t.Fatal(err)
 	}

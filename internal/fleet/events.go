@@ -27,8 +27,6 @@ const (
 	// EventDrained / EventUndrained: pod- or OCS-level maintenance drains.
 	EventDrained   EventType = "drained"
 	EventUndrained EventType = "undrained"
-	// EventPodRemoved: a pod was retired from the fleet.
-	EventPodRemoved EventType = "pod-removed"
 )
 
 // Event is one fleet state transition.

@@ -98,7 +98,6 @@ type pod struct {
 	name    string
 	backend Backend
 	kick    chan struct{} // cap 1: pending-work signal
-	stop    chan struct{} // closed by RemovePod to retire the worker
 
 	desired      map[string]SliceIntent
 	pendingReady map[string]bool // slices awaiting a converged event
@@ -149,9 +148,6 @@ func NewManager(opts Options) *Manager {
 	}
 }
 
-// Metrics returns the registry the fleet is instrumented through.
-func (m *Manager) Metrics() *telemetry.Registry { return m.opts.Metrics }
-
 // AddPod registers a pod and starts its reconcile worker.
 func (m *Manager) AddPod(name string, b Backend) error {
 	if name == "" || b == nil {
@@ -173,7 +169,6 @@ func (m *Manager) AddPod(name string, b Backend) error {
 		name:         name,
 		backend:      b,
 		kick:         make(chan struct{}, 1),
-		stop:         make(chan struct{}),
 		desired:      make(map[string]SliceIntent),
 		pendingReady: make(map[string]bool),
 		pendingGone:  make(map[string]bool),
@@ -189,31 +184,6 @@ func (m *Manager) AddPod(name string, b Backend) error {
 	rngSeed := m.opts.Seed ^ h.Sum64()
 	m.wg.Add(1)
 	go m.worker(p, rngSeed)
-	return nil
-}
-
-// RemovePod retires a pod: its worker stops, its intents are dropped, and
-// further calls naming it return ErrNoPod. The backend is left exactly as
-// the last reconcile pass left it — decommissioning hardware is the
-// operator's problem, not the intent store's.
-func (m *Manager) RemovePod(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	p, err := m.podLocked(name)
-	if err != nil {
-		return err
-	}
-	if err := m.journalLocked(JournalEntry{Op: OpRemovePod, Pod: name}); err != nil {
-		return err
-	}
-	delete(m.pods, name)
-	close(p.stop)
-	m.emitLocked(Event{Pod: name, Type: EventPodRemoved})
-	m.queueDepth.Set(float64(m.dirtyLocked()))
-	m.quarantinedPods.Set(float64(m.quarantinedLocked()))
 	return nil
 }
 

@@ -27,8 +27,6 @@ func (m *Manager) worker(p *pod, rngSeed uint64) {
 		select {
 		case <-m.done:
 			return
-		case <-p.stop:
-			return
 		case <-p.kick:
 		}
 		for {
@@ -76,8 +74,6 @@ func (m *Manager) worker(p *pod, rngSeed uint64) {
 			backoff = min(2*backoff, m.opts.MaxBackoff)
 			select {
 			case <-m.done:
-				return
-			case <-p.stop:
 				return
 			case <-time.After(d):
 			}

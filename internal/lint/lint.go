@@ -57,6 +57,9 @@ type Pass struct {
 	ImportPath string
 	Pkg        *types.Package
 	Info       *types.Info
+	// Refs is the module-wide reference index (see RefIndex); analyzers
+	// whose contract spans packages read it instead of retaining passes.
+	Refs *RefIndex
 
 	analyzer *Analyzer
 	diags    *[]Diagnostic
@@ -131,6 +134,10 @@ type Config struct {
 	// FsyncPackages lists import paths where an unchecked Sync/Close
 	// error on a durable file is a durability bug, not noise.
 	FsyncPackages []string
+	// DeadExportPackages lists import paths whose exported funcs, methods
+	// and types must be referenced by non-test code somewhere in the
+	// module.
+	DeadExportPackages []string
 }
 
 // IsDeterministic reports whether the import path is under the
@@ -189,8 +196,18 @@ func DefaultConfig() Config {
 		},
 		FsyncPackages: []string{
 			"lightwave/internal/wal",
+			// The daemons' one shutdown path closes the store.
+			"lightwave/internal/daemon",
 			"lightwave/cmd/lwfd",
 			"lightwave/cmd/lwfleetd",
+		},
+		// The control plane: its exported surface is what the daemons,
+		// lwfctl and the bench compose, so anything nobody composes goes.
+		DeadExportPackages: []string{
+			"lightwave/internal/ctlrpc",
+			"lightwave/internal/fleet",
+			"lightwave/internal/wal",
+			"lightwave/internal/daemon",
 		},
 	}
 }
@@ -204,6 +221,7 @@ func Analyzers() []*Analyzer {
 		AnalyzerLocknest,
 		AnalyzerHotalloc,
 		AnalyzerFsyncerr,
+		AnalyzerDeadexport,
 	}
 }
 
@@ -303,7 +321,12 @@ func applySuppressions(diags []Diagnostic, sups []suppression) []Diagnostic {
 // RunPackage runs the analyzers over one loaded package, applying
 // suppressions, and returns sorted diagnostics. relFile, when non-nil,
 // rewrites reported filenames (the driver makes them module-relative).
+// The package is its own module as far as cross-package contracts go.
 func RunPackage(cfg *Config, pkg *Package, analyzers []*Analyzer, relFile func(token.Position) string) []Diagnostic {
+	return runPackage(cfg, pkg, analyzers, relFile, NewRefIndex([]*Package{pkg}))
+}
+
+func runPackage(cfg *Config, pkg *Package, analyzers []*Analyzer, relFile func(token.Position) string, refs *RefIndex) []Diagnostic {
 	// Suppressions may name any catalog analyzer, not just the ones this
 	// run executes: a single-analyzer run (e.g. the simrand-only policy
 	// test) must not misreport the others' annotations as unknown.
@@ -323,6 +346,7 @@ func RunPackage(cfg *Config, pkg *Package, analyzers []*Analyzer, relFile func(t
 			ImportPath: pkg.ImportPath,
 			Pkg:        pkg.Types,
 			Info:       pkg.Info,
+			Refs:       refs,
 			analyzer:   a,
 			diags:      &diags,
 			relFile:    relFile,
@@ -367,9 +391,18 @@ func Run(root string, patterns []string, cfg Config, analyzers []*Analyzer) ([]D
 	if err != nil {
 		return nil, err
 	}
+	// References are a whole-module property: a run over a subset of the
+	// packages still has to see every importer of what it analyzes.
+	whole := pkgs
+	if len(patterns) > 0 && !(len(patterns) == 1 && patterns[0] == "./...") {
+		if whole, err = LoadModule(root, nil); err != nil {
+			return nil, err
+		}
+	}
+	refs := NewRefIndex(whole)
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		all = append(all, RunPackage(&cfg, pkg, analyzers, moduleRelative(root))...)
+		all = append(all, runPackage(&cfg, pkg, analyzers, moduleRelative(root), refs)...)
 	}
 	return all, nil
 }

@@ -129,4 +129,12 @@ func TestDefaultConfigNamesRealPackages(t *testing.T) {
 	if !cfg.inFsyncScope("lightwave/internal/wal") {
 		t.Error("wal must be in fsync scope")
 	}
+	if !cfg.inFsyncScope("lightwave/internal/daemon") {
+		t.Error("the daemons' shared shutdown path closes the store and must be in fsync scope")
+	}
+	for _, p := range []string{"ctlrpc", "fleet", "wal", "daemon"} {
+		if !cfg.inDeadExportScope("lightwave/internal/" + p) {
+			t.Errorf("control-plane package %s must be in deadexport scope", p)
+		}
+	}
 }

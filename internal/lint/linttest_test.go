@@ -33,6 +33,8 @@ func corpusConfig(importPath string) Config {
 			{Type: importPath + ".Manager", Field: "mu", Rank: 3, Methods: true},
 		},
 		FsyncPackages: []string{importPath},
+		// Only its own corpus: every other corpus exports freely.
+		DeadExportPackages: []string{"corpus/deadexport"},
 	}
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -90,5 +91,71 @@ func TestMutationSortedFixIsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic: %s", d)
+	}
+}
+
+// TestDeadExportSeesImportersAcrossPackages: liveness is resolved across
+// separately type-checked packages, so a control-plane export called only
+// from a command must be live, one called only from a _test file or from
+// nowhere must be flagged — and a run narrowed to the one package must
+// reach the same verdict as a whole-module run.
+func TestDeadExportSeesImportersAcrossPackages(t *testing.T) {
+	dir := t.TempDir()
+	for path, src := range map[string]string{
+		"go.mod": "module lightwave\n\ngo 1.22\n",
+		"internal/ctlrpc/c.go": `package ctlrpc
+
+type Client struct{}
+
+func Dial() *Client { return &Client{} }
+
+func (c *Client) Status() {}
+
+func (c *Client) StatusContext() {}
+
+func RunLoad() {}
+`,
+		"internal/ctlrpc/c_test.go": `package ctlrpc
+
+import "testing"
+
+func TestStatusContext(t *testing.T) { Dial().StatusContext(); RunLoad() }
+`,
+		"cmd/lwfctl/main.go": `package main
+
+import "lightwave/internal/ctlrpc"
+
+func main() { ctlrpc.Dial().Status() }
+`,
+	} {
+		full := filepath.Join(dir, path)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, patterns := range [][]string{{"./..."}, {"./internal/ctlrpc"}} {
+		diags, err := Run(dir, patterns, DefaultConfig(), Analyzers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range diags {
+			got = append(got, d.String())
+		}
+		want := []string{
+			"internal/ctlrpc/c.go:9: [deadexport] exported method StatusContext",
+			"internal/ctlrpc/c.go:11: [deadexport] exported function RunLoad",
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%v: diagnostics %q, want prefixes %q", patterns, got, want)
+		}
+		for i := range want {
+			if !strings.HasPrefix(got[i], want[i]) {
+				t.Errorf("%v: diagnostic %q, want prefix %q", patterns, got[i], want[i])
+			}
+		}
 	}
 }

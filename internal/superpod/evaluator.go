@@ -323,13 +323,12 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
-	podStatus := func(st fleet.Status, name string) fleet.PodStatus {
-		for _, p := range st.Pods {
-			if p.Name == name {
-				return p
-			}
-		}
-		return fleet.PodStatus{}
+	// settlePod waits on one pod's own status.
+	settlePod := func(name string, pred func(fleet.PodStatus) bool, what string) error {
+		return settle(func(fleet.Status) bool {
+			p, err := mgr.PodStatus(name)
+			return err == nil && pred(p)
+		}, what)
 	}
 	allSettled := func(st fleet.Status) bool {
 		for _, p := range st.Pods {
@@ -398,6 +397,18 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 			}
 			po.RepairsApplied++
 		case evPodLoss:
+			// Arrivals do not wait for the reconciler, so the fabric may lag
+			// the scheduler by many passes here. Catch up first: the fault
+			// must land on exactly the scheduler's running slices, not on
+			// however far the workers happened to get.
+			if err := settle(allSettled, "pre pod-loss convergence"); err != nil {
+				return po, err
+			}
+			// With slices stranded on the dead backend every pass fails (the
+			// destroy of an evicted slice, or the ensure of a kept one), so
+			// the retry budget must run out; an empty pod has nothing to
+			// fail on and reconverges. Wait for whichever the stream implies.
+			stranded := len(fbs[ev.pod].Slices()) > 0
 			cbs[ev.pod].Fail(errors.New("superpod: pod lost"))
 			if err := s.SetPodDown(pods[ev.pod], true); err != nil {
 				return po, err
@@ -405,18 +416,26 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 			if err := mgr.Poke(pods[ev.pod]); err != nil {
 				return po, err
 			}
-			if err := settle(allSettled, "pod loss settle"); err != nil {
+			if err := settlePod(pods[ev.pod], func(p fleet.PodStatus) bool {
+				if stranded {
+					return p.Quarantined
+				}
+				return p.Converged
+			}, "pod loss settle"); err != nil {
 				return po, err
 			}
-			po.Quarantined = podStatus(mgr.Status(), pods[ev.pod]).Quarantined
+			ps, err := mgr.PodStatus(pods[ev.pod])
+			if err != nil {
+				return po, err
+			}
+			po.Quarantined = ps.Quarantined
 			down[ev.pod] = true
 		case evPodRestore:
 			cbs[ev.pod].Heal()
 			if err := mgr.UndrainPod(pods[ev.pod]); err != nil {
 				return po, err
 			}
-			if err := settle(func(st fleet.Status) bool {
-				p := podStatus(st, pods[ev.pod])
+			if err := settlePod(pods[ev.pod], func(p fleet.PodStatus) bool {
 				return p.Converged && !p.Quarantined
 			}, "pod restore settle"); err != nil {
 				return po, err

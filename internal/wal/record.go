@@ -36,45 +36,6 @@ type Command struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
-// codec names a record type and decodes its payload for tooling and
-// tests; daemons decode through the typed helpers below instead.
-type codec struct {
-	name   string
-	decode func([]byte) (any, error)
-}
-
-var codecs = map[RecordType]codec{
-	RecordFleet: {"fleet", func(p []byte) (any, error) {
-		e, err := DecodeFleet(p)
-		return e, err
-	}},
-	RecordSched: {"sched", func(p []byte) (any, error) {
-		e, err := DecodeSched(p)
-		return e, err
-	}},
-	RecordCommand: {"command", func(p []byte) (any, error) {
-		c, err := DecodeCommand(p)
-		return c, err
-	}},
-}
-
-// Kind returns the record type's name, or "unknown".
-func (r Record) Kind() string {
-	if c, ok := codecs[r.Type]; ok {
-		return c.name
-	}
-	return "unknown"
-}
-
-// Decode returns the typed value for the record's payload.
-func (r Record) Decode() (any, error) {
-	c, ok := codecs[r.Type]
-	if !ok {
-		return nil, fmt.Errorf("wal: unknown record type %d", r.Type)
-	}
-	return c.decode(r.Payload)
-}
-
 // EncodeFleet serializes a fleet journal entry.
 func EncodeFleet(e fleet.JournalEntry) ([]byte, error) { return json.Marshal(e) }
 

@@ -4,7 +4,7 @@ package wal_test
 // snapshots on SIGTERM, and reopens from its -state-dir must answer
 // fleet-status and sched-status exactly like a daemon that ran the same
 // stream uninterrupted. The harness below mirrors cmd/lwfleetd's boot and
-// shutdown ordering against a real FleetServer on a loopback socket.
+// shutdown ordering against a real fleet server on a loopback socket.
 
 import (
 	"context"

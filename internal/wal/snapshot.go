@@ -150,15 +150,3 @@ func readSnapshotFile(path string) ([]byte, error) {
 	}
 	return data[frameHeaderBytes+snapHeaderBytes:], nil
 }
-
-// SnapshotCovered re-reads a snapshot file's covered LSN; used by tests.
-func SnapshotCovered(path string) (uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if len(data) < frameHeaderBytes+snapHeaderBytes {
-		return 0, fmt.Errorf("wal: short snapshot")
-	}
-	return binary.LittleEndian.Uint64(data[frameHeaderBytes : frameHeaderBytes+snapHeaderBytes]), nil
-}

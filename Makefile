@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race race-par race-te race-chaos race-sched race-ctl race-wal bench ledger profile-dcn experiments clean
+.PHONY: check vet lint build test race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet bench ledger profile-dcn experiments clean
 
 # The gate every change must pass: vet, build everything, race-test the
 # parallel engine under contention, race-test the TE loop (its Loop is
@@ -14,8 +14,10 @@ GO ?= go
 # shutdown joins every loop before the store closes), race-test the
 # durable-state subsystem (its group-commit writer batches concurrent
 # appenders and the store is shared by three journal sources plus the
-# checkpointer), then race-test everything.
-check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race
+# checkpointer), race-test fleet intake against the store three times over
+# (intents journal concurrently outside Manager.mu, ordered only by their
+# scope reservations, beside a checkpoint loop), then race-test everything.
+check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race-fleet race
 
 race-par:
 	$(GO) test -race ./internal/par/...
@@ -34,6 +36,9 @@ race-ctl:
 
 race-wal:
 	$(GO) test -race ./internal/wal/...
+
+race-fleet:
+	$(GO) test -race -count=3 ./internal/fleet/... ./internal/wal/...
 
 # gofmt -l prints unformatted files; any hit fails the target with a
 # readable diagnostic. vet folds in the project analyzer suite (lint):

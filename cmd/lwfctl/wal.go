@@ -27,7 +27,14 @@ func printWALStatus(st ctlrpc.WALStatusResult) {
 	fmt.Printf("state dir:      %s\n", st.Dir)
 	fmt.Printf("log:            lsn %d, %d segments, %d bytes (snapshot covers lsn %d)\n",
 		st.LastLSN, st.Segments, st.TotalBytes, st.SnapshotLSN)
-	fmt.Printf("appends:        %d (%d bytes, %d fsyncs)\n", st.Appends, st.AppendBytes, st.Fsyncs)
+	fmt.Printf("appends:        %d (%d bytes, %d fsyncs", st.Appends, st.AppendBytes, st.Fsyncs)
+	if st.Fsyncs > 0 {
+		fmt.Printf(", %.2f records per fsync", float64(st.Appends)/float64(st.Fsyncs))
+	}
+	fmt.Println(")")
+	if st.Broken != "" {
+		fmt.Printf("BROKEN:         %s (appends and checkpoints refused; restart the daemon)\n", st.Broken)
+	}
 	fmt.Printf("snapshots:      %d taken, %d segments compacted\n", st.Snapshots, st.Compactions)
 	fmt.Printf("last recovery:  %d records replayed, %d errors, %d bytes truncated, %d segments dropped\n",
 		st.ReplayRecords, st.ReplayErrors, st.TruncatedBytes, st.DroppedSegments)

@@ -31,6 +31,9 @@ type WALStatusResult struct {
 	FleetPods       int    `json:"fleetPods"`
 	FleetSlices     int    `json:"fleetSlices"`
 	FleetDigest     string `json:"fleetDigest,omitempty"`
+	// Broken is the log's sticky commit failure: set, the daemon refuses
+	// every further durable mutation and checkpoint until restarted.
+	Broken string `json:"broken,omitempty"`
 }
 
 // WALProvider supplies the wal-status method. Implementations must be
@@ -75,6 +78,7 @@ func (p StoreWALProvider) WALStatus() WALStatusResult {
 		FleetPods:       st.FleetPods,
 		FleetSlices:     st.FleetSlices,
 		FleetDigest:     st.FleetDigest,
+		Broken:          st.Log.Broken,
 	}
 }
 

@@ -42,7 +42,8 @@ type Options struct {
 	// Metrics receives fleet instrumentation; nil creates a private
 	// registry (exposed via Metrics()).
 	Metrics *telemetry.Registry
-	// Alerts receives quarantine alerts; nil disables alerting.
+	// Alerts receives quarantine alerts; nil disables alerting. A sink is
+	// called with the pod's scope reserved: it must not mutate that pod.
 	Alerts telemetry.AlertSink
 	// BaseBackoff is the first retry delay after a failed reconcile
 	// (default 50ms); each further failure doubles it up to MaxBackoff
@@ -74,6 +75,10 @@ var (
 type Manager struct {
 	opts Options
 
+	// addMu is add-pod's scope (a pod that does not exist yet has none of
+	// its own); Close takes it too, so no registration straddles a Close.
+	addMu sync.Mutex
+
 	mu      sync.Mutex
 	pods    map[string]*pod
 	subs    map[int]*Subscription
@@ -98,6 +103,12 @@ type pod struct {
 	name    string
 	backend Backend
 	kick    chan struct{} // cap 1: pending-work signal
+
+	// The intent-scope reservation (see intake), taken before Manager.mu:
+	// a pod-wide mutation holds scope exclusively, a keyed one shares it
+	// and holds the keys shard its slice name or OCS id hashes to.
+	scope sync.RWMutex
+	keys  [scopeShards]sync.Mutex
 
 	desired      map[string]SliceIntent
 	pendingReady map[string]bool // slices awaiting a converged event
@@ -153,15 +164,19 @@ func (m *Manager) AddPod(name string, b Backend) error {
 	if name == "" || b == nil {
 		return fmt.Errorf("%w: pod needs a name and a backend", ErrBadIntent)
 	}
+	m.addMu.Lock()
+	defer m.addMu.Unlock()
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+	_, exists := m.pods[name]
+	closed := m.closed
+	m.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	if _, ok := m.pods[name]; ok {
+	if exists {
 		return fmt.Errorf("%w: %q", ErrPodExists, name)
 	}
-	if err := m.journalLocked(JournalEntry{Op: OpAddPod, Pod: name}); err != nil {
+	if err := m.journal(JournalEntry{Op: OpAddPod, Pod: name}); err != nil {
 		return err
 	}
 	reg := m.opts.Metrics
@@ -178,10 +193,12 @@ func (m *Manager) AddPod(name string, b Backend) error {
 		retries:    reg.Counter("fleet.pod." + name + ".retries_total"),
 		latency:    reg.Distribution("fleet.pod."+name+".reconcile_seconds", 0.0001, 0.001, 0.01, 0.1, 1, 10),
 	}
-	m.pods[name] = p
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	rngSeed := m.opts.Seed ^ h.Sum64()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pods[name] = p
 	m.wg.Add(1)
 	go m.worker(p, rngSeed)
 	return nil
@@ -202,6 +219,8 @@ func (m *Manager) Pods() []string {
 // Close stops every worker and closes all subscriptions. Safe to call more
 // than once.
 func (m *Manager) Close() {
+	m.addMu.Lock()
+	defer m.addMu.Unlock()
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -225,6 +244,66 @@ func (m *Manager) podLocked(name string) (*pod, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoPod, name)
 	}
 	return p, nil
+}
+
+// An intent scope is what a mutation reserves from journal to apply: the
+// whole pod (scopePod) or one shard of its keys.
+const (
+	scopePod    = -1
+	scopeShards = 32
+)
+
+// sliceScope is the shard of a slice name (FNV-1a, allocation-free).
+func sliceScope(name string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return int(h % scopeShards)
+}
+
+func (p *pod) reserve(scope int) {
+	if scope == scopePod {
+		p.scope.Lock()
+		return
+	}
+	p.scope.RLock()
+	p.keys[scope].Lock()
+}
+
+func (p *pod) release(scope int) {
+	if scope == scopePod {
+		p.scope.Unlock()
+		return
+	}
+	p.keys[scope].Unlock()
+	p.scope.RUnlock()
+}
+
+// intake is the one path every intent mutation takes: reserve → journal →
+// apply. A mutation that moot says would change nothing ends at the lookup.
+// Otherwise e is journaled with its scope reserved and no manager-wide lock
+// held, so conflicting mutations are journaled and applied in one order
+// while disjoint ones commute and share a group commit; only then is it
+// applied under m.mu. A journal error rejects it before anything is applied.
+func (m *Manager) intake(podName string, scope int, e JournalEntry, moot func(*pod) bool, apply func(*pod)) error {
+	m.mu.Lock()
+	p, err := m.podLocked(podName)
+	skip := err == nil && moot != nil && moot(p)
+	m.mu.Unlock()
+	if err != nil || skip {
+		return err
+	}
+	p.reserve(scope)
+	defer p.release(scope)
+	if err := m.journal(e); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	apply(p)
+	m.markDirtyLocked(p)
+	return nil
 }
 
 func validateIntent(in SliceIntent) error {
@@ -261,45 +340,27 @@ func (m *Manager) SetSliceIntent(podName string, in SliceIntent) error {
 		return err
 	}
 	in.Cubes = append([]int(nil), in.Cubes...)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, err := m.podLocked(podName)
-	if err != nil {
-		return err
-	}
-	if err := m.journalLocked(JournalEntry{Op: OpSetSlice, Pod: podName, Slice: &in}); err != nil {
-		return err
-	}
-	p.desired[in.Name] = in
-	p.pendingReady[in.Name] = true
-	delete(p.pendingGone, in.Name)
-	m.emitLocked(Event{Pod: podName, Type: EventIntent, Slice: in.Name,
-		Detail: fmt.Sprintf("desire %s", in.Shape)})
-	m.markDirtyLocked(p)
-	return nil
+	e := JournalEntry{Op: OpSetSlice, Pod: podName, Slice: &in}
+	return m.intake(podName, sliceScope(in.Name), e, nil, func(p *pod) {
+		p.desired[in.Name] = in
+		p.pendingReady[in.Name] = true
+		delete(p.pendingGone, in.Name)
+		m.emitLocked(Event{Pod: podName, Type: EventIntent, Slice: in.Name,
+			Detail: fmt.Sprintf("desire %s", in.Shape)})
+	})
 }
 
 // RemoveSliceIntent drops a slice from the desired state; the reconciler
 // destroys it. Removing an unknown slice is a no-op.
 func (m *Manager) RemoveSliceIntent(podName, slice string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, err := m.podLocked(podName)
-	if err != nil {
-		return err
-	}
-	if _, ok := p.desired[slice]; !ok {
-		return nil
-	}
-	if err := m.journalLocked(JournalEntry{Op: OpRemoveSlice, Pod: podName, Name: slice}); err != nil {
-		return err
-	}
-	delete(p.desired, slice)
-	delete(p.pendingReady, slice)
-	p.pendingGone[slice] = true
-	m.emitLocked(Event{Pod: podName, Type: EventIntent, Slice: slice, Detail: "remove"})
-	m.markDirtyLocked(p)
-	return nil
+	e := JournalEntry{Op: OpRemoveSlice, Pod: podName, Name: slice}
+	unknown := func(p *pod) bool { _, ok := p.desired[slice]; return !ok }
+	return m.intake(podName, sliceScope(slice), e, unknown, func(p *pod) {
+		delete(p.desired, slice)
+		delete(p.pendingReady, slice)
+		p.pendingGone[slice] = true
+		m.emitLocked(Event{Pod: podName, Type: EventIntent, Slice: slice, Detail: "remove"})
+	})
 }
 
 // ReplaceIntent swaps a pod's entire desired slice set.
@@ -315,87 +376,59 @@ func (m *Manager) ReplaceIntent(podName string, ins []SliceIntent) error {
 		in.Cubes = append([]int(nil), in.Cubes...)
 		next[in.Name] = in
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, err := m.podLocked(podName)
-	if err != nil {
-		return err
-	}
+	e := JournalEntry{Op: OpReplace, Pod: podName}
 	if m.opts.Journal != nil {
-		ent := JournalEntry{Op: OpReplace, Pod: podName, Slices: make([]SliceIntent, 0, len(ins))}
+		e.Slices = make([]SliceIntent, 0, len(next))
 		for _, in := range next {
-			ent.Slices = append(ent.Slices, in)
+			e.Slices = append(e.Slices, in)
 		}
-		sort.Slice(ent.Slices, func(i, j int) bool { return ent.Slices[i].Name < ent.Slices[j].Name })
-		if err := m.journalLocked(ent); err != nil {
-			return err
+		sort.Slice(e.Slices, func(i, j int) bool { return e.Slices[i].Name < e.Slices[j].Name })
+	}
+	return m.intake(podName, scopePod, e, nil, func(p *pod) {
+		for name := range p.desired {
+			if _, keep := next[name]; !keep {
+				p.pendingGone[name] = true
+				delete(p.pendingReady, name)
+			}
 		}
-	}
-	for name := range p.desired {
-		if _, keep := next[name]; !keep {
-			p.pendingGone[name] = true
-			delete(p.pendingReady, name)
+		for name := range next {
+			p.pendingReady[name] = true
+			delete(p.pendingGone, name)
 		}
-	}
-	for name := range next {
-		p.pendingReady[name] = true
-		delete(p.pendingGone, name)
-	}
-	p.desired = next
-	m.emitLocked(Event{Pod: podName, Type: EventIntent,
-		Detail: fmt.Sprintf("replace with %d slices", len(next))})
-	m.markDirtyLocked(p)
-	return nil
+		p.desired = next
+		m.emitLocked(Event{Pod: podName, Type: EventIntent,
+			Detail: fmt.Sprintf("replace with %d slices", len(next))})
+	})
 }
 
 // DrainPod empties a pod: the reconciler destroys every slice while intents
 // are retained for UndrainPod.
 func (m *Manager) DrainPod(podName string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, err := m.podLocked(podName)
-	if err != nil {
-		return err
-	}
-	if p.drained {
-		return nil
-	}
-	if err := m.journalLocked(JournalEntry{Op: OpDrainPod, Pod: podName}); err != nil {
-		return err
-	}
-	p.drained = true
-	m.emitLocked(Event{Pod: podName, Type: EventDrained})
-	m.markDirtyLocked(p)
-	return nil
+	drained := func(p *pod) bool { return p.drained }
+	return m.intake(podName, scopePod, JournalEntry{Op: OpDrainPod, Pod: podName}, drained, func(p *pod) {
+		p.drained = true
+		m.emitLocked(Event{Pod: podName, Type: EventDrained})
+	})
 }
 
 // UndrainPod returns a pod to service, releasing any quarantine, and
 // re-reconciles its retained intents.
 func (m *Manager) UndrainPod(podName string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, err := m.podLocked(podName)
-	if err != nil {
-		return err
-	}
-	if err := m.journalLocked(JournalEntry{Op: OpUndrainPod, Pod: podName}); err != nil {
-		return err
-	}
-	wasQuarantined := p.quarantined
-	p.drained = false
-	p.quarantined = false
-	p.failures = 0
-	p.lastErr = ""
-	for name := range p.desired {
-		p.pendingReady[name] = true
-	}
-	if wasQuarantined {
-		p.recovering = true
-		m.quarantinedPods.Set(float64(m.quarantinedLocked()))
-	}
-	m.emitLocked(Event{Pod: podName, Type: EventUndrained})
-	m.markDirtyLocked(p)
-	return nil
+	return m.intake(podName, scopePod, JournalEntry{Op: OpUndrainPod, Pod: podName}, nil, func(p *pod) {
+		wasQuarantined := p.quarantined
+		p.drained = false
+		p.quarantined = false
+		p.failures = 0
+		p.lastErr = ""
+		for name := range p.desired {
+			p.pendingReady[name] = true
+		}
+		if wasQuarantined {
+			p.recovering = true
+			m.quarantinedPods.Set(float64(m.quarantinedLocked()))
+		}
+		m.emitLocked(Event{Pod: podName, Type: EventUndrained})
+	})
 }
 
 // Poke marks a pod dirty without changing its intent — the hook external
@@ -417,39 +450,26 @@ func (m *Manager) Poke(podName string) error {
 // composing *new* slices on the pod (they are deferred, not failed) while
 // existing slices stay up.
 func (m *Manager) DrainOCS(podName string, ocsID int) error {
-	if ocsID < 0 || ocsID >= topo.NumOCS {
-		return fmt.Errorf("%w: ocs %d out of range [0,%d)", ErrBadIntent, ocsID, topo.NumOCS)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, err := m.podLocked(podName)
-	if err != nil {
-		return err
-	}
-	if err := m.journalLocked(JournalEntry{Op: OpDrainOCS, Pod: podName, OCS: ocsID}); err != nil {
-		return err
-	}
-	p.drainedOCS[ocsID] = true
-	m.emitLocked(Event{Pod: podName, Type: EventDrained, Detail: fmt.Sprintf("ocs %d", ocsID)})
-	m.markDirtyLocked(p)
-	return nil
+	return m.setOCSDrain(podName, ocsID, OpDrainOCS, EventDrained)
 }
 
 // UndrainOCS ends an OCS maintenance drain.
 func (m *Manager) UndrainOCS(podName string, ocsID int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, err := m.podLocked(podName)
-	if err != nil {
-		return err
+	return m.setOCSDrain(podName, ocsID, OpUndrainOCS, EventUndrained)
+}
+
+func (m *Manager) setOCSDrain(podName string, ocsID int, op JournalOp, ev EventType) error {
+	if ocsID < 0 || ocsID >= topo.NumOCS {
+		return fmt.Errorf("%w: ocs %d out of range [0,%d)", ErrBadIntent, ocsID, topo.NumOCS)
 	}
-	if err := m.journalLocked(JournalEntry{Op: OpUndrainOCS, Pod: podName, OCS: ocsID}); err != nil {
-		return err
-	}
-	delete(p.drainedOCS, ocsID)
-	m.emitLocked(Event{Pod: podName, Type: EventUndrained, Detail: fmt.Sprintf("ocs %d", ocsID)})
-	m.markDirtyLocked(p)
-	return nil
+	return m.intake(podName, ocsID%scopeShards, JournalEntry{Op: op, Pod: podName, OCS: ocsID}, nil, func(p *pod) {
+		if op == OpDrainOCS {
+			p.drainedOCS[ocsID] = true
+		} else {
+			delete(p.drainedOCS, ocsID)
+		}
+		m.emitLocked(Event{Pod: podName, Type: ev, Detail: fmt.Sprintf("ocs %d", ocsID)})
+	})
 }
 
 // markDirtyLocked records pending work and wakes the pod's worker.

@@ -4,10 +4,11 @@ package fleet
 // intent-store mutation ahead of applying it (a journal failure rejects the
 // mutation, so durable state never lags accepted state), plus observability
 // records for quarantine/recovery decisions the reconcilers make on their
-// own. Replay rebuilds the intent store only — recovery restores intent,
-// reconciliation restores reality — so quarantine records are informational
-// on replay: a restarted manager re-probes its backends and re-derives
-// health rather than trusting a pre-crash verdict.
+// own; a journal failure there is dropped, because those are not intent and
+// must not wedge the reconcile loop. Replay rebuilds the intent store only —
+// recovery restores intent, reconciliation restores reality — so quarantine
+// records are informational on replay: a restarted manager re-probes its
+// backends and re-derives health rather than trusting a pre-crash verdict.
 
 // JournalOp identifies a fleet journal entry.
 type JournalOp string
@@ -40,24 +41,25 @@ type JournalEntry struct {
 	Detail string        `json:"detail,omitempty"`
 }
 
-// Journal receives fleet journal entries; implementations must be safe for
-// concurrent use and are called with the Manager's lock held, so they must
-// not call back into the Manager.
+// Journal receives fleet journal entries. The Manager calls it with the
+// entry's intent scope reserved (see Manager.intake) and no manager-wide
+// lock held: calls for conflicting scopes arrive one at a time, in the
+// order they are applied; calls for disjoint scopes arrive concurrently,
+// which lets a group-committing implementation put several callers in one
+// fsync. An implementation must be safe for concurrent use and may read the
+// Manager (Status, Pods), but must not mutate the pod being journaled: that
+// waits on its own reservation. Entries fold idempotently and may repeat: a
+// recover when a Poke lands between the record and its event, a drain-pod
+// or remove-slice when two callers race the no-op check.
 type Journal interface {
 	JournalFleet(e JournalEntry) error
 }
 
-// journalLocked writes one entry through the configured journal.
-func (m *Manager) journalLocked(e JournalEntry) error {
+// journal writes one entry through the configured journal. Never call it
+// with m.mu held (lwlint's locknest enforces this).
+func (m *Manager) journal(e JournalEntry) error {
 	if m.opts.Journal == nil {
 		return nil
 	}
 	return m.opts.Journal.JournalFleet(e)
-}
-
-// journalDerivedLocked records reconciler-derived state (quarantine and
-// recovery edges). These are not intent: a journal failure must not wedge
-// the reconcile loop, so errors are dropped.
-func (m *Manager) journalDerivedLocked(e JournalEntry) {
-	_ = m.journalLocked(e)
 }

@@ -57,15 +57,7 @@ func (m *Manager) worker(p *pod, rngSeed uint64) {
 				continue // intent changed mid-pass: re-reconcile now
 			}
 
-			quarantined := m.recordFailure(p, err)
-			if quarantined {
-				if m.opts.Alerts != nil {
-					m.opts.Alerts.Post(telemetry.Alert{
-						Source:   "fleet/" + p.name,
-						Severity: telemetry.Critical,
-						Message:  fmt.Sprintf("pod quarantined after %d consecutive reconcile failures: %v", m.opts.QuarantineAfter, err),
-					})
-				}
+			if m.recordFailure(p, err) {
 				break
 			}
 			m.backoffs.Inc()
@@ -85,10 +77,24 @@ func (m *Manager) worker(p *pod, rngSeed uint64) {
 // false when the intent changed while the pass ran, in which case the
 // worker must reconcile again from a fresh snapshot.
 func (m *Manager) finishPass(p *pod, gen uint64, res reconcileResult, drained bool) bool {
+	detail := fmt.Sprintf("%d slices", len(res.applied))
+	if drained {
+		detail = "drained"
+	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	p.failures = 0
 	p.lastErr = ""
+	recovering := p.recovering && p.gen == gen && res.deferred == 0
+	m.mu.Unlock()
+	if recovering {
+		// The recovery edge is a pod-wide record, journaled ahead of the
+		// event announcing it with new intents held off meanwhile.
+		p.reserve(scopePod)
+		defer p.release(scopePod)
+		_ = m.journal(JournalEntry{Op: OpRecover, Pod: p.name, Detail: detail})
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if p.gen != gen {
 		return false
 	}
@@ -118,17 +124,12 @@ func (m *Manager) finishPass(p *pod, gen uint64, res reconcileResult, drained bo
 		p.dirty = false
 		m.queueDepth.Set(float64(m.dirtyLocked()))
 	}
-	detail := fmt.Sprintf("%d slices", len(applied))
-	if drained {
-		detail = "drained"
-	}
-	if p.recovering {
+	if recovering {
 		// The pod was quarantined, the quarantine was released, and it has
 		// now reconciled back to its intent: the recovery edge, distinct
 		// from an ordinary convergence so operators (and internal/chaos's
 		// MTTR accounting) can see faults close out.
 		p.recovering = false
-		m.journalDerivedLocked(JournalEntry{Op: OpRecover, Pod: p.name, Detail: detail})
 		m.emitLocked(Event{Pod: p.name, Type: EventRecovered, Detail: detail})
 	}
 	m.emitLocked(Event{Pod: p.name, Type: EventConverged, Detail: detail})
@@ -136,20 +137,35 @@ func (m *Manager) finishPass(p *pod, gen uint64, res reconcileResult, drained bo
 }
 
 // recordFailure counts one failed attempt and quarantines the pod when the
-// consecutive-failure budget is spent. Reports whether it quarantined.
+// consecutive-failure budget is spent. Reports whether it quarantined. The
+// verdict is a pod-wide record, so the pod is reserved from the count on (no
+// UndrainPod can reset the budget in between) and publication goes journal →
+// alert → state/event: an observer of the quarantine finds both.
 func (m *Manager) recordFailure(p *pod, err error) bool {
+	p.reserve(scopePod)
+	defer p.release(scopePod)
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	p.failures++
 	p.lastErr = err.Error()
 	m.retries.Inc()
 	p.retries.Inc()
 	m.emitLocked(Event{Pod: p.name, Type: EventReconcileError, Detail: err.Error()})
-	if p.failures < m.opts.QuarantineAfter {
+	spent := p.failures >= m.opts.QuarantineAfter
+	m.mu.Unlock()
+	if !spent {
 		return false
 	}
+	_ = m.journal(JournalEntry{Op: OpQuarantine, Pod: p.name, Detail: err.Error()})
+	if m.opts.Alerts != nil {
+		m.opts.Alerts.Post(telemetry.Alert{
+			Source:   "fleet/" + p.name,
+			Severity: telemetry.Critical,
+			Message:  fmt.Sprintf("pod quarantined after %d consecutive reconcile failures: %v", m.opts.QuarantineAfter, err),
+		})
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	p.quarantined = true
-	m.journalDerivedLocked(JournalEntry{Op: OpQuarantine, Pod: p.name, Detail: err.Error()})
 	m.quarantines.Inc()
 	m.quarantinedPods.Set(float64(m.quarantinedLocked()))
 	m.emitLocked(Event{Pod: p.name, Type: EventQuarantined, Detail: err.Error()})

@@ -105,13 +105,16 @@ func (p *Pass) PkgNameOf(sel *ast.SelectorExpr) string {
 type LockClass struct {
 	// Type is the owning named type, as "importpath.TypeName".
 	Type string
-	// Field is the sync.Mutex / sync.RWMutex field name.
+	// Field is the sync.Mutex / sync.RWMutex field name (or the field
+	// holding an array of them). A Methods-marked interface type has no
+	// field: Field is then the method that names the class in reports.
 	Field string
 	// Rank orders acquisition; lower ranks are acquired first.
 	Rank int
 	// Methods marks classes whose exported methods acquire the lock, so
-	// cross-package calls into the type count as acquisitions even though
-	// the analyzer cannot see the callee body.
+	// calls into the type from another package — or through it, when it
+	// is an interface — count as acquisitions even though the analyzer
+	// cannot see the callee body.
 	Methods bool
 }
 
@@ -192,7 +195,18 @@ func DefaultConfig() Config {
 			// PR 5 contract: injection takes Injector.mu then calls the
 			// manager; the manager never calls back into chaos.
 			{Type: "lightwave/internal/chaos.Injector", Field: "mu", Rank: 2, Methods: true},
-			{Type: "lightwave/internal/fleet.Manager", Field: "mu", Rank: 3, Methods: true},
+			// PR 13 contract: fleet intake is reserve → journal → apply. A
+			// mutation reserves its intent scope (the manager's add-pod
+			// lock, or the pod's scope and one shard of its keys), calls
+			// the journal holding only that, and takes Manager.mu last.
+			// Ranking the Journal interface below Manager.mu makes a
+			// journal call under the manager lock — the serialisation that
+			// kept group commit at one record per fsync — a finding.
+			{Type: "lightwave/internal/fleet.Manager", Field: "addMu", Rank: 3},
+			{Type: "lightwave/internal/fleet.pod", Field: "scope", Rank: 4},
+			{Type: "lightwave/internal/fleet.pod", Field: "keys", Rank: 5},
+			{Type: "lightwave/internal/fleet.Journal", Field: "JournalFleet", Rank: 6, Methods: true},
+			{Type: "lightwave/internal/fleet.Manager", Field: "mu", Rank: 7, Methods: true},
 		},
 		FsyncPackages: []string{
 			"lightwave/internal/wal",

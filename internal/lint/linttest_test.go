@@ -30,7 +30,10 @@ func corpusConfig(importPath string) Config {
 		LockOrder: []LockClass{
 			{Type: importPath + ".Server", Field: "mu", Rank: 1},
 			{Type: importPath + ".Injector", Field: "mu", Rank: 2, Methods: true},
-			{Type: importPath + ".Manager", Field: "mu", Rank: 3, Methods: true},
+			{Type: importPath + ".Pod", Field: "scope", Rank: 3},
+			{Type: importPath + ".Pod", Field: "keys", Rank: 4},
+			{Type: importPath + ".Journal", Field: "Journal", Rank: 5, Methods: true},
+			{Type: importPath + ".Manager", Field: "mu", Rank: 6, Methods: true},
 		},
 		FsyncPackages: []string{importPath},
 		// Only its own corpus: every other corpus exports freely.

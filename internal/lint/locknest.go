@@ -14,11 +14,14 @@ import (
 // injector — so injection can never deadlock the reconciler. The
 // analyzer is syntactic and intra-package: it walks each function in
 // source order tracking which table mutexes are held (x.mu.Lock /
-// Unlock / defer Unlock), propagates acquisitions through the
-// same-package call graph, and treats any cross-package call to an
-// exported method of a Methods-marked class as acquiring that class's
-// lock. Acquiring a rank at or below one already held is a deadlock
-// hazard and is flagged.
+// Unlock / defer Unlock, x.shards[i].Lock for an array of mutexes),
+// propagates acquisitions through the same-package call graph, and
+// treats any call to an exported method of a Methods-marked class whose
+// body is out of reach — another package's type, or an interface — as
+// acquiring that class's lock. The interface case is how "never call the
+// fleet journal with Manager.mu held" is declared: fleet.Journal ranks
+// just below Manager.mu. Acquiring a rank at or below one already held is
+// a deadlock hazard and is flagged.
 var AnalyzerLocknest = &Analyzer{
 	Name: "locknest",
 	Doc: "mutexes in the declared lock-order table must be acquired in " +
@@ -32,22 +35,24 @@ type lockClass struct {
 	key string // "importpath.Type"
 }
 
+// lockTable indexes the declared classes by owning type; one type may
+// own several (a mutex per field).
 type lockTable struct {
-	byType map[string]*lockClass
+	byType map[string][]*lockClass
 }
 
 func newLockTable(order []LockClass) *lockTable {
-	t := &lockTable{byType: make(map[string]*lockClass, len(order))}
+	t := &lockTable{byType: make(map[string][]*lockClass, len(order))}
 	for i := range order {
 		c := &lockClass{LockClass: order[i], key: order[i].Type}
-		t.byType[c.key] = c
+		t.byType[c.key] = append(t.byType[c.key], c)
 	}
 	return t
 }
 
-// classOfRecv maps an expression's (possibly pointer) type to its lock
-// class, or nil.
-func (t *lockTable) classOfType(typ types.Type) *lockClass {
+// classesOfType maps an expression's (possibly pointer) type to the lock
+// classes it owns.
+func (t *lockTable) classesOfType(typ types.Type) []*lockClass {
 	if typ == nil {
 		return nil
 	}
@@ -59,6 +64,21 @@ func (t *lockTable) classOfType(typ types.Type) *lockClass {
 		return nil
 	}
 	return t.byType[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
+}
+
+// methodClass is the class an exported method acquires when its body is
+// out of reach: the Methods-marked class of its receiver type, or nil.
+func (t *lockTable) methodClass(callee *types.Func) *lockClass {
+	sig, ok := callee.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || !callee.Exported() {
+		return nil
+	}
+	for _, c := range t.classesOfType(sig.Recv().Type()) {
+		if c.Methods {
+			return c
+		}
+	}
+	return nil
 }
 
 func (c *lockClass) label() string {
@@ -98,7 +118,7 @@ func runLocknest(p *Pass) {
 			if cls, isLock, _ := p.directLockOp(table, call); cls != nil && isLock {
 				fi.acquires[cls] = true
 			}
-			if callee := p.calleeFunc(call); callee != nil && callee.Pkg() == p.Pkg {
+			if callee := p.calleeFunc(call); callee != nil {
 				fi.calls[callee] = true
 			}
 			return true
@@ -126,6 +146,10 @@ func runLocknest(p *Pass) {
 			for callee := range fi.calls {
 				ci, ok := infos[callee]
 				if !ok {
+					if cls := table.methodClass(callee); cls != nil && !fi.acquires[cls] {
+						fi.acquires[cls] = true
+						changed = true
+					}
 					continue
 				}
 				for cls := range ci.acquires {
@@ -357,12 +381,11 @@ func (w *lockWalker) callEvent(call *ast.CallExpr) {
 		}
 		return
 	}
-	// Cross-package: exported methods of Methods-marked classes count
-	// as acquiring the class lock even though the body is out of reach.
-	if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil && callee.Exported() {
-		if cls := w.table.classOfType(sig.Recv().Type()); cls != nil && cls.Methods {
-			w.check(call, cls, fmt.Sprintf("call to (%s).%s ", sig.Recv().Type(), callee.Name()))
-		}
+	// Body out of reach (another package, or an interface): exported
+	// methods of Methods-marked classes count as acquiring the class lock.
+	if cls := w.table.methodClass(callee); cls != nil {
+		recv := callee.Type().(*types.Signature).Recv().Type()
+		w.check(call, cls, fmt.Sprintf("call to (%s).%s ", recv, callee.Name()))
 	}
 }
 
@@ -387,8 +410,9 @@ func terminates(stmts []ast.Stmt) bool {
 	return false
 }
 
-// directLockOp matches x.<field>.Lock()/Unlock()-shaped calls against
-// the table. Returns the class and whether the op acquires or releases.
+// directLockOp matches x.<field>.Lock()/Unlock()-shaped calls — and
+// x.<field>[i].Lock() for an array of mutexes — against the table.
+// Returns the class and whether the op acquires or releases.
 func (p *Pass) directLockOp(table *lockTable, call *ast.CallExpr) (cls *lockClass, isLock, isUnlock bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -398,15 +422,20 @@ func (p *Pass) directLockOp(table *lockTable, call *ast.CallExpr) (cls *lockClas
 	if !lockMethods[name] && !unlockMethods[name] {
 		return nil, false, false
 	}
-	field, ok := sel.X.(*ast.SelectorExpr)
+	x := sel.X
+	if idx, ok := x.(*ast.IndexExpr); ok {
+		x = idx.X
+	}
+	field, ok := x.(*ast.SelectorExpr)
 	if !ok {
 		return nil, false, false
 	}
-	c := table.classOfType(p.TypeOf(field.X))
-	if c == nil || field.Sel.Name != c.Field {
-		return nil, false, false
+	for _, c := range table.classesOfType(p.TypeOf(field.X)) {
+		if field.Sel.Name == c.Field {
+			return c, lockMethods[name], unlockMethods[name]
+		}
 	}
-	return c, lockMethods[name], unlockMethods[name]
+	return nil, false, false
 }
 
 // calleeFunc resolves a call's static callee, or nil for dynamic calls,

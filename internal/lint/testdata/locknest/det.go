@@ -1,6 +1,7 @@
 // Package locknest is the locknest analyzer corpus. The test config
-// declares the order Server.mu(1) → Injector.mu(2) → Manager.mu(3),
-// mirroring the real ctlrpc/chaos/fleet table.
+// declares the order Server.mu(1) → Injector.mu(2) → Pod.scope(3) →
+// Pod.keys(4) → Journal(5) → Manager.mu(6), mirroring the real
+// ctlrpc/chaos/fleet table.
 package locknest
 
 import "sync"
@@ -15,6 +16,17 @@ type Injector struct {
 type Manager struct {
 	mu  sync.Mutex
 	inj *Injector
+	jn  Journal
+}
+
+// Journal is an interface lock class: its body is out of reach, so a
+// call through it counts as taking whatever it ranks as.
+type Journal interface{ Journal(e int) error }
+
+// Pod owns two classes: one RWMutex and an array of shard mutexes.
+type Pod struct {
+	scope sync.RWMutex
+	keys  [4]sync.Mutex
 }
 
 // Apply follows the declared order: Injector.mu (2), then a Manager
@@ -34,7 +46,7 @@ func (m *Manager) poke() {
 func (m *Manager) badDirect() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.inj.mu.Lock() // want `\[locknest\] acquires locknest\.Injector\.mu \(rank 2\) while locknest\.Manager\.mu \(rank 3\) is held`
+	m.inj.mu.Lock() // want `\[locknest\] acquires locknest\.Injector\.mu \(rank 2\) while locknest\.Manager\.mu \(rank 6\) is held`
 	m.inj.mu.Unlock()
 }
 
@@ -43,7 +55,7 @@ func (m *Manager) badDirect() {
 func (m *Manager) badViaCall() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.inj.lockUnlock() // want `\[locknest\] call to lockUnlock acquires locknest\.Injector\.mu \(rank 2\) while locknest\.Manager\.mu \(rank 3\) is held`
+	m.inj.lockUnlock() // want `\[locknest\] call to lockUnlock acquires locknest\.Injector\.mu \(rank 2\) while locknest\.Manager\.mu \(rank 6\) is held`
 }
 
 func (in *Injector) lockUnlock() {
@@ -81,4 +93,44 @@ func (m *Manager) spawn() {
 	go func() {
 		m.inj.lockUnlock()
 	}()
+}
+
+// intake is the declared order end to end: scope, a key shard, the
+// journal, and Manager.mu last.
+func (m *Manager) intake(p *Pod, k int) error {
+	p.scope.RLock()
+	defer p.scope.RUnlock()
+	p.keys[k].Lock()
+	defer p.keys[k].Unlock()
+	if err := m.jn.Journal(k); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return nil
+}
+
+// badJournalUnderMu calls the journal with the manager lock held.
+func (m *Manager) badJournalUnderMu() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.jn.Journal(1) // want `\[locknest\] call to \(corpus/locknest\.Journal\)\.Journal acquires locknest\.Journal\.Journal \(rank 5\) while locknest\.Manager\.mu \(rank 6\) is held`
+}
+
+// badJournalViaHelper does the same through a same-package wrapper,
+// whose summary carries the interface call.
+func (m *Manager) badJournalViaHelper() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_ = m.journal(1) // want `\[locknest\] call to journal acquires locknest\.Journal\.Journal \(rank 5\) while locknest\.Manager\.mu \(rank 6\) is held`
+}
+
+func (m *Manager) journal(e int) error { return m.jn.Journal(e) }
+
+// badShardUnderMu takes one mutex of the shard array under Manager.mu.
+func (m *Manager) badShardUnderMu(p *Pod) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p.keys[0].Lock() // want `\[locknest\] acquires locknest\.Pod\.keys \(rank 4\) while locknest\.Manager\.mu \(rank 6\) is held`
+	p.keys[0].Unlock()
 }

@@ -27,13 +27,19 @@ const snapHeaderBytes = 8
 
 // Checkpoint captures a snapshot, makes it durable, and compacts segments
 // the snapshot covers. Safe to call while appends are in flight: the
-// Snapshotter's covered LSN bounds what is deleted.
+// Snapshotter's covered LSN bounds what is deleted, and the snapshot is
+// written only once every record staged before it — which its state may
+// already hold — is durable, so it never claims an LSN the log could
+// still lose. A log whose commit failed refuses to checkpoint.
 func (l *Log) Checkpoint(s Snapshotter) error {
 	state, covered, err := s.Snapshot()
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	atLSN := l.LastLSN()
+	atLSN, err := l.syncPoint()
+	if err != nil {
+		return fmt.Errorf("wal: checkpoint refused: %w", err)
+	}
 	if covered > atLSN {
 		covered = atLSN
 	}

@@ -166,34 +166,34 @@ func (st *Store) EndRecovery() {
 	st.mu.Unlock()
 }
 
-// JournalFleet implements fleet.Journal: write-ahead append, then fold
-// into the materialized state.
+// JournalFleet implements fleet.Journal and is safe for concurrent
+// callers. The record is staged and folded into the materialized state
+// under st.mu, so the state is always the fold of an LSN prefix and
+// lastFleetLSN names that prefix; the wait for durability happens outside
+// it, so concurrent callers share one fsync. A failed commit leaves the
+// fold ahead of disk, which is why the log then refuses every further
+// append and checkpoint: only a reopen is authoritative again.
 func (st *Store) JournalFleet(e fleet.JournalEntry) error {
+	b, err := EncodeFleet(e)
+	if err != nil {
+		return err
+	}
 	st.mu.Lock()
 	if st.suppress {
 		st.fleetState.Apply(e)
 		st.mu.Unlock()
 		return nil
 	}
-	st.mu.Unlock()
-	b, err := EncodeFleet(e)
+	lsn, staged, err := st.log.stage(RecordFleet, b)
 	if err != nil {
+		st.mu.Unlock()
 		return err
 	}
-	lsn, err := st.log.Append(RecordFleet, b)
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
 	st.fleetState.Apply(e)
-	if lsn > st.lastFleetLSN {
-		st.lastFleetLSN = lsn
-	}
-	if lsn > st.maxTypeLSN[RecordFleet] {
-		st.maxTypeLSN[RecordFleet] = lsn
-	}
+	st.lastFleetLSN = lsn
+	st.maxTypeLSN[RecordFleet] = lsn
 	st.mu.Unlock()
-	return nil
+	return staged.wait()
 }
 
 // JournalSched implements sched.Journal.

@@ -17,11 +17,15 @@
 //	u32le length | u32le crc32c | type byte | payload
 //
 // where length counts the type byte plus payload and the CRC (Castagnoli)
-// covers the same bytes. Appends are group-committed: callers frame their
-// record into the current batch under a mutex and kick a dedicated writer
-// goroutine through a one-slot channel (the same idiom as the ctlrpc
-// pipelined writer); the writer swaps the batch out, issues one write and
-// one fsync for however many records accumulated, and wakes every waiter.
+// covers the same bytes. Appends are group-committed in two steps: stage
+// frames the record into the current batch under a mutex, assigns its LSN
+// and kicks a dedicated writer goroutine through a one-slot channel (the
+// same idiom as the ctlrpc pipelined writer); wait blocks until the writer
+// has swapped that batch out, issued one write and one fsync for however
+// many records accumulated, and woken every waiter. A commit failure is
+// fail-stop: the batch is rolled back off the segment, its waiters and
+// those of every batch staged behind it get the error, nothing is written
+// again, and the log refuses further appends and checkpoints.
 // Replay truncates a torn tail (short frame, bad length, or CRC mismatch)
 // and discards any segments after the tear, so a crash at any byte offset
 // leaves a valid prefix.
@@ -125,11 +129,12 @@ type Log struct {
 	opts Options
 	met  *walMetrics
 
-	mu     sync.Mutex
-	cur    *batch
-	seq    uint64 // next LSN to assign; LSNs start at 1
-	closed bool
-	broken error // sticky commit failure: refuse further appends
+	mu       sync.Mutex
+	cur      *batch
+	inflight *batch // the batch last handed to the writer
+	seq      uint64 // next LSN to assign; LSNs start at 1
+	closed   bool
+	broken   error // sticky commit failure: refuse further appends
 
 	kick     chan struct{}
 	stop     chan struct{}
@@ -139,6 +144,8 @@ type Log struct {
 	// Writer-goroutine state (and Open, before the writer starts).
 	f        *os.File
 	segBytes int64
+	// fsync makes a written batch durable; tests swap in a failing one.
+	fsync func(*os.File) error
 
 	// smu guards the segment list and snapshot bookkeeping, shared by
 	// the writer (rotation) and Checkpoint (compaction).
@@ -163,6 +170,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		opts:  opts,
 		met:   newWALMetrics(opts.Metrics),
 		cur:   newBatch(),
+		fsync: (*os.File).Sync,
 		kick:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 		wdone: make(chan struct{}),
@@ -182,22 +190,36 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 
 func newBatch() *batch { return &batch{done: make(chan struct{})} }
 
-// Append frames one record into the current batch, wakes the writer, and
-// blocks until the batch holding it is durably committed. It returns the
-// record's LSN.
+// Append stages one record and blocks until the batch holding it is
+// durably committed. It returns the record's LSN.
 func (l *Log) Append(typ RecordType, payload []byte) (uint64, error) {
+	lsn, b, err := l.stage(typ, payload)
+	if err != nil {
+		return 0, err
+	}
+	if err := b.wait(); err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// stage frames one record into the current batch, assigns its LSN and
+// wakes the writer without waiting for it. A caller that folds records
+// into state of its own stages under its own lock, so LSN order is fold
+// order, and waits outside it, so concurrent callers share one fsync.
+func (l *Log) stage(typ RecordType, payload []byte) (uint64, *batch, error) {
 	if len(payload)+1 > MaxRecordBytes {
-		return 0, ErrTooLarge
+		return 0, nil, ErrTooLarge
 	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return 0, ErrClosed
+		return 0, nil, ErrClosed
 	}
 	if l.broken != nil {
 		err := l.broken
 		l.mu.Unlock()
-		return 0, err
+		return 0, nil, err
 	}
 	lsn := l.seq
 	l.seq++
@@ -211,9 +233,34 @@ func (l *Log) Append(typ RecordType, payload []byte) (uint64, error) {
 	case l.kick <- struct{}{}:
 	default:
 	}
+	return lsn, b, nil
+}
+
+// wait blocks until the batch is committed and reports the commit error.
+func (b *batch) wait() error {
 	<-b.done
-	if b.err != nil {
-		return 0, b.err
+	return b.err
+}
+
+// syncPoint blocks until every record staged so far is durable and
+// returns the highest such LSN. On a log whose commit failed it returns
+// the sticky error instead.
+func (l *Log) syncPoint() (uint64, error) {
+	l.mu.Lock()
+	lsn, err := l.seq-1, l.broken
+	// Batches commit in order, so the newest non-empty one covers lsn.
+	b := l.cur
+	if b.n == 0 {
+		b = l.inflight
+	}
+	l.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	if b != nil {
+		if err := b.wait(); err != nil {
+			return 0, err
+		}
 	}
 	return lsn, nil
 }
@@ -284,28 +331,37 @@ func (l *Log) commitPending() {
 			return
 		}
 		l.cur = newBatch()
+		l.inflight = b
+		broken := l.broken
 		l.mu.Unlock()
 
-		err := l.commitBatch(b)
-		if err != nil {
+		// Fail-stop: batches staged while the failing commit was in flight
+		// fail with it. The segment is never written again after a failure,
+		// so nothing lands behind the rolled-back batch.
+		if broken != nil {
+			b.err = broken
+		} else if err := l.commitBatch(b); err != nil {
+			b.err = fmt.Errorf("wal: commit failed: %w", err)
 			l.mu.Lock()
-			l.broken = fmt.Errorf("wal: commit failed: %w", err)
+			l.broken = b.err
 			l.mu.Unlock()
 		}
-		b.err = err
 		close(b.done)
 	}
 }
 
 func (l *Log) commitBatch(b *batch) error {
-	if _, err := l.f.Write(b.buf); err != nil {
-		return err
-	}
-	if !l.opts.NoSync {
-		if err := l.f.Sync(); err != nil {
-			return err
+	_, err := l.f.Write(b.buf)
+	if err == nil && !l.opts.NoSync {
+		if err = l.fsync(l.f); err == nil {
+			l.met.fsyncs.Inc()
 		}
-		l.met.fsyncs.Inc()
+	}
+	if err != nil {
+		// Best-effort rollback: the batch's callers are told it failed,
+		// so a restart should not resurrect it from a completed write.
+		_ = l.f.Truncate(l.segBytes)
+		return err
 	}
 	l.segBytes += int64(len(b.buf))
 	l.met.appends.Add(int64(b.n))
@@ -566,19 +622,27 @@ type Status struct {
 	Fsyncs      int64
 	Snapshots   int64
 	Compactions int64
+	// Broken is the sticky commit failure, empty while the log is healthy.
+	Broken string
 }
 
 // Status reports the log's current shape. TotalBytes stats the live
 // segment files; failures there degrade to 0 rather than erroring.
 func (l *Log) Status() Status {
+	l.mu.Lock()
+	lastLSN, broken := l.seq-1, l.broken
+	l.mu.Unlock()
 	st := Status{
 		Dir:         l.dir,
-		LastLSN:     l.LastLSN(),
+		LastLSN:     lastLSN,
 		Appends:     l.met.appends.Value(),
 		AppendBytes: l.met.appendBytes.Value(),
 		Fsyncs:      l.met.fsyncs.Value(),
 		Snapshots:   l.met.snapshots.Value(),
 		Compactions: l.met.compactions.Value(),
+	}
+	if broken != nil {
+		st.Broken = broken.Error()
 	}
 	l.smu.Lock()
 	st.SnapshotLSN = l.snapLSN

@@ -249,12 +249,12 @@ func BenchmarkDeploymentModularity(b *testing.B) {
 	b.ReportMetric(100*savings, "bidi-OCS-savings-%")
 }
 
-// BenchmarkSchedulerUtilization runs the reconfigurable-vs-contiguous
+// BenchmarkSchedulerUtilization runs the reconfigurable side of the
 // scheduling comparison (§4.2.4: >98% utilization).
 func BenchmarkSchedulerUtilization(b *testing.B) {
 	var util float64
 	for i := 0; i < b.N; i++ {
-		reconf, _, err := sched.CompareUtilization(sched.ProductionMix(), sched.ReferenceConfig())
+		reconf, err := sched.Simulate(sched.FullPod(), sched.Reconfigurable{}, sched.ProductionMix(), sched.ReferenceConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

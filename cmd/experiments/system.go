@@ -130,8 +130,9 @@ func deployExperiment() {
 // same deterministic job/fault stream replayed under all three placement
 // policies, each against real core.Fabric pods behind a fleet.Manager
 // (failures injected through the chaos seams, slices realized by the
-// reconciler). The offline sched.Simulate fast path is covered by the
-// defrag experiment; this one exercises the full control plane.
+// reconciler). The defrag experiment runs the same scheduler offline
+// (sched.Simulate, no cluster behind it); this one exercises the full
+// control plane.
 func schedExperiment() {
 	rep, err := superpod.Evaluate(superpod.EvalConfig{
 		Pods:                2,

@@ -102,27 +102,12 @@ func (r *CrashRestartReport) Text() string {
 	return b.String()
 }
 
-// crashSettle polls the manager until pred holds.
+// crashSettle waits until the manager's status satisfies pred.
 func crashSettle(m *fleet.Manager, timeout time.Duration, pred func(fleet.Status) bool, what string) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if pred(m.Status()) {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: crash-restart timed out waiting for %s", what)
-		}
-		time.Sleep(200 * time.Microsecond)
+	if err := m.WaitStatus(timeout, what, pred); err != nil {
+		return fmt.Errorf("chaos: crash-restart %w", err)
 	}
-}
-
-func podByName(st fleet.Status, name string) fleet.PodStatus {
-	for _, p := range st.Pods {
-		if p.Name == name {
-			return p
-		}
-	}
-	return fleet.PodStatus{}
+	return nil
 }
 
 // EvaluateCrashRestart runs the drill: churn a journaled control plane,
@@ -235,7 +220,8 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 			live[pod] = append(live[pod], name)
 			rep.Mutations++
 			if err := crashSettle(mgr, cfg.SettleTimeout, func(st fleet.Status) bool {
-				return podByName(st, pod).Quarantined
+				p, _ := st.Pod(pod)
+				return p.Quarantined
 			}, "quarantine of "+pod); err != nil {
 				mgr.Close()
 				store.Close()
@@ -247,7 +233,7 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 				return nil, err
 			}
 			if err := crashSettle(mgr, cfg.SettleTimeout, func(st fleet.Status) bool {
-				p := podByName(st, pod)
+				p, _ := st.Pod(pod)
 				return !p.Quarantined && p.Converged
 			}, "recovery of "+pod); err != nil {
 				mgr.Close()
@@ -268,14 +254,7 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 	}
 	// Let reconcilers drain so the post-restart convergence claim is
 	// about recovery, not leftover churn.
-	if err := crashSettle(mgr, cfg.SettleTimeout, func(st fleet.Status) bool {
-		for _, p := range st.Pods {
-			if !p.Converged {
-				return false
-			}
-		}
-		return st.QueueDepth == 0
-	}, "pre-crash convergence"); err != nil {
+	if err := crashSettle(mgr, cfg.SettleTimeout, allConverged, "pre-crash convergence"); err != nil {
 		mgr.Close()
 		store.Close()
 		return nil, err
@@ -345,14 +324,7 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 	store2.EndRecovery()
 
 	begin := time.Now()
-	convErr := crashSettle(mgr2, cfg.SettleTimeout, func(st fleet.Status) bool {
-		for _, p := range st.Pods {
-			if !p.Converged {
-				return false
-			}
-		}
-		return st.QueueDepth == 0
-	}, "post-restart convergence")
+	convErr := crashSettle(mgr2, cfg.SettleTimeout, allConverged, "post-restart convergence")
 	rep.ReconvergeSeconds = time.Since(begin).Seconds()
 	rep.Reconverged = convErr == nil
 

@@ -359,7 +359,11 @@ func newHarness(cfg EvalConfig) (*harness, error) {
 		h.close()
 		return nil, err
 	}
-	if err := mgr.AddPod(FabricPodName, &fabricBackend{inj: h.inj, f: fabric}); err != nil {
+	// te reconfigurations take the fleet drain workflow like any DCN pod's,
+	// programming through the injector so they use only the switches the
+	// scenario has left healthy.
+	applier, err := te.NewFleetApplierOver(mgr, FabricPodName, h.inj)
+	if err != nil {
 		h.close()
 		return nil, err
 	}
@@ -367,7 +371,7 @@ func newHarness(cfg EvalConfig) (*harness, error) {
 	h.loop, err = te.NewLoop(te.Config{
 		Blocks: cfg.Blocks, Uplinks: cfg.Uplinks, TrunkBps: cfg.TrunkBps,
 		EpochSeconds: cfg.EpochSeconds,
-		Applier:      &fleetApplier{h: h},
+		Applier:      applier,
 	})
 	if err != nil {
 		h.close()
@@ -413,55 +417,29 @@ func (h *harness) close() {
 
 // converge waits for every pod's initial reconcile.
 func (h *harness) converge() error {
-	return h.settle(func(st fleet.Status) bool {
-		for _, p := range st.Pods {
-			if !p.Converged {
-				return false
-			}
-		}
-		return st.QueueDepth == 0
-	}, "initial convergence")
+	return h.settle(allConverged, "initial convergence")
 }
 
-// allSettled holds when every pod is either converged or quarantined —
-// the reconciler's only two stable states (a quarantined pod stays dirty
-// by design until an operator undrains it).
-func allSettled(st fleet.Status) bool {
+// allConverged holds when every pod has realized its intent and nothing is
+// queued — stricter than Status.Settled, which also accepts quarantine.
+func allConverged(st fleet.Status) bool {
 	for _, p := range st.Pods {
-		if !p.Converged && !p.Quarantined {
+		if !p.Converged {
 			return false
 		}
 	}
-	return true
+	return st.QueueDepth == 0
 }
 
-// settle polls fleet status until pred holds — the evaluator's bridge
+// settle waits until fleet status satisfies pred — the evaluator's bridge
 // between the reconciler's real-time workers and the replay's virtual
 // clock. Each fault kind settles on a deterministic post-state, so event
 // counts never race the epoch walk.
 func (h *harness) settle(pred func(fleet.Status) bool, what string) error {
-	//lwlint:ignore walltime settle waits on the fleet manager's real-time reconciler workers; the predicate it waits for is deterministic, only the wait itself is wall-clock
-	deadline := time.Now().Add(h.cfg.SettleTimeout)
-	for {
-		if pred(h.mgr.Status()) {
-			return nil
-		}
-		//lwlint:ignore walltime timeout guard for the live reconciler wait above; does not reach results
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: timed out waiting for %s", what)
-		}
-		//lwlint:ignore walltime poll backoff for the live reconciler wait; does not reach results
-		time.Sleep(200 * time.Microsecond)
+	if err := h.mgr.WaitStatus(h.cfg.SettleTimeout, what, pred); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
-}
-
-func (h *harness) podStatus(st fleet.Status, name string) fleet.PodStatus {
-	for _, p := range st.Pods {
-		if p.Name == name {
-			return p
-		}
-	}
-	return fleet.PodStatus{}
+	return nil
 }
 
 // applyAction injects one primitive and waits for its deterministic
@@ -473,7 +451,7 @@ func (h *harness) applyAction(a action) error {
 			return err
 		}
 		if ev.Kind == KindSlowDrain {
-			return h.settle(allSettled, "slow-drain lift")
+			return h.settle(fleet.Status.Settled, "slow-drain lift")
 		}
 		return nil
 	}
@@ -485,77 +463,19 @@ func (h *harness) applyAction(a action) error {
 		// The reconciler burns its retry budget and quarantines; waiting
 		// for the quarantine pins the error-event count.
 		return h.settle(func(st fleet.Status) bool {
-			return h.podStatus(st, ev.Pod).Quarantined
+			p, _ := st.Pod(ev.Pod)
+			return p.Quarantined
 		}, "quarantine of "+ev.Pod)
 	case KindPodRestore:
 		return h.settle(func(st fleet.Status) bool {
-			p := h.podStatus(st, ev.Pod)
+			p, _ := st.Pod(ev.Pod)
 			return !p.Quarantined && p.Converged
 		}, "recovery of "+ev.Pod)
 	case KindOCSOutage, KindOCSRestore, KindStuckDrain, KindSlowDrain:
-		return h.settle(allSettled, string(ev.Kind)+" settle")
+		return h.settle(fleet.Status.Settled, string(ev.Kind)+" settle")
 	default:
 		return nil
 	}
-}
-
-// fleetApplier realizes te plans through the fleet drain workflow using
-// only healthy switches — te.FleetApplier's discipline, tolerant of
-// scenario-failed hardware.
-type fleetApplier struct {
-	h *harness
-}
-
-// Apply implements te.Applier.
-func (a *fleetApplier) Apply(plan *te.Plan) error {
-	for si, st := range plan.Stages {
-		ids := a.h.inj.SwitchesTouching(st.Tear)
-		for _, id := range ids {
-			if err := a.h.mgr.DrainOCS(FabricPodName, id); err != nil {
-				return fmt.Errorf("chaos: stage %d drain ocs %d: %w", si, id, err)
-			}
-		}
-		err := a.h.inj.Program(st.After)
-		for _, id := range ids {
-			if uerr := a.h.mgr.UndrainOCS(FabricPodName, id); uerr != nil && err == nil {
-				err = uerr
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("chaos: stage %d: %w", si, err)
-		}
-	}
-	return nil
-}
-
-// fabricBackend is the fleet.Backend fronting the DCN fabric: no compute
-// slices, circuit inventory only, serialized with the injector's fabric
-// access through the injector itself.
-type fabricBackend struct {
-	inj *Injector
-	f   *dcn.Fabric
-}
-
-// Ensure implements fleet.Backend; the fabric pod hosts no slices.
-func (b *fabricBackend) Ensure(name string, _ topo.Shape, _ []int) (bool, error) {
-	return false, fmt.Errorf("%w: DCN fabric pod cannot host slice %q", fleet.ErrBadIntent, name)
-}
-
-// Destroy implements fleet.Backend.
-func (b *fabricBackend) Destroy(string) error { return nil }
-
-// Slices implements fleet.Backend.
-func (b *fabricBackend) Slices() []string { return nil }
-
-// Info implements fleet.Backend.
-func (b *fabricBackend) Info() fleet.PodInfo {
-	b.inj.mu.Lock()
-	defer b.inj.mu.Unlock()
-	n := 0
-	for _, sw := range b.f.Switches {
-		n += sw.NumCircuits()
-	}
-	return fleet.PodInfo{Circuits: n}
 }
 
 // drain collects everything the subscription buffered. The epoch walk

@@ -446,6 +446,22 @@ func (in *Injector) SwitchesTouching(tears [][2]int) []int {
 	return ids
 }
 
+// Circuits counts the circuits established on the fabric — with Program
+// and SwitchesTouching, what lets the injector stand in for the fabric
+// behind a te.FleetApplier.
+func (in *Injector) Circuits() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.t.Fabric == nil {
+		return 0
+	}
+	n := 0
+	for _, sw := range in.t.Fabric.Switches {
+		n += sw.NumCircuits()
+	}
+	return n
+}
+
 // Degraded returns the topology actually carrying traffic: the fabric's
 // live trunks (post-outage, post-heal) minus admin-downed trunks. With
 // no fabric target it is the intended topology minus admin-down.

@@ -212,7 +212,7 @@ func TestInjectorOCSOutageHealCycle(t *testing.T) {
 	if err := h.inj.Apply(Event{Kind: KindOCSOutage, OCS: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.settle(allSettled, "outage"); err != nil {
+	if err := h.settle(fleet.Status.Settled, "outage"); err != nil {
 		t.Fatal(err)
 	}
 	if got := trunkTotal(h.inj.Degraded(intended)); got >= full {
@@ -234,7 +234,7 @@ func TestInjectorOCSOutageHealCycle(t *testing.T) {
 	if err := h.inj.Apply(Event{Kind: KindOCSRestore, OCS: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.settle(allSettled, "restore"); err != nil {
+	if err := h.settle(fleet.Status.Settled, "restore"); err != nil {
 		t.Fatal(err)
 	}
 	if st := h.inj.Status(); st.DownSwitches != 0 {

@@ -575,12 +575,50 @@ func (m *Manager) Status() Status {
 	return st
 }
 
-// PodStatus snapshots one pod.
-func (m *Manager) PodStatus(podName string) (PodStatus, error) {
-	for _, ps := range m.Status().Pods {
-		if ps.Name == podName {
-			return ps, nil
+// Pod returns the named pod's status, or the zero status and false when
+// the snapshot has no such pod.
+func (st Status) Pod(name string) (PodStatus, bool) {
+	for _, ps := range st.Pods {
+		if ps.Name == name {
+			return ps, true
 		}
 	}
-	return PodStatus{}, fmt.Errorf("%w: %q", ErrNoPod, podName)
+	return PodStatus{}, false
+}
+
+// Settled holds when every pod is either converged or quarantined — the
+// reconciler's only two stable states (a quarantined pod stays dirty by
+// design until an operator undrains it).
+func (st Status) Settled() bool {
+	for _, p := range st.Pods {
+		if !p.Converged && !p.Quarantined {
+			return false
+		}
+	}
+	return true
+}
+
+// PodStatus snapshots one pod.
+func (m *Manager) PodStatus(podName string) (PodStatus, error) {
+	ps, ok := m.Status().Pod(podName)
+	if !ok {
+		return ps, fmt.Errorf("%w: %q", ErrNoPod, podName)
+	}
+	return ps, nil
+}
+
+// WaitStatus polls Status until pred holds, for at most timeout — how
+// evaluators that replay a virtual-time stream wait out the real-time
+// reconcile workers between events. The predicate they wait for is a
+// deterministic post-state; only the wait is wall-clock. The error names
+// what was awaited.
+func (m *Manager) WaitStatus(timeout time.Duration, what string, pred func(Status) bool) error {
+	deadline := time.Now().Add(timeout)
+	for !pred(m.Status()) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return nil
 }

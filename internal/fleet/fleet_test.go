@@ -474,3 +474,41 @@ func TestManagerCloseStopsWorkersAndSubs(t *testing.T) {
 		t.Fatalf("AddPod after close: %v", err)
 	}
 }
+
+// TestWaitStatus: the evaluators' one settle-wait returns as soon as the
+// predicate holds, and a timeout names what was awaited.
+func TestWaitStatus(t *testing.T) {
+	m := NewManager(fastOptions(telemetry.NewRegistry()))
+	defer m.Close()
+	good, bad := newFakeBackend(), newFakeBackend()
+	bad.setFail(errors.New("backend down"))
+	for name, b := range map[string]*fakeBackend{"good": good, "bad": bad} {
+		if err := m.AddPod(name, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetSliceIntent(name, SliceIntent{Name: "s", Shape: topo.Shape{X: 4, Y: 4, Z: 4}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One pod converges, the other burns its retry budget: both stable.
+	if err := m.WaitStatus(10*time.Second, "both pods stable", Status.Settled); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Status()
+	if p, ok := st.Pod("good"); !ok || !p.Converged {
+		t.Errorf("good pod %+v (found %t), want converged", p, ok)
+	}
+	if p, ok := st.Pod("bad"); !ok || !p.Quarantined {
+		t.Errorf("bad pod %+v (found %t), want quarantined", p, ok)
+	}
+	if _, ok := st.Pod("nope"); ok {
+		t.Error("found a pod that was never added")
+	}
+	err := m.WaitStatus(5*time.Millisecond, "the quarantined pod to converge", func(st Status) bool {
+		p, _ := st.Pod("bad")
+		return p.Converged
+	})
+	if err == nil || !strings.Contains(err.Error(), "the quarantined pod to converge") {
+		t.Fatalf("timeout error %v does not name what was awaited", err)
+	}
+}

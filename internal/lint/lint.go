@@ -217,11 +217,17 @@ func DefaultConfig() Config {
 		},
 		// The control plane: its exported surface is what the daemons,
 		// lwfctl and the bench compose, so anything nobody composes goes.
+		// The scheduler and its kernel joined once the offline simulation
+		// ran on sched.Scheduler: what only the forked loop used went with
+		// it.
 		DeadExportPackages: []string{
 			"lightwave/internal/ctlrpc",
 			"lightwave/internal/fleet",
 			"lightwave/internal/wal",
 			"lightwave/internal/daemon",
+			"lightwave/internal/sched",
+			"lightwave/internal/superpod",
+			"lightwave/internal/sim",
 		},
 	}
 }

@@ -132,9 +132,9 @@ func TestDefaultConfigNamesRealPackages(t *testing.T) {
 	if !cfg.inFsyncScope("lightwave/internal/daemon") {
 		t.Error("the daemons' shared shutdown path closes the store and must be in fsync scope")
 	}
-	for _, p := range []string{"ctlrpc", "fleet", "wal", "daemon"} {
+	for _, p := range []string{"ctlrpc", "fleet", "wal", "daemon", "sched", "superpod", "sim"} {
 		if !cfg.inDeadExportScope("lightwave/internal/" + p) {
-			t.Errorf("control-plane package %s must be in deadexport scope", p)
+			t.Errorf("package %s must be in deadexport scope", p)
 		}
 	}
 }

@@ -6,47 +6,8 @@ import "sort"
 // more effectively"). A contiguous-placement pod fragments as jobs come
 // and go; compaction migrates running jobs into a corner of the pod so a
 // blocked large job can fit. Migration is expensive (checkpoint, move,
-// restore), so the simulator counts migrated cubes. The reconfigurable
+// restore), so the scheduler counts migrated cubes. The reconfigurable
 // fabric never needs this: any set of free cubes is as good as any other.
-
-// FragmentationScore measures how scattered the free cubes are for the
-// contiguous policy: 1 − (largest free axis-aligned box) / (free cubes).
-// Zero means all free capacity is usable by one box-shaped job; values
-// near one mean the free space is confetti.
-func (p *Pod) FragmentationScore() float64 {
-	free := p.FreeCubes()
-	if free == 0 {
-		return 0
-	}
-	best := p.largestFreeBox()
-	return 1 - float64(best)/float64(free)
-}
-
-// largestFreeBox returns the volume of the largest all-free axis-aligned
-// box.
-func (p *Pod) largestFreeBox() int {
-	best := 0
-	for x := 0; x < p.Grid[0]; x++ {
-		for y := 0; y < p.Grid[1]; y++ {
-			for z := 0; z < p.Grid[2]; z++ {
-				for dx := 1; x+dx <= p.Grid[0]; dx++ {
-					for dy := 1; y+dy <= p.Grid[1]; dy++ {
-						for dz := 1; z+dz <= p.Grid[2]; dz++ {
-							vol := dx * dy * dz
-							if vol <= best {
-								continue
-							}
-							if p.boxCubes(x, y, z, [3]int{dx, dy, dz}) != nil {
-								best = vol
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return best
-}
 
 // JobMove records one job's relocation in a compaction pass.
 type JobMove struct {

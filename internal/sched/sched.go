@@ -11,8 +11,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-
-	"lightwave/internal/topo"
 )
 
 // CubeState is the state of one elemental cube.
@@ -133,15 +131,6 @@ func (p *Pod) State(cube int) CubeState {
 		return Failed
 	}
 	return p.state[cube]
-}
-
-// Owner returns the job occupying a cube, or -1 when it is free, failed, or
-// out of range.
-func (p *Pod) Owner(cube int) int {
-	if cube < 0 || cube >= len(p.state) {
-		return -1
-	}
-	return p.owner[cube]
 }
 
 // JobCubes returns the cubes owned by a job, ascending.
@@ -322,11 +311,4 @@ func boxesFor(cubes int, grid [3]int) [][3]int {
 
 func surface(b [3]int) int {
 	return 2 * (b[0]*b[1] + b[1]*b[2] + b[0]*b[2])
-}
-
-// SliceShapesFor returns the chip-level shapes a job of the given cube
-// count can take — used by callers that co-optimize placement and slice
-// shape (§4.2.1).
-func SliceShapesFor(cubes int) []topo.Shape {
-	return topo.ShapesFor(cubes)
 }

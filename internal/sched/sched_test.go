@@ -170,9 +170,3 @@ func TestBoxesForRespectsGrid(t *testing.T) {
 		}
 	}
 }
-
-func TestSliceShapesForDelegation(t *testing.T) {
-	if len(SliceShapesFor(4)) == 0 {
-		t.Fatal("no shapes")
-	}
-}

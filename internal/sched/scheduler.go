@@ -12,15 +12,17 @@ import (
 	"lightwave/internal/topo"
 )
 
-// The online scheduler: the §4.2.4 job stream run against live pods
-// instead of the offline simulator. The Scheduler keeps a cube-occupancy
-// mirror per pod (the same *Pod the simulator uses), makes every placement
-// decision on the mirror, and pushes the resulting slice intents to the
-// cluster through a ClusterOps seam — in production a fleet.Manager, in
-// tests nothing at all. Virtual time is advanced explicitly by the caller
-// (AdvanceTo), so a daemon ticks it against the wall clock while an
-// evaluator replays a deterministic event stream; the scheduler itself
-// never reads a clock for anything but latency metrics.
+// The §4.2.4 scheduler, and the only implementation of its policy: FIFO
+// with a bounded backfill window, preemption, completion order and
+// busy-time accounting all live here. The Scheduler keeps a cube-occupancy
+// mirror per pod, makes every placement decision on the mirror, and pushes
+// the resulting slice intents to the cluster through a ClusterOps seam — a
+// fleet.Manager under lwfleetd and superpod.Evaluate, nothing at all under
+// the offline Simulate, which is this scheduler behind a seeded event
+// stream. Virtual time is advanced explicitly by the caller (AdvanceTo), so
+// a daemon ticks it against the wall clock while an evaluator replays a
+// deterministic stream; the scheduler itself never reads a clock for
+// anything but latency metrics.
 
 // ClusterOps is the seam between scheduling decisions and the cluster
 // control plane. The production implementation translates calls into
@@ -170,6 +172,12 @@ type Scheduler struct {
 	now     float64
 	nextID  int
 
+	// rejected is set while a queued job may be waiting on the cluster
+	// rather than on cubes: a scan ended early on an Ops error, or the
+	// state was imported (the flag is not exported). Only then does a
+	// tick with no completions need to scan the queue again.
+	rejected bool
+
 	submitted, started, completed, preempted int
 	swaps, migrated, failures, repairs       int
 	busyIntegral, availIntegral              float64
@@ -185,12 +193,22 @@ type Scheduler struct {
 
 // NewScheduler builds a scheduler over the named pods.
 func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
+	return newScheduler(cfg, nil)
+}
+
+// newScheduler is NewScheduler with an optional mirror to adopt: Simulate
+// passes the caller's pod, which becomes the single named pod's mirror as
+// it stands (its grid and any failed cubes kept, InstalledCubes ignored).
+func newScheduler(cfg SchedulerConfig, adopt *Pod) (*Scheduler, error) {
 	if len(cfg.Pods) == 0 {
 		return nil, errors.New("sched: no pods")
 	}
 	installed := cfg.InstalledCubes
 	if installed <= 0 || installed > 64 {
 		installed = 64
+	}
+	if adopt != nil {
+		installed = adopt.Cubes()
 	}
 	placer := cfg.Placer
 	if placer == nil {
@@ -228,10 +246,13 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		if _, dup := s.byName[name]; dup {
 			return nil, fmt.Errorf("sched: duplicate pod %q", name)
 		}
-		sp := &schedPod{name: name, mirror: FullPod()}
-		for c := installed; c < sp.mirror.Cubes(); c++ {
-			if _, _, err := sp.mirror.Fail(c); err != nil {
-				return nil, err
+		sp := &schedPod{name: name, mirror: adopt}
+		if adopt == nil {
+			sp.mirror = FullPod()
+			for c := installed; c < sp.mirror.Cubes(); c++ {
+				if _, _, err := sp.mirror.Fail(c); err != nil {
+					return nil, err
+				}
 			}
 		}
 		s.pods = append(s.pods, sp)
@@ -292,15 +313,9 @@ func (s *Scheduler) accrueTo(t float64) {
 			if sp.down {
 				continue
 			}
-			for _, st := range sp.mirror.state {
-				switch st {
-				case Busy:
-					busy++
-					avail++
-				case Free:
-					avail++
-				}
-			}
+			b := sp.mirror.BusyCubes()
+			busy += b
+			avail += b + sp.mirror.FreeCubes()
 		}
 		s.busyIntegral += float64(busy) * dt
 		s.availIntegral += float64(avail) * dt
@@ -383,9 +398,10 @@ func (s *Scheduler) AdvanceTo(t float64) error {
 		}
 	}
 	s.accrueTo(t)
-	// Retry queued jobs even when nothing completed: a placement the
-	// cluster transiently rejected becomes eligible again on the next tick.
-	if len(s.queue) > 0 {
+	// Every mutator ends with a full scan, so the queue is already blocked
+	// on cubes unless the cluster rejected a placement: that one becomes
+	// eligible again on the next tick.
+	if s.rejected {
 		if err := s.tryPlaceLocked(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -409,6 +425,7 @@ func (s *Scheduler) tryPlaceLocked() error {
 			j := s.queue[i]
 			sp, cubes, err := s.placeOnAnyLocked(j)
 			if err != nil {
+				s.rejected = true
 				return err
 			}
 			if sp == nil {
@@ -436,6 +453,7 @@ func (s *Scheduler) tryPlaceLocked() error {
 			break
 		}
 		if !placedAny {
+			s.rejected = false
 			return nil
 		}
 	}

@@ -321,3 +321,78 @@ func TestSchedulerEnsureFailureRollsBackMirror(t *testing.T) {
 		t.Fatalf("stats after recovery %+v", got)
 	}
 }
+
+// countingPlacer counts placement attempts.
+type countingPlacer struct {
+	Reconfigurable
+	calls *int
+}
+
+func (p countingPlacer) Place(pod *Pod, job, cubes int) ([]int, error) {
+	*p.calls++
+	return p.Reconfigurable.Place(pod, job, cubes)
+}
+
+// An arrival is AdvanceTo(t) then Submit. With the queue blocked on cubes
+// and nothing completing, the queue is scanned once — by Submit — not
+// once per call.
+func TestSchedulerScansBlockedQueueOncePerArrival(t *testing.T) {
+	calls := 0
+	s, err := NewScheduler(SchedulerConfig{Pods: []string{"pod0"}, Placer: countingPlacer{calls: &calls}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, placed, err := s.Submit(JobSpec{Cubes: 60, DurationSeconds: 1000}); err != nil || !placed {
+		t.Fatalf("submit = (%v, %v)", placed, err)
+	}
+	if _, placed, err := s.Submit(JobSpec{Cubes: 8, DurationSeconds: 10}); err != nil || placed {
+		t.Fatalf("submit on a full pod = (%v, %v)", placed, err)
+	}
+	calls = 0
+	if err := s.AdvanceTo(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, placed, err := s.Submit(JobSpec{Cubes: 16, DurationSeconds: 10}); err != nil || placed {
+		t.Fatalf("submit on a full pod = (%v, %v)", placed, err)
+	}
+	if want := s.Stats().QueueDepth; calls != want {
+		t.Fatalf("%d placement attempts for an arrival behind %d blocked jobs, want one scan (%d)", calls, want-1, want)
+	}
+	// The scan is skipped, not the placement: a completion still starts
+	// what now fits.
+	if err := s.AdvanceTo(1000); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats(); got.RunningJobs != 2 || got.QueueDepth != 0 {
+		t.Fatalf("stats after the blocking job completed %+v", got)
+	}
+}
+
+// A placement the cluster rejected is not blocked on cubes, so nothing in
+// the scheduler's own state will free it: a restored scheduler has to try
+// it again on its first tick, like the live one (which
+// TestSchedulerEnsureFailureRollsBackMirror covers).
+func TestSchedulerRetriesRejectedPlacementAfterImport(t *testing.T) {
+	ops := newFakeOps()
+	ops.fail = errors.New("fabric says no")
+	s, err := NewScheduler(SchedulerConfig{Pods: []string{"pod0"}, Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, placed, err := s.Submit(JobSpec{Cubes: 8, DurationSeconds: 10}); err == nil || placed {
+		t.Fatalf("submit with failing ops = (%v, %v)", placed, err)
+	}
+	restored, err := NewScheduler(SchedulerConfig{Pods: []string{"pod0"}, Ops: newFakeOps()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ImportState(s.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.AdvanceTo(restored.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Stats(); got.RunningJobs != 1 || got.QueueDepth != 0 {
+		t.Fatalf("stats after the restored scheduler's first tick %+v", got)
+	}
+}

@@ -18,6 +18,55 @@ type JobMix struct {
 	ArrivalRate float64
 }
 
+var (
+	errNonPositive = errors.New("sched: non-positive simulation parameters")
+	errBadMix      = errors.New("sched: invalid job mix")
+)
+
+// Validate reports whether the mix can drive a job stream: positive
+// rates, and a size distribution with one non-negative weight per
+// positive size and some weight to draw from.
+func (m JobMix) Validate() error {
+	if m.ArrivalRate <= 0 || m.MeanDuration <= 0 {
+		return errNonPositive
+	}
+	if len(m.Sizes) == 0 || len(m.Sizes) != len(m.Weights) {
+		return errBadMix
+	}
+	total := 0.0
+	for i, w := range m.Weights {
+		if m.Sizes[i] <= 0 || w < 0 {
+			return errBadMix
+		}
+		total += w
+	}
+	if total <= 0 {
+		return errBadMix
+	}
+	return nil
+}
+
+// Sample draws one job from a validated mix: the size first, then the
+// duration. Every job stream in the tree (Simulate, superpod.Evaluate,
+// superpod.Runner) draws through here, so a seed means the same jobs
+// everywhere.
+func (m JobMix) Sample(rng *sim.Rand) JobSpec {
+	total := 0.0
+	for _, w := range m.Weights {
+		total += w
+	}
+	x := rng.Float64() * total
+	size := m.Sizes[len(m.Sizes)-1]
+	for i, w := range m.Weights {
+		if x < w {
+			size = m.Sizes[i]
+			break
+		}
+		x -= w
+	}
+	return JobSpec{Cubes: size, DurationSeconds: rng.ExpFloat64() * m.MeanDuration}
+}
+
 // ProductionMix returns a TPU-fleet-like mix: many small slices, a steady
 // stream of mid-size slices, occasional very large ones (§4.2.2: "In
 // practice, a distribution of slice sizes running different size models is
@@ -70,158 +119,69 @@ type SimConfig struct {
 	BackfillWindow int
 }
 
-type pendingJob struct {
-	id      int
-	cubes   int
-	dur     float64
-	arrived float64
-}
-
 // Simulate runs the job stream against a pod under the given placement
-// policy and returns utilization statistics.
+// policy and returns utilization statistics. It is a seeded event stream
+// in front of a mirror-only Scheduler that adopts pod as its one mirror:
+// arrivals, cube failures and repairs are drawn from one sim.Rand on a
+// sim.Queue, and every scheduling decision is the Scheduler's.
 func Simulate(pod *Pod, placer Placer, mix JobMix, cfg SimConfig) (Stats, error) {
-	if cfg.Duration <= 0 || mix.ArrivalRate <= 0 || mix.MeanDuration <= 0 {
-		return Stats{}, errors.New("sched: non-positive simulation parameters")
+	if cfg.Duration <= 0 {
+		return Stats{}, errNonPositive
 	}
-	if len(mix.Sizes) == 0 || len(mix.Sizes) != len(mix.Weights) {
-		return Stats{}, errors.New("sched: invalid job mix")
+	if err := mix.Validate(); err != nil {
+		return Stats{}, err
+	}
+	const podName = "pod"
+	s, err := newScheduler(SchedulerConfig{
+		Pods:           []string{podName},
+		Placer:         placer,
+		BackfillWindow: cfg.BackfillWindow,
+	}, pod)
+	if err != nil {
+		return Stats{}, err
 	}
 	rng := sim.NewRand(cfg.Seed)
 	var q sim.Queue
-	var st Stats
-
-	totalWeight := 0.0
-	for _, w := range mix.Weights {
-		totalWeight += w
-	}
-
-	var queue []*pendingJob
-	nextID := 0
-	busyIntegral := 0.0
-	lastT := 0.0
-	var waits []float64
-
-	account := func() {
-		now := float64(q.Now())
-		busyIntegral += float64(pod.BusyCubes()) * (now - lastT)
-		lastT = now
-	}
-
-	backfill := cfg.BackfillWindow
-	if backfill <= 0 {
-		backfill = 6
-	}
-	// running tracks each placed job's completion event so preemption can
-	// cancel it — otherwise the stale event later fires, counts the killed
-	// job as completed, and releases cubes the job no longer owns.
-	running := make(map[int]*sim.Event)
-	var tryPlace func()
-	tryPlace = func() {
-		// FIFO with a bounded backfill window: the head job starts first
-		// when it fits; otherwise up to BackfillWindow younger jobs may
-		// jump ahead. Placement flexibility is where the fabrics differ:
-		// the reconfigurable fabric only blocks when too few cubes are
-		// free, while the contiguous policy also blocks on fragmentation.
-		for {
-			placedAny := false
-			limit := backfill
-			if limit > len(queue) {
-				limit = len(queue)
-			}
-			for i := 0; i < limit; i++ {
-				j := queue[i]
-				if _, err := placer.Place(pod, j.id, j.cubes); err != nil {
-					continue
-				}
-				queue = append(queue[:i], queue[i+1:]...)
-				waits = append(waits, float64(q.Now())-j.arrived)
-				job := j
-				st.Started++
-				running[job.id] = q.After(job.dur, func() {
-					account()
-					delete(running, job.id)
-					pod.Release(job.id)
-					st.Completed++
-					tryPlace()
-				})
-				placedAny = true
-				break
-			}
-			if !placedAny {
-				return
-			}
+	// advance moves the scheduler to the firing event's time. The first
+	// error is kept and ends the stream: later events fire but apply
+	// nothing.
+	var runErr error
+	advance := func() bool {
+		if runErr == nil {
+			runErr = s.AdvanceTo(float64(q.Now()))
 		}
-	}
-
-	sampleSize := func() int {
-		x := rng.Float64() * totalWeight
-		for i, w := range mix.Weights {
-			if x < w {
-				return mix.Sizes[i]
-			}
-			x -= w
-		}
-		return mix.Sizes[len(mix.Sizes)-1]
+		return runErr == nil
 	}
 
 	var arrive func()
 	arrive = func() {
-		account()
-		j := &pendingJob{
-			id:      nextID,
-			cubes:   sampleSize(),
-			dur:     rng.ExpFloat64() * mix.MeanDuration,
-			arrived: float64(q.Now()),
+		if advance() {
+			_, _, runErr = s.Submit(mix.Sample(rng))
 		}
-		nextID++
-		queue = append(queue, j)
-		tryPlace()
 		q.After(rng.ExpFloat64()/mix.ArrivalRate, arrive)
 	}
 	q.After(rng.ExpFloat64()/mix.ArrivalRate, arrive)
 
-	// Failure injection.
 	if cfg.CubeMTBF > 0 {
 		rate := float64(pod.Cubes()) / cfg.CubeMTBF
-		preempt := func(job int) {
-			if ev, ok := running[job]; ok {
-				q.Cancel(ev)
-				delete(running, job)
-			}
-			pod.Release(job)
-			st.Preempted++
+		repairT := cfg.MeanRepair
+		if repairT <= 0 {
+			repairT = 3600
 		}
 		var fail func()
 		fail = func() {
-			account()
 			cube := rng.Intn(pod.Cubes())
-			// An already-failed cube has no owner to evict and already has
-			// a repair in flight; injecting again would schedule a
-			// duplicate repair timer.
+			// An already-failed cube has a repair in flight; injecting
+			// again would schedule a duplicate repair timer.
 			if pod.State(cube) != Failed {
-				if job, wasBusy, err := pod.Fail(cube); err == nil {
-					if wasBusy {
-						if _, isReconf := placer.(Reconfigurable); isReconf {
-							if _, err := pod.SwapCube(job); err == nil {
-								st.Swaps++
-							} else {
-								preempt(job)
-							}
-						} else {
-							// Static fabric: the job loses its slice.
-							preempt(job)
-						}
-					}
-					repairT := cfg.MeanRepair
-					if repairT <= 0 {
-						repairT = 3600
-					}
-					q.After(rng.ExpFloat64()*repairT, func() {
-						account()
-						_ = pod.Repair(cube)
-						tryPlace()
-					})
+				if advance() {
+					runErr = s.FailCube(podName, cube)
 				}
+				q.After(rng.ExpFloat64()*repairT, func() {
+					if advance() {
+						runErr = s.RepairCube(podName, cube)
+					}
+				})
 			}
 			q.After(rng.ExpFloat64()/rate, fail)
 		}
@@ -229,24 +189,24 @@ func Simulate(pod *Pod, placer Placer, mix JobMix, cfg SimConfig) (Stats, error)
 	}
 
 	q.RunUntil(sim.Time(cfg.Duration))
-	account()
-	st.Running = len(running)
-
-	st.Utilization = busyIntegral / (float64(pod.Cubes()) * cfg.Duration)
-	if len(waits) > 0 {
-		st.MeanWait = sim.Mean(waits)
+	if !advance() {
+		return Stats{}, runErr
 	}
-	return st, nil
-}
 
-// CompareUtilization runs the same stream under both policies on fresh
-// pods and returns (reconfigurable, contiguous) stats — the §4.2.4
-// experiment.
-func CompareUtilization(mix JobMix, cfg SimConfig) (reconf, contig Stats, err error) {
-	reconf, err = Simulate(FullPod(), Reconfigurable{}, mix, cfg)
-	if err != nil {
-		return
+	st := s.Stats()
+	if d, ok := placer.(ContiguousWithDefrag); ok && d.Migrations != nil {
+		*d.Migrations += st.MigratedCubes
 	}
-	contig, err = Simulate(FullPod(), Contiguous{}, mix, cfg)
-	return
+	return Stats{
+		// The offline denominator is every cube for the whole run, failed
+		// or not; SchedulerStats.Utilization divides by available
+		// cube-time instead.
+		Utilization: s.busyIntegral / (float64(pod.Cubes()) * cfg.Duration),
+		Completed:   st.Completed,
+		MeanWait:    st.MeanWaitSeconds,
+		Preempted:   st.Preempted,
+		Swaps:       st.Swaps,
+		Started:     st.Started,
+		Running:     st.RunningJobs,
+	}, nil
 }

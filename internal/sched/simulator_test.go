@@ -1,12 +1,20 @@
 package sched
 
-import "testing"
+import (
+	"testing"
+
+	"lightwave/internal/sim"
+)
 
 // TestUtilizationAdvantage reproduces §4.2.4: the reconfigurable fabric
 // sustains >98% pod utilization under a saturating mixed-size job stream,
 // clearly above the contiguous-placement baseline.
 func TestUtilizationAdvantage(t *testing.T) {
-	reconf, contig, err := CompareUtilization(ProductionMix(), ReferenceConfig())
+	reconf, err := Simulate(FullPod(), Reconfigurable{}, ProductionMix(), ReferenceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	contig, err := Simulate(FullPod(), Contiguous{}, ProductionMix(), ReferenceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,5 +109,120 @@ func TestUtilizationBounded(t *testing.T) {
 	}
 	if st.Utilization < 0 || st.Utilization > 1 {
 		t.Fatalf("utilization = %v", st.Utilization)
+	}
+}
+
+// TestSimulateGolden pins failure-free Simulate output to the exact
+// float64 values the pre-Scheduler event loop produced (recorded at the
+// commit before Simulate became a stream driver over Scheduler): the
+// offline run and the scheduler are one policy only if these never move.
+func TestSimulateGolden(t *testing.T) {
+	type row struct {
+		placer     string
+		want       Stats
+		migrations int
+	}
+	cases := []struct {
+		duration float64
+		backfill int
+		seed     uint64
+		rows     []row
+	}{
+		{300000, 64, 5, []row{
+			{"reconfigurable", Stats{Utilization: 0.9828233303112345, Completed: 4096, MeanWait: 74629.72385038513, Started: 4107, Running: 11}, 0},
+			{"contiguous", Stats{Utilization: 0.9445894268130154, Completed: 3995, MeanWait: 78760.97269036909, Started: 4011, Running: 16}, 0},
+			{"contiguous+defrag", Stats{Utilization: 0.9833061237260331, Completed: 4155, MeanWait: 74804.98554333439, Started: 4171, Running: 16}, 9687},
+		}},
+		// The bench's sim_sched configuration.
+		{20000, 64, 5, []row{
+			{"reconfigurable", Stats{Utilization: 0.951267259189948, Completed: 408, MeanWait: 1572.459223878146, Started: 426, Running: 18}, 0},
+			{"contiguous", Stats{Utilization: 0.8941047792407198, Completed: 384, MeanWait: 1533.9428101477138, Started: 400, Running: 16}, 0},
+			{"contiguous+defrag", Stats{Utilization: 0.951267259189948, Completed: 408, MeanWait: 1572.459223878146, Started: 426, Running: 18}, 1066},
+		}},
+		// Another seed with no backfill, where compaction changes the run.
+		{20000, 1, 9, []row{
+			{"reconfigurable", Stats{Utilization: 0.9140773124778627, Completed: 242, MeanWait: 4822.466472292967, Started: 254, Running: 12}, 0},
+			{"contiguous", Stats{Utilization: 0.7247863658454721, Completed: 209, MeanWait: 5617.745967981972, Started: 214, Running: 5}, 0},
+			{"contiguous+defrag", Stats{Utilization: 0.9133068960048831, Completed: 242, MeanWait: 4829.282858140917, Started: 254, Running: 12}, 1372},
+		}},
+	}
+	for _, c := range cases {
+		cfg := SimConfig{Duration: c.duration, Seed: c.seed, BackfillWindow: c.backfill}
+		for _, r := range c.rows {
+			migrations := 0
+			placer := map[string]Placer{
+				"reconfigurable":    Reconfigurable{},
+				"contiguous":        Contiguous{},
+				"contiguous+defrag": ContiguousWithDefrag{Migrations: &migrations},
+			}[r.placer]
+			got, err := Simulate(FullPod(), placer, ProductionMix(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != r.want || migrations != r.migrations {
+				t.Errorf("duration %v backfill %d seed %d %s:\n got %+v migrations %d\nwant %+v migrations %d",
+					c.duration, c.backfill, c.seed, r.placer, got, migrations, r.want, r.migrations)
+			}
+		}
+	}
+}
+
+// TestJobMixSampleDrawOrder holds Sample to the sampler every job stream
+// used to carry inline: one uniform draw for the size (scaled by the
+// weight total, falling through to the last size), then one exponential
+// draw for the duration. Reports pinned by digest depend on that order.
+func TestJobMixSampleDrawOrder(t *testing.T) {
+	mixes := []JobMix{
+		ProductionMix(),
+		// Weights that do not sum to one, and a zero weight.
+		{Sizes: []int{2, 4, 64}, Weights: []float64{3, 0, 0.5}, MeanDuration: 40, ArrivalRate: 1},
+	}
+	for _, mix := range mixes {
+		if err := mix.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		got, ref := sim.NewRand(11), sim.NewRand(11)
+		total := 0.0
+		for _, w := range mix.Weights {
+			total += w
+		}
+		for n := 0; n < 2000; n++ {
+			x := ref.Float64() * total
+			size := mix.Sizes[len(mix.Sizes)-1]
+			for i, w := range mix.Weights {
+				if x < w {
+					size = mix.Sizes[i]
+					break
+				}
+				x -= w
+			}
+			want := JobSpec{Cubes: size, DurationSeconds: ref.ExpFloat64() * mix.MeanDuration}
+			if spec := mix.Sample(got); spec != want {
+				t.Fatalf("draw %d: %+v, want %+v", n, spec, want)
+			}
+		}
+	}
+}
+
+func TestJobMixValidate(t *testing.T) {
+	ok := ProductionMix()
+	bad := map[string]func(*JobMix){
+		"no sizes":                func(m *JobMix) { m.Sizes, m.Weights = nil, nil },
+		"more weights than sizes": func(m *JobMix) { m.Weights = append(m.Weights, 0.1) },
+		"zero-cube size":          func(m *JobMix) { m.Sizes[0] = 0 },
+		"negative weight":         func(m *JobMix) { m.Weights[0] = -1 },
+		"no weight at all":        func(m *JobMix) { m.Weights = make([]float64, len(m.Sizes)) },
+		"zero arrival rate":       func(m *JobMix) { m.ArrivalRate = 0 },
+		"negative mean duration":  func(m *JobMix) { m.MeanDuration = -1 },
+	}
+	if err := ok.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range bad {
+		m := ProductionMix()
+		mutate(&m)
+		if m.Validate() == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -174,6 +174,7 @@ func (s *Scheduler) ImportState(st State) error {
 	for _, qs := range st.Queue {
 		s.queue = append(s.queue, &queuedJob{id: qs.ID, spec: qs.Spec, arrived: qs.Arrived})
 	}
+	s.rejected = true
 	s.walLSN = st.WALLSN
 	s.now = st.Now
 	s.lastAccount = st.LastAccount
@@ -200,11 +201,4 @@ func (s *Scheduler) ImportState(st State) error {
 	s.cRepairs.Add(int64(st.Repairs))
 	s.updateGaugesLocked()
 	return nil
-}
-
-// WALLSN returns the highest journal LSN the scheduler has recorded.
-func (s *Scheduler) WALLSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walLSN
 }

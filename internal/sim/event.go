@@ -5,13 +5,11 @@ import "container/heap"
 // Time is a virtual simulation time in seconds.
 type Time float64
 
-// Event is a scheduled callback in a discrete-event simulation.
-type Event struct {
-	At Time
-	Fn func()
-
-	index int // heap bookkeeping
-	seq   uint64
+// event is a scheduled callback.
+type event struct {
+	at  Time
+	fn  func()
+	seq uint64 // scheduling order, the tie-break
 }
 
 // Queue is a discrete-event simulation queue with a virtual clock.
@@ -30,29 +28,17 @@ func (q *Queue) Len() int { return len(q.events) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // simulated causality must be preserved.
-func (q *Queue) At(t Time, fn func()) *Event {
+func (q *Queue) At(t Time, fn func()) {
 	if t < q.now {
 		panic("sim: scheduling event in the past")
 	}
-	e := &Event{At: t, Fn: fn, seq: q.nextID}
+	heap.Push(&q.events, &event{at: t, fn: fn, seq: q.nextID})
 	q.nextID++
-	heap.Push(&q.events, e)
-	return e
 }
 
 // After schedules fn to run d seconds from the current virtual time.
-func (q *Queue) After(d float64, fn func()) *Event {
-	return q.At(q.now+Time(d), fn)
-}
-
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (q *Queue) Cancel(e *Event) {
-	if e == nil || e.index < 0 || e.index >= len(q.events) || q.events[e.index] != e {
-		return
-	}
-	heap.Remove(&q.events, e.index)
-	e.index = -1
+func (q *Queue) After(d float64, fn func()) {
+	q.At(q.now+Time(d), fn)
 }
 
 // Step fires the earliest pending event, advancing the clock to its time.
@@ -61,10 +47,9 @@ func (q *Queue) Step() bool {
 	if len(q.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&q.events).(*Event)
-	q.now = e.At
-	e.index = -1
-	e.Fn()
+	e := heap.Pop(&q.events).(*event)
+	q.now = e.at
+	e.fn()
 	return true
 }
 
@@ -78,7 +63,7 @@ func (q *Queue) Run() Time {
 // RunUntil fires events with At <= deadline and advances the clock to
 // exactly deadline (even if no event fired at that instant).
 func (q *Queue) RunUntil(deadline Time) {
-	for len(q.events) > 0 && q.events[0].At <= deadline {
+	for len(q.events) > 0 && q.events[0].at <= deadline {
 		q.Step()
 	}
 	if deadline > q.now {
@@ -88,25 +73,17 @@ func (q *Queue) RunUntil(deadline Time) {
 
 // eventHeap orders events by time, breaking ties by scheduling order so the
 // simulation is deterministic.
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -47,22 +47,6 @@ func TestQueueAfter(t *testing.T) {
 	}
 }
 
-func TestQueueCancel(t *testing.T) {
-	var q Queue
-	fired := false
-	e := q.At(1, func() { fired = true })
-	q.Cancel(e)
-	q.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double-cancel and cancel-after-fire are no-ops.
-	q.Cancel(e)
-	e2 := q.At(2, func() {})
-	q.Run()
-	q.Cancel(e2)
-}
-
 func TestQueuePastPanics(t *testing.T) {
 	var q Queue
 	q.At(5, func() {})

@@ -55,14 +55,6 @@ func Substream(seed, i uint64) *Rand {
 	return NewRand(SubstreamSeed(seed, i))
 }
 
-// Substream returns the i'th substream of the receiver's current state
-// without advancing the receiver. Callers must use distinct indices:
-// calling r.Substream(0) twice without drawing from r in between yields
-// identical generators.
-func (r *Rand) Substream(i uint64) *Rand {
-	return Substream(r.state, i)
-}
-
 // Uint64 returns the next value in the stream.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -92,6 +84,8 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Perm returns a uniformly random permutation of [0, n).
+//
+//lwlint:ignore deadexport called by bench/ (ops.go), a nested module whose files this run does not load
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {

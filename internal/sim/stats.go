@@ -5,11 +5,11 @@ import (
 	"sort"
 )
 
-// Summary accumulates streaming summary statistics (Welford's algorithm).
-// The zero value is an empty summary.
+// Summary accumulates streaming summary statistics. The zero value is an
+// empty summary.
 type Summary struct {
 	n        int
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -26,9 +26,7 @@ func (s *Summary) Add(x float64) {
 			s.max = x
 		}
 	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
 
 // N returns the number of observations.
@@ -36,17 +34,6 @@ func (s *Summary) N() int { return s.n }
 
 // Mean returns the sample mean, or 0 for an empty summary.
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance.
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
 
 // Min returns the smallest observation, or 0 for an empty summary.
 func (s *Summary) Min() float64 { return s.min }
@@ -82,9 +69,6 @@ func (h *Histogram) Add(x float64) {
 	h.Counts[i]++
 	h.total++
 }
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {

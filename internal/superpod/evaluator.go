@@ -113,25 +113,9 @@ type event struct {
 // the warmup marker and the configured pod-loss window.
 func genEvents(cfg EvalConfig) []event {
 	var evs []event
-	totalW := 0.0
-	for _, w := range cfg.Mix.Weights {
-		totalW += w
-	}
 	arr := sim.Substream(cfg.Seed, 1)
 	for t := arr.ExpFloat64() / cfg.Mix.ArrivalRate; t < cfg.HorizonSeconds; t += arr.ExpFloat64() / cfg.Mix.ArrivalRate {
-		x := arr.Float64() * totalW
-		size := cfg.Mix.Sizes[len(cfg.Mix.Sizes)-1]
-		for i, w := range cfg.Mix.Weights {
-			if x < w {
-				size = cfg.Mix.Sizes[i]
-				break
-			}
-			x -= w
-		}
-		evs = append(evs, event{at: t, kind: evArrival, spec: sched.JobSpec{
-			Cubes:           size,
-			DurationSeconds: arr.ExpFloat64() * cfg.Mix.MeanDuration,
-		}})
+		evs = append(evs, event{at: t, kind: evArrival, spec: cfg.Mix.Sample(arr)})
 	}
 	evs = append(evs, event{at: cfg.WarmupSeconds, kind: evWarmup})
 	if cfg.CubeMTBF > 0 {
@@ -222,6 +206,9 @@ type policy struct {
 // report is bit-identical at any worker count.
 func Evaluate(cfg EvalConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.Mix.Validate(); err != nil {
+		return nil, fmt.Errorf("superpod: %w", err)
+	}
 	events := genEvents(cfg)
 
 	rep := &Report{
@@ -311,32 +298,15 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 		return po, err
 	}
 
-	settle := func(pred func(fleet.Status) bool, what string) error {
-		deadline := time.Now().Add(cfg.SettleTimeout)
-		for {
-			if pred(mgr.Status()) {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("timed out waiting for %s", what)
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
+	settle := func(what string) error {
+		return mgr.WaitStatus(cfg.SettleTimeout, what, fleet.Status.Settled)
 	}
 	// settlePod waits on one pod's own status.
 	settlePod := func(name string, pred func(fleet.PodStatus) bool, what string) error {
-		return settle(func(fleet.Status) bool {
-			p, err := mgr.PodStatus(name)
-			return err == nil && pred(p)
-		}, what)
-	}
-	allSettled := func(st fleet.Status) bool {
-		for _, p := range st.Pods {
-			if !p.Converged && !p.Quarantined {
-				return false
-			}
-		}
-		return true
+		return mgr.WaitStatus(cfg.SettleTimeout, what, func(st fleet.Status) bool {
+			p, ok := st.Pod(name)
+			return ok && pred(p)
+		})
 	}
 
 	down := make([]bool, cfg.Pods)
@@ -367,7 +337,7 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 			if err := s.FailCube(pods[ev.pod], ev.cube); err != nil {
 				return po, err
 			}
-			if err := settle(allSettled, fmt.Sprintf("cube %d failure on %s", ev.cube, pods[ev.pod])); err != nil {
+			if err := settle(fmt.Sprintf("cube %d failure on %s", ev.cube, pods[ev.pod])); err != nil {
 				return po, err
 			}
 			rc, err := fbs[ev.pod].FailCube(ev.cube)
@@ -401,7 +371,7 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 			// the scheduler by many passes here. Catch up first: the fault
 			// must land on exactly the scheduler's running slices, not on
 			// however far the workers happened to get.
-			if err := settle(allSettled, "pre pod-loss convergence"); err != nil {
+			if err := settle("pre pod-loss convergence"); err != nil {
 				return po, err
 			}
 			// With slices stranded on the dead backend every pass fails (the
@@ -449,7 +419,7 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 	if err := s.AdvanceTo(cfg.HorizonSeconds); err != nil {
 		return po, err
 	}
-	if err := settle(allSettled, "final convergence"); err != nil {
+	if err := settle("final convergence"); err != nil {
 		return po, err
 	}
 

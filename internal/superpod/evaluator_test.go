@@ -104,3 +104,20 @@ func TestEvaluateDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateRejectsInvalidMix: Evaluate used to hand the mix to the
+// stream generator unchecked — a mix with more weights than sizes indexed
+// past Sizes and panicked, and a zero arrival rate produced a report with
+// no arrivals in it.
+func TestEvaluateRejectsInvalidMix(t *testing.T) {
+	for name, mutate := range map[string]func(*sched.JobMix){
+		"more weights than sizes": func(m *sched.JobMix) { m.Weights = []float64{0, 0, 0, 1} },
+		"zero arrival rate":       func(m *sched.JobMix) { m.ArrivalRate = 0 },
+	} {
+		cfg := testConfig()
+		mutate(&cfg.Mix)
+		if rep, err := Evaluate(cfg); err == nil {
+			t.Errorf("%s: accepted, report:\n%s", name, rep.Text())
+		}
+	}
+}

@@ -57,9 +57,8 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	if len(cfg.Mix.Sizes) == 0 {
 		cfg.Mix = sched.ProductionMix()
 	}
-	if len(cfg.Mix.Weights) != len(cfg.Mix.Sizes) {
-		return nil, fmt.Errorf("superpod: mix has %d sizes but %d weights",
-			len(cfg.Mix.Sizes), len(cfg.Mix.Weights))
+	if err := cfg.Mix.Validate(); err != nil {
+		return nil, fmt.Errorf("superpod: %w", err)
 	}
 	// Trim the mix to jobs that can fit a pod: on small daemons (-cubes 16)
 	// the production mix's 32-cube jobs would otherwise be rejected by the
@@ -106,24 +105,6 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 // submissions via the control RPC).
 func (r *Runner) Scheduler() *sched.Scheduler { return r.s }
 
-// sample draws one job from the mix.
-func (r *Runner) sample() sched.JobSpec {
-	totalW := 0.0
-	for _, w := range r.cfg.Mix.Weights {
-		totalW += w
-	}
-	x := r.rng.Float64() * totalW
-	size := r.cfg.Mix.Sizes[len(r.cfg.Mix.Sizes)-1]
-	for i, w := range r.cfg.Mix.Weights {
-		if x < w {
-			size = r.cfg.Mix.Sizes[i]
-			break
-		}
-		x -= w
-	}
-	return sched.JobSpec{Cubes: size, DurationSeconds: r.rng.ExpFloat64() * r.cfg.Mix.MeanDuration}
-}
-
 // tick advances one virtual window, submitting the arrivals that fall in
 // it.
 func (r *Runner) tick() error {
@@ -141,7 +122,7 @@ func (r *Runner) tick() error {
 		if err := r.s.AdvanceTo(r.nextA); err != nil {
 			return err
 		}
-		if _, _, err := r.s.Submit(r.sample()); err != nil {
+		if _, _, err := r.s.Submit(r.cfg.Mix.Sample(r.rng)); err != nil {
 			return err
 		}
 		r.nextA += r.rng.ExpFloat64() / r.cfg.Mix.ArrivalRate

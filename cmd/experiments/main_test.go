@@ -47,6 +47,9 @@ func TestSlowExperiments(t *testing.T) {
 		{"dcn", dcnExperiment},
 		{"sched", schedExperiment},
 		{"defrag", defragExperiment},
+		{"te", teExperiment},
+		{"chaos", chaosExperiment},
+		{"crashrestart", crashRestartExperiment},
 	} {
 		fn := fn
 		t.Run(fn.name, func(t *testing.T) { fn.run() })

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"testing"
-	"time"
 
 	"lightwave/internal/fleet"
 	"lightwave/internal/topo"
@@ -14,21 +13,17 @@ import (
 // long random-scenario replay (the flow simulations are benchmarked in
 // internal/dcn).
 func BenchmarkScenarioReplay(b *testing.B) {
-	m := fleet.NewManager(fleet.Options{
-		BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond,
-		QuarantineAfter: 3, Seed: 42,
-	})
-	defer m.Close()
-	be := NewFaultyBackend(NewMemoryBackend())
-	if err := m.AddPod("pod0", be); err != nil {
+	lab, err := NewLab(42, memoryPods(1), nil)
+	if err != nil {
 		b.Fatal(err)
 	}
-	if err := m.SetSliceIntent("pod0", fleet.SliceIntent{
+	defer lab.Close()
+	if err := lab.Manager.SetSliceIntent("pod0", fleet.SliceIntent{
 		Name: "job", Shape: topo.Shape{X: 4, Y: 4, Z: 4},
 	}); err != nil {
 		b.Fatal(err)
 	}
-	inj, err := NewInjector(Targets{Fleet: m, Backends: map[string]*FaultyBackend{"pod0": be}})
+	inj, err := NewInjector(Targets{Fleet: lab.Manager, Backends: lab.Backends})
 	if err != nil {
 		b.Fatal(err)
 	}

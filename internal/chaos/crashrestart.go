@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,36 +22,22 @@ import (
 type CrashRestartConfig struct {
 	// Dir is the WAL state directory (required; the drill owns it).
 	Dir string
-	// Pods are the compute pods (default pod0..pod3).
-	Pods []string
 	// ChurnSteps is the mutation-step count (default 40).
 	ChurnSteps int
-	// QuarantineAfter is the reconciler retry budget (default 3).
-	QuarantineAfter int
-	// TornTailBytes of garbage appended to the active segment model a
-	// record cut mid-write by the crash (default 7).
-	TornTailBytes int
-	// SettleTimeout bounds each real-time wait on the reconciler
-	// (default 10s).
-	SettleTimeout time.Duration
-	Seed          uint64
+	Seed       uint64
 }
 
+const (
+	// crashPods is the drill's compute-pod count.
+	crashPods = 4
+	// tornTailBytes of garbage appended to the active segment model a
+	// record cut mid-write by the crash.
+	tornTailBytes = 7
+)
+
 func (c CrashRestartConfig) withDefaults() CrashRestartConfig {
-	if len(c.Pods) == 0 {
-		c.Pods = []string{"pod0", "pod1", "pod2", "pod3"}
-	}
 	if c.ChurnSteps == 0 {
 		c.ChurnSteps = 40
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 3
-	}
-	if c.TornTailBytes == 0 {
-		c.TornTailBytes = 7
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -102,14 +88,6 @@ func (r *CrashRestartReport) Text() string {
 	return b.String()
 }
 
-// crashSettle waits until the manager's status satisfies pred.
-func crashSettle(m *fleet.Manager, timeout time.Duration, pred func(fleet.Status) bool, what string) error {
-	if err := m.WaitStatus(timeout, what, pred); err != nil {
-		return fmt.Errorf("chaos: crash-restart %w", err)
-	}
-	return nil
-}
-
 // EvaluateCrashRestart runs the drill: churn a journaled control plane,
 // kill it without a shutdown snapshot, tear the active segment's tail,
 // recover from disk, and verify the recovered intent store is
@@ -121,223 +99,58 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 		return nil, fmt.Errorf("%w: crash-restart needs a state dir", ErrConfig)
 	}
 	rep := &CrashRestartReport{ChurnSteps: cfg.ChurnSteps}
-
-	// ---- Life A: the doomed control plane. ----
-	store, err := wal.OpenStore(cfg.Dir, wal.Options{})
-	if err != nil {
-		return nil, err
-	}
-	mgr := fleet.NewManager(fleet.Options{
-		BaseBackoff:     time.Millisecond,
-		MaxBackoff:      8 * time.Millisecond,
-		QuarantineAfter: cfg.QuarantineAfter,
-		Seed:            cfg.Seed,
-		Journal:         store,
-	})
-	backends := make(map[string]*FaultyBackend, len(cfg.Pods))
-	for _, name := range cfg.Pods {
-		b := NewFaultyBackend(NewMemoryBackend())
-		backends[name] = b
-		if err := mgr.AddPod(name, b); err != nil {
-			mgr.Close()
-			store.Close()
-			return nil, err
-		}
-	}
-	inj, err := NewInjector(Targets{Fleet: mgr, Backends: backends})
-	if err != nil {
-		mgr.Close()
-		store.Close()
-		return nil, err
-	}
-	defer inj.Close()
-
-	// Seeded churn. Slice sets dominate; removals, OCS drain/undrain
-	// pairs and pod-loss→restore cycles ride along so every journal op
-	// kind lands in the log.
 	rng := sim.NewRand(cfg.Seed + 1)
-	live := make(map[string][]string, len(cfg.Pods)) // pod → slice names
-	for i := 0; i < cfg.ChurnSteps; i++ {
-		pod := cfg.Pods[rng.Intn(len(cfg.Pods))]
-		switch k := rng.Float64(); {
-		case k < 0.55 || len(live[pod]) == 0:
-			name := fmt.Sprintf("churn-%03d", i)
-			if err := mgr.SetSliceIntent(pod, fleet.SliceIntent{
-				Name: name, Shape: topo.Shape{X: 4, Y: 4, Z: 4},
-			}); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
-			}
-			live[pod] = append(live[pod], name)
-			rep.Mutations++
-		case k < 0.75:
-			names := live[pod]
-			victim := names[rng.Intn(len(names))]
-			if err := mgr.RemoveSliceIntent(pod, victim); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
-			}
-			out := names[:0]
-			for _, n := range names {
-				if n != victim {
-					out = append(out, n)
-				}
-			}
-			live[pod] = out
-			rep.Mutations++
-		case k < 0.9:
-			ocsID := rng.Intn(48)
-			if err := mgr.DrainOCS(pod, ocsID); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
-			}
-			if err := mgr.UndrainOCS(pod, ocsID); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
-			}
-			rep.Mutations += 2
-		default:
-			// Pod-loss mid-churn: new intent fails against the dead
-			// backend until the reconciler quarantines; restore releases
-			// it. Both derived verdicts are journaled.
-			if err := inj.Apply(Event{Kind: KindPodLoss, Pod: pod}); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
-			}
-			name := fmt.Sprintf("churn-%03d", i)
-			if err := mgr.SetSliceIntent(pod, fleet.SliceIntent{
-				Name: name, Shape: topo.Shape{X: 4, Y: 4, Z: 4},
-			}); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
-			}
-			live[pod] = append(live[pod], name)
-			rep.Mutations++
-			if err := crashSettle(mgr, cfg.SettleTimeout, func(st fleet.Status) bool {
-				p, _ := st.Pod(pod)
-				return p.Quarantined
-			}, "quarantine of "+pod); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
-			}
-			if err := inj.Apply(Event{Kind: KindPodRestore, Pod: pod}); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
-			}
-			if err := crashSettle(mgr, cfg.SettleTimeout, func(st fleet.Status) bool {
-				p, _ := st.Pod(pod)
-				return !p.Quarantined && p.Converged
-			}, "recovery of "+pod); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
-			}
-			rep.FaultCycles++
-		}
-		if i == cfg.ChurnSteps/2 {
-			// Mid-churn checkpoint: recovery must cross a snapshot + tail
-			// boundary, not just replay a flat log.
-			if err := store.Checkpoint(); err != nil {
-				mgr.Close()
-				store.Close()
-				return nil, err
-			}
-		}
-	}
-	// Let reconcilers drain so the post-restart convergence claim is
-	// about recovery, not leftover churn.
-	if err := crashSettle(mgr, cfg.SettleTimeout, allConverged, "pre-crash convergence"); err != nil {
-		mgr.Close()
-		store.Close()
-		return nil, err
-	}
 
-	rep.PreCrashDigest, err = store.FleetDigest()
-	if err != nil {
-		mgr.Close()
-		store.Close()
+	if err := crashLifeA(cfg, rep, rng); err != nil {
 		return nil, err
 	}
-	preState, err := store.FleetStateCopy()
-	if err != nil {
-		mgr.Close()
-		store.Close()
-		return nil, err
-	}
-	for _, p := range preState.Pods {
-		rep.DesiredSlices += len(p.Slices)
-	}
-
-	// ---- The crash: no shutdown checkpoint, then a torn record. ----
-	mgr.Close()
-	if err := store.Close(); err != nil {
-		return nil, err
-	}
-	if err := tearActiveSegment(cfg.Dir, cfg.TornTailBytes, rng); err != nil {
+	if err := tearActiveSegment(cfg.Dir, rng); err != nil {
 		return nil, err
 	}
 
 	// ---- Life B: recover from disk alone. ----
-	store2, err := wal.OpenStore(cfg.Dir, wal.Options{})
+	store, err := wal.OpenStore(cfg.Dir, wal.Options{})
 	if err != nil {
 		return nil, err
 	}
-	defer store2.Close()
-	st := store2.Status()
+	defer store.Close()
+	st := store.Status()
 	rep.ReplayRecords = st.ReplayRecords
 	rep.ReplayErrors = st.ReplayErrors
 	rep.TruncatedBytes = st.TruncatedBytes
 	rep.DroppedSegments = st.DroppedSegments
 	rep.SnapshotLSN = st.Log.SnapshotLSN
 	rep.LastLSN = st.Log.LastLSN
-	rep.RecoveredDigest, err = store2.FleetDigest()
+	rep.RecoveredDigest, err = store.FleetDigest()
 	if err != nil {
 		return nil, err
 	}
 	rep.DigestMatch = rep.RecoveredDigest == rep.PreCrashDigest
 
-	store2.BeginRecovery()
-	mgr2 := fleet.NewManager(fleet.Options{
-		BaseBackoff:     time.Millisecond,
-		MaxBackoff:      8 * time.Millisecond,
-		QuarantineAfter: cfg.QuarantineAfter,
-		Seed:            cfg.Seed + 1,
-		Journal:         store2,
-	})
-	defer mgr2.Close()
-	for _, name := range cfg.Pods {
-		if err := mgr2.AddPod(name, NewFaultyBackend(NewMemoryBackend())); err != nil {
-			return nil, err
-		}
-	}
-	if err := store2.RecoverFleet(mgr2); err != nil {
+	store.BeginRecovery()
+	lab, err := NewLab(cfg.Seed+1, memoryPods(crashPods), store)
+	if err != nil {
 		return nil, err
 	}
-	store2.EndRecovery()
+	defer lab.Close()
+	if err := store.RecoverFleet(lab.Manager); err != nil {
+		return nil, err
+	}
+	store.EndRecovery()
 
+	//lwlint:ignore walltime ReconvergeSeconds is the drill's one wall-clock reading; Text leaves it out
 	begin := time.Now()
-	convErr := crashSettle(mgr2, cfg.SettleTimeout, allConverged, "post-restart convergence")
+	convErr := lab.Settle("post-restart convergence", allConverged)
+	//lwlint:ignore walltime the other end of the same reading
 	rep.ReconvergeSeconds = time.Since(begin).Seconds()
 	rep.Reconverged = convErr == nil
 
 	// Goodput proxy: the fraction of recovered desired slices the fresh
 	// backends actually realized.
 	realized := 0
-	for _, p := range mgr2.Status().Pods {
-		want := map[string]bool{}
-		for _, s := range p.DesiredSlices {
-			want[s] = true
-		}
+	for _, p := range lab.Manager.Status().Pods {
 		for _, s := range p.ActualSlices {
-			if want[s] {
+			if slices.Contains(p.DesiredSlices, s) {
 				realized++
 			}
 		}
@@ -350,33 +163,140 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 	return rep, nil
 }
 
-// tearActiveSegment appends garbage to the newest log segment, modeling a
-// frame cut mid-write by the crash. Replay must truncate it.
-func tearActiveSegment(dir string, n int, rng *sim.Rand) error {
-	if n <= 0 {
-		return nil
-	}
-	entries, err := os.ReadDir(dir)
+// crashLifeA is the doomed control plane: it churns a journaled lab, records
+// the pre-crash intent digest in rep, and dies. The deferred teardown is
+// the crash on every path out: reconcilers stop, the store closes with no
+// shutdown checkpoint.
+func crashLifeA(cfg CrashRestartConfig, rep *CrashRestartReport, rng *sim.Rand) (err error) {
+	store, err := wal.OpenStore(cfg.Dir, wal.Options{})
 	if err != nil {
 		return err
 	}
-	var segs []string
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") {
-			segs = append(segs, name)
+	lab, err := NewLab(cfg.Seed, memoryPods(crashPods), store)
+	if err != nil {
+		store.Close()
+		return err
+	}
+	defer func() {
+		lab.Close()
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	mgr := lab.Manager
+	inj, err := NewInjector(Targets{Fleet: mgr, Backends: lab.Backends})
+	if err != nil {
+		return err
+	}
+	defer inj.Close()
+	setSlice := func(pod, name string) error {
+		return mgr.SetSliceIntent(pod, fleet.SliceIntent{Name: name, Shape: topo.Shape{X: 4, Y: 4, Z: 4}})
+	}
+
+	// Seeded churn. Slice sets dominate; removals, OCS drain/undrain
+	// pairs and pod-loss→restore cycles ride along so every journal op
+	// kind lands in the log.
+	live := make(map[string][]string, crashPods) // pod → slice names
+	for i := 0; i < cfg.ChurnSteps; i++ {
+		pod := lab.Pods[rng.Intn(crashPods)]
+		name := fmt.Sprintf("churn-%03d", i)
+		switch k := rng.Float64(); {
+		case k < 0.55 || len(live[pod]) == 0:
+			if err := setSlice(pod, name); err != nil {
+				return err
+			}
+			live[pod] = append(live[pod], name)
+			rep.Mutations++
+		case k < 0.75:
+			names := live[pod]
+			victim := names[rng.Intn(len(names))]
+			if err := mgr.RemoveSliceIntent(pod, victim); err != nil {
+				return err
+			}
+			live[pod] = slices.DeleteFunc(names, func(n string) bool { return n == victim })
+			rep.Mutations++
+		case k < 0.9:
+			ocsID := rng.Intn(48)
+			if err := mgr.DrainOCS(pod, ocsID); err != nil {
+				return err
+			}
+			if err := mgr.UndrainOCS(pod, ocsID); err != nil {
+				return err
+			}
+			rep.Mutations += 2
+		default:
+			// Pod-loss mid-churn: new intent fails against the dead
+			// backend until the reconciler quarantines; restore releases
+			// it. Both derived verdicts are journaled.
+			if err := inj.Apply(Event{Kind: KindPodLoss, Pod: pod}); err != nil {
+				return err
+			}
+			if err := setSlice(pod, name); err != nil {
+				return err
+			}
+			live[pod] = append(live[pod], name)
+			rep.Mutations++
+			if err := lab.Settle("quarantine of "+pod, Quarantined(pod)); err != nil {
+				return err
+			}
+			if err := inj.Apply(Event{Kind: KindPodRestore, Pod: pod}); err != nil {
+				return err
+			}
+			if err := lab.Settle("recovery of "+pod, Recovered(pod)); err != nil {
+				return err
+			}
+			rep.FaultCycles++
+		}
+		if i == cfg.ChurnSteps/2 {
+			// Mid-churn checkpoint: recovery must cross a snapshot + tail
+			// boundary, not just replay a flat log.
+			if err := store.Checkpoint(); err != nil {
+				return err
+			}
 		}
 	}
-	if len(segs) == 0 {
+	// Let reconcilers drain so the post-restart convergence claim is
+	// about recovery, not leftover churn.
+	if err := lab.Settle("pre-crash convergence", allConverged); err != nil {
+		return err
+	}
+
+	if rep.PreCrashDigest, err = store.FleetDigest(); err != nil {
+		return err
+	}
+	preState, err := store.FleetStateCopy()
+	if err != nil {
+		return err
+	}
+	for _, p := range preState.Pods {
+		rep.DesiredSlices += len(p.Slices)
+	}
+	return nil
+}
+
+// tearActiveSegment appends tornTailBytes of garbage to the newest log
+// segment, modeling a frame cut mid-write by the crash. Replay must
+// truncate it.
+func tearActiveSegment(dir string, rng *sim.Rand) error {
+	entries, err := os.ReadDir(dir) // sorted by name, so the last match is the newest
+	if err != nil {
+		return err
+	}
+	active := ""
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") {
+			active = name
+		}
+	}
+	if active == "" {
 		return fmt.Errorf("chaos: no log segments in %s", dir)
 	}
-	sort.Strings(segs)
-	f, err := os.OpenFile(filepath.Join(dir, segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(filepath.Join(dir, active), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	garbage := make([]byte, n)
+	garbage := make([]byte, tornTailBytes)
 	for i := range garbage {
 		garbage[i] = byte(rng.Uint64())
 	}

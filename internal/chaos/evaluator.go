@@ -3,14 +3,11 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"lightwave/internal/dcn"
 	"lightwave/internal/fleet"
 	"lightwave/internal/ocs"
-	"lightwave/internal/par"
 	"lightwave/internal/sim"
 	"lightwave/internal/te"
 	"lightwave/internal/telemetry"
@@ -24,36 +21,29 @@ import (
 // topology each epoch.
 type EvalConfig struct {
 	Scenario Scenario
-	// Blocks/Uplinks size the DCN; NumOCS is the fabric's switch count
-	// (default Uplinks+4: a block's degree can reach Uplinks and edge
-	// coloring may need degree+1 switches, so the default rides out one
-	// outage with enough slack to re-place every lost trunk).
-	Blocks, Uplinks, NumOCS int
-	// Pods are the injectable compute pods (default pod0..pod3), each
-	// carrying one slice so backend faults have intent to fail against.
-	Pods []string
-	// TrunkBps is the per-trunk per-direction rate (default 50e9).
-	TrunkBps float64
-	// EpochSeconds is the virtual reconcile/te epoch (default 60).
-	EpochSeconds float64
-	// LoadFraction scales the synthetic trace so its peak epoch offers
-	// this fraction of fabric capacity (default 0.6).
+	// Blocks/Uplinks size the DCN (defaults 8 and Blocks). The fabric has
+	// Uplinks+4 switches: a block's degree can reach Uplinks and edge
+	// coloring may need degree+1, so it rides out one outage with enough
+	// slack to re-place every lost trunk.
+	Blocks, Uplinks int
+	// LoadFraction scales the synthetic trace so its peak replayed epoch
+	// offers this fraction of fabric capacity (default 0.6).
 	LoadFraction float64
-	// SimSeconds and MeanFlowBytes parameterize the per-epoch flow
-	// simulation (defaults 2 and 1e9).
-	SimSeconds    float64
-	MeanFlowBytes float64
-	// RecoveredFraction is the goodput fraction at or above which a
-	// capacity fault counts as recovered (default 0.99).
-	RecoveredFraction float64
-	// QuarantineAfter is the reconciler's retry budget (default 3).
-	QuarantineAfter int
-	// SettleTimeout bounds each real-time wait for the reconciler to
-	// reach a fault's deterministic post-state (default 10s; generous —
-	// reconcile backoffs are milliseconds).
-	SettleTimeout time.Duration
-	Seed          uint64
+	Seed         uint64
 }
+
+// What no caller ever varied: four compute pods beside the fabric's own
+// fleet pod, 400G trunks, a one-minute virtual epoch.
+const (
+	evalPods          = 4
+	fabricPod         = "dcn"
+	spareOCS          = 4
+	trunkBps          = 50e9
+	epochSeconds      = 60.0
+	simSeconds        = 2.0
+	meanFlowBytes     = 1e9
+	recoveredFraction = 0.99 // goodput at or above this counts as recovered
+)
 
 func (c EvalConfig) withDefaults() EvalConfig {
 	if c.Blocks == 0 {
@@ -62,42 +52,11 @@ func (c EvalConfig) withDefaults() EvalConfig {
 	if c.Uplinks == 0 {
 		c.Uplinks = c.Blocks
 	}
-	if c.NumOCS == 0 {
-		c.NumOCS = c.Uplinks + 4
-	}
-	if len(c.Pods) == 0 {
-		c.Pods = []string{"pod0", "pod1", "pod2", "pod3"}
-	}
-	if c.TrunkBps <= 0 {
-		c.TrunkBps = 50e9
-	}
-	if c.EpochSeconds <= 0 {
-		c.EpochSeconds = 60
-	}
 	if c.LoadFraction <= 0 {
 		c.LoadFraction = 0.6
 	}
-	if c.SimSeconds <= 0 {
-		c.SimSeconds = 2
-	}
-	if c.MeanFlowBytes <= 0 {
-		c.MeanFlowBytes = 1e9
-	}
-	if c.RecoveredFraction <= 0 {
-		c.RecoveredFraction = 0.99
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 3
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 10 * time.Second
-	}
 	return c
 }
-
-// FabricPodName is the fleet pod fronting the DCN fabric in evaluator
-// replays.
-const FabricPodName = "dcn"
 
 // PodOutcome summarizes one compute pod's ride through the scenario.
 type PodOutcome struct {
@@ -162,38 +121,36 @@ func (r *Report) Text() string {
 // the control plane, converge it, then walk epochs — heal the fabric,
 // inject the epoch's faults (waiting for the reconciler to reach each
 // fault's deterministic post-state), snapshot the degraded topology, and
-// feed the te loop a capacity-derated observation. Phase B fans the
-// 2×Epochs flow simulations (intended and degraded topology per epoch)
-// out on the worker pool with per-epoch substreams, so the whole replay
-// is bit-identical at any par worker count.
+// feed the te loop a capacity-derated observation. Phase B is the shared
+// epoch flow-replay (te.ReplayFlows) over two rows, the intended and the
+// degraded topology of every epoch, so the whole replay is bit-identical
+// at any par worker count.
 func Evaluate(cfg EvalConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Scenario.Validate(); err != nil {
 		return nil, err
 	}
-	epochs := int(cfg.Scenario.HorizonSeconds / cfg.EpochSeconds)
-	if float64(epochs)*cfg.EpochSeconds < cfg.Scenario.HorizonSeconds {
+	epochs := int(cfg.Scenario.HorizonSeconds / epochSeconds)
+	if float64(epochs)*epochSeconds < cfg.Scenario.HorizonSeconds {
 		epochs++
 	}
 
-	h, err := newHarness(cfg)
+	h, err := newHarness(cfg, epochs)
 	if err != nil {
 		return nil, err
 	}
-	defer h.close()
-	if err := h.converge(); err != nil {
+	defer h.lab.Close()
+	if err := h.lab.Settle("initial convergence", allConverged); err != nil {
 		return nil, err
 	}
 
 	// Subscribe only after setup convergence: boot-time event counts
 	// depend on reconcile interleaving, fault-driven ones do not.
-	sub := h.mgr.Subscribe(4096)
+	sub := h.lab.Manager.Subscribe(4096)
 	defer sub.Close()
 
 	acts := cfg.Scenario.actions()
-	ai := 0
-	applied := 0
-	demand := make([][][]float64, epochs)
+	ai := 0 // actions applied so far
 	degraded := make([]*dcn.Topology, epochs)
 	intended := make([]*dcn.Topology, epochs)
 	for e := 0; e < epochs; e++ {
@@ -203,94 +160,58 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 		if err := h.inj.Heal(h.loop.Current()); err != nil {
 			return nil, fmt.Errorf("chaos: heal before epoch %d: %w", e, err)
 		}
-		hi := float64(e+1) * cfg.EpochSeconds
+		hi := float64(e+1) * epochSeconds
 		for ai < len(acts) && acts[ai].at < hi {
 			if err := h.applyAction(acts[ai]); err != nil {
 				return nil, fmt.Errorf("chaos: %s at %gs: %w", acts[ai].ev.Kind, acts[ai].at, err)
 			}
-			applied++
 			ai++
 		}
 		intended[e] = h.loop.Current()
 		degraded[e] = h.inj.Degraded(intended[e])
-		m, err := h.trace.Epoch(e)
-		if err != nil {
-			return nil, err
-		}
-		scaleDemand(m, h.scale)
-		demand[e] = m
 		// The te collector sees the fault as backed-off traffic on the
 		// degraded pairs — production telemetry's view.
-		obs := cloneMatrix(m)
+		obs := cloneMatrix(h.demand[e])
 		h.inj.PerturbObserved(obs, intended[e], degraded[e])
-		if err := h.loop.ObserveRates(obs); err != nil {
-			return nil, err
-		}
-		if _, err := h.loop.Step(); err != nil {
-			return nil, fmt.Errorf("chaos: te step at epoch %d: %w", e, err)
+		if _, err := h.loop.Advance(obs); err != nil {
+			return nil, fmt.Errorf("chaos: te epoch %d: %w", e, err)
 		}
 	}
 
-	// Phase B: goodput under failure. Job e simulates epoch e%epochs on
-	// the intended (e<epochs) or degraded (e>=epochs) topology; both
-	// share the epoch's arrival substream so only the topology differs.
-	type simOut struct {
-		bps      float64
-		blackout bool
-		err      error
-	}
-	jobs := make([]int, 2*epochs)
-	for i := range jobs {
-		jobs[i] = i
-	}
-	outs := par.Sweep("chaos_eval_sim", jobs, func(_ int, i int) simOut {
-		e := i % epochs
-		top := intended[e]
-		if i >= epochs {
-			top = degraded[e]
-		}
-		w := dcn.Workload{Demand: demand[e], MeanFlowBytes: cfg.MeanFlowBytes, Duration: cfg.SimSeconds}
-		sc := dcn.SimConfig{TrunkBps: cfg.TrunkBps, Seed: sim.SubstreamSeed(cfg.Seed, uint64(e)), MaxTransit: 4}
-		r, err := dcn.Simulate(top, w, sc)
-		if errors.Is(err, dcn.ErrDegenerate) {
-			// A demanded pair with no surviving path: the epoch is a
-			// blackout, not an evaluator error.
-			return simOut{blackout: true}
-		}
-		return simOut{bps: r.ThroughputBps, err: err}
-	})
+	// Phase B: goodput under failure, intended against degraded.
+	sims := te.ReplayFlows([][]*dcn.Topology{intended, degraded}, h.demand,
+		dcn.Workload{MeanFlowBytes: meanFlowBytes, Duration: simSeconds},
+		dcn.SimConfig{TrunkBps: trunkBps, Seed: cfg.Seed})
 
 	rep := &Report{
 		Scenario:           cfg.Scenario.Name,
 		Epochs:             epochs,
-		EventsApplied:      applied,
+		EventsApplied:      ai,
 		GoodputFraction:    make([]float64, epochs),
 		MinGoodputFraction: 1,
 	}
 	for e := 0; e < epochs; e++ {
-		in, dg := outs[e], outs[epochs+e]
-		if in.err != nil {
-			return nil, fmt.Errorf("chaos: intended sim epoch %d: %w", e, in.err)
-		}
-		if dg.err != nil {
-			return nil, fmt.Errorf("chaos: degraded sim epoch %d: %w", e, dg.err)
-		}
+		in, dg := sims[0][e], sims[1][e]
 		frac := 1.0
-		switch {
-		case dg.blackout || in.blackout:
+		switch err := errors.Join(in.Err, dg.Err); {
+		case errors.Is(err, dcn.ErrDegenerate):
+			// A demanded pair with no surviving path: the epoch is a
+			// blackout, not an evaluator error.
 			frac = 0
 			rep.BlackoutEpochs++
-		case in.bps > 0 && dg.bps < in.bps:
-			frac = dg.bps / in.bps
+		case err != nil:
+			return nil, fmt.Errorf("chaos: flow sim epoch %d: %w", e, err)
+		case in.Res.ThroughputBps > 0 && dg.Res.ThroughputBps < in.Res.ThroughputBps:
+			frac = dg.Res.ThroughputBps / in.Res.ThroughputBps
 		}
 		rep.GoodputFraction[e] = frac
 		if frac < rep.MinGoodputFraction {
 			rep.MinGoodputFraction = frac
 		}
 	}
-	rep.CapacityMTTRSeconds = capacityMTTR(rep.GoodputFraction, cfg.RecoveredFraction, cfg.EpochSeconds)
+	rep.CapacityMTTRSeconds = capacityMTTR(rep.GoodputFraction, recoveredFraction, epochSeconds)
 
-	rep.Pods = podOutcomes(cfg, drain(sub))
+	rep.Pods = podOutcomes(h.lab.Pods, cfg.Scenario, drain(sub))
 	rep.QuarantineBudgetOK = true
 	for _, p := range rep.Pods {
 		rep.QuarantineBudgetOK = rep.QuarantineBudgetOK && p.BudgetRespected
@@ -300,46 +221,39 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 	return rep, nil
 }
 
-// harness is the live control plane a scenario replays against.
+// harness is what a scenario replays against: the lab's compute pods, the
+// DCN fabric behind its own fleet pod, the te loop reconfiguring it, the
+// injector over all three, and the normalized demand of every epoch.
 type harness struct {
-	cfg      EvalConfig
-	mgr      *fleet.Manager
-	loop     *te.Loop
-	fabric   *dcn.Fabric
-	inj      *Injector
-	backends map[string]*FaultyBackend
-	trace    te.TraceConfig
-	scale    float64
+	lab    *Lab
+	loop   *te.Loop
+	inj    *Injector
+	demand [][][]float64
 }
 
-func newHarness(cfg EvalConfig) (*harness, error) {
+func newHarness(cfg EvalConfig, epochs int) (_ *harness, err error) {
 	ocsCfg := ocs.DefaultConfig()
 	ocsCfg.Seed = sim.SubstreamSeed(cfg.Seed, 2000)
-	fabric, err := dcn.NewFabric(cfg.Blocks, cfg.NumOCS, ocsCfg)
+	fabric, err := dcn.NewFabric(cfg.Blocks, cfg.Uplinks+spareOCS, ocsCfg)
 	if err != nil {
 		return nil, err
 	}
-	mgr := fleet.NewManager(fleet.Options{
-		BaseBackoff:     time.Millisecond,
-		MaxBackoff:      8 * time.Millisecond,
-		QuarantineAfter: cfg.QuarantineAfter,
-		Seed:            cfg.Seed,
-	})
-	h := &harness{cfg: cfg, mgr: mgr, fabric: fabric, backends: make(map[string]*FaultyBackend)}
-
-	for _, name := range cfg.Pods {
-		b := NewFaultyBackend(NewMemoryBackend())
-		h.backends[name] = b
-		if err := mgr.AddPod(name, b); err != nil {
-			h.close()
-			return nil, err
+	lab, err := NewLab(cfg.Seed, memoryPods(evalPods), nil)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			lab.Close()
 		}
+	}()
+	h := &harness{lab: lab}
+	for _, name := range lab.Pods {
 		// One slice per pod: backend faults need standing intent to fail
 		// against, or the reconciler has nothing to reconcile.
-		if err := mgr.SetSliceIntent(name, fleet.SliceIntent{
+		if err := lab.Manager.SetSliceIntent(name, fleet.SliceIntent{
 			Name: "job-" + name, Shape: topo.Shape{X: 4, Y: 4, Z: 4},
 		}); err != nil {
-			h.close()
 			return nil, err
 		}
 	}
@@ -349,97 +263,57 @@ func newHarness(cfg EvalConfig) (*harness, error) {
 	det := telemetry.NewDetector("chaos-ber", nil)
 	det.HardLimit = KP4BERLimit
 	h.inj, err = NewInjector(Targets{
-		Fleet:     mgr,
-		Backends:  h.backends,
+		Fleet:     lab.Manager,
+		Backends:  lab.Backends,
 		Fabric:    fabric,
-		FabricPod: FabricPodName,
+		FabricPod: fabricPod,
 		Detector:  det,
 	})
 	if err != nil {
-		h.close()
 		return nil, err
 	}
 	// te reconfigurations take the fleet drain workflow like any DCN pod's,
 	// programming through the injector so they use only the switches the
 	// scenario has left healthy.
-	applier, err := te.NewFleetApplierOver(mgr, FabricPodName, h.inj)
+	applier, err := te.NewFleetApplierOver(lab.Manager, fabricPod, h.inj)
 	if err != nil {
-		h.close()
 		return nil, err
 	}
-
 	h.loop, err = te.NewLoop(te.Config{
-		Blocks: cfg.Blocks, Uplinks: cfg.Uplinks, TrunkBps: cfg.TrunkBps,
-		EpochSeconds: cfg.EpochSeconds,
+		Blocks: cfg.Blocks, Uplinks: cfg.Uplinks, TrunkBps: trunkBps,
+		EpochSeconds: epochSeconds,
 		Applier:      applier,
 	})
 	if err != nil {
-		h.close()
 		return nil, err
 	}
 	if _, err := fabric.Program(h.loop.Current()); err != nil {
-		h.close()
 		return nil, err
 	}
 
-	h.trace = te.TraceConfig{
+	// The offered load: exactly the epochs the walk replays, the peak one
+	// offering LoadFraction of fabric capacity.
+	trace := evalTrace(cfg)
+	h.demand = make([][][]float64, epochs)
+	for e := range h.demand {
+		if h.demand[e], err = trace.Epoch(e); err != nil {
+			return nil, err
+		}
+	}
+	if err := te.NormalizePeak(h.demand, cfg.LoadFraction*float64(cfg.Blocks*cfg.Uplinks)*trunkBps); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	return h, nil
+}
+
+// evalTrace is the replay's offered load: a thin uniform background under
+// long-lived services scattered over a horizon far longer than any replay.
+func evalTrace(cfg EvalConfig) te.TraceConfig {
+	return te.TraceConfig{
 		Blocks: cfg.Blocks, Epochs: 1 << 20, BaseBps: 1,
 		NumServices: 3 * cfg.Blocks, ServiceMeanBps: 10,
 		ServiceMinEpochs: 16, Seed: sim.SubstreamSeed(cfg.Seed, 1000),
 	}
-	// Normalize like te.Evaluate: peak of the first horizon's epochs
-	// offers LoadFraction of fabric capacity.
-	epochs := int(cfg.Scenario.HorizonSeconds/cfg.EpochSeconds) + 1
-	peak := 0.0
-	for e := 0; e < epochs; e++ {
-		m, err := h.trace.Epoch(e)
-		if err != nil {
-			h.close()
-			return nil, err
-		}
-		if t := dcn.TotalDemand(m); t > peak {
-			peak = t
-		}
-	}
-	if peak <= 0 {
-		h.close()
-		return nil, fmt.Errorf("%w: trace offers no demand", ErrConfig)
-	}
-	h.scale = cfg.LoadFraction * float64(cfg.Blocks*cfg.Uplinks) * cfg.TrunkBps / peak
-	return h, nil
-}
-
-func (h *harness) close() {
-	if h.mgr != nil {
-		h.mgr.Close()
-	}
-}
-
-// converge waits for every pod's initial reconcile.
-func (h *harness) converge() error {
-	return h.settle(allConverged, "initial convergence")
-}
-
-// allConverged holds when every pod has realized its intent and nothing is
-// queued — stricter than Status.Settled, which also accepts quarantine.
-func allConverged(st fleet.Status) bool {
-	for _, p := range st.Pods {
-		if !p.Converged {
-			return false
-		}
-	}
-	return st.QueueDepth == 0
-}
-
-// settle waits until fleet status satisfies pred — the evaluator's bridge
-// between the reconciler's real-time workers and the replay's virtual
-// clock. Each fault kind settles on a deterministic post-state, so event
-// counts never race the epoch walk.
-func (h *harness) settle(pred func(fleet.Status) bool, what string) error {
-	if err := h.mgr.WaitStatus(h.cfg.SettleTimeout, what, pred); err != nil {
-		return fmt.Errorf("chaos: %w", err)
-	}
-	return nil
 }
 
 // applyAction injects one primitive and waits for its deterministic
@@ -451,7 +325,7 @@ func (h *harness) applyAction(a action) error {
 			return err
 		}
 		if ev.Kind == KindSlowDrain {
-			return h.settle(fleet.Status.Settled, "slow-drain lift")
+			return h.lab.Settle("slow-drain lift", fleet.Status.Settled)
 		}
 		return nil
 	}
@@ -460,19 +334,11 @@ func (h *harness) applyAction(a action) error {
 	}
 	switch ev.Kind {
 	case KindPodLoss:
-		// The reconciler burns its retry budget and quarantines; waiting
-		// for the quarantine pins the error-event count.
-		return h.settle(func(st fleet.Status) bool {
-			p, _ := st.Pod(ev.Pod)
-			return p.Quarantined
-		}, "quarantine of "+ev.Pod)
+		return h.lab.Settle("quarantine of "+ev.Pod, Quarantined(ev.Pod))
 	case KindPodRestore:
-		return h.settle(func(st fleet.Status) bool {
-			p, _ := st.Pod(ev.Pod)
-			return !p.Quarantined && p.Converged
-		}, "recovery of "+ev.Pod)
+		return h.lab.Settle("recovery of "+ev.Pod, Recovered(ev.Pod))
 	case KindOCSOutage, KindOCSRestore, KindStuckDrain, KindSlowDrain:
-		return h.settle(fleet.Status.Settled, string(ev.Kind)+" settle")
+		return h.lab.Settle(string(ev.Kind)+" settle", fleet.Status.Settled)
 	default:
 		return nil
 	}
@@ -496,12 +362,10 @@ func drain(sub *fleet.Subscription) []fleet.Event {
 // podOutcomes folds the event stream into per-pod outcomes, checking the
 // quarantine budget: every quarantine must be preceded by exactly
 // QuarantineAfter consecutive reconcile errors.
-func podOutcomes(cfg EvalConfig, evs []fleet.Event) []PodOutcome {
-	pods := append([]string(nil), cfg.Pods...)
-	sort.Strings(pods)
+func podOutcomes(pods []string, s Scenario, evs []fleet.Event) []PodOutcome {
 	outs := make([]PodOutcome, 0, len(pods))
 	for _, name := range pods {
-		o := PodOutcome{Pod: name, BudgetRespected: true, MTTRSeconds: podMTTR(cfg.Scenario, name)}
+		o := PodOutcome{Pod: name, BudgetRespected: true, MTTRSeconds: podMTTR(s, name)}
 		streak := 0
 		for _, ev := range evs {
 			if ev.Pod != name {
@@ -513,7 +377,7 @@ func podOutcomes(cfg EvalConfig, evs []fleet.Event) []PodOutcome {
 				streak++
 			case fleet.EventQuarantined:
 				o.Quarantines++
-				if streak != cfg.QuarantineAfter {
+				if streak != labQuarantineAfter {
 					o.BudgetRespected = false
 				}
 				streak = 0
@@ -573,14 +437,6 @@ func capacityMTTR(fracs []float64, threshold, epochSeconds float64) float64 {
 		return -1
 	}
 	return 0
-}
-
-func scaleDemand(m [][]float64, scale float64) {
-	for i := range m {
-		for j := range m[i] {
-			m[i][j] *= scale
-		}
-	}
 }
 
 func cloneMatrix(m [][]float64) [][]float64 {

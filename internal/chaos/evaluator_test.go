@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"lightwave/internal/dcn"
 	"lightwave/internal/par"
 )
 
@@ -96,9 +98,9 @@ func TestQuarantineDrillBudgetAndMTTR(t *testing.T) {
 		t.Fatal("pod1 missing from report")
 	}
 	// Quarantine fires only after the configured failure budget: exactly
-	// QuarantineAfter errors, one quarantine, one recovery.
-	if drilled.ReconcileErrors != cfg.withDefaults().QuarantineAfter {
-		t.Errorf("reconcile errors = %d, want %d", drilled.ReconcileErrors, cfg.withDefaults().QuarantineAfter)
+	// labQuarantineAfter errors, one quarantine, one recovery.
+	if drilled.ReconcileErrors != labQuarantineAfter {
+		t.Errorf("reconcile errors = %d, want %d", drilled.ReconcileErrors, labQuarantineAfter)
 	}
 	if drilled.Quarantines != 1 || drilled.Recoveries != 1 {
 		t.Errorf("quarantines/recoveries = %d/%d, want 1/1", drilled.Quarantines, drilled.Recoveries)
@@ -181,5 +183,50 @@ func TestCapacityMTTRSeries(t *testing.T) {
 		if got := capacityMTTR(c.fracs, 0.99, 60); got != c.want {
 			t.Errorf("case %d: mttr = %g, want %g", i, got, c.want)
 		}
+	}
+}
+
+// TestLoadFractionSetByReplayedEpochs: "the peak epoch offers
+// LoadFraction" must be a statement about an epoch the replay simulates.
+// The harness used to scan int(H/E)+1 epochs for the peak while the walk
+// replays ceil(H/E); with this seed a service turns up in epoch 6 of a
+// 360 s horizon — the first epoch the walk never reaches — so the scale
+// was set by traffic nobody simulated and the busiest replayed epoch
+// offered well under the configured fraction.
+func TestLoadFractionSetByReplayedEpochs(t *testing.T) {
+	cfg := EvalConfig{Blocks: 4, Uplinks: 4, Seed: 68101}.withDefaults()
+	const epochs = 6
+
+	// The seed's precondition, so the test cannot rot into a tautology.
+	tr := evalTrace(cfg)
+	busiest, peak := -1, 0.0
+	for e := 0; e <= epochs; e++ {
+		m, err := tr.Epoch(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := dcn.TotalDemand(m); d > peak {
+			busiest, peak = e, d
+		}
+	}
+	if busiest != epochs {
+		t.Fatalf("trace peaks at epoch %d, want the never-replayed epoch %d", busiest, epochs)
+	}
+
+	h, err := newHarness(cfg, epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.lab.Close()
+	if len(h.demand) != epochs {
+		t.Fatalf("harness holds %d epochs of demand, want %d", len(h.demand), epochs)
+	}
+	offered := 0.0
+	for _, m := range h.demand {
+		offered = math.Max(offered, dcn.TotalDemand(m))
+	}
+	want := cfg.LoadFraction * float64(cfg.Blocks*cfg.Uplinks) * trunkBps
+	if math.Abs(offered-want) > 1e-9*want {
+		t.Errorf("busiest replayed epoch offers %g B/s, want LoadFraction of capacity = %g", offered, want)
 	}
 }

@@ -11,55 +11,42 @@ import (
 	"lightwave/internal/topo"
 )
 
-// testFleet builds a one-pod manager with an injectable backend and a
-// standing slice intent, plus an injector over it (no fabric).
-func testFleet(t *testing.T) (*fleet.Manager, *FaultyBackend, *Injector) {
+// testFleet builds a one-pod lab with a standing slice intent, plus an
+// injector over it (no fabric).
+func testFleet(t *testing.T) (*Lab, *FaultyBackend, *Injector) {
 	t.Helper()
-	m := fleet.NewManager(fleet.Options{
-		BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond,
-		QuarantineAfter: 3, Seed: 42,
-	})
-	t.Cleanup(m.Close)
-	b := NewFaultyBackend(NewMemoryBackend())
-	if err := m.AddPod("pod0", b); err != nil {
+	lab, err := NewLab(42, memoryPods(1), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetSliceIntent("pod0", fleet.SliceIntent{
+	t.Cleanup(lab.Close)
+	if err := lab.Manager.SetSliceIntent("pod0", fleet.SliceIntent{
 		Name: "job", Shape: topo.Shape{X: 4, Y: 4, Z: 4},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	inj, err := NewInjector(Targets{Fleet: m, Backends: map[string]*FaultyBackend{"pod0": b}})
+	inj, err := NewInjector(Targets{Fleet: lab.Manager, Backends: lab.Backends})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, b, inj
+	return lab, lab.Backends["pod0"], inj
 }
 
-func waitPod(t *testing.T, m *fleet.Manager, pred func(fleet.PodStatus) bool, what string) {
+func settle(t *testing.T, lab *Lab, what string, pred func(fleet.Status) bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		for _, p := range m.Status().Pods {
-			if p.Name == "pod0" && pred(p) {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(200 * time.Microsecond)
+	if err := lab.Settle(what, pred); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestInjectorPodLossQuarantinesThenRecovers(t *testing.T) {
-	m, b, inj := testFleet(t)
-	waitPod(t, m, func(p fleet.PodStatus) bool { return p.Converged }, "setup")
+	lab, b, inj := testFleet(t)
+	settle(t, lab, "setup", allConverged)
 
 	if err := inj.Apply(Event{Kind: KindPodLoss, Pod: "pod0"}); err != nil {
 		t.Fatal(err)
 	}
-	waitPod(t, m, func(p fleet.PodStatus) bool { return p.Quarantined }, "quarantine")
+	settle(t, lab, "quarantine", Quarantined("pod0"))
 	if !b.Failed() {
 		t.Fatal("backend not failed after pod-loss")
 	}
@@ -71,7 +58,7 @@ func TestInjectorPodLossQuarantinesThenRecovers(t *testing.T) {
 	if err := inj.Apply(Event{Kind: KindPodRestore, Pod: "pod0"}); err != nil {
 		t.Fatal(err)
 	}
-	waitPod(t, m, func(p fleet.PodStatus) bool { return p.Converged && !p.Quarantined }, "recovery")
+	settle(t, lab, "recovery", Recovered("pod0"))
 	if st := inj.Status(); st.ActiveFaults != 0 {
 		t.Fatalf("active faults = %d after restore, want 0", st.ActiveFaults)
 	}
@@ -197,24 +184,19 @@ func TestInjectorApplyLiveLiftsTransients(t *testing.T) {
 }
 
 func TestInjectorOCSOutageHealCycle(t *testing.T) {
-	cfg := EvalConfig{Scenario: Scenario{Name: "unused", HorizonSeconds: 60}}.withDefaults()
-	h, err := newHarness(cfg)
+	h, err := newHarness(EvalConfig{}.withDefaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.close()
-	if err := h.converge(); err != nil {
-		t.Fatal(err)
-	}
+	defer h.lab.Close()
+	settle(t, h.lab, "initial convergence", allConverged)
 	intended := h.loop.Current()
 	full := trunkTotal(h.inj.Degraded(intended))
 
 	if err := h.inj.Apply(Event{Kind: KindOCSOutage, OCS: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.settle(fleet.Status.Settled, "outage"); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, h.lab, "outage", fleet.Status.Settled)
 	if got := trunkTotal(h.inj.Degraded(intended)); got >= full {
 		t.Fatalf("degraded trunks = %d after outage, want < %d", got, full)
 	}
@@ -234,9 +216,7 @@ func TestInjectorOCSOutageHealCycle(t *testing.T) {
 	if err := h.inj.Apply(Event{Kind: KindOCSRestore, OCS: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.settle(fleet.Status.Settled, "restore"); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, h.lab, "restore", fleet.Status.Settled)
 	if st := h.inj.Status(); st.DownSwitches != 0 {
 		t.Fatalf("down switches = %d after restore, want 0", st.DownSwitches)
 	}

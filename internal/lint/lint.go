@@ -183,9 +183,6 @@ func DefaultConfig() Config {
 			// The TE runner is the wall-clock seam between the
 			// deterministic loop and the daemons.
 			"internal/te/runner.go",
-			// Crash-restart drives a real SIGKILL'd process; its waits
-			// are wall-clock by nature.
-			"internal/chaos/crashrestart.go",
 		},
 		LockOrder: []LockClass{
 			// ctlrpc handlers never nest into the injector or manager
@@ -219,7 +216,7 @@ func DefaultConfig() Config {
 		// lwfctl and the bench compose, so anything nobody composes goes.
 		// The scheduler and its kernel joined once the offline simulation
 		// ran on sched.Scheduler: what only the forked loop used went with
-		// it.
+		// it. te joined once its epoch replay was the one chaos runs on too.
 		DeadExportPackages: []string{
 			"lightwave/internal/ctlrpc",
 			"lightwave/internal/fleet",
@@ -228,6 +225,7 @@ func DefaultConfig() Config {
 			"lightwave/internal/sched",
 			"lightwave/internal/superpod",
 			"lightwave/internal/sim",
+			"lightwave/internal/te",
 		},
 	}
 }

@@ -3,10 +3,9 @@ package superpod
 import (
 	"errors"
 	"fmt"
-	"reflect"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"lightwave/internal/chaos"
 	"lightwave/internal/core"
@@ -46,11 +45,6 @@ type EvalConfig struct {
 	// virtual time; PodRestoreAtSeconds heals it (0 = never).
 	PodLossAtSeconds    float64
 	PodRestoreAtSeconds float64
-	// QuarantineAfter is the reconciler's retry budget (default 3).
-	QuarantineAfter int
-	// SettleTimeout bounds each real-time wait for the reconciler
-	// (default 20s; reconcile backoffs are milliseconds).
-	SettleTimeout time.Duration
 	// UseMLPerfShapes picks each job's slice shape with the par.Sweep
 	// mlperf step-time search instead of the max-bisection default.
 	UseMLPerfShapes bool
@@ -78,12 +72,6 @@ func (c EvalConfig) withDefaults() EvalConfig {
 	}
 	if c.MeanRepairSeconds <= 0 {
 		c.MeanRepairSeconds = 3600
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 3
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 20 * time.Second
 	}
 	return c
 }
@@ -250,36 +238,27 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 	return rep, nil
 }
 
-// runPolicy builds one live control plane and replays the stream.
+// runPolicy builds one live control plane — the chaos lab over real
+// core.Fabric pods — and replays the stream.
 func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error) {
 	po := PolicyOutcome{Policy: pol.name}
-	if pol.defrag {
-		po.Policy = "contiguous+defrag"
-	}
 
-	mgr := fleet.NewManager(fleet.Options{
-		BaseBackoff:     time.Millisecond,
-		MaxBackoff:      8 * time.Millisecond,
-		QuarantineAfter: cfg.QuarantineAfter,
-		Seed:            cfg.Seed,
-	})
-	defer mgr.Close()
-
-	pods := make([]string, cfg.Pods)
 	fbs := make([]*fleet.FabricBackend, cfg.Pods)
-	cbs := make([]*chaos.FaultyBackend, cfg.Pods)
-	for i := range pods {
-		pods[i] = fmt.Sprintf("pod%d", i)
+	inner := make([]fleet.Backend, cfg.Pods)
+	for i := range fbs {
 		f, err := core.New(core.DefaultConfig(cfg.CubesPerPod))
 		if err != nil {
 			return po, err
 		}
 		fbs[i] = fleet.NewFabricBackend(f, nil)
-		cbs[i] = chaos.NewFaultyBackend(fbs[i])
-		if err := mgr.AddPod(pods[i], cbs[i]); err != nil {
-			return po, err
-		}
+		inner[i] = fbs[i]
 	}
+	lab, err := chaos.NewLab(cfg.Seed, inner, nil)
+	if err != nil {
+		return po, err
+	}
+	defer lab.Close()
+	mgr, pods := lab.Manager, lab.Pods
 
 	var shapes sched.ShapeChooser
 	if cfg.UseMLPerfShapes {
@@ -298,16 +277,7 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 		return po, err
 	}
 
-	settle := func(what string) error {
-		return mgr.WaitStatus(cfg.SettleTimeout, what, fleet.Status.Settled)
-	}
-	// settlePod waits on one pod's own status.
-	settlePod := func(name string, pred func(fleet.PodStatus) bool, what string) error {
-		return mgr.WaitStatus(cfg.SettleTimeout, what, func(st fleet.Status) bool {
-			p, ok := st.Pod(name)
-			return ok && pred(p)
-		})
-	}
+	settle := func(what string) error { return lab.Settle(what, fleet.Status.Settled) }
 
 	down := make([]bool, cfg.Pods)
 	for _, ev := range events {
@@ -378,20 +348,18 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 			// destroy of an evicted slice, or the ensure of a kept one), so
 			// the retry budget must run out; an empty pod has nothing to
 			// fail on and reconverges. Wait for whichever the stream implies.
-			stranded := len(fbs[ev.pod].Slices()) > 0
-			cbs[ev.pod].Fail(errors.New("superpod: pod lost"))
+			settled := chaos.Recovered(pods[ev.pod])
+			if len(fbs[ev.pod].Slices()) > 0 {
+				settled = chaos.Quarantined(pods[ev.pod])
+			}
+			lab.Backends[pods[ev.pod]].Fail(errors.New("superpod: pod lost"))
 			if err := s.SetPodDown(pods[ev.pod], true); err != nil {
 				return po, err
 			}
 			if err := mgr.Poke(pods[ev.pod]); err != nil {
 				return po, err
 			}
-			if err := settlePod(pods[ev.pod], func(p fleet.PodStatus) bool {
-				if stranded {
-					return p.Quarantined
-				}
-				return p.Converged
-			}, "pod loss settle"); err != nil {
+			if err := lab.Settle("pod loss settle", settled); err != nil {
 				return po, err
 			}
 			ps, err := mgr.PodStatus(pods[ev.pod])
@@ -401,13 +369,11 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 			po.Quarantined = ps.Quarantined
 			down[ev.pod] = true
 		case evPodRestore:
-			cbs[ev.pod].Heal()
+			lab.Backends[pods[ev.pod]].Heal()
 			if err := mgr.UndrainPod(pods[ev.pod]); err != nil {
 				return po, err
 			}
-			if err := settlePod(pods[ev.pod], func(p fleet.PodStatus) bool {
-				return p.Converged && !p.Quarantined
-			}, "pod restore settle"); err != nil {
+			if err := lab.Settle("pod restore settle", chaos.Recovered(pods[ev.pod])); err != nil {
 				return po, err
 			}
 			down[ev.pod] = false
@@ -436,9 +402,9 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 		}
 		got := fbs[i].Slices()
 		sort.Strings(got)
-		exp := append([]string(nil), want[name]...)
+		exp := slices.Clone(want[name])
 		sort.Strings(exp)
-		if !reflect.DeepEqual(got, exp) && !(len(got) == 0 && len(exp) == 0) {
+		if !slices.Equal(got, exp) {
 			po.Consistent = false
 		}
 		for c := 0; c < cfg.CubesPerPod; c++ {

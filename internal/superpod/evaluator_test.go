@@ -3,7 +3,6 @@ package superpod
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"lightwave/internal/par"
 	"lightwave/internal/sched"
@@ -29,7 +28,6 @@ func testConfig() EvalConfig {
 		MeanRepairSeconds:   600,
 		PodLossAtSeconds:    1200,
 		PodRestoreAtSeconds: 1800,
-		SettleTimeout:       30 * time.Second,
 		Seed:                9,
 	}
 }

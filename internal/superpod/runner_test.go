@@ -5,27 +5,41 @@ import (
 	"testing"
 	"time"
 
+	"lightwave/internal/chaos"
 	"lightwave/internal/core"
 	"lightwave/internal/fleet"
 	"lightwave/internal/sched"
 )
+
+// testLab builds the chaos lab over n 8-cube core.Fabric pods, closed with
+// the test.
+func testLab(t *testing.T, seed uint64, n int) (*chaos.Lab, []*fleet.FabricBackend) {
+	t.Helper()
+	fbs := make([]*fleet.FabricBackend, n)
+	inner := make([]fleet.Backend, n)
+	for i := range fbs {
+		f, err := core.New(core.DefaultConfig(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fbs[i] = fleet.NewFabricBackend(f, nil)
+		inner[i] = fbs[i]
+	}
+	lab, err := chaos.NewLab(seed, inner, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lab.Close)
+	return lab, fbs
+}
 
 // TestRunnerTrimsMixToInstalledCubes is the regression for the live-daemon
 // failure mode: the default production mix offers 32-cube jobs, which a
 // small-pod daemon (-cubes 8) must drop from the stream rather than die on
 // the scheduler's oversize rejection.
 func TestRunnerTrimsMixToInstalledCubes(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{
-		BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond,
-	})
-	defer mgr.Close()
-	f, err := core.New(core.DefaultConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.AddPod("pod0", fleet.NewFabricBackend(f, nil)); err != nil {
-		t.Fatal(err)
-	}
+	lab, _ := testLab(t, 0, 1)
+	mgr := lab.Manager
 	r, err := NewRunner(RunnerConfig{
 		Manager:        mgr,
 		Pods:           []string{"pod0"},
@@ -84,17 +98,8 @@ func TestRunnerTrimsMixToInstalledCubes(t *testing.T) {
 // must re-anchor the arrival stream instead of calling AdvanceTo backwards
 // and killing the loop.
 func TestRunnerResumesRecoveredClock(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{
-		BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond,
-	})
-	defer mgr.Close()
-	f, err := core.New(core.DefaultConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.AddPod("pod0", fleet.NewFabricBackend(f, nil)); err != nil {
-		t.Fatal(err)
-	}
+	lab, _ := testLab(t, 0, 1)
+	mgr := lab.Manager
 	r, err := NewRunner(RunnerConfig{
 		Manager:        mgr,
 		Pods:           []string{"pod0"},
@@ -137,24 +142,8 @@ func TestRunnerResumesRecoveredClock(t *testing.T) {
 }
 
 func TestRunnerTicksAgainstFleet(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{
-		BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond,
-		QuarantineAfter: 3, Seed: 3,
-	})
-	defer mgr.Close()
-	pods := []string{"pod0", "pod1"}
-	var fbs []*fleet.FabricBackend
-	for _, name := range pods {
-		f, err := core.New(core.DefaultConfig(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb := fleet.NewFabricBackend(f, nil)
-		fbs = append(fbs, fb)
-		if err := mgr.AddPod(name, fb); err != nil {
-			t.Fatal(err)
-		}
-	}
+	lab, fbs := testLab(t, 3, 2)
+	mgr, pods := lab.Manager, lab.Pods
 	r, err := NewRunner(RunnerConfig{
 		Manager:        mgr,
 		Pods:           pods,

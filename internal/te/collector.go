@@ -34,9 +34,6 @@ func NewCollector(blocks int, epochSeconds float64) (*Collector, error) {
 	}, nil
 }
 
-// Blocks returns the collector's block count.
-func (c *Collector) Blocks() int { return c.blocks }
-
 // Observe adds nbytes to the (src, dst) pair's count for the current
 // epoch. Out-of-range pairs and non-positive counts are ignored — a
 // malformed flow record must not wedge the collection pipeline.

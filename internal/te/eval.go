@@ -1,11 +1,11 @@
 package te
 
 import (
+	"errors"
 	"fmt"
 
 	"lightwave/internal/dcn"
 	"lightwave/internal/par"
-	"lightwave/internal/sim"
 )
 
 // EvalConfig parameterizes the replay experiment comparing three
@@ -39,7 +39,6 @@ type EvalConfig struct {
 	Planner       PlannerConfig
 	// CooldownEpochs is the loop's reconfiguration cooldown (default 3).
 	CooldownEpochs int
-	MaxTransit     int
 	// Seed drives the flow arrival processes. Each epoch's three
 	// scenario sims share one substream, so arrival patterns are
 	// identical across scenarios and only the topology differs.
@@ -61,9 +60,6 @@ func (c EvalConfig) withDefaults() EvalConfig {
 	}
 	if c.MeanFlowBytes <= 0 {
 		c.MeanFlowBytes = 1e9
-	}
-	if c.MaxTransit <= 0 {
-		c.MaxTransit = 4
 	}
 	return c
 }
@@ -97,7 +93,7 @@ type EvalResult struct {
 }
 
 // Evaluate replays the trace. Phase A walks the online loop sequentially
-// (each Step consumes the epoch it just observed, so the trajectory is
+// (each Advance consumes the epoch it observes, so the trajectory is
 // inherently ordered); phase B fans all 3×Epochs flow simulations out on
 // the worker pool, results keyed by index — the whole experiment is
 // bit-identical at any worker count.
@@ -114,22 +110,8 @@ func Evaluate(cfg EvalConfig) (*EvalResult, error) {
 
 	// Normalize the trace so its peak epoch offers LoadFraction of the
 	// fabric's total directed capacity.
-	peak := 0.0
-	for _, m := range trace {
-		if t := dcn.TotalDemand(m); t > peak {
-			peak = t
-		}
-	}
-	if peak <= 0 {
-		return nil, fmt.Errorf("%w: trace offers no demand", ErrConfig)
-	}
-	scale := cfg.LoadFraction * float64(n*cfg.Uplinks) * cfg.TrunkBps / peak
-	for _, m := range trace {
-		for i := range m {
-			for j := range m[i] {
-				m[i][j] *= scale
-			}
-		}
+	if err := NormalizePeak(trace, cfg.LoadFraction*float64(n*cfg.Uplinks)*cfg.TrunkBps); err != nil {
+		return nil, err
 	}
 
 	// Phase A: walk the online loop. onlineTop[e] is the topology live
@@ -149,89 +131,52 @@ func Evaluate(cfg EvalConfig) (*EvalResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	staticTop := make([]*dcn.Topology, epochs)
 	onlineTop := make([]*dcn.Topology, epochs)
 	drainBps := make([]float64, epochs) // throughput debit per epoch
-	minResidual := 1.0
 	for e := 0; e < epochs; e++ {
-		onlineTop[e] = loop.Current()
-		if err := loop.ObserveRates(trace[e]); err != nil {
-			return nil, err
-		}
-		plan, err := loop.Step()
+		staticTop[e], onlineTop[e] = static, loop.Current()
+		plan, err := loop.Advance(trace[e])
 		if err != nil {
 			return nil, err
 		}
-		if plan.Reconfigure {
-			if e+1 < epochs {
-				drainBps[e+1] += plan.DrainedCapacityBpsSeconds / cfg.EpochSeconds
-			}
-			if plan.MinResidualFraction < minResidual {
-				minResidual = plan.MinResidualFraction
-			}
+		if plan.Reconfigure && e+1 < epochs {
+			drainBps[e+1] += plan.DrainedCapacityBpsSeconds / cfg.EpochSeconds
 		}
 	}
 
 	// Oracle topologies are independent per epoch; engineer them on the
 	// pool.
-	type topOut struct {
-		t   *dcn.Topology
-		err error
-	}
-	oracle := par.Sweep("te_eval_oracle", trace, func(_ int, m [][]float64) topOut {
-		t, err := dcn.Engineer(n, cfg.Uplinks, m)
-		return topOut{t, err}
+	oracleTop := make([]*dcn.Topology, epochs)
+	oracleErr := make([]error, epochs)
+	par.Map("te_eval_oracle", epochs, func(e int) {
+		oracleTop[e], oracleErr[e] = dcn.Engineer(n, cfg.Uplinks, trace[e])
 	})
-	for _, o := range oracle {
-		if o.err != nil {
-			return nil, o.err
-		}
+	if err := errors.Join(oracleErr...); err != nil {
+		return nil, err
 	}
 
-	// Phase B: 3 scenarios × epochs flow simulations. Job i simulates
-	// scenario i/epochs on epoch i%epochs; all three scenarios of an
-	// epoch share one arrival substream so only the topology differs.
-	type simOut struct {
-		res dcn.SimResult
-		err error
-	}
-	jobs := make([]int, 3*epochs)
-	for i := range jobs {
-		jobs[i] = i
-	}
-	outs := par.Sweep("te_eval_sim", jobs, func(_ int, i int) simOut {
-		s, e := i/epochs, i%epochs
-		var top *dcn.Topology
-		switch s {
-		case 0:
-			top = static
-		case 1:
-			top = oracle[e].t
-		default:
-			top = onlineTop[e]
-		}
-		w := dcn.Workload{Demand: trace[e], MeanFlowBytes: cfg.MeanFlowBytes, Duration: cfg.SimSeconds}
-		sc := dcn.SimConfig{TrunkBps: cfg.TrunkBps, Seed: sim.SubstreamSeed(cfg.Seed, uint64(e)), MaxTransit: cfg.MaxTransit}
-		r, err := dcn.Simulate(top, w, sc)
-		return simOut{r, err}
-	})
+	// Phase B: 3 scenarios × epochs flow simulations, every scenario of
+	// an epoch on the same arrivals so only the topology differs.
+	outs := ReplayFlows([][]*dcn.Topology{staticTop, oracleTop, onlineTop}, trace,
+		dcn.Workload{MeanFlowBytes: cfg.MeanFlowBytes, Duration: cfg.SimSeconds},
+		dcn.SimConfig{TrunkBps: cfg.TrunkBps, Seed: cfg.Seed})
 
-	res := &EvalResult{MinResidualFraction: minResidual, Loop: loop.Status()}
-	names := [3]string{"static", "oracle", "online"}
-	scn := [3]*ScenarioResult{&res.Static, &res.Oracle, &res.Online}
-	for s := 0; s < 3; s++ {
-		sr := scn[s]
-		sr.Name = names[s]
+	res := &EvalResult{Loop: loop.Status()}
+	res.MinResidualFraction = res.Loop.MinResidualFraction // the loop keeps the same minimum
+	res.Static.Name, res.Oracle.Name, res.Online.Name = "static", "oracle", "online"
+	for s, sr := range []*ScenarioResult{&res.Static, &res.Oracle, &res.Online} {
 		sr.PerEpochBps = make([]float64, epochs)
 		var fct float64
 		for e := 0; e < epochs; e++ {
-			o := outs[s*epochs+e]
-			if o.err != nil {
-				return nil, fmt.Errorf("te: %s epoch %d: %w", sr.Name, e, o.err)
+			o := outs[s][e]
+			if o.Err != nil {
+				return nil, fmt.Errorf("te: %s epoch %d: %w", sr.Name, e, o.Err)
 			}
-			sr.PerEpochBps[e] = o.res.ThroughputBps
-			sr.MeanBps += o.res.ThroughputBps
-			fct += o.res.MeanFCT
-			eff := o.res.ThroughputBps
+			sr.PerEpochBps[e] = o.Res.ThroughputBps
+			sr.MeanBps += o.Res.ThroughputBps
+			fct += o.Res.MeanFCT
+			eff := o.Res.ThroughputBps
 			if s == 2 {
 				eff -= drainBps[e]
 				if eff < 0 {

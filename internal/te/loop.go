@@ -68,11 +68,10 @@ type Status struct {
 	CurrentTrunks             int
 }
 
-// Loop is the online traffic-engineering state machine: feed it observed
-// traffic (Observe/ObserveRates), advance it one epoch at a time with
-// Step, and it maintains the live logical topology, reconfiguring through
-// the Applier when the planner's hysteresis clears. All methods are safe
-// for concurrent use.
+// Loop is the online traffic-engineering state machine: Advance it one
+// epoch of observed traffic at a time and it maintains the live logical
+// topology, reconfiguring through the Applier when the planner's
+// hysteresis clears. All methods are safe for concurrent use.
 type Loop struct {
 	mu      sync.Mutex
 	cfg     Config
@@ -133,30 +132,20 @@ func NewLoop(cfg Config) (*Loop, error) {
 	}, nil
 }
 
-// Observe adds nbytes to the (src, dst) pair's count for the current
-// epoch.
-func (l *Loop) Observe(src, dst int, nbytes float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.col.Observe(src, dst, nbytes)
-}
-
-// ObserveRates integrates a full offered-rate matrix over the epoch.
-func (l *Loop) ObserveRates(bps [][]float64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.col.ObserveRates(bps)
-}
-
-// Step closes the current collection epoch and advances the loop:
-// roll the collector, update the predictor, ask the planner for a plan,
-// and — when the plan reconfigures and the cooldown has passed — apply it
-// and adopt the target topology. It returns the plan that governed the
-// epoch (never nil on success).
-func (l *Loop) Step() (*Plan, error) {
+// Advance is one whole epoch: integrate the epoch's offered-rate matrix
+// (bytes/s) into the collector, close the collection epoch, update the
+// predictor, ask the planner for a plan, and — when the plan reconfigures
+// and the cooldown has passed — apply it and adopt the target topology. It
+// returns the plan that governed the epoch (never nil on success). Every
+// driver that replays a demand series — the daemon runner and both
+// evaluators — walks the loop through here.
+func (l *Loop) Advance(bps [][]float64) (*Plan, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
+	if err := l.col.ObserveRates(bps); err != nil {
+		return nil, err
+	}
 	observed := l.col.Roll()
 	stats, err := l.pred.Update(observed)
 	if err != nil {
@@ -191,9 +180,11 @@ func (l *Loop) Step() (*Plan, error) {
 		l.current = plan.Target
 		l.reconfigs++
 		l.stages += len(plan.Stages)
+		moved := 0
 		for _, st := range plan.Stages {
-			l.trunksMoved += len(st.Tear) + len(st.Establish)
+			moved += len(st.Tear) + len(st.Establish)
 		}
+		l.trunksMoved += moved
 		l.drainedBpsSeconds += plan.DrainedCapacityBpsSeconds
 		if plan.MinResidualFraction < l.minResidual {
 			l.minResidual = plan.MinResidualFraction
@@ -201,7 +192,7 @@ func (l *Loop) Step() (*Plan, error) {
 		l.lastReconfigEpoch = l.epoch
 		reg.Counter("te_reconfigs_total").Inc()
 		reg.Counter("te_stages_total").Add(int64(len(plan.Stages)))
-		reg.Counter("te_trunks_moved_total").Add(int64(l.trunkDelta(plan)))
+		reg.Counter("te_trunks_moved_total").Add(int64(moved))
 		reg.Gauge("te_drained_capacity_bps_seconds").Set(l.drainedBpsSeconds)
 		reg.Gauge("te_min_residual_capacity_fraction").Set(l.minResidual)
 	} else {
@@ -212,14 +203,6 @@ func (l *Loop) Step() (*Plan, error) {
 	reg.Counter("te_epochs_total").Inc()
 	reg.Gauge("te_predicted_gain").Set(plan.PredictedGain)
 	return plan, nil
-}
-
-func (l *Loop) trunkDelta(plan *Plan) int {
-	n := 0
-	for _, st := range plan.Stages {
-		n += len(st.Tear) + len(st.Establish)
-	}
-	return n
 }
 
 // Current returns a copy of the live logical topology.

@@ -21,10 +21,7 @@ func testLoopConfig() Config {
 // feed integrates one rate matrix and steps the loop.
 func feed(t *testing.T, l *Loop, m [][]float64) *Plan {
 	t.Helper()
-	if err := l.ObserveRates(m); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := l.Step()
+	plan, err := l.Advance(m)
 	if err != nil {
 		t.Fatal(err)
 	}

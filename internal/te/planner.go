@@ -109,9 +109,6 @@ func NewPlanner(cfg PlannerConfig) (*Planner, error) {
 	return &Planner{cfg: cfg.withDefaults()}, nil
 }
 
-// Config returns the planner's effective (defaulted) configuration.
-func (p *Planner) Config() PlannerConfig { return p.cfg }
-
 // Decide engineers a candidate topology for the predicted demand and
 // returns the staged plan, or a held plan when the gain does not clear
 // the hysteresis threshold or the change cannot be staged above the

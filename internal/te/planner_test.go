@@ -99,7 +99,7 @@ func TestPlannerReconfiguresOnSkew(t *testing.T) {
 		t.Errorf("plan costs not populated: %g s, %g bps-s", plan.Seconds, plan.DrainedCapacityBpsSeconds)
 	}
 
-	cfg := p.Config()
+	cfg := p.cfg
 	if len(plan.Stages) == 0 {
 		t.Fatal("reconfiguring plan has no stages")
 	}

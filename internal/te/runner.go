@@ -69,7 +69,7 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 func (r *Runner) Loop() *Loop { return r.loop }
 
 // Run ticks until ctx is cancelled, feeding one trace epoch per tick
-// (wrapping around the trace horizon) and stepping the loop. Step errors
+// (wrapping around the trace horizon) and advancing the loop. Loop errors
 // end the run.
 func (r *Runner) Run(ctx context.Context) error {
 	tick := time.NewTicker(r.interval)
@@ -84,10 +84,7 @@ func (r *Runner) Run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if err := r.loop.ObserveRates(m); err != nil {
-			return err
-		}
-		plan, err := r.loop.Step()
+		plan, err := r.loop.Advance(m)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet bench ledger profile-dcn experiments clean
+.PHONY: check vet lint build test race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn experiments clean
 
 # The gate every change must pass: vet, build everything, race-test the
 # parallel engine under contention, race-test the TE loop (its Loop is
@@ -16,8 +16,10 @@ GO ?= go
 # appenders and the store is shared by three journal sources plus the
 # checkpointer), race-test fleet intake against the store three times over
 # (intents journal concurrently outside Manager.mu, ordered only by their
-# scope reservations, beside a checkpoint loop), then race-test everything.
-check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race-fleet race
+# scope reservations, beside a checkpoint loop), fuzz the FEC transfer
+# chain against its reference bodies for ten seconds, then race-test
+# everything.
+check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke race
 
 race-par:
 	$(GO) test -race ./internal/par/...
@@ -39,6 +41,14 @@ race-wal:
 
 race-fleet:
 	$(GO) test -race -count=3 ./internal/fleet/... ./internal/wal/...
+
+# Ten seconds of coverage-guided inputs through the FEC transfer chain:
+# every stage must match its pre-optimisation reference body bit for bit
+# and the concatenated curve must stay monotone (slice admission compares
+# against a threshold derived from that). A failing input lands in
+# internal/fec/testdata/fuzz/ — commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzConcatenatedTransfer -fuzztime 10s ./internal/fec
 
 # gofmt -l prints unformatted files; any hit fails the target with a
 # readable diagnostic. vet folds in the project analyzer suite (lint):

@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"lightwave/internal/optics"
+	"lightwave/internal/sim"
 )
 
 // FabricAvailability returns the probability that every OCS of the fabric
@@ -92,12 +93,17 @@ func (p PodModel) ReconfigurableSlices(k int) int {
 	if k <= 0 || k > p.Cubes {
 		return 0
 	}
-	pc := p.CubeAvail()
+	return largestQuorum(p.Cubes, p.CubeAvail(), k, p.Target)
+}
+
+// largestQuorum returns the largest m with m·k ≤ n such that at least m·k
+// of n independent units, each up with probability prob, are up with
+// probability ≥ target. n is fixed across the search, so the binomial
+// weights are tabulated once.
+func largestQuorum(n int, prob float64, k int, target float64) int {
+	lnChoose := sim.LogChooseTable(n)
 	m := 0
-	for (m+1)*k <= p.Cubes {
-		if binomialSurvival(p.Cubes, pc, (m+1)*k) < p.Target {
-			break
-		}
+	for (m+1)*k <= n && binomialSurvival(lnChoose, prob, (m+1)*k) >= target {
 		m++
 	}
 	return m
@@ -126,14 +132,7 @@ func (p PodModel) StaticSlices(k int) int {
 	}
 	groups, _ := p.staticGroups(k)
 	pSlice := math.Pow(p.CubeAvail(), float64(k))
-	m := 0
-	for m+1 <= groups {
-		if binomialSurvival(groups, pSlice, m+1) < p.Target {
-			break
-		}
-		m++
-	}
-	return m
+	return largestQuorum(groups, pSlice, 1, p.Target)
 }
 
 // Goodput returns the fraction of the pod's TPUs that can be advertised in
@@ -157,8 +156,10 @@ func (p PodModel) HoldBack() int {
 }
 
 // binomialSurvival returns P(X >= m) for X ~ Binomial(n, prob), computed
-// with log-domain terms for numerical stability.
-func binomialSurvival(n int, prob float64, m int) float64 {
+// with log-domain terms for numerical stability. lnChoose is
+// sim.LogChooseTable(n).
+func binomialSurvival(lnChoose []float64, prob float64, m int) float64 {
+	n := len(lnChoose) - 1
 	if m <= 0 {
 		return 1
 	}
@@ -175,17 +176,10 @@ func binomialSurvival(n int, prob float64, m int) float64 {
 	lq := math.Log1p(-prob)
 	sum := 0.0
 	for i := m; i <= n; i++ {
-		sum += math.Exp(logChoose(n, i) + float64(i)*lp + float64(n-i)*lq)
+		sum += math.Exp(lnChoose[i] + float64(i)*lp + float64(n-i)*lq)
 	}
 	if sum > 1 {
 		sum = 1
 	}
 	return sum
-}
-
-func logChoose(n, k int) float64 {
-	a, _ := math.Lgamma(float64(n + 1))
-	b, _ := math.Lgamma(float64(k + 1))
-	c, _ := math.Lgamma(float64(n - k + 1))
-	return a - b - c
 }

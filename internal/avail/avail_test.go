@@ -179,16 +179,17 @@ func TestSliceSizeBounds(t *testing.T) {
 
 func TestBinomialSurvival(t *testing.T) {
 	// P(X>=1), X~Bin(2, 0.5) = 0.75.
-	if got := binomialSurvival(2, 0.5, 1); math.Abs(got-0.75) > 1e-12 {
+	if got := binomialSurvival(sim.LogChooseTable(2), 0.5, 1); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("got %v", got)
 	}
-	if binomialSurvival(10, 0.5, 0) != 1 {
+	ten := sim.LogChooseTable(10)
+	if binomialSurvival(ten, 0.5, 0) != 1 {
 		t.Error("m=0 should be certain")
 	}
-	if binomialSurvival(10, 0.5, 11) != 0 {
+	if binomialSurvival(ten, 0.5, 11) != 0 {
 		t.Error("m>n should be impossible")
 	}
-	if binomialSurvival(10, 0, 1) != 0 || binomialSurvival(10, 1, 10) != 1 {
+	if binomialSurvival(ten, 0, 1) != 0 || binomialSurvival(ten, 1, 10) != 1 {
 		t.Error("degenerate probabilities wrong")
 	}
 }

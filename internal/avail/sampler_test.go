@@ -117,7 +117,7 @@ func TestStaticRemainderAgainstClosedForm(t *testing.T) {
 		// Closed form: largest m with P(X >= m) >= Target, X ~ Bin(groups, pSlice).
 		pSlice := math.Pow(p.CubeAvail(), float64(tc.k))
 		wantM := 0
-		for wantM+1 <= groups && binomialSurvival(groups, pSlice, wantM+1) >= p.Target {
+		for wantM+1 <= groups && binomialSurvival(sim.LogChooseTable(groups), pSlice, wantM+1) >= p.Target {
 			wantM++
 		}
 		if got := p.StaticSlices(tc.k); got != wantM {

@@ -103,7 +103,7 @@ type Fabric struct {
 	// cube id).
 	portMap map[portKey]ocs.PortID
 
-	rx fecStack
+	rx admission
 
 	metricSlices *telemetry.Counter
 	metricSwaps  *telemetry.Counter
@@ -111,10 +111,22 @@ type Fabric struct {
 	berDetectors map[string]*telemetry.Detector
 }
 
-// fecStack bundles the receiver and FEC models used for budget validation.
-type fecStack struct {
+// maxPostFECBER is the post-FEC bit error ratio a circuit must reach at its
+// delivered power and MPI to be admitted.
+const maxPostFECBER = 1e-12
+
+// admission bundles the models every circuit's budget is validated against.
+// All of it depends on the fabric's configuration alone, so it is built
+// once in New.
+type admission struct {
+	// a and b are the transceivers at the two ends of a cube link.
+	a, b     *optics.Transceiver
 	receiver dsp.Receiver
 	stack    fec.Concatenated
+	// maxBER is stack.MaxInputBER(maxPostFECBER): the FEC transfer curve
+	// is monotone, so "post-FEC BER > maxPostFECBER" is "pre-FEC BER >
+	// maxBER" and the per-circuit check is a comparison.
+	maxBER float64
 }
 
 // New builds the fabric: 48 OCSes (Appendix A wiring) and the installed
@@ -131,11 +143,14 @@ func New(cfg Config) (*Fabric, error) {
 		slices:       make(map[string]*Slice),
 		portMap:      make(map[portKey]ocs.PortID),
 		berDetectors: make(map[string]*telemetry.Detector),
-		rx: fecStack{
+		rx: admission{
+			a:        optics.NewTransceiver(cfg.Transceiver),
+			b:        optics.NewTransceiver(cfg.Transceiver),
 			receiver: dsp.DefaultReceiver(),
 			stack:    fec.NewConcatenated(),
 		},
 	}
+	f.rx.maxBER = f.rx.stack.MaxInputBER(maxPostFECBER)
 	for i := 0; i < topo.NumOCS; i++ {
 		oc := cfg.OCS
 		oc.Seed = cfg.OCS.Seed + uint64(i)*0x9E37
@@ -283,14 +298,21 @@ func (f *Fabric) ComposeSlice(name string, shape topo.Shape, cubes []int) (*Slic
 	reqs := sl.RequiredCircuits()
 
 	// Pre-validate every circuit's optical budget on its target OCS.
-	worst, err := f.validateBudgets(reqs)
+	margins, err := f.validateBudgets(reqs)
 	if err != nil {
 		return nil, err
 	}
 	if err := f.applyCircuits(reqs); err != nil {
 		return nil, err
 	}
+	f.observeMargins(margins)
 
+	worst := 1e9
+	for _, m := range margins {
+		if m < worst {
+			worst = m
+		}
+	}
 	s := &Slice{Name: name, Shape: shape, Cubes: append([]int(nil), cubes...),
 		Circuits: reqs, WorstMarginDB: worst}
 	f.slices[name] = s
@@ -305,47 +327,67 @@ func (f *Fabric) ComposeSlice(name string, shape topo.Shape, cubes []int) (*Slic
 
 // circuitBudget computes one circuit's optical budget on its target OCS
 // through the current port map.
-func (f *Fabric) circuitBudget(a, b *optics.Transceiver, r topo.CircuitReq) (optics.Budget, error) {
+//
+//lwlint:hotpath
+func (f *Fabric) circuitBudget(r topo.CircuitReq) (optics.Budget, error) {
 	sw := f.switches[r.OCS]
 	loss := sw.IntrinsicLossDB(f.PortFor(r.OCS, r.North), f.PortFor(r.OCS, r.South)) + 0.1 // alignment residual allowance
 	rl, err := sw.ReturnLossDB(f.PortFor(r.OCS, r.North))
 	if err != nil {
 		return optics.Budget{}, err
 	}
-	return optics.NewBidiLink(a, b, f.cfg.Circulator, loss, rl, f.cfg.FiberKM).BudgetTowardB()
+	return optics.NewBidiLink(f.rx.a, f.rx.b, f.cfg.Circulator, loss, rl, f.cfg.FiberKM).BudgetTowardB()
 }
 
-// validateBudgets computes each circuit's optical budget and post-FEC BER
-// and returns the worst margin.
-func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) (float64, error) {
-	worst := 1e9
-	a := optics.NewTransceiver(f.cfg.Transceiver)
-	b := optics.NewTransceiver(f.cfg.Transceiver)
-	for _, r := range reqs {
-		bud, err := f.circuitBudget(a, b, r)
+// validateBudgets checks each circuit's optical budget and post-FEC BER
+// and returns the circuits' link margins in request order. Nothing is
+// programmed or recorded here: the caller observes the margins once
+// applyCircuits has accepted the circuits.
+//
+//lwlint:hotpath
+func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) ([]float64, error) {
+	//lwlint:ignore hotalloc one buffer per call; the per-circuit loop below is what stays allocation-free
+	margins := make([]float64, len(reqs))
+	for i, r := range reqs {
+		bud, err := f.circuitBudget(r)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		if bud.MarginDB < f.cfg.SafetyMarginDB {
-			return 0, fmt.Errorf("%w: circuit ocs=%d %d->%d margin %.2f dB",
-				ErrLinkBudget, r.OCS, r.North, r.South, bud.MarginDB)
+			return nil, errMargin(r, bud.MarginDB)
 		}
 		// End-to-end check: post-FEC BER must be clean at the delivered
-		// power with the link's MPI.
-		ber := f.rx.receiver.PostFECBER(bud.RxPowerDBm,
-			dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true}, f.rx.stack)
-		if ber > 1e-12 {
-			return 0, fmt.Errorf("%w: circuit ocs=%d %d->%d post-FEC BER %.2g",
-				ErrLinkBudget, r.OCS, r.North, r.South, ber)
+		// power with the link's MPI. The threshold form decides it; the
+		// transfer curve itself is only evaluated to word a rejection.
+		ber := f.rx.receiver.BER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true})
+		if ber > f.rx.maxBER {
+			return nil, errPostFEC(r, f.rx.stack.Transfer(ber))
 		}
-		if bud.MarginDB < worst {
-			worst = bud.MarginDB
-		}
-		if f.metricMargin != nil {
-			f.metricMargin.Observe(bud.MarginDB)
-		}
+		margins[i] = bud.MarginDB
 	}
-	return worst, nil
+	return margins, nil
+}
+
+func errMargin(r topo.CircuitReq, marginDB float64) error {
+	return fmt.Errorf("%w: circuit ocs=%d %d->%d margin %.2f dB",
+		ErrLinkBudget, r.OCS, r.North, r.South, marginDB)
+}
+
+func errPostFEC(r topo.CircuitReq, postFECBER float64) error {
+	return fmt.Errorf("%w: circuit ocs=%d %d->%d post-FEC BER %.2g",
+		ErrLinkBudget, r.OCS, r.North, r.South, postFECBER)
+}
+
+// observeMargins records the margins of circuits that were validated and
+// then programmed on the link-margin metric, so the distribution only ever
+// holds links the fabric relies on.
+func (f *Fabric) observeMargins(margins []float64) {
+	if f.metricMargin == nil {
+		return
+	}
+	for _, m := range margins {
+		f.metricMargin.Observe(m)
+	}
 }
 
 // refreshWorstMargin recomputes a slice's WorstMarginDB from the circuits
@@ -356,10 +398,8 @@ func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) (float64, error) {
 // validated (and observed on the margin metric) when they were programmed.
 func (f *Fabric) refreshWorstMargin(s *Slice) error {
 	worst := 1e9
-	a := optics.NewTransceiver(f.cfg.Transceiver)
-	b := optics.NewTransceiver(f.cfg.Transceiver)
 	for _, r := range s.Circuits {
-		bud, err := f.circuitBudget(a, b, r)
+		bud, err := f.circuitBudget(r)
 		if err != nil {
 			return err
 		}
@@ -371,20 +411,36 @@ func (f *Fabric) refreshWorstMargin(s *Slice) error {
 	return nil
 }
 
-// applyCircuits groups circuits per OCS and applies them as batch
-// permutations.
+// applyCircuits programs the circuits, one batch permutation per OCS, in
+// OCS id order. It is all-or-nothing across switches: when a switch
+// refuses its batch, every circuit this call established on the switches
+// before it is disconnected again, so a failed compose, reshape, cube swap
+// or link repair leaves no live circuit that no slice owns. (Callers hand
+// it circuits over free ports, so there is nothing displaced to restore.)
 func (f *Fabric) applyCircuits(reqs []topo.CircuitReq) error {
-	perOCS := make(map[topo.OCSID]ocs.Permutation)
+	var perOCS [topo.NumOCS]ocs.Permutation
 	for _, r := range reqs {
-		p := perOCS[r.OCS]
-		if p == nil {
-			p = ocs.Permutation{}
-			perOCS[r.OCS] = p
+		if perOCS[r.OCS] == nil {
+			perOCS[r.OCS] = ocs.Permutation{}
 		}
-		p[f.PortFor(r.OCS, r.North)] = f.PortFor(r.OCS, r.South)
+		perOCS[r.OCS][f.PortFor(r.OCS, r.North)] = f.PortFor(r.OCS, r.South)
 	}
+	var established [topo.NumOCS][]ocs.Circuit
 	for id, p := range perOCS {
-		if _, err := f.switches[id].Apply(p); err != nil {
+		if p == nil {
+			continue
+		}
+		res, err := f.switches[id].Apply(p)
+		established[id] = res.Established
+		if err != nil {
+			for undo := id; undo >= 0; undo-- {
+				for _, c := range established[undo] {
+					// The circuit was connected a moment ago by this call;
+					// the only way Disconnect fails is that something
+					// already dropped it, which is the state wanted.
+					_ = f.switches[undo].Disconnect(c.North)
+				}
+			}
 			return fmt.Errorf("core: programming OCS %d: %w", id, err)
 		}
 	}

@@ -101,12 +101,14 @@ func (f *Fabric) swapCube(name string, old int) (int, error) {
 			delta = append(delta, r)
 		}
 	}
-	if _, err := f.validateBudgets(delta); err != nil {
+	margins, err := f.validateBudgets(delta)
+	if err != nil {
 		return -1, err
 	}
 	if err := f.applyCircuits(delta); err != nil {
 		return -1, err
 	}
+	f.observeMargins(margins)
 
 	f.owner[old] = ""
 	f.owner[replacement] = name
@@ -157,12 +159,14 @@ func (f *Fabric) RepairLink(o topo.OCSID, cube int) (ocs.PortID, error) {
 		}
 	}
 	if len(delta) > 0 {
-		if _, err := f.validateBudgets(delta); err != nil {
+		margins, err := f.validateBudgets(delta)
+		if err != nil {
 			return spare, err
 		}
 		if err := f.applyCircuits(delta); err != nil {
 			return spare, err
 		}
+		f.observeMargins(margins)
 	}
 	for _, s := range moved {
 		if err := f.refreshWorstMargin(s); err != nil {

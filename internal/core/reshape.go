@@ -65,7 +65,8 @@ func (f *Fabric) ReshapeSlice(name string, shape topo.Shape, cubes []int) (*Slic
 	}
 
 	// Validate budgets for the fresh circuits before touching hardware.
-	if _, err := f.validateBudgets(fresh); err != nil {
+	margins, err := f.validateBudgets(fresh)
+	if err != nil {
 		return nil, err
 	}
 
@@ -81,6 +82,7 @@ func (f *Fabric) ReshapeSlice(name string, shape topo.Shape, cubes []int) (*Slic
 	if err := f.applyCircuits(fresh); err != nil {
 		return nil, err
 	}
+	f.observeMargins(margins)
 
 	// Ownership bookkeeping.
 	for _, c := range s.Cubes {

@@ -118,11 +118,12 @@ func (r Receiver) MonteCarloISIBER(rxPowerDBm float64, cfg ISIConfig) MonteCarlo
 	tx := make([]uint8, cfg.Symbols)
 	rxs := make([]float64, cfg.Symbols)
 	prev := uint8(0)
+	rin := r.rinLin()
 	for n := 0; n < cfg.Symbols; n++ {
 		k := uint8(rng.Intn(4))
 		tx[n] = k
 		sig := ch.H0*cur[k] + ch.H1*cur[prev]
-		sigma := r.noiseSigmaA(lv[k], pAvg, MPICondition{MPIDB: NoMPI})
+		sigma := r.noiseSigmaA(lv[k], rin, 0)
 		rxs[n] = sig + sigma*rng.NormFloat64()
 		prev = k
 	}

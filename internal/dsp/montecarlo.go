@@ -73,8 +73,9 @@ func (r Receiver) MonteCarloBER(rxPowerDBm float64, mpi MPICondition, cfg MonteC
 	// Per-level noise sigmas are symbol-independent; precompute so shards
 	// don't redo the math per sample.
 	var sigmas [4]float64
+	rin := r.rinLin()
 	for k := range sigmas {
-		sigmas[k] = r.noiseSigmaA(lv[k], pAvg, MPICondition{MPIDB: NoMPI})
+		sigmas[k] = r.noiseSigmaA(lv[k], rin, 0)
 	}
 	// Waveform synthesis is the hot loop: shard the symbol range across the
 	// worker pool. Each shard draws from its own substream of the caller's

@@ -97,21 +97,26 @@ func (r Receiver) levels(pAvgW float64) [4]float64 {
 	return [4]float64{p0, p0 + d, p0 + 2*d, p3}
 }
 
+// rinLin returns the laser relative intensity noise in linear units (1/Hz).
+func (r Receiver) rinLin() float64 {
+	return math.Pow(10, r.RINdBPerHz/10)
+}
+
 // noiseSigmaA returns the total noise current standard deviation when the
-// received symbol sits at optical power pLevel, for average signal power
-// pAvg and interference condition mpi.
-func (r Receiver) noiseSigmaA(pLevelW, pAvgW float64, mpi MPICondition) float64 {
+// received symbol sits at optical power pLevel. rinLin and the interferer
+// power pIntW (effectiveMPILin × average signal power; 0 on a clean
+// channel) are the same for all four levels of one evaluation, so callers
+// compute them once.
+func (r Receiver) noiseSigmaA(pLevelW, rinLin, pIntW float64) float64 {
 	bw := 0.75 * r.SymbolRateGBd * 1e9 // receiver noise bandwidth, Hz
 	th2 := r.ThermalSigmaA * r.ThermalSigmaA
 	shot2 := 2 * electronCharge * r.ResponsivityAPerW * pLevelW * bw
-	rinLin := math.Pow(10, r.RINdBPerHz/10)
 	i := r.ResponsivityAPerW * pLevelW
 	rin2 := rinLin * i * i * bw
 	// MPI carrier-to-carrier beat noise: σ² = 2·η·R²·P_level·P_int
 	// (signal-spontaneous-style beating of two fields on a square-law
 	// detector).
-	pInt := mpi.effectiveMPILin() * pAvgW
-	mpi2 := 2 * r.PolarizationOverlap * r.ResponsivityAPerW * r.ResponsivityAPerW * pLevelW * pInt
+	mpi2 := 2 * r.PolarizationOverlap * r.ResponsivityAPerW * r.ResponsivityAPerW * pLevelW * pIntW
 	return math.Sqrt(th2 + shot2 + rin2 + mpi2)
 }
 
@@ -123,9 +128,11 @@ func (r Receiver) BER(rxPowerDBm float64, mpi MPICondition) float64 {
 	lv := r.levels(pAvg)
 	d := (lv[3] - lv[0]) / 3 // level spacing in optical power
 	half := r.ResponsivityAPerW * d / 2
+	rin := r.rinLin()
+	pInt := mpi.effectiveMPILin() * pAvg
 	ser := 0.0
 	for k := 0; k < 4; k++ {
-		sigma := r.noiseSigmaA(lv[k], pAvg, mpi)
+		sigma := r.noiseSigmaA(lv[k], rin, pInt)
 		q := fec.QFunc(half / sigma)
 		// Inner levels can err both up and down.
 		if k == 0 || k == 3 {

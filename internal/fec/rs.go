@@ -3,6 +3,8 @@ package fec
 import (
 	"errors"
 	"fmt"
+
+	"lightwave/internal/sim"
 )
 
 // Errors returned by the Reed-Solomon codec.
@@ -20,6 +22,9 @@ type RS struct {
 	n, k int
 	t    int
 	gen  []int // generator polynomial, ascending degree, monic
+	// lnChoose[i] = ln C(n, i): the binomial weights of Transfer's tail
+	// sum, which depend on the code alone.
+	lnChoose []float64
 }
 
 // NewRS builds RS(n, k) over field f. n must not exceed the field's
@@ -28,7 +33,7 @@ func NewRS(f *Field, n, k int) (*RS, error) {
 	if n <= k || k <= 0 || n > f.Size()-1 || (n-k)%2 != 0 {
 		return nil, fmt.Errorf("fec: invalid RS(%d,%d) over GF(%d)", n, k, f.Size())
 	}
-	r := &RS{f: f, n: n, k: k, t: (n - k) / 2}
+	r := &RS{f: f, n: n, k: k, t: (n - k) / 2, lnChoose: sim.LogChooseTable(n)}
 	// g(x) = Π_{i=0}^{2t-1} (x - α^i)
 	r.gen = []int{1}
 	for i := 0; i < n-k; i++ {

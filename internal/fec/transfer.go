@@ -32,7 +32,7 @@ func (r *RS) Transfer(p float64) float64 {
 	lp := math.Log(ps)
 	lq := math.Log1p(-ps)
 	for i := r.t + 1; i <= n; i++ {
-		lt := logChoose(n, i) + float64(i)*lp + float64(n-i)*lq
+		lt := r.lnChoose[i] + float64(i)*lp + float64(n-i)*lq
 		term := math.Exp(lt) * float64(i) / float64(n)
 		sum += term
 		if term < sum*1e-15 && i > r.t+3 {
@@ -45,27 +45,17 @@ func (r *RS) Transfer(p float64) float64 {
 	return sum * bitsPerBadSymbol / m
 }
 
-// logChoose returns ln C(n, k) via lgamma.
-func logChoose(n, k int) float64 {
-	a, _ := math.Lgamma(float64(n + 1))
-	b, _ := math.Lgamma(float64(k + 1))
-	c, _ := math.Lgamma(float64(n - k + 1))
-	return a - b - c
-}
-
 // InnerTransfer models the inner soft-decision code of the concatenated FEC
 // as an effective-SNR gain: an input BER p on the uncoded channel maps to
-// the BER of a channel whose Q-factor is better by GainDB (electrical dB).
-// The default gain is calibrated so the concatenated stack reproduces the
-// paper's 1.6 dB optical sensitivity improvement at the KP4 threshold
-// (Fig 12); the Chase decoder in this package achieves a comparable gain by
-// measurement (see tests).
+// the BER of a channel whose Q-factor is better by the code's net gain
+// (electrical dB). The default gain is calibrated so the concatenated stack
+// reproduces the paper's 1.6 dB optical sensitivity improvement at the KP4
+// threshold (Fig 12); the Chase decoder in this package achieves a
+// comparable gain by measurement (see tests).
 type InnerTransfer struct {
-	// GainDB is the effective electrical SNR gain of the soft inner code.
-	GainDB float64
-	// RatePenaltyDB accounts for the inner code's rate overhead (the same
-	// optical power carries more line bits).
-	RatePenaltyDB float64
+	// qGain is the linear Q-factor gain 10^(net electrical dB / 20), fixed
+	// at construction so Transfer does not redo the Pow per call.
+	qGain float64
 }
 
 // DefaultInner returns the calibrated inner-code transfer. A d_min=4 code
@@ -74,7 +64,11 @@ type InnerTransfer struct {
 // after rate penalty is ≈ 3.2 electrical dB, which corresponds to ≈ 1.6
 // optical dB for an intensity-modulated direct-detection link.
 func DefaultInner() InnerTransfer {
-	return InnerTransfer{GainDB: 3.6, RatePenaltyDB: 0.4}
+	// gainDB is the effective electrical SNR gain of the soft inner code;
+	// ratePenaltyDB accounts for its rate overhead (the same optical power
+	// carries more line bits).
+	gainDB, ratePenaltyDB := 3.6, 0.4
+	return InnerTransfer{qGain: math.Pow(10, (gainDB-ratePenaltyDB)/20)}
 }
 
 // Transfer maps input BER to output BER.
@@ -85,9 +79,7 @@ func (it InnerTransfer) Transfer(p float64) float64 {
 	if p >= 0.5 {
 		return 0.5
 	}
-	q := QInv(p)
-	gain := math.Pow(10, (it.GainDB-it.RatePenaltyDB)/20)
-	return QFunc(q * gain)
+	return QFunc(QInv(p) * it.qGain)
 }
 
 // Concatenated is the full receive-side FEC stack: inner soft code then
@@ -108,13 +100,44 @@ func (c Concatenated) Transfer(p float64) float64 {
 	return c.Outer.Transfer(c.Inner.Transfer(p))
 }
 
+// MaxInputBER returns the admission threshold for a post-FEC target: the
+// largest channel BER p in [0, 0.5] the bisection can find with
+// Transfer(p) ≤ target. Transfer is monotone (on its steep waterfall,
+// where any useful target sits, float rounding moves the output by far less
+// than one input ULP does), so "Transfer(p) > target" and
+// "p > MaxInputBER(target)" are the same predicate and a caller checking
+// many links against one target pays for the transfer curve once. The
+// bisection runs to its float fixed point: the returned p and the next
+// float above it straddle the target. An input so clean that the model
+// underflows to NaN counts as passing, as it does under a "> target" test.
+func (c Concatenated) MaxInputBER(target float64) float64 {
+	lo, hi := 0.0, 0.5 // Transfer(lo) ≤ target < Transfer(hi)
+	if c.Transfer(hi) <= target {
+		return hi
+	}
+	for {
+		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			return lo
+		}
+		if c.Transfer(mid) > target {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+}
+
 // QFunc is the Gaussian tail probability Q(x) = P(N(0,1) > x).
 func QFunc(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
 }
 
 // QInv inverts QFunc by bisection; it is exact enough for BER work
-// (|error| < 1e-12 in x) over p ∈ (0, 0.5).
+// (|error| < 1e-12 in x) over p ∈ (0, 0.5). The bisection stops at its
+// float fixed point — once mid lands on an endpoint no later round can move
+// either one — which the 40-wide bracket reaches in ~55 rounds (112 for p
+// one ULP under 0.5), where the fixed 200 it used to run ended too.
 func QInv(p float64) float64 {
 	if p <= 0 {
 		return math.Inf(1)
@@ -123,13 +146,15 @@ func QInv(p float64) float64 {
 		return 0
 	}
 	lo, hi := 0.0, 40.0
-	for i := 0; i < 200; i++ {
+	for {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			return mid
+		}
 		if QFunc(mid) > p {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return (lo + hi) / 2
 }

@@ -107,12 +107,19 @@ func TestConcatenatedExtendsThreshold(t *testing.T) {
 }
 
 func TestLogChoose(t *testing.T) {
-	// C(5,2) = 10.
-	if got := math.Exp(logChoose(5, 2)); math.Abs(got-10) > 1e-9 {
-		t.Errorf("C(5,2) = %v", got)
+	// The code's table holds the same floats the per-term lgamma
+	// expression produced.
+	rs := NewKP4()
+	if len(rs.lnChoose) != rs.n+1 {
+		t.Fatalf("table has %d entries, want %d", len(rs.lnChoose), rs.n+1)
+	}
+	for i, got := range rs.lnChoose {
+		if want := refLogChoose(rs.n, i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ln C(%d,%d) = %v, want %v", rs.n, i, got, want)
+		}
 	}
 	// C(544,15) computed without overflow.
-	if v := logChoose(544, 15); math.IsInf(v, 0) || math.IsNaN(v) {
-		t.Error("logChoose overflow")
+	if v := rs.lnChoose[15]; math.IsInf(v, 0) || math.IsNaN(v) {
+		t.Error("ln C(544,15) overflow")
 	}
 }

@@ -9,8 +9,9 @@ import (
 
 // AnalyzerHotalloc enforces the 0-allocs/op contracts. Functions whose
 // doc comment carries the //lwlint:hotpath marker (chaos trunk
-// bookkeeping, the ctlrpc wirefast codec, the dcn flow-sim event loop)
-// are steady-state paths whose benchmarks assert 0 allocs/op; this
+// bookkeeping, the ctlrpc wirefast codec, the dcn flow-sim event loop,
+// core's per-circuit admission) are steady-state paths whose benchmarks
+// assert 0 allocs/op or report allocations per operation; this
 // analyzer rejects the construct classes that silently reintroduce
 // allocation: fmt calls, map/slice literals and makes, closures
 // capturing variables, non-constant string concatenation, and

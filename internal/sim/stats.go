@@ -119,3 +119,19 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
+
+// LogChooseTable returns ln C(n, k) for k = 0..n, each entry the lgamma
+// expression lnΓ(n+1) − lnΓ(k+1) − lnΓ(n−k+1). A log-domain binomial tail
+// over a fixed n (the RS(n,k) transfer curve, the k-of-n availability sums)
+// builds the table once instead of paying three Lgamma calls per term.
+func LogChooseTable(n int) []float64 {
+	lg := make([]float64, n+1) // lg[j] = lnΓ(j+1) = ln j!
+	for j := range lg {
+		lg[j], _ = math.Lgamma(float64(j + 1))
+	}
+	t := make([]float64, n+1)
+	for k := range t {
+		t[k] = lg[n] - lg[k] - lg[n-k]
+	}
+	return t
+}

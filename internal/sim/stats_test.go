@@ -133,3 +133,34 @@ func TestMean(t *testing.T) {
 		t.Error("Mean(nil) should be NaN")
 	}
 }
+
+func TestLogChooseTable(t *testing.T) {
+	// Row 5 of Pascal's triangle.
+	for k, want := range []float64{1, 5, 10, 10, 5, 1} {
+		if got := math.Exp(LogChooseTable(5)[k]); math.Abs(got-want) > 1e-9 {
+			t.Errorf("C(5,%d) = %v, want %v", k, got, want)
+		}
+	}
+	// Every entry is the three-Lgamma expression, bit for bit, and large
+	// rows stay finite (C(544,272) overflows float64 outside the log
+	// domain).
+	const n = 544
+	tab := LogChooseTable(n)
+	if len(tab) != n+1 {
+		t.Fatalf("len = %d, want %d", len(tab), n+1)
+	}
+	for k, got := range tab {
+		a, _ := math.Lgamma(float64(n + 1))
+		b, _ := math.Lgamma(float64(k + 1))
+		c, _ := math.Lgamma(float64(n - k + 1))
+		if want := a - b - c; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ln C(%d,%d) = %v, want %v", n, k, got, want)
+		}
+		if math.IsInf(got, 0) || math.IsNaN(got) {
+			t.Fatalf("ln C(%d,%d) = %v", n, k, got)
+		}
+	}
+	if got := LogChooseTable(0); len(got) != 1 || got[0] != 0 {
+		t.Errorf("LogChooseTable(0) = %v, want [0]", got)
+	}
+}

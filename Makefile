@@ -16,8 +16,8 @@ GO ?= go
 # appenders and the store is shared by three journal sources plus the
 # checkpointer), race-test fleet intake against the store three times over
 # (intents journal concurrently outside Manager.mu, ordered only by their
-# scope reservations, beside a checkpoint loop), fuzz the FEC transfer
-# chain against its reference bodies for ten seconds, then race-test
+# scope reservations, beside a checkpoint loop), fuzz every Fuzz* target
+# against its reference bodies for ten seconds each, then race-test
 # everything.
 check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke race
 
@@ -42,13 +42,21 @@ race-wal:
 race-fleet:
 	$(GO) test -race -count=3 ./internal/fleet/... ./internal/wal/...
 
-# Ten seconds of coverage-guided inputs through the FEC transfer chain:
-# every stage must match its pre-optimisation reference body bit for bit
-# and the concatenated curve must stay monotone (slice admission compares
-# against a threshold derived from that). A failing input lands in
-# internal/fec/testdata/fuzz/ — commit it with the fix.
+# Ten seconds of coverage-guided inputs through every Fuzz* target in the
+# tree (`go test -list` finds them, so a new one needs no line here). Each
+# is a differential against pre-optimisation reference bodies kept in its
+# package's reference_test.go: the FEC transfer chain (bit for bit, and the
+# concatenated curve stays monotone — slice admission compares against a
+# threshold derived from it) and sched.Pod placement (every cube's state
+# and owner after each operation). A failing input lands in the package's
+# testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzConcatenatedTransfer -fuzztime 10s ./internal/fec
+	@set -e; $(GO) test -list '^Fuzz' ./... | \
+	awk '/^Fuzz/ { t[++n] = $$1 } /^ok/ { for (i = 1; i <= n; i++) print $$2, t[i]; n = 0 }' | \
+	while read -r pkg target; do \
+		echo "fuzz-smoke: $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 10s $$pkg; \
+	done
 
 # gofmt -l prints unformatted files; any hit fails the target with a
 # readable diagnostic. vet folds in the project analyzer suite (lint):

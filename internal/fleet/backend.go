@@ -117,17 +117,9 @@ func sameCubes(a, b []int) bool {
 // place picks cubes for a new slice by mirroring the fabric's free-cube set
 // into a sched.Pod and running the placement policy over it.
 func (b *FabricBackend) place(name string, n int) ([]int, error) {
-	free := make(map[int]bool)
-	for _, c := range b.f.FreeCubes() {
-		free[c] = true
-	}
-	mirror := sched.FullPod()
-	for c := 0; c < mirror.Cubes(); c++ {
-		if !free[c] {
-			if _, _, err := mirror.Fail(c); err != nil {
-				return nil, err
-			}
-		}
+	mirror, err := sched.FullPodWithFree(b.f.FreeCubes())
+	if err != nil {
+		return nil, err
 	}
 	b.nextJob++
 	cubes, err := b.placer.Place(mirror, b.nextJob, n)

@@ -1,6 +1,9 @@
 package sched
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // BenchmarkSchedulerHotPath measures the steady-state submit/advance cycle
 // (mirror-only): one 1-cube job arrives per virtual second with a 50s
@@ -71,5 +74,49 @@ func BenchmarkPlacementDecision(b *testing.B) {
 				p.Release(1000)
 			}
 		})
+	}
+}
+
+// BenchmarkSimulatePass is the offline stage of the ledger's sim_sched
+// workload (bench/simload.go): the three placers over the reference stream
+// at a 20 000 s horizon.
+func BenchmarkSimulatePass(b *testing.B) {
+	mix, cfg := ProductionMix(), ReferenceConfig()
+	cfg.Duration = 20000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		migrations := 0
+		for _, placer := range []Placer{Reconfigurable{}, Contiguous{}, ContiguousWithDefrag{Migrations: &migrations}} {
+			if _, err := Simulate(FullPod(), placer, mix, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestPlaceAllocations is the allocation guard on the placement decision:
+// a refusal allocates nothing (its wording is deferred to Error), an
+// acceptance exactly the cube list it returns.
+func TestPlaceAllocations(t *testing.T) {
+	for _, placer := range []Placer{Reconfigurable{}, Contiguous{}} {
+		p := checkerboard(t) // 32 free cubes, no two adjacent
+		ask := 40
+		if placer == (Contiguous{}) {
+			ask = 8 // walks every 8-cube box in the table
+		}
+		var err error
+		if n := testing.AllocsPerRun(100, func() { _, err = placer.Place(p, 7, ask) }); n != 0 || !errors.Is(err, ErrNotPlaced) {
+			t.Errorf("%s: refused Place allocated %v times (err %v), want 0", placer.Name(), n, err)
+		}
+		empty := FullPod()
+		if n := testing.AllocsPerRun(100, func() {
+			var ids []int
+			ids, err = placer.Place(empty, 7, 8)
+			for _, c := range ids {
+				empty.setFree(c)
+			}
+		}); n != 1 || err != nil {
+			t.Errorf("%s: accepted Place allocated %v times (err %v), want 1", placer.Name(), n, err)
+		}
 	}
 }

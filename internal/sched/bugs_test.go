@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"testing"
 
 	"lightwave/internal/sim"
@@ -83,10 +84,10 @@ func TestDefragmentUnmovableJobDoesNotCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.allocate([]int{1, 5}, 1); err != nil {
+	if err := p.Occupy(1, []int{1, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.allocate([]int{0, 2}, 2); err != nil {
+	if err := p.Occupy(2, []int{0, 2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []int{3, 4} {
@@ -207,5 +208,58 @@ func TestSimulateDeterministicAcrossReruns(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("same seed, different stats:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestSubmitRejectsUnboxableSize is the regression test for the wedged
+// contiguous queue: a 4×4×4 grid has no axis-aligned box of 5 (or 7, 10,
+// …) cubes, so such a job can never start, and six of them used to fill
+// the default backfill window and pin every later job behind them.
+func TestSubmitRejectsUnboxableSize(t *testing.T) {
+	for _, placer := range []Placer{Contiguous{}, ContiguousWithDefrag{}} {
+		j := &recordingJournal{}
+		s, err := NewScheduler(SchedulerConfig{Pods: []string{"pod0"}, Placer: placer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetJournal(j)
+		for i := 0; i < 6; i++ {
+			if _, _, err := s.Submit(JobSpec{Cubes: 5, DurationSeconds: 10}); !errors.Is(err, ErrNoBox) {
+				t.Fatalf("%s: Submit of an un-boxable size = %v, want ErrNoBox", placer.Name(), err)
+			}
+		}
+		if len(j.entries) != 0 {
+			t.Fatalf("%s: rejected submits were journaled: %+v", placer.Name(), j.entries)
+		}
+		if _, placed, err := s.Submit(JobSpec{Cubes: 1, DurationSeconds: 10}); err != nil || !placed {
+			t.Fatalf("%s: 1-cube submit on an empty pod = (%v, %v)", placer.Name(), placed, err)
+		}
+		if err := s.AdvanceTo(1e6); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.QueueDepth != 0 || st.Started != 1 || st.Completed != 1 {
+			t.Fatalf("%s: stats %+v, want the one placeable job run to completion", placer.Name(), st)
+		}
+	}
+	// The reconfigurable fabric composes any cube count.
+	s, err := NewScheduler(SchedulerConfig{Pods: []string{"pod0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, placed, err := s.Submit(JobSpec{Cubes: 5, DurationSeconds: 10}); err != nil || !placed {
+		t.Fatalf("reconfigurable 5-cube submit = (%v, %v)", placed, err)
+	}
+}
+
+// TestOccupyRejectsDuplicateCube: a cube listed twice (a damaged snapshot
+// through ImportState) used to pass the all-free check and leave a job
+// holding fewer cubes than its spec says.
+func TestOccupyRejectsDuplicateCube(t *testing.T) {
+	p := FullPod()
+	if err := p.Occupy(1, []int{3, 3}); !errors.Is(err, ErrBadCube) {
+		t.Fatalf("Occupy with cube 3 twice = %v, want ErrBadCube", err)
+	}
+	if p.FreeCubes() != 64 {
+		t.Fatalf("%d free cubes after a rejected Occupy, want 64", p.FreeCubes())
 	}
 }

@@ -1,6 +1,9 @@
 package sched
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Defragmentation (§4.2.4: "the scheduler is able to defragment the pods
 // more effectively"). A contiguous-placement pod fragments as jobs come
@@ -35,85 +38,68 @@ type DefragResult struct {
 // fabric needs and a reconfigurable one does not. It returns the migration
 // cost. Failed cubes stay where they are.
 //
-// The pass is planned on a scratch copy so the pod is only ever committed
+// The pass is planned on scratch masks so the pod is only ever committed
 // to a consistent single-owner assignment: a job that cannot be re-boxed is
 // pinned to its original cubes and planning restarts around the pin, rather
 // than force-restoring cubes an earlier-placed job may already hold.
 func (p *Pod) Defragment() DefragResult {
-	// Snapshot jobs and their sizes.
-	sizes := map[int]int{}
-	before := map[int]map[int]bool{}
-	for c := range p.state {
-		if p.state[c] == Busy {
-			j := p.owner[c]
-			sizes[j]++
-			if before[j] == nil {
-				before[j] = map[int]bool{}
-			}
-			before[j][c] = true
-		}
+	// Snapshot the running jobs as cube masks, largest first.
+	type plan struct {
+		job           int
+		before, after uint64
 	}
-	jobs := make([]int, 0, len(sizes))
-	for j := range sizes {
+	var jobs []plan
+	for m := p.busy; m != 0; {
+		j := plan{job: p.owner[bits.TrailingZeros64(m)]}
+		j.before = p.jobMask(j.job)
 		jobs = append(jobs, j)
+		m &^= j.before
 	}
 	sort.Slice(jobs, func(i, k int) bool {
-		if sizes[jobs[i]] != sizes[jobs[k]] {
-			return sizes[jobs[i]] > sizes[jobs[k]]
+		if a, b := bits.OnesCount64(jobs[i].before), bits.OnesCount64(jobs[k].before); a != b {
+			return a > b
 		}
-		return jobs[i] < jobs[k]
+		return jobs[i].job < jobs[k].job
 	})
 
-	// Plan on a scratch pod. Each failed attempt pins at least one more
-	// job, so the loop runs at most len(jobs)+1 times; in the worst case
-	// every job is pinned and the plan is the original assignment.
-	pinned := map[int]bool{}
-	var scratch *Pod
-	placer := Contiguous{}
+	// Plan on a scratch free mask. Each failed attempt pins at least one
+	// more job, so the loop runs at most len(jobs)+1 times; in the worst
+	// case every job is pinned and the plan is the original assignment.
+	var res DefragResult
+	pinned := uint64(0)
 plan:
 	for {
-		scratch = p.clone()
-		for c := range scratch.state {
-			if scratch.state[c] == Busy && !pinned[scratch.owner[c]] {
-				scratch.state[c] = Free
-				scratch.owner[c] = -1
-			}
-		}
-		for _, j := range jobs {
-			if pinned[j] {
+		free := p.free | p.busy&^pinned
+		for i := range jobs {
+			j := &jobs[i]
+			if j.before&pinned != 0 {
 				continue
 			}
-			if _, err := placer.Place(scratch, j, sizes[j]); err != nil {
-				pinned[j] = true
+			j.after = firstFit(free, p.boxes[bits.OnesCount64(j.before)])
+			if j.after == 0 {
+				j.after = j.before // pinned where it stands
+				pinned |= j.before
+				res.Unmovable++
 				continue plan
 			}
+			free &^= j.after
 		}
 		break
 	}
-	copy(p.state, scratch.state)
-	copy(p.owner, scratch.owner)
 
-	after := map[int][]int{}
-	for c := range p.state {
-		if p.state[c] == Busy {
-			after[p.owner[c]] = append(after[p.owner[c]], c)
-		}
-	}
-	res := DefragResult{Unmovable: len(pinned)}
+	// Commit: lift every job that moves, then set each down on its new box.
 	for _, j := range jobs {
-		if pinned[j] {
-			continue
-		}
-		moved := 0
-		for _, c := range after[j] {
-			if !before[j][c] {
-				moved++
+		if j.after != j.before {
+			for m := j.before; m != 0; m &= m - 1 {
+				p.setFree(bits.TrailingZeros64(m))
 			}
 		}
-		if moved > 0 {
+	}
+	for _, j := range jobs {
+		if j.after != j.before {
 			res.Jobs++
-			res.MigratedCubes += moved
-			res.Moves = append(res.Moves, JobMove{Job: j, Cubes: after[j]})
+			res.MigratedCubes += bits.OnesCount64(j.after &^ j.before)
+			res.Moves = append(res.Moves, JobMove{Job: j.job, Cubes: p.take(j.after, j.job)})
 		}
 	}
 	sort.Slice(res.Moves, func(i, k int) bool { return res.Moves[i].Job < res.Moves[k].Job })

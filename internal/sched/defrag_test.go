@@ -1,6 +1,11 @@
 package sched
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"lightwave/internal/sim"
+)
 
 // checkerboard fills the pod with 1-cube jobs and releases alternating
 // positions, producing maximal fragmentation.
@@ -136,5 +141,73 @@ func TestDefragVsReconfigurableUtilization(t *testing.T) {
 	if reconf.Utilization < defrag.Utilization-0.01 {
 		t.Fatalf("reconfigurable %.3f should match or beat defrag %.3f without migrations",
 			reconf.Utilization, defrag.Utilization)
+	}
+}
+
+// TestDefragmentIdempotent is half of the Placer contract the scheduler's
+// refused-size skip rests on: compacting a compacted pod moves nothing and
+// leaves every cube as it was — pinned jobs included, since each planning
+// round sees the same pins on the same cubes as the pass before.
+func TestDefragmentIdempotent(t *testing.T) {
+	rng := sim.NewRand(21)
+	for _, grid := range [][3]int{{4, 4, 4}, {1, 1, 8}, {2, 3, 5}, {8, 8, 1}} {
+		p, err := NewPod(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pins := 0
+		for step := 0; step < 300; step++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				// Scattered cubes, so compaction has work and pins to make.
+				_, _ = Reconfigurable{}.Place(p, step, 1+rng.Intn(4))
+			case 2:
+				p.Release(rng.Intn(step + 1))
+			case 3:
+				if c := rng.Intn(p.Cubes()); p.State(c) == Failed {
+					_ = p.Repair(c)
+				} else if job, wasBusy, _ := p.Fail(c); wasBusy {
+					p.Release(job)
+				}
+			}
+			first := p.Defragment()
+			pins += first.Unmovable
+			state := append([]CubeState(nil), p.state...)
+			owner := append([]int(nil), p.owner...)
+			free, busy := p.free, p.busy
+			second := p.Defragment()
+			if second.MigratedCubes != 0 || second.Jobs != 0 || len(second.Moves) != 0 || second.Unmovable != first.Unmovable {
+				t.Fatalf("grid %v step %d: second pass %+v after first %+v", grid, step, second, first)
+			}
+			if !reflect.DeepEqual(p.state, state) || !reflect.DeepEqual(p.owner, owner) || p.free != free || p.busy != busy {
+				t.Fatalf("grid %v step %d: second pass changed the pod", grid, step)
+			}
+		}
+		if grid[0] == 1 && pins == 0 {
+			t.Fatalf("grid %v: no pass pinned a job; the pinned case is untested", grid)
+		}
+	}
+}
+
+// TestPlaceVerdictIgnoresJobAndHistory is the other half: what a built-in
+// policy answers depends on the pod's state and the cube count only, and a
+// refusal by Reconfigurable or Contiguous leaves the pod untouched.
+func TestPlaceVerdictIgnoresJobAndHistory(t *testing.T) {
+	for _, placer := range []Placer{Reconfigurable{}, Contiguous{}, ContiguousWithDefrag{}} {
+		a, b := checkerboard(t), checkerboard(t)
+		for _, size := range []int{40, 8, 3, 1, 40} {
+			// b is asked twice as often, under other job ids.
+			if _, err := placer.Place(b, 5000+size, 64); err == nil {
+				t.Fatalf("%s placed 64 cubes on a half-full pod", placer.Name())
+			}
+			ga, ea := placer.Place(a, 1000+size, size)
+			gb, eb := placer.Place(b, 2000+size, size)
+			if !reflect.DeepEqual(ga, gb) || (ea == nil) != (eb == nil) {
+				t.Fatalf("%s size %d: (%v, %v) vs (%v, %v)", placer.Name(), size, ga, ea, gb, eb)
+			}
+			if !reflect.DeepEqual(a.state, b.state) || a.free != b.free {
+				t.Fatalf("%s size %d: pods diverged", placer.Name(), size)
+			}
+		}
 	}
 }

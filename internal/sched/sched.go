@@ -11,6 +11,8 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 )
 
 // CubeState is the state of one elemental cube.
@@ -24,20 +26,27 @@ const (
 )
 
 // Pod tracks cube occupancy. The physical layout is a 4×4×4 grid of cubes
-// (the full pod), which only matters to the contiguous policy.
+// (the full pod), which only matters to the contiguous policy. A pod holds
+// at most 64 cubes, so occupancy is also kept as two bitboards — bit c of
+// free (busy) is set exactly when state[c] is Free (Busy) — and placement
+// is a mask compare.
 type Pod struct {
-	Grid  [3]int // cubes per physical dimension
-	state []CubeState
-	owner []int // job id per cube, -1 when free
+	Grid       [3]int // cubes per physical dimension
+	state      []CubeState
+	owner      []int // job id per cube, -1 when free
+	free, busy uint64
+	boxes      boxTable
 }
 
-// NewPod returns an all-free pod with the given cube grid.
+// NewPod returns an all-free pod with the given cube grid, which may hold
+// at most 64 cubes (the paper's pod, and topo.NewPod's cap).
 func NewPod(grid [3]int) (*Pod, error) {
 	n := grid[0] * grid[1] * grid[2]
-	if n <= 0 {
+	if grid[0] <= 0 || grid[1] <= 0 || grid[2] <= 0 || n > 64 {
 		return nil, fmt.Errorf("sched: invalid grid %v", grid)
 	}
-	p := &Pod{Grid: grid, state: make([]CubeState, n), owner: make([]int, n)}
+	p := &Pod{Grid: grid, state: make([]CubeState, n), owner: make([]int, n), boxes: boxTableFor(grid)}
+	p.free = ^uint64(0) >> (64 - n)
 	for i := range p.owner {
 		p.owner[i] = -1
 	}
@@ -53,30 +62,32 @@ func FullPod() *Pod {
 	return p
 }
 
+// FullPodWithFree returns the production pod with exactly the listed cubes
+// free and every other cube out of service (failed) — a mirror of a live
+// fabric's free-cube set to run a Placer over.
+func FullPodWithFree(free []int) (*Pod, error) {
+	p := FullPod()
+	p.free = 0
+	for c := range p.state {
+		p.state[c] = Failed
+	}
+	for _, c := range free {
+		if c < 0 || c >= len(p.state) {
+			return nil, ErrBadCube
+		}
+		p.setFree(c)
+	}
+	return p, nil
+}
+
 // Cubes returns the total cube count.
 func (p *Pod) Cubes() int { return len(p.state) }
 
 // FreeCubes returns the number of free cubes.
-func (p *Pod) FreeCubes() int {
-	n := 0
-	for _, s := range p.state {
-		if s == Free {
-			n++
-		}
-	}
-	return n
-}
+func (p *Pod) FreeCubes() int { return bits.OnesCount64(p.free) }
 
 // BusyCubes returns the number of allocated cubes.
-func (p *Pod) BusyCubes() int {
-	n := 0
-	for _, s := range p.state {
-		if s == Busy {
-			n++
-		}
-	}
-	return n
-}
+func (p *Pod) BusyCubes() int { return bits.OnesCount64(p.busy) }
 
 // index maps a grid coordinate to a cube id.
 func (p *Pod) index(x, y, z int) int {
@@ -90,38 +101,73 @@ var (
 	ErrNotOwner  = errors.New("sched: cube not owned by job")
 )
 
-// allocate marks the cubes busy for job id.
-func (p *Pod) allocate(cubes []int, job int) error {
+// cubesOf lists the cubes of a mask, ascending (nil for none).
+func cubesOf(mask uint64) []int {
+	if mask == 0 {
+		return nil
+	}
+	ids := make([]int, 0, bits.OnesCount64(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		ids = append(ids, bits.TrailingZeros64(mask))
+	}
+	return ids
+}
+
+// take marks the cubes of mask, all free, busy for job and returns their
+// ids ascending.
+func (p *Pod) take(mask uint64, job int) []int {
+	p.free &^= mask
+	p.busy |= mask
+	ids := cubesOf(mask)
+	for _, c := range ids {
+		p.state[c], p.owner[c] = Busy, job
+	}
+	return ids
+}
+
+// jobMask returns the cubes owned by a job.
+func (p *Pod) jobMask(job int) uint64 {
+	var mask uint64
+	for m := p.busy; m != 0; m &= m - 1 {
+		if c := bits.TrailingZeros64(m); p.owner[c] == job {
+			mask |= 1 << c
+		}
+	}
+	return mask
+}
+
+// Occupy marks the given cubes busy for a job — state import uses it to
+// rebuild a mirror from a snapshot. Every cube must be free, and a cube
+// listed twice is not free the second time.
+func (p *Pod) Occupy(job int, cubes []int) error {
+	var mask uint64
 	for _, c := range cubes {
 		if c < 0 || c >= len(p.state) {
 			return ErrBadCube
 		}
-		if p.state[c] != Free {
+		if (p.free&^mask)&(1<<c) == 0 {
 			return fmt.Errorf("%w: cube %d not free", ErrBadCube, c)
 		}
+		mask |= 1 << c
 	}
-	for _, c := range cubes {
-		p.state[c] = Busy
-		p.owner[c] = job
-	}
+	p.take(mask, job)
 	return nil
 }
 
-// Occupy marks the given cubes busy for a job — state import uses it to
-// rebuild a mirror from a snapshot. Every cube must be free.
-func (p *Pod) Occupy(job int, cubes []int) error { return p.allocate(cubes, job) }
-
 // Release frees every cube owned by job and returns them.
 func (p *Pod) Release(job int) []int {
-	var freed []int
-	for c := range p.state {
-		if p.owner[c] == job {
-			p.state[c] = Free
-			p.owner[c] = -1
-			freed = append(freed, c)
-		}
+	freed := cubesOf(p.jobMask(job))
+	for _, c := range freed {
+		p.setFree(c)
 	}
 	return freed
+}
+
+// setFree returns a busy or failed cube to the free set.
+func (p *Pod) setFree(c int) {
+	p.state[c], p.owner[c] = Free, -1
+	p.busy &^= 1 << c
+	p.free |= 1 << c
 }
 
 // State returns the state of one cube; out-of-range cubes report Failed so
@@ -134,24 +180,7 @@ func (p *Pod) State(cube int) CubeState {
 }
 
 // JobCubes returns the cubes owned by a job, ascending.
-func (p *Pod) JobCubes(job int) []int {
-	var cubes []int
-	for c := range p.state {
-		if p.owner[c] == job {
-			cubes = append(cubes, c)
-		}
-	}
-	return cubes
-}
-
-// clone copies the pod's occupancy state (for scratch planning).
-func (p *Pod) clone() *Pod {
-	return &Pod{
-		Grid:  p.Grid,
-		state: append([]CubeState(nil), p.state...),
-		owner: append([]int(nil), p.owner...),
-	}
-}
+func (p *Pod) JobCubes(job int) []int { return cubesOf(p.jobMask(job)) }
 
 // Fail marks a cube failed. If it was busy, the owning job id is returned.
 // Failing an already-failed cube is an idempotent no-op — there is no owner
@@ -166,8 +195,9 @@ func (p *Pod) Fail(cube int) (job int, wasBusy bool, err error) {
 	}
 	job = p.owner[cube]
 	wasBusy = p.state[cube] == Busy
-	p.state[cube] = Failed
-	p.owner[cube] = -1
+	p.state[cube], p.owner[cube] = Failed, -1
+	p.free &^= 1 << cube
+	p.busy &^= 1 << cube
 	return job, wasBusy, nil
 }
 
@@ -179,31 +209,67 @@ func (p *Pod) Repair(cube int) error {
 	if p.state[cube] != Failed {
 		return fmt.Errorf("%w: cube %d not failed", ErrBadCube, cube)
 	}
-	p.state[cube] = Free
+	p.setFree(cube)
 	return nil
 }
 
 // SwapCube replaces a failed cube of a job with a free one (only possible
 // on the reconfigurable fabric). It returns the replacement cube.
 func (p *Pod) SwapCube(job int) (int, error) {
-	for c := range p.state {
-		if p.state[c] == Free {
-			p.state[c] = Busy
-			p.owner[c] = job
-			return c, nil
-		}
+	if p.free == 0 {
+		return 0, ErrNotPlaced
 	}
-	return 0, ErrNotPlaced
+	return p.take(p.free&-p.free, job)[0], nil
 }
 
-// Placer decides which cubes a job occupies.
+// Placer decides which cubes a job occupies. The scheduler's queue scan
+// skips a size the unchanged pods have just refused, which holds a policy
+// (the built-in ones, and any custom one) to two rules: the verdict and the
+// cubes chosen are a function of the pod's state and the cube count alone —
+// not of the job id, the clock or earlier calls — and a refusal leaves the
+// pod as it was or, for a compacting policy, compacted so that the same ask
+// is refused again without further change (Defragment is idempotent).
 type Placer interface {
 	// Place returns the cube ids for a job needing the given cube count,
-	// or ErrNotPlaced.
+	// or an error that unwraps to ErrNotPlaced.
 	Place(p *Pod, job, cubes int) ([]int, error)
 	// Name identifies the policy.
 	Name() string
 }
+
+// refusal is a Place verdict of "no": need cubes asked for and free of them
+// available, or free < 0 when the pod has cubes enough but no free box of
+// that volume. It is worded only when someone reads it, and every refusal a
+// pod can produce is built at start-up — the scheduler asks far more often
+// than it reports, so refusing neither formats nor allocates.
+type refusal struct{ need, free int }
+
+var refusals [65][66]refusal // [need][free+1]
+
+func init() {
+	for need := range refusals {
+		for i := range refusals[need] {
+			refusals[need][i] = refusal{need, i - 1}
+		}
+	}
+}
+
+func refuse(need, free int) error {
+	if need >= len(refusals) {
+		return &refusal{need, free}
+	}
+	return &refusals[need][free+1]
+}
+
+func (e *refusal) Error() string {
+	if e.free < 0 {
+		return fmt.Sprintf("%v: no free %d-cube box", ErrNotPlaced, e.need)
+	}
+	return fmt.Sprintf("%v: need %d cubes, %d free", ErrNotPlaced, e.need, e.free)
+}
+
+//lwlint:ignore deadexport errors.Is and errors.Unwrap reach it through an interface declared inside a function body
+func (e *refusal) Unwrap() error { return ErrNotPlaced }
 
 // Reconfigurable places a job on any free cubes: the lightwave fabric
 // connects them regardless of physical position.
@@ -212,24 +278,19 @@ type Reconfigurable struct{}
 // Name implements Placer.
 func (Reconfigurable) Name() string { return "reconfigurable" }
 
-// Place implements Placer.
+// Place implements Placer: the lowest-numbered free cubes.
 func (Reconfigurable) Place(p *Pod, job, cubes int) ([]int, error) {
 	if cubes <= 0 {
 		return nil, ErrNotPlaced
 	}
-	var picked []int
-	for c := range p.state {
-		if p.state[c] == Free {
-			picked = append(picked, c)
-			if len(picked) == cubes {
-				if err := p.allocate(picked, job); err != nil {
-					return nil, err
-				}
-				return picked, nil
-			}
-		}
+	if free := p.FreeCubes(); cubes > free {
+		return nil, refuse(cubes, free)
 	}
-	return nil, fmt.Errorf("%w: need %d cubes, %d free", ErrNotPlaced, cubes, len(picked))
+	rest := p.free
+	for i := 0; i < cubes; i++ {
+		rest &= rest - 1
+	}
+	return p.take(p.free&^rest, job), nil
 }
 
 // Contiguous places a job only on an axis-aligned box of free cubes — the
@@ -240,44 +301,66 @@ type Contiguous struct{}
 // Name implements Placer.
 func (Contiguous) Name() string { return "contiguous" }
 
-// Place implements Placer.
+// Place implements Placer: the first free box in the pod's box table.
 func (c Contiguous) Place(p *Pod, job, cubes int) ([]int, error) {
 	if cubes <= 0 {
 		return nil, ErrNotPlaced
 	}
-	for _, box := range boxesFor(cubes, p.Grid) {
-		for x := 0; x+box[0] <= p.Grid[0]; x++ {
-			for y := 0; y+box[1] <= p.Grid[1]; y++ {
-				for z := 0; z+box[2] <= p.Grid[2]; z++ {
-					ids := p.boxCubes(x, y, z, box)
-					if ids != nil {
-						if err := p.allocate(ids, job); err != nil {
-							return nil, err
-						}
-						return ids, nil
+	if cubes < len(p.boxes) {
+		if box := firstFit(p.free, p.boxes[cubes]); box != 0 {
+			return p.take(box, job), nil
+		}
+	}
+	return nil, refuse(cubes, -1)
+}
+
+// firstFit returns the first box whose cubes are all in free, or 0.
+//
+//lwlint:hotpath
+func firstFit(free uint64, boxes []uint64) uint64 {
+	for _, box := range boxes {
+		if free&box == box {
+			return box
+		}
+	}
+	return 0
+}
+
+// boxTable is one grid's contiguous search space: indexed by job size, the
+// cube mask of every axis-aligned box of that volume in search order —
+// boxesFor's most-compact-first, then origin x, y, z ascending. Tables are
+// built once per grid and never written afterwards.
+type boxTable [][]uint64
+
+var boxTables sync.Map // grid [3]int → boxTable
+
+func boxTableFor(grid [3]int) boxTable {
+	if t, ok := boxTables.Load(grid); ok {
+		return t.(boxTable)
+	}
+	p := Pod{Grid: grid}
+	t := make(boxTable, grid[0]*grid[1]*grid[2]+1)
+	for cubes := 1; cubes < len(t); cubes++ {
+		for _, box := range boxesFor(cubes, grid) {
+			// The box at the origin; cube ids are linear in the coordinates,
+			// so every other origin is a shift of it.
+			var base uint64
+			for dx := 0; dx < box[0]; dx++ {
+				for dy := 0; dy < box[1]; dy++ {
+					base |= (1<<box[2] - 1) << p.index(dx, dy, 0)
+				}
+			}
+			for x := 0; x+box[0] <= grid[0]; x++ {
+				for y := 0; y+box[1] <= grid[1]; y++ {
+					for z := 0; z+box[2] <= grid[2]; z++ {
+						t[cubes] = append(t[cubes], base<<p.index(x, y, z))
 					}
 				}
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w: no free %d-cube box", ErrNotPlaced, cubes)
-}
-
-// boxCubes returns the cube ids of the box if all free, else nil.
-func (p *Pod) boxCubes(x, y, z int, box [3]int) []int {
-	ids := make([]int, 0, box[0]*box[1]*box[2])
-	for dx := 0; dx < box[0]; dx++ {
-		for dy := 0; dy < box[1]; dy++ {
-			for dz := 0; dz < box[2]; dz++ {
-				id := p.index(x+dx, y+dy, z+dz)
-				if p.state[id] != Free {
-					return nil
-				}
-				ids = append(ids, id)
-			}
-		}
-	}
-	return ids
+	boxTables.Store(grid, t)
+	return t
 }
 
 // boxesFor enumerates the axis-aligned box dimensions with the given

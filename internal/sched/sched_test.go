@@ -170,3 +170,58 @@ func TestBoxesForRespectsGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusalWording pins the refusal texts (fleet and lwfctl print them)
+// to what the eager fmt.Errorf calls used to produce, and their identity
+// as ErrNotPlaced.
+func TestRefusalWording(t *testing.T) {
+	p := checkerboard(t)
+	for _, tc := range []struct {
+		placer Placer
+		cubes  int
+		want   string
+	}{
+		{Reconfigurable{}, 40, "sched: job does not fit: need 40 cubes, 32 free"},
+		{Reconfigurable{}, 100, "sched: job does not fit: need 100 cubes, 32 free"},
+		{Contiguous{}, 8, "sched: job does not fit: no free 8-cube box"},
+		{Contiguous{}, 100, "sched: job does not fit: no free 100-cube box"},
+		{ContiguousWithDefrag{}, 40, "sched: job does not fit: no free 40-cube box"},
+	} {
+		_, err := tc.placer.Place(p, 1, tc.cubes)
+		if err == nil || err.Error() != tc.want || !errors.Is(err, ErrNotPlaced) {
+			t.Errorf("%s.Place(%d) refused with %v, want %q wrapping ErrNotPlaced", tc.placer.Name(), tc.cubes, err, tc.want)
+		}
+	}
+}
+
+func TestNewPodBounds(t *testing.T) {
+	for _, grid := range [][3]int{{4, 4, 5}, {65, 1, 1}, {0, 4, 4}, {-1, -1, 4}} {
+		if _, err := NewPod(grid); err == nil {
+			t.Errorf("NewPod(%v) accepted", grid)
+		}
+	}
+	p, err := NewPod([3]int{64, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := (Contiguous{}).Place(p, 1, 64); err != nil || len(ids) != 64 || p.FreeCubes() != 0 {
+		t.Fatalf("64-cube row: placed %d cubes (%v), %d free", len(ids), err, p.FreeCubes())
+	}
+}
+
+func TestFullPodWithFree(t *testing.T) {
+	p, err := FullPodWithFree([]int{0, 1, 4, 5, 63})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.FreeCubes() != 5 || p.BusyCubes() != 0 || p.State(2) != Failed || p.State(63) != Free {
+		t.Fatalf("free %d busy %d state(2) %v state(63) %v", p.FreeCubes(), p.BusyCubes(), p.State(2), p.State(63))
+	}
+	// Cubes 0, 1, 4, 5 are a 1×2×2 box.
+	if ids, err := (Contiguous{}).Place(p, 1, 4); err != nil || len(ids) != 4 || ids[3] != 5 {
+		t.Fatalf("Place = (%v, %v)", ids, err)
+	}
+	if _, err := FullPodWithFree([]int{64}); !errors.Is(err, ErrBadCube) {
+		t.Fatalf("cube 64 accepted: %v", err)
+	}
+}

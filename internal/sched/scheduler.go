@@ -96,6 +96,7 @@ type SchedulerStats struct {
 var (
 	ErrUnknownPod = errors.New("sched: unknown pod")
 	ErrTimeWarp   = errors.New("sched: AdvanceTo before current time")
+	ErrNoBox      = errors.New("sched: contiguous policy has no box of the job's size")
 )
 
 type schedPod struct {
@@ -271,8 +272,8 @@ func newScheduler(cfg SchedulerConfig, adopt *Pod) (*Scheduler, error) {
 	s.gQueue = reg.Gauge("sched_queue_depth")
 	s.gRunning = reg.Gauge("sched_running_jobs")
 	s.gUtil = reg.Gauge("sched_utilization")
-	s.dWait = reg.Distribution("sched_wait_seconds")
-	s.dPlace = reg.Distribution("sched_place_seconds")
+	s.dWait = reg.Distribution("sched_wait_seconds", 1, 10, 60, 600, 3600, 36000)
+	s.dPlace = reg.Distribution("sched_place_seconds", 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 	return s, nil
 }
 
@@ -350,6 +351,10 @@ func (s *Scheduler) Submit(spec JobSpec) (int, bool, error) {
 		// once the backfill window fills behind it; reject it up front.
 		return 0, false, fmt.Errorf("sched: job wants %d cubes, pods install %d", spec.Cubes, s.maxJob)
 	}
+	if _, contig := s.placer.(Contiguous); contig && len(s.pods[0].mirror.boxes[spec.Cubes]) == 0 {
+		// Just as unplaceable: no axis-aligned box in the grid has this volume.
+		return 0, false, fmt.Errorf("%w: %d cubes in a %v pod", ErrNoBox, spec.Cubes, s.pods[0].mirror.Grid)
+	}
 	if err := s.journalLocked(JournalEntry{Op: OpSubmit, Spec: &spec}); err != nil {
 		return 0, false, err
 	}
@@ -413,7 +418,9 @@ func (s *Scheduler) AdvanceTo(t float64) error {
 // tryPlaceLocked runs the FIFO-with-bounded-backfill placement loop over
 // the queue: the head job starts first when it fits on any up pod;
 // otherwise up to backfill younger jobs may jump ahead. Pods are scanned
-// in name order.
+// in name order. A size the pods refuse is not asked again until a
+// placement changes them (bit n-1 of refused; jobs are at most 64 cubes):
+// by the Placer contract the answer would be the same.
 func (s *Scheduler) tryPlaceLocked() error {
 	for {
 		placedAny := false
@@ -421,14 +428,20 @@ func (s *Scheduler) tryPlaceLocked() error {
 		if limit > len(s.queue) {
 			limit = len(s.queue)
 		}
+		refused := uint64(0)
 		for i := 0; i < limit; i++ {
 			j := s.queue[i]
+			size := uint64(1) << uint(j.spec.Cubes-1) // 0 for a size outside 1..64: never skipped
+			if refused&size != 0 {
+				continue
+			}
 			sp, cubes, err := s.placeOnAnyLocked(j)
 			if err != nil {
 				s.rejected = true
 				return err
 			}
 			if sp == nil {
+				refused |= size
 				continue
 			}
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)

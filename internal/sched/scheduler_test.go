@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"lightwave/internal/sim"
 	"lightwave/internal/topo"
 )
 
@@ -394,5 +395,137 @@ func TestSchedulerRetriesRejectedPlacementAfterImport(t *testing.T) {
 	}
 	if got := restored.Stats(); got.RunningJobs != 1 || got.QueueDepth != 0 {
 		t.Fatalf("stats after the restored scheduler's first tick %+v", got)
+	}
+}
+
+// recordingJournal keeps every entry it is handed.
+type recordingJournal struct{ entries []JournalEntry }
+
+func (j *recordingJournal) JournalSched(e JournalEntry) (uint64, error) {
+	j.entries = append(j.entries, e)
+	return uint64(len(j.entries)), nil
+}
+
+// The refused-size skip cannot be switched off, so the test below takes
+// the duplicates away instead: a tag hidden in the cube count (real sizes
+// are 1..tagBase) makes equal sizes look distinct to the scheduler's scan
+// while the placer, the shape chooser and the journal see the real size.
+const tagBase = 8
+
+func untag(cubes int) int { return (cubes-1)%tagBase + 1 }
+
+type untaggingPlacer struct{ calls *int }
+
+func (untaggingPlacer) Name() string { return "untagging" }
+func (p untaggingPlacer) Place(pod *Pod, job, cubes int) ([]int, error) {
+	*p.calls++
+	return Reconfigurable{}.Place(pod, job, untag(cubes))
+}
+
+// rejectNth fails exactly one EnsureJobSlice call.
+type rejectNth struct {
+	*fakeOps
+	n int
+}
+
+func (r *rejectNth) EnsureJobSlice(pod, slice string, shape topo.Shape, cubes []int) error {
+	if r.n--; r.n == 0 {
+		return errors.New("fabric says no")
+	}
+	return r.fakeOps.EnsureJobSlice(pod, slice, shape, cubes)
+}
+
+// TestSchedulerSkipMatchesFullScan runs one saturating two-pod stream —
+// a pod loss and restore, cube failures, one cluster rejection — twice:
+// with same-size duplicates in the backfill window (the skip fires) and
+// with every queued size made distinct by a tag (it cannot). Slices,
+// stats, cluster calls and journal must not tell the runs apart.
+func TestSchedulerSkipMatchesFullScan(t *testing.T) {
+	type outcome struct {
+		slices  map[string][]string
+		stats   SchedulerStats
+		calls   []string
+		journal []string
+		asks    int
+	}
+	run := func(tagged bool) outcome {
+		var out outcome
+		ops := &rejectNth{fakeOps: newFakeOps(), n: 9}
+		j := &recordingJournal{}
+		s, err := NewScheduler(SchedulerConfig{
+			Pods:           []string{"a", "b"},
+			Placer:         untaggingPlacer{calls: &out.asks},
+			Shapes:         func(cubes int) topo.Shape { return topo.MaxBisectionShape(untag(cubes)) },
+			BackfillWindow: 8,
+			Ops:            ops,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetJournal(j)
+		rng := sim.NewRand(17)
+		now, rejections := 0.0, 0
+		for step := 0; step < 400; step++ {
+			now += rng.ExpFloat64() * 2
+			if err := s.AdvanceTo(now); err != nil {
+				t.Fatal(err)
+			}
+			switch step {
+			case 20:
+				err = s.SetPodDown("b", true)
+			case 250:
+				err = s.SetPodDown("b", false)
+			case 100, 140:
+				err = s.FailCube("a", step%64)
+			case 180:
+				err = s.RepairCube("a", 100%64)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cubes := []int{8, 8, 8, 4, 4, 2, 1}[rng.Intn(7)]
+			if tagged {
+				cubes += tagBase * (step % (64 / tagBase))
+			}
+			if _, _, err := s.Submit(JobSpec{Cubes: cubes, DurationSeconds: 20 + rng.ExpFloat64()*60}); err != nil {
+				rejections++
+			}
+		}
+		if rejections != 1 {
+			t.Fatalf("tagged=%v: %d submits hit the cluster rejection, want 1", tagged, rejections)
+		}
+		out.slices, out.stats, out.calls = s.RunningSlices(), s.Stats(), ops.calls
+		for _, e := range j.entries {
+			if e.Spec != nil {
+				spec := *e.Spec
+				spec.Cubes = untag(spec.Cubes)
+				e.Spec = &spec
+				out.journal = append(out.journal, fmt.Sprintf("%s %+v", e.Op, spec))
+				continue
+			}
+			out.journal = append(out.journal, fmt.Sprintf("%+v", e))
+		}
+		return out
+	}
+	dup, distinct := run(false), run(true)
+	if dup.stats.QueueDepth == 0 || dup.stats.Preempted == 0 {
+		t.Fatalf("stream never queued or never preempted: %+v", dup.stats)
+	}
+	if dup.asks >= distinct.asks {
+		t.Fatalf("%d placement asks with duplicate sizes, %d without: the skip never fired", dup.asks, distinct.asks)
+	}
+	if !reflect.DeepEqual(dup.slices, distinct.slices) {
+		t.Errorf("running slices differ:\n%v\n%v", dup.slices, distinct.slices)
+	}
+	if dup.stats != distinct.stats {
+		t.Errorf("stats differ:\n%+v\n%+v", dup.stats, distinct.stats)
+	}
+	for name, pair := range map[string][2][]string{"cluster calls": {dup.calls, distinct.calls}, "journal": {dup.journal, distinct.journal}} {
+		for i := 0; i < len(pair[0]) || i < len(pair[1]); i++ {
+			if i >= len(pair[0]) || i >= len(pair[1]) || pair[0][i] != pair[1][i] {
+				t.Errorf("%s differ from entry %d on (%d vs %d entries)", name, i, len(pair[0]), len(pair[1]))
+				break
+			}
+		}
 	}
 }

@@ -116,6 +116,10 @@ func TestUtilizationBounded(t *testing.T) {
 // float64 values the pre-Scheduler event loop produced (recorded at the
 // commit before Simulate became a stream driver over Scheduler): the
 // offline run and the scheduler are one policy only if these never move.
+// The rows with a cube MTBF were recorded at the commit before the
+// scheduler's scan began skipping sizes it had just been refused, and hold
+// the skip to the full scan on the failure, repair, swap and preemption
+// paths.
 func TestSimulateGolden(t *testing.T) {
 	type row struct {
 		placer     string
@@ -123,31 +127,50 @@ func TestSimulateGolden(t *testing.T) {
 		migrations int
 	}
 	cases := []struct {
-		duration float64
-		backfill int
-		seed     uint64
-		rows     []row
+		duration     float64
+		backfill     int
+		seed         uint64
+		mtbf, repair float64
+		rows         []row
 	}{
-		{300000, 64, 5, []row{
+		{300000, 64, 5, 0, 0, []row{
 			{"reconfigurable", Stats{Utilization: 0.9828233303112345, Completed: 4096, MeanWait: 74629.72385038513, Started: 4107, Running: 11}, 0},
 			{"contiguous", Stats{Utilization: 0.9445894268130154, Completed: 3995, MeanWait: 78760.97269036909, Started: 4011, Running: 16}, 0},
 			{"contiguous+defrag", Stats{Utilization: 0.9833061237260331, Completed: 4155, MeanWait: 74804.98554333439, Started: 4171, Running: 16}, 9687},
 		}},
 		// The bench's sim_sched configuration.
-		{20000, 64, 5, []row{
+		{20000, 64, 5, 0, 0, []row{
 			{"reconfigurable", Stats{Utilization: 0.951267259189948, Completed: 408, MeanWait: 1572.459223878146, Started: 426, Running: 18}, 0},
 			{"contiguous", Stats{Utilization: 0.8941047792407198, Completed: 384, MeanWait: 1533.9428101477138, Started: 400, Running: 16}, 0},
 			{"contiguous+defrag", Stats{Utilization: 0.951267259189948, Completed: 408, MeanWait: 1572.459223878146, Started: 426, Running: 18}, 1066},
 		}},
 		// Another seed with no backfill, where compaction changes the run.
-		{20000, 1, 9, []row{
+		{20000, 1, 9, 0, 0, []row{
 			{"reconfigurable", Stats{Utilization: 0.9140773124778627, Completed: 242, MeanWait: 4822.466472292967, Started: 254, Running: 12}, 0},
 			{"contiguous", Stats{Utilization: 0.7247863658454721, Completed: 209, MeanWait: 5617.745967981972, Started: 214, Running: 5}, 0},
 			{"contiguous+defrag", Stats{Utilization: 0.9133068960048831, Completed: 242, MeanWait: 4829.282858140917, Started: 254, Running: 12}, 1372},
 		}},
+		// Cube failures and repairs under the bench's window.
+		{20000, 64, 5, 50000, 5000, []row{
+			{"reconfigurable", Stats{Utilization: 0.8927182968405434, Completed: 403, MeanWait: 1248.9748869357447, Preempted: 15, Swaps: 10, Started: 433, Running: 15}, 0},
+			{"contiguous", Stats{Utilization: 0.798198108622717, Completed: 376, MeanWait: 1268.563761839938, Preempted: 21, Started: 411, Running: 14}, 0},
+			{"contiguous+defrag", Stats{Utilization: 0.8486287095517555, Completed: 408, MeanWait: 903.8238171050415, Preempted: 22, Started: 439, Running: 9}, 2988},
+		}},
+		// Heavy failures under the default window (6).
+		{50000, 0, 11, 20000, 4000, []row{
+			{"reconfigurable", Stats{Utilization: 0.7835701113113795, Completed: 550, MeanWait: 15101.057454663813, Preempted: 28, Swaps: 86, Started: 588, Running: 10}, 0},
+			{"contiguous", Stats{Utilization: 0.17069477228714905, Completed: 133, MeanWait: 6755.269937104706, Preempted: 22, Started: 155}, 0},
+			{"contiguous+defrag", Stats{Utilization: 0.1542129307307981, Completed: 130, MeanWait: 6215.645216523767, Preempted: 25, Started: 155}, 990},
+		}},
+		// Rare failures, default repair time.
+		{30000, 16, 2, 100000, 0, []row{
+			{"reconfigurable", Stats{Utilization: 0.950473926428208, Completed: 435, MeanWait: 6556.0374896696785, Preempted: 6, Swaps: 2, Started: 452, Running: 11}, 0},
+			{"contiguous", Stats{Utilization: 0.8496388561929245, Completed: 396, MeanWait: 6281.905883618677, Preempted: 5, Started: 409, Running: 8}, 0},
+			{"contiguous+defrag", Stats{Utilization: 0.9214779425912244, Completed: 421, MeanWait: 6357.336080457375, Preempted: 8, Started: 447, Running: 18}, 1915},
+		}},
 	}
 	for _, c := range cases {
-		cfg := SimConfig{Duration: c.duration, Seed: c.seed, BackfillWindow: c.backfill}
+		cfg := SimConfig{Duration: c.duration, Seed: c.seed, BackfillWindow: c.backfill, CubeMTBF: c.mtbf, MeanRepair: c.repair}
 		for _, r := range c.rows {
 			migrations := 0
 			placer := map[string]Placer{
@@ -160,8 +183,8 @@ func TestSimulateGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != r.want || migrations != r.migrations {
-				t.Errorf("duration %v backfill %d seed %d %s:\n got %+v migrations %d\nwant %+v migrations %d",
-					c.duration, c.backfill, c.seed, r.placer, got, migrations, r.want, r.migrations)
+				t.Errorf("duration %v backfill %d seed %d mtbf %v %s:\n got %+v migrations %d\nwant %+v migrations %d",
+					c.duration, c.backfill, c.seed, c.mtbf, r.placer, got, migrations, r.want, r.migrations)
 			}
 		}
 	}

@@ -112,16 +112,11 @@ func BenchmarkFig12ConcatenatedFEC(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lo, hi := -30.0, 5.0
-		for j := 0; j < 60; j++ {
-			mid := (lo + hi) / 2
-			if inner.Transfer(r.BER(mid, clean)) > fec.KP4Threshold {
-				lo = mid
-			} else {
-				hi = mid
-			}
+		with, err := r.SensitivityThrough(fec.KP4Threshold, clean, inner.Transfer)
+		if err != nil {
+			b.Fatal(err)
 		}
-		gain = without - (lo+hi)/2
+		gain = without - with
 	}
 	b.ReportMetric(gain, "dB-SFEC-gain")
 }

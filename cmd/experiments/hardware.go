@@ -146,9 +146,10 @@ func fig12() {
 		}
 		// With the inner code: power where the inner decoder's output hits
 		// the KP4 threshold.
-		with := bisectPower(func(p float64) float64 {
-			return inner.Transfer(r.BER(p, cond))
-		}, fec.KP4Threshold)
+		with, err := r.SensitivityThrough(fec.KP4Threshold, cond, inner.Transfer)
+		if err != nil {
+			panic(err)
+		}
 		gain := without - with
 		// The paper quotes the relative power improvement 10^(gain/10)−1
 		// (1.6 dB ↔ 45%).
@@ -161,19 +162,6 @@ func fig12() {
 			label, without, with, gain, pct)
 	}
 	fmt.Println("paper: 1.6 dB (45%) at MPI -32 dB")
-}
-
-func bisectPower(berAt func(float64) float64, target float64) float64 {
-	lo, hi := -30.0, 5.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if berAt(mid) > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }
 
 // fig13 samples the fleet: per-lane BER of every receiving port of a

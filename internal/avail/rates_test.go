@@ -22,7 +22,8 @@ func TestCubeMTBFRoundTrip(t *testing.T) {
 func TestDefaultRatesMeetOCSAvailTarget(t *testing.T) {
 	// The paper reports >99.98% per-OCS availability (§4.1.1); the
 	// default table must be consistent with it.
-	if a := DefaultRates().OCSAvailability(); a < 0.9998 {
+	r := DefaultRates()
+	if a := r.OCSMTBFHours / (r.OCSMTBFHours + r.OCSRepairHours); a < 0.9998 {
 		t.Errorf("default OCS availability %.6f below the 99.98%% target", a)
 	}
 }

@@ -2,74 +2,8 @@ package avail
 
 import "lightwave/internal/par"
 
-// Parallel samplers for the Fig 15 experiments: many independent timeline
-// runs (the continuous-time cross-check of the binomial sizing) and the
-// goodput-vs-slice-size surface, both fanned out across the worker pool
-// with deterministic substreams.
-
-// TimelineStats aggregates independent SimulateTimeline runs.
-type TimelineStats struct {
-	// Results holds every run's outcome in run order.
-	Results []TimelineResult
-	// MeanDelivered / MinDelivered summarize delivered availability across
-	// runs; MeanAllUp is the mean fraction of time all slices were up.
-	MeanDelivered, MinDelivered float64
-	MeanAllUp                   float64
-	// Failures and Swaps total across runs.
-	Failures, Swaps int
-}
-
-// SampleTimelines runs `runs` independent continuous-time simulations of p
-// in parallel. Each shard of runs draws from its own substream of seed, so
-// the sample is deterministic for a given seed at any worker count.
-func SampleTimelines(p TimelineParams, runs int, seed uint64) (TimelineStats, error) {
-	if runs <= 0 {
-		runs = 1
-	}
-	// Validate once up front so degenerate parameters fail fast instead of
-	// per-shard.
-	if p.Years <= 0 || p.MTTRHours <= 0 || p.SliceCubes <= 0 {
-		return TimelineStats{}, ErrTimeline
-	}
-	type shardOut struct {
-		res []TimelineResult
-		err error
-	}
-	outs := par.MonteCarlo("avail_timeline", runs, seed, func(sh par.Shard) shardOut {
-		var o shardOut
-		for i := 0; i < sh.Trials(); i++ {
-			r, err := SimulateTimeline(p, sh.Rng)
-			if err != nil {
-				o.err = err
-				return o
-			}
-			o.res = append(o.res, r)
-		}
-		return o
-	})
-
-	var stats TimelineStats
-	stats.MinDelivered = 1
-	for _, o := range outs {
-		if o.err != nil {
-			return TimelineStats{}, o.err
-		}
-		for _, r := range o.res {
-			stats.Results = append(stats.Results, r)
-			stats.MeanDelivered += r.Delivered
-			stats.MeanAllUp += r.AllUpFraction
-			if r.Delivered < stats.MinDelivered {
-				stats.MinDelivered = r.Delivered
-			}
-			stats.Failures += r.Failures
-			stats.Swaps += r.Swaps
-		}
-	}
-	n := float64(len(stats.Results))
-	stats.MeanDelivered /= n
-	stats.MeanAllUp /= n
-	return stats, nil
-}
+// The Fig 15b goodput-vs-slice-size surface, fanned out across the worker
+// pool.
 
 // GoodputPoint is one cell of the Fig 15b surface.
 type GoodputPoint struct {

@@ -27,13 +27,14 @@ func BenchmarkScenarioReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := Compose("bench",
-		FlapStorm([][2]int{{0, 1}, {2, 3}, {1, 2}, {0, 3}}, 1, 5, 10, 600),
-		Scenario{Name: "ber", HorizonSeconds: 600, Events: []Event{
-			{At: 2, Kind: KindBERDegrade, Trunk: [2]int{0, 2}, BER: 5e-4, DurationSeconds: 10},
-			{At: 3, Kind: KindBERDegrade, Trunk: [2]int{1, 3}, BER: 1e-6, DurationSeconds: 10},
-		}},
-	)
+	s := Scenario{Name: "bench", HorizonSeconds: 600, Events: []Event{
+		{At: 1, Kind: KindCircuitFlap, Trunk: [2]int{0, 1}, DurationSeconds: 10},
+		{At: 6, Kind: KindCircuitFlap, Trunk: [2]int{2, 3}, DurationSeconds: 10},
+		{At: 11, Kind: KindCircuitFlap, Trunk: [2]int{1, 2}, DurationSeconds: 10},
+		{At: 16, Kind: KindCircuitFlap, Trunk: [2]int{0, 3}, DurationSeconds: 10},
+		{At: 2, Kind: KindBERDegrade, Trunk: [2]int{0, 2}, BER: 5e-4, DurationSeconds: 10},
+		{At: 3, Kind: KindBERDegrade, Trunk: [2]int{1, 3}, BER: 1e-6, DurationSeconds: 10},
+	}}
 	acts := s.actions()
 	b.ReportMetric(float64(len(acts)), "events/replay")
 	b.ResetTimer()
@@ -50,9 +51,10 @@ func BenchmarkScenarioReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkInjectorHotPath pins the trunk fault path at zero allocations:
-// counters are pre-resolved at construction, bookkeeping reuses map
-// slots, so storms of flaps cost no garbage.
+// BenchmarkInjectorHotPath pins the trunk fault path (the //lwlint:hotpath
+// trunkDownLocked / trunkUpLocked pair every flap, BER drain and lift
+// takes) at zero allocations: counters are pre-resolved at construction,
+// bookkeeping reuses map slots, so storms of flaps cost no garbage.
 func BenchmarkInjectorHotPath(b *testing.B) {
 	m := fleet.NewManager(fleet.Options{Seed: 42})
 	defer m.Close()
@@ -61,12 +63,12 @@ func BenchmarkInjectorHotPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	pair := [2]int{3, 5}
-	inj.TrunkDown(pair) // warm the map slot
-	inj.TrunkUp(pair)
+	trunkDown(inj, pair) // warm the map slot
+	trunkUp(inj, pair)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inj.TrunkDown(pair)
-		inj.TrunkUp(pair)
+		trunkDown(inj, pair)
+		trunkUp(inj, pair)
 	}
 }

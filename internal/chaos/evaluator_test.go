@@ -77,8 +77,11 @@ func TestSingleOCSOutageBoundedCapacityCost(t *testing.T) {
 
 func TestQuarantineDrillBudgetAndMTTR(t *testing.T) {
 	cfg := EvalConfig{
-		Scenario: QuarantineDrill("pod1", 30, 120, 300),
-		Blocks:   4, Uplinks: 4,
+		Scenario: Scenario{Name: "quarantine-drill-pod1", HorizonSeconds: 300, Events: []Event{
+			{At: 30, Kind: KindPodLoss, Pod: "pod1"},
+			{At: 150, Kind: KindPodRestore, Pod: "pod1"},
+		}},
+		Blocks: 4, Uplinks: 4,
 		Seed: 11,
 	}
 	rep, err := Evaluate(cfg)
@@ -121,16 +124,17 @@ func TestQuarantineDrillBudgetAndMTTR(t *testing.T) {
 // composed scenario — the -race deadlock canary: each injection path
 // crosses injector, fleet and te locks, and every settle must terminate.
 func TestEvaluateFullScenarioAllKinds(t *testing.T) {
-	s := Compose("all-kinds",
-		SingleOCSOutage(1, 70, 120, 480),
-		QuarantineDrill("pod0", 100, 90, 480),
-		FlapStorm([][2]int{{0, 1}, {2, 3}}, 150, 20, 30, 480),
-		MaintenanceWindow("pod2", 5, 200, 80, 480, false),
-		MaintenanceWindow("pod3", 6, 260, 0, 480, true),
-		Scenario{Name: "ber", HorizonSeconds: 480, Events: []Event{
-			{At: 310, Kind: KindBERDegrade, Trunk: [2]int{1, 3}, BER: 5e-4, DurationSeconds: 40},
-			{At: 330, Kind: KindBERDegrade, Trunk: [2]int{0, 2}, BER: 1e-6, DurationSeconds: 40},
-		}},
+	s := SingleOCSOutage(1, 70, 120, 480)
+	s.Name = "all-kinds"
+	s.Events = append(s.Events,
+		Event{At: 100, Kind: KindPodLoss, Pod: "pod0"},
+		Event{At: 190, Kind: KindPodRestore, Pod: "pod0"},
+		Event{At: 150, Kind: KindCircuitFlap, Trunk: [2]int{0, 1}, DurationSeconds: 30},
+		Event{At: 170, Kind: KindCircuitFlap, Trunk: [2]int{2, 3}, DurationSeconds: 30},
+		Event{At: 200, Kind: KindSlowDrain, Pod: "pod2", OCS: 5, DurationSeconds: 80},
+		Event{At: 260, Kind: KindStuckDrain, Pod: "pod3", OCS: 6},
+		Event{At: 310, Kind: KindBERDegrade, Trunk: [2]int{1, 3}, BER: 5e-4, DurationSeconds: 40},
+		Event{At: 330, Kind: KindBERDegrade, Trunk: [2]int{0, 2}, BER: 1e-6, DurationSeconds: 40},
 	)
 	rep, err := Evaluate(EvalConfig{Scenario: s, Blocks: 6, Uplinks: 6, Seed: 3})
 	if err != nil {

@@ -3,14 +3,12 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"lightwave/internal/dcn"
 	"lightwave/internal/fleet"
 	"lightwave/internal/telemetry"
-	"lightwave/internal/topo"
 )
 
 // Targets names the control-plane seams the injector actuates through.
@@ -66,8 +64,8 @@ type Injector struct {
 	injected  int
 	lastFault string
 
-	// Hot-path metrics are resolved once at construction so TrunkDown /
-	// TrunkUp stay allocation-free.
+	// Hot-path metrics are resolved once at construction so the trunk
+	// bookkeeping (trunkDownLocked / trunkUpLocked) stays allocation-free.
 	cInjected   *telemetry.Counter
 	cTrunkDown  *telemetry.Counter
 	cBERDrains  *telemetry.Counter
@@ -312,28 +310,6 @@ func (in *Injector) berDegradeLocked(ev Event) error {
 	return nil
 }
 
-// TrunkDown administratively removes one trunk between the block pair.
-// This is the injector's allocation-free hot path: bookkeeping plus
-// pre-resolved counters, no fabric mutation (the evaluator folds
-// admin-down trunks into the degraded topology it simulates and the
-// observed matrix it feeds the te collector).
-//
-//lwlint:hotpath
-func (in *Injector) TrunkDown(pair [2]int) {
-	in.mu.Lock()
-	in.trunkDownLocked(pair)
-	in.mu.Unlock()
-}
-
-// TrunkUp restores one admin-downed trunk.
-//
-//lwlint:hotpath
-func (in *Injector) TrunkUp(pair [2]int) {
-	in.mu.Lock()
-	in.trunkUpLocked(pair)
-	in.mu.Unlock()
-}
-
 //lwlint:hotpath
 func (in *Injector) trunkDownLocked(pair [2]int) {
 	in.adminDown[normPair(pair)]++
@@ -417,49 +393,27 @@ func (in *Injector) Program(t *dcn.Topology) error {
 	return nil
 }
 
-// SwitchesTouching returns the sorted IDs of healthy switches hosting a
-// circuit of any torn pair — the set a reconfiguration stage must drain.
+// SwitchesTouching is dcn.Fabric.SwitchesTouching under the injector's
+// lock — with Program and Circuits, what lets the injector stand in for
+// the fabric behind a te.FleetApplier. Without a fabric target it is
+// empty.
 func (in *Injector) SwitchesTouching(tears [][2]int) []int {
-	if len(tears) == 0 || in.t.Fabric == nil {
-		return nil
-	}
-	torn := make(map[[2]int]bool, len(tears))
-	for _, t := range tears {
-		torn[normPair(t)] = true
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	var ids []int
-	for i, sw := range in.t.Fabric.Switches {
-		if i >= topo.NumOCS {
-			break
-		}
-		for _, c := range sw.Circuits() {
-			x, y := int(c.North), int(c.South)
-			if torn[normPair([2]int{x, y})] {
-				ids = append(ids, i)
-				break
-			}
-		}
+	if in.t.Fabric == nil {
+		return nil
 	}
-	sort.Ints(ids)
-	return ids
+	return in.t.Fabric.SwitchesTouching(tears)
 }
 
-// Circuits counts the circuits established on the fabric — with Program
-// and SwitchesTouching, what lets the injector stand in for the fabric
-// behind a te.FleetApplier.
+// Circuits counts the circuits established on the fabric.
 func (in *Injector) Circuits() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.t.Fabric == nil {
 		return 0
 	}
-	n := 0
-	for _, sw := range in.t.Fabric.Switches {
-		n += sw.NumCircuits()
-	}
-	return n
+	return in.t.Fabric.Circuits()
 }
 
 // Degraded returns the topology actually carrying traffic: the fabric's

@@ -91,8 +91,8 @@ func TestInjectorTrunkBookkeeping(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inj.TrunkDown([2]int{1, 0}) // reversed pair normalizes
-	inj.TrunkDown([2]int{0, 1})
+	trunkDown(inj, [2]int{1, 0}) // reversed pair normalizes
+	trunkDown(inj, [2]int{0, 1})
 	deg := inj.Degraded(top)
 	want := top.Links[0][1] - 2
 	if want < 0 {
@@ -105,9 +105,9 @@ func TestInjectorTrunkBookkeeping(t *testing.T) {
 		t.Fatalf("trunks down = %d, want 2", st.TrunksDown)
 	}
 
-	inj.TrunkUp([2]int{0, 1})
-	inj.TrunkUp([2]int{0, 1})
-	inj.TrunkUp([2]int{0, 1}) // extra lift is a no-op, never negative
+	trunkUp(inj, [2]int{0, 1})
+	trunkUp(inj, [2]int{0, 1})
+	trunkUp(inj, [2]int{0, 1}) // extra lift is a no-op, never negative
 	if st := inj.Status(); st.TrunksDown != 0 || st.ActiveFaults != 0 {
 		t.Fatalf("status after lifts = %+v, want all clear", st)
 	}
@@ -238,7 +238,7 @@ func TestPerturbObservedDerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.TrunkDown([2]int{0, 1})
+	trunkDown(inj, [2]int{0, 1})
 	deg := inj.Degraded(top)
 	bps := [][]float64{
 		{0, 100, 100, 100},
@@ -254,4 +254,18 @@ func TestPerturbObservedDerates(t *testing.T) {
 	if bps[2][3] != 100 {
 		t.Errorf("healthy pair rate = %g, want 100", bps[2][3])
 	}
+}
+
+// trunkDown and trunkUp drive the injector's trunk bookkeeping the way a
+// flap or a BER drain does, under the injector lock.
+func trunkDown(in *Injector, pair [2]int) {
+	in.mu.Lock()
+	in.trunkDownLocked(pair)
+	in.mu.Unlock()
+}
+
+func trunkUp(in *Injector, pair [2]int) {
+	in.mu.Lock()
+	in.trunkUpLocked(pair)
+	in.mu.Unlock()
 }

@@ -3,8 +3,6 @@ package chaos
 import (
 	"reflect"
 	"testing"
-
-	"lightwave/internal/avail"
 )
 
 func randomCfg(seed uint64) RandomConfig {
@@ -65,7 +63,7 @@ func TestRandomUsesRateTable(t *testing.T) {
 	// Zero every rate except OCS failures: the schedule must contain only
 	// outage/restore events.
 	cfg := randomCfg(11)
-	cfg.Rates = avail.Rates{OCSMTBFHours: 200, OCSRepairHours: 8,
+	cfg.Rates = faultRates{OCSMTBFHours: 200, OCSRepairHours: 8,
 		CubeMTTRHours: 24, PodBackendMTBFHours: 1e18,
 		TransceiverBERPerHour: 1e-18, CircuitFlapPerHour: 1e-18,
 		FlapMeanSeconds: 90, DrainStuckProb: 0.5, OCSMaintenancePerYear: 1e-18}

@@ -176,55 +176,3 @@ func SingleOCSOutage(ocs int, at, repairAfter, horizon float64) Scenario {
 		},
 	}
 }
-
-// QuarantineDrill breaks one compute pod's backend at `at` and heals it
-// healAfter seconds later: the reconciler must burn exactly its retry
-// budget, quarantine, and publish a recovery edge after the heal.
-func QuarantineDrill(pod string, at, healAfter, horizon float64) Scenario {
-	return Scenario{
-		Name:           "quarantine-drill-" + pod,
-		HorizonSeconds: horizon,
-		Events: []Event{
-			{At: at, Kind: KindPodLoss, Pod: pod},
-			{At: at + healAfter, Kind: KindPodRestore, Pod: pod},
-		},
-	}
-}
-
-// FlapStorm flaps each listed trunk once, spaced interval seconds apart
-// starting at `at`, each flap lasting duration seconds.
-func FlapStorm(trunks [][2]int, at, interval, duration, horizon float64) Scenario {
-	s := Scenario{Name: "flap-storm", HorizonSeconds: horizon}
-	for i, tr := range trunks {
-		s.Events = append(s.Events, Event{
-			At: at + float64(i)*interval, Kind: KindCircuitFlap,
-			Trunk: tr, DurationSeconds: duration,
-		})
-	}
-	return s
-}
-
-// MaintenanceWindow drains one OCS of a pod for duration seconds (a
-// healthy slow drain); stuck=true wedges it instead, so it never lifts.
-func MaintenanceWindow(pod string, ocs int, at, duration, horizon float64, stuck bool) Scenario {
-	ev := Event{At: at, Kind: KindSlowDrain, Pod: pod, OCS: ocs, DurationSeconds: duration}
-	name := "maintenance-window-" + pod
-	if stuck {
-		ev = Event{At: at, Kind: KindStuckDrain, Pod: pod, OCS: ocs}
-		name = "stuck-drain-" + pod
-	}
-	return Scenario{Name: name, HorizonSeconds: horizon, Events: []Event{ev}}
-}
-
-// Compose merges scenarios into one named schedule; the horizon is the
-// maximum of the parts.
-func Compose(name string, parts ...Scenario) Scenario {
-	out := Scenario{Name: name}
-	for _, p := range parts {
-		if p.HorizonSeconds > out.HorizonSeconds {
-			out.HorizonSeconds = p.HorizonSeconds
-		}
-		out.Events = append(out.Events, p.Events...)
-	}
-	return out
-}

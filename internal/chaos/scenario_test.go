@@ -58,29 +58,10 @@ func TestActionsExpandAndOrder(t *testing.T) {
 	}
 }
 
-func TestComposeMergesHorizon(t *testing.T) {
-	s := Compose("both",
-		SingleOCSOutage(1, 10, 20, 100),
-		QuarantineDrill("pod0", 5, 40, 300),
-	)
-	if s.HorizonSeconds != 300 {
-		t.Errorf("horizon = %g, want 300", s.HorizonSeconds)
-	}
-	if len(s.Events) != 4 {
-		t.Errorf("events = %d, want 4", len(s.Events))
-	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("composed scenario invalid: %v", err)
-	}
-}
-
 func TestNamedScenarioConstructors(t *testing.T) {
 	for _, s := range []Scenario{
 		SingleOCSOutage(0, 10, 30, 120),
-		QuarantineDrill("pod2", 10, 60, 240),
-		FlapStorm([][2]int{{0, 1}, {2, 3}}, 5, 10, 8, 120),
-		MaintenanceWindow("pod1", 3, 10, 40, 120, false),
-		MaintenanceWindow("pod1", 3, 10, 0, 120, true),
+		SingleOCSOutage(5, 0, 119, 120),
 	} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)

@@ -1,9 +1,8 @@
-// Package collective provides cost models and an event-timed simulator for
-// the collective communication patterns of §2.2 and Fig 2: bidirectional
-// ring reduce-scatter / all-gather / all-reduce on torus dimensions over the
-// ICI, all-to-all bounds, and the hierarchical ICI-DCN all-reduce used to
-// scale training across superpods. Sizes are bytes, bandwidths bytes/s,
-// times seconds.
+// Package collective provides cost models for the collective communication
+// patterns of §2.2 and Fig 2: bidirectional ring reduce-scatter /
+// all-gather / all-reduce on torus dimensions over the ICI, and the
+// hierarchical ICI-DCN all-reduce used to scale training across superpods.
+// Sizes are bytes, bandwidths bytes/s, times seconds.
 package collective
 
 import (
@@ -65,12 +64,6 @@ func (r Ring) ReduceScatterTime(s float64) (float64, error) {
 	return steps * (chunk/r.Link.BandwidthBps + r.Link.LatencySec), nil
 }
 
-// AllGatherTime returns the time to all-gather to S total bytes per member.
-// It is symmetric to reduce-scatter.
-func (r Ring) AllGatherTime(s float64) (float64, error) {
-	return r.ReduceScatterTime(s)
-}
-
 // AllReduceTime returns the bidirectional-ring all-reduce time for S bytes:
 // a reduce-scatter followed by an all-gather.
 func (r Ring) AllReduceTime(s float64) (float64, error) {
@@ -96,40 +89,6 @@ func (t Torus) Nodes() int {
 	return n
 }
 
-// AllReduceTime returns the multi-dimensional torus all-reduce time for S
-// bytes per node: reduce-scatter along each dimension in turn (payload
-// shrinking by the dimension size each phase), then all-gather in reverse.
-func (t Torus) AllReduceTime(s float64) (float64, error) {
-	if len(t.Dims) == 0 {
-		return 0, nil
-	}
-	total := 0.0
-	cur := s
-	sizes := make([]float64, 0, len(t.Dims))
-	for _, d := range t.Dims {
-		if d < 1 {
-			return 0, fmt.Errorf("%w: dim %d", ErrBadRing, d)
-		}
-		r := Ring{N: d, Link: t.Link}
-		rt, err := r.ReduceScatterTime(cur)
-		if err != nil {
-			return 0, err
-		}
-		total += rt
-		sizes = append(sizes, cur)
-		cur /= float64(d)
-	}
-	for i := len(t.Dims) - 1; i >= 0; i-- {
-		r := Ring{N: t.Dims[i], Link: t.Link}
-		at, err := r.AllGatherTime(sizes[i])
-		if err != nil {
-			return 0, err
-		}
-		total += at
-	}
-	return total, nil
-}
-
 // ReduceScatterTime reduce-scatters S bytes per node across all dimensions.
 func (t Torus) ReduceScatterTime(s float64) (float64, error) {
 	total := 0.0
@@ -150,16 +109,4 @@ func (t Torus) ReduceScatterTime(s float64) (float64, error) {
 func (t Torus) AllGatherTime(s float64) (float64, error) {
 	// Mirror of reduce-scatter.
 	return t.ReduceScatterTime(s)
-}
-
-// AllToAllTime lower-bounds an all-to-all where every node contributes S
-// bytes spread uniformly over all peers: half the total payload must cross
-// the minimum bisection.
-func (t Torus) AllToAllTime(s float64, bisectionLinks int) (float64, error) {
-	if bisectionLinks <= 0 {
-		return 0, fmt.Errorf("%w: bisection %d", ErrBadRing, bisectionLinks)
-	}
-	n := float64(t.Nodes())
-	crossing := n * s / 2
-	return crossing / (float64(bisectionLinks) * t.Link.BandwidthBps), nil
 }

@@ -41,10 +41,6 @@ type Config struct {
 	// Metrics and Alerts receive telemetry; nil disables them.
 	Metrics *telemetry.Registry
 	Alerts  telemetry.AlertSink
-	// AutoRepairLinks makes a Critical BER alert on a circuit trigger an
-	// automatic spare-port link repair (§3.2.2's deep integration of
-	// monitoring with control).
-	AutoRepairLinks bool
 }
 
 // DefaultConfig returns a production-style configuration with the 2x200G

@@ -180,8 +180,8 @@ func (f *Fabric) RepairLink(o topo.OCSID, cube int) (ocs.PortID, error) {
 // cube `north` on OCS o into the fabric's anomaly detection. Readings above
 // the KP4 threshold raise a Critical alert immediately; readings far above
 // the link's own baseline raise Warnings (the production pattern of §3.2.2
-// and Fig 13's monitoring). With Config.AutoRepairLinks set, a Critical
-// reading triggers an automatic spare-port link repair.
+// and Fig 13's monitoring). It never changes the fabric: the repair a
+// Critical reading calls for is the operator's journaled RepairLink.
 func (f *Fabric) ObserveLinkBER(o topo.OCSID, north int, ber float64) bool {
 	key := fmt.Sprintf("ber/ocs%d/cube%d", o, north)
 	det, ok := f.berDetectors[key]
@@ -191,20 +191,5 @@ func (f *Fabric) ObserveLinkBER(o topo.OCSID, north int, ber float64) bool {
 		det.HardLimit = fec.KP4Threshold
 		f.berDetectors[key] = det
 	}
-	anom := det.Observe(ber)
-	if anom && ber > fec.KP4Threshold && f.cfg.AutoRepairLinks {
-		if int(o) < len(f.switches) && north >= 0 && north < 64 && f.installed[north] {
-			// Best effort: repair failures (e.g. spare exhaustion) surface
-			// through the alert sink rather than the telemetry path.
-			if _, err := f.RepairLink(o, north); err != nil && f.cfg.Alerts != nil {
-				f.cfg.Alerts.Post(telemetry.Alert{
-					Source:   key,
-					Severity: telemetry.Critical,
-					Message:  fmt.Sprintf("auto-repair failed: %v", err),
-					Value:    ber,
-				})
-			}
-		}
-	}
-	return anom
+	return det.Observe(ber)
 }

@@ -83,17 +83,6 @@ func (b BOM) Power() float64 {
 	return t
 }
 
-// Qty returns the total quantity of the named component.
-func (b BOM) Qty(name string) int {
-	n := 0
-	for _, l := range b.Lines {
-		if l.Component.Name == name {
-			n += l.Qty
-		}
-	}
-	return n
-}
-
 // String summarizes the BOM.
 func (b BOM) String() string {
 	return fmt.Sprintf("%s: cost=%.1f power=%.0fW (%d lines)", b.Name, b.Cost(), b.Power(), len(b.Lines))

@@ -81,14 +81,6 @@ func Table1() []Table1Row {
 	return rows
 }
 
-// FabricShareOfSystem returns the lightwave fabric's absolute share of
-// total system cost.
-func FabricShareOfSystem() float64 {
-	f := LightwavePodFabric(PodCubes)
-	s := PodSystem(LightwavePodFabric(PodCubes), PodCubes)
-	return f.Cost() / s.Cost()
-}
-
 // IncrementalFabricShare returns the lightwave fabric's cost premium over
 // the static baseline as a fraction of system cost — the paper's "less
 // than 6% of the total system cost" framing (consistent with Table 1's

@@ -29,14 +29,3 @@ func (t OCSTechnology) PodReconfigTime(circuits, numSwitches int) float64 {
 	per := (circuits + numSwitches - 1) / numSwitches
 	return t.ReconfigTime(per)
 }
-
-// ReconfigComparison returns the full-pod reconfiguration time (3072
-// circuits over 48 switches) for every Table C.1 technology, in the
-// table's order.
-func ReconfigComparison() map[string]float64 {
-	out := make(map[string]float64)
-	for _, t := range Technologies() {
-		out[t.Name] = t.PodReconfigTime(3072, 48)
-	}
-	return out
-}

@@ -33,7 +33,11 @@ func TestRoboticReconfigSerializes(t *testing.T) {
 }
 
 func TestPodReconfigComparison(t *testing.T) {
-	cmp := ReconfigComparison()
+	// The full pod: 3072 circuits over 48 switches, per Table C.1 technology.
+	cmp := map[string]float64{}
+	for _, tech := range Technologies() {
+		cmp[tech.Name] = tech.PodReconfigTime(3072, 48)
+	}
 	// MEMS: a full-pod reslice completes in milliseconds; the robotic
 	// panel needs 64 serialized moves per switch at a minute each ≈ an
 	// hour — operationally unusable for slice scheduling.

@@ -265,8 +265,6 @@ func (c *Client) readLoop() {
 // UnknownResponses reports how many responses were dropped because their
 // ID matched no issued request — the request-ID mismatch count; it stays
 // 0 on a healthy stream.
-//
-//lwlint:ignore deadexport read by bench/, a nested module whose files this run does not load
 func (c *Client) UnknownResponses() int64 { return c.unknown.Load() }
 
 // respChPool recycles per-call response channels; a channel is pooled
@@ -436,8 +434,6 @@ func (c *Client) Destroy(name string) error {
 
 // DestroyIfPresent destroys a slice, succeeding as a no-op when the slice
 // does not exist — the idempotent form reconcilers retry.
-//
-//lwlint:ignore deadexport called by bench/, a nested module whose files this run does not load
 func (c *Client) DestroyIfPresent(name string) error {
 	return c.call(MethodDestroy, NameParams{Name: name, IfPresent: true}, nil)
 }

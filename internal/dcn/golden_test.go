@@ -53,8 +53,9 @@ var goldenReference = Comparison{
 	EngineeredBps:  0x1.7c6d63971c3f9p+43,
 }
 
-// goldenSweep is LoadSweep on UniformMesh(8, 21), uniform 1 GB/s demand
-// shape, 2 GB mean flows, 4 s horizon, loads {0.1, 0.4, 0.8}.
+// goldenSweep is Simulate swept over load (loadSweep) on UniformMesh(8,
+// 21), uniform 1 GB/s demand shape, 2 GB mean flows, 4 s horizon, loads
+// {0.1, 0.4, 0.8}.
 var goldenSweepLoads = []float64{0.1, 0.4, 0.8}
 
 var goldenSweep = []SimResult{
@@ -124,7 +125,7 @@ func TestLoadSweepGoldenAcrossWorkerCounts(t *testing.T) {
 	demand := UniformDemand(8, 1e9)
 	w := Workload{MeanFlowBytes: 2e9, Duration: 4}
 	check := func(label string) {
-		pts, err := LoadSweep(top, 21, demand, w, DefaultSimConfig(), goldenSweepLoads)
+		pts, err := loadSweep(top, 21, demand, w, DefaultSimConfig(), goldenSweepLoads)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"lightwave/internal/ocs"
+	"lightwave/internal/topo"
 )
 
 // Fabric binds the logical DCN topology to physical OCS hardware: block b
@@ -154,6 +155,43 @@ func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// SwitchesTouching returns the ascending IDs of the switches hosting a
+// circuit of any torn block pair, in either order — the set a TE stage
+// must drain. Switches at or beyond topo.NumOCS are outside the fleet's
+// drainable OCS range: they are still reprogrammed, just not drained.
+func (f *Fabric) SwitchesTouching(tears [][2]int) []int {
+	if len(tears) == 0 {
+		return nil
+	}
+	torn := make(map[[2]int]bool, 2*len(tears))
+	for _, t := range tears {
+		torn[t] = true
+		torn[[2]int{t[1], t[0]}] = true
+	}
+	var ids []int
+	for i, sw := range f.Switches {
+		if i >= topo.NumOCS {
+			break
+		}
+		for _, c := range sw.Circuits() {
+			if torn[[2]int{int(c.North), int(c.South)}] {
+				ids = append(ids, i)
+				break
+			}
+		}
+	}
+	return ids
+}
+
+// Circuits counts the circuits established across the fabric.
+func (f *Fabric) Circuits() int {
+	n := 0
+	for _, sw := range f.Switches {
+		n += sw.NumCircuits()
+	}
+	return n
 }
 
 // LiveTrunks returns the trunk matrix currently programmed on the

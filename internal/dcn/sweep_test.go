@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lightwave/internal/par"
+	"lightwave/internal/sim"
 )
 
 func TestSimulateRejectsDegenerateInputs(t *testing.T) {
@@ -97,7 +98,7 @@ func TestLoadSweepMonotoneAndDeterministic(t *testing.T) {
 
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
-	base, err := LoadSweep(top, 21, demand, w, cfg, loads)
+	base, err := loadSweep(top, 21, demand, w, cfg, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestLoadSweepMonotoneAndDeterministic(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		par.SetWorkers(workers)
-		got, err := LoadSweep(top, 21, demand, w, cfg, loads)
+		got, err := loadSweep(top, 21, demand, w, cfg, loads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +130,11 @@ func TestLoadSweepPointIndependence(t *testing.T) {
 	demand := UniformDemand(6, 1e9)
 	w := Workload{MeanFlowBytes: 2e9, Duration: 3}
 	cfg := DefaultSimConfig()
-	a, err := LoadSweep(top, 15, demand, w, cfg, []float64{0.2, 0.6})
+	a, err := loadSweep(top, 15, demand, w, cfg, []float64{0.2, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadSweep(top, 15, demand, w, cfg, []float64{0.2, 0.4, 0.6})
+	b, err := loadSweep(top, 15, demand, w, cfg, []float64{0.2, 0.4, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestLoadSweepPointIndependence(t *testing.T) {
 func TestLoadSweepPropagatesErrors(t *testing.T) {
 	top, _ := UniformMesh(6, 15)
 	w := Workload{MeanFlowBytes: 0, Duration: 3} // degenerate
-	if _, err := LoadSweep(top, 15, UniformDemand(6, 1e9), w, DefaultSimConfig(), []float64{0.5}); !errors.Is(err, ErrDegenerate) {
+	if _, err := loadSweep(top, 15, UniformDemand(6, 1e9), w, DefaultSimConfig(), []float64{0.5}); !errors.Is(err, ErrDegenerate) {
 		t.Fatalf("err = %v, want ErrDegenerate", err)
 	}
 }
@@ -175,4 +176,42 @@ func TestCompareTopologiesDeterministicAcrossWorkerCounts(t *testing.T) {
 	if got != base {
 		t.Fatalf("parallel comparison diverged:\n%+v\n%+v", got, base)
 	}
+}
+
+// loadPoint is one offered-load sweep point of the flow-level simulator.
+type loadPoint struct {
+	// Load is the fraction of total fabric capacity offered.
+	Load   float64
+	Result SimResult
+}
+
+// loadSweep runs the flow-level simulator at each offered-load fraction,
+// scaling the demand shape to that share of the fabric's directed
+// capacity (t.Blocks × uplinks trunks). Sweep points run in parallel on
+// the worker pool while each point's event loop stays sequential; point i
+// uses seed substream (cfg.Seed, i), so the sweep is deterministic at any
+// worker count and inserting a point never perturbs the others' arrival
+// processes. It is the harness the golden sweep rows of golden_test.go
+// (DESIGN.md §9) run Simulate through; nothing outside tests sweeps load.
+func loadSweep(t *Topology, uplinks int, demand [][]float64, w Workload, cfg SimConfig, loads []float64) ([]loadPoint, error) {
+	type out struct {
+		res SimResult
+		err error
+	}
+	outs := par.Sweep("dcn_load_sweep", loads, func(i int, load float64) out {
+		wp := w
+		wp.Demand = scaleDemand(demand, t.Blocks, uplinks, cfg.TrunkBps, load)
+		cp := cfg
+		cp.Seed = sim.SubstreamSeed(cfg.Seed, uint64(i))
+		r, err := Simulate(t, wp, cp)
+		return out{res: r, err: err}
+	})
+	pts := make([]loadPoint, len(loads))
+	for i, o := range outs {
+		if o.err != nil {
+			return nil, o.err
+		}
+		pts[i] = loadPoint{Load: loads[i], Result: o.res}
+	}
+	return pts, nil
 }

@@ -11,8 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"lightwave/internal/topo"
 )
 
 // Topology is the logical inter-block topology: Links[i][j] direct trunks
@@ -217,16 +215,4 @@ func (t *Topology) Decompose() []Matching {
 		out = append(out, m)
 	}
 	return out
-}
-
-// OCSCount returns how many Palomar OCSes realize the topology when each
-// matching maps to one switch and each block pair on a matching consumes a
-// duplex port pair.
-func (t *Topology) OCSCount() int {
-	n := len(t.Decompose())
-	// Each OCS can host several matchings if the block count is far below
-	// its usable radix; production practice dedicates matchings to
-	// switches for failure isolation, which we follow.
-	_ = topo.NumOCS
-	return n
 }

@@ -39,22 +39,3 @@ func BenchmarkOIMMitigation100k(b *testing.B) {
 			MonteCarloConfig{Symbols: 100000, Rand: sim.NewRand(uint64(i + 1))})
 	}
 }
-
-func BenchmarkMLSEDetect(b *testing.B) {
-	m := NewMLSE(0.2)
-	levels := [4]float64{1, 2, 3, 4}
-	rng := sim.NewRand(9)
-	n := 100000
-	y := make([]float64, n)
-	prev := 0
-	for i := range y {
-		k := rng.Intn(4)
-		y[i] = m.H0*levels[k] + m.H1*levels[prev] + 0.1*rng.NormFloat64()
-		prev = k
-	}
-	b.SetBytes(int64(n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Detect(y, levels)
-	}
-}

@@ -37,12 +37,3 @@ func (e Equalizer) ResidualPenaltyDB(rawDB float64) float64 {
 	}
 	return res
 }
-
-// States returns the trellis state count of the MLSE detector for PAM4.
-func (e Equalizer) States() int {
-	n := 1
-	for i := 0; i < e.Taps; i++ {
-		n *= 4
-	}
-	return n
-}

@@ -31,12 +31,3 @@ func TestEqualizerZeroPenalty(t *testing.T) {
 		t.Fatal("negative penalty should clamp to zero")
 	}
 }
-
-func TestEqualizerStates(t *testing.T) {
-	if s := DefaultEqualizer().States(); s != 16 {
-		t.Fatalf("states = %d, want 16 for 2-tap PAM4", s)
-	}
-	if s := (Equalizer{Taps: 0}).States(); s != 1 {
-		t.Fatalf("states = %d", s)
-	}
-}

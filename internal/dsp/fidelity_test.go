@@ -37,17 +37,11 @@ func innerSensitivityGainDB(t *testing.T, r Receiver, mpi MPICondition) float64 
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := fec.DefaultInner()
-	lo, hi := -30.0, 5.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if inner.Transfer(r.BER(mid, mpi)) > fec.KP4Threshold {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	with, err := r.SensitivityThrough(fec.KP4Threshold, mpi, fec.DefaultInner().Transfer)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return without - (lo+hi)/2
+	return without - with
 }
 
 // TestFidelityFig12SensitivityGain: the paper reports a 1.6 dB sensitivity

@@ -148,19 +148,34 @@ func (r Receiver) BER(rxPowerDBm float64, mpi MPICondition) float64 {
 }
 
 // Sensitivity returns the received power (dBm) at which the lane reaches
-// targetBER under mpi, found by bisection. It returns an error if the
-// target is unreachable within a sane power range.
+// targetBER under mpi: SensitivityThrough with no decoder ahead of the
+// target.
 func (r Receiver) Sensitivity(targetBER float64, mpi MPICondition) (float64, error) {
+	return r.SensitivityThrough(targetBER, mpi, nil)
+}
+
+// SensitivityThrough returns the received power (dBm) at which the lane's
+// BER, passed through the post-detection transfer (an inner decoder's
+// output-vs-input BER curve; nil is the identity), reaches targetBER under
+// mpi, found by bisection over [−30, 10] dBm. It returns an error if the
+// target is unreachable within that range.
+func (r Receiver) SensitivityThrough(targetBER float64, mpi MPICondition, transfer func(float64) float64) (float64, error) {
+	berAt := func(p float64) float64 {
+		if transfer == nil {
+			return r.BER(p, mpi)
+		}
+		return transfer(r.BER(p, mpi))
+	}
 	lo, hi := -30.0, 10.0
-	if r.BER(hi, mpi) > targetBER {
+	if berAt(hi) > targetBER {
 		return 0, errors.New("dsp: target BER unreachable (noise floor)")
 	}
-	if r.BER(lo, mpi) < targetBER {
+	if berAt(lo) < targetBER {
 		return lo, nil
 	}
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
-		if r.BER(mid, mpi) > targetBER {
+		if berAt(mid) > targetBER {
 			lo = mid
 		} else {
 			hi = mid
@@ -187,14 +202,12 @@ func (r *Receiver) Calibrate(sensitivityDBm, targetBER float64) {
 }
 
 // PostFECBER runs the analytic receiver through a FEC transfer chain.
+//
+//lwlint:ignore deadexport the oracle core's and this package's admission-equivalence tests hold the MaxInputBER threshold to
 func (r Receiver) PostFECBER(rxPowerDBm float64, mpi MPICondition, stack fec.Concatenated) float64 {
 	return stack.Transfer(r.BER(rxPowerDBm, mpi))
 }
 
 func dbmToWatts(dbm float64) float64 {
 	return 1e-3 * math.Pow(10, dbm/10)
-}
-
-func wattsToDBm(w float64) float64 {
-	return 10 * math.Log10(w/1e-3)
 }

@@ -162,3 +162,7 @@ func TestOIMSuppressionConfigurable(t *testing.T) {
 		t.Fatal("stronger suppression should give lower BER")
 	}
 }
+
+func wattsToDBm(w float64) float64 {
+	return 10 * math.Log10(w/1e-3)
+}

@@ -80,6 +80,8 @@ func (f *Field) Div(a, b int) int {
 }
 
 // Inv returns the multiplicative inverse of a. It panics if a is zero.
+//
+//lwlint:ignore deadexport bit-level codec the ROADMAP Fidelity item (b) drives with the dsp waveform under par.MonteCarlo
 func (f *Field) Inv(a int) int {
 	if a == 0 {
 		panic("fec: inverse of zero")
@@ -98,6 +100,8 @@ func (f *Field) Exp(i int) int {
 }
 
 // Log returns log_α(a). It panics if a is zero.
+//
+//lwlint:ignore deadexport bit-level codec the ROADMAP Fidelity item (b) drives with the dsp waveform under par.MonteCarlo
 func (f *Field) Log(a int) int {
 	if a == 0 {
 		panic("fec: log of zero")

@@ -33,6 +33,8 @@ func (h *Hamming) N() int { return h.n }
 func (h *Hamming) K() int { return h.k }
 
 // Rate returns the code rate k/n.
+//
+//lwlint:ignore deadexport bit-level codec the ROADMAP Fidelity item (b) drives with the dsp waveform under par.MonteCarlo
 func (h *Hamming) Rate() float64 { return float64(h.k) / float64(h.n) }
 
 // Encode maps k data bits to an n-bit codeword. The layout is the classic

@@ -11,6 +11,8 @@ type Interleaver struct {
 }
 
 // NewInterleaver returns a block interleaver of the given dimensions.
+//
+//lwlint:ignore deadexport bit-level codec the ROADMAP Fidelity item (b) drives with the dsp waveform under par.MonteCarlo
 func NewInterleaver(rows, cols int) (*Interleaver, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("fec: invalid interleaver %dx%d", rows, cols)
@@ -22,6 +24,8 @@ func NewInterleaver(rows, cols int) (*Interleaver, error) {
 func (iv *Interleaver) Size() int { return iv.rows * iv.cols }
 
 // Interleave writes the block row-major and reads it column-major.
+//
+//lwlint:ignore deadexport bit-level codec the ROADMAP Fidelity item (b) drives with the dsp waveform under par.MonteCarlo
 func (iv *Interleaver) Interleave(in []int) ([]int, error) {
 	if len(in) != iv.Size() {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrCodewordLength, len(in), iv.Size())
@@ -38,6 +42,8 @@ func (iv *Interleaver) Interleave(in []int) ([]int, error) {
 }
 
 // Deinterleave inverts Interleave.
+//
+//lwlint:ignore deadexport bit-level codec the ROADMAP Fidelity item (b) drives with the dsp waveform under par.MonteCarlo
 func (iv *Interleaver) Deinterleave(in []int) ([]int, error) {
 	if len(in) != iv.Size() {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrCodewordLength, len(in), iv.Size())
@@ -56,6 +62,8 @@ func (iv *Interleaver) Deinterleave(in []int) ([]int, error) {
 // BurstSpread reports the maximum number of symbols any single row receives
 // from a contiguous burst of the given length in the interleaved domain —
 // the figure of merit for burst protection.
+//
+//lwlint:ignore deadexport bit-level codec the ROADMAP Fidelity item (b) drives with the dsp waveform under par.MonteCarlo
 func (iv *Interleaver) BurstSpread(burst int) int {
 	if burst <= 0 {
 		return 0

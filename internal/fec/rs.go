@@ -59,9 +59,13 @@ func (r *RS) N() int { return r.n }
 func (r *RS) K() int { return r.k }
 
 // T returns the symbol-error correcting capability.
+//
+//lwlint:ignore deadexport bit-level codec the ROADMAP Fidelity item (b) drives with the dsp waveform under par.MonteCarlo
 func (r *RS) T() int { return r.t }
 
 // Rate returns the code rate k/n.
+//
+//lwlint:ignore deadexport bit-level codec the ROADMAP Fidelity item (b) drives with the dsp waveform under par.MonteCarlo
 func (r *RS) Rate() float64 { return float64(r.k) / float64(r.n) }
 
 // Field returns the underlying field.

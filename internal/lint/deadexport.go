@@ -4,18 +4,21 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// AnalyzerDeadexport keeps the control-plane packages' exported surface
-// honest: inside Config.DeadExportPackages, an exported function, method
-// or type that no non-test code in the module references — outside its
-// own declaration — is dead weight that still has to be read, kept
-// compiling and kept consistent (the PR 7 RemoteBackend and RunLoad
-// harness lived on for five PRs with no daemon constructing them). Test
-// files are not loaded, so a symbol only its own tests call counts as
-// dead: either something real needs it or the tests are testing nothing.
+// AnalyzerDeadexport keeps the internal packages' exported surface
+// honest: under Config.DeadExportScope, an exported function, method or
+// type that no non-test code in the module references — outside its own
+// declaration — is dead weight that still has to be read, kept compiling
+// and kept consistent (the PR 7 RemoteBackend and RunLoad harness lived
+// on for five PRs with no daemon constructing them). Test files are not
+// loaded, so a symbol only its own tests call counts as dead: either
+// something real needs it or the tests are testing nothing.
 //
-// Liveness is resolved module-wide by name (see RefIndex). A concrete
+// Liveness is resolved module-wide by name (see RefIndex), over the
+// module's packages and the non-test files of modules nested under it
+// (bench/ imports the internal packages and is a root). A concrete
 // method also counts as live when any interface in the module or its
 // imports declares a method of that name: it may be reached through the
 // interface (ctlrpc's providers, fmt.Stringer, io.Closer), which no
@@ -23,7 +26,7 @@ import (
 // noisy.
 var AnalyzerDeadexport = &Analyzer{
 	Name: "deadexport",
-	Doc: "exported funcs, methods and types of the control-plane packages " +
+	Doc: "exported funcs, methods and types of the internal packages " +
 		"must be referenced by non-test code outside their own declaration",
 	Run: runDeadexport,
 }
@@ -42,7 +45,12 @@ type RefIndex struct {
 
 // NewRefIndex scans the packages' non-test syntax.
 func NewRefIndex(pkgs []*Package) *RefIndex {
-	idx := &RefIndex{used: map[string]bool{}, ifaceMethods: map[string]bool{"Error": true}}
+	// error is a universe type, and the errors package reaches Unwrap, Is
+	// and As through interfaces declared inside function bodies, which
+	// export data does not carry.
+	idx := &RefIndex{used: map[string]bool{}, ifaceMethods: map[string]bool{
+		"Error": true, "Unwrap": true, "Is": true, "As": true,
+	}}
 	seen := map[*types.Package]bool{}
 	for _, pkg := range pkgs {
 		idx.addInterfaces(pkg.Types, seen)
@@ -148,17 +156,8 @@ func symbolKey(obj types.Object) string {
 	return ""
 }
 
-func (c *Config) inDeadExportScope(path string) bool {
-	for _, p := range c.DeadExportPackages {
-		if path == p {
-			return true
-		}
-	}
-	return false
-}
-
 func runDeadexport(p *Pass) {
-	if !p.Cfg.inDeadExportScope(p.ImportPath) {
+	if !strings.HasPrefix(p.ImportPath, p.Cfg.DeadExportScope) {
 		return
 	}
 	check := func(id *ast.Ident, kind string) {

@@ -137,10 +137,10 @@ type Config struct {
 	// FsyncPackages lists import paths where an unchecked Sync/Close
 	// error on a durable file is a durability bug, not noise.
 	FsyncPackages []string
-	// DeadExportPackages lists import paths whose exported funcs, methods
-	// and types must be referenced by non-test code somewhere in the
-	// module.
-	DeadExportPackages []string
+	// DeadExportScope is the import-path prefix whose packages' exported
+	// funcs, methods and types must be referenced by non-test code
+	// somewhere in the module or a module nested under it.
+	DeadExportScope string
 }
 
 // IsDeterministic reports whether the import path is under the
@@ -212,21 +212,10 @@ func DefaultConfig() Config {
 			"lightwave/cmd/lwfd",
 			"lightwave/cmd/lwfleetd",
 		},
-		// The control plane: its exported surface is what the daemons,
-		// lwfctl and the bench compose, so anything nobody composes goes.
-		// The scheduler and its kernel joined once the offline simulation
-		// ran on sched.Scheduler: what only the forked loop used went with
-		// it. te joined once its epoch replay was the one chaos runs on too.
-		DeadExportPackages: []string{
-			"lightwave/internal/ctlrpc",
-			"lightwave/internal/fleet",
-			"lightwave/internal/wal",
-			"lightwave/internal/daemon",
-			"lightwave/internal/sched",
-			"lightwave/internal/superpod",
-			"lightwave/internal/sim",
-			"lightwave/internal/te",
-		},
+		// Every internal package: its exported surface is what cmd/,
+		// examples/ and the bench/ ledger compose, so anything none of
+		// them reaches goes.
+		DeadExportScope: "lightwave/internal/",
 	}
 }
 
@@ -336,14 +325,9 @@ func applySuppressions(diags []Diagnostic, sups []suppression) []Diagnostic {
 	return kept
 }
 
-// RunPackage runs the analyzers over one loaded package, applying
+// runPackage runs the analyzers over one loaded package, applying
 // suppressions, and returns sorted diagnostics. relFile, when non-nil,
 // rewrites reported filenames (the driver makes them module-relative).
-// The package is its own module as far as cross-package contracts go.
-func RunPackage(cfg *Config, pkg *Package, analyzers []*Analyzer, relFile func(token.Position) string) []Diagnostic {
-	return runPackage(cfg, pkg, analyzers, relFile, NewRefIndex([]*Package{pkg}))
-}
-
 func runPackage(cfg *Config, pkg *Package, analyzers []*Analyzer, relFile func(token.Position) string, refs *RefIndex) []Diagnostic {
 	// Suppressions may name any catalog analyzer, not just the ones this
 	// run executes: a single-analyzer run (e.g. the simrand-only policy
@@ -410,14 +394,19 @@ func Run(root string, patterns []string, cfg Config, analyzers []*Analyzer) ([]D
 		return nil, err
 	}
 	// References are a whole-module property: a run over a subset of the
-	// packages still has to see every importer of what it analyzes.
+	// packages still has to see every importer of what it analyzes, and
+	// the modules nested under the root (bench/) import it too.
 	whole := pkgs
 	if len(patterns) > 0 && !(len(patterns) == 1 && patterns[0] == "./...") {
 		if whole, err = LoadModule(root, nil); err != nil {
 			return nil, err
 		}
 	}
-	refs := NewRefIndex(whole)
+	nested, err := loadNestedModules(root)
+	if err != nil {
+		return nil, err
+	}
+	refs := NewRefIndex(append(whole, nested...))
 	var all []Diagnostic
 	for _, pkg := range pkgs {
 		all = append(all, runPackage(&cfg, pkg, analyzers, moduleRelative(root), refs)...)

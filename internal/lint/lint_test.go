@@ -132,9 +132,12 @@ func TestDefaultConfigNamesRealPackages(t *testing.T) {
 	if !cfg.inFsyncScope("lightwave/internal/daemon") {
 		t.Error("the daemons' shared shutdown path closes the store and must be in fsync scope")
 	}
-	for _, p := range []string{"ctlrpc", "fleet", "wal", "daemon", "sched", "superpod", "sim"} {
-		if !cfg.inDeadExportScope("lightwave/internal/" + p) {
+	for _, p := range []string{"ctlrpc", "dcn", "fec", "lint", "ocs"} {
+		if !strings.HasPrefix("lightwave/internal/"+p, cfg.DeadExportScope) {
 			t.Errorf("package %s must be in deadexport scope", p)
 		}
+	}
+	if strings.HasPrefix("lightwave/cmd/lwfd", cfg.DeadExportScope) {
+		t.Error("cmd/ is a liveness root, not deadexport scope")
 	}
 }

@@ -2,6 +2,12 @@ package lint
 
 import (
 	"bufio"
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,9 +17,9 @@ import (
 )
 
 // The golden corpora under testdata/ are the analyzer specification by
-// example: each directory is one synthetic package, loaded through the
-// same LoadDir path the mutation tests use, and every expected finding is
-// a `// want "regexp"` comment on the line it is expected at. A produced
+// example: each directory is one synthetic package, loaded by loadDir and
+// analysed as its own module, and every expected finding is a
+// `// want "regexp"` comment on the line it is expected at. A produced
 // diagnostic with no matching want, or a want with no matching
 // diagnostic, fails the test — so corpora pin both the positives and the
 // negatives of every analyzer.
@@ -37,7 +43,7 @@ func corpusConfig(importPath string) Config {
 		},
 		FsyncPackages: []string{importPath},
 		// Only its own corpus: every other corpus exports freely.
-		DeadExportPackages: []string{"corpus/deadexport"},
+		DeadExportScope: "corpus/deadexport",
 	}
 }
 
@@ -66,11 +72,11 @@ func runCorpus(t *testing.T, name string) {
 	dir := filepath.Join("testdata", name)
 	importPath := "corpus/" + name
 	cfg := corpusConfig(importPath)
-	pkg, err := LoadDir(dir, importPath, ".")
+	pkg, err := loadDir(dir, importPath, ".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunPackage(&cfg, pkg, Analyzers(), nil)
+	diags := runPackage(&cfg, pkg, Analyzers(), nil, NewRefIndex([]*Package{pkg}))
 
 	wants := parseWants(t, dir)
 	used := make([]bool, 0)
@@ -165,4 +171,73 @@ func parseWants(t *testing.T, dir string) map[wantKey][]*regexp.Regexp {
 		f.Close()
 	}
 	return out
+}
+
+// loadDir loads a single directory of Go files as the package
+// asImportPath, resolving its imports (stdlib or otherwise) through `go
+// list -export` run from resolveDir. The analyzer testdata corpora live
+// outside the module build graph, so this is how linttest feeds them to
+// the engine.
+func loadDir(dir, asImportPath, resolveDir string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %w", err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		names = append(names, e.Name())
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	imports := make(map[string]bool)
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path := strings.Trim(spec.Path.Value, `"`)
+			if path != "unsafe" {
+				imports[path] = true
+			}
+		}
+	}
+	exports := make(map[string]string)
+	if len(imports) > 0 {
+		args := []string{"-export", "-deps", "-json=ImportPath,Export,Incomplete"}
+		for p := range imports {
+			args = append(args, p)
+		}
+		deps, err := goList(resolveDir, args...)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range deps {
+			if p.Export != "" {
+				exports[p.ImportPath] = p.Export
+			}
+		}
+	}
+	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
+	info := newInfo()
+	conf := types.Config{Importer: imp, FakeImportC: true}
+	tpkg, err := conf.Check(asImportPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: type-check %s (%s): %w", dir, strings.Join(names, ","), err)
+	}
+	return &Package{
+		ImportPath: asImportPath,
+		Dir:        dir,
+		Fset:       fset,
+		Files:      files,
+		Types:      tpkg,
+		Info:       info,
+	}, nil
 }

@@ -135,6 +135,30 @@ func LoadModule(root string, patterns []string) ([]*Package, error) {
 	return out, nil
 }
 
+// loadNestedModules loads every module nested under root (a directory
+// below it with its own go.mod — today bench/), skipping what `./...`
+// skips: testdata and directories named with a leading "." or "_". Their
+// packages are liveness roots for deadexport, never analysed: `./...` at
+// the root stops at a nested go.mod, so nothing else would see them.
+func loadNestedModules(root string) ([]*Package, error) {
+	var out []*Package
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == root {
+			return err
+		}
+		if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err != nil {
+			return nil
+		}
+		pkgs, err := LoadModule(path, nil)
+		out = append(out, pkgs...)
+		return err
+	})
+	return out, err
+}
+
 // checkFromSource parses and type-checks one package directory.
 func checkFromSource(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
@@ -153,76 +177,6 @@ func checkFromSource(fset *token.FileSet, imp types.Importer, importPath, dir st
 	}
 	return &Package{
 		ImportPath: importPath,
-		Dir:        dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}, nil
-}
-
-// LoadDir loads a single directory of Go files as the package
-// asImportPath, resolving its imports (stdlib or otherwise) through `go
-// list -export` run from resolveDir. The analyzer testdata corpora live
-// outside the module build graph, so this is how linttest feeds them to
-// the engine; the mutation test points it at synthetic throwaway
-// modules the same way.
-func LoadDir(dir, asImportPath, resolveDir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		names = append(names, e.Name())
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	imports := make(map[string]bool)
-	for _, f := range files {
-		for _, spec := range f.Imports {
-			path := strings.Trim(spec.Path.Value, `"`)
-			if path != "unsafe" {
-				imports[path] = true
-			}
-		}
-	}
-	exports := make(map[string]string)
-	if len(imports) > 0 {
-		args := []string{"-export", "-deps", "-json=ImportPath,Export,Incomplete"}
-		for p := range imports {
-			args = append(args, p)
-		}
-		deps, err := goList(resolveDir, args...)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range deps {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
-	info := newInfo()
-	conf := types.Config{Importer: imp, FakeImportC: true}
-	tpkg, err := conf.Check(asImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-check %s (%s): %w", dir, strings.Join(names, ","), err)
-	}
-	return &Package{
-		ImportPath: asImportPath,
 		Dir:        dir,
 		Fset:       fset,
 		Files:      files,

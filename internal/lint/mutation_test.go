@@ -47,21 +47,36 @@ func Program(desired map[[2]int]int) [][2]int {
 `
 
 // writeModule lays out a throwaway module that shadows the real module
-// path, so DefaultConfig's package lists apply verbatim.
+// path, so DefaultConfig's package lists apply verbatim. A command calls
+// Program, as cmd/ roots every internal export.
 func writeModule(t *testing.T, programSrc string) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module lightwave\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkgDir := filepath.Join(dir, "internal", "dcn")
-	if err := os.MkdirAll(pkgDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(pkgDir, "program.go"), []byte(programSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFiles(t, dir, map[string]string{
+		"go.mod":                  "module lightwave\n\ngo 1.22\n",
+		"internal/dcn/program.go": programSrc,
+		"cmd/lwplan/main.go": `package main
+
+import "lightwave/internal/dcn"
+
+func main() { dcn.Program(nil) }
+`,
+	})
 	return dir
+}
+
+// writeFiles writes module-relative path → source under dir.
+func writeFiles(t *testing.T, dir string, files map[string]string) {
+	t.Helper()
+	for path, src := range files {
+		full := filepath.Join(dir, path)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestMutationMapRangeBugIsCaught(t *testing.T) {
@@ -101,7 +116,7 @@ func TestMutationSortedFixIsClean(t *testing.T) {
 // reach the same verdict as a whole-module run.
 func TestDeadExportSeesImportersAcrossPackages(t *testing.T) {
 	dir := t.TempDir()
-	for path, src := range map[string]string{
+	writeFiles(t, dir, map[string]string{
 		"go.mod": "module lightwave\n\ngo 1.22\n",
 		"internal/ctlrpc/c.go": `package ctlrpc
 
@@ -127,15 +142,7 @@ import "lightwave/internal/ctlrpc"
 
 func main() { ctlrpc.Dial().Status() }
 `,
-	} {
-		full := filepath.Join(dir, path)
-		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	for _, patterns := range [][]string{{"./..."}, {"./internal/ctlrpc"}} {
 		diags, err := Run(dir, patterns, DefaultConfig(), Analyzers())
 		if err != nil {
@@ -157,5 +164,54 @@ func main() { ctlrpc.Dial().Status() }
 				t.Errorf("%v: diagnostic %q, want prefix %q", patterns, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestDeadExportNestedModuleRoots: a module nested under the root (bench/,
+// its own go.mod importing lightwave/internal/...) is a liveness root, so
+// an export only its non-test files call stays live, one only its _test.go
+// calls is still reported, and the nested module's own surface (Unused) is
+// never analysed. Without the nested-module index Perm is reported too.
+func TestDeadExportNestedModuleRoots(t *testing.T) {
+	dir := t.TempDir()
+	writeFiles(t, dir, map[string]string{
+		"go.mod": "module lightwave\n\ngo 1.22\n",
+		"internal/sim/rng.go": `package sim
+
+func Perm(n int) []int { return make([]int, n) }
+
+func Shuffle() {}
+`,
+		"bench/go.mod": "module lightwave/bench\n\ngo 1.22\n\nrequire lightwave v0.0.0\n\nreplace lightwave => ../\n",
+		"bench/ops.go": `package main
+
+import "lightwave/internal/sim"
+
+func Unused() {}
+
+func main() { _ = sim.Perm(4) }
+`,
+		"bench/ops_test.go": `package main
+
+import (
+	"testing"
+
+	"lightwave/internal/sim"
+)
+
+func TestShuffle(t *testing.T) { sim.Shuffle() }
+`,
+	})
+	diags, err := Run(dir, []string{"./..."}, DefaultConfig(), Analyzers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, d.String())
+	}
+	want := "internal/sim/rng.go:5: [deadexport] exported function Shuffle"
+	if len(got) != 1 || !strings.HasPrefix(got[0], want) {
+		t.Fatalf("diagnostics %q, want one with prefix %q", got, want)
 	}
 }

@@ -72,5 +72,5 @@ type Self struct { // want `\[deadexport\] exported type Self`
 
 // Kept is dead but carries a reasoned suppression.
 //
-//lwlint:ignore deadexport called by a nested module this run cannot load
+//lwlint:ignore deadexport the test seam another package's tests turn
 func Kept() {}

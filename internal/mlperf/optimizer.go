@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"lightwave/internal/par"
 	"lightwave/internal/topo"
 )
 
@@ -117,22 +116,6 @@ func (sys System) OptimizeSlice(m LLM, cubes int) (SearchResult, error) {
 	for _, sh := range shapes {
 		all = append(all, sys.evalShape(m, sh))
 	}
-	return sys.finishSearch(m, cubes, all)
-}
-
-// OptimizeSlicePar is OptimizeSlice with the per-shape step-time modeling
-// fanned out through internal/par — bit-identical to the sequential search
-// at any worker count (par.Sweep returns results in input order and the
-// ranking sort is stable). Online schedulers use it so a placement decision
-// does not serialize the shape search on one core.
-func (sys System) OptimizeSlicePar(m LLM, cubes int) (SearchResult, error) {
-	shapes := topo.ShapesFor(cubes)
-	if len(shapes) == 0 {
-		return SearchResult{}, fmt.Errorf("mlperf: no shapes for %d cubes", cubes)
-	}
-	all := par.Sweep("mlperf_optimize", shapes, func(_ int, sh topo.Shape) ShapeTime {
-		return sys.evalShape(m, sh)
-	})
 	return sys.finishSearch(m, cubes, all)
 }
 

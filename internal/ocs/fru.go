@@ -29,6 +29,8 @@ func (s *Switch) FailDriverBoard(b int) ([]Circuit, error) {
 // ReplaceDriverBoard hot-swaps board b back into service. Circuits dropped
 // by its failure are not re-established automatically; that is the control
 // plane's job.
+//
+//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) ReplaceDriverBoard(b int) error {
 	if b < 0 || b >= s.cfg.DriverBoards {
 		return ErrDriverBoard
@@ -41,6 +43,8 @@ func (s *Switch) ReplaceDriverBoard(b int) error {
 }
 
 // DriverBoardHealthy reports the health of board b.
+//
+//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) DriverBoardHealthy(b int) bool {
 	return b >= 0 && b < s.cfg.DriverBoards && s.boards[b]
 }
@@ -72,6 +76,8 @@ func (s *Switch) dropUndrivable() []Circuit {
 // manufacturing-spare repair: the affected port is remapped to the
 // best-quality unused healthy mirror on that die. It returns the circuits
 // dropped by the failure and whether a spare was available.
+//
+//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) FailMirror(d, m int) (dropped []Circuit, repaired bool, err error) {
 	if d < 0 || d > 1 || m < 0 || m >= s.cfg.MirrorsPerDie {
 		return nil, false, ErrMirrorRange
@@ -122,6 +128,8 @@ func (s *Switch) bestSpareMirror(d int) int {
 }
 
 // SpareMirrors returns the number of healthy unassigned mirrors on die d.
+//
+//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) SpareMirrors(d int) int {
 	if d < 0 || d > 1 {
 		return 0
@@ -171,6 +179,8 @@ func (s *Switch) FailPort(p PortID) ([]Circuit, error) {
 
 // RepairPort returns a failed port to service (after a pigtail replacement
 // or collimator repair).
+//
+//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) RepairPort(p PortID) error {
 	if int(p) < 0 || int(p) >= s.cfg.Radix {
 		return ErrPortRange
@@ -207,6 +217,8 @@ func (s *Switch) SpareFor(failed PortID) (PortID, error) {
 }
 
 // SparesLeft returns the number of unallocated healthy spare ports.
+//
+//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) SparesLeft() int {
 	n := 0
 	for p := s.cfg.Radix - s.cfg.SparePorts; p < s.cfg.Radix; p++ {
@@ -239,6 +251,8 @@ func (s *Switch) ReplacePSU(i int) error {
 }
 
 // FailFan marks fan i failed. Cooling tolerates a single fan failure.
+//
+//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) FailFan(i int) error {
 	if i < 0 || i >= len(s.fans) {
 		return fmt.Errorf("ocs: fan %d out of range", i)
@@ -249,6 +263,8 @@ func (s *Switch) FailFan(i int) error {
 }
 
 // ReplaceFan hot-swaps fan i back.
+//
+//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) ReplaceFan(i int) error {
 	if i < 0 || i >= len(s.fans) {
 		return fmt.Errorf("ocs: fan %d out of range", i)
@@ -282,4 +298,6 @@ func (s *Switch) updateUp() {
 
 // DroppedByFRU returns the cumulative number of circuits dropped by
 // hardware failures.
+//
+//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) DroppedByFRU() int64 { return s.droppedByFRU }

@@ -63,8 +63,6 @@ type Config struct {
 	AlignIterations int
 	// AlignRound is the duration of one alignment round in seconds.
 	AlignRound float64
-	// MaxPowerW is the maximum power draw of the chassis (paper: 108 W).
-	MaxPowerW float64
 	// Seed fixes the manufacturing variation of this physical unit.
 	Seed uint64
 	// Metrics receives telemetry; nil disables metric export.
@@ -81,7 +79,6 @@ func DefaultConfig() Config {
 		MirrorSettle:    2e-3,
 		AlignIterations: 6,
 		AlignRound:      0.5e-3,
-		MaxPowerW:       108,
 		Seed:            1,
 	}
 }
@@ -121,7 +118,6 @@ type Switch struct {
 	fans []bool
 
 	up           bool
-	reconfigs    int64
 	droppedByFRU int64
 	metricLoss   *telemetry.Distribution
 	metricReconf *telemetry.Counter
@@ -228,24 +224,6 @@ func (s *Switch) UsablePorts() int { return s.cfg.Radix - s.cfg.SparePorts }
 // not exhausted).
 func (s *Switch) Up() bool { return s.up }
 
-// PowerW returns the present power draw. An OCS does no per-packet
-// processing, so draw is dominated by the HV drivers and control electronics
-// and is effectively independent of traffic (paper: max 108 W).
-func (s *Switch) PowerW() float64 {
-	if !s.up {
-		return 0
-	}
-	base := 0.55 * s.cfg.MaxPowerW
-	perBoard := 0.45 * s.cfg.MaxPowerW / float64(s.cfg.DriverBoards)
-	w := base
-	for _, ok := range s.boards {
-		if ok {
-			w += perBoard
-		}
-	}
-	return w
-}
-
 func (s *Switch) checkPort(p PortID) error {
 	if int(p) < 0 || int(p) >= s.cfg.Radix {
 		return fmt.Errorf("%w: %d (radix %d)", ErrPortRange, p, s.cfg.Radix)
@@ -304,7 +282,6 @@ func (s *Switch) Connect(north, south PortID) (Circuit, error) {
 	s.conn[north] = int(south)
 	s.rconn[south] = int(north)
 	s.loss[[2]int{int(north), int(south)}] = loss
-	s.reconfigs++
 	if s.metricReconf != nil {
 		s.metricReconf.Inc()
 	}
@@ -424,6 +401,3 @@ func (s *Switch) Circuits() []Circuit {
 
 // NumCircuits returns the number of established circuits.
 func (s *Switch) NumCircuits() int { return len(s.loss) }
-
-// Reconfigs returns the total number of circuit establishments performed.
-func (s *Switch) Reconfigs() int64 { return s.reconfigs }

@@ -167,3 +167,18 @@ func TestApplyPropertyPreservesBijection(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FullPermutation builds a Permutation connecting north port i to south port
+// perm[i] for all i; perm must be a bijection on [0, len(perm)).
+func FullPermutation(perm []int) (Permutation, error) {
+	seen := make([]bool, len(perm))
+	p := make(Permutation, len(perm))
+	for n, so := range perm {
+		if so < 0 || so >= len(perm) || seen[so] {
+			return nil, ErrNotBijective
+		}
+		seen[so] = true
+		p[PortID(n)] = PortID(so)
+	}
+	return p, nil
+}

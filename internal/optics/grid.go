@@ -5,8 +5,6 @@
 // them up. All powers are in dBm and all losses/ratios in dB unless noted.
 package optics
 
-import "fmt"
-
 // Grid is a coarse wavelength-division-multiplexing grid: a set of channel
 // center wavelengths within the O-band around 1300 nm.
 type Grid struct {
@@ -35,44 +33,8 @@ func CWDM8() Grid {
 	}
 }
 
-// SpectralWidthNM returns the span from the lowest to the highest channel
-// center plus one spacing (the occupied spectral width).
-func (g Grid) SpectralWidthNM() float64 {
-	if len(g.Channels) == 0 {
-		return 0
-	}
-	return g.Channels[len(g.Channels)-1] - g.Channels[0] + g.SpacingNM
-}
-
 // Lanes returns the number of wavelength channels.
 func (g Grid) Lanes() int { return len(g.Channels) }
-
-// Validate checks channel ordering and spacing consistency.
-func (g Grid) Validate() error {
-	for i := 1; i < len(g.Channels); i++ {
-		if g.Channels[i] <= g.Channels[i-1] {
-			return fmt.Errorf("optics: grid %s channels not ascending", g.Name)
-		}
-		if d := g.Channels[i] - g.Channels[i-1]; d != g.SpacingNM {
-			return fmt.Errorf("optics: grid %s spacing %g != %g", g.Name, d, g.SpacingNM)
-		}
-	}
-	return nil
-}
-
-// Overlaps reports whether two grids share any channel center (interop
-// across generations requires a shared grid subset; §3.3.1 "backward
-// compatibility ... careful design of the wavelength grid").
-func (g Grid) Overlaps(o Grid) bool {
-	for _, a := range g.Channels {
-		for _, b := range o.Channels {
-			if a == b {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // DispersionPsPerNMKM returns the chromatic dispersion coefficient of
 // standard single-mode fiber at wavelength λ (nm) using the usual G.652

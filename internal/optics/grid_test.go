@@ -1,6 +1,7 @@
 package optics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -87,4 +88,40 @@ func TestDispersionZeroAt1310(t *testing.T) {
 	if d := math.Abs(DispersionPsPerNMKM(1271)); d < 1 || d > 6 {
 		t.Errorf("D(1271) = %v ps/nm/km, implausible", d)
 	}
+}
+
+// SpectralWidthNM returns the span from the lowest to the highest channel
+// center plus one spacing (the occupied spectral width).
+func (g Grid) SpectralWidthNM() float64 {
+	if len(g.Channels) == 0 {
+		return 0
+	}
+	return g.Channels[len(g.Channels)-1] - g.Channels[0] + g.SpacingNM
+}
+
+// Validate checks channel ordering and spacing consistency.
+func (g Grid) Validate() error {
+	for i := 1; i < len(g.Channels); i++ {
+		if g.Channels[i] <= g.Channels[i-1] {
+			return fmt.Errorf("optics: grid %s channels not ascending", g.Name)
+		}
+		if d := g.Channels[i] - g.Channels[i-1]; d != g.SpacingNM {
+			return fmt.Errorf("optics: grid %s spacing %g != %g", g.Name, d, g.SpacingNM)
+		}
+	}
+	return nil
+}
+
+// Overlaps reports whether two grids share any channel center (interop
+// across generations requires a shared grid subset; §3.3.1 "backward
+// compatibility ... careful design of the wavelength grid").
+func (g Grid) Overlaps(o Grid) bool {
+	for _, a := range g.Channels {
+		for _, b := range o.Channels {
+			if a == b {
+				return true
+			}
+		}
+	}
+	return false
 }

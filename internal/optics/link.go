@@ -73,15 +73,10 @@ type Budget struct {
 
 // BudgetTowardB computes the budget for the A→B direction (receiver at B).
 func (l *Link) BudgetTowardB() (Budget, error) {
-	return l.budget(l.A, l.B, l.CircA, l.CircB, false)
+	return l.budget(l.A, l.B, l.CircA, l.CircB)
 }
 
-// BudgetTowardA computes the budget for the B→A direction (receiver at A).
-func (l *Link) BudgetTowardA() (Budget, error) {
-	return l.budget(l.B, l.A, l.CircB, l.CircA, true)
-}
-
-func (l *Link) budget(tx, rx *Transceiver, circTx, circRx *Circulator, reversed bool) (Budget, error) {
+func (l *Link) budget(tx, rx *Transceiver, circTx, circRx *Circulator) (Budget, error) {
 	if tx == nil || rx == nil {
 		return Budget{}, ErrNoPath
 	}
@@ -98,7 +93,7 @@ func (l *Link) budget(tx, rx *Transceiver, circTx, circRx *Circulator, reversed 
 	}
 	b.PathLossDB = loss
 	b.RxPowerDBm = tx.Gen.TxPowerDBm - loss
-	b.MPIDB = l.mpi(rx, circRx, b.RxPowerDBm, reversed)
+	b.MPIDB = l.mpi(rx, circRx, b.RxPowerDBm)
 	b.DispersionPenaltyDB = l.dispersionPenalty(tx.Gen)
 	b.MarginDB = b.RxPowerDBm - rx.Gen.SensitivityDBm - b.DispersionPenaltyDB
 	return b, nil
@@ -108,7 +103,7 @@ func (l *Link) budget(tx, rx *Transceiver, circTx, circRx *Circulator, reversed 
 // link: the co-located transmitter's light leaking directly through the
 // circulator (crosstalk) and its reflections off every interface in the
 // path, which return through the circulator into the receiver (§4.1.2).
-func (l *Link) mpi(rx *Transceiver, circRx *Circulator, rxSignalDBm float64, reversed bool) float64 {
+func (l *Link) mpi(rx *Transceiver, circRx *Circulator, rxSignalDBm float64) float64 {
 	if circRx == nil {
 		return NoReflection // duplex link: no counter-propagating Tx on the strand
 	}
@@ -119,13 +114,8 @@ func (l *Link) mpi(rx *Transceiver, circRx *Circulator, rxSignalDBm float64, rev
 	sumLin += math.Pow(10, (txDBm+circRx.CrosstalkDB)/10)
 
 	// Reflections: walk the elements from the receiver's side outward.
-	elems := l.Elements
 	cum := 0.0 // loss accumulated from the local circulator to the interface
-	for i := range elems {
-		e := elems[i]
-		if reversed {
-			e = elems[len(elems)-1-i]
-		}
+	for _, e := range l.Elements {
 		if e.ReflectDB > NoReflection {
 			// Tx→(port1→2 IL)→path to interface→reflection→path back→
 			// (port2→3 IL)→Rx.
@@ -176,22 +166,6 @@ func NewBidiLink(a, b *Transceiver, circ Circulator, ocsLossDB, ocsReturnDB, fib
 	half := fiberKM / 2
 	return &Link{
 		A: a, B: b, CircA: &ca, CircB: &cb, FiberKM: fiberKM,
-		Elements: []Element{
-			Connector(),
-			FiberSpan(half),
-			OCSElement(ocsLossDB, ocsReturnDB),
-			FiberSpan(half),
-			Connector(),
-		},
-	}
-}
-
-// NewDuplexLink assembles a classic two-strand duplex link through an OCS
-// (one strand per direction, no circulators).
-func NewDuplexLink(a, b *Transceiver, ocsLossDB, ocsReturnDB, fiberKM float64) *Link {
-	half := fiberKM / 2
-	return &Link{
-		A: a, B: b, FiberKM: fiberKM,
 		Elements: []Element{
 			Connector(),
 			FiberSpan(half),

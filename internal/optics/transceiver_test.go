@@ -148,3 +148,12 @@ func TestCirculatorVariants(t *testing.T) {
 		t.Error("re-engineered circulator crosstalk not improved")
 	}
 }
+
+// TotalGbps returns the module's aggregate bandwidth across all engines.
+func (g Generation) TotalGbps() float64 {
+	e := g.Engines
+	if e == 0 {
+		e = 1
+	}
+	return g.LaneRateGbps * float64(g.Grid.Lanes()) * float64(e)
+}

@@ -58,6 +58,8 @@ func Workers() int {
 // SetWorkers overrides the worker count and returns the previous override
 // (0 means automatic). Passing 0 restores GOMAXPROCS sizing. Results are
 // identical for any setting; only wall time changes.
+//
+//lwlint:ignore deadexport the seam the 1/4/8-worker determinism tests of dcn, chaos and superpod turn
 func SetWorkers(n int) int {
 	return int(workerOverride.Swap(int64(n)))
 }

@@ -39,7 +39,7 @@ type Pod struct {
 }
 
 // NewPod returns an all-free pod with the given cube grid, which may hold
-// at most 64 cubes (the paper's pod, and topo.NewPod's cap).
+// at most 64 cubes (the paper's pod).
 func NewPod(grid [3]int) (*Pod, error) {
 	n := grid[0] * grid[1] * grid[2]
 	if grid[0] <= 0 || grid[1] <= 0 || grid[2] <= 0 || n > 64 {
@@ -268,7 +268,6 @@ func (e *refusal) Error() string {
 	return fmt.Sprintf("%v: need %d cubes, %d free", ErrNotPlaced, e.need, e.free)
 }
 
-//lwlint:ignore deadexport errors.Is and errors.Unwrap reach it through an interface declared inside a function body
 func (e *refusal) Unwrap() error { return ErrNotPlaced }
 
 // Reconfigurable places a job on any free cubes: the lightwave fabric

@@ -37,10 +37,6 @@ type ClusterOps interface {
 	RemoveJobSlice(pod, slice string) error
 }
 
-// ShapeChooser picks the chip-level slice shape for a job of the given
-// cube count. The returned shape must satisfy Shape.Cubes() == cubes.
-type ShapeChooser func(cubes int) topo.Shape
-
 // SchedulerConfig configures an online scheduler.
 type SchedulerConfig struct {
 	// Pods names the pods under management (order does not matter; the
@@ -59,8 +55,6 @@ type SchedulerConfig struct {
 	// BackfillWindow is how many queued jobs may jump a blocked head job
 	// (0 = default 6).
 	BackfillWindow int
-	// Shapes picks each job's slice shape (default topo.MaxBisectionShape).
-	Shapes ShapeChooser
 	// Ops receives slice intents; nil runs mirror-only.
 	Ops ClusterOps
 }
@@ -157,7 +151,6 @@ type Scheduler struct {
 	cfg      SchedulerConfig
 	placer   Placer
 	defrag   bool
-	shapes   ShapeChooser
 	backfill int
 	maxJob   int // largest placeable job: one pod's installed cubes
 
@@ -223,10 +216,6 @@ func newScheduler(cfg SchedulerConfig, adopt *Pod) (*Scheduler, error) {
 	if _, ok := placer.(Contiguous); !ok {
 		defrag = false // compaction never helps the reconfigurable policy
 	}
-	shapes := cfg.Shapes
-	if shapes == nil {
-		shapes = topo.MaxBisectionShape
-	}
 	backfill := cfg.BackfillWindow
 	if backfill <= 0 {
 		backfill = 6
@@ -235,7 +224,6 @@ func newScheduler(cfg SchedulerConfig, adopt *Pod) (*Scheduler, error) {
 		cfg:      cfg,
 		placer:   placer,
 		defrag:   defrag,
-		shapes:   shapes,
 		backfill: backfill,
 		maxJob:   installed,
 		byName:   make(map[string]*schedPod, len(cfg.Pods)),
@@ -457,7 +445,7 @@ func (s *Scheduler) tryPlaceLocked() error {
 				start: s.now,
 				end:   s.now + j.spec.DurationSeconds,
 			}
-			rj.shape = s.shapes(j.spec.Cubes)
+			rj.shape = topo.MaxBisectionShape(j.spec.Cubes)
 			s.running[j.id] = rj
 			heap.Push(&s.done, rj)
 			s.started++
@@ -493,7 +481,7 @@ func (s *Scheduler) placeOnAnyLocked(j *queuedJob) (*schedPod, []int, error) {
 			continue
 		}
 		if s.cfg.Ops != nil {
-			shape := s.shapes(j.spec.Cubes)
+			shape := topo.MaxBisectionShape(j.spec.Cubes)
 			if err := s.cfg.Ops.EnsureJobSlice(sp.name, sliceName(j.id), shape, cubes); err != nil {
 				sp.mirror.Release(j.id)
 				return nil, nil, err

@@ -409,7 +409,7 @@ func (j *recordingJournal) JournalSched(e JournalEntry) (uint64, error) {
 // The refused-size skip cannot be switched off, so the test below takes
 // the duplicates away instead: a tag hidden in the cube count (real sizes
 // are 1..tagBase) makes equal sizes look distinct to the scheduler's scan
-// while the placer, the shape chooser and the journal see the real size.
+// while the placer, the cluster and the journal see the real size.
 const tagBase = 8
 
 func untag(cubes int) int { return (cubes-1)%tagBase + 1 }
@@ -422,17 +422,18 @@ func (p untaggingPlacer) Place(pod *Pod, job, cubes int) ([]int, error) {
 	return Reconfigurable{}.Place(pod, job, untag(cubes))
 }
 
-// rejectNth fails exactly one EnsureJobSlice call.
+// rejectNth fails exactly one EnsureJobSlice call, and hands the cluster
+// the shape of the real size: the scheduler shaped the tagged one.
 type rejectNth struct {
 	*fakeOps
 	n int
 }
 
-func (r *rejectNth) EnsureJobSlice(pod, slice string, shape topo.Shape, cubes []int) error {
+func (r *rejectNth) EnsureJobSlice(pod, slice string, _ topo.Shape, cubes []int) error {
 	if r.n--; r.n == 0 {
 		return errors.New("fabric says no")
 	}
-	return r.fakeOps.EnsureJobSlice(pod, slice, shape, cubes)
+	return r.fakeOps.EnsureJobSlice(pod, slice, topo.MaxBisectionShape(len(cubes)), cubes)
 }
 
 // TestSchedulerSkipMatchesFullScan runs one saturating two-pod stream —
@@ -455,7 +456,6 @@ func TestSchedulerSkipMatchesFullScan(t *testing.T) {
 		s, err := NewScheduler(SchedulerConfig{
 			Pods:           []string{"a", "b"},
 			Placer:         untaggingPlacer{calls: &out.asks},
-			Shapes:         func(cubes int) topo.Shape { return topo.MaxBisectionShape(untag(cubes)) },
 			BackfillWindow: 8,
 			Ops:            ops,
 		})

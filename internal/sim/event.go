@@ -53,13 +53,6 @@ func (q *Queue) Step() bool {
 	return true
 }
 
-// Run fires events until the queue is empty and returns the final time.
-func (q *Queue) Run() Time {
-	for q.Step() {
-	}
-	return q.now
-}
-
 // RunUntil fires events with At <= deadline and advances the clock to
 // exactly deadline (even if no event fired at that instant).
 func (q *Queue) RunUntil(deadline Time) {

@@ -135,3 +135,10 @@ func TestQueueProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Run fires events until the queue is empty and returns the final time.
+func (q *Queue) Run() Time {
+	for q.Step() {
+	}
+	return q.now
+}

@@ -84,8 +84,6 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Perm returns a uniformly random permutation of [0, n).
-//
-//lwlint:ignore deadexport called by bench/ (ops.go), a nested module whose files this run does not load
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {

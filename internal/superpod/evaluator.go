@@ -10,7 +10,6 @@ import (
 	"lightwave/internal/chaos"
 	"lightwave/internal/core"
 	"lightwave/internal/fleet"
-	"lightwave/internal/mlperf"
 	"lightwave/internal/par"
 	"lightwave/internal/sched"
 	"lightwave/internal/sim"
@@ -45,10 +44,7 @@ type EvalConfig struct {
 	// virtual time; PodRestoreAtSeconds heals it (0 = never).
 	PodLossAtSeconds    float64
 	PodRestoreAtSeconds float64
-	// UseMLPerfShapes picks each job's slice shape with the par.Sweep
-	// mlperf step-time search instead of the max-bisection default.
-	UseMLPerfShapes bool
-	Seed            uint64
+	Seed                uint64
 }
 
 func (c EvalConfig) withDefaults() EvalConfig {
@@ -260,17 +256,12 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 	defer lab.Close()
 	mgr, pods := lab.Manager, lab.Pods
 
-	var shapes sched.ShapeChooser
-	if cfg.UseMLPerfShapes {
-		shapes = sched.NewOptimizedShapeChooser(mlperf.DefaultSystem(), mlperf.LLM0())
-	}
 	s, err := sched.NewScheduler(sched.SchedulerConfig{
 		Pods:           pods,
 		InstalledCubes: cfg.CubesPerPod,
 		Placer:         pol.placer,
 		Defrag:         pol.defrag,
 		BackfillWindow: cfg.BackfillWindow,
-		Shapes:         shapes,
 		Ops:            FleetOps{M: mgr},
 	})
 	if err != nil {

@@ -75,14 +75,13 @@ func TestEvaluateLive(t *testing.T) {
 
 // TestEvaluateDeterministicAcrossWorkers is the live half of the issue's
 // determinism requirement: the full report — three live control planes,
-// real reconciler goroutines, mlperf shape searches — must render
-// byte-identically at 1, 4, and 8 par workers.
+// real reconciler goroutines — must render byte-identically at 1, 4, and 8
+// par workers.
 func TestEvaluateDeterministicAcrossWorkers(t *testing.T) {
 	cfg := testConfig()
 	cfg.HorizonSeconds = 1500
 	cfg.PodLossAtSeconds = 600
 	cfg.PodRestoreAtSeconds = 900
-	cfg.UseMLPerfShapes = true
 	defer par.SetWorkers(par.SetWorkers(1))
 	var ref string
 	for _, workers := range []int{1, 4, 8} {

@@ -18,14 +18,10 @@ type RunnerConfig struct {
 	Manager *fleet.Manager
 	// Pods are the pod names the scheduler places onto (required);
 	// InstalledCubes is the usable cube count per pod (default 64).
+	// The scheduler runs with sched's defaults: the Reconfigurable
+	// placer — the production policy — and its backfill window.
 	Pods           []string
 	InstalledCubes int
-	// Scheduler tuning; zero values take sched defaults. Placer defaults
-	// to Reconfigurable — the production policy.
-	Placer         sched.Placer
-	Defrag         bool
-	BackfillWindow int
-	Shapes         sched.ShapeChooser
 	// Mix is the synthetic offered workload (default sched.ProductionMix).
 	Mix sched.JobMix
 	// Interval is the wall-clock tick (default 2s); each tick advances
@@ -33,8 +29,6 @@ type RunnerConfig struct {
 	Interval       time.Duration
 	VirtualPerTick float64
 	Seed           uint64
-	// OnTick, when non-nil, observes every tick's stats (for logging).
-	OnTick func(stats sched.SchedulerStats)
 }
 
 // Runner drives a sched.Scheduler against the live fleet on a wall-clock
@@ -88,10 +82,6 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	s, err := sched.NewScheduler(sched.SchedulerConfig{
 		Pods:           cfg.Pods,
 		InstalledCubes: cfg.InstalledCubes,
-		Placer:         cfg.Placer,
-		Defrag:         cfg.Defrag,
-		BackfillWindow: cfg.BackfillWindow,
-		Shapes:         cfg.Shapes,
 		Ops:            FleetOps{M: cfg.Manager},
 	})
 	if err != nil {
@@ -151,9 +141,6 @@ func (r *Runner) Run(ctx context.Context) error {
 		}
 		if err := r.tick(); err != nil {
 			return err
-		}
-		if r.cfg.OnTick != nil {
-			r.cfg.OnTick(r.s.Stats())
 		}
 	}
 }

@@ -3,7 +3,6 @@ package te
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"lightwave/internal/dcn"
@@ -90,46 +89,16 @@ func (b *lockedFabric) Program(t *dcn.Topology) error {
 	return err
 }
 
-// SwitchesTouching skips IDs beyond the fleet's drainable OCS range (they
-// are still reprogrammed, just not tracked as drained).
 func (b *lockedFabric) SwitchesTouching(tears [][2]int) []int {
-	if len(tears) == 0 {
-		return nil
-	}
-	torn := make(map[[2]int]bool, len(tears))
-	for _, t := range tears {
-		torn[t] = true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var ids []int
-	for i, sw := range b.f.Switches {
-		if i >= topo.NumOCS {
-			break
-		}
-		for _, c := range sw.Circuits() {
-			x, y := int(c.North), int(c.South)
-			if x > y {
-				x, y = y, x
-			}
-			if torn[[2]int{x, y}] {
-				ids = append(ids, i)
-				break
-			}
-		}
-	}
-	sort.Ints(ids)
-	return ids
+	return b.f.SwitchesTouching(tears)
 }
 
 func (b *lockedFabric) Circuits() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := 0
-	for _, sw := range b.f.Switches {
-		n += sw.NumCircuits()
-	}
-	return n
+	return b.f.Circuits()
 }
 
 // dcnBackend is the fleet.Backend fronting a DCN fabric. The DCN pod

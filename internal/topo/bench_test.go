@@ -18,28 +18,10 @@ func BenchmarkRequiredCircuitsFullPod(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildRoutingTable(b *testing.B) {
-	s := Shape{X: 16, Y: 16, Z: 16}
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildRoutingTable(s, Coord{3, 7, 11}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkShapesFor64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := ShapesFor(64); len(got) == 0 {
 			b.Fatal("no shapes")
-		}
-	}
-}
-
-func BenchmarkRoutePodDiameter(b *testing.B) {
-	s := Shape{X: 16, Y: 16, Z: 16}
-	for i := 0; i < b.N; i++ {
-		if _, err := Route(s, Coord{0, 0, 0}, Coord{8, 8, 8}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

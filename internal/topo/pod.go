@@ -5,23 +5,6 @@ import (
 	"fmt"
 )
 
-// Pod describes the physical plant of one superpod: how many cubes exist
-// and how their faces are cabled to OCSes. The production pod has 64 cubes
-// and 48 OCSes (Appendix A).
-type Pod struct {
-	// Cubes is the number of elemental cubes installed.
-	Cubes int
-}
-
-// NewPod returns a pod with the given cube count (1..64 for the production
-// Palomar wiring, which has 64 cube positions per OCS plus spares).
-func NewPod(cubes int) (*Pod, error) {
-	if cubes < 1 || cubes > 64 {
-		return nil, fmt.Errorf("topo: pod cube count %d out of range [1,64]", cubes)
-	}
-	return &Pod{Cubes: cubes}, nil
-}
-
 // NumOCS is the number of OCSes in a full pod wiring plan: one per
 // (dimension, face index) pair = 3×16 = 48 (Appendix A: "each 4×4×4 block
 // connects to 6 × 16 ÷ 2 = 48 OCSes").
@@ -106,20 +89,6 @@ func ComposeSlice(shape Shape, cubes []int) (*Slice, error) {
 	return sl, nil
 }
 
-// Cubes returns the physical cube IDs of the slice in row-major order.
-func (sl *Slice) Cubes() []int {
-	a, b, c := sl.Shape.CubeGrid()
-	out := make([]int, 0, a*b*c)
-	for x := 0; x < a; x++ {
-		for y := 0; y < b; y++ {
-			for z := 0; z < c; z++ {
-				out = append(out, sl.CubeAt[x][y][z])
-			}
-		}
-	}
-	return out
-}
-
 // RequiredCircuits returns every OCS cross-connection needed to realize the
 // slice's 3D torus with wraparound links. For each dimension the cubes on
 // each line form a ring: + face of each cube connects to the − face of its
@@ -164,13 +133,4 @@ func (sl *Slice) RequiredCircuits() []CircuitReq {
 		}
 	}
 	return reqs
-}
-
-// CircuitsPerSlice returns the number of OCS circuits a slice of the given
-// shape needs without materializing them.
-func CircuitsPerSlice(shape Shape) int {
-	a, b, c := shape.CubeGrid()
-	// Rings along each dimension: every cube has one outgoing + link per
-	// dimension per face index.
-	return 3 * FaceLinks * a * b * c
 }

@@ -206,3 +206,26 @@ func TestCircuitsPerSliceScalesWithCubes(t *testing.T) {
 		t.Fatalf("scaling broken: %d vs %d", small, big)
 	}
 }
+
+// Cubes returns the physical cube IDs of the slice in row-major order.
+func (sl *Slice) Cubes() []int {
+	a, b, c := sl.Shape.CubeGrid()
+	out := make([]int, 0, a*b*c)
+	for x := 0; x < a; x++ {
+		for y := 0; y < b; y++ {
+			for z := 0; z < c; z++ {
+				out = append(out, sl.CubeAt[x][y][z])
+			}
+		}
+	}
+	return out
+}
+
+// CircuitsPerSlice returns the number of OCS circuits a slice of the given
+// shape needs without materializing them.
+func CircuitsPerSlice(shape Shape) int {
+	a, b, c := shape.CubeGrid()
+	// Rings along each dimension: every cube has one outgoing + link per
+	// dimension per face index.
+	return 3 * FaceLinks * a * b * c
+}

@@ -115,12 +115,6 @@ func (s Shape) BisectionLinks() int {
 	return best
 }
 
-// BisectionBandwidthGbps returns the bisection bandwidth given a per-link
-// rate.
-func (s Shape) BisectionBandwidthGbps(linkGbps float64) float64 {
-	return float64(s.BisectionLinks()) * linkGbps
-}
-
 // MaxBisectionShape returns the shape among ShapesFor(cubes) with the
 // highest bisection bandwidth — the paper's static baseline (16×16×16 for a
 // full pod).
@@ -133,67 +127,4 @@ func MaxBisectionShape(cubes int) Shape {
 		}
 	}
 	return best
-}
-
-// ShapeND is an n-dimensional torus shape (chips per dimension), supporting
-// the paper's §6 future-work direction of 4D/6D tori.
-type ShapeND []int
-
-// Chips returns the total chip count.
-func (s ShapeND) Chips() int {
-	n := 1
-	for _, d := range s {
-		n *= d
-	}
-	return n
-}
-
-// BisectionLinks generalizes Shape.BisectionLinks to n dimensions.
-func (s ShapeND) BisectionLinks() int {
-	n := s.Chips()
-	best := -1
-	for _, d := range s {
-		if d <= 1 {
-			continue
-		}
-		links := 2 * n / d
-		if best == -1 || links < best {
-			best = links
-		}
-	}
-	if best == -1 {
-		return 0
-	}
-	return best
-}
-
-// HigherDimShapes enumerates ND torus shapes with exactly the given total
-// chip count and dimension count, every dimension at least 2 (a dimension
-// of 1 is degenerate). This supports the §6 future-work exploration of
-// 4D/6D tori, which use a different elemental block than the 3D cube.
-func HigherDimShapes(chips, dims int) []ShapeND {
-	if dims < 1 || chips < 1 {
-		return nil
-	}
-	var out []ShapeND
-	var rec func(rem, d int, cur []int)
-	rec = func(rem, d int, cur []int) {
-		if d == 1 {
-			if rem < 2 {
-				return
-			}
-			shape := make(ShapeND, 0, dims)
-			shape = append(shape, cur...)
-			shape = append(shape, rem)
-			out = append(out, shape)
-			return
-		}
-		for a := 2; a <= rem; a++ {
-			if rem%a == 0 {
-				rec(rem/a, d-1, append(cur, a))
-			}
-		}
-	}
-	rec(chips, dims, nil)
-	return out
 }

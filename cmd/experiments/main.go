@@ -2,79 +2,62 @@
 // evaluation from the simulation substrates, printing the same rows/series
 // the paper reports. Run with -list to see experiment names and -only to
 // run a subset; EXPERIMENTS.md records one full run against the paper's
-// numbers.
+// numbers. It exits non-zero when an -only name is unknown or any number
+// leaves the band internal/figures holds it to.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
+
+	"lightwave/internal/figures"
 )
 
-type experiment struct {
-	name string
-	desc string
-	run  func()
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	list := flag.Bool("list", false, "list experiments and exit")
-	only := flag.String("only", "", "comma-separated experiment names to run")
-	flag.Parse()
-
-	exps := []experiment{
-		{"fig10a", "OCS insertion-loss histogram", fig10a},
-		{"fig10b", "OCS return loss vs port", fig10b},
-		{"fig11a", "analytic BER vs power with/without OIM", fig11a},
-		{"fig11b", "Monte-Carlo BER vs analytic model", fig11b},
-		{"fig12", "concatenated SFEC sensitivity improvement", fig12},
-		{"fig13", "fleet per-lane BER distribution", fig13},
-		{"table1", "pod fabric cost/power comparison", table1},
-		{"table2", "LLM slice optimization speedups", table2},
-		{"fig15a", "fabric availability vs OCS availability", fig15a},
-		{"fig15b", "goodput vs slice size", fig15b},
-		{"dcn", "spine-free DCN savings and topology engineering", dcnExperiment},
-		{"deploy", "deployment modularity and bidi savings", deployExperiment},
-		{"sched", "live fleet-integrated scheduler utilization comparison", schedExperiment},
-		{"fig2", "hybrid ICI-DCN collective", fig2Experiment},
-		{"tablec1", "OCS technology comparison", tableC1},
-		{"reliability", "OCS lifetime and field availability", reliabilityExperiment},
-		{"circulator", "Appendix B Jones-calculus circulator physics", circulatorExperiment},
-		{"wdm", "per-lane CWDM8 budgets and interop", wdmExperiment},
-		{"defrag", "defragmentation vs reconfigurability", defragExperiment},
-		{"scaleout", "multi-pod hybrid ICI-DCN training", scaleoutExperiment},
-		{"refresh", "in-service technology refresh trajectory", refreshExperiment},
-		{"campus", "campus fabric with shifting services", campusExperiment},
-		{"te", "online traffic-aware topology engineering loop", teExperiment},
-		{"chaos", "single-OCS-outage resilience drill", chaosExperiment},
-		{"crashrestart", "WAL crash-restart recovery drill", crashRestartExperiment},
+// run is the whole command: it parses args, prints the report to stdout
+// and problems to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list experiments and exit")
+	only := fs.String("only", "", "comma-separated experiment names to run")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
 
 	if *list {
-		for _, e := range exps {
-			fmt.Printf("%-8s %s\n", e.name, e.desc)
+		for _, e := range figures.All() {
+			fmt.Fprintf(stdout, "%-8s %s\n", e.Name, e.Desc)
 		}
-		return
+		return 0
 	}
-	want := map[string]bool{}
+	var names []string
 	if *only != "" {
 		for _, n := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(n)] = true
+			names = append(names, strings.TrimSpace(n))
 		}
 	}
-	ran := 0
+	exps, err := figures.Select(names)
+	if err != nil {
+		fmt.Fprintf(stderr, "%v; use -list\n", err)
+		return 1
+	}
+	code := 0
 	for _, e := range exps {
-		if len(want) > 0 && !want[e.name] {
-			continue
+		fmt.Fprintf(stdout, "==== %s: %s ====\n", e.Name, e.Desc)
+		if _, err := e.Run(stdout); err != nil {
+			fmt.Fprintln(stderr, err)
+			code = 1
 		}
-		fmt.Printf("==== %s: %s ====\n", e.name, e.desc)
-		e.run()
-		fmt.Println()
-		ran++
+		fmt.Fprintln(stdout)
 	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "no experiments matched -only; use -list")
-		os.Exit(1)
-	}
+	return code
 }

@@ -1,57 +1,34 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
 
-// Smoke tests: every experiment must run to completion (they panic on
-// internal errors). The heavyweight simulations are skipped in -short
-// mode.
+	"lightwave/internal/figures"
+)
 
-func TestFastExperiments(t *testing.T) {
-	for _, fn := range []struct {
-		name string
-		run  func()
-	}{
-		{"fig10a", fig10a},
-		{"fig10b", fig10b},
-		{"fig11a", fig11a},
-		{"fig12", fig12},
-		{"fig13", fig13},
-		{"table1", table1},
-		{"table2", table2},
-		{"fig15a", fig15a},
-		{"fig15b", fig15b},
-		{"deploy", deployExperiment},
-		{"fig2", fig2Experiment},
-		{"tablec1", tableC1},
-		{"circulator", circulatorExperiment},
-		{"wdm", wdmExperiment},
-		{"reliability", reliabilityExperiment},
-		{"scaleout", scaleoutExperiment},
-		{"refresh", refreshExperiment},
-		{"campus", campusExperiment},
-	} {
-		fn := fn
-		t.Run(fn.name, func(t *testing.T) { fn.run() })
-	}
-}
+// slow names the entries that run whole-fabric simulations.
+var slow = map[string]bool{"fig11b": true, "dcn": true, "sched": true, "defrag": true, "te": true, "chaos": true, "crashrestart": true}
 
-func TestSlowExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping heavyweight experiments in -short mode")
-	}
-	for _, fn := range []struct {
-		name string
-		run  func()
-	}{
-		{"fig11b", fig11b},
-		{"dcn", dcnExperiment},
-		{"sched", schedExperiment},
-		{"defrag", defragExperiment},
-		{"te", teExperiment},
-		{"chaos", chaosExperiment},
-		{"crashrestart", crashRestartExperiment},
-	} {
-		fn := fn
-		t.Run(fn.name, func(t *testing.T) { fn.run() })
+func TestFastExperiments(t *testing.T) { runEach(t, false) }
+
+func TestSlowExperiments(t *testing.T) { runEach(t, true) }
+
+// runEach runs `experiments -only <name>` for every entry with the given
+// slow mark: each must exit 0, write no error, and print its header and a
+// report under it.
+func runEach(t *testing.T, isSlow bool) {
+	for _, e := range figures.All() {
+		if slow[e.Name] != isSlow {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			var out, errs strings.Builder
+			code := run([]string{"-only", e.Name}, &out, &errs)
+			header := "==== " + e.Name + ": " + e.Desc + " ====\n"
+			if code != 0 || errs.Len() != 0 || !strings.HasPrefix(out.String(), header) || out.Len() <= len(header)+1 {
+				t.Fatalf("exit %d, stderr %q, report:\n%s", code, errs.String(), out.String())
+			}
+		})
 	}
 }

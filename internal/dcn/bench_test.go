@@ -47,7 +47,7 @@ func BenchmarkProgramFabric(b *testing.B) {
 
 // benchEngine builds a warmed-up simulator engine on the reference
 // experiment's FCT-load workload: the same per-event work that dominates
-// BenchmarkDCNTopologyEngineering, with an effectively unbounded horizon so
+// the root BenchmarkFigures/dcn, with an effectively unbounded horizon so
 // the event loop never terminates inside the timed region.
 func benchEngine(b *testing.B) *simEngine {
 	b.Helper()

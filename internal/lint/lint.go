@@ -178,6 +178,8 @@ func DefaultConfig() Config {
 			"lightwave/internal/sched",
 			"lightwave/internal/chaos",
 			"lightwave/internal/mlperf",
+			// Its reports are the byte-identical cmd/experiments output.
+			"lightwave/internal/figures",
 		},
 		WallClockFiles: []string{
 			// The TE runner is the wall-clock seam between the

@@ -47,8 +47,10 @@ race-fleet:
 # is a differential against pre-optimisation reference bodies kept in its
 # package's reference_test.go: the FEC transfer chain (bit for bit, and the
 # concatenated curve stays monotone — slice admission compares against a
-# threshold derived from it) and sched.Pod placement (every cube's state
-# and owner after each operation). A failing input lands in the package's
+# threshold derived from it), sched.Pod placement (every cube's state
+# and owner after each operation), and the WAL's binary record codec (the
+# JSON codec it replaced) and segment scanner (a slow frame reader). A
+# failing input lands in the package's
 # testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
 	@set -e; $(GO) test -list '^Fuzz' ./... | \

@@ -28,6 +28,13 @@ const (
 	OpRecover     JournalOp = "recover"
 )
 
+// JournalOps lists every fleet journal operation. A durable log may store
+// an op as its position here, so the list is append-only: a new op goes at
+// the end and none is ever moved or removed.
+var JournalOps = []JournalOp{OpAddPod, OpRemovePod, OpSetSlice, OpRemoveSlice,
+	OpReplace, OpDrainPod, OpUndrainPod, OpDrainOCS, OpUndrainOCS,
+	OpQuarantine, OpRecover}
+
 // JournalEntry is one fleet journal record. Fields beyond Op and Pod are
 // op-specific: Slice for set-slice, Name for remove-slice, Slices for
 // replace, OCS for the OCS drains.

@@ -28,6 +28,12 @@ const (
 	OpMeasure    JournalOp = "start-measurement"
 )
 
+// JournalOps lists every scheduler journal operation. A durable log may
+// store an op as its position here, so the list is append-only: a new op
+// goes at the end and none is ever moved or removed.
+var JournalOps = []JournalOp{OpSubmit, OpAdvance, OpFailCube, OpRepairCube,
+	OpPodDown, OpMeasure}
+
 // JournalEntry is one scheduler input. Fields beyond Op are op-specific.
 type JournalEntry struct {
 	Op   JournalOp `json:"op"`

@@ -1,8 +1,12 @@
 package wal
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
+
+	"lightwave/internal/fleet"
+	"lightwave/internal/sched"
 )
 
 // BenchmarkWALAppend measures the group-commit append path with real
@@ -13,7 +17,8 @@ func BenchmarkWALAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	payload := []byte(`{"op":"set-slice","pod":"pod0","slice":{"name":"train","shape":{"x":4,"y":4,"z":16},"cubes":[0,1,2,3]}}`)
+	in := slice("train", 0, 1, 2, 3)
+	payload := mustEncode(encodeFleet(fleet.JournalEntry{Op: fleet.OpSetSlice, Pod: "pod0", Slice: &in}))
 	b.SetBytes(int64(frameHeaderBytes + 1 + len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -31,7 +36,7 @@ func BenchmarkWALAppendNoSync(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	payload := []byte(`{"op":"advance","t":1234.5}`)
+	payload := mustEncode(encodeSched(sched.JournalEntry{Op: sched.OpAdvance, T: 1234.5}))
 	b.SetBytes(int64(frameHeaderBytes + 1 + len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,7 +55,8 @@ func BenchmarkWALAppendParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	payload := []byte(`{"method":"ensure","params":{"name":"s1","shape":[2,2,4]}}`)
+	payload := mustEncode(encodeCommand(Command{Method: "ensure",
+		Params: json.RawMessage(`{"name":"s1","shape":[2,2,4]}`)}))
 	b.SetBytes(int64(frameHeaderBytes + 1 + len(payload)))
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -67,32 +73,89 @@ func BenchmarkWALAppendParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkWALReplay measures cold-start recovery over a compacted log
-// with a realistic tail.
-func BenchmarkWALReplay(b *testing.B) {
+// storeOpenRecords is BenchmarkStoreOpen's history length.
+const storeOpenRecords = 24000
+
+// storeOpenHistory is a fleet journal of n entries cycling through every
+// op over eight pods: slices with and without pinned cubes, removals,
+// replaces, pod and OCS drains, quarantine verdicts, pod churn.
+func storeOpenHistory(n int) []fleet.JournalEntry {
+	out := make([]fleet.JournalEntry, 0, n)
+	for i := 0; len(out) < n; i++ {
+		pod := fmt.Sprintf("pod%d", i%8)
+		name := fmt.Sprintf("s%d-%d", i%8, i%48)
+		in := slice(name)
+		if i%2 == 0 {
+			in = slice(name, i%64, (i+1)%64)
+		}
+		var e fleet.JournalEntry
+		switch i % 16 {
+		case 0:
+			e = fleet.JournalEntry{Op: fleet.OpAddPod, Pod: pod}
+		case 1, 2, 3, 4, 5, 6:
+			e = fleet.JournalEntry{Op: fleet.OpSetSlice, Pod: pod, Slice: &in}
+		case 7, 8:
+			e = fleet.JournalEntry{Op: fleet.OpRemoveSlice, Pod: pod, Name: name}
+		case 9:
+			e = fleet.JournalEntry{Op: fleet.OpReplace, Pod: pod, Slices: []fleet.SliceIntent{in, slice(name + "x")}}
+		case 10:
+			e = fleet.JournalEntry{Op: fleet.OpDrainOCS, Pod: pod, OCS: i % 48}
+		case 11:
+			e = fleet.JournalEntry{Op: fleet.OpUndrainOCS, Pod: pod, OCS: i % 48}
+		case 12:
+			e = fleet.JournalEntry{Op: fleet.OpDrainPod, Pod: pod}
+		case 13:
+			e = fleet.JournalEntry{Op: fleet.OpUndrainPod, Pod: pod}
+		case 14:
+			e = fleet.JournalEntry{Op: fleet.OpQuarantine, Pod: pod, Detail: "reconcile failed 5 times"}
+		default:
+			e = fleet.JournalEntry{Op: fleet.OpRecover, Pod: pod}
+			if i%64 == 15 {
+				e = fleet.JournalEntry{Op: fleet.OpRemovePod, Pod: pod}
+			}
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// BenchmarkStoreOpen measures what a cold recovery pays before the fleet
+// manager sees anything: OpenStore reading, decoding and folding a
+// log-only history written by the real encoder.
+func BenchmarkStoreOpen(b *testing.B) {
 	dir := b.TempDir()
-	l, _, err := Open(dir, Options{NoSync: true})
+	st, err := OpenStore(dir, Options{NoSync: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 2048; i++ {
-		payload := []byte(fmt.Sprintf(`{"op":"set-slice","pod":"pod%d","n":%d}`, i%8, i))
-		if _, err := l.Append(RecordFleet, payload); err != nil {
+	for _, e := range storeOpenHistory(storeOpenRecords) {
+		if err := st.JournalFleet(e); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
+	want := st.Status()
+	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l2, rec, err := Open(dir, Options{NoSync: true})
+	open := func() *Store {
+		st, err := OpenStore(dir, Options{NoSync: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rec.Records) != 2048 {
-			b.Fatalf("replayed %d", len(rec.Records))
-		}
-		l2.Close()
+		return st
 	}
+	st = open()
+	if got := st.Status(); got.ReplayRecords != storeOpenRecords || got.ReplayErrors != 0 || got.FleetDigest != want.FleetDigest {
+		b.Fatalf("replayed %d records, %d errors, digest %s, want %s", got.ReplayRecords, got.ReplayErrors, got.FleetDigest, want.FleetDigest)
+	}
+	st.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := open().Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*storeOpenRecords), "ns/record")
+	b.ReportMetric(float64(want.Log.TotalBytes)/storeOpenRecords, "B/record")
 }

@@ -43,6 +43,16 @@ func (l *Log) Checkpoint(s Snapshotter) error {
 	if covered > atLSN {
 		covered = atLSN
 	}
+	// Records below the first surviving segment were compacted under an
+	// earlier snapshot, so this one covers them too. A Snapshotter may
+	// report less (a section whose source is not attached pins its floor
+	// at 0), but the header must not go backward: replay refuses a log
+	// that resumes after covered+1.
+	l.smu.Lock()
+	if floor := l.segments[0].first - 1; covered < floor {
+		covered = floor
+	}
+	l.smu.Unlock()
 
 	path := l.snapPath(atLSN)
 	if err := writeSnapshotFile(path, covered, state, !l.opts.NoSync); err != nil {
@@ -137,22 +147,24 @@ func writeSnapshotFile(path string, covered uint64, state []byte, sync bool) err
 	return nil
 }
 
-// readSnapshotFile validates and returns a snapshot's state payload.
-func readSnapshotFile(path string) ([]byte, error) {
+// readSnapshotFile validates a snapshot and returns its covered LSN and
+// state payload.
+func readSnapshotFile(path string) (uint64, []byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if len(data) < frameHeaderBytes+snapHeaderBytes {
-		return nil, fmt.Errorf("wal: snapshot %s: short file", filepath.Base(path))
+		return 0, nil, fmt.Errorf("wal: snapshot %s: short file", filepath.Base(path))
 	}
 	body := int(binary.LittleEndian.Uint32(data[0:4]))
 	if body != len(data)-frameHeaderBytes {
-		return nil, fmt.Errorf("wal: snapshot %s: bad length", filepath.Base(path))
+		return 0, nil, fmt.Errorf("wal: snapshot %s: bad length", filepath.Base(path))
 	}
 	want := binary.LittleEndian.Uint32(data[4:8])
 	if crc32.Checksum(data[frameHeaderBytes:], castagnoli) != want {
-		return nil, fmt.Errorf("wal: snapshot %s: bad checksum", filepath.Base(path))
+		return 0, nil, fmt.Errorf("wal: snapshot %s: bad checksum", filepath.Base(path))
 	}
-	return data[frameHeaderBytes+snapHeaderBytes:], nil
+	covered := binary.LittleEndian.Uint64(data[frameHeaderBytes : frameHeaderBytes+snapHeaderBytes])
+	return covered, data[frameHeaderBytes+snapHeaderBytes:], nil
 }

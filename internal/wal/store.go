@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -98,48 +99,63 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		st.lastCmdLSN = snap.CmdLSN
 	}
 	for _, r := range rec.Records {
-		if int(r.Type) <= int(maxRecordType) && r.LSN > st.maxTypeLSN[r.Type] {
-			st.maxTypeLSN[r.Type] = r.LSN
-		}
-		switch r.Type {
-		case RecordFleet:
-			if r.LSN <= st.lastFleetLSN {
-				continue
-			}
-			e, err := DecodeFleet(r.Payload)
-			if err != nil {
-				st.replayErrors++
-				continue
-			}
-			st.fleetState.Apply(e)
-			st.lastFleetLSN = r.LSN
-		case RecordSched:
-			if r.LSN <= snapSchedLSN {
-				continue
-			}
-			e, err := DecodeSched(r.Payload)
-			if err != nil {
-				st.replayErrors++
-				continue
-			}
-			st.schedTail = append(st.schedTail, e)
-			st.lastSchedLSN = r.LSN
-		case RecordCommand:
-			if r.LSN <= st.lastCmdLSN {
-				continue
-			}
-			c, err := DecodeCommand(r.Payload)
-			if err != nil {
-				st.replayErrors++
-				continue
-			}
-			st.cmdTail = append(st.cmdTail, c)
-			st.lastCmdLSN = r.LSN
-		default:
-			st.replayErrors++
+		if err := st.replayRecord(r, snapSchedLSN); err != nil {
+			_ = log.Close()
+			return nil, err
 		}
 	}
 	return st, nil
+}
+
+// replayRecord folds one recovered record the snapshot sections do not
+// cover. A malformed payload is counted and skipped; one with an unknown
+// version byte fails the open, because every record after it would be
+// skipped too.
+func (st *Store) replayRecord(r Record, snapSchedLSN uint64) error {
+	if r.Type > maxRecordType || r.Type == 0 {
+		st.replayErrors++
+		return nil
+	}
+	if r.LSN > st.maxTypeLSN[r.Type] {
+		st.maxTypeLSN[r.Type] = r.LSN
+	}
+	var err error
+	switch r.Type {
+	case RecordFleet:
+		if r.LSN <= st.lastFleetLSN {
+			return nil
+		}
+		var e fleet.JournalEntry
+		if e, err = decodeFleet(r.Payload); err == nil {
+			st.fleetState.Apply(e)
+			st.lastFleetLSN = r.LSN
+		}
+	case RecordSched:
+		if r.LSN <= snapSchedLSN {
+			return nil
+		}
+		var e sched.JournalEntry
+		if e, err = decodeSched(r.Payload); err == nil {
+			st.schedTail = append(st.schedTail, e)
+			st.lastSchedLSN = r.LSN
+		}
+	case RecordCommand:
+		if r.LSN <= st.lastCmdLSN {
+			return nil
+		}
+		var c Command
+		if c, err = decodeCommand(r.Payload); err == nil {
+			st.cmdTail = append(st.cmdTail, c)
+			st.lastCmdLSN = r.LSN
+		}
+	}
+	if errors.Is(err, errVersion) {
+		return fmt.Errorf("wal: record at LSN %d predates binary records, so the state directory cannot be read: %w", r.LSN, err)
+	}
+	if err != nil {
+		st.replayErrors++
+	}
+	return nil
 }
 
 // Close stops the underlying log. It does not snapshot; callers wanting a
@@ -174,7 +190,7 @@ func (st *Store) EndRecovery() {
 // fold ahead of disk, which is why the log then refuses every further
 // append and checkpoint: only a reopen is authoritative again.
 func (st *Store) JournalFleet(e fleet.JournalEntry) error {
-	b, err := EncodeFleet(e)
+	b, err := encodeFleet(e)
 	if err != nil {
 		return err
 	}
@@ -204,7 +220,7 @@ func (st *Store) JournalSched(e sched.JournalEntry) (uint64, error) {
 		return 0, nil
 	}
 	st.mu.Unlock()
-	b, err := EncodeSched(e)
+	b, err := encodeSched(e)
 	if err != nil {
 		return 0, err
 	}
@@ -233,7 +249,7 @@ func (st *Store) JournalCommand(method string, params json.RawMessage) error {
 		return nil
 	}
 	st.mu.Unlock()
-	b, err := EncodeCommand(Command{Method: method, Params: params})
+	b, err := encodeCommand(Command{Method: method, Params: params})
 	if err != nil {
 		return err
 	}

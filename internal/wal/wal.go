@@ -17,7 +17,8 @@
 //	u32le length | u32le crc32c | type byte | payload
 //
 // where length counts the type byte plus payload and the CRC (Castagnoli)
-// covers the same bytes. Appends are group-committed in two steps: stage
+// covers the same bytes; record.go defines the versioned binary payloads.
+// Appends are group-committed in two steps: stage
 // frames the record into the current batch under a mutex, assigns its LSN
 // and kicks a dedicated writer goroutine through a one-slot channel (the
 // same idiom as the ctlrpc pipelined writer); wait blocks until the writer
@@ -28,7 +29,8 @@
 // again, and the log refuses further appends and checkpoints.
 // Replay truncates a torn tail (short frame, bad length, or CRC mismatch)
 // and discards any segments after the tear, so a crash at any byte offset
-// leaves a valid prefix.
+// leaves a valid prefix. A log that resumes after the newest valid
+// snapshot's covered LSN has lost records and is refused.
 package wal
 
 import (
@@ -82,7 +84,8 @@ type Options struct {
 	Metrics *telemetry.Registry
 }
 
-// Record is one replayed log entry.
+// Record is one replayed log entry. Payload shares the buffer its segment
+// was read into; a caller that keeps payload bytes copies them.
 type Record struct {
 	LSN     uint64
 	Type    RecordType
@@ -95,6 +98,9 @@ type Recovery struct {
 	SnapshotState []byte
 	// SnapshotLSN is the log LSN at snapshot capture, 0 if none.
 	SnapshotLSN uint64
+	// SnapshotCovered is the highest LSN the snapshot's state holds
+	// (≤ SnapshotLSN), 0 if none: the log must resume by the next one.
+	SnapshotCovered uint64
 	// Records are all surviving log records in LSN order, including
 	// ones the snapshot already covers (callers skip by section LSN).
 	Records []Record
@@ -461,15 +467,24 @@ func (l *Log) replay() (*Recovery, error) {
 
 	// Newest valid snapshot wins; corrupt ones are skipped, not fatal.
 	for _, lsn := range snaps {
-		state, err := readSnapshotFile(l.snapPath(lsn))
+		covered, state, err := readSnapshotFile(l.snapPath(lsn))
 		if err != nil {
 			rec.SkippedSnapshots++
 			continue
 		}
 		rec.SnapshotState = state
 		rec.SnapshotLSN = lsn
+		rec.SnapshotCovered = covered
 		l.snapLSN = lsn
 		break
+	}
+	// Compaction deleted only segments the snapshot it wrote covers, so
+	// the log resumes by covered+1. Starting later means that snapshot is
+	// gone or corrupt and the records between are lost: replaying the
+	// suffix would recover a state that never existed.
+	if len(segs) > 0 && segs[0].first > rec.SnapshotCovered+1 {
+		return nil, fmt.Errorf("wal: log resumes at LSN %d but the newest valid snapshot covers only through LSN %d (%d corrupt snapshots skipped): records in between are lost",
+			segs[0].first, rec.SnapshotCovered, rec.SkippedSnapshots)
 	}
 
 	// Scan segments in order. A tear truncates its segment and drops
@@ -562,8 +577,9 @@ func (l *Log) replay() (*Recovery, error) {
 }
 
 // scanSegment decodes records from one segment file. It returns the
-// decoded records, the byte offset of the last valid frame end, and the
-// file size; valid < size means a torn tail.
+// decoded records, whose payloads alias the segment buffer it read, the
+// byte offset of the last valid frame end, and the file size; valid < size
+// means a torn tail.
 func scanSegment(path string, firstLSN uint64) ([]Record, int64, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -585,9 +601,7 @@ func scanSegment(path string, firstLSN uint64) ([]Record, int64, int64, error) {
 		if crc32.Checksum(frame, castagnoli) != want {
 			break
 		}
-		payload := make([]byte, body-1)
-		copy(payload, frame[1:])
-		recs = append(recs, Record{LSN: lsn, Type: RecordType(frame[0]), Payload: payload})
+		recs = append(recs, Record{LSN: lsn, Type: RecordType(frame[0]), Payload: frame[1:body:body]})
 		lsn++
 		off += frameHeaderBytes + body
 	}

@@ -5,8 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"lightwave/internal/fleet"
+	"lightwave/internal/sched"
 )
 
 // openT opens a log in dir, failing the test on error.
@@ -203,6 +207,186 @@ func TestCorruptSnapshotSkipped(t *testing.T) {
 	}
 	if string(rec.SnapshotState) != "good" || rec.SnapshotLSN != 1 {
 		t.Fatalf("recovered snapshot %q at %d", rec.SnapshotState, rec.SnapshotLSN)
+	}
+}
+
+// TestCorruptSnapshotOverCompactedLog: once a checkpoint has compacted the
+// log, losing its snapshot loses the records it covered. Replaying the
+// surviving suffix would boot a state that never existed, so Open refuses,
+// naming the LSN the log resumes at and the LSN the snapshot left covers.
+func TestCorruptSnapshotOverCompactedLog(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 512, NoSync: true}
+	st, err := OpenStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := func(e fleet.JournalEntry) {
+		t.Helper()
+		if err := st.JournalFleet(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		in := slice(fmt.Sprintf("s%02d", i%20), i%8)
+		journal(fleet.JournalEntry{Op: fleet.OpSetSlice, Pod: "pod0", Slice: &in})
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		journal(fleet.JournalEntry{Op: fleet.OpRemoveSlice, Pod: "pod0", Name: fmt.Sprintf("s%02d", i)})
+	}
+	want, err := st.FleetDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first, ok := parseName(listSegments(t, dir)[0], segPrefix, segSuffix)
+	if !ok || first <= 1 {
+		t.Fatalf("checkpoint compacted nothing: the log still starts at LSN %d", first)
+	}
+
+	// Intact, the snapshot plus the tail are the whole history.
+	st, err = OpenStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.FleetDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Status(); got != want || s.FleetSlices != 17 || s.ReplayErrors != 0 {
+		t.Fatalf("intact reopen: %d slices, %d replay errors, digest match %t", s.FleetSlices, s.ReplayErrors, got == want)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snaps, err := filepath.Glob(filepath.Join(dir, snapPrefix+"*"+snapSuffix))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v, %v", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x20
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err = OpenStore(dir, opts)
+	if err == nil {
+		s := st.Status()
+		st.Close()
+		t.Fatalf("reopen over a corrupt snapshot succeeded with %d slices, %d records replayed", s.FleetSlices, s.ReplayRecords)
+	}
+	for _, lsn := range []string{fmt.Sprintf("LSN %d", first), "LSN 0"} {
+		if !strings.Contains(err.Error(), lsn) {
+			t.Errorf("error %q does not name %s", err, lsn)
+		}
+	}
+}
+
+// TestCheckpointCoveredNeverRegresses: a daemon run without its scheduler
+// over a directory that holds sched records snapshots with covered 0, since
+// the unattached section pins compaction. Records that an earlier
+// checkpoint compacted away are still covered, so the new snapshot must
+// say so, or the next open refuses an intact directory.
+func TestCheckpointCoveredNeverRegresses(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 512, NoSync: true}
+	st, err := OpenStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		in := slice(fmt.Sprintf("s%02d", i%20), i%8)
+		if err := st.JournalFleet(fleet.JournalEntry{Op: fleet.OpSetSlice, Pod: "pod0", Slice: &in}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	first, ok := parseName(listSegments(t, dir)[0], segPrefix, segSuffix)
+	if !ok || first <= 1 {
+		t.Fatalf("checkpoint compacted nothing: the log still starts at LSN %d", first)
+	}
+	if _, err := st.JournalSched(sched.JournalEntry{Op: sched.OpAdvance, T: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.JournalFleet(fleet.JournalEntry{Op: fleet.OpRemoveSlice, Pod: "pod0", Name: "s00"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, covered, err := st.Snapshot(); err != nil || covered != 0 {
+		t.Fatalf("Snapshot covered = %d, %v; want 0 with an unattached sched section", covered, err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := st.FleetDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = OpenStore(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen after a covered-0 checkpoint: %v", err)
+	}
+	defer st.Close()
+	got, err := st.FleetDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Status(); got != want || s.FleetSlices != 19 || s.ReplayErrors != 0 {
+		t.Fatalf("reopen: %d slices, %d replay errors, digest match %t", s.FleetSlices, s.ReplayErrors, got == want)
+	}
+}
+
+// TestPreBinaryRecordRefused: a malformed binary payload is counted and
+// skipped, but a payload with an unknown version byte — a JSON record from
+// before binary records — fails the open rather than booting without it.
+func TestPreBinaryRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{NoSync: true})
+	good, err := encodeFleet(fleet.JournalEntry{Op: fleet.OpAddPod, Pod: "pod0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendT(t, l, RecordFleet, good)
+	appendT(t, l, RecordFleet, []byte{recordV1, 0xff})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Status(); s.ReplayErrors != 1 || s.FleetPods != 1 {
+		t.Fatalf("malformed v1 record: %d replay errors, %d pods", s.ReplayErrors, s.FleetPods)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, _ = openT(t, dir, Options{NoSync: true})
+	appendT(t, l, RecordFleet, []byte(`{"op":"add-pod","pod":"pod1"}`))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = OpenStore(dir, Options{NoSync: true})
+	if err == nil {
+		st.Close()
+		t.Fatal("OpenStore replayed a JSON-era record")
+	}
+	if !strings.Contains(err.Error(), "LSN 3") || !strings.Contains(err.Error(), "predates binary records") {
+		t.Fatalf("error %q does not name LSN 3 and the pre-binary format", err)
 	}
 }
 

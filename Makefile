@@ -48,10 +48,11 @@ race-fleet:
 # package's reference_test.go: the FEC transfer chain (bit for bit, and the
 # concatenated curve stays monotone — slice admission compares against a
 # threshold derived from it), sched.Pod placement (every cube's state
-# and owner after each operation), and the WAL's binary record codec (the
-# JSON codec it replaced) and segment scanner (a slow frame reader). A
-# failing input lands in the package's
-# testdata/fuzz/ — commit it with the fix.
+# and owner after each operation), the WAL's binary record codec (the
+# JSON codec it replaced) and segment scanner (a slow frame reader), and
+# the flow simulator's path-class max-min (the per-flow engine, every
+# flow's rate and remaining bytes after each event). A failing input lands
+# in the package's testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
 	@set -e; $(GO) test -list '^Fuzz' ./... | \
 	awk '/^Fuzz/ { t[++n] = $$1 } /^ok/ { for (i = 1; i <= n; i++) print $$2, t[i]; n = 0 }' | \
@@ -99,11 +100,12 @@ bench:
 ledger:
 	bash bench/run.sh
 
-# CPU profile of the dcn figure (the §4.2 flow-level comparison); inspect with
-# `$(GO) tool pprof dcn.test dcn.cpuprof` (live daemons expose the same
-# data on <metrics-addr>/debug/pprof/profile).
+# CPU profile of the three figures the sim_flow ledger workload times: dcn
+# (the §4.2 flow-level comparison), te and chaos (the epoch flow-replay);
+# inspect with `$(GO) tool pprof dcn.test dcn.cpuprof` (live daemons expose
+# the same data on <metrics-addr>/debug/pprof/profile).
 profile-dcn:
-	$(GO) test -run '^$$' -bench 'Figures/dcn$$' -benchtime 5x -cpuprofile dcn.cpuprof -o dcn.test .
+	$(GO) test -run '^$$' -bench 'Figures/(dcn|te|chaos)$$' -benchtime 5x -cpuprofile dcn.cpuprof -o dcn.test .
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -56,7 +56,7 @@ func benchEngine(b *testing.B) *simEngine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w.Demand = scaleDemand(demand, blocks, uplinks, cfg.TrunkBps, 0.7)
+	w.Demand = scaleDemand(demand, blocks, uplinks, cfg.TrunkBps, fctLoad)
 	w.Duration = 1e12
 	s, err := newSimEngine(top, w, cfg)
 	if err != nil {

@@ -17,12 +17,14 @@ import (
 // throughput.
 //
 // The event loop is built for speed without sacrificing reproducibility:
-// arrivals live in an index-tie-broken binary min-heap, all per-link state
-// is kept in flat []float64 / slice arrays indexed by src*n+dst and reused
-// across events via epoch stamping, and flow structs are pooled. Every
-// tie-break and floating-point accumulation order matches the original
-// linear-scan/map implementation, so results are bit-identical (see
-// golden_test.go for the pinned contract).
+// arrivals live in an index-tie-broken binary min-heap, flows that share a
+// path are aggregated into one path class that max-min fills as a unit,
+// all per-link state is kept in flat arrays indexed by src*n+dst and
+// reused across events via epoch stamping, and flow structs are pooled.
+// Every tie-break and floating-point accumulation order matches the
+// original linear-scan/map implementation, so results are bit-identical
+// (see golden_test.go for the pinned contract, and reference_test.go for
+// the per-flow engine FuzzMaxMinRates holds this one to).
 
 // Workload describes the offered traffic.
 type Workload struct {
@@ -44,12 +46,6 @@ type SimConfig struct {
 	// MaxTransit is the number of candidate transit blocks examined per
 	// flow (least-loaded two-hop routing).
 	MaxTransit int
-	// FCTLoadFraction is the fraction of fabric capacity offered during
-	// the FCT comparison (0 = default 0.7).
-	FCTLoadFraction float64
-	// SatLoadFraction is the fraction offered during the saturation
-	// throughput comparison (0 = default 0.95).
-	SatLoadFraction float64
 }
 
 // DefaultSimConfig returns a 400G-trunk configuration.
@@ -69,11 +65,7 @@ type SimResult struct {
 }
 
 type flow struct {
-	src, dst int
-	// hopIdx[:nhops] are the directed links used, as flat src*n+dst
-	// indices (one hop for direct, two for transit).
-	hopIdx    [2]int
-	nhops     int
+	class     *pathClass // the path the flow rides
 	size      float64
 	remaining float64
 	started   float64
@@ -81,21 +73,38 @@ type flow struct {
 	idx       int // position in the active slice
 }
 
+// pathClass is one path — an ordered list of directed links — and the
+// number of active flows riding it. Flows on one path meet the same links
+// in every progressive-filling round, so they freeze in the same round at
+// the same rate: max-min fills classes, not flows.
+type pathClass struct {
+	// hopIdx[:nhops] are the directed links used, as flat src*n+dst
+	// indices (one hop for direct, two for transit).
+	hopIdx [2]int
+	nhops  int
+	count  int // active flows on the path
+	// epoch stamps the recompute that last visited the class, and rate is
+	// its fair share there (-1 until the class freezes).
+	epoch uint64
+	rate  float64
+}
+
 // ErrMismatch is returned when workload and topology disagree on size.
 var ErrMismatch = errors.New("dcn: workload does not match topology")
 
 // ErrDegenerate is returned for inputs that would otherwise surface deep
 // inside the simulation as NaN/Inf fair-share rates, divide-by-zero, or
-// flows that never drain: non-positive trunk rate / mean flow size /
-// duration, non-finite or negative demand entries, an all-zero demand
-// matrix, or a demanded block pair with no usable path (no direct trunk
-// and no two-hop transit — the zero-capacity-trunk case).
+// flows that never drain: a non-positive or non-finite trunk rate,
+// non-positive mean flow size / duration, non-finite or negative demand
+// entries, an all-zero demand matrix, or a demanded block pair with no
+// usable path (no direct trunk and no two-hop transit — the
+// zero-capacity-trunk case).
 var ErrDegenerate = errors.New("dcn: degenerate simulation input")
 
 // simEngine holds one simulation run's entire state. All scratch is
 // allocated once in newSimEngine and reused event-to-event, so the loop
 // itself runs allocation-free in steady state (the fcts slice and pooled
-// per-link flow lists grow amortized-O(1) until they reach the run's high
+// per-link class lists grow amortized-O(1) until they reach the run's high
 // water mark).
 type simEngine struct {
 	top   *Topology
@@ -120,15 +129,34 @@ type simEngine struct {
 	active []*flow
 	free   []*flow // pooled flow structs of completed flows
 
+	// classes holds one class per possible path, at (src*n+dst)*n+via with
+	// via = dst for the direct path: n³ slots, so a class never moves and
+	// a flow keeps a pointer to it.
+	classes []pathClass
+
 	// Max-min fair-share scratch, epoch-stamped so a recompute touches
-	// only the links the active flows actually use and never re-zeroes
+	// only the links the active classes actually use and never re-zeroes
 	// the full n×n arrays.
 	epoch        uint64
 	linkEpoch    []uint64
 	linkCapacity []float64
-	linkFlows    [][]*flow
-	linkUnfrozen []int
-	order        []int // links in first-touch order
+	linkClasses  [][]*pathClass // classes crossing the link
+	linkUnfrozen []int          // flows of unfrozen classes crossing the link
+	linkPos      []int          // the link's position in links
+	links        []int          // links in first-touch order
+	// tree is a tournament over the links' fair shares: leaf
+	// tree[width+p] is links[p]'s share (+Inf once no unfrozen flow
+	// crosses it, and for the padding up to the power-of-two width),
+	// every inner node holds its children's smaller share (the left one
+	// on a tie), and tree[1] is the round's bottleneck.
+	tree    []match
+	width   int
+	touched []int // positions of the links a freezing round changed
+
+	// The earliest completion under the current rates, found as the rates
+	// are written back (done is nil when no active flow drains).
+	done   *flow
+	doneAt float64
 
 	now            float64
 	fcts           []float64
@@ -151,7 +179,7 @@ func newSimEngine(t *Topology, w Workload, cfg SimConfig) (*simEngine, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TrunkBps <= 0 {
+	if !(cfg.TrunkBps > 0) || math.IsInf(cfg.TrunkBps, 1) {
 		return nil, fmt.Errorf("%w: trunk rate %g B/s", ErrDegenerate, cfg.TrunkBps)
 	}
 	if w.MeanFlowBytes <= 0 {
@@ -165,6 +193,10 @@ func newSimEngine(t *Topology, w Workload, cfg SimConfig) (*simEngine, error) {
 		return nil, err
 	}
 
+	width := 1
+	for width < n*n {
+		width <<= 1
+	}
 	s := &simEngine{
 		top:   t,
 		n:     n,
@@ -178,10 +210,16 @@ func newSimEngine(t *Topology, w Workload, cfg SimConfig) (*simEngine, error) {
 		load:        make([]float64, n*n),
 		linkCapBase: make([]float64, n*n),
 
+		classes: make([]pathClass, n*n*n),
+
 		linkEpoch:    make([]uint64, n*n),
 		linkCapacity: make([]float64, n*n),
-		linkFlows:    make([][]*flow, n*n),
+		linkClasses:  make([][]*pathClass, n*n),
 		linkUnfrozen: make([]int, n*n),
+		linkPos:      make([]int, n*n),
+		links:        make([]int, 0, n*n),
+		tree:         make([]match, 2*width),
+		touched:      make([]int, 0, n*n),
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -204,8 +242,12 @@ func (s *simEngine) reset() {
 	for i := len(s.heap)/2 - 1; i >= 0; i-- {
 		s.siftDown(i)
 	}
+	for _, f := range s.active {
+		f.class.count--
+	}
 	s.free = append(s.free, s.active...)
 	s.active = s.active[:0]
+	s.done = nil
 	for i := range s.load {
 		s.load[i] = 0
 	}
@@ -278,20 +320,15 @@ func (s *simEngine) step() bool {
 	if s.now >= s.w.Duration {
 		return false
 	}
-	// Earliest next event: the heap root is the earliest arrival; a
-	// completion preempts it only when strictly earlier, and the earliest-
-	// index active flow wins completion ties, as in the original scan.
+	// Earliest next event: the heap root is the earliest arrival; the
+	// earliest completion (found by the last recompute, the earliest-index
+	// active flow winning ties) preempts it only when strictly earlier, as
+	// in the original scan.
 	kNext := int(s.heap[0])
 	tNext := s.next[kNext]
 	var fDone *flow
-	for _, f := range s.active {
-		if f.rate <= 0 {
-			continue
-		}
-		done := s.now + f.remaining/f.rate
-		if done < tNext {
-			tNext, kNext, fDone = done, -1, f
-		}
+	if s.done != nil && s.doneAt < tNext {
+		tNext, kNext, fDone = s.doneAt, -1, s.done
 	}
 	if tNext > s.w.Duration {
 		return false
@@ -311,8 +348,10 @@ func (s *simEngine) step() bool {
 		s.completions++
 		s.fcts = append(s.fcts, s.now-fDone.started)
 		s.completedBytes += fDone.size
-		for h := 0; h < fDone.nhops; h++ {
-			s.load[fDone.hopIdx[h]]--
+		c := fDone.class
+		c.count--
+		for h := 0; h < c.nhops; h++ {
+			s.load[c.hopIdx[h]]--
 		}
 		s.removeActive(fDone)
 		s.free = append(s.free, fDone)
@@ -327,24 +366,28 @@ func (s *simEngine) step() bool {
 	s.next[kNext] = s.now + s.rng.ExpFloat64()/p.rate
 	s.siftDown(0)
 	f := s.getFlow()
-	f.src, f.dst, f.started = p.i, p.j, s.now
+	f.started = s.now
 	f.size = s.rng.ExpFloat64() * s.w.MeanFlowBytes
 	f.remaining = f.size
 	via, transit := s.choosePath(p.i, p.j)
-	if transit {
-		f.nhops = 2
-		f.hopIdx[0] = p.i*s.n + via
-		f.hopIdx[1] = via*s.n + p.j
-	} else {
-		f.nhops = 1
-		f.hopIdx[0] = p.i*s.n + p.j
-	}
 	s.total++
+	var c *pathClass
 	if transit {
 		s.transit++
+		c = &s.classes[(p.i*s.n+p.j)*s.n+via]
+		c.nhops = 2
+		c.hopIdx[0] = p.i*s.n + via
+		c.hopIdx[1] = via*s.n + p.j
+	} else {
+		// The direct path's slot is via = dst, never a transit block.
+		c = &s.classes[(p.i*s.n+p.j)*s.n+p.j]
+		c.nhops = 1
+		c.hopIdx[0] = p.i*s.n + p.j
 	}
-	for h := 0; h < f.nhops; h++ {
-		s.load[f.hopIdx[h]]++
+	c.count++
+	f.class = c
+	for h := 0; h < c.nhops; h++ {
+		s.load[c.hopIdx[h]]++
 	}
 	f.idx = len(s.active)
 	s.active = append(s.active, f)
@@ -474,82 +517,181 @@ func routable(t *Topology, i, j int) bool {
 	return false
 }
 
-// maxMinRates computes max-min fair rates by progressive filling. active
-// is iterated in order, and link states are visited in first-touch order,
-// so bottleneck tie-breaking and the floating-point accumulation order —
-// and therefore the computed rates — are identical run-to-run and to the
-// historical map-based implementation. Epoch stamping means only links the
-// active flows touch are (re)initialized, and the per-link unfrozen-flow
-// counts are maintained incrementally as flows freeze instead of being
-// recounted every bottleneck round; the recompute allocates nothing once
-// the per-link flow lists have reached their high-water length.
+// maxMinRates computes max-min fair rates by progressive filling over path
+// classes, then writes each class's rate to its flows and finds the
+// earliest completion on the way. It reproduces the per-flow engine bit
+// for bit (reference_test.go keeps that engine; FuzzMaxMinRates compares
+// them event by event):
+//
+//   - Classes are visited in the order of their first active flow, so
+//     their hops reach the links in the per-flow engine's first-touch
+//     order, the order bottleneck ties are broken in.
+//   - A link's unfrozen count sums its classes' flow counts, so every
+//     share is the same quotient of the same two numbers.
+//   - A freezing class subtracts the round's rate from each of its hops
+//     once per flow, each subtraction clamped at zero — never count×rate.
+//     All subtractions of a round are the same value, so their order
+//     across classes does not change the result.
+//   - The tournament tree's left-on-tie pick is the old scan's strict-<
+//     first minimum in first-touch order. After a round only the links
+//     the frozen classes crossed are replayed up the tree.
+//
+// The rounds are therefore exactly the per-flow engine's. Epoch stamping
+// means only links the active classes touch are (re)initialized, and
+// nothing allocates once the per-link class lists have reached their
+// high-water length.
 //
 //lwlint:hotpath
 func (s *simEngine) maxMinRates() {
 	s.epoch++
-	s.order = s.order[:0]
+	s.links = s.links[:0]
+	unfrozen := 0 // classes
 	for _, f := range s.active {
-		f.rate = -1
-		for h := 0; h < f.nhops; h++ {
-			li := f.hopIdx[h]
+		c := f.class
+		if c.epoch == s.epoch {
+			continue
+		}
+		c.epoch, c.rate = s.epoch, -1
+		unfrozen++
+		for h := 0; h < c.nhops; h++ {
+			li := c.hopIdx[h]
 			if s.linkEpoch[li] != s.epoch {
 				s.linkEpoch[li] = s.epoch
 				s.linkCapacity[li] = s.linkCapBase[li]
-				s.linkFlows[li] = s.linkFlows[li][:0]
+				s.linkClasses[li] = s.linkClasses[li][:0]
 				s.linkUnfrozen[li] = 0
-				s.order = append(s.order, li)
+				s.linkPos[li] = len(s.links)
+				s.links = append(s.links, li)
 			}
-			s.linkFlows[li] = append(s.linkFlows[li], f)
-			s.linkUnfrozen[li]++
+			s.linkClasses[li] = append(s.linkClasses[li], c)
+			s.linkUnfrozen[li] += c.count
 		}
 	}
-	unfrozen := len(s.active)
+	s.buildTree()
 	for unfrozen > 0 {
 		s.recomputeRounds++
-		// Find the bottleneck link: minimum fair share among links with
-		// unfrozen flows, first-touch order breaking ties.
-		bottleneck := -1
-		share := math.Inf(1)
-		for _, li := range s.order {
-			c := s.linkUnfrozen[li]
-			if c == 0 {
-				continue
-			}
-			if sh := s.linkCapacity[li] / float64(c); sh < share {
-				share, bottleneck = sh, li
-			}
-		}
-		if bottleneck < 0 {
-			// Remaining flows are unconstrained (shouldn't happen: every
+		b, share := s.tree[1].pos, s.tree[1].share
+		if math.IsInf(share, 1) {
+			// Remaining classes are unconstrained (shouldn't happen: every
 			// flow crosses at least one link); cap at trunk rate.
 			for _, f := range s.active {
-				if f.rate < 0 {
-					f.rate = s.trunk
-					unfrozen--
+				if f.class.rate < 0 {
+					f.class.rate = s.trunk
 				}
 			}
 			break
 		}
-		for _, f := range s.linkFlows[bottleneck] {
-			if f.rate >= 0 {
+		// A single flow rides one physical trunk (ECMP hashing), so its
+		// rate is capped at the trunk rate even on multi-trunk pairs.
+		rate := share
+		if rate > s.trunk {
+			rate = s.trunk
+		}
+		s.touched = s.touched[:0]
+		for _, c := range s.linkClasses[s.links[b]] {
+			if c.rate >= 0 {
 				continue
 			}
-			// A single flow rides one physical trunk (ECMP hashing), so its
-			// rate is capped at the trunk rate even on multi-trunk pairs.
-			rate := share
-			if rate > s.trunk {
-				rate = s.trunk
-			}
-			f.rate = rate
+			c.rate = rate
 			unfrozen--
-			for h := 0; h < f.nhops; h++ {
-				li := f.hopIdx[h]
-				s.linkCapacity[li] -= rate
-				if s.linkCapacity[li] < 0 {
-					s.linkCapacity[li] = 0
+			for h := 0; h < c.nhops; h++ {
+				li := c.hopIdx[h]
+				capacity := s.linkCapacity[li]
+				// Once clamped to zero a link stays there.
+				for k := 0; k < c.count && capacity > 0; k++ {
+					capacity -= rate
+					if capacity < 0 {
+						capacity = 0
+					}
 				}
-				s.linkUnfrozen[li]--
+				s.linkCapacity[li] = capacity
+				s.linkUnfrozen[li] -= c.count
+				s.touched = append(s.touched, s.linkPos[li])
 			}
 		}
+		for _, p := range s.touched {
+			s.replay(p)
+		}
 	}
+
+	s.done, s.doneAt = nil, math.Inf(1)
+	for _, f := range s.active {
+		r := f.class.rate
+		f.rate = r
+		if r <= 0 {
+			continue
+		}
+		if t := s.now + f.remaining/r; t < s.doneAt {
+			s.done, s.doneAt = f, t
+		}
+	}
+}
+
+// match is one node of the tournament tree: the smaller share below it
+// and the first-touch position of the link holding it.
+type match struct {
+	share float64
+	pos   int32
+}
+
+// buildTree sizes the tournament to the links in first-touch order and
+// plays it bottom-up.
+//
+//lwlint:hotpath
+func (s *simEngine) buildTree() {
+	w := 1
+	for w < len(s.links) {
+		w <<= 1
+	}
+	s.width = w
+	for p := range s.links {
+		s.tree[w+p] = match{s.share(p), int32(p)}
+	}
+	for p := len(s.links); p < w; p++ {
+		s.tree[w+p] = match{math.Inf(1), int32(p)}
+	}
+	for i := w - 1; i > 0; i-- {
+		s.tree[i] = s.winner(i)
+	}
+}
+
+// replay recomputes the share of the link at position p and the matches
+// above it, stopping at the first whose outcome did not change: nothing
+// above that node depends on p.
+//
+//lwlint:hotpath
+func (s *simEngine) replay(p int) {
+	i := s.width + p
+	s.tree[i].share = s.share(p)
+	for i >>= 1; i > 0; i >>= 1 {
+		m := s.winner(i)
+		if m == s.tree[i] {
+			return
+		}
+		s.tree[i] = m
+	}
+}
+
+// share is the fair share of the link at position p: its residual
+// capacity over its unfrozen flows, +Inf when it has none.
+//
+//lwlint:hotpath
+func (s *simEngine) share(p int) float64 {
+	li := s.links[p]
+	if c := s.linkUnfrozen[li]; c > 0 {
+		return s.linkCapacity[li] / float64(c)
+	}
+	return math.Inf(1)
+}
+
+// winner plays the match at inner node i: the smaller share of its two
+// children, the left one (earlier in first-touch order) on a tie.
+//
+//lwlint:hotpath
+func (s *simEngine) winner(i int) match {
+	l, r := s.tree[2*i], s.tree[2*i+1]
+	if r.share < l.share {
+		return r
+	}
+	return l
 }

@@ -25,10 +25,12 @@ func TestSimulateRejectsDegenerateInputs(t *testing.T) {
 		t.Errorf("zero Duration: err = %v, want ErrDegenerate", err)
 	}
 
-	cfg := DefaultSimConfig()
-	cfg.TrunkBps = 0
-	if _, err := Simulate(top, base(), cfg); !errors.Is(err, ErrDegenerate) {
-		t.Errorf("zero TrunkBps: err = %v, want ErrDegenerate", err)
+	for _, bps := range []float64{0, math.Inf(1), math.NaN()} {
+		cfg := DefaultSimConfig()
+		cfg.TrunkBps = bps
+		if _, err := Simulate(top, base(), cfg); !errors.Is(err, ErrDegenerate) {
+			t.Errorf("TrunkBps %v: err = %v, want ErrDegenerate", bps, err)
+		}
 	}
 
 	// All-zero demand matrix.

@@ -133,7 +133,7 @@ func scaleDemand(demand [][]float64, blocks, uplinks int, trunkBps, frac float64
 // ReferenceExperiment returns the calibrated configuration of the
 // engineered-vs-uniform comparison: 12 aggregation blocks of 33 uplinks,
 // a strongly skewed long-lived matrix (12 hot pairs at 300× a thin uniform
-// background), long flows, and the default load fractions.
+// background), and long flows.
 func ReferenceExperiment() (blocks, uplinks int, demand [][]float64, w Workload, cfg SimConfig) {
 	blocks, uplinks = 12, 33
 	demand = SkewedDemand(blocks, 0.5e9, 12, 300, 7)
@@ -142,13 +142,20 @@ func ReferenceExperiment() (blocks, uplinks int, demand [][]float64, w Workload,
 	return
 }
 
+// The load fractions of the engineered-vs-uniform comparison: flow
+// completion time is measured at fctLoad of the fabric's capacity,
+// throughput at satLoad.
+const (
+	fctLoad = 0.7
+	satLoad = 0.95
+)
+
 // CompareTopologies engineers a topology for the demand shape and compares
 // it with a uniform mesh — the experiment behind the "10% improvement in
 // flow completion time and 30% increase in TCP throughput" summary of §4.2.
-// Flow completion time is measured with the flow-level simulator at
-// moderate load (35% of fabric capacity); throughput with the fluid solver
-// at saturating load (95%), where the uniform mesh pays the 2× transit tax
-// on hot pairs.
+// Flow completion time is measured with the flow-level simulator at 70% of
+// fabric capacity; throughput with the fluid solver at saturating load
+// (95%), where the uniform mesh pays the 2× transit tax on hot pairs.
 func CompareTopologies(blocks, uplinks int, demand [][]float64, w Workload, cfg SimConfig) (Comparison, error) {
 	var c Comparison
 	uni, err := UniformMesh(blocks, uplinks)
@@ -158,15 +165,6 @@ func CompareTopologies(blocks, uplinks int, demand [][]float64, w Workload, cfg 
 	eng, err := Engineer(blocks, uplinks, demand)
 	if err != nil {
 		return c, err
-	}
-
-	fctLoad := cfg.FCTLoadFraction
-	if fctLoad == 0 {
-		fctLoad = 0.7
-	}
-	satLoad := cfg.SatLoadFraction
-	if satLoad == 0 {
-		satLoad = 0.95
 	}
 	// The uniform and engineered halves are independent simulations; run
 	// each pair concurrently on the worker pool (each event loop stays

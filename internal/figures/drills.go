@@ -54,7 +54,12 @@ func teExperiment(w io.Writer) ([]Row, error) {
 		res.Loop.Reconfigs, res.Loop.Epoch, res.Loop.Stages, res.Loop.TrunksMoved, res.Loop.LastPredictionError)
 	fmt.Fprintf(w, "capacity floor held: min residual %.3f (floor 0.75), %.3g bps-seconds drained\n",
 		res.MinResidualFraction, res.Loop.DrainedCapacityBpsSeconds)
-	return nil, nil
+	return []Row{
+		near("online-gain-%", "online TE effective throughput gain over the static mesh", "not quantified", 100*res.OnlineGain, 4.7, 0.1),
+		near("oracle-gain-%", "per-epoch oracle throughput gain over the static mesh", "not quantified", 100*res.OracleGain, 9.6, 0.1),
+		within("min-residual-capacity", "lowest in-service capacity fraction of any reconfiguration stage", "above the drain floor", res.MinResidualFraction, 0.75, 1),
+		near("reconfigs", "online loop reconfigurations over 24 epochs", "not reported", float64(res.Loop.Reconfigs), 2, 0),
+	}, nil
 }
 
 // chaosExperiment replays the paper's headline resilience drill — a single
@@ -81,7 +86,12 @@ func chaosExperiment(w io.Writer) ([]Row, error) {
 	fmt.Fprint(w, rep.Text())
 	fmt.Fprintf(w, "bounded cost: worst epoch kept %.1f%% of fault-free goodput; capacity restored in %.0fs\n",
 		100*rep.MinGoodputFraction, rep.CapacityMTTRSeconds)
-	return nil, nil
+	return []Row{
+		near("min-goodput-fraction", "worst epoch's goodput over the fault-free fabric", "bounded loss (one switch of N)", rep.MinGoodputFraction, 0.7297, 0.0001),
+		near("capacity-mttr-s", "time until goodput is restored", "within a reconcile epoch", rep.CapacityMTTRSeconds, 60, 0),
+		near("blackout-epochs", "epochs in which a demanded block pair has no path", "none", float64(rep.BlackoutEpochs), 0, 0),
+		match("quarantine-budget-ok", "every quarantine fired at exactly the lab's retry budget", "true", fmt.Sprint(rep.QuarantineBudgetOK)),
+	}, nil
 }
 
 // crashRestartExperiment runs the durable-state drill: a journaled fleet

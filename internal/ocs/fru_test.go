@@ -223,12 +223,3 @@ func TestFRUOutOfRange(t *testing.T) {
 		t.Error("fan -1 accepted")
 	}
 }
-
-func TestPowerDropsWithFailedBoard(t *testing.T) {
-	s := newTestSwitch(t)
-	p0 := s.PowerW()
-	_, _ = s.FailDriverBoard(0)
-	if s.PowerW() >= p0 {
-		t.Error("power did not drop with a failed driver board")
-	}
-}

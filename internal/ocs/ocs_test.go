@@ -234,16 +234,6 @@ func TestReturnLossCalibration(t *testing.T) {
 	}
 }
 
-func TestPowerBudget(t *testing.T) {
-	s := newTestSwitch(t)
-	if s.PowerW() > 108+1e-9 {
-		t.Errorf("power %.1f W exceeds 108 W max", s.PowerW())
-	}
-	if s.PowerW() < 50 {
-		t.Errorf("power %.1f W implausibly low for a full chassis", s.PowerW())
-	}
-}
-
 func TestMetricsExport(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Metrics = telemetry.NewRegistry()

@@ -49,17 +49,32 @@ type EpochSim struct {
 // topologies: cell [r][e] is rows[r][e] carrying demand[e] for w.Duration
 // seconds of w.MeanFlowBytes flows. sc gives the trunk rate and the base
 // seed; epoch e of every row draws arrivals from substream e of it, so
-// within an epoch only the topology differs. The rows×epochs simulations
-// fan out on the worker pool keyed by index — bit-identical at any worker
-// count.
+// within an epoch only the topology differs. A cell whose topology equals
+// an earlier row's at the same epoch would repeat that cell's simulation
+// exactly — same demand, same seed — so it copies the result instead. The
+// distinct cells fan out on the worker pool keyed by index — bit-identical
+// at any worker count.
 func ReplayFlows(rows [][]*dcn.Topology, demand [][][]float64, w dcn.Workload, sc dcn.SimConfig) [][]EpochSim {
 	epochs := len(demand)
 	sc.MaxTransit = maxTransit
-	cells := make([]int, len(rows)*epochs)
-	for i := range cells {
-		cells[i] = i
+	// same[i] is the first cell of epoch i%epochs whose topology equals
+	// cell i's; cells lists those that are their own.
+	same := make([]int, len(rows)*epochs)
+	var cells []int
+	for i := range same {
+		r, e := i/epochs, i%epochs
+		same[i] = i
+		for q := 0; q < r; q++ {
+			if sameTopology(rows[q][e], rows[r][e]) {
+				same[i] = q*epochs + e
+				break
+			}
+		}
+		if same[i] == i {
+			cells = append(cells, i)
+		}
 	}
-	flat := par.Sweep("te_flow_replay", cells, func(_ int, i int) EpochSim {
+	sims := par.Sweep("te_flow_replay", cells, func(_ int, i int) EpochSim {
 		r, e := i/epochs, i%epochs
 		we, se := w, sc
 		we.Demand = demand[e]
@@ -67,9 +82,22 @@ func ReplayFlows(rows [][]*dcn.Topology, demand [][][]float64, w dcn.Workload, s
 		res, err := dcn.Simulate(rows[r][e], we, se)
 		return EpochSim{res, err}
 	})
+	flat := make([]EpochSim, len(same))
+	for k, i := range cells {
+		flat[i] = sims[k]
+	}
+	for i, j := range same {
+		flat[i] = flat[j]
+	}
 	out := make([][]EpochSim, len(rows))
 	for r := range out {
 		out[r] = flat[r*epochs : (r+1)*epochs]
 	}
 	return out
+}
+
+// sameTopology reports whether Simulate would see a and b as the same
+// fabric: the same port budget and the same trunk matrix.
+func sameTopology(a, b *dcn.Topology) bool {
+	return a.UplinksPerBlock == b.UplinksPerBlock && sameLinks(a, b)
 }

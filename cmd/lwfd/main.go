@@ -7,13 +7,15 @@
 // trunks as the synthetic offered load shifts; -te-epoch enables it and
 // `lwfctl te status` inspects it.
 //
-// With -state-dir the daemon journals every successfully executed
-// mutating command (compose, destroy, ensure, reshape, cube and link
-// maintenance) to a write-ahead log (internal/wal) before the response is
-// written, and snapshots the fabric as a replayable command list. On
-// restart it re-executes the snapshot plus the journaled tail against a
-// freshly built fabric, reproducing slices and cube state. Without the
-// flag nothing touches disk and behavior is unchanged.
+// With -state-dir the daemon journals every mutating command it executes
+// (compose, destroy, ensure, reshape, cube and link maintenance), refused
+// ones included, to a write-ahead log (internal/wal) before the response
+// is written. A snapshot holds the fabric's state — cubes, per-OCS failed
+// ports, spare-port remaps and live cross-connects, slices — with the LSN
+// of the last command that state holds. On restart the daemon imports
+// that state into a freshly built fabric and re-executes only the
+// commands journaled after it. Without the flag nothing touches disk and
+// behavior is unchanged.
 //
 // Usage:
 //
@@ -36,7 +38,6 @@ import (
 	"lightwave/internal/te"
 	"lightwave/internal/telemetry"
 	"lightwave/internal/topo"
-	"lightwave/internal/wal"
 )
 
 func main() {
@@ -122,20 +123,21 @@ func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 	// the same registry as the fabric metrics.
 	srv.SetMetrics(d.Reg)
 
-	// Durable state: replay the snapshot's command list plus the journaled
-	// tail against the fresh fabric, then journal every mutating command
-	// from here on. compose runs before the listener opens, so no client
-	// observes a half-recovered fabric.
+	// Durable state: import the snapshot's fabric state into the fresh
+	// fabric, replay the journaled tail after it, then journal every
+	// mutating command from here on. compose runs before the listener
+	// opens, so no client observes a half-recovered fabric.
 	if store := d.Store; store != nil {
-		applied, failed := store.ReplayCommands(srv.ApplyCommand)
+		applied, failed, err := store.RecoverFabric(srv)
+		if err != nil {
+			return nil, fmt.Errorf("lwfd: restoring fabric: %w", err)
+		}
 		if applied+failed > 0 {
-			log.Printf("lwfd: state dir %s: replayed %d commands (%d failed) to lsn %d",
+			log.Printf("lwfd: state dir %s: replayed %d commands (%d refused) to lsn %d",
 				f.StateDir, applied, failed, store.Log().LastLSN())
 		}
 		store.EndRecovery()
-		store.SetFabricSnapshot(func() ([]wal.Command, error) {
-			return srv.SnapshotCommands(f.Cubes)
-		})
+		store.AttachFabric(srv)
 		srv.SetJournal(store)
 		srv.SetWAL(ctlrpc.StoreWALProvider{Store: store})
 	}

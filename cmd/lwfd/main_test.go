@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,48 +14,65 @@ import (
 	"lightwave/internal/daemon"
 )
 
-// lwfd's durable path — JournalCommand on every mutating RPC,
-// SnapshotCommands into checkpoints, ReplayCommands through ApplyCommand
-// at boot — is pinned the way wal.TestRestartEquivalence pins the fleet
-// daemon's: a scripted mutation stream runs against a journaled daemon
-// that is stopped and reopened from its state directory, and the reopened
-// daemon must answer status and every slice query byte-for-byte like a
-// daemon that ran the same stream without interruption.
+// lwfd's durable path — JournalCommand on every mutating RPC whose
+// handler ran, ExportFabric into checkpoints, RecoverFabric's import plus
+// tail replay through ApplyCommand at boot — is pinned the way
+// wal.TestRestartEquivalence pins the fleet daemon's: a scripted mutation
+// stream runs against a journaled daemon that is stopped and reopened from
+// its state directory, and the reopened daemon must answer status and
+// every slice query byte-for-byte like a daemon that ran the same stream
+// without interruption, and must hand out the same spare port to one more
+// link repair.
 
 type step struct {
 	method string
 	params any
+	// refused is the error the step must answer with; a refused call is
+	// journaled all the same, for whatever it changed.
+	refused string
 }
 
 func composeP(name string, shape [3]int, cubes ...int) step {
-	return step{ctlrpc.MethodCompose, ctlrpc.ComposeParams{Name: name, Shape: shape, Cubes: cubes}}
+	return step{method: ctlrpc.MethodCompose, params: ctlrpc.ComposeParams{Name: name, Shape: shape, Cubes: cubes}}
 }
 
-func cubeP(method string, cube int) step { return step{method, ctlrpc.CubeParams{Cube: cube}} }
+func cubeP(method string, cube int) step {
+	return step{method: method, params: ctlrpc.CubeParams{Cube: cube}}
+}
 
-// script covers every journaled method kind the issue names: compose,
-// ensure (new slice, and a shape change on an existing one), reshape, a
-// cube failure that swaps a spare into a live slice, install, repair, and
-// a destroy, so replay has to reproduce placement, health and inventory.
+// repairLinkP repatches cube 1's fibers on OCS 3 onto a spare port.
+var repairLinkP = step{method: ctlrpc.MethodRepairLink, params: ctlrpc.RepairLinkParams{OCS: 3, Cube: 1}}
+
+// script covers every journaled method kind: compose, ensure (new slice,
+// and a shape change on an existing one), reshape, a link repair that
+// moves a live slice onto a spare port, a cube failure that swaps a spare
+// into a live slice, install, repair, a destroy, and a cube failure with
+// no spare left, which the fabric refuses after marking the cube failed —
+// so replay has to reproduce placement, health, inventory and port map.
 var script = []step{
 	composeP("train", [3]int{4, 4, 16}, 0, 1, 2, 3),
 	composeP("serve", [3]int{4, 4, 8}, 4, 5),
-	{ctlrpc.MethodEnsure, ctlrpc.EnsureParams{Name: "batch", Shape: [3]int{4, 4, 4}, Cubes: []int{6}}},
-	{ctlrpc.MethodReshape, ctlrpc.ReshapeParams{Name: "train", Shape: [3]int{4, 8, 8}}},
+	{method: ctlrpc.MethodEnsure, params: ctlrpc.EnsureParams{Name: "batch", Shape: [3]int{4, 4, 4}, Cubes: []int{6}}},
+	repairLinkP,
+	{method: ctlrpc.MethodReshape, params: ctlrpc.ReshapeParams{Name: "train", Shape: [3]int{4, 8, 8}}},
 	cubeP(ctlrpc.MethodFailCube, 1), // train swaps in a free cube
 	cubeP(ctlrpc.MethodInstallCube, 12),
 	cubeP(ctlrpc.MethodInstallCube, 13),
-	{ctlrpc.MethodEnsure, ctlrpc.EnsureParams{Name: "serve", Shape: [3]int{4, 8, 4}}},
+	{method: ctlrpc.MethodEnsure, params: ctlrpc.EnsureParams{Name: "serve", Shape: [3]int{4, 8, 4}}},
 	composeP("late", [3]int{4, 4, 8}, 12, 13),
 	cubeP(ctlrpc.MethodFailCube, 9), // a free cube: no slice affected
 	cubeP(ctlrpc.MethodRepairCube, 1),
-	{ctlrpc.MethodDestroy, ctlrpc.NameParams{Name: "batch"}},
+	{method: ctlrpc.MethodDestroy, params: ctlrpc.NameParams{Name: "batch"}},
 	composeP("again", [3]int{4, 4, 4}, 1),
+	composeP("fill", [3]int{4, 4, 16}, 6, 8, 10, 11), // no free cube left
+	{method: ctlrpc.MethodFailCube, params: ctlrpc.CubeParams{Cube: 12}, refused: "no healthy free cube"},
+	// Freeing late shows cube 12's failure in status: 13 is free, 12 not.
+	{method: ctlrpc.MethodDestroy, params: ctlrpc.NameParams{Name: "late"}},
 }
 
 // checkpointAfter is the script index after which the mid-stream variants
 // force a checkpoint, leaving a journaled tail behind the snapshot.
-const checkpointAfter = 6
+const checkpointAfter = 7
 
 type lwfd struct {
 	d *daemon.Daemon
@@ -100,8 +118,9 @@ func (l *lwfd) shutdown() {
 func (l *lwfd) run(t *testing.T, steps []step) {
 	t.Helper()
 	for _, st := range steps {
-		if err := l.c.CallContext(context.Background(), st.method, st.params, nil); err != nil {
-			t.Fatalf("%s %+v: %v", st.method, st.params, err)
+		err := l.c.CallContext(context.Background(), st.method, st.params, nil)
+		if st.refused == "" && err != nil || st.refused != "" && (err == nil || !strings.Contains(err.Error(), st.refused)) {
+			t.Fatalf("%s %+v: %v, want refusal %q", st.method, st.params, err, st.refused)
 		}
 	}
 }
@@ -127,6 +146,18 @@ func (l *lwfd) answers(t *testing.T) [][]byte {
 		out = append(out, sl)
 	}
 	return out
+}
+
+// probe runs one more link repair on the scripted pair and returns the
+// spare port it got: neither status nor slice shows the port map, but the
+// next spare handed out depends on it.
+func (l *lwfd) probe(t *testing.T) int {
+	t.Helper()
+	var res ctlrpc.RepairLinkResult
+	if err := l.c.CallContext(context.Background(), repairLinkP.method, repairLinkP.params, &res); err != nil {
+		t.Fatal(err)
+	}
+	return res.SparePort
 }
 
 // copyDir snapshots a state directory as a crash would leave it: every
@@ -155,9 +186,10 @@ func TestRestartEquivalence(t *testing.T) {
 	ref := startLwfd(t, "")
 	ref.run(t, script)
 	want := ref.answers(t)
-	if len(want) != 5 { // status + train, serve, late, again
+	if len(want) != 5 { // status + train, serve, again, fill
 		t.Fatalf("reference run ended with %d answers: %s", len(want), want)
 	}
+	wantSpare := ref.probe(t)
 
 	for _, tc := range []struct {
 		name string
@@ -193,14 +225,27 @@ func TestRestartEquivalence(t *testing.T) {
 				t.Fatalf("state dir holds snapshots %v, checkpoint=%t", snaps, tc.checkpoint)
 			}
 
-			got := startLwfd(t, dir).answers(t)
-			if len(got) != len(want) {
-				t.Fatalf("reopened daemon gave %d answers, want %d:\n%s", len(got), len(want), got)
-			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Errorf("answer %d diverged after restart:\n got %s\nwant %s", i, got[i], want[i])
+			// Restart twice: the first restart's shutdown checkpoint holds a
+			// recovered fabric, and the second boot must replay nothing
+			// that checkpoint already holds.
+			var reopened *lwfd
+			for restart := 1; restart <= 2; restart++ {
+				reopened = startLwfd(t, dir)
+				got := reopened.answers(t)
+				if len(got) != len(want) {
+					t.Fatalf("restart %d gave %d answers, want %d:\n%s", restart, len(got), len(want), got)
 				}
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Errorf("answer %d diverged after restart %d:\n got %s\nwant %s", i, restart, got[i], want[i])
+					}
+				}
+				if restart == 1 {
+					reopened.shutdown()
+				}
+			}
+			if spare := reopened.probe(t); spare != wantSpare {
+				t.Errorf("link repair after restart got spare port %d, want %d", spare, wantSpare)
 			}
 		})
 	}

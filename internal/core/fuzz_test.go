@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"lightwave/internal/sim"
@@ -9,14 +11,17 @@ import (
 )
 
 // TestControlPlaneFuzz drives the fabric through long random sequences of
-// compose / destroy / reshape / fail / repair operations and checks global
-// invariants after every step: circuit accounting matches across slices
-// and hardware, cube ownership is exclusive, and every slice's torus is
-// fully wired. This is the "everything breaks at scale" test (§6).
+// compose / destroy / reshape / fail / repair / install / link-repair
+// operations and checks global invariants after every step: circuit
+// accounting matches across slices and hardware, cube ownership is
+// exclusive, every slice's torus is fully wired, and the fabric's state
+// export imports into a fresh fabric indistinguishable from it. This is
+// the "everything breaks at scale" test (§6).
 func TestControlPlaneFuzz(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
 			fuzzRun(t, seed, 150)
 		})
 	}
@@ -25,7 +30,8 @@ func TestControlPlaneFuzz(t *testing.T) {
 func fuzzRun(t *testing.T, seed uint64, steps int) {
 	t.Helper()
 	rng := sim.NewRand(seed)
-	f, err := New(DefaultConfig(16))
+	cfg := DefaultConfig(12)
+	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +47,7 @@ func fuzzRun(t *testing.T, seed uint64, steps int) {
 	}
 
 	for step := 0; step < steps; step++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(8) {
 		case 0, 1: // compose
 			free := f.FreeCubes()
 			if len(free) == 0 {
@@ -94,8 +100,48 @@ func fuzzRun(t *testing.T, seed uint64, steps int) {
 		case 5: // repair a cube
 			c := rng.Intn(16)
 			_ = f.RepairCube(c)
+		case 6: // install a cube (a no-op once it is installed)
+			_ = f.InstallCube(rng.Intn(16))
+		case 7: // repatch a cube's fibers onto a spare port
+			_, _ = f.RepairLink(topo.OCSID(rng.Intn(topo.NumOCS)), rng.Intn(16))
 		}
 		checkInvariants(t, f, step)
+		checkExportImport(t, f, cfg, step)
+	}
+}
+
+// checkExportImport imports f's state export into a freshly built fabric
+// and requires the copy to be indistinguishable from f.
+func checkExportImport(t *testing.T, f *Fabric, cfg Config, step int) {
+	t.Helper()
+	want := f.ExportState()
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ImportState(want); err != nil {
+		t.Fatalf("step %d: import: %v", step, err)
+	}
+	if got := g.ExportState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d: export of the import differs:\n got %+v\nwant %+v", step, got, want)
+	}
+	if g.TotalCircuits() != f.TotalCircuits() {
+		t.Fatalf("step %d: import has %d circuits, want %d", step, g.TotalCircuits(), f.TotalCircuits())
+	}
+	for _, s := range f.Slices() {
+		c, err := g.GetSlice(s.Name)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if !reflect.DeepEqual(c.Circuits, s.Circuits) || math.Float64bits(c.WorstMarginDB) != math.Float64bits(s.WorstMarginDB) {
+			t.Fatalf("step %d: slice %q imported as %d circuits, worst %v dB; want %d, %v dB",
+				step, s.Name, len(c.Circuits), c.WorstMarginDB, len(s.Circuits), s.WorstMarginDB)
+		}
+	}
+	for o := range f.switches {
+		if got, want := g.switches[o].SparesLeft(), f.switches[o].SparesLeft(); got != want {
+			t.Fatalf("step %d: OCS %d has %d spare ports left after import, want %d", step, o, got, want)
+		}
 	}
 }
 

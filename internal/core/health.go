@@ -50,12 +50,6 @@ func (f *Fabric) CubeHealthy(c int) bool {
 	return c >= 0 && c < 64 && f.installed[c] && f.healthy[c]
 }
 
-// CubeInstalled reports whether a cube is physically installed,
-// regardless of health.
-func (f *Fabric) CubeInstalled(c int) bool {
-	return c >= 0 && c < 64 && f.installed[c]
-}
-
 // swapCube replaces failed cube old in the named slice with a healthy free
 // cube, touching only the circuits that involve the replaced position.
 func (f *Fabric) swapCube(name string, old int) (int, error) {
@@ -158,22 +152,22 @@ func (f *Fabric) RepairLink(o topo.OCSID, cube int) (ocs.PortID, error) {
 			moved = append(moved, s)
 		}
 	}
-	if len(delta) > 0 {
-		margins, err := f.validateBudgets(delta)
-		if err != nil {
-			return spare, err
-		}
-		if err := f.applyCircuits(delta); err != nil {
-			return spare, err
-		}
+	margins, err := f.validateBudgets(delta)
+	if err == nil {
+		err = f.applyCircuits(delta)
+	}
+	if err == nil {
 		f.observeMargins(margins)
 	}
+	// Refreshed whether or not the circuits came back: the port map moved,
+	// and a slice's worst margin is a function of its circuits and the
+	// port map alone.
 	for _, s := range moved {
-		if err := f.refreshWorstMargin(s); err != nil {
-			return spare, err
+		if rerr := f.refreshWorstMargin(s); err == nil {
+			err = rerr
 		}
 	}
-	return spare, nil
+	return spare, err
 }
 
 // ObserveLinkBER feeds one pre-FEC BER measurement for the receive lane of

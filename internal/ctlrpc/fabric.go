@@ -6,7 +6,6 @@ import (
 
 	"lightwave/internal/core"
 	"lightwave/internal/topo"
-	"lightwave/internal/wal"
 )
 
 // NewServer returns a server with the per-fabric methods registered
@@ -141,48 +140,22 @@ func (s *Server) handleObserveBER(p ObserveBERParams) (any, error) {
 	return ObserveBERResult{Anomalous: s.fabric.ObserveLinkBER(topo.OCSID(p.OCS), p.Port, p.BER)}, nil
 }
 
-// SnapshotCommands captures the fabric's current state as a replayable
-// command list: install-cube for every cube installed beyond the boot
-// config's first bootCubes, ensure for every composed slice (explicit
-// cube lists, so replay reproduces placement exactly), then fail-cube
-// for every installed-but-unhealthy cube. Replaying the list through
-// ApplyCommand on a freshly built fabric reproduces the state. The
-// capture takes the server's read lock so it never interleaves with a
-// mutating RPC.
-func (s *Server) SnapshotCommands(bootCubes int) ([]wal.Command, error) {
+// ExportFabric returns the fabric's state and the LSN of the last
+// journaled command it holds, read together under the lock every
+// journaled command keeps from execution through its append.
+func (s *Server) ExportFabric() (core.FabricState, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var cmds []wal.Command
-	add := func(method string, params any) error {
-		b, err := json.Marshal(params)
-		if err != nil {
-			return err
-		}
-		cmds = append(cmds, wal.Command{Method: method, Params: b})
-		return nil
-	}
-	for c := bootCubes; c < 64; c++ {
-		if s.fabric.CubeInstalled(c) {
-			if err := add(MethodInstallCube, CubeParams{Cube: c}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, sl := range s.fabric.Slices() {
-		if err := add(MethodEnsure, EnsureParams{
-			Name:  sl.Name,
-			Shape: [3]int{sl.Shape.X, sl.Shape.Y, sl.Shape.Z},
-			Cubes: append([]int(nil), sl.Cubes...),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	for c := 0; c < 64; c++ {
-		if s.fabric.CubeInstalled(c) && !s.fabric.CubeHealthy(c) {
-			if err := add(MethodFailCube, CubeParams{Cube: c}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return cmds, nil
+	return s.fabric.ExportState(), s.walLSN
+}
+
+// ImportFabric loads a snapshot's fabric state, which covers the log up
+// to lsn, into the freshly built fabric during recovery, before the
+// server starts serving.
+func (s *Server) ImportFabric(st core.FabricState, lsn uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gen.Add(1)
+	s.walLSN = lsn
+	return s.fabric.ImportState(st)
 }

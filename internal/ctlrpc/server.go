@@ -29,6 +29,9 @@ type Server struct {
 
 	fabric *core.Fabric   // state of the fabric methods
 	fleet  *fleet.Manager // state of the fleet methods
+	// walLSN is the LSN of the last journaled command the fabric holds,
+	// live or replayed; guarded by mu like the fabric it describes.
+	walLSN uint64
 
 	te      TEStatusProvider
 	chaos   ChaosProvider
@@ -75,8 +78,9 @@ type method struct {
 	// decoding.
 	inline bool
 	// journal marks mutations that must be durable before their response:
-	// on success dispatch hands name+params to the attached Journal, and
-	// ApplyCommand accepts the method for recovery replay.
+	// once the handler ran, whatever its verdict, dispatch hands
+	// name+params to the attached Journal, and ApplyCommand accepts the
+	// method for recovery replay.
 	journal bool
 	// cached marks a lockRead handler that ignores its params: its encoded
 	// result is reused until the next lockWrite call.
@@ -153,9 +157,9 @@ func (s *Server) SetSched(p SchedProvider) { s.sched = p }
 // without one wal-status reports the WAL as disabled.
 func (s *Server) SetWAL(p WALProvider) { s.wal = p }
 
-// SetJournal attaches a command journal: every journal-marked method the
-// server executes successfully is journaled before its response is
-// written. Call before Serve (and after replaying recovered commands).
+// SetJournal attaches a command journal: every journal-marked call the
+// server executes is journaled before its response is written. Call
+// before Serve (and after replaying recovered commands).
 func (s *Server) SetJournal(j Journal) { s.journal = j }
 
 // SetMetrics exposes ctl_requests_total / ctl_inflight /
@@ -204,14 +208,19 @@ func (s *Server) dispatch(c call) Response {
 		s.gen.Add(1) // any mutation invalidates the cached results
 	}
 	result, err := m.fn(c.params)
-	if err == nil && m.journal && s.journal != nil {
-		// Journal after success, before the response: the state already
-		// changed, so a journal failure is surfaced as the call's error —
-		// the client retries and the command is re-journaled (handlers
-		// are idempotent or fail cleanly on re-execution).
-		if jerr := s.journal.JournalCommand(m.name, c.params); jerr != nil {
+	if m.journal && s.journal != nil {
+		// Journal once the handler ran, before the response, refusals
+		// included: a refused call may have changed the fabric (a cube
+		// marked failed with no spare to swap in), and the fabric is
+		// deterministic, so replay repeats the verdict and the effect. A
+		// journal failure is surfaced as the call's error; the log then
+		// refuses every further append until a restart recovers the
+		// journaled prefix.
+		lsn, jerr := s.journal.JournalCommand(m.name, c.params)
+		if jerr != nil {
 			return marshalResponse(c.id, nil, fmt.Errorf("journal: %w", jerr))
 		}
+		s.walLSN = max(s.walLSN, lsn)
 	}
 	return marshalResponse(c.id, result, err)
 }
@@ -249,10 +258,10 @@ func (s *Server) readLocked(c call) Response {
 	return resp
 }
 
-// ApplyCommand re-executes one journaled command during recovery replay,
-// before the server starts serving. It accepts only journal-marked
-// methods.
-func (s *Server) ApplyCommand(name string, params json.RawMessage) error {
+// ApplyCommand re-executes the command journaled at lsn during recovery
+// replay, before the server starts serving. It accepts only
+// journal-marked methods.
+func (s *Server) ApplyCommand(lsn uint64, name string, params json.RawMessage) error {
 	m := s.methods[name]
 	if m == nil || !m.journal {
 		return fmt.Errorf("ctlrpc: method %q is not replayable", name)
@@ -260,6 +269,7 @@ func (s *Server) ApplyCommand(name string, params json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen.Add(1)
+	s.walLSN = max(s.walLSN, lsn)
 	_, err := m.fn(params)
 	return err
 }

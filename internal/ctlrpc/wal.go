@@ -43,12 +43,13 @@ type WALProvider interface {
 }
 
 // Journal is the server-side command journal seam: the per-fabric server
-// hands every successfully executed mutating command to it before the
+// hands every mutating command whose handler ran to it before the
 // response is written, so the command is durable before the client sees
-// success. Implementations must be safe for concurrent use and must copy
+// the answer, and records the returned LSN as the one its fabric state
+// covers. Implementations must be safe for concurrent use and must copy
 // params if they retain them past the call.
 type Journal interface {
-	JournalCommand(method string, params json.RawMessage) error
+	JournalCommand(method string, params json.RawMessage) (uint64, error)
 }
 
 // StoreWALProvider adapts a wal.Store to WALProvider.

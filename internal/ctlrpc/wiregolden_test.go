@@ -72,11 +72,11 @@ func (fixedWAL) WALStatus() WALStatusResult {
 // refusingJournal fails every command whose params mention "nojournal".
 type refusingJournal struct{}
 
-func (refusingJournal) JournalCommand(_ string, params json.RawMessage) error {
+func (refusingJournal) JournalCommand(_ string, params json.RawMessage) (uint64, error) {
 	if bytes.Contains(params, []byte("nojournal")) {
-		return errors.New("disk full")
+		return 0, errors.New("disk full")
 	}
-	return nil
+	return 1, nil
 }
 
 // wireStep is one line sent to the server, or — when settle is set — a

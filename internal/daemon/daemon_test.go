@@ -41,9 +41,11 @@ func countCommands(t *testing.T, dir string) int {
 		t.Fatalf("reopening state dir: %v", err)
 	}
 	defer st.Close()
-	n := 0
-	st.ReplayCommands(func(string, json.RawMessage) error { n++; return nil })
-	return n
+	applied, failed, err := st.RecoverFabric(newServer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return applied + failed
 }
 
 // TestShutdownJoinsEveryLoopBeforeStoreCloses is the regression test for
@@ -70,7 +72,7 @@ func TestShutdownJoinsEveryLoopBeforeStoreCloses(t *testing.T) {
 			d.Go("journaling loop", func(ctx context.Context) error {
 				defer loopsDone.Add(1)
 				for ctx.Err() == nil {
-					if err := d.Store.JournalCommand("compose", json.RawMessage(`{}`)); err != nil {
+					if _, err := d.Store.JournalCommand("compose", json.RawMessage(`{}`)); err != nil {
 						return err
 					}
 					journaled.Add(1)
@@ -78,7 +80,7 @@ func TestShutdownJoinsEveryLoopBeforeStoreCloses(t *testing.T) {
 				// Straggle past the cancel, as a real loop finishing its
 				// tick does, and journal once more.
 				time.Sleep(5 * time.Millisecond)
-				if lateErrs[i] = d.Store.JournalCommand("compose", json.RawMessage(`{}`)); lateErrs[i] == nil {
+				if _, lateErrs[i] = d.Store.JournalCommand("compose", json.RawMessage(`{}`)); lateErrs[i] == nil {
 					journaled.Add(1)
 				}
 				return nil
@@ -86,7 +88,7 @@ func TestShutdownJoinsEveryLoopBeforeStoreCloses(t *testing.T) {
 		}
 		d.OnShutdown(func() {
 			closerSawLoops = loopsDone.Load()
-			closerErr = d.Store.JournalCommand("destroy", json.RawMessage(`{}`))
+			_, closerErr = d.Store.JournalCommand("destroy", json.RawMessage(`{}`))
 			journaled.Add(1)
 		})
 		return newServer(t), nil
@@ -150,7 +152,7 @@ func TestFailedBootTearsDown(t *testing.T) {
 				d.Go("sched loop", func(context.Context) error { loopRan.Store(true); return nil })
 				d.OnShutdown(func() {
 					order = append(order, "injector")
-					if err := d.Store.JournalCommand("compose", json.RawMessage(`{}`)); err != nil {
+					if _, err := d.Store.JournalCommand("compose", json.RawMessage(`{}`)); err != nil {
 						t.Errorf("closer found the store closed: %v", err)
 					}
 				})

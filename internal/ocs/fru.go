@@ -177,6 +177,17 @@ func (s *Switch) FailPort(p PortID) ([]Circuit, error) {
 	return dropped, nil
 }
 
+// FailedPorts returns the failed ports in ascending order.
+func (s *Switch) FailedPorts() []PortID {
+	var out []PortID
+	for p, failed := range s.portFailed {
+		if failed {
+			out = append(out, PortID(p))
+		}
+	}
+	return out
+}
+
 // RepairPort returns a failed port to service (after a pigtail replacement
 // or collimator repair).
 //

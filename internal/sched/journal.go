@@ -5,8 +5,9 @@ package sched
 // advance, fail, repair, pod-down): the scheduler is deterministic given
 // its input sequence, so command-sourcing replays to the exact pre-crash
 // placement state, ids included. Snapshots break the replay chain with a
-// full state export (see state.go); WALLSN in the export tells replay
-// which journaled inputs the snapshot already includes.
+// full state export (see state.go); WALLSN in the export is the LSN of the
+// last input that state holds, whether it arrived live or by replay, so
+// replay resumes exactly after it.
 //
 // Replay equivalence assumes ClusterOps errors repeat (normally: none) —
 // a placement the cluster rejected live is rolled back in the mirror, so
@@ -77,10 +78,15 @@ func (s *Scheduler) journalLocked(e JournalEntry) error {
 	return nil
 }
 
-// Apply replays one journal entry. It is the recovery path's dispatcher;
-// the entry is re-executed through the ordinary mutators, so placement and
-// id assignment repeat exactly.
-func (s *Scheduler) Apply(e JournalEntry) error {
+// Apply replays the journal entry recorded at lsn. It is the recovery
+// path's dispatcher; the entry is re-executed through the ordinary
+// mutators, so placement and id assignment repeat exactly. Like live
+// journaling, it advances the LSN ExportState reports, whether or not the
+// input is accepted again.
+func (s *Scheduler) Apply(lsn uint64, e JournalEntry) error {
+	s.mu.Lock()
+	s.walLSN = max(s.walLSN, lsn)
+	s.mu.Unlock()
 	switch e.Op {
 	case OpSubmit:
 		if e.Spec == nil {

@@ -45,7 +45,9 @@ const (
 	// through the deterministic scheduler to rebuild placement state.
 	RecordSched RecordType = 2
 	// RecordCommand is a raw ctlrpc command (method + params) journaled
-	// by the per-fabric server after successful execution.
+	// by the per-fabric server once its handler ran, whatever its verdict:
+	// a refused call may still have changed the fabric, and replay repeats
+	// both.
 	RecordCommand RecordType = 3
 
 	maxRecordType = RecordCommand
@@ -62,11 +64,10 @@ const sliceIntentMinBytes = 5
 var errVersion = errors.New("unknown payload version")
 
 // Command is a journaled control-plane RPC, replayed verbatim against the
-// fabric server on recovery. The JSON tags serve the snapshot's command
-// list; the log record stores Params as raw bytes.
+// fabric server on recovery. The log record stores Params as raw bytes.
 type Command struct {
-	Method string          `json:"method"`
-	Params json.RawMessage `json:"params,omitempty"`
+	Method string
+	Params json.RawMessage
 }
 
 // The op enums: a record stores an op's index here, so fleet and sched keep

@@ -229,14 +229,75 @@ func capture(t *testing.T, ss *session) (ctlrpc.FleetStatusResult, ctlrpc.SchedS
 	return normalizeFleet(fs), sc
 }
 
-func TestRestartEquivalence(t *testing.T) {
-	// Run A: the uninterrupted control — no durability at all.
+// uninterrupted runs both phases with no durability at all: the control
+// every restart variant must answer like.
+func uninterrupted(t *testing.T) (ctlrpc.FleetStatusResult, ctlrpc.SchedStatusResult) {
+	t.Helper()
 	ctl := startSession(t, nil, false)
 	mutatePhase1(t, ctl)
 	mutatePhase2(t, ctl)
 	waitConverged(t, ctl)
 	wantFleet, wantSched := capture(t, ctl)
 	ctl.shutdown(t)
+	return wantFleet, wantSched
+}
+
+// reopen opens dir and recovers a session from it, daemon-style.
+func reopen(t *testing.T, dir string) (*wal.Store, *session) {
+	t.Helper()
+	store, err := wal.OpenStore(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store, startSession(t, store, true)
+}
+
+// TestRecoveryCheckpointCoversTail: a checkpoint taken right after crash
+// recovery, before any new scheduler input, must record the LSN of the
+// last replayed sched record. Recording the old snapshot's instead would
+// make the next boot replay the tail a second time.
+func TestRecoveryCheckpointCoversTail(t *testing.T) {
+	_, wantSched := uninterrupted(t)
+
+	dir := t.TempDir()
+	store, err := wal.OpenStore(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := startSession(t, store, false)
+	mutatePhase1(t, ss)
+	if err := store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mutatePhase2(t, ss)
+	waitConverged(t, ss)
+	ss.shutdown(t)
+	if err := store.Close(); err != nil { // the crash: no shutdown snapshot
+		t.Fatal(err)
+	}
+
+	store2, ss2 := reopen(t, dir)
+	if err := store2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ss2.shutdown(t)
+	if err := store2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store3, ss3 := reopen(t, dir)
+	defer store3.Close()
+	waitConverged(t, ss3)
+	_, gotSched := capture(t, ss3)
+	ss3.shutdown(t)
+	if !reflect.DeepEqual(wantSched, gotSched) {
+		t.Errorf("sched-status diverged after a post-recovery checkpoint:\nwant %+v\ngot  %+v", wantSched, gotSched)
+	}
+}
+
+func TestRestartEquivalence(t *testing.T) {
+	// Run A: the uninterrupted control — no durability at all.
+	wantFleet, wantSched := uninterrupted(t)
 
 	// Run B: journal the same stream, checkpoint mid-stream (so recovery
 	// crosses a snapshot + tail boundary), SIGTERM-snapshot, shut down.
@@ -261,16 +322,12 @@ func TestRestartEquivalence(t *testing.T) {
 	}
 
 	// Reopen from the state dir and recover, daemon-style.
-	store2, err := wal.OpenStore(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store2, ss2 := reopen(t, dir)
 	defer store2.Close()
 	st := store2.Status()
 	if st.TruncatedBytes != 0 || st.DroppedSegments != 0 || st.ReplayErrors != 0 {
 		t.Fatalf("clean shutdown replayed dirty: %+v", st)
 	}
-	ss2 := startSession(t, store2, true)
 	waitConverged(t, ss2)
 	gotFleet, gotSched := capture(t, ss2)
 	// wal-status over RPC reports the recovered substrate.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 
+	"lightwave/internal/core"
 	"lightwave/internal/fleet"
 	"lightwave/internal/sched"
 )
@@ -14,19 +15,19 @@ import (
 // Store binds a Log to the control plane's three journal sources: the
 // fleet intent store (typed state records, folded into a materialized
 // FleetState), the slice scheduler (typed input records, replayed through
-// the deterministic scheduler), and the per-fabric RPC server (raw
-// command records, re-executed verbatim). It implements fleet.Journal,
-// sched.Journal, the ctlrpc journal seam, and Snapshotter, and tracks
-// per-section LSNs so a snapshot can compact the log without quiescing
-// any of the sources.
+// the deterministic scheduler), and lwfd's fabric RPC server (raw command
+// records, re-executed verbatim). Each snapshot section is one source's
+// state together with the LSN that state covers, read under the lock that
+// orders that source's appends; recovery loads the state and replays the
+// source's records after that LSN. Store implements fleet.Journal,
+// sched.Journal, the ctlrpc journal seam, and Snapshotter, so a snapshot
+// can compact the log without quiescing any of the sources.
 type Store struct {
 	log *Log
 
 	mu           sync.Mutex
 	fleetState   *FleetState
 	lastFleetLSN uint64
-	lastSchedLSN uint64
-	lastCmdLSN   uint64
 	// maxTypeLSN tracks the highest LSN ever seen per record type
 	// (replayed or appended): a type present in the log but without an
 	// attached snapshot section pins compaction so its records survive
@@ -34,13 +35,15 @@ type Store struct {
 	maxTypeLSN [maxRecordType + 1]uint64
 	suppress   bool
 	schedSrc   *sched.Scheduler
-	fabricSnap func() ([]Command, error)
+	fabricSrc  FabricSource
 
-	// Recovery leftovers, consumed by RecoverSched / ReplayCommands.
-	snapSched    json.RawMessage
-	schedTail    []sched.JournalEntry
-	snapCommands []Command
-	cmdTail      []Command
+	// Recovery leftovers, written by OpenStore and consumed by
+	// RecoverSched / RecoverFabric: each replayed section's snapshot
+	// state, the LSN it covers, and the records after that LSN.
+	schedSnap, fabricSnap json.RawMessage
+	schedLSN, fabricLSN   uint64
+	schedTail             []logged[sched.JournalEntry]
+	cmdTail               []logged[Command]
 
 	replayRecords   int
 	replayErrors    int
@@ -50,15 +53,37 @@ type Store struct {
 	ckptMu sync.Mutex
 }
 
+// logged is one recovered record past its section's snapshot.
+type logged[E any] struct {
+	lsn uint64
+	e   E
+}
+
+// FabricSource is lwfd's journal source, the fabric RPC server. It
+// exports its fabric state with the LSN of the last command that state
+// holds, read under the lock every journaled command keeps from execution
+// through its append; recovery imports a snapshot's state at its LSN and
+// re-executes each later command through it.
+type FabricSource interface {
+	ExportFabric() (core.FabricState, uint64)
+	ImportFabric(state core.FabricState, lsn uint64) error
+	ApplyCommand(lsn uint64, method string, params json.RawMessage) error
+}
+
 // storeSnapshot is the snapshot payload: one optional section per source,
 // each with the LSN its content covers.
 type storeSnapshot struct {
-	FleetLSN uint64          `json:"fleetLSN"`
-	Fleet    json.RawMessage `json:"fleet,omitempty"`
-	SchedLSN uint64          `json:"schedLSN,omitempty"`
-	Sched    json.RawMessage `json:"sched,omitempty"`
+	FleetLSN  uint64          `json:"fleetLSN"`
+	Fleet     json.RawMessage `json:"fleet,omitempty"`
+	SchedLSN  uint64          `json:"schedLSN,omitempty"`
+	Sched     json.RawMessage `json:"sched,omitempty"`
+	FabricLSN uint64          `json:"fabricLSN,omitempty"`
+	Fabric    json.RawMessage `json:"fabric,omitempty"`
+	// CmdLSN and Commands are the section lwfd wrote before it snapshotted
+	// fabric state: a replayable command list. They are read only to
+	// refuse it.
 	CmdLSN   uint64          `json:"cmdLSN,omitempty"`
-	Commands []Command       `json:"commands,omitempty"`
+	Commands json.RawMessage `json:"commands,omitempty"`
 }
 
 // OpenStore opens (or creates) a state directory, replays the snapshot
@@ -76,42 +101,48 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		truncatedBytes:  rec.TruncatedBytes,
 		droppedSegments: rec.DroppedSegments,
 	}
-	var snapSchedLSN uint64
+	if err := st.recover(rec); err != nil {
+		_ = log.Close()
+		return nil, err
+	}
+	return st, nil
+}
+
+// recover loads the snapshot sections and folds or queues every record
+// after them.
+func (st *Store) recover(rec *Recovery) error {
 	if rec.SnapshotState != nil {
 		var snap storeSnapshot
 		if err := json.Unmarshal(rec.SnapshotState, &snap); err != nil {
-			_ = log.Close()
-			return nil, fmt.Errorf("wal: snapshot payload: %w", err)
+			return fmt.Errorf("wal: snapshot payload: %w", err)
+		}
+		if snap.Commands != nil || snap.CmdLSN != 0 {
+			return errors.New(`wal: snapshot carries lwfd's command-list section ("commands"), which predates fabric-state snapshots, so the state directory cannot be read`)
 		}
 		if snap.Fleet != nil {
 			fs, err := DecodeFleetState(snap.Fleet)
 			if err != nil {
-				_ = log.Close()
-				return nil, err
+				return err
 			}
 			st.fleetState = fs
 		}
 		st.lastFleetLSN = snap.FleetLSN
-		st.snapSched = snap.Sched
-		snapSchedLSN = snap.SchedLSN
-		st.lastSchedLSN = snap.SchedLSN
-		st.snapCommands = snap.Commands
-		st.lastCmdLSN = snap.CmdLSN
+		st.schedSnap, st.schedLSN = snap.Sched, snap.SchedLSN
+		st.fabricSnap, st.fabricLSN = snap.Fabric, snap.FabricLSN
 	}
 	for _, r := range rec.Records {
-		if err := st.replayRecord(r, snapSchedLSN); err != nil {
-			_ = log.Close()
-			return nil, err
+		if err := st.replayRecord(r); err != nil {
+			return err
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // replayRecord folds one recovered record the snapshot sections do not
 // cover. A malformed payload is counted and skipped; one with an unknown
 // version byte fails the open, because every record after it would be
 // skipped too.
-func (st *Store) replayRecord(r Record, snapSchedLSN uint64) error {
+func (st *Store) replayRecord(r Record) error {
 	if r.Type > maxRecordType || r.Type == 0 {
 		st.replayErrors++
 		return nil
@@ -131,22 +162,20 @@ func (st *Store) replayRecord(r Record, snapSchedLSN uint64) error {
 			st.lastFleetLSN = r.LSN
 		}
 	case RecordSched:
-		if r.LSN <= snapSchedLSN {
+		if r.LSN <= st.schedLSN {
 			return nil
 		}
 		var e sched.JournalEntry
 		if e, err = decodeSched(r.Payload); err == nil {
-			st.schedTail = append(st.schedTail, e)
-			st.lastSchedLSN = r.LSN
+			st.schedTail = append(st.schedTail, logged[sched.JournalEntry]{r.LSN, e})
 		}
 	case RecordCommand:
-		if r.LSN <= st.lastCmdLSN {
+		if r.LSN <= st.fabricLSN {
 			return nil
 		}
 		var c Command
 		if c, err = decodeCommand(r.Payload); err == nil {
-			st.cmdTail = append(st.cmdTail, c)
-			st.lastCmdLSN = r.LSN
+			st.cmdTail = append(st.cmdTail, logged[Command]{r.LSN, c})
 		}
 	}
 	if errors.Is(err, errVersion) {
@@ -214,58 +243,42 @@ func (st *Store) JournalFleet(e fleet.JournalEntry) error {
 
 // JournalSched implements sched.Journal.
 func (st *Store) JournalSched(e sched.JournalEntry) (uint64, error) {
-	st.mu.Lock()
-	if st.suppress {
-		st.mu.Unlock()
-		return 0, nil
-	}
-	st.mu.Unlock()
 	b, err := encodeSched(e)
 	if err != nil {
 		return 0, err
 	}
-	lsn, err := st.log.Append(RecordSched, b)
+	return st.appendInput(RecordSched, b)
+}
+
+// JournalCommand journals one executed RPC command (the ctlrpc server
+// seam) and returns its LSN. The command is durable before the RPC
+// response is written.
+func (st *Store) JournalCommand(method string, params json.RawMessage) (uint64, error) {
+	b, err := encodeCommand(Command{Method: method, Params: params})
+	if err != nil {
+		return 0, err
+	}
+	return st.appendInput(RecordCommand, b)
+}
+
+// appendInput makes one sched or command record durable and returns its
+// LSN, or 0 while recovery suppresses appends. The caller records the LSN
+// under its own lock: that source's export reports it.
+func (st *Store) appendInput(t RecordType, b []byte) (uint64, error) {
+	st.mu.Lock()
+	suppress := st.suppress
+	st.mu.Unlock()
+	if suppress {
+		return 0, nil
+	}
+	lsn, err := st.log.Append(t, b)
 	if err != nil {
 		return 0, err
 	}
 	st.mu.Lock()
-	if lsn > st.lastSchedLSN {
-		st.lastSchedLSN = lsn
-	}
-	if lsn > st.maxTypeLSN[RecordSched] {
-		st.maxTypeLSN[RecordSched] = lsn
-	}
+	st.maxTypeLSN[t] = max(st.maxTypeLSN[t], lsn)
 	st.mu.Unlock()
 	return lsn, nil
-}
-
-// JournalCommand journals one successfully executed RPC command (the
-// ctlrpc server seam). The command is durable before the RPC response is
-// written.
-func (st *Store) JournalCommand(method string, params json.RawMessage) error {
-	st.mu.Lock()
-	if st.suppress {
-		st.mu.Unlock()
-		return nil
-	}
-	st.mu.Unlock()
-	b, err := encodeCommand(Command{Method: method, Params: params})
-	if err != nil {
-		return err
-	}
-	lsn, err := st.log.Append(RecordCommand, b)
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	if lsn > st.lastCmdLSN {
-		st.lastCmdLSN = lsn
-	}
-	if lsn > st.maxTypeLSN[RecordCommand] {
-		st.maxTypeLSN[RecordCommand] = lsn
-	}
-	st.mu.Unlock()
-	return nil
 }
 
 // AttachSched registers the scheduler whose exported state joins future
@@ -276,13 +289,11 @@ func (st *Store) AttachSched(s *sched.Scheduler) {
 	st.mu.Unlock()
 }
 
-// SetFabricSnapshot registers a function that captures the fabric's
-// current state as a command list (install-cube / ensure / fail-cube);
-// replaying those commands on an empty fabric reproduces the state. Used
-// by lwfd, whose journal source is raw RPC commands.
-func (st *Store) SetFabricSnapshot(fn func() ([]Command, error)) {
+// AttachFabric registers lwfd's fabric source, whose exported state joins
+// future snapshots. Call after RecoverFabric.
+func (st *Store) AttachFabric(src FabricSource) {
 	st.mu.Lock()
-	st.fabricSnap = fn
+	st.fabricSrc = src
 	st.mu.Unlock()
 }
 
@@ -302,40 +313,44 @@ func (st *Store) RecoverFleet(m *fleet.Manager) error {
 // reject an intent mid-recovery; reconciliation converges later) and
 // counted in failed.
 func (st *Store) RecoverSched(s *sched.Scheduler) (applied, failed int, err error) {
-	st.mu.Lock()
-	raw := st.snapSched
-	tail := st.schedTail
-	st.mu.Unlock()
-	if raw != nil {
+	if st.schedSnap != nil {
 		var state sched.State
-		if err := json.Unmarshal(raw, &state); err != nil {
+		if err := json.Unmarshal(st.schedSnap, &state); err != nil {
 			return 0, 0, fmt.Errorf("wal: sched snapshot: %w", err)
 		}
 		if err := s.ImportState(state); err != nil {
 			return 0, 0, err
 		}
 	}
-	for _, e := range tail {
-		if err := s.Apply(e); err != nil {
-			failed++
-			continue
-		}
-		applied++
-	}
+	applied, failed = replay(st.schedTail, s.Apply)
 	return applied, failed, nil
 }
 
-// ReplayCommands re-executes the snapshot's captured command list and the
-// journaled command tail through apply. Errors are tolerated and counted
-// (a fail-cube may race a snapshot capture and replay as a no-op error).
-func (st *Store) ReplayCommands(apply func(method string, params json.RawMessage) error) (applied, failed int) {
-	st.mu.Lock()
-	cmds := make([]Command, 0, len(st.snapCommands)+len(st.cmdTail))
-	cmds = append(cmds, st.snapCommands...)
-	cmds = append(cmds, st.cmdTail...)
-	st.mu.Unlock()
-	for _, c := range cmds {
-		if err := apply(c.Method, c.Params); err != nil {
+// RecoverFabric restores lwfd's freshly built fabric: import the
+// snapshot's fabric state at the LSN it covers, then re-execute every
+// journaled command after that LSN. The fabric is deterministic, so a
+// command that failed live fails again, with the same partial effect, and
+// is counted in failed.
+func (st *Store) RecoverFabric(src FabricSource) (applied, failed int, err error) {
+	if st.fabricSnap != nil {
+		var state core.FabricState
+		if err := json.Unmarshal(st.fabricSnap, &state); err != nil {
+			return 0, 0, fmt.Errorf("wal: fabric snapshot: %w", err)
+		}
+		if err := src.ImportFabric(state, st.fabricLSN); err != nil {
+			return 0, 0, fmt.Errorf("wal: fabric snapshot: %w", err)
+		}
+	}
+	applied, failed = replay(st.cmdTail, func(lsn uint64, c Command) error {
+		return src.ApplyCommand(lsn, c.Method, c.Params)
+	})
+	return applied, failed, nil
+}
+
+// replay hands each recovered record to apply in log order.
+func replay[E any](tail []logged[E], apply func(uint64, E) error) (applied, failed int) {
+	for _, r := range tail {
+		if apply(r.lsn, r.e) != nil {
 			failed++
 			continue
 		}
@@ -350,37 +365,27 @@ func (st *Store) ReplayCommands(apply func(method string, params json.RawMessage
 func (st *Store) Snapshot() ([]byte, uint64, error) {
 	var snap storeSnapshot
 
-	// Sched section first, without holding st.mu: ExportState takes the
-	// scheduler lock, which may be held by a mutator blocked in
-	// JournalSched → st.mu.
+	// The replayed sections first, without holding st.mu: each source
+	// reads its state and LSN under its own lock, which a mutator may hold
+	// while it waits in JournalSched / JournalCommand → st.mu.
 	st.mu.Lock()
-	schedSrc := st.schedSrc
-	fabricSnap := st.fabricSnap
+	schedSrc, fabricSrc := st.schedSrc, st.fabricSrc
 	st.mu.Unlock()
-	schedAttached := schedSrc != nil
-	if schedAttached {
+	if schedSrc != nil {
 		state := schedSrc.ExportState()
 		b, err := json.Marshal(state)
 		if err != nil {
 			return nil, 0, err
 		}
-		snap.Sched = b
-		snap.SchedLSN = state.WALLSN
+		snap.Sched, snap.SchedLSN = b, state.WALLSN
 	}
-
-	// Command section: read the covered LSN before capturing, so a
-	// command landing mid-capture replays on top (idempotently) rather
-	// than being lost.
-	cmdAttached := fabricSnap != nil
-	if cmdAttached {
-		st.mu.Lock()
-		snap.CmdLSN = st.lastCmdLSN
-		st.mu.Unlock()
-		cmds, err := fabricSnap()
+	if fabricSrc != nil {
+		state, lsn := fabricSrc.ExportFabric()
+		b, err := json.Marshal(state)
 		if err != nil {
 			return nil, 0, err
 		}
-		snap.Commands = cmds
+		snap.Fabric, snap.FabricLSN = b, lsn
 	}
 
 	st.mu.Lock()
@@ -408,8 +413,8 @@ func (st *Store) Snapshot() ([]byte, uint64, error) {
 		}
 	}
 	floor(maxType[RecordFleet], true, snap.FleetLSN)
-	floor(maxType[RecordSched], schedAttached, snap.SchedLSN)
-	floor(maxType[RecordCommand], cmdAttached, snap.CmdLSN)
+	floor(maxType[RecordSched], schedSrc != nil, snap.SchedLSN)
+	floor(maxType[RecordCommand], fabricSrc != nil, snap.FabricLSN)
 
 	payload, err := json.Marshal(snap)
 	if err != nil {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -387,6 +388,40 @@ func TestPreBinaryRecordRefused(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "LSN 3") || !strings.Contains(err.Error(), "predates binary records") {
 		t.Fatalf("error %q does not name LSN 3 and the pre-binary format", err)
+	}
+}
+
+// rawSnapshot is a Snapshotter that writes a fixed payload.
+type rawSnapshot []byte
+
+func (p rawSnapshot) Snapshot() ([]byte, uint64, error) { return p, 0, nil }
+
+// TestCommandListSnapshotRefused: a snapshot carrying lwfd's replayable
+// command list, the section written before fabric-state snapshots, fails
+// the open and names the section, rather than booting a fabric without
+// the state it held.
+func TestCommandListSnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{NoSync: true})
+	cmd, err := encodeCommand(Command{Method: "install-cube", Params: json.RawMessage(`{"cube":12}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendT(t, l, RecordCommand, cmd)
+	old := rawSnapshot(`{"fleetLSN":0,"cmdLSN":1,"commands":[{"method":"install-cube","params":{"cube":12}}]}`)
+	if err := l.Checkpoint(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir, Options{NoSync: true})
+	if err == nil {
+		st.Close()
+		t.Fatal("OpenStore booted past a command-list snapshot")
+	}
+	if !strings.Contains(err.Error(), `"commands"`) {
+		t.Fatalf("error %q does not name the commands section", err)
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test test-bench race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn experiments clean
+.PHONY: check vet lint build test test-bench race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn profile-sched experiments clean
 
 # The gate every change must pass: vet, build everything, race-test the
 # parallel engine under contention, race-test the TE loop (its Loop is
@@ -106,6 +106,13 @@ ledger:
 # the same data on <metrics-addr>/debug/pprof/profile).
 profile-dcn:
 	$(GO) test -run '^$$' -bench 'Figures/(dcn|te|chaos)$$' -benchtime 5x -cpuprofile dcn.cpuprof -o dcn.test .
+
+# CPU profile of the live superpod replay at the sim_sched ledger stage's
+# configuration (internal/superpod BenchmarkEvaluate): core composes and
+# core.New are most of it; inspect with `$(GO) tool pprof sched.test
+# sched.cpuprof`.
+profile-sched:
+	$(GO) test -run '^$$' -bench '^BenchmarkEvaluate$$' -benchtime 40x -cpuprofile sched.cpuprof -o sched.test ./internal/superpod
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -8,6 +8,7 @@ import (
 
 	"lightwave/internal/dsp"
 	"lightwave/internal/ocs"
+	"lightwave/internal/optics"
 	"lightwave/internal/telemetry"
 	"lightwave/internal/topo"
 )
@@ -18,6 +19,7 @@ import (
 // 1e-12" rejected. The default plant admits every pair; the long-fiber
 // plant sits astride the threshold so both verdicts are exercised.
 func TestAdmissionThresholdMatchesPostFEC(t *testing.T) {
+	rx := dsp.DefaultReceiver()
 	for _, km := range []float64{DefaultConfig(64).FiberKM, 26.5} {
 		cfg := DefaultConfig(64)
 		cfg.FiberKM = km
@@ -35,7 +37,7 @@ func TestAdmissionThresholdMatchesPostFEC(t *testing.T) {
 						t.Fatal(err)
 					}
 					mpi := dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true}
-					oldReject := f.rx.receiver.PostFECBER(bud.RxPowerDBm, mpi, f.rx.stack) > maxPostFECBER
+					oldReject := rx.PostFECBER(bud.RxPowerDBm, mpi, f.rx.stack) > maxPostFECBER
 					newReject := f.rx.receiver.BER(bud.RxPowerDBm, mpi) > f.rx.maxBER
 					if oldReject != newReject {
 						t.Fatalf("%.2f km, circuit %+v: post-FEC form rejects=%v, threshold form rejects=%v",
@@ -58,6 +60,83 @@ func TestAdmissionThresholdMatchesPostFEC(t *testing.T) {
 	}
 }
 
+// TestAdmissionMatchesLinkBudget holds the per-circuit admission path — the
+// fabric's prepared bidi path and prepared receiver — to a link assembled
+// and a receiver calibrated from scratch for each circuit, bit for bit, over
+// every identity-wired port pair of every OCS on three plants: the default
+// one, the long-fiber one astride the threshold, and one built with the
+// legacy telecom circulator.
+func TestAdmissionMatchesLinkBudget(t *testing.T) {
+	rx := dsp.DefaultReceiver()
+	long, telecom := DefaultConfig(64), DefaultConfig(64)
+	long.FiberKM = 26.5
+	telecom.Circulator = optics.TelecomCirculator()
+	for _, cfg := range []Config{DefaultConfig(64), long, telecom} {
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := optics.NewTransceiver(cfg.Transceiver), optics.NewTransceiver(cfg.Transceiver)
+		for o := 0; o < topo.NumOCS; o++ {
+			sw := f.switches[o]
+			for n := 0; n < 64; n++ {
+				rl, err := sw.ReturnLossDB(ocs.PortID(n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := 0; s < 64; s++ {
+					r := topo.CircuitReq{OCS: topo.OCSID(o), North: n, South: s}
+					got, err := f.circuitBudget(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					loss := sw.IntrinsicLossDB(ocs.PortID(n), ocs.PortID(s)) + 0.1
+					want, err := optics.NewBidiLink(a, b, cfg.Circulator, loss, rl, cfg.FiberKM).BudgetTowardB()
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotBER := f.rx.receiver.BER(got.RxPowerDBm, dsp.MPICondition{MPIDB: got.MPIDB, OIM: true})
+					wantBER := rx.BER(want.RxPowerDBm, dsp.MPICondition{MPIDB: want.MPIDB, OIM: true})
+					for _, q := range [][2]float64{
+						{got.PathLossDB, want.PathLossDB},
+						{got.RxPowerDBm, want.RxPowerDBm},
+						{got.MPIDB, want.MPIDB},
+						{got.DispersionPenaltyDB, want.DispersionPenaltyDB},
+						{got.MarginDB, want.MarginDB},
+						{gotBER, wantBER},
+					} {
+						if math.Float64bits(q[0]) != math.Float64bits(q[1]) {
+							t.Fatalf("%.2f km, %+v, circuit %+v: admission priced %+v (BER %v), a fresh link %+v (BER %v)",
+								cfg.FiberKM, cfg.Circulator, r, got, gotBER, want, wantBER)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCircuitAdmissionAllocatesNothing: pricing one circuit's budget and
+// its pre-FEC BER allocates nothing.
+func TestCircuitAdmissionAllocatesNothing(t *testing.T) {
+	f := newFabric(t, 4)
+	r := topo.CircuitReq{OCS: 7, North: 1, South: 2}
+	var ber float64
+	allocs := testing.AllocsPerRun(100, func() {
+		bud, err := f.circuitBudget(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ber = f.rx.receiver.BER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true})
+	})
+	if allocs != 0 {
+		t.Fatalf("one circuit's budget and BER: %v allocs", allocs)
+	}
+	if ber <= 0 || ber > f.rx.maxBER {
+		t.Fatalf("BER %v outside (0, %v]", ber, f.rx.maxBER)
+	}
+}
+
 // TestRejectionWording checks the rejection path still reports the
 // post-FEC BER (the transfer curve is evaluated there, and only there).
 func TestRejectionWording(t *testing.T) {
@@ -73,7 +152,7 @@ func TestRejectionWording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	postFEC := f.rx.receiver.PostFECBER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true}, f.rx.stack)
+	postFEC := dsp.DefaultReceiver().PostFECBER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true}, f.rx.stack)
 	want := fmt.Sprintf("core: insufficient optical link margin: circuit ocs=%d %d->%d post-FEC BER %.2g",
 		reqs[0].OCS, reqs[0].North, reqs[0].South, postFEC)
 	_, err = f.ComposeSlice("a", topo.Shape{X: 4, Y: 4, Z: 4}, []int{0})
@@ -256,6 +335,30 @@ func TestRejectedComposeObservesNoMargins(t *testing.T) {
 	if math.Float64bits(s.WorstMarginDB) != math.Float64bits(ok.WorstMarginDB) {
 		t.Errorf("WorstMarginDB %v differs between identical plants (%v)", s.WorstMarginDB, ok.WorstMarginDB)
 	}
+}
+
+// BenchmarkValidateBudgets prices admission alone — every circuit's budget
+// and pre-FEC BER, nothing programmed — over the 384 circuits of an 8-cube
+// slice, reported per circuit.
+func BenchmarkValidateBudgets(b *testing.B) {
+	f, err := New(DefaultConfig(8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	shape, cubes := topo.Shape{X: 4, Y: 8, Z: 16}, seq(8)
+	sl, err := topo.ComposeSlice(shape, cubes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := sl.RequiredCircuits()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.validateBudgets(reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/circuit")
 }
 
 // BenchmarkComposeSlice is the in-tree guard on slice admission cost: one

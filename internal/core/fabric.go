@@ -113,11 +113,11 @@ const maxPostFECBER = 1e-12
 
 // admission bundles the models every circuit's budget is validated against.
 // All of it depends on the fabric's configuration alone, so it is built
-// once in New.
+// once in New; per circuit only the OCS element's losses enter.
 type admission struct {
-	// a and b are the transceivers at the two ends of a cube link.
-	a, b     *optics.Transceiver
-	receiver dsp.Receiver
+	// path is a cube link with its OCS element left open.
+	path     optics.BidiPath
+	receiver dsp.PreparedReceiver
 	stack    fec.Concatenated
 	// maxBER is stack.MaxInputBER(maxPostFECBER): the FEC transfer curve
 	// is monotone, so "post-FEC BER > maxPostFECBER" is "pre-FEC BER >
@@ -140,9 +140,9 @@ func New(cfg Config) (*Fabric, error) {
 		portMap:      make(map[portKey]ocs.PortID),
 		berDetectors: make(map[string]*telemetry.Detector),
 		rx: admission{
-			a:        optics.NewTransceiver(cfg.Transceiver),
-			b:        optics.NewTransceiver(cfg.Transceiver),
-			receiver: dsp.DefaultReceiver(),
+			path: optics.NewBidiPath(optics.NewTransceiver(cfg.Transceiver), optics.NewTransceiver(cfg.Transceiver),
+				cfg.Circulator, cfg.FiberKM),
+			receiver: dsp.DefaultReceiver().Prepare(),
 			stack:    fec.NewConcatenated(),
 		},
 	}
@@ -327,12 +327,13 @@ func (f *Fabric) ComposeSlice(name string, shape topo.Shape, cubes []int) (*Slic
 //lwlint:hotpath
 func (f *Fabric) circuitBudget(r topo.CircuitReq) (optics.Budget, error) {
 	sw := f.switches[r.OCS]
-	loss := sw.IntrinsicLossDB(f.PortFor(r.OCS, r.North), f.PortFor(r.OCS, r.South)) + 0.1 // alignment residual allowance
-	rl, err := sw.ReturnLossDB(f.PortFor(r.OCS, r.North))
+	north := f.PortFor(r.OCS, r.North)
+	loss := sw.IntrinsicLossDB(north, f.PortFor(r.OCS, r.South)) + 0.1 // alignment residual allowance
+	rl, err := sw.ReturnLossDB(north)
 	if err != nil {
 		return optics.Budget{}, err
 	}
-	return optics.NewBidiLink(f.rx.a, f.rx.b, f.cfg.Circulator, loss, rl, f.cfg.FiberKM).BudgetTowardB()
+	return f.rx.path.Budget(loss, rl), nil
 }
 
 // validateBudgets checks each circuit's optical budget and post-FEC BER

@@ -257,3 +257,16 @@ func TestMetricsExported(t *testing.T) {
 		t.Error("no margin observations")
 	}
 }
+
+// BenchmarkNew prices building a full-pod fabric: 48 switches, each
+// drawing its manufacturing variation and selecting its best mirrors, plus
+// the admission models (the receiver calibration and the FEC threshold
+// bisection). Every lab pod and every cold boot pays it once.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(DefaultConfig(64)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

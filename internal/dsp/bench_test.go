@@ -6,12 +6,23 @@ import (
 	"lightwave/internal/sim"
 )
 
+// BenchmarkAnalyticBER prices one evaluation on a receiver prepared once
+// (the admission path) and through Receiver.BER, which prepares per call.
 func BenchmarkAnalyticBER(b *testing.B) {
 	r := DefaultReceiver()
 	cond := MPICondition{MPIDB: -32, OIM: true}
-	for i := 0; i < b.N; i++ {
-		_ = r.BER(-9, cond)
-	}
+	b.Run("prepared", func(b *testing.B) {
+		pr := r.Prepare()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = pr.BER(-9, cond)
+		}
+	})
+	b.Run("receiver", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = r.BER(-9, cond)
+		}
+	})
 }
 
 func BenchmarkSensitivitySearch(b *testing.B) {

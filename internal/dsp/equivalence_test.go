@@ -24,17 +24,32 @@ func fig11Grid(visit func(rxPowerDBm float64, mpi MPICondition)) {
 	}
 }
 
+// TestBERMatchesReference holds both entry points of the one BER body — a
+// receiver prepared once and evaluated across the grid, and Receiver.BER,
+// which prepares per call — to both retired bodies, bit for bit, on the
+// default receiver and on one with every configuration field moved.
 func TestBERMatchesReference(t *testing.T) {
-	r := DefaultReceiver()
+	odd := DefaultReceiver()
+	odd.ExtinctionRatioDB, odd.RINdBPerHz, odd.PolarizationOverlap = 6, -138, 0.5
+	odd.SymbolRateGBd, odd.ResponsivityAPerW = 53.125, 0.65
+	odd.Calibrate(-6, fec.KP4Threshold)
 	n := 0
-	fig11Grid(func(p float64, mpi MPICondition) {
-		n++
-		got, want := r.BER(p, mpi), refBER(r, p, mpi)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("BER(%v dBm, %+v) = %v, reference %v", p, mpi, got, want)
-		}
-	})
-	if n < 40000 {
+	for _, r := range []Receiver{DefaultReceiver(), odd} {
+		pr := r.Prepare()
+		fig11Grid(func(p float64, mpi MPICondition) {
+			n++
+			want := refBER(r, p, mpi)
+			if w := refUnpreparedBER(r, p, mpi); math.Float64bits(w) != math.Float64bits(want) {
+				t.Fatalf("the two references disagree at (%v dBm, %+v): %v vs %v", p, mpi, w, want)
+			}
+			for _, got := range []float64{pr.BER(p, mpi), r.BER(p, mpi)} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%+v: BER(%v dBm, %+v) = %v, reference %v", r, p, mpi, got, want)
+				}
+			}
+		})
+	}
+	if n < 80000 {
 		t.Fatalf("grid visited only %d points", n)
 	}
 }

@@ -72,6 +72,7 @@ func (rx Receiver) FleetBER(cfg FleetBERConfig) FleetBERResult {
 		cfg.Ports = 6144
 	}
 	res := FleetBERResult{BERs: make([]float64, cfg.Ports)}
+	pr := rx.Prepare()
 	worsts := par.MonteCarlo("dsp_fleet_ber", cfg.Ports, cfg.Seed, func(sh par.Shard) float64 {
 		worst := 0.0
 		for port := sh.Start; port < sh.End; port++ {
@@ -80,7 +81,7 @@ func (rx Receiver) FleetBER(cfg FleetBERConfig) FleetBERResult {
 				margin = cfg.MarginFloorDB
 			}
 			mpi := cfg.MPIMeanDB + cfg.MPISigmaDB*sh.Rng.NormFloat64()
-			ber := rx.BER(cfg.SensitivityDBm+margin, MPICondition{MPIDB: mpi, OIM: cfg.OIM})
+			ber := pr.BER(cfg.SensitivityDBm+margin, MPICondition{MPIDB: mpi, OIM: cfg.OIM})
 			res.BERs[port] = ber
 			if ber > worst {
 				worst = ber

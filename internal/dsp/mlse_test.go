@@ -225,8 +225,9 @@ func (r Receiver) MonteCarloISIBER(rxPowerDBm float64, cfg ISIConfig) MonteCarlo
 	if rng == nil {
 		rng = sim.NewRand(0x151)
 	}
+	pr := r.Prepare()
 	pAvg := dbmToWatts(rxPowerDBm)
-	lv := r.levels(pAvg)
+	lv := pr.levels(pAvg)
 	resp := r.ResponsivityAPerW
 	var cur [4]float64
 	for k := range cur {
@@ -237,12 +238,11 @@ func (r Receiver) MonteCarloISIBER(rxPowerDBm float64, cfg ISIConfig) MonteCarlo
 	tx := make([]uint8, cfg.Symbols)
 	rxs := make([]float64, cfg.Symbols)
 	prev := uint8(0)
-	rin := r.rinLin()
 	for n := 0; n < cfg.Symbols; n++ {
 		k := uint8(rng.Intn(4))
 		tx[n] = k
 		sig := ch.H0*cur[k] + ch.H1*cur[prev]
-		sigma := r.noiseSigmaA(lv[k], rin, 0)
+		sigma := pr.noiseSigmaA(lv[k], 0)
 		rxs[n] = sig + sigma*rng.NormFloat64()
 		prev = k
 	}

@@ -55,8 +55,9 @@ func (r Receiver) MonteCarloBER(rxPowerDBm float64, mpi MPICondition, cfg MonteC
 		cfg.MPIOffsetHz = 2.3e9
 	}
 
+	pr := r.Prepare()
 	pAvg := dbmToWatts(rxPowerDBm)
-	lv := r.levels(pAvg)
+	lv := pr.levels(pAvg)
 	resp := r.ResponsivityAPerW
 	ts := 1 / (r.SymbolRateGBd * 1e9)
 
@@ -73,9 +74,8 @@ func (r Receiver) MonteCarloBER(rxPowerDBm float64, mpi MPICondition, cfg MonteC
 	// Per-level noise sigmas are symbol-independent; precompute so shards
 	// don't redo the math per sample.
 	var sigmas [4]float64
-	rin := r.rinLin()
 	for k := range sigmas {
-		sigmas[k] = r.noiseSigmaA(lv[k], rin, 0)
+		sigmas[k] = pr.noiseSigmaA(lv[k], 0)
 	}
 	// Waveform synthesis is the hot loop: shard the symbol range across the
 	// worker pool. Each shard draws from its own substream of the caller's

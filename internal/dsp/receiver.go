@@ -69,19 +69,47 @@ const NoMPI = -200.0
 // reconstruct-and-subtract notch filter.
 const DefaultOIMSuppressionDB = 12.0
 
-// effectiveMPILin returns the post-mitigation interferer-to-signal ratio in
-// linear units.
-func (c MPICondition) effectiveMPILin() float64 {
+// PreparedReceiver is a Receiver with everything that depends on its
+// configuration alone derived once, so a BER evaluation pays only for its
+// received power and MPI. Callers that evaluate one receiver often keep one.
+type PreparedReceiver struct {
+	resp       float64 // photodiode responsivity R, A/W
+	er         float64 // extinction ratio P3/P0, linear
+	rin        float64 // laser relative intensity noise, 1/Hz
+	bw         float64 // receiver noise bandwidth, Hz
+	th2        float64 // thermal noise variance, A²
+	shotK      float64 // 2qR: shot-noise variance per W·Hz
+	beatK      float64 // 2ηR²: MPI beat-noise variance per W²
+	oimDefault float64 // interferer power the default OIM notch leaves
+}
+
+// Prepare derives the receiver's configuration-only constants.
+func (r Receiver) Prepare() PreparedReceiver {
+	return PreparedReceiver{
+		resp:       r.ResponsivityAPerW,
+		er:         math.Pow(10, r.ExtinctionRatioDB/10),
+		rin:        math.Pow(10, r.RINdBPerHz/10),
+		bw:         0.75 * r.SymbolRateGBd * 1e9,
+		th2:        r.ThermalSigmaA * r.ThermalSigmaA,
+		shotK:      2 * electronCharge * r.ResponsivityAPerW,
+		beatK:      2 * r.PolarizationOverlap * r.ResponsivityAPerW * r.ResponsivityAPerW,
+		oimDefault: math.Pow(10, -DefaultOIMSuppressionDB/10),
+	}
+}
+
+// effectiveMPILin returns the post-mitigation interferer-to-signal ratio of
+// c in linear units.
+func (p *PreparedReceiver) effectiveMPILin(c MPICondition) float64 {
 	if c.MPIDB <= NoMPI {
 		return 0
 	}
 	lin := math.Pow(10, c.MPIDB/10)
 	if c.OIM {
-		s := c.OIMSuppressionDB
-		if s == 0 {
-			s = DefaultOIMSuppressionDB
+		if c.OIMSuppressionDB == 0 {
+			lin *= p.oimDefault
+		} else {
+			lin *= math.Pow(10, -c.OIMSuppressionDB/10)
 		}
-		lin *= math.Pow(10, -s/10)
 	}
 	return lin
 }
@@ -89,51 +117,41 @@ func (c MPICondition) effectiveMPILin() float64 {
 // levels returns the four received optical power levels (W) for an average
 // received power pAvg (W), equally spaced with the configured extinction
 // ratio.
-func (r Receiver) levels(pAvgW float64) [4]float64 {
-	er := math.Pow(10, r.ExtinctionRatioDB/10)
-	p0 := 2 * pAvgW / (1 + er)
-	p3 := er * p0
+func (p *PreparedReceiver) levels(pAvgW float64) [4]float64 {
+	p0 := 2 * pAvgW / (1 + p.er)
+	p3 := p.er * p0
 	d := (p3 - p0) / 3
 	return [4]float64{p0, p0 + d, p0 + 2*d, p3}
 }
 
-// rinLin returns the laser relative intensity noise in linear units (1/Hz).
-func (r Receiver) rinLin() float64 {
-	return math.Pow(10, r.RINdBPerHz/10)
-}
-
 // noiseSigmaA returns the total noise current standard deviation when the
-// received symbol sits at optical power pLevel. rinLin and the interferer
-// power pIntW (effectiveMPILin × average signal power; 0 on a clean
-// channel) are the same for all four levels of one evaluation, so callers
-// compute them once.
-func (r Receiver) noiseSigmaA(pLevelW, rinLin, pIntW float64) float64 {
-	bw := 0.75 * r.SymbolRateGBd * 1e9 // receiver noise bandwidth, Hz
-	th2 := r.ThermalSigmaA * r.ThermalSigmaA
-	shot2 := 2 * electronCharge * r.ResponsivityAPerW * pLevelW * bw
-	i := r.ResponsivityAPerW * pLevelW
-	rin2 := rinLin * i * i * bw
+// received symbol sits at optical power pLevel and the interferer power is
+// pIntW (effectiveMPILin × average signal power; 0 on a clean channel).
+func (p *PreparedReceiver) noiseSigmaA(pLevelW, pIntW float64) float64 {
+	shot2 := p.shotK * pLevelW * p.bw
+	i := p.resp * pLevelW
+	rin2 := p.rin * i * i * p.bw
 	// MPI carrier-to-carrier beat noise: σ² = 2·η·R²·P_level·P_int
 	// (signal-spontaneous-style beating of two fields on a square-law
 	// detector).
-	mpi2 := 2 * r.PolarizationOverlap * r.ResponsivityAPerW * r.ResponsivityAPerW * pLevelW * pIntW
-	return math.Sqrt(th2 + shot2 + rin2 + mpi2)
+	mpi2 := p.beatK * pLevelW * pIntW
+	return math.Sqrt(p.th2 + shot2 + rin2 + mpi2)
 }
 
 // BER returns the analytic pre-FEC bit error ratio of a Gray-coded PAM4
 // lane at the given received average power under the given MPI condition
 // (the dashed/solid model curves of Fig 11a).
-func (r Receiver) BER(rxPowerDBm float64, mpi MPICondition) float64 {
+//
+//lwlint:hotpath
+func (p *PreparedReceiver) BER(rxPowerDBm float64, mpi MPICondition) float64 {
 	pAvg := dbmToWatts(rxPowerDBm)
-	lv := r.levels(pAvg)
+	lv := p.levels(pAvg)
 	d := (lv[3] - lv[0]) / 3 // level spacing in optical power
-	half := r.ResponsivityAPerW * d / 2
-	rin := r.rinLin()
-	pInt := mpi.effectiveMPILin() * pAvg
+	half := p.resp * d / 2
+	pInt := p.effectiveMPILin(mpi) * pAvg
 	ser := 0.0
 	for k := 0; k < 4; k++ {
-		sigma := r.noiseSigmaA(lv[k], rin, pInt)
-		q := fec.QFunc(half / sigma)
+		q := fec.QFunc(half / p.noiseSigmaA(lv[k], pInt))
 		// Inner levels can err both up and down.
 		if k == 0 || k == 3 {
 			ser += q
@@ -145,6 +163,12 @@ func (r Receiver) BER(rxPowerDBm float64, mpi MPICondition) float64 {
 	// Gray coding: one bit flips per adjacent-level symbol error, 2 bits
 	// per symbol.
 	return ser / 2
+}
+
+// BER returns PreparedReceiver.BER of the prepared receiver.
+func (r Receiver) BER(rxPowerDBm float64, mpi MPICondition) float64 {
+	p := r.Prepare()
+	return p.BER(rxPowerDBm, mpi)
 }
 
 // Sensitivity returns the received power (dBm) at which the lane reaches
@@ -160,11 +184,12 @@ func (r Receiver) Sensitivity(targetBER float64, mpi MPICondition) (float64, err
 // mpi, found by bisection over [−30, 10] dBm. It returns an error if the
 // target is unreachable within that range.
 func (r Receiver) SensitivityThrough(targetBER float64, mpi MPICondition, transfer func(float64) float64) (float64, error) {
+	pr := r.Prepare()
 	berAt := func(p float64) float64 {
 		if transfer == nil {
-			return r.BER(p, mpi)
+			return pr.BER(p, mpi)
 		}
-		return transfer(r.BER(p, mpi))
+		return transfer(pr.BER(p, mpi))
 	}
 	lo, hi := -30.0, 10.0
 	if berAt(hi) > targetBER {

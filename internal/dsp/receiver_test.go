@@ -124,7 +124,8 @@ func TestPostFECBER(t *testing.T) {
 
 func TestLevelsExtinctionRatio(t *testing.T) {
 	r := DefaultReceiver()
-	lv := r.levels(1e-4)
+	pr := r.Prepare()
+	lv := pr.levels(1e-4)
 	er := math.Pow(10, r.ExtinctionRatioDB/10)
 	if math.Abs(lv[3]/lv[0]-er) > 1e-9 {
 		t.Fatalf("P3/P0 = %v, want %v", lv[3]/lv[0], er)

@@ -42,12 +42,22 @@ func circulatorExperiment(w io.Writer) ([]Row, error) {
 	total := toPort3 + back
 	fmt.Fprintf(w, "port 2→3 (fiber return, random polarization): %.4f to receiver, %.2g back into laser\n",
 		toPort3/total, back/total)
-	for _, err := range []float64{0.005, 0.02, 0.05} {
-		fmt.Fprintf(w, "Faraday rotation error %.3f rad -> isolation %.1f dB\n",
-			err, optics.CirculatorIsolationDB(err))
+	var rows []Row
+	for _, c := range []struct {
+		key           string
+		errRad, isoDB float64
+	}{
+		{"dB-isolation@0.005rad", 0.005, 46.0},
+		{"dB-isolation@0.02rad", 0.02, 34.0},
+		{"dB-isolation@0.05rad", 0.05, 26.0},
+	} {
+		iso := optics.CirculatorIsolationDB(c.errRad)
+		fmt.Fprintf(w, "Faraday rotation error %.3f rad -> isolation %.1f dB\n", c.errRad, iso)
+		rows = append(rows, deviation(c.key, fmt.Sprintf("port 2→1 isolation at a %g rad Faraday rotation error", c.errRad),
+			"not quantified", iso, c.isoDB, 0.05))
 	}
 	fmt.Fprintln(w, "Appendix B: forward polarization preserved; return rotated 90° to port 3")
-	return nil, nil
+	return rows, nil
 }
 
 // wdmExperiment prints per-lane budgets for the CWDM8 module, showing the
@@ -74,12 +84,16 @@ func wdmExperiment(w io.Writer) ([]Row, error) {
 			l.Lane, l.LambdaNM, l.RxPowerDBm, l.DispersionPenaltyDB, l.MarginDB, eqMargin)
 	}
 	worst, _ := optics.WorstLane(lanes)
+	eqWorst := worst.MarginDB + worst.DispersionPenaltyDB - eq.ResidualPenaltyDB(worst.DispersionPenaltyDB)
 	fmt.Fprintf(w, "worst lane %d (%.0f nm): raw margin %.2f dB, %.2f dB with MLSE equalization\n",
-		worst.Lane, worst.LambdaNM, worst.MarginDB,
-		worst.MarginDB+worst.DispersionPenaltyDB-eq.ResidualPenaltyDB(worst.DispersionPenaltyDB))
+		worst.Lane, worst.LambdaNM, worst.MarginDB, eqWorst)
 	shared := optics.SharedChannels(optics.CWDM8(), optics.CWDM4())
 	fmt.Fprintf(w, "CWDM8↔CWDM4 interop channels: %v\n", shared)
-	return nil, nil
+	return []Row{
+		deviation("dB-worst-lane-margin", "worst CWDM8 lane's raw margin over 1 km", "not quantified", worst.MarginDB, 0.28, 0.01),
+		deviation("dB-worst-lane-MLSE-margin", "worst CWDM8 lane's margin with MLSE equalization", "not quantified", eqWorst, 0.34, 0.01),
+		match("interop-channels", "CWDM8 channels a CWDM4 transmitter also carries", "[0 2 4 6]", fmt.Sprint(shared)),
+	}, nil
 }
 
 // defragExperiment quantifies §4.2.4's defragmentation point.

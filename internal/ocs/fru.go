@@ -52,18 +52,20 @@ func (s *Switch) DriverBoardHealthy(b int) bool {
 // dropUndrivable tears down every circuit whose path lost actuation and
 // returns them.
 func (s *Switch) dropUndrivable() []Circuit {
+	return s.dropCircuits(func(n, so PortID) bool { return !s.portDrivable(n) || !s.portDrivable(so) })
+}
+
+// dropCircuits tears down every circuit lost reports as a casualty of a
+// hardware failure, counts each on DroppedByFRU and the
+// ocs.circuits_dropped_by_fru metric, and returns them.
+func (s *Switch) dropCircuits(lost func(north, south PortID) bool) []Circuit {
 	var dropped []Circuit
 	for n, so := range s.conn {
-		if so == -1 {
+		if so == -1 || !lost(PortID(n), PortID(so)) {
 			continue
 		}
-		if s.portDrivable(PortID(n)) && s.portDrivable(PortID(so)) {
-			continue
-		}
-		c := Circuit{North: PortID(n), South: PortID(so), InsertionLossDB: s.loss[[2]int{n, so}]}
-		// Ignore error: the connection provably exists.
-		_ = s.Disconnect(PortID(n))
-		dropped = append(dropped, c)
+		dropped = append(dropped, Circuit{North: PortID(n), South: PortID(so), InsertionLossDB: s.loss[[2]int{n, so}]})
+		_ = s.Disconnect(PortID(n)) // the connection provably exists
 		s.droppedByFRU++
 		if s.metricDrops != nil {
 			s.metricDrops.Inc()
@@ -158,23 +160,7 @@ func (s *Switch) FailPort(p PortID) ([]Circuit, error) {
 		return nil, nil
 	}
 	s.portFailed[p] = true
-	var dropped []Circuit
-	for n, so := range s.conn {
-		if so == -1 {
-			continue
-		}
-		if PortID(n) != p && PortID(so) != p {
-			continue
-		}
-		c := Circuit{North: PortID(n), South: PortID(so), InsertionLossDB: s.loss[[2]int{n, so}]}
-		_ = s.Disconnect(PortID(n))
-		dropped = append(dropped, c)
-		s.droppedByFRU++
-		if s.metricDrops != nil {
-			s.metricDrops.Inc()
-		}
-	}
-	return dropped, nil
+	return s.dropCircuits(func(n, so PortID) bool { return n == p || so == p }), nil
 }
 
 // FailedPorts returns the failed ports in ascending order.
@@ -298,12 +284,7 @@ func (s *Switch) updateUp() {
 	if wasUp && !s.up {
 		// Chassis down: MEMS mirrors are not latching (Table C.1), so all
 		// circuit state is lost.
-		for n, so := range s.conn {
-			if so != -1 {
-				_ = s.Disconnect(PortID(n))
-				s.droppedByFRU++
-			}
-		}
+		s.dropCircuits(func(PortID, PortID) bool { return true })
 	}
 }
 

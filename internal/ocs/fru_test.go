@@ -3,6 +3,8 @@ package ocs
 import (
 	"errors"
 	"testing"
+
+	"lightwave/internal/telemetry"
 )
 
 func TestDriverBoardFailureDropsCircuits(t *testing.T) {
@@ -221,5 +223,60 @@ func TestFRUOutOfRange(t *testing.T) {
 	}
 	if err := s.ReplaceFan(-1); err == nil {
 		t.Error("fan -1 accepted")
+	}
+}
+
+// TestFRUDropsAllCounted: every hardware path that drops circuits — a
+// port, a driver board, a mirror, and the chassis going down when its
+// second PSU fails — counts each drop on DroppedByFRU and on the
+// ocs.circuits_dropped_by_fru metric alike.
+func TestFRUDropsAllCounted(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Metrics = telemetry.NewRegistry()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		mustConnect(t, s, PortID(i), PortID(i+60))
+	}
+	metric := cfg.Metrics.Counter("ocs.circuits_dropped_by_fru")
+	last := int64(0)
+	check := func(step string, wantDrops bool) {
+		t.Helper()
+		if got, want := metric.Value(), s.DroppedByFRU(); got != want {
+			t.Fatalf("after %s: metric counts %d drops, DroppedByFRU %d", step, got, want)
+		}
+		if dropped := s.DroppedByFRU() > last; dropped != wantDrops {
+			t.Fatalf("after %s: dropped circuits = %v, want %v", step, dropped, wantDrops)
+		}
+		last = s.DroppedByFRU()
+	}
+	if _, err := s.FailPort(5); err != nil {
+		t.Fatal(err)
+	}
+	check("FailPort", true)
+	if _, err := s.FailDriverBoard(1); err != nil {
+		t.Fatal(err)
+	}
+	check("FailDriverBoard", true)
+	live := s.Circuits()
+	if len(live) == 0 {
+		t.Fatal("no circuit left to fail a mirror under")
+	}
+	if _, _, err := s.FailMirror(0, s.portMirror[0][live[0].North]); err != nil {
+		t.Fatal(err)
+	}
+	check("FailMirror", true)
+	if err := s.FailPSU(0); err != nil {
+		t.Fatal(err)
+	}
+	check("the first FailPSU", false)
+	if err := s.FailPSU(1); err != nil {
+		t.Fatal(err)
+	}
+	check("the second FailPSU", true)
+	if s.NumCircuits() != 0 {
+		t.Errorf("%d circuits survive the chassis going down", s.NumCircuits())
 	}
 }

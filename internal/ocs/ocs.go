@@ -16,7 +16,7 @@ package ocs
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lightwave/internal/sim"
 	"lightwave/internal/telemetry"
@@ -202,15 +202,26 @@ func New(cfg Config) (*Switch, error) {
 }
 
 // selectBestMirrors returns, for each port, the index of the mirror assigned
-// to it: the cfg.Radix lowest-loss mirrors in fabrication order.
+// to it: the n lowest-loss mirrors in fabrication order. The n-th lowest
+// quality is the cut; every mirror below it is kept, and of those exactly
+// at it the lowest-index ones until n are — the choice a stable sort by
+// quality makes. Qualities are finite (New floors them).
 func selectBestMirrors(quality []float64, n int) []int {
-	idx := make([]int, len(quality))
-	for i := range idx {
-		idx[i] = i
+	var buf [256]float64
+	sorted := append(buf[:0], quality...)
+	slices.Sort(sorted)
+	cut := sorted[n-1]
+	below, _ := slices.BinarySearch(sorted, cut) // mirrors strictly below the cut
+	ties := n - below
+	best := make([]int, 0, n)
+	for m, q := range quality {
+		if q < cut || (q == cut && ties > 0) {
+			if q == cut {
+				ties--
+			}
+			best = append(best, m)
+		}
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return quality[idx[a]] < quality[idx[b]] })
-	best := append([]int(nil), idx[:n]...)
-	sort.Ints(best) // keep port→mirror map in stable fabrication order
 	return best
 }
 

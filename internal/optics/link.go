@@ -73,105 +73,151 @@ type Budget struct {
 
 // BudgetTowardB computes the budget for the A→B direction (receiver at B).
 func (l *Link) BudgetTowardB() (Budget, error) {
-	return l.budget(l.A, l.B, l.CircA, l.CircB)
-}
-
-func (l *Link) budget(tx, rx *Transceiver, circTx, circRx *Circulator) (Budget, error) {
-	if tx == nil || rx == nil {
+	if l.A == nil || l.B == nil {
 		return Budget{}, ErrNoPath
 	}
-	var b Budget
-	loss := 0.0
-	if circTx != nil {
-		loss += circTx.InsertionLossDB
-	}
+	w := startWalk(l.B, l.CircA, l.CircB)
 	for _, e := range l.Elements {
-		loss += e.LossDB
+		w.step(e)
+	}
+	return w.finish(l.A, l.B, dispersionPenaltyDB(l.A.Gen, l.FiberKM)), nil
+}
+
+// walk is the one budget body: A to B, element by element. A bidi receiver
+// hears its co-located transmitter (echoDBm) through its circulator (circIL
+// each way, §4.1.2); a duplex one hears none (echoDBm −∞, circIL 0).
+type walk struct {
+	loss    float64 // path loss so far, the transmitter's circulator included
+	echoDBm float64
+	circIL  float64
+	cum     float64 // loss from the receiver's circulator to the next interface
+	echoLin float64 // interferer power so far, linear
+}
+
+func startWalk(rx *Transceiver, circTx, circRx *Circulator) walk {
+	w := walk{echoDBm: math.Inf(-1)}
+	if circTx != nil {
+		w.loss += circTx.InsertionLossDB
 	}
 	if circRx != nil {
-		loss += circRx.InsertionLossDB
+		w.echoDBm, w.circIL = rx.Gen.TxPowerDBm, circRx.InsertionLossDB
+		// Direct port-1→3 crosstalk.
+		w.echoLin += math.Pow(10, (w.echoDBm+circRx.CrosstalkDB)/10)
 	}
-	b.PathLossDB = loss
-	b.RxPowerDBm = tx.Gen.TxPowerDBm - loss
-	b.MPIDB = l.mpi(rx, circRx, b.RxPowerDBm)
-	b.DispersionPenaltyDB = l.dispersionPenalty(tx.Gen)
+	return w
+}
+
+// step adds the next element toward B.
+//
+//lwlint:hotpath
+func (w *walk) step(e Element) {
+	w.loss += e.LossDB
+	if e.ReflectDB > NoReflection {
+		// Tx→(port1→2 IL)→path to interface→reflection→path back→
+		// (port2→3 IL)→Rx.
+		p := w.echoDBm - w.circIL - w.cum + e.ReflectDB - w.cum - w.circIL
+		w.echoLin += math.Pow(10, p/10)
+	}
+	w.cum += e.LossDB
+}
+
+// finish closes the walk at the receiver.
+//
+//lwlint:hotpath
+func (w *walk) finish(tx, rx *Transceiver, dispersionDB float64) Budget {
+	b := Budget{PathLossDB: w.loss + w.circIL, DispersionPenaltyDB: dispersionDB}
+	b.RxPowerDBm = tx.Gen.TxPowerDBm - b.PathLossDB
+	b.MPIDB = 10*math.Log10(w.echoLin) - b.RxPowerDBm
+	if w.echoLin <= 0 {
+		b.MPIDB = NoReflection // nothing echoes back: a duplex receiver
+	}
 	b.MarginDB = b.RxPowerDBm - rx.Gen.SensitivityDBm - b.DispersionPenaltyDB
-	return b, nil
+	return b
 }
 
-// mpi aggregates the in-band interference at the receiver of a bidirectional
-// link: the co-located transmitter's light leaking directly through the
-// circulator (crosstalk) and its reflections off every interface in the
-// path, which return through the circulator into the receiver (§4.1.2).
-func (l *Link) mpi(rx *Transceiver, circRx *Circulator, rxSignalDBm float64) float64 {
-	if circRx == nil {
-		return NoReflection // duplex link: no counter-propagating Tx on the strand
-	}
-	txDBm := rx.Gen.TxPowerDBm // the co-located transmitter
-	sumLin := 0.0
-
-	// Direct port-1→3 crosstalk.
-	sumLin += math.Pow(10, (txDBm+circRx.CrosstalkDB)/10)
-
-	// Reflections: walk the elements from the receiver's side outward.
-	cum := 0.0 // loss accumulated from the local circulator to the interface
-	for _, e := range l.Elements {
-		if e.ReflectDB > NoReflection {
-			// Tx→(port1→2 IL)→path to interface→reflection→path back→
-			// (port2→3 IL)→Rx.
-			p := txDBm - circRx.InsertionLossDB - cum + e.ReflectDB - cum - circRx.InsertionLossDB
-			sumLin += math.Pow(10, p/10)
-		}
-		cum += e.LossDB
-	}
-	if sumLin <= 0 {
-		return NoReflection
-	}
-	return 10*math.Log10(sumLin) - rxSignalDBm
-}
-
-// dispersionPenalty returns the unequalized chromatic dispersion penalty of
-// the worst (band-edge) lane. The penalty grows with the square of the
-// symbol rate and linearly with accumulated dispersion, matching the paper's
-// observation that dispersion "is an issue for data rates above 100 Gb/s for
-// the link lengths used" over the 80 nm CWDM spectral range (§3.3.1). The
-// DSP's MLSE equalizer reduces it (see dsp.Equalizer).
-func (l *Link) dispersionPenalty(gen Generation) float64 {
-	if len(gen.Grid.Channels) == 0 || l.FiberKM <= 0 {
+// dispersionPenaltyDB returns the unequalized chromatic dispersion penalty
+// of the worst (band-edge) lane of gen over fiberKM. The penalty grows
+// with the square of the symbol rate and linearly with accumulated
+// dispersion, matching the paper's observation that dispersion "is an
+// issue for data rates above 100 Gb/s for the link lengths used" over the
+// 80 nm CWDM spectral range (§3.3.1). The DSP's MLSE equalizer reduces it
+// (see dsp.Equalizer).
+func dispersionPenaltyDB(gen Generation, fiberKM float64) float64 {
+	if len(gen.Grid.Channels) == 0 || fiberKM <= 0 {
 		return 0
 	}
 	worst := 0.0
 	for _, lambda := range gen.Grid.Channels {
-		d := math.Abs(DispersionPsPerNMKM(lambda)) * l.FiberKM // ps/nm accumulated
+		d := math.Abs(DispersionPsPerNMKM(lambda)) * fiberKM // ps/nm accumulated
 		if d > worst {
 			worst = d
 		}
 	}
+	return lanePenaltyDB(gen, worst)
+}
+
+// lanePenaltyDB is the unequalized penalty of one lane that accumulated
+// psPerNM of dispersion.
+func lanePenaltyDB(gen Generation, psPerNM float64) float64 {
 	symbolRate := gen.LaneRateGbps / float64(gen.Modulation.BitsPerSymbol()) // GBd
 	// Calibration: 100G PAM4 (50 GBd) at the 1271 nm band edge over 2 km
 	// (≈7.5 ps/nm) costs about 1 dB unequalized.
-	penalty := 1.0 * (symbolRate / 50) * (symbolRate / 50) * worst / 7.5
+	penalty := 1.0 * (symbolRate / 50) * (symbolRate / 50) * psPerNM / 7.5
 	if penalty > 6 {
 		penalty = 6 // beyond this the eye is closed; cap keeps sweeps sane
 	}
 	return penalty
 }
 
-// NewBidiLink assembles a single-strand bidirectional link through an OCS:
-// transceiver A — circulator — connectors/fiber — OCS — fiber/connectors —
-// circulator — transceiver B. ocsLossDB/ocsReturnDB come from the OCS model
+// bidiChain is the element chain of a bidi link through an OCS, A to B,
+// circulators excluded; the OCS element sits at index bidiOCS.
+func bidiChain(ocsLossDB, ocsReturnDB, fiberKM float64) [5]Element {
+	half := fiberKM / 2
+	return [5]Element{Connector(), FiberSpan(half), OCSElement(ocsLossDB, ocsReturnDB), FiberSpan(half), Connector()}
+}
+
+const bidiOCS = 2
+
+// BidiPath is a bidi link through an OCS with all but the OCS element
+// fixed: it holds the walk up to the OCS (path-loss prefix, circulator
+// crosstalk, near-connector reflection) and the dispersion penalty, so
+// pricing an OCS element walks only it and what lies beyond, allocating
+// and remembering nothing.
+type BidiPath struct {
+	a, b         *Transceiver
+	fiberKM      float64
+	prefix       walk
+	dispersionDB float64
+}
+
+// NewBidiPath prepares the bidi link between a and b over fiberKM of fiber.
+func NewBidiPath(a, b *Transceiver, circ Circulator, fiberKM float64) BidiPath {
+	p := BidiPath{a: a, b: b, fiberKM: fiberKM, prefix: startWalk(b, &circ, &circ), dispersionDB: dispersionPenaltyDB(a.Gen, fiberKM)}
+	chain := bidiChain(0, NoReflection, fiberKM)
+	for _, e := range chain[:bidiOCS] {
+		p.prefix.step(e)
+	}
+	return p
+}
+
+// Budget is the A→B budget with an OCS element of ocsLossDB insertion loss
+// and ocsReturnDB return loss in place: NewBidiLink's budget, bit for bit.
+//
+//lwlint:hotpath
+func (p *BidiPath) Budget(ocsLossDB, ocsReturnDB float64) Budget {
+	w := p.prefix
+	chain := bidiChain(ocsLossDB, ocsReturnDB, p.fiberKM)
+	for _, e := range chain[bidiOCS:] {
+		w.step(e)
+	}
+	return w.finish(p.a, p.b, p.dispersionDB)
+}
+
+// NewBidiLink assembles a single-strand bidirectional link through an OCS,
+// circulator to circulator; ocsLossDB/ocsReturnDB come from the OCS model
 // for the specific cross-connection in use.
 func NewBidiLink(a, b *Transceiver, circ Circulator, ocsLossDB, ocsReturnDB, fiberKM float64) *Link {
 	ca, cb := circ, circ
-	half := fiberKM / 2
-	return &Link{
-		A: a, B: b, CircA: &ca, CircB: &cb, FiberKM: fiberKM,
-		Elements: []Element{
-			Connector(),
-			FiberSpan(half),
-			OCSElement(ocsLossDB, ocsReturnDB),
-			FiberSpan(half),
-			Connector(),
-		},
-	}
+	chain := bidiChain(ocsLossDB, ocsReturnDB, fiberKM)
+	return &Link{A: a, B: b, CircA: &ca, CircB: &cb, FiberKM: fiberKM, Elements: chain[:]}
 }

@@ -82,7 +82,6 @@ func WDMBudget(l *Link, tx *Transceiver, m Mux) ([]LaneBudget, error) {
 		return nil, err
 	}
 	lanes := make([]LaneBudget, 0, m.Grid.Lanes())
-	symbolRate := tx.Gen.LaneRateGbps / float64(tx.Gen.Modulation.BitsPerSymbol())
 	for i, lambda := range m.Grid.Channels {
 		muxLoss, err := m.ChannelLossDB(i)
 		if err != nil {
@@ -100,11 +99,7 @@ func WDMBudget(l *Link, tx *Transceiver, m Mux) ([]LaneBudget, error) {
 		}
 		lane.MPIDB = mpi
 		// Lane-specific dispersion penalty.
-		d := math.Abs(DispersionPsPerNMKM(lambda)) * l.FiberKM
-		lane.DispersionPenaltyDB = 1.0 * (symbolRate / 50) * (symbolRate / 50) * d / 7.5
-		if lane.DispersionPenaltyDB > 6 {
-			lane.DispersionPenaltyDB = 6
-		}
+		lane.DispersionPenaltyDB = lanePenaltyDB(tx.Gen, math.Abs(DispersionPsPerNMKM(lambda))*l.FiberKM)
 		lane.MarginDB = lane.RxPowerDBm - tx.Gen.SensitivityDBm - lane.DispersionPenaltyDB
 		lanes = append(lanes, lane)
 	}

@@ -118,3 +118,21 @@ func TestEvaluateRejectsInvalidMix(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEvaluate is one live replay at the configuration of the perf
+// ledger's sim_sched stage (bench/simload.go): two full pods, a 3000 s
+// horizon with 500 s of warm-up, cube failures at a 200 000 s MTBF with
+// 1800 s repairs, seed 5. core composes (admission and OCS programming)
+// and core.New dominate it; `make profile-sched` profiles it.
+func BenchmarkEvaluate(b *testing.B) {
+	cfg := EvalConfig{
+		Pods: 2, CubesPerPod: 64, HorizonSeconds: 3000, WarmupSeconds: 500,
+		CubeMTBF: 200000, MeanRepairSeconds: 1800, Seed: 5,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Evaluate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

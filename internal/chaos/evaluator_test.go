@@ -151,13 +151,26 @@ func TestEvaluateFullScenarioAllKinds(t *testing.T) {
 	}
 }
 
+// TestRandomScenarioReplays replays a schedule drawn from the fault-rate
+// table (seed 19, 300 s horizon, 6 blocks, 8 OCSes, 4 pods, 12 events at
+// 50000x acceleration), kept as a literal since the generator left the
+// package: a burst of flaps, a BER excursion and one OCS outage/restore.
 func TestRandomScenarioReplays(t *testing.T) {
-	s, err := Random(RandomConfig{
-		HorizonSeconds: 300, Blocks: 6, OCSes: 8,
-		Pods: []string{"pod0", "pod1", "pod2", "pod3"},
-		Seed: 19, MaxEvents: 12,
-	})
-	if err != nil {
+	s := Scenario{Name: "random", HorizonSeconds: 300, Events: []Event{
+		{At: 0.8358403361438603, Kind: KindCircuitFlap, Trunk: [2]int{0, 5}, DurationSeconds: 179.84719695911102},
+		{At: 1.4450114011055046, Kind: KindBERDegrade, Trunk: [2]int{0, 3}, BER: 1.5686180412329853e-05, DurationSeconds: 51.234527869059164},
+		{At: 2.7455953800134223, Kind: KindOCSOutage, OCS: 3},
+		{At: 3.3215953800134224, Kind: KindOCSRestore, OCS: 3},
+		{At: 8.729705604851192, Kind: KindCircuitFlap, Trunk: [2]int{0, 4}, DurationSeconds: 66.50439856066598},
+		{At: 9.279757469646436, Kind: KindCircuitFlap, Trunk: [2]int{2, 3}, DurationSeconds: 138.11588052548362},
+		{At: 9.433579476265182, Kind: KindCircuitFlap, Trunk: [2]int{1, 2}, DurationSeconds: 30.538875310181492},
+		{At: 10.011882164130478, Kind: KindCircuitFlap, Trunk: [2]int{0, 1}, DurationSeconds: 50.743829578796614},
+		{At: 13.704019466453754, Kind: KindCircuitFlap, Trunk: [2]int{0, 3}, DurationSeconds: 303.163908545937},
+		{At: 14.05327948281238, Kind: KindCircuitFlap, Trunk: [2]int{0, 2}, DurationSeconds: 184.76577318631433},
+		{At: 16.801884876860555, Kind: KindCircuitFlap, Trunk: [2]int{2, 3}, DurationSeconds: 39.39199821469671},
+		{At: 22.069183698989594, Kind: KindCircuitFlap, Trunk: [2]int{0, 4}, DurationSeconds: 23.78558170721714},
+	}}
+	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Evaluate(EvalConfig{Scenario: s, Blocks: 6, Uplinks: 6, Seed: 19})

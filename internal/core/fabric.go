@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lightwave/internal/dsp"
@@ -195,12 +196,14 @@ func (f *Fabric) circuitLive(r topo.CircuitReq) bool {
 	return ok && got == f.PortFor(r.OCS, r.South)
 }
 
-// disconnectCircuit tears circuit r down if it is established.
-func (f *Fabric) disconnectCircuit(r topo.CircuitReq) error {
+// disconnectCircuit tears circuit r down if it is established and reports
+// whether it was. Disconnecting a live circuit cannot fail.
+func (f *Fabric) disconnectCircuit(r topo.CircuitReq) bool {
 	if !f.circuitLive(r) {
-		return nil
+		return false
 	}
-	return f.switches[r.OCS].Disconnect(f.PortFor(r.OCS, r.North))
+	_ = f.switches[r.OCS].Disconnect(f.PortFor(r.OCS, r.North))
+	return true
 }
 
 // InstalledCubes returns the number of installed cubes.
@@ -273,52 +276,184 @@ func (f *Fabric) ComposeSlice(name string, shape topo.Shape, cubes []int) (*Slic
 	if _, exists := f.slices[name]; exists {
 		return nil, fmt.Errorf("%w: %q", ErrSliceExists, name)
 	}
-	for _, c := range cubes {
-		if c < 0 || c >= 64 {
-			return nil, fmt.Errorf("%w: %d", ErrCubeRange, c)
-		}
-		if !f.installed[c] {
-			return nil, fmt.Errorf("%w: %d", ErrNotInstalled, c)
-		}
-		if !f.healthy[c] {
-			return nil, fmt.Errorf("%w: %d", ErrCubeUnhealthy, c)
-		}
-		if f.owner[c] != "" {
-			return nil, fmt.Errorf("%w: %d (slice %q)", ErrCubeBusy, c, f.owner[c])
-		}
-	}
-	sl, err := topo.ComposeSlice(shape, cubes)
-	if err != nil {
+	s := &Slice{Name: name}
+	if err := f.place(s, shape, cubes); err != nil {
 		return nil, err
 	}
-	reqs := sl.RequiredCircuits()
-
-	// Pre-validate every circuit's optical budget on its target OCS.
-	margins, err := f.validateBudgets(reqs)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.applyCircuits(reqs); err != nil {
-		return nil, err
-	}
-	f.observeMargins(margins)
-
-	worst := 1e9
-	for _, m := range margins {
-		if m < worst {
-			worst = m
-		}
-	}
-	s := &Slice{Name: name, Shape: shape, Cubes: append([]int(nil), cubes...),
-		Circuits: reqs, WorstMarginDB: worst}
 	f.slices[name] = s
-	for _, c := range cubes {
-		f.owner[c] = name
-	}
 	if f.metricSlices != nil {
 		f.metricSlices.Inc()
 	}
 	return s, nil
+}
+
+// ReshapeSlice changes a running slice's torus shape in place — the "late
+// binding after hardware is deployed" capability of §4.2.1 and the §6
+// future-work direction of reshaping between training phases. The new
+// shape may reuse the slice's cubes (pure reshape), grow onto free cubes,
+// or shrink. Circuits shared between the old and new configuration are
+// kept untouched; everything else is reprogrammed. Other slices are
+// provably undisturbed.
+//
+// cubes may be nil to reuse the slice's current cube list (the new shape
+// must then need exactly that many cubes).
+func (f *Fabric) ReshapeSlice(name string, shape topo.Shape, cubes []int) (*Slice, error) {
+	s, ok := f.slices[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSlice, name)
+	}
+	if cubes == nil {
+		cubes = s.Cubes
+	}
+	if err := f.place(s, shape, cubes); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// EnsureSlice drives the fabric toward "slice name exists with this shape on
+// these cubes" and reports whether any hardware state changed. It is the
+// idempotent primitive the fleet reconciler (internal/fleet) retries after
+// partial failures:
+//
+//   - no such slice: the slice is composed from the given cubes;
+//   - slice exists and matches: any circuit torn down out-of-band is
+//     re-admitted and re-programmed, otherwise nothing happens;
+//   - slice exists with a different shape or cube set: the slice is reshaped
+//     in place.
+//
+// A nil or empty cubes list means "whatever cubes the slice already has" for
+// an existing slice; for a new slice it is an error (the caller owns
+// placement).
+func (f *Fabric) EnsureSlice(name string, shape topo.Shape, cubes []int) (*Slice, bool, error) {
+	s, ok := f.slices[name]
+	if !ok {
+		if len(cubes) == 0 {
+			return nil, false, fmt.Errorf("core: ensure %q: no cubes given for a new slice", name)
+		}
+		s, err := f.ComposeSlice(name, shape, cubes)
+		return s, err == nil, err
+	}
+	if len(cubes) == 0 {
+		cubes = s.Cubes
+	}
+	if s.Shape != shape || !slices.Equal(s.Cubes, cubes) {
+		s, err := f.ReshapeSlice(name, shape, cubes)
+		return s, err == nil, err
+	}
+	n, err := f.realize(s, shape, cubes, func(topo.CircuitReq) bool { return true }) // heal
+	if err != nil {
+		return nil, false, fmt.Errorf("core: ensure %q: re-programming %d circuits: %w", name, n, err)
+	}
+	return s, n > 0, nil
+}
+
+// place realizes slice s as shape on cubes, which compose and reshape
+// admit first: each must be in range, installed, healthy, and free or
+// already s's.
+func (f *Fabric) place(s *Slice, shape topo.Shape, cubes []int) error {
+	for _, c := range cubes {
+		switch {
+		case c < 0 || c >= 64:
+			return fmt.Errorf("%w: %d", ErrCubeRange, c)
+		case !f.installed[c]:
+			return fmt.Errorf("%w: %d", ErrNotInstalled, c)
+		case !f.healthy[c]:
+			return fmt.Errorf("%w: %d", ErrCubeUnhealthy, c)
+		case f.owner[c] != "" && f.owner[c] != s.Name:
+			return fmt.Errorf("%w: %d (slice %q)", ErrCubeBusy, c, f.owner[c])
+		}
+	}
+	_, err := f.realize(s, shape, cubes, nil)
+	return err
+}
+
+// realize is the fabric's one slice transition: compose, reshape, cube
+// swap, link repair and ensure-heal all move slice s to shape on cubes
+// through it, as one diff against the switches. Fresh circuits are the
+// derived ones that are not live and are new to s, or are s's own dark
+// circuits that revive picks (nil picks none, so a reshape or swap keeps
+// an FRU-dropped circuit as dark as it was); stale ones are live circuits
+// of s that the derived set drops. It validates the fresh budgets, tears
+// the stale circuits down and programs the fresh ones, re-establishing the
+// stale ones if programming is refused, so a refused transition leaves the
+// fabric and s as they were. It reports the number of fresh circuits; an
+// intent already in place costs no budget and no allocation.
+func (f *Fabric) realize(s *Slice, shape topo.Shape, cubes []int, revive func(topo.CircuitReq) bool) (int, error) {
+	reqs := s.Circuits
+	same := reqs != nil && s.Shape == shape && slices.Equal(s.Cubes, cubes)
+	var old map[topo.CircuitReq]bool // s's circuits, when the derived set differs
+	if !same {
+		sl, err := topo.ComposeSlice(shape, cubes)
+		if err != nil {
+			return 0, err
+		}
+		reqs, old = sl.RequiredCircuits(), make(map[topo.CircuitReq]bool, len(s.Circuits))
+		for _, r := range s.Circuits {
+			old[r] = true
+		}
+	}
+	isFresh := func(r topo.CircuitReq) bool {
+		return !f.circuitLive(r) && (!same && !old[r] || revive != nil && revive(r))
+	}
+	if same && !slices.ContainsFunc(reqs, isFresh) {
+		return 0, nil
+	}
+
+	// Kept circuits' margins come from circuitBudget, fresh ones' from
+	// validation. Until a circuit is kept (a compose), fresh is reqs. A
+	// kept circuit leaves old, so the live circuits left in old are the
+	// stale ones: a fresh circuit is dark.
+	fresh, worst := reqs, 1e9
+	if slices.ContainsFunc(reqs, func(r topo.CircuitReq) bool { return !isFresh(r) }) {
+		fresh = nil
+		for _, r := range reqs {
+			if isFresh(r) {
+				fresh = append(fresh, r)
+				continue
+			}
+			delete(old, r)
+			bud, err := f.circuitBudget(r)
+			if err != nil {
+				return 0, err
+			}
+			worst = min(worst, bud.MarginDB)
+		}
+	}
+	margins, err := f.validateBudgets(fresh)
+	if err != nil {
+		return len(fresh), err
+	}
+	for _, m := range margins {
+		worst = min(worst, m)
+	}
+
+	var stale []topo.CircuitReq
+	for _, r := range s.Circuits {
+		if old[r] && f.disconnectCircuit(r) {
+			stale = append(stale, r)
+		}
+	}
+	if err := f.applyCircuits(fresh); err != nil {
+		// applyCircuits took its own circuits back, so the ports the stale
+		// circuits held a moment ago are free again.
+		_ = f.applyCircuits(stale)
+		return len(fresh), err
+	}
+
+	if f.metricMargin != nil {
+		for _, m := range margins {
+			f.metricMargin.Observe(m)
+		}
+	}
+	for _, c := range s.Cubes {
+		f.owner[c] = ""
+	}
+	for _, c := range cubes {
+		f.owner[c] = s.Name
+	}
+	s.Shape, s.Cubes, s.Circuits, s.WorstMarginDB = shape, slices.Clone(cubes), reqs, worst
+	return len(fresh), nil
 }
 
 // circuitBudget computes one circuit's optical budget on its target OCS
@@ -338,7 +473,7 @@ func (f *Fabric) circuitBudget(r topo.CircuitReq) (optics.Budget, error) {
 
 // validateBudgets checks each circuit's optical budget and post-FEC BER
 // and returns the circuits' link margins in request order. Nothing is
-// programmed or recorded here: the caller observes the margins once
+// programmed or recorded here: realize observes the margins once
 // applyCircuits has accepted the circuits.
 //
 //lwlint:hotpath
@@ -375,24 +510,9 @@ func errPostFEC(r topo.CircuitReq, postFECBER float64) error {
 		ErrLinkBudget, r.OCS, r.North, r.South, postFECBER)
 }
 
-// observeMargins records the margins of circuits that were validated and
-// then programmed on the link-margin metric, so the distribution only ever
-// holds links the fabric relies on.
-func (f *Fabric) observeMargins(margins []float64) {
-	if f.metricMargin == nil {
-		return
-	}
-	for _, m := range margins {
-		f.metricMargin.Observe(m)
-	}
-}
-
-// refreshWorstMargin recomputes a slice's WorstMarginDB from the circuits
-// it holds now. Every path that rewires part of a slice (reshape, cube
-// swap, link repair) ends here, so the figure is a function of the
-// slice's current circuits and port map — not of how it got there, which
-// is what lets a snapshot restore reproduce it. The circuits were already
-// validated (and observed on the margin metric) when they were programmed.
+// refreshWorstMargin recomputes a slice's WorstMarginDB from its circuits
+// and the port map, as realize does: for a snapshot restore, and for a link
+// repair whose circuits could not come back.
 func (f *Fabric) refreshWorstMargin(s *Slice) error {
 	worst := 1e9
 	for _, r := range s.Circuits {
@@ -400,9 +520,7 @@ func (f *Fabric) refreshWorstMargin(s *Slice) error {
 		if err != nil {
 			return err
 		}
-		if bud.MarginDB < worst {
-			worst = bud.MarginDB
-		}
+		worst = min(worst, bud.MarginDB)
 	}
 	s.WorstMarginDB = worst
 	return nil
@@ -411,9 +529,8 @@ func (f *Fabric) refreshWorstMargin(s *Slice) error {
 // applyCircuits programs the circuits, one batch permutation per OCS, in
 // OCS id order. It is all-or-nothing across switches: when a switch
 // refuses its batch, every circuit this call established on the switches
-// before it is disconnected again, so a failed compose, reshape, cube swap
-// or link repair leaves no live circuit that no slice owns. (Callers hand
-// it circuits over free ports, so there is nothing displaced to restore.)
+// before it is disconnected again. realize hands it circuits over free
+// ports, so there is nothing displaced to restore here.
 func (f *Fabric) applyCircuits(reqs []topo.CircuitReq) error {
 	var perOCS [topo.NumOCS]ocs.Permutation
 	for _, r := range reqs {
@@ -451,9 +568,7 @@ func (f *Fabric) DestroySlice(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoSlice, name)
 	}
 	for _, r := range s.Circuits {
-		if err := f.disconnectCircuit(r); err != nil {
-			return err
-		}
+		f.disconnectCircuit(r)
 	}
 	for _, c := range s.Cubes {
 		if f.owner[c] == name {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lightwave/internal/fec"
 	"lightwave/internal/ocs"
@@ -15,9 +16,10 @@ import (
 // anomaly detection (§3.2.2).
 
 // MarkCubeFailed records a cube failure. If the cube belongs to a slice,
-// the fabric automatically swaps a healthy free cube in (reprogramming only
-// the circuits that touch the replaced position) and returns the
-// replacement cube id; rc is -1 when no slice was affected.
+// the fabric swaps a healthy free cube into its position — realize
+// reprograms only that position's circuits and leaves the rest, live or
+// dark, as they were — and returns the replacement cube id; rc is -1 when
+// no slice was affected. A refused swap records only the failure.
 func (f *Fabric) MarkCubeFailed(c int) (rc int, err error) {
 	if c < 0 || c >= 64 {
 		return -1, ErrCubeRange
@@ -30,7 +32,22 @@ func (f *Fabric) MarkCubeFailed(c int) (rc int, err error) {
 	if name == "" {
 		return -1, nil
 	}
-	return f.swapCube(name, c)
+	free := f.FreeCubes()
+	if len(free) == 0 {
+		// No spare: the slice degrades; release nothing, leave the job to
+		// the scheduler.
+		return -1, fmt.Errorf("%w: slice %q keeps failed cube %d", ErrNoSpareCube, name, c)
+	}
+	s := f.slices[name]
+	cubes := slices.Clone(s.Cubes)
+	cubes[slices.Index(cubes, c)] = free[0]
+	if _, err := f.realize(s, s.Shape, cubes, nil); err != nil {
+		return -1, err
+	}
+	if f.metricSwaps != nil {
+		f.metricSwaps.Inc()
+	}
+	return free[0], nil
 }
 
 // RepairCube returns a failed cube to service.
@@ -50,84 +67,21 @@ func (f *Fabric) CubeHealthy(c int) bool {
 	return c >= 0 && c < 64 && f.installed[c] && f.healthy[c]
 }
 
-// swapCube replaces failed cube old in the named slice with a healthy free
-// cube, touching only the circuits that involve the replaced position.
-func (f *Fabric) swapCube(name string, old int) (int, error) {
-	s := f.slices[name]
-	free := f.FreeCubes()
-	if len(free) == 0 {
-		// No spare: the slice degrades; release nothing, leave the job to
-		// the scheduler.
-		return -1, fmt.Errorf("%w: slice %q keeps failed cube %d", ErrNoSpareCube, name, old)
-	}
-	replacement := free[0]
-
-	// Tear down circuits touching the old cube.
-	for _, r := range s.Circuits {
-		if r.North != old && r.South != old {
-			continue
-		}
-		if err := f.disconnectCircuit(r); err != nil {
-			return -1, err
-		}
-	}
-
-	// Substitute the cube and regenerate the circuit list.
-	newCubes := make([]int, len(s.Cubes))
-	for i, c := range s.Cubes {
-		if c == old {
-			newCubes[i] = replacement
-		} else {
-			newCubes[i] = c
-		}
-	}
-	sl, err := topo.ComposeSlice(s.Shape, newCubes)
-	if err != nil {
-		return -1, err
-	}
-	newReqs := sl.RequiredCircuits()
-
-	// Apply only the circuits that involve the replacement (the rest are
-	// already in place; Apply treats in-place circuits as no-ops anyway).
-	var delta []topo.CircuitReq
-	for _, r := range newReqs {
-		if r.North == replacement || r.South == replacement {
-			delta = append(delta, r)
-		}
-	}
-	margins, err := f.validateBudgets(delta)
-	if err != nil {
-		return -1, err
-	}
-	if err := f.applyCircuits(delta); err != nil {
-		return -1, err
-	}
-	f.observeMargins(margins)
-
-	f.owner[old] = ""
-	f.owner[replacement] = name
-	s.Cubes = newCubes
-	s.Circuits = newReqs
-	if f.metricSwaps != nil {
-		f.metricSwaps.Inc()
-	}
-	return replacement, f.refreshWorstMargin(s)
-}
-
 // RepairLink handles a damaged fiber pair: cube's pigtail on OCS o has
 // failed (its port drops all circuits), a spare port is allocated from the
 // switch's reserved pool ("8 spares for link testing and repairs",
-// Appendix A), the cube's fibers are repatched to it, and every affected
-// slice circuit is re-validated and re-established on the spare. It
+// Appendix A), the cube's fibers are repatched to it, and the owning slice
+// is realized again, re-admitting the circuits that ran through the failed
+// port onto the spare (its other dark circuits wait for a heal). It
 // returns the spare port now carrying the cube's fibers.
 func (f *Fabric) RepairLink(o topo.OCSID, cube int) (ocs.PortID, error) {
-	if int(o) < 0 || int(o) >= len(f.switches) {
-		return 0, fmt.Errorf("core: OCS %d out of range", o)
+	sw, err := f.Switch(o)
+	if err != nil {
+		return 0, err
 	}
 	if cube < 0 || cube >= 64 || !f.installed[cube] {
 		return 0, fmt.Errorf("%w: %d", ErrCubeRange, cube)
 	}
-	sw := f.switches[o]
 	old := f.PortFor(o, cube)
 	if _, err := sw.FailPort(old); err != nil {
 		return 0, err
@@ -138,34 +92,14 @@ func (f *Fabric) RepairLink(o topo.OCSID, cube int) (ocs.PortID, error) {
 	}
 	f.portMap[portKey{o, cube}] = spare
 
-	// Re-establish the slice circuits that ran through the failed port.
-	var delta []topo.CircuitReq
-	var moved []*Slice
-	for _, s := range f.slices {
-		n := len(delta)
-		for _, r := range s.Circuits {
-			if r.OCS == o && (r.North == cube || r.South == cube) {
-				delta = append(delta, r)
-			}
-		}
-		if len(delta) > n {
-			moved = append(moved, s)
-		}
+	name := f.owner[cube]
+	if name == "" {
+		return spare, nil
 	}
-	margins, err := f.validateBudgets(delta)
-	if err == nil {
-		err = f.applyCircuits(delta)
-	}
-	if err == nil {
-		f.observeMargins(margins)
-	}
-	// Refreshed whether or not the circuits came back: the port map moved,
-	// and a slice's worst margin is a function of its circuits and the
-	// port map alone.
-	for _, s := range moved {
-		if rerr := f.refreshWorstMargin(s); err == nil {
-			err = rerr
-		}
+	s := f.slices[name]
+	onPort := func(r topo.CircuitReq) bool { return r.OCS == o && (r.North == cube || r.South == cube) }
+	if _, err = f.realize(s, s.Shape, s.Cubes, onPort); err != nil {
+		_ = f.refreshWorstMargin(s) // the port map moved all the same
 	}
 	return spare, err
 }

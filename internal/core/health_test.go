@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"lightwave/internal/ocs"
 	"lightwave/internal/telemetry"
 	"lightwave/internal/topo"
 )
@@ -139,4 +141,104 @@ func TestBERDetectorsPerLink(t *testing.T) {
 	if len(f.berDetectors) != 2 {
 		t.Fatalf("%d detectors", len(f.berDetectors))
 	}
+}
+
+// TestTransitionsLeaveDarkCircuitsDark: a cube swap, a reshape and a link
+// repair succeed on a slice whose circuits a driver-board failure partly
+// dropped. Each programs only what it changes: a dropped circuit the slice
+// keeps stays dark, and still counts toward the worst margin, until the
+// board is replaced and an ensure of the intent heals it.
+func TestTransitionsLeaveDarkCircuitsDark(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(*Fabric) error
+	}{
+		{"swap", func(f *Fabric) error { _, err := f.MarkCubeFailed(0); return err }},
+		{"reshape", func(f *Fabric) error {
+			_, err := f.ReshapeSlice("job", topo.Shape{X: 4, Y: 8, Z: 8}, nil)
+			return err
+		}},
+		{"repair-link", func(f *Fabric) error { _, err := f.RepairLink(32, 1); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, dark, o, board := darkenedFabric(t)
+			if err := tc.op(f); err != nil {
+				t.Fatalf("%s on a slice with dark circuits: %v", tc.name, err)
+			}
+			s, _ := f.GetSlice("job")
+			kept, worst := 0, 1e9
+			for _, r := range s.Circuits {
+				bud, err := f.circuitBudget(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				worst = min(worst, bud.MarginDB)
+				switch {
+				case dark[r] && f.circuitLive(r):
+					t.Errorf("dropped circuit %+v re-programmed", r)
+				case dark[r]:
+					kept++
+				case !f.circuitLive(r):
+					t.Errorf("circuit %+v dead", r)
+				}
+			}
+			if kept == 0 {
+				t.Fatal("the slice kept none of the dropped circuits")
+			}
+			if s.WorstMarginDB != worst {
+				t.Errorf("worst margin %v dB, want %v dB over every listed circuit", s.WorstMarginDB, worst)
+			}
+
+			if err := f.switches[o].ReplaceDriverBoard(board); err != nil {
+				t.Fatal(err)
+			}
+			if _, changed, err := f.EnsureSlice("job", s.Shape, nil); err != nil || !changed {
+				t.Fatalf("heal after the board swap: changed=%v err=%v", changed, err)
+			}
+			checkInvariants(t, f, 0)
+		})
+	}
+}
+
+// darkenedFabric composes "job" as 4x4x16 on cubes 0-3 of a fabric whose
+// one free cube is 40, and fails one driver board of an X-dimension OCS,
+// which drops some of the slice's circuits off cube 0 but not the circuit
+// cube 40 would need there. It returns the fabric, the dropped circuits,
+// and the OCS and board.
+func darkenedFabric(t *testing.T) (*Fabric, map[topo.CircuitReq]bool, topo.OCSID, int) {
+	t.Helper()
+	for o := topo.OCSID(0); o < topo.FaceLinks; o++ {
+		for b := 0; b < ocs.DefaultConfig().DriverBoards; b++ {
+			f := newFabric(t, 4)
+			if err := f.InstallCube(40); err != nil {
+				t.Fatal(err)
+			}
+			s, err := f.ComposeSlice("job", topo.Shape{X: 4, Y: 4, Z: 16}, []int{0, 1, 2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe, err := f.ComposeSlice("probe", topo.Shape{X: 4, Y: 4, Z: 4}, []int{40})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.switches[o].FailDriverBoard(b); err != nil {
+				t.Fatal(err)
+			}
+			dark := map[topo.CircuitReq]bool{}
+			for _, r := range s.Circuits {
+				if !f.circuitLive(r) {
+					dark[r] = true
+				}
+			}
+			spareOK := !slices.ContainsFunc(probe.Circuits, func(r topo.CircuitReq) bool { return !f.circuitLive(r) })
+			if err := f.DestroySlice("probe"); err != nil {
+				t.Fatal(err)
+			}
+			if spareOK && slices.ContainsFunc(s.Circuits, func(r topo.CircuitReq) bool { return dark[r] && r.North != 0 }) {
+				return f, dark, o, b
+			}
+		}
+	}
+	t.Fatal("no single driver board drops the slice's circuits and spares cube 40's")
+	return nil, nil, 0, 0
 }

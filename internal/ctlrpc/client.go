@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"runtime"
@@ -201,13 +200,19 @@ func (c *Client) writeLoop() {
 // issued is logged and dropped — a stray ID must not desynchronize every
 // other call on the stream.
 func (c *Client) readLoop() {
-	br := newLineReader(c.conn)
+	br := bufio.NewReaderSize(c.conn, 64*1024)
 	// Hoisted out of the loop: &resp escapes into parseResponse, so an
 	// in-loop declaration heap-allocates per response. Each channel send
 	// copies the value, so reuse is safe.
 	var resp Response
 	for {
-		line, err := br.next()
+		// Responses get the servers' request cap, so a peer that never
+		// sends a newline cannot make the client buffer without bound.
+		line, tooLong, err := readLimitedLine(br, DefaultMaxRequestBytes)
+		if tooLong {
+			c.fail(fmt.Errorf("read: response line exceeds %d bytes", DefaultMaxRequestBytes))
+			return
+		}
 		if err != nil {
 			c.fail(fmt.Errorf("read: %v", err))
 			return
@@ -367,50 +372,6 @@ func (c *Client) finish(resp Response, ok bool, ch chan Response, result any) er
 		}
 	}
 	return nil
-}
-
-// lineReader yields newline-terminated lines without a per-line
-// allocation: short lines alias the bufio buffer (valid until the next
-// call, long enough for json.Unmarshal to copy what it keeps), and longer
-// lines accumulate into one reusable spill buffer.
-type lineReader struct {
-	br  *bufio.Reader
-	acc []byte
-}
-
-func newLineReader(r io.Reader) *lineReader {
-	return &lineReader{br: bufio.NewReaderSize(r, 64*1024)}
-}
-
-func (l *lineReader) next() ([]byte, error) {
-	frag, err := l.br.ReadSlice('\n')
-	if err == nil {
-		return frag, nil
-	}
-	if err != bufio.ErrBufferFull {
-		if err == io.EOF && len(frag) > 0 {
-			return frag, nil
-		}
-		return nil, err
-	}
-	l.acc = append(l.acc[:0], frag...)
-	for {
-		frag, err = l.br.ReadSlice('\n')
-		l.acc = append(l.acc, frag...)
-		switch err {
-		case nil:
-			return l.acc, nil
-		case bufio.ErrBufferFull:
-			continue
-		case io.EOF:
-			if len(l.acc) > 0 {
-				return l.acc, nil
-			}
-			return nil, err
-		default:
-			return nil, err
-		}
-	}
 }
 
 // Status fetches fabric state.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,6 +270,50 @@ func TestClientBrokenAfterTransportError(t *testing.T) {
 	}
 	if _, err := c.Watch(); !errors.Is(err, ErrClientBroken) {
 		t.Fatalf("watch on broken client: %v", err)
+	}
+}
+
+// TestClientBrokenOnOverlongResponse: a peer that streams a response line
+// past DefaultMaxRequestBytes and never ends it breaks the client instead
+// of making it buffer without bound. The deadline keeps a client that does
+// buffer from hanging the test.
+func TestClientBrokenOnOverlongResponse(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		line := make([]byte, DefaultMaxRequestBytes+1)
+		for i := range line {
+			line[i] = 'x'
+		}
+		if _, err := conn.Write(line); err != nil {
+			return
+		}
+		// Hold the connection open with the line unterminated.
+		buf := make([]byte, 4096)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := Dial(lis.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = c.CallContext(ctx, MethodStatus, nil, nil)
+	if !errors.Is(err, ErrClientBroken) || !strings.Contains(err.Error(), "response line exceeds") {
+		t.Fatalf("err = %v, want ErrClientBroken naming the over-long response line", err)
 	}
 }
 

@@ -32,7 +32,8 @@ const (
 	// DefaultMaxRequestBytes caps one request line. Oversized lines are
 	// drained and answered with a typed "request too large" error instead
 	// of killing the connection (the old bufio.Scanner path dropped the
-	// conn with no response at all).
+	// conn with no response at all). A Client applies the same cap to
+	// response lines and breaks (ErrClientBroken) on an oversized one.
 	DefaultMaxRequestBytes = 4 << 20
 
 	// connWorkers is the per-connection execution width. Read-heavy
@@ -252,9 +253,12 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	for {
 		line, tooLong, err := readLimitedLine(br, maxLine)
 		if tooLong {
-			// The request was drained without killing the connection;
+			// Drain the request without killing the connection and
 			// answer with the typed error under whatever ID we could
 			// salvage from the line's prefix.
+			if err == bufio.ErrBufferFull {
+				_ = drainLine(br) // a read error resurfaces on the next read
+			}
 			w.send(Response{
 				ID:    peekRequestID(line),
 				Error: fmt.Sprintf("%s: request line exceeds %d bytes", errRequestTooLarge, maxLine),
@@ -318,10 +322,12 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 }
 
 // readLimitedLine reads one newline-terminated line, growing up to max
-// bytes. When the line exceeds max it drains the remainder and returns
-// tooLong=true with the first-kilobyte prefix (for request-ID salvage).
-// json.Unmarshal of the returned line must complete before the next call:
-// the slice aliases the reader's internal buffer.
+// bytes. When the line exceeds max it returns tooLong=true with the
+// first-kilobyte prefix (for request-ID salvage), and err is
+// bufio.ErrBufferFull if the rest of the line is still unread: the server
+// drains it (drainLine), a client gives up on the stream. json.Unmarshal
+// of the returned line must complete before the next call: the slice
+// aliases the reader's internal buffer.
 func readLimitedLine(br *bufio.Reader, max int) (line []byte, tooLong bool, err error) {
 	frag, err := br.ReadSlice('\n')
 	if err == nil || err == io.EOF {
@@ -350,10 +356,10 @@ func readLimitedLine(br *bufio.Reader, max int) (line []byte, tooLong bool, err 
 			}
 			return acc, false, nil
 		case bufio.ErrBufferFull:
-			if len(acc) > max {
-				// Over the cap with the newline still ahead: discard the
-				// rest of the line so the next read starts a fresh request.
-				return capPrefix(acc), true, drainLine(br)
+			if len(acc) >= max {
+				// max bytes and no newline yet: with its newline the line
+				// is over the cap, so there is no need to wait for it.
+				return capPrefix(acc), true, err
 			}
 		default:
 			return nil, false, err

@@ -8,10 +8,12 @@ GO ?= go
 # chaos subsystem (its injector threads live reconciler workers through
 # scenario replays), race-test the online scheduler (its Scheduler is
 # shared between the runner tick loop, fleet-event feedback, and RPC
-# status/submit), race-test the control protocol and the daemon
-# lifecycle (one pipelined client is shared by N callers, one server
-# connection runs decode, a worker pool and encode concurrently, and
-# shutdown joins every loop before the store closes), race-test the
+# status/submit), race-test the control protocol three times over (one
+# pipelined client is shared by N callers, one server connection runs
+# decode, a worker pool and encode concurrently, and both ends flush
+# through one batch writer whose shutdown follows the connection's
+# lifetime) and the daemon lifecycle once (shutdown joins every loop
+# before the store closes), race-test the
 # durable-state subsystem (its group-commit writer batches concurrent
 # appenders and the store is shared by three journal sources plus the
 # checkpointer), race-test fleet intake against the store three times over
@@ -34,7 +36,8 @@ race-sched:
 	$(GO) test -race ./internal/sched/... ./internal/superpod/...
 
 race-ctl:
-	$(GO) test -race ./internal/ctlrpc/... ./internal/daemon/... ./cmd/lwfd/...
+	$(GO) test -race -count=3 ./internal/ctlrpc/...
+	$(GO) test -race ./internal/daemon/... ./cmd/lwfd/...
 
 race-wal:
 	$(GO) test -race ./internal/wal/...

@@ -5,56 +5,6 @@ import (
 	"testing"
 )
 
-func TestBroadcastPipelined(t *testing.T) {
-	r := Ring{N: 16, Link: Link{BandwidthBps: 1e9, LatencySec: 1e-6}}
-	// More chunks → closer to the S/B bound.
-	coarse, err := r.BroadcastTime(1e9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, err := r.BroadcastTime(1e9, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fine >= coarse {
-		t.Fatalf("pipelining did not help: %v vs %v", fine, coarse)
-	}
-	bound := 1e9 / 1e9
-	if fine < bound {
-		t.Fatalf("broadcast %v beat the bandwidth bound %v", fine, bound)
-	}
-	if fine > 1.5*bound {
-		t.Fatalf("fine-chunked broadcast %v far from bound %v", fine, bound)
-	}
-}
-
-func TestBroadcastDegenerate(t *testing.T) {
-	r := Ring{N: 1, Link: ICILink()}
-	if got, _ := r.BroadcastTime(1e9, 8); got != 0 {
-		t.Fatal("single-member broadcast should be free")
-	}
-	bad := Ring{N: 0, Link: ICILink()}
-	if _, err := bad.BroadcastTime(1, 1); err == nil {
-		t.Fatal("invalid ring accepted")
-	}
-	r2 := Ring{N: 4, Link: ICILink()}
-	if got, _ := r2.BroadcastTime(1e6, 0); got <= 0 {
-		t.Fatal("chunks=0 should clamp to 1")
-	}
-}
-
-func TestBarrierLatencyBound(t *testing.T) {
-	r := Ring{N: 64, Link: ICILink()}
-	got, err := r.BarrierTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2 * 63 * ICILink().LatencySec
-	if math.Abs(got-want) > 1e-15 {
-		t.Fatalf("barrier = %v, want %v", got, want)
-	}
-}
-
 func TestAsymmetricMatchesSymmetricWhenUniform(t *testing.T) {
 	dims := []int{8, 16}
 	link := ICILink()

@@ -13,33 +13,6 @@ import "fmt"
 // very different link classes; AsymmetricTorus models a torus whose
 // dimensions have distinct links.
 
-// BroadcastTime returns the pipelined-ring broadcast time of S bytes from
-// one root around a ring: the payload is chunked and streamed, so the time
-// approaches S/B plus pipeline fill.
-func (r Ring) BroadcastTime(s float64, chunks int) (float64, error) {
-	if err := r.check(); err != nil {
-		return 0, err
-	}
-	if r.N == 1 || s <= 0 {
-		return 0, nil
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	chunk := s / float64(chunks)
-	steps := float64(r.N - 2 + chunks)
-	return steps * (chunk/r.Link.BandwidthBps + r.Link.LatencySec), nil
-}
-
-// BarrierTime returns the time of a synchronization barrier implemented as
-// a zero-payload all-reduce: purely latency-bound.
-func (r Ring) BarrierTime() (float64, error) {
-	if err := r.check(); err != nil {
-		return 0, err
-	}
-	return 2 * float64(r.N-1) * r.Link.LatencySec, nil
-}
-
 // AsymmetricTorus is a torus whose dimensions use different link classes —
 // e.g. intra-pod ICI dimensions plus a cross-pod DCN dimension.
 type AsymmetricTorus struct {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,9 +30,9 @@ var (
 
 // Client is a fully pipelined control-protocol client, safe for concurrent
 // use: N goroutines sharing one Client get N requests in flight on the one
-// connection. A writer goroutine coalesces queued request lines into
-// batched writes; a reader goroutine demultiplexes responses by request ID
-// to per-call channels, so calls complete in whatever order the server
+// connection. The connection's batch writer coalesces queued request lines
+// into batched writes; a reader goroutine demultiplexes responses by request
+// ID to per-call channels, so calls complete in whatever order the server
 // answers.
 //
 // Context semantics: a call abandoned on deadline or cancellation simply
@@ -42,25 +41,14 @@ var (
 // (write/read/decode failures, Close) mark the client broken.
 type Client struct {
 	conn net.Conn
+	w    *batchWriter
 
 	mu        sync.Mutex
 	nextID    uint64
-	pending   map[uint64]pendingCall // in-flight unary calls by ID
+	pending   map[uint64]pendingCall // in-flight calls and the watch, by ID
 	abandoned map[uint64]bool        // context-abandoned IDs: drop silently
 	broken    error                  // first transport error; sticky
 	streaming bool                   // connection handed over to a Watch
-	watchID   uint64
-	watchCh   chan Response
-	started   bool
-
-	// Write batching: callers encode requests directly into wbuf under
-	// wmu and nudge the writer through the one-slot wkick channel; the
-	// writer swaps in an empty buffer and sends the whole batch in one
-	// syscall, so wakeups are per-batch instead of per-request.
-	wmu   sync.Mutex
-	wbuf  []byte
-	wkick chan struct{}
-	wsent atomic.Int64 // total requests encoded; batch-growth probe
 
 	dead chan struct{} // closed on the first transport error
 
@@ -74,10 +62,12 @@ type Client struct {
 
 // pendingCall parks one in-flight call. discard marks callers that will
 // not read the result payload, so the reader skips detaching it from the
-// read buffer.
+// read buffer. stream marks a watch: it stays registered for every event,
+// and its receiver watches Client.dead instead of a channel close.
 type pendingCall struct {
 	ch      chan Response
 	discard bool
+	stream  bool
 }
 
 // Dial connects to a fabric or fleet daemon.
@@ -89,17 +79,19 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	return NewClient(conn), nil
 }
 
-// NewClient wraps an established connection.
+// NewClient wraps an established connection and starts its reader and
+// writer; both end when the client breaks or closes.
 func NewClient(conn net.Conn) *Client {
-	return &Client{
+	c := &Client{
 		conn:      conn,
 		pending:   make(map[uint64]pendingCall),
 		abandoned: make(map[uint64]bool),
-		wbuf:      make([]byte, 0, 4096),
-		wkick:     make(chan struct{}, 1),
 		dead:      make(chan struct{}),
 		Logf:      log.Printf,
 	}
+	c.w = newBatchWriter(conn, func(err error) { c.fail(fmt.Errorf("write: %v", err)) })
+	go c.readLoop()
+	return c
 }
 
 // Close closes the connection; in-flight calls fail with ErrClientBroken.
@@ -107,17 +99,6 @@ func (c *Client) Close() error {
 	err := c.conn.Close()
 	c.fail(errClientClosed)
 	return err
-}
-
-// startLocked launches the reader and writer goroutines on first use;
-// c.mu must be held.
-func (c *Client) startLocked() {
-	if c.started {
-		return
-	}
-	c.started = true
-	go c.readLoop()
-	go c.writeLoop()
 }
 
 // fail records the first transport error, wakes everything waiting on the
@@ -134,8 +115,11 @@ func (c *Client) fail(err error) {
 	c.abandoned = make(map[uint64]bool)
 	close(c.dead)
 	c.mu.Unlock()
+	c.w.close()
 	for _, pc := range pending {
-		close(pc.ch)
+		if !pc.stream { // the reader may still be sending on a watch's channel
+			close(pc.ch)
+		}
 	}
 }
 
@@ -143,56 +127,6 @@ func (c *Client) brokenErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return fmt.Errorf("%w: %v", ErrClientBroken, c.broken)
-}
-
-// enqueue appends one encoded request to the write batch and wakes the
-// writer. It never blocks: if the client broke, the bytes are simply
-// never written and the caller's response channel reports the failure.
-func (c *Client) enqueue(req *Request) {
-	c.wmu.Lock()
-	c.wbuf = appendRequest(c.wbuf, req)
-	c.wmu.Unlock()
-	c.wsent.Add(1)
-	select {
-	case c.wkick <- struct{}{}:
-	default: // writer already scheduled to run
-	}
-}
-
-// writeLoop flushes the request batch: it swaps the shared buffer for an
-// empty one and sends everything encoded since the last flush in a single
-// syscall.
-func (c *Client) writeLoop() {
-	local := make([]byte, 0, 4096)
-	for {
-		select {
-		case <-c.dead:
-			return
-		case <-c.wkick:
-		}
-		// Yield while the batch is still growing: each yield lets
-		// pipelined callers that just received responses encode their
-		// next requests, so one write syscall carries the whole burst.
-		// Stop as soon as a yield adds nothing.
-		for prev, spins := c.wsent.Load(), 0; spins < 4; spins++ {
-			runtime.Gosched()
-			n := c.wsent.Load()
-			if n <= prev {
-				break
-			}
-			prev = n
-		}
-		c.wmu.Lock()
-		local, c.wbuf = c.wbuf, local[:0]
-		c.wmu.Unlock()
-		if len(local) == 0 {
-			continue
-		}
-		if _, err := c.conn.Write(local); err != nil {
-			c.fail(fmt.Errorf("write: %v", err))
-			return
-		}
-	}
 }
 
 // readLoop demultiplexes responses to the pending call (or watch stream)
@@ -222,37 +156,11 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		if c.watchCh != nil && resp.ID == c.watchID {
-			ch := c.watchCh
-			c.mu.Unlock()
-			// The fast-path Result aliases the reader buffer; the stream
-			// consumer outlives the next read, so detach it.
-			if len(resp.Result) != 0 {
-				resp.Result = append(json.RawMessage(nil), resp.Result...)
-			}
-			select {
-			case ch <- resp:
-			case <-c.dead:
-				return
-			}
-			continue
-		}
-		if pc, ok := c.pending[resp.ID]; ok {
+		pc, ok := c.pending[resp.ID]
+		switch {
+		case ok && !pc.stream:
 			delete(c.pending, resp.ID)
-			c.mu.Unlock()
-			if pc.discard {
-				// The caller will not decode the payload; dropping it here
-				// saves the detach copy on the hot fire-and-check path.
-				resp.Result = nil
-			} else if len(resp.Result) != 0 {
-				// Detach the buffer-aliasing Result before it crosses to a
-				// caller that outlives the next read.
-				resp.Result = append(json.RawMessage(nil), resp.Result...)
-			}
-			pc.ch <- resp // buffered; never blocks
-			continue
-		}
-		if c.abandoned[resp.ID] {
+		case !ok && c.abandoned[resp.ID]:
 			// The call's context expired before the server answered; the
 			// response is late, not wrong.
 			delete(c.abandoned, resp.ID)
@@ -260,9 +168,30 @@ func (c *Client) readLoop() {
 			continue
 		}
 		c.mu.Unlock()
-		c.unknown.Add(1)
-		if c.Logf != nil {
-			c.Logf("ctlrpc: dropping response with unknown id %d", resp.ID)
+		if !ok {
+			c.unknown.Add(1)
+			if c.Logf != nil {
+				c.Logf("ctlrpc: dropping response with unknown id %d", resp.ID)
+			}
+			continue
+		}
+		if pc.discard {
+			// The caller will not decode the payload; dropping it here
+			// saves the detach copy on the hot fire-and-check path.
+			resp.Result = nil
+		} else if len(resp.Result) != 0 {
+			// Detach the buffer-aliasing Result before it crosses to a
+			// receiver that outlives the next read.
+			resp.Result = append(json.RawMessage(nil), resp.Result...)
+		}
+		if !pc.stream {
+			pc.ch <- resp // buffered; never blocks
+			continue
+		}
+		select {
+		case pc.ch <- resp:
+		case <-c.dead:
+			return
 		}
 	}
 }
@@ -277,23 +206,22 @@ func (c *Client) UnknownResponses() int64 { return c.unknown.Load() }
 // always empty and open.
 var respChPool = sync.Pool{New: func() any { return make(chan Response, 1) }}
 
-// register assigns the next request ID and parks a response channel for
-// it; discard marks calls that will not read the result payload. It also
-// lazily starts the reader/writer goroutines.
-func (c *Client) register(discard bool) (uint64, chan Response, error) {
+// register assigns the next request ID and parks pc for its responses.
+// A watch dedicates the connection: once the server upgrades, it stops
+// reading requests, so unary calls are refused from here on.
+func (c *Client) register(pc pendingCall) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrClientBroken, c.broken)
+		return 0, fmt.Errorf("%w: %v", ErrClientBroken, c.broken)
 	}
 	if c.streaming {
-		return 0, nil, ErrClientStreaming
+		return 0, ErrClientStreaming
 	}
-	c.startLocked()
 	c.nextID++
-	ch := respChPool.Get().(chan Response)
-	c.pending[c.nextID] = pendingCall{ch: ch, discard: discard}
-	return c.nextID, ch, nil
+	c.pending[c.nextID] = pc
+	c.streaming = pc.stream
+	return c.nextID, nil
 }
 
 // abandon forgets an in-flight call whose context expired; the eventual
@@ -323,7 +251,8 @@ func (c *Client) CallContext(ctx context.Context, method string, params, result 
 	if err := ctx.Err(); err != nil {
 		return err // nothing hit the wire; client stays healthy
 	}
-	id, ch, err := c.register(result == nil)
+	ch := respChPool.Get().(chan Response)
+	id, err := c.register(pendingCall{ch: ch, discard: result == nil})
 	if err != nil {
 		return err
 	}
@@ -336,7 +265,7 @@ func (c *Client) CallContext(ctx context.Context, method string, params, result 
 		}
 		req.Params = raw
 	}
-	c.enqueue(&req)
+	c.w.sendRequest(&req)
 
 	if ctx.Done() == nil {
 		// The context can never fire (context.Background and friends), so

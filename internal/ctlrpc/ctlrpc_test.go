@@ -16,7 +16,7 @@ import (
 
 // startServer brings up a fabric daemon on a loopback listener and returns
 // a connected client.
-func startServer(t *testing.T, cubes int) *Client {
+func startServer(t testing.TB, cubes int) *Client {
 	t.Helper()
 	f, err := core.New(core.DefaultConfig(cubes))
 	if err != nil {

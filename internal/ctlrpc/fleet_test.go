@@ -266,3 +266,27 @@ func TestFleetErrorsOverWire(t *testing.T) {
 		t.Fatalf("unknown method: %v", err)
 	}
 }
+
+// TestClosedWatchReleasesStream: a client hang-up ends a watch stream at
+// once, with no fleet event needed to discover the dead socket, and the
+// connection's goroutines go with it.
+func TestClosedWatchReleasesStream(t *testing.T) {
+	dial, _ := startFleetServer(t, map[string]fleet.Backend{"p0": newMemBackend()})
+	base := warmGoroutines(t, func() {
+		c := dial()
+		if _, err := c.FleetStatus(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	})
+	for range 20 {
+		stream, err := dial().Watch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream.Close()
+	}
+	if n := settledGoroutines(base + 2); n > base+2 {
+		t.Fatalf("20 closed watches on a quiet fleet left %d goroutines over the warm baseline of %d", n-base, base)
+	}
+}

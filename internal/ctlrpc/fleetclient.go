@@ -38,60 +38,46 @@ func (c *Client) Undrain(pod string, ocs *int) error {
 // connection.
 type WatchStream struct {
 	c  *Client
-	id uint64
 	ch chan Response
 }
 
 // Watch subscribes to the fleet event stream. Events emitted before the
-// subscription is acknowledged are not replayed. The watch rides the same
-// demultiplexed reader as unary calls: in-flight calls issued before the
-// upgrade still complete, and every event is matched to the watch by its
-// request ID.
+// subscription is acknowledged are not replayed. The watch registers like a
+// unary call and rides the same demultiplexed reader: in-flight calls
+// issued before the upgrade still complete, and every event is matched to
+// the watch by its request ID.
 func (c *Client) Watch() (*WatchStream, error) {
-	c.mu.Lock()
-	if c.broken != nil {
-		err := fmt.Errorf("%w: %v", ErrClientBroken, c.broken)
-		c.mu.Unlock()
+	// The buffer absorbs an event burst while the consumer is busy; the
+	// server's subscription buffers as many.
+	ch := make(chan Response, 256)
+	id, err := c.register(pendingCall{ch: ch, stream: true})
+	if err != nil {
 		return nil, err
 	}
-	if c.streaming {
-		c.mu.Unlock()
-		return nil, ErrClientStreaming
-	}
-	c.startLocked()
-	c.nextID++
-	id := c.nextID
-	ch := make(chan Response, 256)
-	c.watchID, c.watchCh = id, ch
-	// Block unary calls from this point: once the server upgrades, it
-	// stops reading further requests on this connection.
-	c.streaming = true
-	c.mu.Unlock()
+	req := Request{ID: id, Method: MethodWatch}
+	c.w.sendRequest(&req)
 
-	fail := func(err error) (*WatchStream, error) {
+	var resp Response
+	select {
+	case resp = <-ch:
+	case <-c.dead:
+		return nil, c.brokenErr()
+	}
+	var ack WatchAck
+	if resp.Error != "" {
+		err = fmt.Errorf("ctlrpc: server: %s", resp.Error)
+	} else if json.Unmarshal(resp.Result, &ack) != nil || !ack.Watching {
+		err = fmt.Errorf("ctlrpc: bad watch ack %s", resp.Result)
+	}
+	if err != nil {
+		// The server did not upgrade: the connection serves unary calls.
 		c.mu.Lock()
-		c.watchID, c.watchCh = 0, nil
+		delete(c.pending, id)
 		c.streaming = false
 		c.mu.Unlock()
 		return nil, err
 	}
-
-	req := Request{ID: id, Method: MethodWatch}
-	c.enqueue(&req)
-
-	select {
-	case resp := <-ch:
-		if resp.Error != "" {
-			return fail(fmt.Errorf("ctlrpc: server: %s", resp.Error))
-		}
-		var ack WatchAck
-		if err := json.Unmarshal(resp.Result, &ack); err != nil || !ack.Watching {
-			return fail(fmt.Errorf("ctlrpc: bad watch ack %s", resp.Result))
-		}
-	case <-c.dead:
-		return fail(c.brokenErr())
-	}
-	return &WatchStream{c: c, id: id, ch: ch}, nil
+	return &WatchStream{c: c, ch: ch}, nil
 }
 
 // Next blocks for the next event. It returns an error when the stream or

@@ -41,8 +41,8 @@ const (
 	// read lock; mutations still serialize on the write lock.
 	connWorkers = 4
 
-	// writeBufBytes sizes the per-connection buffered writer responses
-	// are coalesced into.
+	// writeBufBytes sizes the batch buffer a connection's writer
+	// coalesces lines into, at either end.
 	writeBufBytes = 32 * 1024
 )
 
@@ -88,48 +88,47 @@ func (m *ctlMetrics) end(start time.Time) {
 	m.latency.Observe(time.Since(start).Seconds())
 }
 
-// abort undoes begin without recording a request — used when an inline
-// attempt declines and the request is re-counted on the worker path.
-func (m *ctlMetrics) abort() {
-	if m == nil {
-		return
-	}
-	m.inflight.Add(-1)
-}
-
-// connWriter owns the connection's write half. Senders encode responses
+// batchWriter owns one connection's write half: a Client's requests and a
+// served connection's responses go through the same type. Senders encode
 // directly into a shared batch buffer under a mutex and nudge the flusher
-// through a one-slot wake channel; the flusher swaps in an empty buffer
-// and writes the whole batch in one syscall. Compared to a line-per-
-// channel-element design this makes goroutine wakeups per-batch instead
-// of per-response, which is most of the win on loaded connections.
-type connWriter struct {
+// through a one-slot wake channel; the flusher swaps in an empty buffer and
+// writes the whole batch in one syscall. Compared to a line-per-channel-
+// element design this makes goroutine wakeups per-batch instead of
+// per-line, which is most of the win on loaded connections.
+type batchWriter struct {
+	conn   net.Conn
+	fail   func(error) // called once, from the flusher, with the first write error
 	mu     sync.Mutex
-	buf    []byte        // responses encoded since the last flush
+	buf    []byte        // lines encoded since the last flush
 	closed bool          // no more sends; flush what remains and exit
 	kick   chan struct{} // one-slot wake signal for the flusher
-	sent   atomic.Int64  // total responses encoded; batch-growth probe
-	done   chan struct{}
+	sent   atomic.Int64  // lines encoded so far; batch-growth probe
 	failed atomic.Bool
+	done   chan struct{} // closed when the flusher exits
 }
 
-func newConnWriter() *connWriter {
-	return &connWriter{
+// newBatchWriter starts the flusher for conn.
+func newBatchWriter(conn net.Conn, fail func(error)) *batchWriter {
+	w := &batchWriter{
+		conn: conn,
+		fail: fail,
 		buf:  make([]byte, 0, writeBufBytes),
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
+	go w.run()
+	return w
 }
 
-func (w *connWriter) run(conn net.Conn) {
+func (w *batchWriter) run() {
 	defer close(w.done)
 	local := make([]byte, 0, writeBufBytes)
 	for range w.kick {
 		// Yield while the batch is still growing: each yield lets runnable
-		// workers encode the responses they just finished, so one write
-		// (one syscall) carries the whole burst instead of one response
-		// each. Stop as soon as a yield adds nothing — latency only pays
-		// for batching that actually happens.
+		// senders encode the lines they just finished, so one write (one
+		// syscall) carries the whole burst instead of one line each. Stop
+		// as soon as a yield adds nothing — latency only pays for batching
+		// that actually happens.
 		for prev, spins := w.sent.Load(), 0; spins < 4; spins++ {
 			runtime.Gosched()
 			n := w.sent.Load()
@@ -143,12 +142,11 @@ func (w *connWriter) run(conn net.Conn) {
 		closed := w.closed
 		w.mu.Unlock()
 		if len(local) > 0 {
-			if _, err := conn.Write(local); err != nil {
-				// Closing the connection wakes the reader; workers keep
-				// appending into a buffer nobody flushes, which is bounded
-				// by the requests already in flight.
+			if _, err := w.conn.Write(local); err != nil {
+				// Senders keep appending into a buffer nobody flushes,
+				// which is bounded by the lines already in flight.
 				w.failed.Store(true)
-				conn.Close()
+				w.fail(err)
 				return
 			}
 		}
@@ -158,12 +156,9 @@ func (w *connWriter) run(conn net.Conn) {
 	}
 }
 
-// send enqueues one response; it reports false once the write half failed
-// (useful for event streams that should stop pumping a dead connection).
-func (w *connWriter) send(resp Response) bool {
-	w.mu.Lock()
-	w.buf = appendResponse(w.buf, &resp)
-	w.mu.Unlock()
+// wake counts one more encoded line and nudges the flusher; it reports
+// false once the write half failed.
+func (w *batchWriter) wake() bool {
 	w.sent.Add(1)
 	select {
 	case w.kick <- struct{}{}:
@@ -172,58 +167,71 @@ func (w *connWriter) send(resp Response) bool {
 	return !w.failed.Load()
 }
 
-// sendBytes appends a batch of pre-encoded responses in one buffer-lock
+// sendRequest encodes one request line.
+func (w *batchWriter) sendRequest(req *Request) {
+	w.mu.Lock()
+	w.buf = appendRequest(w.buf, req)
+	w.mu.Unlock()
+	w.wake()
+}
+
+// send encodes one response line; it reports false once the write half
+// failed, which ends an event stream pumping a dead connection.
+func (w *batchWriter) send(resp Response) bool {
+	w.mu.Lock()
+	w.buf = appendResponse(w.buf, &resp)
+	w.mu.Unlock()
+	return w.wake()
+}
+
+// sendBytes appends a batch of pre-encoded lines in one buffer-lock
 // acquisition — the reader's inline batch takes this path, so a burst of
 // cached reads costs one lock and at most one flusher wakeup.
-func (w *connWriter) sendBytes(b []byte) bool {
+func (w *batchWriter) sendBytes(b []byte) {
 	if len(b) == 0 {
-		return !w.failed.Load()
+		return
 	}
 	w.mu.Lock()
 	w.buf = append(w.buf, b...)
 	w.mu.Unlock()
-	w.sent.Add(1)
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
-	return !w.failed.Load()
+	w.wake()
 }
 
-// close flushes whatever is still buffered and stops the flusher. It must
-// only be called after the last send.
-func (w *connWriter) close() {
+// close makes the flusher write whatever is still buffered and exit; done
+// closes once it has. It does not wait, because a Client closes from its
+// own flusher when a write fails.
+func (w *batchWriter) close() {
 	w.mu.Lock()
 	w.closed = true
 	w.mu.Unlock()
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
-	<-w.done
+	w.wake()
 }
 
 // serveConn runs the pipelined request loop for one connection. A call
-// whose registry entry is inline-marked gets a chance to execute on the
-// reader in place of the worker handoff; the attempt declines rather than
-// blocks, and a batch of inline-served requests then completes
+// whose registry entry is inline-marked executes on the reader when
+// TryRLock succeeds, in place of the worker handoff; the attempt declines
+// rather than blocks, and a batch of inline-served requests then completes
 // synchronously inside one read timeslice — the whole response batch is
 // already encoded when the flusher next runs. A stream entry dedicates the
 // connection to its server-push stream once in-flight workers drained.
+//
+// The connection has one lifetime, a context derived from the server's:
+// the server's end or a write failure cancels it, and the reader's end
+// does once the workers drained and the writer flushed (after a watch
+// upgrade, at once, which ends the stream). Its end closes the socket
+// through context.AfterFunc, which stops the reader; no goroutine sits
+// waiting on the context.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
-	go func() {
-		<-ctx.Done()
-		conn.Close()
-	}()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	context.AfterFunc(ctx, func() { conn.Close() })
 	maxLine := s.MaxRequestBytes
 	if maxLine <= 0 {
 		maxLine = DefaultMaxRequestBytes
 	}
 	m := s.metrics
-
-	w := newConnWriter()
-	go w.run(conn)
+	w := newBatchWriter(conn, func(error) { cancel() })
 
 	callCh := make(chan call, connWorkers)
 	var wg sync.WaitGroup
@@ -279,22 +287,21 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			stream = c.m
 			break
 		}
-		if c.m != nil && c.m.inline {
+		if c.m != nil && c.m.inline && s.mu.TryRLock() {
 			// Inline execution consumes params before the next read, so
 			// the buffer-aliasing fast-path slices need no detach copy.
 			start := m.begin()
-			if resp, ok := s.tryInline(c); ok {
-				m.end(start)
-				inlineBuf = appendResponse(inlineBuf, &resp)
-				if !hasCompleteLine(br) {
-					// The next read may block; hand the accumulated batch
-					// to the flusher before parking.
-					w.sendBytes(inlineBuf)
-					inlineBuf = inlineBuf[:0]
-				}
-				continue
+			resp := s.readLocked(c)
+			s.mu.RUnlock()
+			m.end(start)
+			inlineBuf = appendResponse(inlineBuf, &resp)
+			if !hasCompleteLine(br) {
+				// The next read may block; hand the accumulated batch to
+				// the flusher before parking.
+				w.sendBytes(inlineBuf)
+				inlineBuf = inlineBuf[:0]
 			}
-			m.abort() // the worker path re-counts the request
+			continue
 		}
 		// The fast-path params alias the reader buffer; the worker outlives
 		// the next read, so detach them.
@@ -315,10 +322,17 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	wg.Wait()
 	if stream != nil {
 		// The connection is now dedicated to the stream; in-flight unary
-		// responses are already queued, and the client demuxes by ID.
+		// responses are already queued, and the client demuxes by ID. The
+		// reader reads on to the client's hang-up, which ends the stream;
+		// it ends itself when the socket closes.
+		go func() {
+			_, _ = io.Copy(io.Discard, br)
+			cancel()
+		}()
 		stream.stream(ctx, w.send, c.id)
 	}
 	w.close()
+	<-w.done
 }
 
 // readLimitedLine reads one newline-terminated line, growing up to max

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -259,4 +261,92 @@ func TestPeekRequestID(t *testing.T) {
 			t.Errorf("peekRequestID(%q) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
+}
+
+// settledGoroutines waits up to 2 s for the goroutine count to fall to
+// want and returns the last count it read.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// warmGoroutines runs one warm-up exchange and returns the goroutine count
+// once it has settled: the baseline the leak tests measure against.
+func warmGoroutines(t *testing.T, warm func()) int {
+	t.Helper()
+	warm()
+	time.Sleep(50 * time.Millisecond)
+	return runtime.NumGoroutine()
+}
+
+// TestServeReleasesClosedConnections: a served connection's goroutines end
+// with its socket, not with the server, so a daemon that outlives many
+// short-lived clients does not accumulate one goroutine per client.
+func TestServeReleasesClosedConnections(t *testing.T) {
+	addr := startServerOn(t, 2, 0, nil)
+	cycle := func() {
+		c, err := Dial(addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Status(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	base := warmGoroutines(t, cycle)
+	for range 200 {
+		cycle()
+	}
+	if n := settledGoroutines(base + 2); n > base+2 {
+		t.Fatalf("200 closed connections left %d goroutines over the warm baseline of %d", n-base, base)
+	}
+}
+
+// TestPipelinedStatusAllocatesNothing pins the closed loop's allocation
+// budget: a cached status read crosses the client writer, the server's
+// inline dispatch and writer, and the client reader without allocating.
+func TestPipelinedStatusAllocatesNothing(t *testing.T) {
+	c := startServer(t, 2)
+	ctx := context.Background()
+	status := func() {
+		if err := c.CallContext(ctx, MethodStatus, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	status() // fills the generation cache and starts the loops
+	if n := testing.AllocsPerRun(2000, status); n != 0 {
+		t.Fatalf("pipelined status allocates %v times per call, want 0", n)
+	}
+}
+
+// BenchmarkPipelinedStatus: eight callers share one client, so requests
+// and responses batch in both writers.
+func BenchmarkPipelinedStatus(b *testing.B) {
+	c := startServer(b, 2)
+	ctx := context.Background()
+	const callers = 8
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				if err := c.CallContext(ctx, MethodStatus, nil, nil); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -169,10 +169,7 @@ func (s *Server) SetMetrics(reg *telemetry.Registry) { s.metrics = newCtlMetrics
 // Serve accepts connections until the listener closes or ctx is cancelled,
 // and returns once every connection has drained.
 func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
-	go func() {
-		<-ctx.Done()
-		lis.Close()
-	}()
+	defer context.AfterFunc(ctx, func() { lis.Close() })()
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
@@ -197,18 +194,29 @@ func (s *Server) dispatch(c call) Response {
 	if m == nil {
 		return marshalResponse(c.id, nil, fmt.Errorf("unknown method %q", c.name))
 	}
-	switch m.lock {
-	case lockRead:
+	if m.lock == lockRead {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		return s.readLocked(c)
-	case lockWrite:
+	}
+	result, err := s.execute(m, c.params, 0)
+	return marshalResponse(c.id, result, err)
+}
+
+// execute runs a lockNone or lockWrite handler and journals a
+// journal-marked call. lsn is 0 for a live call; recovery replay passes the
+// LSN the command was journaled at, and the call is not journaled again.
+func (s *Server) execute(m *method, params json.RawMessage, lsn uint64) (any, error) {
+	if m.lock == lockWrite {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.gen.Add(1) // any mutation invalidates the cached results
 	}
-	result, err := m.fn(c.params)
-	if m.journal && s.journal != nil {
+	result, err := m.fn(params)
+	if !m.journal {
+		return result, err
+	}
+	if lsn == 0 && s.journal != nil {
 		// Journal once the handler ran, before the response, refusals
 		// included: a refused call may have changed the fabric (a cube
 		// marked failed with no spare to swap in), and the fabric is
@@ -216,25 +224,13 @@ func (s *Server) dispatch(c call) Response {
 		// journal failure is surfaced as the call's error; the log then
 		// refuses every further append until a restart recovers the
 		// journaled prefix.
-		lsn, jerr := s.journal.JournalCommand(m.name, c.params)
-		if jerr != nil {
-			return marshalResponse(c.id, nil, fmt.Errorf("journal: %w", jerr))
+		var jerr error
+		if lsn, jerr = s.journal.JournalCommand(m.name, params); jerr != nil {
+			return nil, fmt.Errorf("journal: %w", jerr)
 		}
-		s.walLSN = max(s.walLSN, lsn)
 	}
-	return marshalResponse(c.id, result, err)
-}
-
-// tryInline executes an inline-marked call on the connection reader's
-// goroutine, skipping the worker handoff. It declines — sending the call
-// down the normal worker path — when a mutation currently holds the write
-// lock, so decoding never stalls behind the fabric.
-func (s *Server) tryInline(c call) (Response, bool) {
-	if !s.mu.TryRLock() {
-		return Response{}, false
-	}
-	defer s.mu.RUnlock()
-	return s.readLocked(c), true
+	s.walLSN = max(s.walLSN, lsn)
+	return result, err
 }
 
 // readLocked runs one lockRead handler; s.mu must be read-held.
@@ -266,11 +262,7 @@ func (s *Server) ApplyCommand(lsn uint64, name string, params json.RawMessage) e
 	if m == nil || !m.journal {
 		return fmt.Errorf("ctlrpc: method %q is not replayable", name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen.Add(1)
-	s.walLSN = max(s.walLSN, lsn)
-	_, err := m.fn(params)
+	_, err := s.execute(m, params, lsn)
 	return err
 }
 

@@ -4,7 +4,9 @@ GO ?= go
 
 # The gate every change must pass: vet, build everything, race-test the
 # parallel engine under contention, race-test the TE loop (its Loop is
-# shared between the runner goroutine and status serving), race-test the
+# shared between the daemon's epoch ticker and status serving, and a
+# fleet applier's stages reprogram the DCN fabric while the manager reads
+# the pod's circuits under the fabric's lock), race-test the
 # chaos subsystem (its injector threads live reconciler workers through
 # scenario replays), race-test the online scheduler (its Scheduler is
 # shared between the runner tick loop, fleet-event feedback, and RPC

@@ -50,13 +50,13 @@ func main() {
 		res.Kept, res.TornDown, res.Established)
 	fmt.Printf("live topology matches target: %v\n", fabric.Matches(t2))
 
-	// A switch dies; heal around it.
+	// A switch dies; reprogram, which heals around it on the survivors.
 	lost, err := fabric.FailSwitch(2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("OCS 2 failed: %d trunks lost\n", lost)
-	res, err = fabric.HealAfterFailure(t2)
+	res, err = fabric.Program(t2)
 	if err != nil {
 		log.Fatal(err)
 	}

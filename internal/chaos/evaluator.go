@@ -273,16 +273,16 @@ func newHarness(cfg EvalConfig, epochs int) (_ *harness, err error) {
 		return nil, err
 	}
 	// te reconfigurations take the fleet drain workflow like any DCN pod's,
-	// programming through the injector so they use only the switches the
-	// scenario has left healthy.
-	applier, err := te.NewFleetApplierOver(lab.Manager, fabricPod, h.inj)
+	// on the fabric the injector fails: Program colors over the switches
+	// the scenario has left up.
+	applier, err := te.NewFleetApplier(lab.Manager, fabricPod, fabric)
 	if err != nil {
 		return nil, err
 	}
 	h.loop, err = te.NewLoop(te.Config{
 		Blocks: cfg.Blocks, Uplinks: cfg.Uplinks, TrunkBps: trunkBps,
 		EpochSeconds: epochSeconds,
-		Applier:      applier,
+		Applier:      survivorApplier{applier},
 	})
 	if err != nil {
 		return nil, err
@@ -304,6 +304,16 @@ func newHarness(cfg EvalConfig, epochs int) (_ *harness, err error) {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	return h, nil
+}
+
+// survivorApplier applies TE plans under the chaos shortfall rule: a stage
+// the surviving switches cannot host leaves the fabric as it was, the rest
+// of that plan is not tried, and the loop carries on with the capacity
+// degraded.
+type survivorApplier struct{ *te.FleetApplier }
+
+func (a survivorApplier) Apply(plan *te.Plan) error {
+	return tolerateShortfall(a.FleetApplier.Apply(plan))
 }
 
 // evalTrace is the replay's offered load: a thin uniform background under

@@ -36,9 +36,9 @@ type Targets struct {
 
 // Injector applies scenario events to live targets. All methods are safe
 // for concurrent use; the internal lock is always taken before any
-// fleet.Manager call (lock order: Injector.mu → Manager.mu), and the
-// manager never calls back in, so injection cannot deadlock the
-// reconciler.
+// fleet.Manager or dcn.Fabric call (lock order: Injector.mu → Manager.mu
+// → Fabric.mu), and neither calls back in, so injection cannot deadlock
+// the reconciler or a TE stage programming the same fabric.
 type Injector struct {
 	mu sync.Mutex
 	t  Targets
@@ -55,8 +55,8 @@ type Injector struct {
 	adminDown map[[2]int]int
 	downTotal int
 	// downSwitches tracks injected OCS outages; needHeal is set whenever
-	// the fabric changed under the live topology and a HealAfterFailure
-	// pass is owed.
+	// the fabric changed under the live topology and a Program pass is
+	// owed.
 	downSwitches map[int]bool
 	needHeal     bool
 
@@ -220,9 +220,9 @@ func (in *Injector) liftLocked(ev Event) error {
 
 // ocsOutageLocked kills a fabric switch the operational way: drain its
 // fleet representation first (so the control plane knows capacity is
-// going away), then fail both PSUs. The owed HealAfterFailure pass is
-// deferred to the next Heal call — in the evaluator that is the next
-// reconcile epoch, matching the paper's observe→react cadence.
+// going away), then fail both PSUs. The owed Program pass is deferred to
+// the next Heal call — in the evaluator that is the next reconcile epoch,
+// matching the paper's observe→react cadence.
 func (in *Injector) ocsOutageLocked(idx int) error {
 	if in.t.Fabric == nil {
 		return fmt.Errorf("%w: no fabric target for %s", ErrTarget, KindOCSOutage)
@@ -350,70 +350,33 @@ func (in *Injector) noteLocked(ev Event) {
 
 // Heal gives the fabric its owed repair pass: if any OCS outage or
 // restore changed the hardware since the last call, re-program the
-// intended topology over the healthy switches. When the survivors cannot
-// host the full topology the pass stays owed and is retried at the next
-// call — capacity remains degraded until hardware comes back, exactly
-// the operational behavior. The evaluator calls this once per reconcile
-// epoch; daemons call it from their control loop.
+// intended topology, which colors over the switches still up. When the
+// survivors cannot host the full topology the pass stays owed and is
+// retried at the next call — capacity remains degraded until hardware
+// comes back, exactly the operational behavior. The evaluator calls this
+// once per reconcile epoch; daemons call it from their control loop.
 func (in *Injector) Heal(intended *dcn.Topology) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if !in.needHeal || in.t.Fabric == nil {
 		return nil
 	}
-	if _, err := in.t.Fabric.HealAfterFailure(intended); err != nil {
-		if errors.Is(err, dcn.ErrTooFewSwitches) {
-			return nil
-		}
-		return err
+	if _, err := in.t.Fabric.Program(intended); err != nil {
+		return tolerateShortfall(err)
 	}
 	in.needHeal = false
 	return nil
 }
 
-// Program realizes a topology on the fabric under the injector's lock,
-// using only healthy switches — the applier seam te reconfigurations use
-// while a scenario may have switches down. When the surviving switches
-// cannot host the topology, the hardware keeps its current circuits and
-// the shortfall stays visible as degraded capacity (no error: a fabric
-// that cannot follow a plan is a scenario outcome, not a replay bug).
-// Without a fabric target it is a no-op.
-func (in *Injector) Program(t *dcn.Topology) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.t.Fabric == nil {
+// tolerateShortfall is the chaos rule for a fabric that cannot follow a
+// topology: the surviving switches are too few, dcn.Fabric.Program left
+// the hardware as it was, and the shortfall is degraded capacity — a
+// scenario outcome, not a replay error. Other errors pass through.
+func tolerateShortfall(err error) error {
+	if errors.Is(err, dcn.ErrTooFewSwitches) {
 		return nil
 	}
-	if _, err := in.t.Fabric.HealAfterFailure(t); err != nil {
-		if errors.Is(err, dcn.ErrTooFewSwitches) {
-			return nil
-		}
-		return err
-	}
-	return nil
-}
-
-// SwitchesTouching is dcn.Fabric.SwitchesTouching under the injector's
-// lock — with Program and Circuits, what lets the injector stand in for
-// the fabric behind a te.FleetApplier. Without a fabric target it is
-// empty.
-func (in *Injector) SwitchesTouching(tears [][2]int) []int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.t.Fabric == nil {
-		return nil
-	}
-	return in.t.Fabric.SwitchesTouching(tears)
-}
-
-// Circuits counts the circuits established on the fabric.
-func (in *Injector) Circuits() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.t.Fabric == nil {
-		return 0
-	}
-	return in.t.Fabric.Circuits()
+	return err
 }
 
 // Degraded returns the topology actually carrying traffic: the fabric's

@@ -250,9 +250,11 @@ func (d *Daemon) shutdown(clean bool) {
 }
 
 // StartTE builds the DCN fabric and TE loop from the -te-* flags and
-// registers the loop's ticker; applier adapts the fabric to however this
-// daemon wants stages applied. Call only when -te-epoch is set.
+// registers the loop's ticker, which feeds one epoch of a synthetic trace
+// every -te-epoch; applier adapts the fabric to however this daemon wants
+// stages applied. Call only when -te-epoch is set.
 func (d *Daemon) StartTE(applier func(*dcn.Fabric) (te.Applier, error)) (*te.Loop, error) {
+	const trunkBps = 50e9
 	f := d.Flags
 	fabric, err := dcn.NewFabric(f.TEBlocks, f.TEUplinks+2, ocs.DefaultConfig())
 	if err != nil {
@@ -262,26 +264,56 @@ func (d *Daemon) StartTE(applier func(*dcn.Fabric) (te.Applier, error)) (*te.Loo
 	if err != nil {
 		return nil, err
 	}
-	runner, err := te.NewRunner(te.RunnerConfig{
-		Loop: te.Config{
-			Blocks: f.TEBlocks, Uplinks: f.TEUplinks, TrunkBps: 50e9,
-			EpochSeconds: f.TEEpoch.Seconds(),
-			Applier:      a,
-		},
-		Interval: f.TEEpoch,
-		OnStep: func(e int, plan *te.Plan) {
-			if plan.Reconfigure {
-				log.Printf("%s: te epoch %d: reconfigured in %d stages (gain %.3f, %.2fs, min residual %.2f)",
-					d.Name, e, len(plan.Stages), plan.PredictedGain, plan.Seconds, plan.MinResidualFraction)
-			}
-		},
+	loop, err := te.NewLoop(te.Config{
+		Blocks: f.TEBlocks, Uplinks: f.TEUplinks, TrunkBps: trunkBps,
+		EpochSeconds: f.TEEpoch.Seconds(),
+		Applier:      a,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fabric.Program(runner.Loop().Current()); err != nil {
+	if _, err := fabric.Program(loop.Current()); err != nil {
 		return nil, err
 	}
-	d.Go("te loop", runner.Run)
-	return runner.Loop(), nil
+	trace := teTrace(f.TEBlocks, trunkBps)
+	d.Go("te loop", func(ctx context.Context) error {
+		tick := time.NewTicker(f.TEEpoch)
+		defer tick.Stop()
+		for epoch := 0; ; epoch++ {
+			select {
+			case <-ctx.Done():
+				return nil
+			case <-tick.C:
+			}
+			m, err := trace.Epoch(epoch % trace.Epochs)
+			if err != nil {
+				return err
+			}
+			plan, err := loop.Advance(m)
+			if err != nil {
+				return err
+			}
+			if plan.Reconfigure {
+				log.Printf("%s: te epoch %d: reconfigured in %d stages (gain %.3f, %.2fs, min residual %.2f)",
+					d.Name, epoch, len(plan.Stages), plan.PredictedGain, plan.Seconds, plan.MinResidualFraction)
+			}
+		}
+	})
+	return loop, nil
+}
+
+// teTrace is the TE loop's offered load: hot service pairs well above
+// trunk rate (so engineering pays), a thin background, a diurnal swing
+// with bursts, and a horizon the ticker wraps around.
+func teTrace(blocks int, trunkBps float64) te.TraceConfig {
+	return te.TraceConfig{
+		Blocks:           blocks,
+		Epochs:           1 << 16,
+		BaseBps:          trunkBps / 50,
+		NumServices:      2 * blocks,
+		ServiceMeanBps:   8 * trunkBps,
+		DiurnalAmplitude: 0.3,
+		BurstProb:        0.2,
+		Seed:             1,
+	}
 }

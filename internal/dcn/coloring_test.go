@@ -1,8 +1,9 @@
 package dcn
 
 import (
+	"errors"
+	"reflect"
 	"testing"
-	"testing/quick"
 
 	"lightwave/internal/sim"
 )
@@ -77,17 +78,8 @@ func TestColoringUniformMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newEdgeAssignment(8, 23)
-	for i := 0; i < 8; i++ {
-		for j := i + 1; j < 8; j++ {
-			for k := 0; k < top.Links[i][j]; k++ {
-				if _, err := a.addEdge(i, j, -1); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := a.colorAll(); err != nil {
+	a, err := colorTopology(t, top, 23)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !validColoring(a) {
@@ -95,36 +87,125 @@ func TestColoringUniformMesh(t *testing.T) {
 	}
 }
 
-func TestColoringRandomEngineeredTopologies(t *testing.T) {
-	// Property: any engineered topology with per-block degree ≤ U colors
-	// into U+4 switches (the theoretical chromatic index can exceed U+1
-	// for odd block counts and parallel trunks; operators keep slack).
-	err := quick.Check(func(seed uint64) bool {
-		r := sim.NewRand(seed)
-		blocks := 6 + r.Intn(8)
-		uplinks := blocks - 1 + r.Intn(16)
-		demand := SkewedDemand(blocks, 1e9, 1+r.Intn(6), 5+40*r.Float64(), seed)
-		top, err := Engineer(blocks, uplinks, demand)
-		if err != nil {
-			return false
-		}
-		a := newEdgeAssignment(blocks, uplinks+4)
-		for i := 0; i < blocks; i++ {
-			for j := i + 1; j < blocks; j++ {
-				for k := 0; k < top.Links[i][j]; k++ {
-					if _, err := a.addEdge(i, j, -1); err != nil {
-						return false
-					}
+// engineeredCase is the property input drawn from seed: an engineered
+// topology of 6-13 blocks with a skewed demand.
+func engineeredCase(t *testing.T, seed uint64) (uplinks int, top *Topology) {
+	t.Helper()
+	r := sim.NewRand(seed)
+	blocks := 6 + r.Intn(8)
+	uplinks = blocks - 1 + r.Intn(16)
+	demand := SkewedDemand(blocks, 1e9, 1+r.Intn(6), 5+40*r.Float64(), seed)
+	top, err := Engineer(blocks, uplinks, demand)
+	if err != nil {
+		t.Fatalf("seed %#x: %v", seed, err)
+	}
+	return uplinks, top
+}
+
+// colorTopology colors every trunk of top into the given switch count.
+func colorTopology(t *testing.T, top *Topology, colors int) (*edgeAssignment, error) {
+	t.Helper()
+	a := newEdgeAssignment(top.Blocks, colors)
+	for i := 0; i < top.Blocks; i++ {
+		for j := i + 1; j < top.Blocks; j++ {
+			for k := 0; k < top.Links[i][j]; k++ {
+				if _, err := a.addEdge(i, j, -1); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
-		if err := a.colorAll(); err != nil {
-			return false
+	}
+	return a, a.colorAll()
+}
+
+// oddSetBound is the odd-set lower bound on the multigraph's chromatic
+// index: a set S of an odd number of blocks hosts at most (|S|-1)/2 of
+// its internal trunks per switch, so it needs ⌈2|E(S)|/(|S|-1)⌉ switches.
+// Parallel trunks make this exceed the degree bound.
+func oddSetBound(top *Topology) int {
+	bound := 0
+	for s := 1; s < 1<<top.Blocks; s++ {
+		n, edges := 0, 0
+		for i := 0; i < top.Blocks; i++ {
+			if s&(1<<i) == 0 {
+				continue
+			}
+			n++
+			for j := i + 1; j < top.Blocks; j++ {
+				if s&(1<<j) != 0 {
+					edges += top.Links[i][j]
+				}
+			}
 		}
-		return validColoring(a)
-	}, &quick.Config{MaxCount: 40})
+		if n >= 3 && n%2 == 1 {
+			if b := (2*edges + n - 2) / (n - 1); b > bound {
+				bound = b
+			}
+		}
+	}
+	return bound
+}
+
+// programRefused checks that Program refuses top on a U+4-switch fabric
+// carrying a uniform mesh, as too few switches and with the mesh intact.
+func programRefused(t *testing.T, seed uint64, uplinks int, top *Topology) {
+	t.Helper()
+	f := newDCNFabric(t, top.Blocks, uplinks+4)
+	mesh, err := UniformMesh(top.Blocks, uplinks)
 	if err != nil {
-		t.Error(err)
+		t.Fatal(err)
+	}
+	if _, err := f.Program(mesh); err != nil {
+		t.Fatal(err)
+	}
+	before := f.LiveTrunks()
+	if _, err := f.Program(top); !errors.Is(err, ErrTooFewSwitches) {
+		t.Errorf("seed %#x: Program err = %v, want ErrTooFewSwitches", seed, err)
+	}
+	if !reflect.DeepEqual(f.LiveTrunks(), before) {
+		t.Errorf("seed %#x: refused Program changed the live trunks", seed)
+	}
+}
+
+// uncolorableSeeds are engineered inputs the old time-seeded property drew
+// and failed on: 6 blocks, 20 uplinks, a triangle carrying 25 trunks, so
+// no 24-switch assignment exists and refusing is right.
+var uncolorableSeeds = []uint64{0xf77fb1235b0e8e20, 0xaadfe5275986f6c5, 0x36674cfe56f6ed8b}
+
+func TestColoringRandomEngineeredTopologies(t *testing.T) {
+	// Property: an engineered topology colors into U+4 switches (the
+	// chromatic index can exceed U+1 for odd block counts and parallel
+	// trunks; operators keep slack) exactly when its odd-set bound allows
+	// it, and Program refuses the rest without touching the fabric. Inputs
+	// come from a fixed seed list, so every run checks the same topologies.
+	seeds := append([]uint64(nil), uncolorableSeeds...)
+	r := sim.NewRand(0xC0105EED)
+	for i := 0; i < 60; i++ {
+		seeds = append(seeds, r.Uint64())
+	}
+	refused := 0
+	for _, seed := range seeds {
+		uplinks, top := engineeredCase(t, seed)
+		a, err := colorTopology(t, top, uplinks+4)
+		if bound := oddSetBound(top); bound > uplinks+4 {
+			refused++
+			if err == nil {
+				t.Errorf("seed %#x: colored %d blocks into %d switches below the odd-set bound %d",
+					seed, top.Blocks, uplinks+4, bound)
+			}
+			programRefused(t, seed, uplinks, top)
+			continue
+		}
+		if err != nil {
+			t.Errorf("seed %#x: %d blocks, %d uplinks: %v", seed, top.Blocks, uplinks, err)
+			continue
+		}
+		if !validColoring(a) {
+			t.Errorf("seed %#x: invalid coloring", seed)
+		}
+	}
+	if refused < len(uncolorableSeeds) {
+		t.Errorf("%d inputs above the odd-set bound, want at least the %d pinned", refused, len(uncolorableSeeds))
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // OCS failure handling for the DCN fabric: when a switch dies, every trunk
-// it carried disappears. The control plane re-runs Program against the
-// surviving switches, which re-places the lost trunks (capacity
+// it carried disappears. The control plane re-runs Program, which colors
+// over the switches still up: it re-places the lost trunks (capacity
 // permitting) while leaving all surviving circuits untouched — the fabric
 // heals around the failure instead of taking the topology down.
 
@@ -18,6 +18,8 @@ var ErrSwitchIndex = errors.New("dcn: switch index out of range")
 // supplies (dropping all circuits, since MEMS mirrors are not latching)
 // and returns the number of trunks lost.
 func (f *Fabric) FailSwitch(idx int) (lostTrunks int, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if idx < 0 || idx >= len(f.Switches) {
 		return 0, fmt.Errorf("%w: %d", ErrSwitchIndex, idx)
 	}
@@ -35,6 +37,8 @@ func (f *Fabric) FailSwitch(idx int) (lostTrunks int, err error) {
 // RepairSwitch returns switch idx to service (circuits are not restored;
 // run Program to re-balance).
 func (f *Fabric) RepairSwitch(idx int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if idx < 0 || idx >= len(f.Switches) {
 		return fmt.Errorf("%w: %d", ErrSwitchIndex, idx)
 	}
@@ -42,22 +46,4 @@ func (f *Fabric) RepairSwitch(idx int) error {
 		return err
 	}
 	return f.Switches[idx].ReplacePSU(1)
-}
-
-// HealAfterFailure re-programs the topology around failed switches: the
-// coloring runs only over healthy switches, keeping surviving circuits in
-// place. It returns the programming result.
-func (f *Fabric) HealAfterFailure(t *Topology) (ProgramResult, error) {
-	healthy := &Fabric{Blocks: f.Blocks}
-	var healthyIdx []int
-	for i, sw := range f.Switches {
-		if sw.Up() {
-			healthy.Switches = append(healthy.Switches, sw)
-			healthyIdx = append(healthyIdx, i)
-		}
-	}
-	if len(healthy.Switches) == 0 {
-		return ProgramResult{}, ErrTooFewSwitches
-	}
-	return healthy.Program(t)
 }

@@ -2,6 +2,7 @@ package dcn
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"lightwave/internal/ocs"
@@ -38,6 +39,8 @@ func TestFailSwitchDropsTrunks(t *testing.T) {
 }
 
 func TestHealAfterFailureRestoresTopology(t *testing.T) {
+	// Re-running Program after a switch dies re-places its trunks on the
+	// switches still up — the §3.4 heal.
 	blocks, uplinks := 8, 14
 	f := newDCNFabric(t, blocks, uplinks+6)
 	top, _ := UniformMesh(blocks, uplinks)
@@ -47,7 +50,7 @@ func TestHealAfterFailureRestoresTopology(t *testing.T) {
 	if _, err := f.FailSwitch(0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.HealAfterFailure(top)
+	res, err := f.Program(top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +108,43 @@ func TestHealWithoutCapacityFails(t *testing.T) {
 	if _, err := f.Program(top); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	failSwitches(t, f, 4)
+	if _, err := f.Program(top); !errors.Is(err, ErrTooFewSwitches) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+func TestRefusedProgramLeavesFabric(t *testing.T) {
+	// A topology the surviving switches cannot host is refused before any
+	// circuit moves: the trunks the new topology drops stay up.
+	blocks, uplinks := 8, 14
+	f := newDCNFabric(t, blocks, uplinks+1)
+	t1, _ := UniformMesh(blocks, uplinks)
+	if _, err := f.Program(t1); err != nil {
+		t.Fatal(err)
+	}
+	failSwitches(t, f, 4)
+	d := UniformDemand(blocks, 1e9)
+	d[0][1], d[1][0] = 40e9, 40e9
+	t2, err := Engineer(blocks, uplinks, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.LiveTrunks()
+	if _, err := f.Program(t2); !errors.Is(err, ErrTooFewSwitches) {
+		t.Errorf("err = %v, want ErrTooFewSwitches", err)
+	}
+	if !reflect.DeepEqual(f.LiveTrunks(), before) {
+		t.Errorf("refused Program changed the live trunks:\n got %v\nwant %v", f.LiveTrunks(), before)
+	}
+}
+
+// failSwitches takes switches 0..n-1 out of service.
+func failSwitches(t *testing.T, f *Fabric, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
 		if _, err := f.FailSwitch(i); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := f.HealAfterFailure(top); !errors.Is(err, ErrTooFewSwitches) {
-		t.Fatalf("err = %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"lightwave/internal/ocs"
 	"lightwave/internal/topo"
@@ -17,9 +18,16 @@ import (
 // and new topology keep their circuits — the §2.3 requirement of keeping
 // connections undisturbed while changing others, which is what makes
 // in-service topology engineering possible.
+//
+// The fabric's methods are safe for concurrent use: one mutex serializes
+// programming, switch failures and the status reads a fleet pod serves.
+// It is the innermost lock of the control plane — nothing is called out
+// while it is held.
 type Fabric struct {
 	Blocks   int
 	Switches []*ocs.Switch
+
+	mu sync.Mutex
 }
 
 // Errors returned by fabric programming.
@@ -54,14 +62,28 @@ type ProgramResult struct {
 	Established, TornDown, Kept int
 }
 
-// Program realizes the topology on the fabric incrementally: circuits
-// serving trunks that exist in both the current and the desired topology
-// are kept untouched; stale circuits are torn down; missing trunks are
-// placed on switches where both blocks' strands are free. Each block has
-// one strand per OCS, so a block may appear in at most one circuit per
-// switch (the matching constraint).
+// Program realizes the topology on the switches that are up,
+// incrementally: circuits serving trunks that exist in both the current
+// and the desired topology are kept untouched; stale circuits are torn
+// down; missing trunks are placed on switches where both blocks' strands
+// are free. Each block has one strand per OCS, so a block may appear in at
+// most one circuit per switch (the matching constraint). With a switch
+// down this is the §3.4 heal: its lost trunks are re-placed on the
+// survivors and every surviving circuit stays.
+//
+// No hardware is touched until the whole topology has a switch
+// assignment: when the up switches cannot host it, Program returns
+// ErrTooFewSwitches and the fabric is exactly as it was.
 func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var res ProgramResult
+	var up []*ocs.Switch
+	for _, sw := range f.Switches {
+		if sw.Up() {
+			up = append(up, sw)
+		}
+	}
 	// remaining[a][b] = trunks of the target topology not yet matched to
 	// an existing circuit.
 	remaining := make([][]int, t.Blocks)
@@ -71,9 +93,15 @@ func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
 
 	// Pass 1: classify existing circuits. Still-wanted circuits become
 	// pre-colored edges of the assignment (their switch is their color);
-	// stale circuits are torn down immediately.
-	assign := newEdgeAssignment(t.Blocks, len(f.Switches))
-	for i, sw := range f.Switches {
+	// stale circuits are collected, and torn down only once the coloring
+	// has succeeded.
+	type circuit struct {
+		sw    *ocs.Switch
+		north ocs.PortID
+	}
+	var stale []circuit
+	assign := newEdgeAssignment(t.Blocks, len(up))
+	for i, sw := range up {
 		for _, c := range sw.Circuits() {
 			a, b := int(c.North), int(c.South)
 			if a < t.Blocks && b < t.Blocks && remaining[a][b] > 0 {
@@ -84,10 +112,7 @@ func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
 				}
 				continue
 			}
-			if err := sw.Disconnect(c.North); err != nil {
-				return res, err
-			}
-			res.TornDown++
+			stale = append(stale, circuit{sw, c.North})
 		}
 	}
 	// Missing trunks become uncolored edges.
@@ -103,12 +128,18 @@ func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
 	if err := assign.colorAll(); err != nil {
 		return res, fmt.Errorf("%w: %v", ErrTooFewSwitches, err)
 	}
+	for _, c := range stale {
+		if err := c.sw.Disconnect(c.north); err != nil {
+			return res, err
+		}
+		res.TornDown++
+	}
 
 	// Pass 2: diff the colored assignment against the hardware. Kempe
 	// repairs may have moved a few surviving trunks to other switches;
 	// those count as churn like any other change.
 	type edge struct{ a, b int }
-	desired := make([]map[edge]int, len(f.Switches))
+	desired := make([]map[edge]int, len(up))
 	for i := range desired {
 		desired[i] = make(map[edge]int)
 	}
@@ -116,7 +147,7 @@ func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
 		a, b := assign.ends[e][0], assign.ends[e][1]
 		desired[c][edge{a, b}]++
 	}
-	for i, sw := range f.Switches {
+	for i, sw := range up {
 		// Tear down circuits not desired on this switch anymore.
 		for _, c := range sw.Circuits() {
 			k := edge{int(c.North), int(c.South)}
@@ -162,6 +193,8 @@ func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
 // must drain. Switches at or beyond topo.NumOCS are outside the fleet's
 // drainable OCS range: they are still reprogrammed, just not drained.
 func (f *Fabric) SwitchesTouching(tears [][2]int) []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if len(tears) == 0 {
 		return nil
 	}
@@ -187,6 +220,8 @@ func (f *Fabric) SwitchesTouching(tears [][2]int) []int {
 
 // Circuits counts the circuits established across the fabric.
 func (f *Fabric) Circuits() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	n := 0
 	for _, sw := range f.Switches {
 		n += sw.NumCircuits()
@@ -197,6 +232,8 @@ func (f *Fabric) Circuits() int {
 // LiveTrunks returns the trunk matrix currently programmed on the
 // hardware, for verification against the logical topology.
 func (f *Fabric) LiveTrunks() [][]int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	links := make([][]int, f.Blocks)
 	for i := range links {
 		links[i] = make([]int, f.Blocks)

@@ -181,11 +181,8 @@ func DefaultConfig() Config {
 			// Its reports are the byte-identical cmd/experiments output.
 			"lightwave/internal/figures",
 		},
-		WallClockFiles: []string{
-			// The TE runner is the wall-clock seam between the
-			// deterministic loop and the daemons.
-			"internal/te/runner.go",
-		},
+		// No WallClockFiles: the one wall-clock runner, the TE epoch
+		// ticker, lives in internal/daemon, outside the deterministic set.
 		LockOrder: []LockClass{
 			// ctlrpc handlers never nest into the injector or manager
 			// while holding Server.mu today; ranking it first declares
@@ -206,6 +203,10 @@ func DefaultConfig() Config {
 			{Type: "lightwave/internal/fleet.pod", Field: "keys", Rank: 5},
 			{Type: "lightwave/internal/fleet.Journal", Field: "JournalFleet", Rank: 6, Methods: true},
 			{Type: "lightwave/internal/fleet.Manager", Field: "mu", Rank: 7, Methods: true},
+			// The DCN fabric's lock is innermost: the injector, the fleet's
+			// status reads and a TE stage all reach the switches through
+			// it, and the fabric calls nothing out while holding it.
+			{Type: "lightwave/internal/dcn.Fabric", Field: "mu", Rank: 8, Methods: true},
 		},
 		FsyncPackages: []string{
 			"lightwave/internal/wal",

@@ -1,6 +1,7 @@
 package te
 
 import (
+	"sync"
 	"testing"
 
 	"lightwave/internal/dcn"
@@ -172,5 +173,58 @@ func TestFleetApplierDrainsThroughManager(t *testing.T) {
 	// The DCN pod must reject slice intents.
 	if err := m.SetSliceIntent("dcn", fleet.SliceIntent{}); err == nil {
 		t.Error("empty slice intent accepted")
+	}
+}
+
+func TestFleetApplierRacesStatusReads(t *testing.T) {
+	// Status serving reads the dcn pod's circuit count while a stage
+	// reprograms the same switches; the fabric's lock orders the two
+	// (run under -race).
+	fabric, err := dcn.NewFabric(8, 16, ocs.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fleet.NewManager(fleet.Options{})
+	defer m.Close()
+	ap, err := NewFleetApplier(m, "dcn", fabric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testLoopConfig()
+	cfg.Applier = ap
+	l, err := NewLoop(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fabric.Program(l.Current()); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, ps := range m.Status().Pods {
+				if ps.Name == "dcn" && ps.Circuits == 0 {
+					t.Error("status read an empty dcn pod")
+					return
+				}
+			}
+		}
+	}()
+	demand := skewed(8, [2]int{0, 1}, [2]int{2, 3})
+	for e := 0; e < 8; e++ {
+		feed(t, l, demand)
+	}
+	close(done)
+	wg.Wait()
+	if l.Status().Reconfigs == 0 {
+		t.Fatal("loop never reconfigured")
 	}
 }

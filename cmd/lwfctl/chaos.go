@@ -8,8 +8,8 @@ import (
 )
 
 // dispatchChaos handles the `chaos` subcommands. Injection only works
-// against a daemon started with -chaos; everything else returns the
-// daemon's "chaos injection disabled" error verbatim.
+// against lwfleetd started with -chaos; any other daemon returns its
+// "chaos injection disabled" error verbatim.
 func dispatchChaos(c *ctlrpc.Client, args []string) error {
 	switch args[0] {
 	case "status":
@@ -69,7 +69,7 @@ func parseInject(kind string, rest []string) (ctlrpc.ChaosInjectParams, error) {
 
 	case "ber-degrade":
 		if len(rest) != 3 && len(rest) != 4 {
-			return p, fmt.Errorf("chaos inject ber-degrade needs <a> <b> <ber> [seconds]")
+			return p, fmt.Errorf("chaos inject ber-degrade needs <blockA> <blockB> <ber> [seconds]")
 		}
 		a, b, err := twoInts(rest[0], rest[1])
 		if err != nil {
@@ -85,11 +85,7 @@ func parseInject(kind string, rest []string) (ctlrpc.ChaosInjectParams, error) {
 				return p, err
 			}
 		}
-		// The same pair addresses a block trunk on the fleet daemon and an
-		// ocs/port link on the fabric daemon; fill both wire forms.
-		p.TrunkA, p.TrunkB = a, b
-		p.OCS, p.Port = a, b
-		p.BER = ber
+		p.TrunkA, p.TrunkB, p.BER = a, b, ber
 		return p, nil
 
 	case "slow-drain":
@@ -137,7 +133,7 @@ func twoInts(sa, sb string) (int, int, error) {
 
 func printChaosStatus(st ctlrpc.ChaosStatusResult) {
 	if !st.Enabled {
-		fmt.Println("chaos: disabled (start the daemon with -chaos)")
+		fmt.Println("chaos: disabled (start lwfleetd with -chaos)")
 		return
 	}
 	fmt.Printf("chaos:          enabled\n")

@@ -18,9 +18,9 @@ func TestParseInject(t *testing.T) {
 		{"circuit-flap", []string{"1", "3", "45"},
 			ctlrpc.ChaosInjectParams{Kind: "circuit-flap", TrunkA: 1, TrunkB: 3, DurationSeconds: 45}},
 		{"ber-degrade", []string{"0", "2", "1e-3"},
-			ctlrpc.ChaosInjectParams{Kind: "ber-degrade", OCS: 0, Port: 2, TrunkA: 0, TrunkB: 2, BER: 1e-3, DurationSeconds: 60}},
+			ctlrpc.ChaosInjectParams{Kind: "ber-degrade", TrunkA: 0, TrunkB: 2, BER: 1e-3, DurationSeconds: 60}},
 		{"ber-degrade", []string{"0", "2", "1e-3", "30"},
-			ctlrpc.ChaosInjectParams{Kind: "ber-degrade", OCS: 0, Port: 2, TrunkA: 0, TrunkB: 2, BER: 1e-3, DurationSeconds: 30}},
+			ctlrpc.ChaosInjectParams{Kind: "ber-degrade", TrunkA: 0, TrunkB: 2, BER: 1e-3, DurationSeconds: 30}},
 		{"slow-drain", []string{"pod0", "7", "120"},
 			ctlrpc.ChaosInjectParams{Kind: "slow-drain", Pod: "pod0", OCS: 7, DurationSeconds: 120}},
 		{"stuck-drain", []string{"pod0", "7"},

@@ -76,12 +76,12 @@ fleet commands (against lwfleetd):
   fleet drain <pod> [ocs]
   fleet undrain <pod> [ocs]
   fleet watch [count]
-chaos commands (daemon must run with -chaos):
+chaos commands (lwfleetd must run with -chaos):
   chaos status
   chaos inject pod-loss <pod>
   chaos inject pod-restore <pod>
   chaos inject circuit-flap <blockA> <blockB> <seconds>
-  chaos inject ber-degrade <a> <b> <ber> [seconds]   (a,b = block pair on lwfleetd, ocs/port on lwfd)
+  chaos inject ber-degrade <blockA> <blockB> <ber> [seconds]
   chaos inject slow-drain <pod> <ocs> <seconds>
   chaos inject stuck-drain <pod> <ocs>
 sched commands (lwfleetd must run with -sched):

@@ -7,6 +7,12 @@
 // trunks as the synthetic offered load shifts; -te-epoch enables it and
 // `lwfctl te status` inspects it.
 //
+// Link telemetry enters through the observe-ber method (`lwfctl
+// observe-ber`): each pre-FEC BER sample feeds the fabric's per-link
+// detector, and a reading above the KP4 threshold raises a critical alert.
+// lwfd has no fault injector; chaos-inject answers "chaos injection
+// disabled", and fleet fault drills run on lwfleetd -chaos.
+//
 // With -state-dir the daemon journals every mutating command it executes
 // (compose, destroy, ensure, reshape, cube and link maintenance), refused
 // ones included, to a write-ahead log (internal/wal) before the response
@@ -19,7 +25,7 @@
 //
 // Usage:
 //
-//	lwfd -addr 127.0.0.1:7600 -cubes 64 [-metrics-addr 127.0.0.1:7680] [-te-epoch 2s] [-chaos] [-state-dir /var/lib/lwfd]
+//	lwfd -addr 127.0.0.1:7600 -cubes 64 [-metrics-addr 127.0.0.1:7680] [-te-epoch 2s] [-state-dir /var/lib/lwfd]
 package main
 
 import (
@@ -27,29 +33,23 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sync"
 
-	"lightwave/internal/chaos"
 	"lightwave/internal/core"
 	"lightwave/internal/ctlrpc"
 	"lightwave/internal/daemon"
 	"lightwave/internal/dcn"
 	"lightwave/internal/optics"
 	"lightwave/internal/te"
-	"lightwave/internal/telemetry"
-	"lightwave/internal/topo"
 )
 
 func main() {
-	var f daemon.Flags
-	f.Register(flag.CommandLine, "127.0.0.1:7600", "installed elemental cubes (1-64)",
-		"enable fault injection (ber-degrade via chaos-inject)")
+	f := flags(flag.CommandLine)
 	flag.Parse()
 
 	if err := f.Validate(); err != nil {
 		log.Fatalf("lwfd: %v", err)
 	}
-	d, err := daemon.Start(context.Background(), "lwfd", &f, compose)
+	d, err := daemon.Start(context.Background(), "lwfd", f, compose)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,45 +58,11 @@ func main() {
 	}
 }
 
-// fabricChaos adapts the single-fabric daemon to the chaos RPCs. The only
-// fault kind it supports is ber-degrade: samples ride the fabric's own
-// link-BER path (per-link detector, alerts, auto link repair). Pod and
-// OCS faults belong to the fleet daemon's injector.
-type fabricChaos struct {
-	mu        sync.Mutex
-	fabric    *core.Fabric
-	cInjected *telemetry.Counter
-	injected  int
-	lastFault string
-}
-
-func (p *fabricChaos) ChaosInject(params ctlrpc.ChaosInjectParams) (ctlrpc.ChaosInjectResult, error) {
-	if params.Kind != string(chaos.KindBERDegrade) {
-		return ctlrpc.ChaosInjectResult{}, fmt.Errorf(
-			"lwfd: only %s injection is supported on the fabric daemon; use lwfleetd -chaos for fleet faults",
-			chaos.KindBERDegrade)
-	}
-	if params.BER <= 0 || params.BER >= 1 {
-		return ctlrpc.ChaosInjectResult{}, fmt.Errorf("lwfd: ber-degrade needs 0 < ber < 1, got %g", params.BER)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	anom := p.fabric.ObserveLinkBER(topo.OCSID(params.OCS), params.Port, params.BER)
-	p.injected++
-	p.cInjected.Inc()
-	p.lastFault = fmt.Sprintf("ber-degrade ocs=%d port=%d ber=%.3g anomalous=%t",
-		params.OCS, params.Port, params.BER, anom)
-	return ctlrpc.ChaosInjectResult{Applied: p.lastFault}, nil
-}
-
-func (p *fabricChaos) ChaosStatus() ctlrpc.ChaosStatusResult {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return ctlrpc.ChaosStatusResult{
-		Enabled:       true,
-		InjectedTotal: p.injected,
-		LastFault:     p.lastFault,
-	}
+// flags declares lwfd's command line on fs: the flags both daemons share.
+func flags(fs *flag.FlagSet) *daemon.Flags {
+	f := new(daemon.Flags)
+	f.Register(fs, "127.0.0.1:7600", "installed elemental cubes (1-64)")
+	return f
 }
 
 // compose builds the fabric and its server on the shared daemon skeleton.
@@ -151,13 +117,6 @@ func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		}
 		srv.SetTE(ctlrpc.LoopTEProvider{L: loop})
 		log.Printf("lwfd: te loop on %d blocks x %d uplinks, epoch %s", f.TEBlocks, f.TEUplinks, f.TEEpoch)
-	}
-	if f.Chaos {
-		srv.SetChaos(&fabricChaos{
-			fabric:    fabric,
-			cInjected: d.Reg.Counter("chaos_injected_total"),
-		})
-		log.Printf("lwfd: fault injection enabled (ber-degrade)")
 	}
 	return srv, nil
 }

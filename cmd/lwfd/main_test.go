@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -248,5 +250,32 @@ func TestRestartEquivalence(t *testing.T) {
 				t.Errorf("link repair after restart got spare port %d, want %d", spare, wantSpare)
 			}
 		})
+	}
+}
+
+// TestNoChaosInjection: lwfd has no fault injector. -chaos is not one of
+// its flags, chaos-inject answers ErrChaosDisabled, and observe-ber is the
+// daemon's one BER intake, refusing a sample that is not a probability.
+func TestNoChaosInjection(t *testing.T) {
+	fs := flag.NewFlagSet("lwfd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	flags(fs)
+	if err := fs.Parse([]string{"-chaos"}); err == nil || !strings.Contains(err.Error(), "not defined: -chaos") {
+		t.Fatalf("-chaos parsed: err = %v", err)
+	}
+
+	l := startLwfd(t, "")
+	_, err := l.c.ChaosInject(ctlrpc.ChaosInjectParams{Kind: "ber-degrade", TrunkA: 0, TrunkB: 1, BER: 1e-3, DurationSeconds: 1})
+	if err == nil || !strings.HasSuffix(err.Error(), ctlrpc.ErrChaosDisabled.Error()) {
+		t.Fatalf("chaos-inject: err = %v, want %v", err, ctlrpc.ErrChaosDisabled)
+	}
+	if st, err := l.c.ChaosStatus(); err != nil || st.Enabled {
+		t.Fatalf("chaos-status = %+v, %v; want disabled", st, err)
+	}
+	if anom, err := l.c.ObserveBER(3, 1, 5e-4); err != nil || !anom {
+		t.Fatalf("observe-ber above KP4: anomalous %t, err %v", anom, err)
+	}
+	if _, err := l.c.ObserveBER(3, 1, 5); err == nil {
+		t.Fatal("observe-ber accepted a BER of 5")
 	}
 }

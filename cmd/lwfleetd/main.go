@@ -58,15 +58,16 @@ import (
 type config struct {
 	daemon.Flags
 	pods      int
+	chaosOn   bool
 	schedOn   bool
 	schedTick time.Duration
 }
 
 func main() {
 	var cfg config
-	cfg.Register(flag.CommandLine, "127.0.0.1:7700", "installed elemental cubes per pod (1-64)",
-		"enable fault injection (chaos-inject / chaos-status RPCs)")
+	cfg.Register(flag.CommandLine, "127.0.0.1:7700", "installed elemental cubes per pod (1-64)")
 	flag.IntVar(&cfg.pods, "pods", 4, "number of superpod fabrics to manage")
+	flag.BoolVar(&cfg.chaosOn, "chaos", false, "enable fault injection (chaos-inject / chaos-status RPCs)")
 	flag.BoolVar(&cfg.schedOn, "sched", false, "run the online slice scheduler (sched-status / sched-submit RPCs)")
 	flag.DurationVar(&cfg.schedTick, "sched-tick", 2*time.Second, "scheduler wall-clock tick; each tick advances one virtual minute")
 	flag.Parse()
@@ -106,7 +107,6 @@ func newSchedRunner(m *fleet.Manager, podNames []string, cubes int, tick time.Du
 		Pods:           podNames,
 		InstalledCubes: cubes,
 		Interval:       tick,
-		VirtualPerTick: 60,
 		Seed:           1,
 	})
 }
@@ -173,7 +173,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 			cfg.StateDir, st.ReplayRecords, st.Log.LastLSN, st.FleetPods, st.FleetSlices, st.ReplayErrors)
 	}
 
-	m, injectable, err := buildFleet(cfg.pods, cfg.Cubes, cfg.Transceiver, d.Reg, d.Alerts, cfg.Chaos, journal)
+	m, injectable, err := buildFleet(cfg.pods, cfg.Cubes, cfg.Transceiver, d.Reg, d.Alerts, cfg.chaosOn, journal)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		srv.SetWAL(ctlrpc.StoreWALProvider{Store: store})
 	}
 
-	if cfg.Chaos {
+	if cfg.chaosOn {
 		// Fleet-plane faults only: pod-loss/-restore through the wrapped
 		// backends, drains through the manager, trunk impairments as
 		// injector bookkeeping. OCS outages need a fabric target and are

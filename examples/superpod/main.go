@@ -62,9 +62,13 @@ func main() {
 
 	// Telemetry: healthy fleet readings, then a degrading link.
 	for i := 0; i < 20; i++ {
-		fabric.ObserveLinkBER(topo.OCSID(3), 17, 1.2e-6)
+		if _, err := fabric.ObserveLinkBER(topo.OCSID(3), 17, 1.2e-6); err != nil {
+			log.Fatal(err)
+		}
 	}
-	fabric.ObserveLinkBER(topo.OCSID(3), 17, 8e-4) // above the KP4 threshold
+	if _, err := fabric.ObserveLinkBER(topo.OCSID(3), 17, 8e-4); err != nil { // above the KP4 threshold
+		log.Fatal(err)
+	}
 	for _, a := range sink.Alerts() {
 		fmt.Printf("alert: [%s] %s: %s\n", a.Severity, a.Source, a.Message)
 	}

@@ -129,8 +129,8 @@ func (s Scenario) Validate() error {
 				return fmt.Errorf("%w: event %d has bad trunk %v", ErrScenario, i, e.Trunk)
 			}
 		}
-		if e.Kind == KindBERDegrade && e.BER <= 0 {
-			return fmt.Errorf("%w: event %d needs a positive BER", ErrScenario, i)
+		if e.Kind == KindBERDegrade && !(e.BER > 0 && e.BER < 1) {
+			return fmt.Errorf("%w: event %d needs 0 < BER < 1, got %g", ErrScenario, i, e.BER)
 		}
 	}
 	return nil

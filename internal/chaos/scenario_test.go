@@ -24,6 +24,7 @@ func TestScenarioValidate(t *testing.T) {
 		{Name: "x", HorizonSeconds: 10, Events: []Event{{At: 1, Kind: KindBERDegrade, Trunk: [2]int{-1, 2}, BER: 1e-4, DurationSeconds: 1}}}, // negative block
 		{Name: "x", HorizonSeconds: 10, Events: []Event{{At: 1, Kind: KindCircuitFlap, Trunk: [2]int{0, 1}, DurationSeconds: -5}}},           // negative duration
 		{Name: "x", HorizonSeconds: 10, Events: []Event{{At: 1, Kind: KindStuckDrain, OCS: 1}}},                                              // no pod
+		{Name: "x", HorizonSeconds: 10, Events: []Event{{At: 1, Kind: KindBERDegrade, Trunk: [2]int{0, 1}, BER: 5, DurationSeconds: 1}}},     // BER not a probability
 	}
 	for i, s := range cases {
 		if err := s.Validate(); !errors.Is(err, ErrScenario) {

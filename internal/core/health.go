@@ -109,8 +109,16 @@ func (f *Fabric) RepairLink(o topo.OCSID, cube int) (ocs.PortID, error) {
 // the KP4 threshold raise a Critical alert immediately; readings far above
 // the link's own baseline raise Warnings (the production pattern of §3.2.2
 // and Fig 13's monitoring). It never changes the fabric: the repair a
-// Critical reading calls for is the operator's journaled RepairLink.
-func (f *Fabric) ObserveLinkBER(o topo.OCSID, north int, ber float64) bool {
+// Critical reading calls for is the operator's journaled RepairLink. A
+// sample naming no switch or cube, or whose BER is not in (0, 1), is
+// refused and creates no detector.
+func (f *Fabric) ObserveLinkBER(o topo.OCSID, north int, ber float64) (bool, error) {
+	if _, err := f.Switch(o); err != nil {
+		return false, err
+	}
+	if north < 0 || north >= 64 || !(ber > 0 && ber < 1) {
+		return false, fmt.Errorf("core: BER sample for cube %d: want a cube in 0-63 and 0 < BER < 1, got %g", north, ber)
+	}
 	key := fmt.Sprintf("ber/ocs%d/cube%d", o, north)
 	det, ok := f.berDetectors[key]
 	if !ok {
@@ -119,5 +127,5 @@ func (f *Fabric) ObserveLinkBER(o topo.OCSID, north int, ber float64) bool {
 		det.HardLimit = fec.KP4Threshold
 		f.berDetectors[key] = det
 	}
-	return det.Observe(ber)
+	return det.Observe(ber), nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -120,13 +121,13 @@ func TestBERMonitoringAlerts(t *testing.T) {
 	}
 	// Healthy readings: two decades under the KP4 threshold (Fig 13).
 	for i := 0; i < 30; i++ {
-		if f.ObserveLinkBER(3, 7, 2e-6) {
-			t.Fatal("healthy BER flagged")
+		if anom, err := f.ObserveLinkBER(3, 7, 2e-6); err != nil || anom {
+			t.Fatalf("healthy BER: anomalous %t, err %v", anom, err)
 		}
 	}
 	// A reading above the KP4 threshold must raise a Critical alert.
-	if !f.ObserveLinkBER(3, 7, 5e-4) {
-		t.Fatal("threshold breach not flagged")
+	if anom, err := f.ObserveLinkBER(3, 7, 5e-4); err != nil || !anom {
+		t.Fatalf("threshold breach: anomalous %t, err %v", anom, err)
 	}
 	alerts := sink.Alerts()
 	if len(alerts) != 1 || alerts[0].Severity != telemetry.Critical {
@@ -136,10 +137,50 @@ func TestBERMonitoringAlerts(t *testing.T) {
 
 func TestBERDetectorsPerLink(t *testing.T) {
 	f := newFabric(t, 4)
-	f.ObserveLinkBER(0, 0, 1e-6)
-	f.ObserveLinkBER(1, 0, 1e-6)
+	for _, o := range []topo.OCSID{0, 1} {
+		if _, err := f.ObserveLinkBER(o, 0, 1e-6); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if len(f.berDetectors) != 2 {
 		t.Fatalf("%d detectors", len(f.berDetectors))
+	}
+}
+
+// TestObserveLinkBERRefusesBadSamples: a sample naming no switch, a cube
+// index outside the pod or a BER that is not a probability is refused,
+// and no detector is created for it.
+func TestObserveLinkBERRefusesBadSamples(t *testing.T) {
+	f := newFabric(t, 4)
+	if _, err := f.ObserveLinkBER(0, 0, 1e-6); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		o    topo.OCSID
+		cube int
+		ber  float64
+	}{
+		{topo.NumOCS, 0, 1e-6},
+		{-1, 0, 1e-6},
+		{0, 64, 1e-6},
+		{0, -1, 1e-6},
+		{0, 1, 0},
+		{0, 1, -1e-6},
+		{0, 1, 1},
+		{0, 1, 5},
+		{0, 1, math.NaN()},
+		{0, 0, math.Inf(1)},
+	} {
+		if _, err := f.ObserveLinkBER(c.o, c.cube, c.ber); err == nil {
+			t.Errorf("ocs %d cube %d ber %g accepted", c.o, c.cube, c.ber)
+		}
+		if len(f.berDetectors) != 1 {
+			t.Fatalf("ocs %d cube %d ber %g: %d detectors, want 1", c.o, c.cube, c.ber, len(f.berDetectors))
+		}
+	}
+	// The refused samples never reached the live detector either.
+	if mean, _ := f.berDetectors["ber/ocs0/cube0"].Baseline(); mean != 1e-6 {
+		t.Errorf("detector baseline %g, want 1e-6", mean)
 	}
 }
 

@@ -97,7 +97,9 @@ func TestRepairLinkValidation(t *testing.T) {
 func TestNoAutoRepairWhenDisabled(t *testing.T) {
 	f := newFabric(t, 4)
 	o := topo.OCSID(7)
-	f.ObserveLinkBER(o, 2, 1e-3)
+	if _, err := f.ObserveLinkBER(o, 2, 1e-3); err != nil {
+		t.Fatal(err)
+	}
 	if f.PortFor(o, 2) != 2 {
 		t.Fatal("an observation repatched the link: repair-link is the only repair path")
 	}

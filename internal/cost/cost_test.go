@@ -95,7 +95,7 @@ func TestPodFabricScalesWithCubes(t *testing.T) {
 func TestDCNSpineFreeSavings(t *testing.T) {
 	// §4.2 (from [47]): "a spine-free DCN delivers 30% reduction in CapEx
 	// and 40% reduction in OpEx" (41% power in §2.1).
-	capex, power := DefaultDCN().DCNSavings()
+	capex, power := DCNSavings()
 	if math.Abs(capex-0.30) > 0.02 {
 		t.Errorf("capex savings = %.3f, want ≈0.30", capex)
 	}
@@ -105,9 +105,8 @@ func TestDCNSpineFreeSavings(t *testing.T) {
 }
 
 func TestSpineFreeEliminatesSpineParts(t *testing.T) {
-	p := DefaultDCN()
-	full := p.SpineFullDCN()
-	free := p.SpineFreeDCN()
+	full := spineFullDCN()
+	free := spineFreeDCN()
 	if qty(full, "spine-port") == 0 {
 		t.Fatal("spine-full has no spine ports")
 	}

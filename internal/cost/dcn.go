@@ -1,78 +1,63 @@
 package cost
 
-import "lightwave/internal/eps"
-
 // Spine-full vs spine-free DCN comparison (§2.1/§4.2, results from [47]):
 // replacing the spine layer with OCSes eliminates the spine chassis and the
 // spine-side transceivers, delivering ≈30% capex and ≈41% power reduction.
 
-// DCNParams sizes a datacenter network of aggregation blocks.
-type DCNParams struct {
-	// AggregationBlocks is the number of ABs.
-	AggregationBlocks int
-	// UplinksPerBlock is the number of fabric-facing links per AB.
-	UplinksPerBlock int
-	// ABCost / ABPowerW cover one aggregation block (its own switches and
-	// server-facing optics), identical across both designs.
-	ABCost   float64
-	ABPowerW float64
-}
+// The compared network is a representative Jupiter-scale DCN.
+const (
+	// aggregationBlocks is the number of aggregation blocks (ABs), and
+	// uplinksPerBlock the number of fabric-facing links per AB.
+	aggregationBlocks = 64
+	uplinksPerBlock   = 256
+	// abCost / abPowerW cover one aggregation block (its own switches
+	// and server-facing optics), identical across both designs.
+	abCost   = 1000
+	abPowerW = 5000
+	// spinePortCost and spinePortPowerW are the per-port cost and power
+	// of a spine block, the electrical packet switch the spine-full
+	// design buys.
+	spinePortCost   = 1.67
+	spinePortPowerW = 12.25
+)
 
-// DefaultDCN returns a representative Jupiter-scale configuration.
-func DefaultDCN() DCNParams {
-	return DCNParams{
-		AggregationBlocks: 64,
-		UplinksPerBlock:   256,
-		ABCost:            1000,
-		ABPowerW:          5000,
-	}
-}
-
-// abComponent wraps the AB cost/power as a catalog line.
-func (p DCNParams) abComponent() Component {
-	return Component{Name: "aggregation-block", CostUnits: p.ABCost, PowerW: p.ABPowerW}
-}
-
-// spinePort wraps the per-port share of a spine block.
-func spinePort() Component {
-	return Component{Name: "spine-port", CostUnits: eps.SpinePortCost, PowerW: eps.SpinePortPowerW}
-}
-
-// ocsPort wraps the per-duplex-port share of a Palomar OCS.
-func ocsPort() Component {
-	return Component{
+var (
+	abComponent = Component{Name: "aggregation-block", CostUnits: abCost, PowerW: abPowerW}
+	spinePort   = Component{Name: "spine-port", CostUnits: spinePortCost, PowerW: spinePortPowerW}
+	// ocsPort is the per-duplex-port share of a Palomar OCS.
+	ocsPort = Component{
 		Name:      "ocs-port",
 		CostUnits: PalomarOCS.CostUnits / 128,
 		PowerW:    PalomarOCS.PowerW / 128,
 	}
-}
+)
 
-// SpineFullDCN returns the traditional Fig 1a design: every AB uplink runs
+// spineFullDCN returns the traditional Fig 1a design: every AB uplink runs
 // to a spine block port with transceivers at both ends.
-func (p DCNParams) SpineFullDCN() BOM {
+func spineFullDCN() BOM {
 	b := BOM{Name: "spine-full-dcn"}
-	uplinks := p.AggregationBlocks * p.UplinksPerBlock
-	b.Add(p.abComponent(), p.AggregationBlocks)
+	uplinks := aggregationBlocks * uplinksPerBlock
+	b.Add(abComponent, aggregationBlocks)
 	b.Add(BidiModule, 2*uplinks) // AB side + spine side
-	b.Add(spinePort(), uplinks)
+	b.Add(spinePort, uplinks)
 	return b
 }
 
-// SpineFreeDCN returns the Fig 1b design: AB uplinks terminate on OCS
+// spineFreeDCN returns the Fig 1b design: AB uplinks terminate on OCS
 // ports; there is no spine layer and no spine-side transceivers.
-func (p DCNParams) SpineFreeDCN() BOM {
+func spineFreeDCN() BOM {
 	b := BOM{Name: "spine-free-dcn"}
-	uplinks := p.AggregationBlocks * p.UplinksPerBlock
-	b.Add(p.abComponent(), p.AggregationBlocks)
+	uplinks := aggregationBlocks * uplinksPerBlock
+	b.Add(abComponent, aggregationBlocks)
 	b.Add(BidiModule, uplinks) // AB side only
-	b.Add(ocsPort(), uplinks)
+	b.Add(ocsPort, uplinks)
 	return b
 }
 
 // DCNSavings returns the capex and power reductions of the spine-free
 // design relative to the spine-full design.
-func (p DCNParams) DCNSavings() (capex, power float64) {
-	full := p.SpineFullDCN()
-	free := p.SpineFreeDCN()
+func DCNSavings() (capex, power float64) {
+	full := spineFullDCN()
+	free := spineFreeDCN()
 	return 1 - free.Cost()/full.Cost(), 1 - free.Power()/full.Power()
 }

@@ -7,9 +7,9 @@ import (
 	"lightwave/internal/chaos"
 )
 
-// Chaos method names. Both daemons serve them, but only when started
-// with their explicit chaos enable flag — fault injection is a sharp
-// tool, so a daemon without the flag rejects chaos-inject outright.
+// Chaos method names. Both daemons answer them, but only lwfleetd started
+// with -chaos injects — fault injection is a sharp tool, so any other
+// daemon rejects chaos-inject outright.
 const (
 	MethodChaosInject = "chaos-inject"
 	MethodChaosStatus = "chaos-status"
@@ -26,7 +26,6 @@ type ChaosInjectParams struct {
 	Kind            string  `json:"kind"`
 	Pod             string  `json:"pod,omitempty"`
 	OCS             int     `json:"ocs,omitempty"`
-	Port            int     `json:"port,omitempty"` // fabric-daemon ber-degrade only
 	TrunkA          int     `json:"trunkA,omitempty"`
 	TrunkB          int     `json:"trunkB,omitempty"`
 	BER             float64 `json:"ber,omitempty"`

@@ -137,7 +137,8 @@ func (s *Server) handleRepairLink(p RepairLinkParams) (any, error) {
 }
 
 func (s *Server) handleObserveBER(p ObserveBERParams) (any, error) {
-	return ObserveBERResult{Anomalous: s.fabric.ObserveLinkBER(topo.OCSID(p.OCS), p.Port, p.BER)}, nil
+	anom, err := s.fabric.ObserveLinkBER(topo.OCSID(p.OCS), p.Port, p.BER)
+	return ObserveBERResult{Anomalous: anom}, err
 }
 
 // ExportFabric returns the fabric's state and the LSN of the last

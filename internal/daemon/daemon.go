@@ -48,14 +48,13 @@ type Flags struct {
 	Transceiver         string
 	TEEpoch             time.Duration
 	TEBlocks, TEUplinks int
-	Chaos               bool
 	StateDir            string
 	StateSnapshot       time.Duration
 }
 
-// Register declares the shared flags; the listen default and the two help
-// strings that differ per daemon are the caller's.
-func (f *Flags) Register(fs *flag.FlagSet, addr, cubesHelp, chaosHelp string) {
+// Register declares the shared flags; the listen default and the -cubes
+// help string, which differ per daemon, are the caller's.
+func (f *Flags) Register(fs *flag.FlagSet, addr, cubesHelp string) {
 	fs.StringVar(&f.Addr, "addr", addr, "listen address")
 	fs.IntVar(&f.Cubes, "cubes", 64, cubesHelp)
 	fs.StringVar(&f.Transceiver, "transceiver", "2x200G-bidi-CWDM4", "transceiver generation")
@@ -63,7 +62,6 @@ func (f *Flags) Register(fs *flag.FlagSet, addr, cubesHelp, chaosHelp string) {
 	fs.DurationVar(&f.TEEpoch, "te-epoch", 0, "topology-engineering epoch length (0 disables the TE loop)")
 	fs.IntVar(&f.TEBlocks, "te-blocks", 8, "aggregation blocks in the TE loop's DCN fabric")
 	fs.IntVar(&f.TEUplinks, "te-uplinks", 14, "uplinks per block in the TE loop's DCN fabric")
-	fs.BoolVar(&f.Chaos, "chaos", false, chaosHelp)
 	fs.StringVar(&f.StateDir, "state-dir", "", "durable-state directory: WAL + snapshots with crash recovery (disabled when empty)")
 	fs.DurationVar(&f.StateSnapshot, "state-snapshot", time.Minute, "periodic snapshot + log compaction interval (0 snapshots only on shutdown)")
 }

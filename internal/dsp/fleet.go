@@ -9,6 +9,17 @@ import "lightwave/internal/par"
 // fleet-telemetry counterpart of the single-lane models in this package
 // and fans out across the worker pool deterministically.
 
+// The Fig 13 fleet: residual link margin is Gaussian across ports,
+// clipped at marginFloorDB (repair thresholds keep links above it), and
+// each port draws its own Gaussian MPI level.
+const (
+	marginMeanDB  = 1.55
+	marginSigmaDB = 0.12
+	marginFloorDB = 1.3
+	mpiMeanDB     = -38
+	mpiSigmaDB    = 2
+)
+
 // FleetBERConfig parameterizes a fleet sample.
 type FleetBERConfig struct {
 	// Ports is the number of receiving ports sampled (a 64-cube pod has
@@ -17,12 +28,6 @@ type FleetBERConfig struct {
 	// SensitivityDBm is the receiver sensitivity at the FEC threshold;
 	// per-port received power is SensitivityDBm + margin.
 	SensitivityDBm float64
-	// MarginMeanDB/MarginSigmaDB describe the Gaussian spread of residual
-	// link margin across the fleet; MarginFloorDB clips the worst links
-	// (repair thresholds keep links above it).
-	MarginMeanDB, MarginSigmaDB, MarginFloorDB float64
-	// MPIMeanDB/MPISigmaDB describe the per-port MPI level.
-	MPIMeanDB, MPISigmaDB float64
 	// OIM enables interference mitigation at every receiver (the
 	// production DSP always runs it).
 	OIM bool
@@ -35,14 +40,9 @@ type FleetBERConfig struct {
 // ~1.55 dB residual margin and −38 dB mean MPI.
 func DefaultFleetBERConfig() FleetBERConfig {
 	return FleetBERConfig{
-		Ports:         6144,
-		MarginMeanDB:  1.55,
-		MarginSigmaDB: 0.12,
-		MarginFloorDB: 1.3,
-		MPIMeanDB:     -38,
-		MPISigmaDB:    2,
-		OIM:           true,
-		Seed:          1313,
+		Ports: 6144,
+		OIM:   true,
+		Seed:  1313,
 	}
 }
 
@@ -76,11 +76,11 @@ func (rx Receiver) FleetBER(cfg FleetBERConfig) FleetBERResult {
 	worsts := par.MonteCarlo("dsp_fleet_ber", cfg.Ports, cfg.Seed, func(sh par.Shard) float64 {
 		worst := 0.0
 		for port := sh.Start; port < sh.End; port++ {
-			margin := cfg.MarginMeanDB + cfg.MarginSigmaDB*sh.Rng.NormFloat64()
-			if margin < cfg.MarginFloorDB {
-				margin = cfg.MarginFloorDB
+			margin := marginMeanDB + marginSigmaDB*sh.Rng.NormFloat64()
+			if margin < marginFloorDB {
+				margin = marginFloorDB
 			}
-			mpi := cfg.MPIMeanDB + cfg.MPISigmaDB*sh.Rng.NormFloat64()
+			mpi := mpiMeanDB + mpiSigmaDB*sh.Rng.NormFloat64()
 			ber := pr.BER(cfg.SensitivityDBm+margin, MPICondition{MPIDB: mpi, OIM: cfg.OIM})
 			res.BERs[port] = ber
 			if ber > worst {

@@ -58,7 +58,7 @@ func TestFleetBERMarginFloorRespected(t *testing.T) {
 	}
 	// Every port runs at or above the floor margin, so no port can be worse
 	// than a port pinned at the floor with the worst plausible MPI.
-	floorBER := rx.BER(cfg.SensitivityDBm+cfg.MarginFloorDB, MPICondition{MPIDB: cfg.MPIMeanDB + 6*cfg.MPISigmaDB, OIM: cfg.OIM})
+	floorBER := rx.BER(cfg.SensitivityDBm+marginFloorDB, MPICondition{MPIDB: mpiMeanDB + 6*mpiSigmaDB, OIM: cfg.OIM})
 	if res.Worst > floorBER {
 		t.Fatalf("worst %g exceeds floor-margin bound %g", res.Worst, floorBER)
 	}

@@ -88,16 +88,6 @@ func TestPathHops(t *testing.T) {
 	}
 }
 
-func TestPathLatencyExceedsOCS(t *testing.T) {
-	// §3.2.1: EPS fabrics "can add hundreds of nanoseconds if not
-	// microseconds of delay per hop" — a 3-hop path must exceed 1 µs,
-	// whereas a direct OCS circuit adds effectively none.
-	c, _ := NewClos(DCNChassis(), 1024, 2, 1)
-	if l := c.PathLatency(false, true); l < 1e-6 {
-		t.Fatalf("3-hop latency = %v", l)
-	}
-}
-
 func TestClosCostPowerScale(t *testing.T) {
 	small, _ := NewClos(DCNChassis(), 512, 2, 1)
 	big, _ := NewClos(DCNChassis(), 4096, 2, 1)

@@ -51,36 +51,3 @@ func TestHundredsOfNanosecondsPerHop(t *testing.T) {
 		t.Fatalf("per-hop latency = %v", l)
 	}
 }
-
-func TestOCSPathLatencyIsFlightTimeOnly(t *testing.T) {
-	// 100 m of fiber ≈ 500 ns of flight time, nothing else.
-	if got := OCSPathLatency(100); math.Abs(got-500e-9) > 1e-12 {
-		t.Fatalf("OCS latency = %v", got)
-	}
-	if OCSPathLatency(0) != 0 {
-		t.Fatal("zero fiber should be zero latency")
-	}
-}
-
-func TestLatencyAdvantage(t *testing.T) {
-	c, err := NewClos(DCNChassis(), 1024, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same 100 m physical separation: the Clos path pays 3 loaded hops on
-	// top of flight time, the OCS circuit only flight time.
-	adv, err := c.LatencyAdvantage(100, 1500, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adv < 3 {
-		t.Fatalf("advantage = %v, want several times lower latency", adv)
-	}
-	if _, err := c.LatencyAdvantage(100, 1500, 1.5); !errors.Is(err, ErrLoad) {
-		t.Errorf("err = %v", err)
-	}
-	inf, _ := c.LatencyAdvantage(0, 1500, 0.5)
-	if !math.IsInf(inf, 1) {
-		t.Fatal("zero fiber should give infinite advantage")
-	}
-}

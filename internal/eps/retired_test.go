@@ -3,15 +3,13 @@ package eps
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
-// The Clos builder and latency-under-load model below were deleted from the
-// package in PR 25: nothing outside tests composed them (deadexport over
-// cmd/, examples/ and bench/; the §4.2 spine-full BOM is built by cost from
-// the constants in eps.go). The floor tests that exercised them run against
-// these copies until a later PR retires them; no other test may start
-// using them.
+// Package eps ships no code: the Clos builder and latency-under-load model
+// below were deleted because nothing outside tests composed them, and the
+// two spine-port constants the §4.2 spine-full BOM needs live in cost. The
+// floor tests that exercised the model run against these copies until
+// they are retired; no other test may start using them.
 
 // Chassis describes one electrical packet switch.
 type Chassis struct {
@@ -114,11 +112,6 @@ func (c *Clos) PathHops(sameLeaf, samePod bool) int {
 	}
 }
 
-// PathLatency returns the switching latency of a path.
-func (c *Clos) PathLatency(sameLeaf, samePod bool) float64 {
-	return float64(c.PathHops(sameLeaf, samePod)) * c.Chassis.HopLatencySec
-}
-
 // BisectionGbps returns the fabric's bisection bandwidth.
 func (c *Clos) BisectionGbps() float64 {
 	return float64(c.LeafSpineLinks) * c.Chassis.PortGbps / 2 / c.Oversubscription
@@ -151,36 +144,4 @@ func (c Chassis) HopLatencyUnderLoad(packetBytes int, load float64) (float64, er
 	s := c.ServiceTime(packetBytes)
 	queue := s * load / (1 - load)
 	return c.HopLatencySec + s + queue, nil
-}
-
-// PathLatencyUnderLoad returns the mean end-to-end switching latency of a
-// Clos path at uniform port utilization.
-func (c *Clos) PathLatencyUnderLoad(sameLeaf, samePod bool, packetBytes int, load float64) (float64, error) {
-	per, err := c.Chassis.HopLatencyUnderLoad(packetBytes, load)
-	if err != nil {
-		return 0, err
-	}
-	return float64(c.PathHops(sameLeaf, samePod)) * per, nil
-}
-
-// OCSPathLatency returns the added latency of a direct OCS circuit: the
-// light propagates through passive glass, so only the fiber flight time
-// remains (≈5 ns/m, zero per-hop processing).
-func OCSPathLatency(fiberM float64) float64 {
-	const nsPerM = 5e-9
-	return fiberM * nsPerM
-}
-
-// LatencyAdvantage returns how many times lower the direct-OCS path
-// latency is than the loaded Clos path for the same endpoints.
-func (c *Clos) LatencyAdvantage(fiberM float64, packetBytes int, load float64) (float64, error) {
-	clos, err := c.PathLatencyUnderLoad(false, true, packetBytes, load)
-	if err != nil {
-		return 0, err
-	}
-	ocs := OCSPathLatency(fiberM)
-	if ocs <= 0 {
-		return math.Inf(1), nil
-	}
-	return clos / ocs, nil
 }

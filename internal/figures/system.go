@@ -143,7 +143,7 @@ func fig15b(w io.Writer) ([]Row, error) {
 // dcnExperiment prints the spine-free savings and the topology-engineering
 // flow-level comparison.
 func dcnExperiment(w io.Writer) ([]Row, error) {
-	capex, power := cost.DefaultDCN().DCNSavings()
+	capex, power := cost.DCNSavings()
 	fmt.Fprintf(w, "spine-free DCN: capex savings %.1f%% (paper ≈30%%), power savings %.1f%% (paper ≈41%%)\n",
 		100*capex, 100*power)
 	cmp, err := dcn.CompareTopologies(dcn.ReferenceExperiment())

@@ -55,14 +55,6 @@ type Config struct {
 	// DriverBoards is the number of high-voltage driver boards; each board
 	// actuates an equal contiguous share of each die's mirrors.
 	DriverBoards int
-	// MirrorSettle is the electromechanical settling time of one mirror
-	// move, in seconds (milliseconds class for MEMS, Table C.1).
-	MirrorSettle float64
-	// AlignIterations is the number of camera-feedback alignment rounds run
-	// per connection (§3.2.2: image-based closed-loop alignment).
-	AlignIterations int
-	// AlignRound is the duration of one alignment round in seconds.
-	AlignRound float64
 	// Seed fixes the manufacturing variation of this physical unit.
 	Seed uint64
 	// Metrics receives telemetry; nil disables metric export.
@@ -72,16 +64,23 @@ type Config struct {
 // DefaultConfig returns the production Palomar configuration from the paper.
 func DefaultConfig() Config {
 	return Config{
-		Radix:           136,
-		SparePorts:      8,
-		MirrorsPerDie:   176,
-		DriverBoards:    8,
-		MirrorSettle:    2e-3,
-		AlignIterations: 6,
-		AlignRound:      0.5e-3,
-		Seed:            1,
+		Radix:         136,
+		SparePorts:    8,
+		MirrorsPerDie: 176,
+		DriverBoards:  8,
+		Seed:          1,
 	}
 }
+
+// Palomar's connection timing: one mirror move settles in mirrorSettle
+// seconds (milliseconds class for MEMS, Table C.1), then alignIterations
+// camera-feedback rounds of alignRound seconds each close the loop
+// (§3.2.2: image-based closed-loop alignment).
+const (
+	mirrorSettle    = 2e-3
+	alignIterations = 6
+	alignRound      = 0.5e-3
+)
 
 // Circuit is an established North→South cross-connection.
 type Circuit struct {
@@ -264,7 +263,7 @@ func (s *Switch) portDrivable(p PortID) bool {
 
 // Connect establishes a North→South circuit and returns it. The connection
 // runs the camera-feedback alignment loop, so setup time is
-// MirrorSettle + AlignIterations×AlignRound and the final loss includes a
+// mirrorSettle + alignIterations×alignRound and the final loss includes a
 // small alignment residual.
 func (s *Switch) Connect(north, south PortID) (Circuit, error) {
 	if !s.up {
@@ -311,12 +310,12 @@ func (s *Switch) align(north, south PortID) (lossDB, setup float64) {
 	// Open-loop pointing error before feedback: up to a few dB excess.
 	r := s.pairRand(north, south, 0xA11)
 	excess := 1.5 + 1.0*r.Float64()
-	for i := 0; i < s.cfg.AlignIterations; i++ {
+	for i := 0; i < alignIterations; i++ {
 		excess *= 0.35 // each camera round removes ~65% of residual error
 	}
 	// Residual jitter of the servo.
 	res := 0.02 + 0.02*r.Float64()
-	setup = s.cfg.MirrorSettle + float64(s.cfg.AlignIterations)*s.cfg.AlignRound
+	setup = mirrorSettle + alignIterations*alignRound
 	return floor + excess + res, setup
 }
 

@@ -46,12 +46,10 @@ type SchedulerConfig struct {
 	// marks the remainder permanently failed in the mirror).
 	InstalledCubes int
 	// Placer is the placement policy (default Reconfigurable).
-	// ContiguousWithDefrag is normalized to Contiguous with Defrag set so
-	// compaction migrations replay through Ops.
+	// ContiguousWithDefrag is normalized to Contiguous plus
+	// compaction-on-blocked-placement, whose migrations replay as slice
+	// updates through Ops.
 	Placer Placer
-	// Defrag enables compaction-on-blocked-placement for the contiguous
-	// policy; migrations are replayed as slice updates through Ops.
-	Defrag bool
 	// BackfillWindow is how many queued jobs may jump a blocked head job
 	// (0 = default 6).
 	BackfillWindow int
@@ -208,13 +206,9 @@ func newScheduler(cfg SchedulerConfig, adopt *Pod) (*Scheduler, error) {
 	if placer == nil {
 		placer = Reconfigurable{}
 	}
-	defrag := cfg.Defrag
-	if _, ok := placer.(ContiguousWithDefrag); ok {
+	_, defrag := placer.(ContiguousWithDefrag)
+	if defrag {
 		placer = Contiguous{}
-		defrag = true
-	}
-	if _, ok := placer.(Contiguous); !ok {
-		defrag = false // compaction never helps the reconfigurable policy
 	}
 	backfill := cfg.BackfillWindow
 	if backfill <= 0 {

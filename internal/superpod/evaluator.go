@@ -177,12 +177,6 @@ func (r *Report) Text() string {
 	return b.String()
 }
 
-type policy struct {
-	name   string
-	placer sched.Placer
-	defrag bool
-}
-
 // Evaluate replays the generated stream under the three §4.2.4 policies —
 // reconfigurable, contiguous, contiguous+defrag — each against its own
 // live fleet.Manager + core.Fabric control plane. Policies fan out on the
@@ -211,22 +205,18 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 		}
 	}
 
-	policies := []policy{
-		{"reconfigurable", sched.Reconfigurable{}, false},
-		{"contiguous", sched.Contiguous{}, false},
-		{"contiguous+defrag", sched.Contiguous{}, true},
-	}
+	policies := []sched.Placer{sched.Reconfigurable{}, sched.Contiguous{}, sched.ContiguousWithDefrag{}}
 	type out struct {
 		po  PolicyOutcome
 		err error
 	}
-	outs := par.Sweep("superpod_eval", policies, func(_ int, pol policy) out {
+	outs := par.Sweep("superpod_eval", policies, func(_ int, pol sched.Placer) out {
 		po, err := runPolicy(cfg, events, pol)
 		return out{po, err}
 	})
 	for i, o := range outs {
 		if o.err != nil {
-			return nil, fmt.Errorf("superpod: policy %s: %w", policies[i].name, o.err)
+			return nil, fmt.Errorf("superpod: policy %s: %w", policies[i].Name(), o.err)
 		}
 		rep.Policies = append(rep.Policies, o.po)
 	}
@@ -236,8 +226,8 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 
 // runPolicy builds one live control plane — the chaos lab over real
 // core.Fabric pods — and replays the stream.
-func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error) {
-	po := PolicyOutcome{Policy: pol.name}
+func runPolicy(cfg EvalConfig, events []event, pol sched.Placer) (PolicyOutcome, error) {
+	po := PolicyOutcome{Policy: pol.Name()}
 
 	fbs := make([]*fleet.FabricBackend, cfg.Pods)
 	inner := make([]fleet.Backend, cfg.Pods)
@@ -259,8 +249,7 @@ func runPolicy(cfg EvalConfig, events []event, pol policy) (PolicyOutcome, error
 	s, err := sched.NewScheduler(sched.SchedulerConfig{
 		Pods:           pods,
 		InstalledCubes: cfg.CubesPerPod,
-		Placer:         pol.placer,
-		Defrag:         pol.defrag,
+		Placer:         pol,
 		BackfillWindow: cfg.BackfillWindow,
 		Ops:            FleetOps{M: mgr},
 	})

@@ -25,11 +25,14 @@ type RunnerConfig struct {
 	// Mix is the synthetic offered workload (default sched.ProductionMix).
 	Mix sched.JobMix
 	// Interval is the wall-clock tick (default 2s); each tick advances
-	// virtual time by VirtualPerTick seconds (default 60).
-	Interval       time.Duration
-	VirtualPerTick float64
-	Seed           uint64
+	// virtual time by virtualPerTick.
+	Interval time.Duration
+	Seed     uint64
 }
+
+// virtualPerTick is the virtual seconds one runner tick covers: one
+// virtual minute.
+const virtualPerTick = 60
 
 // Runner drives a sched.Scheduler against the live fleet on a wall-clock
 // ticker: each tick samples Poisson arrivals from the mix over the next
@@ -76,9 +79,6 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
 	}
-	if cfg.VirtualPerTick <= 0 {
-		cfg.VirtualPerTick = 60
-	}
 	s, err := sched.NewScheduler(sched.SchedulerConfig{
 		Pods:           cfg.Pods,
 		InstalledCubes: cfg.InstalledCubes,
@@ -107,7 +107,7 @@ func (r *Runner) tick() error {
 	if r.nextA < now {
 		r.nextA = now + r.rng.ExpFloat64()/r.cfg.Mix.ArrivalRate
 	}
-	target := now + r.cfg.VirtualPerTick
+	target := now + virtualPerTick
 	for r.nextA < target {
 		if err := r.s.AdvanceTo(r.nextA); err != nil {
 			return err

@@ -45,7 +45,6 @@ func TestRunnerTrimsMixToInstalledCubes(t *testing.T) {
 		Pods:           []string{"pod0"},
 		InstalledCubes: 8,
 		Interval:       time.Millisecond,
-		VirtualPerTick: 600,
 		Seed:           11,
 	})
 	if err != nil {
@@ -108,9 +107,8 @@ func TestRunnerResumesRecoveredClock(t *testing.T) {
 			Sizes: []int{1, 2}, Weights: []float64{0.7, 0.3},
 			MeanDuration: 200, ArrivalRate: 0.1,
 		},
-		Interval:       time.Millisecond,
-		VirtualPerTick: 60,
-		Seed:           5,
+		Interval: time.Millisecond,
+		Seed:     5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +150,8 @@ func TestRunnerTicksAgainstFleet(t *testing.T) {
 			Sizes: []int{1, 2}, Weights: []float64{0.7, 0.3},
 			MeanDuration: 200, ArrivalRate: 0.1,
 		},
-		Interval:       2 * time.Millisecond,
-		VirtualPerTick: 60,
-		Seed:           5,
+		Interval: 2 * time.Millisecond,
+		Seed:     5,
 	})
 	if err != nil {
 		t.Fatal(err)

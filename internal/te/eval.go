@@ -36,7 +36,6 @@ type EvalConfig struct {
 	// MeanFlowBytes is the flow-size mean (default 1e9).
 	MeanFlowBytes float64
 	Predictor     PredictorConfig
-	Planner       PlannerConfig
 	// CooldownEpochs is the loop's reconfiguration cooldown (default 3).
 	CooldownEpochs int
 	// Seed drives the flow arrival processes. Each epoch's three
@@ -120,8 +119,8 @@ func Evaluate(cfg EvalConfig) (*EvalResult, error) {
 	// boundary, so its drain bill lands on epoch e+1.
 	loop, err := NewLoop(Config{
 		Blocks: n, Uplinks: cfg.Uplinks, TrunkBps: cfg.TrunkBps,
-		EpochSeconds: cfg.EpochSeconds,
-		Predictor:    cfg.Predictor, Planner: cfg.Planner,
+		EpochSeconds:   cfg.EpochSeconds,
+		Predictor:      cfg.Predictor,
 		CooldownEpochs: cfg.CooldownEpochs,
 	})
 	if err != nil {

@@ -40,9 +40,6 @@ type Config struct {
 	// EpochSeconds is the collection epoch length.
 	EpochSeconds float64
 	Predictor    PredictorConfig
-	// Planner tunes hysteresis, capacity floor, and reconfiguration
-	// costing; its Blocks/Uplinks/TrunkBps are filled from this Config.
-	Planner PlannerConfig
 	// CooldownEpochs is the minimum number of epochs between
 	// reconfigurations (default 3) — the temporal half of hysteresis.
 	CooldownEpochs int
@@ -110,9 +107,7 @@ func NewLoop(cfg Config) (*Loop, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcfg := cfg.Planner
-	pcfg.Blocks, pcfg.Uplinks, pcfg.TrunkBps = cfg.Blocks, cfg.Uplinks, cfg.TrunkBps
-	planner, err := NewPlanner(pcfg)
+	planner, err := NewPlanner(PlannerConfig{Blocks: cfg.Blocks, Uplinks: cfg.Uplinks, TrunkBps: cfg.TrunkBps})
 	if err != nil {
 		return nil, err
 	}

@@ -8,50 +8,33 @@ import (
 	"lightwave/internal/par"
 )
 
+// The planner runs on the production values of §2.1 and §4.2.
+const (
+	// minGain is the hysteresis threshold: reconfigure only when the
+	// predicted throughput gain (target/current - 1 on the predicted
+	// matrix) reaches it. Without it the loop would churn circuits every
+	// epoch chasing noise.
+	minGain = 0.02
+	// capacityFloor is the minimum fraction of the fabric's trunk
+	// capacity that must stay in service during every stage of a
+	// reconfiguration. Plans that cannot be staged above it are held.
+	capacityFloor = 0.75
+	// stageOverheadSeconds is the routing drain/undrain overhead paid
+	// per stage on top of the optical switching time.
+	stageOverheadSeconds = 1
+)
+
+// planTech is the OCS technology whose switching time costs a plan: the
+// Table C.1 MEMS row. Each stage's reprogram work is shared by the
+// fabric's Uplinks OCSes.
+var planTech = cost.Technologies()[0]
+
 // PlannerConfig parameterizes the reconfiguration planner.
 type PlannerConfig struct {
 	Blocks, Uplinks int
 	// TrunkBps is the per-trunk, per-direction rate used for throughput
 	// and drained-capacity accounting.
 	TrunkBps float64
-	// MinGain is the hysteresis threshold: reconfigure only when the
-	// predicted throughput gain (target/current - 1 on the predicted
-	// matrix) exceeds it (default 0.02). Without it the loop would churn
-	// circuits every epoch chasing noise.
-	MinGain float64
-	// CapacityFloor is the minimum fraction of the fabric's trunk
-	// capacity that must stay in service during every stage of a
-	// reconfiguration (default 0.75). Plans that cannot be staged above
-	// the floor are rejected.
-	CapacityFloor float64
-	// Tech is the OCS technology whose switching time costs the plan
-	// (default the Table C.1 MEMS row).
-	Tech cost.OCSTechnology
-	// Switches is the number of OCSes sharing each stage's reprogram
-	// work (default Uplinks).
-	Switches int
-	// StageOverheadSeconds is the routing drain/undrain overhead paid
-	// per stage on top of the optical switching time (default 1s).
-	StageOverheadSeconds float64
-}
-
-func (c PlannerConfig) withDefaults() PlannerConfig {
-	if c.MinGain <= 0 {
-		c.MinGain = 0.02
-	}
-	if c.CapacityFloor <= 0 || c.CapacityFloor >= 1 {
-		c.CapacityFloor = 0.75
-	}
-	if c.Tech.Name == "" {
-		c.Tech = cost.Technologies()[0] // MEMS
-	}
-	if c.Switches <= 0 {
-		c.Switches = c.Uplinks
-	}
-	if c.StageOverheadSeconds <= 0 {
-		c.StageOverheadSeconds = 1
-	}
-	return c
 }
 
 // Stage is one drain -> OCS reprogram -> undrain step of a plan: the
@@ -106,7 +89,7 @@ func NewPlanner(cfg PlannerConfig) (*Planner, error) {
 		return nil, fmt.Errorf("%w: blocks=%d uplinks=%d trunk=%g",
 			ErrConfig, cfg.Blocks, cfg.Uplinks, cfg.TrunkBps)
 	}
-	return &Planner{cfg: cfg.withDefaults()}, nil
+	return &Planner{cfg: cfg}, nil
 }
 
 // Decide engineers a candidate topology for the predicted demand and
@@ -137,9 +120,9 @@ func (p *Planner) Decide(current *dcn.Topology, predicted [][]float64) (*Plan, e
 	if plan.CurrentBps > 0 {
 		plan.PredictedGain = plan.TargetBps/plan.CurrentBps - 1
 	}
-	if plan.PredictedGain < cfg.MinGain {
+	if plan.PredictedGain < minGain {
 		plan.Reason = fmt.Sprintf("predicted gain %.3f below hysteresis threshold %.3f",
-			plan.PredictedGain, cfg.MinGain)
+			plan.PredictedGain, minGain)
 		return plan, nil
 	}
 
@@ -197,19 +180,19 @@ func (p *Planner) stagePlan(current, target *dcn.Topology) ([]Stage, error) {
 			work.Links[t0[0]][t0[1]]--
 			work.Links[t0[1]][t0[0]]--
 			frac := float64(trunkCount(work)) / float64(totalTrunks)
-			if (frac < cfg.CapacityFloor || !allPairsRoutable(work)) && len(stage.Tear) > 0 {
+			if (frac < capacityFloor || !allPairsRoutable(work)) && len(stage.Tear) > 0 {
 				// This tear belongs to the next stage.
 				work.Links[t0[0]][t0[1]]++
 				work.Links[t0[1]][t0[0]]++
 				break
 			}
-			if frac < cfg.CapacityFloor || !allPairsRoutable(work) {
+			if frac < capacityFloor || !allPairsRoutable(work) {
 				// Even a single-trunk stage violates the floor (or
 				// disconnects a pair): the plan cannot be staged safely.
 				work.Links[t0[0]][t0[1]]++
 				work.Links[t0[1]][t0[0]]++
 				return nil, fmt.Errorf("%w: single-trunk stage drops residual capacity to %.3f (floor %.3f)",
-					ErrConfig, frac, cfg.CapacityFloor)
+					ErrConfig, frac, capacityFloor)
 			}
 			stage.Tear = append(stage.Tear, t0)
 			tears = tears[1:]
@@ -236,7 +219,7 @@ func (p *Planner) stagePlan(current, target *dcn.Topology) ([]Stage, error) {
 				ErrConfig, len(tears), len(adds))
 		}
 		changes := len(stage.Tear) + len(stage.Establish)
-		stage.Seconds = cfg.Tech.PodReconfigTime(changes, cfg.Switches) + cfg.StageOverheadSeconds
+		stage.Seconds = planTech.PodReconfigTime(changes, cfg.Uplinks) + stageOverheadSeconds
 		stage.After = cloneTopology(work)
 		stages = append(stages, stage)
 	}

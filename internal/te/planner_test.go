@@ -2,6 +2,7 @@ package te
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"lightwave/internal/dcn"
@@ -57,21 +58,29 @@ func TestPlannerHoldsWhenTopologyOptimal(t *testing.T) {
 }
 
 func TestPlannerHysteresisHoldsSmallGain(t *testing.T) {
-	// An absurd threshold holds every plan.
-	p := newTestPlanner(t, PlannerConfig{MinGain: 100})
+	// A light demand with one warm pair: the engineered target differs
+	// from the mesh, but both carry all of it, so the gain (zero) stays
+	// under the hysteresis threshold and the plan holds.
+	p := newTestPlanner(t, PlannerConfig{})
 	mesh, err := dcn.UniformMesh(8, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.Decide(mesh, skewed(8, [2]int{0, 1}, [2]int{2, 3}, [2]int{4, 5}))
+	demand := dcn.UniformDemand(8, 1e9)
+	demand[0][1] += 1e9
+	demand[1][0] += 1e9
+	plan, err := p.Decide(mesh, demand)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Reconfigure {
-		t.Fatalf("gain %g cleared a threshold of 100", plan.PredictedGain)
+		t.Fatalf("gain %g cleared the %g threshold", plan.PredictedGain, minGain)
 	}
-	if plan.Reason == "" {
-		t.Error("held plan must carry a reason")
+	if sameLinks(mesh, plan.Target) {
+		t.Fatal("target equals the mesh; the hold is not hysteresis")
+	}
+	if plan.PredictedGain >= minGain || !strings.Contains(plan.Reason, "hysteresis") {
+		t.Errorf("gain %g, reason %q: want a hysteresis hold under %g", plan.PredictedGain, plan.Reason, minGain)
 	}
 }
 
@@ -99,7 +108,6 @@ func TestPlannerReconfiguresOnSkew(t *testing.T) {
 		t.Errorf("plan costs not populated: %g s, %g bps-s", plan.Seconds, plan.DrainedCapacityBpsSeconds)
 	}
 
-	cfg := p.cfg
 	if len(plan.Stages) == 0 {
 		t.Fatal("reconfiguring plan has no stages")
 	}
@@ -111,11 +119,11 @@ func TestPlannerReconfiguresOnSkew(t *testing.T) {
 			work.Links[tr[1]][tr[0]]--
 		}
 		frac := float64(trunkCount(work)) / float64(total)
-		if frac < cfg.CapacityFloor-1e-9 {
-			t.Fatalf("stage %d residual %g below floor %g", si, frac, cfg.CapacityFloor)
+		if frac < capacityFloor-1e-9 {
+			t.Fatalf("stage %d residual %g below floor %g", si, frac, capacityFloor)
 		}
-		if st.ResidualFraction < cfg.CapacityFloor-1e-9 {
-			t.Fatalf("stage %d reports residual %g below floor %g", si, st.ResidualFraction, cfg.CapacityFloor)
+		if st.ResidualFraction < capacityFloor-1e-9 {
+			t.Fatalf("stage %d reports residual %g below floor %g", si, st.ResidualFraction, capacityFloor)
 		}
 		if !allPairsRoutable(work) {
 			t.Fatalf("stage %d drained topology loses two-hop routability", si)
@@ -137,25 +145,34 @@ func TestPlannerReconfiguresOnSkew(t *testing.T) {
 	if !sameLinks(work, plan.Target) {
 		t.Fatal("stages do not converge to the target topology")
 	}
-	if plan.MinResidualFraction < cfg.CapacityFloor-1e-9 {
-		t.Errorf("MinResidualFraction %g below floor %g", plan.MinResidualFraction, cfg.CapacityFloor)
+	if plan.MinResidualFraction < capacityFloor-1e-9 {
+		t.Errorf("MinResidualFraction %g below floor %g", plan.MinResidualFraction, capacityFloor)
 	}
 }
 
 func TestPlannerImpossibleFloorHolds(t *testing.T) {
-	// With a floor this tight, any multi-trunk shift between two very
-	// different topologies must be rejected, not violated.
-	p := newTestPlanner(t, PlannerConfig{CapacityFloor: 0.999})
-	mesh, err := dcn.UniformMesh(8, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Decide(mesh, skewed(8, [2]int{0, 1}, [2]int{2, 3}, [2]int{4, 5}))
+	// A three-trunk fabric: 0=1 doubled, 0-2 single, and 1 reaches 2
+	// only through 0. Demand between 1 and 2 wants a direct trunk, which
+	// needs 0=1 torn first, and one tear leaves 2/3 of the trunks — below
+	// the floor. The plan must be held, not staged through the floor.
+	p := newTestPlanner(t, PlannerConfig{Blocks: 3, Uplinks: 3})
+	current := &dcn.Topology{Blocks: 3, UplinksPerBlock: 3, Links: [][]int{
+		{0, 2, 1},
+		{2, 0, 0},
+		{1, 0, 0},
+	}}
+	demand := dcn.UniformDemand(3, 1e9)
+	demand[1][2] += 1000e9
+	demand[2][1] += 1000e9
+	plan, err := p.Decide(current, demand)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Reconfigure {
-		t.Fatalf("plan staged %d trunk moves under a 0.999 floor", len(plan.Stages))
+		t.Fatalf("plan staged %d stages through a %g floor", len(plan.Stages), capacityFloor)
+	}
+	if !strings.Contains(plan.Reason, "floor") {
+		t.Errorf("reason %q, want the capacity floor", plan.Reason)
 	}
 }
 

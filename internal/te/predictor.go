@@ -6,39 +6,30 @@ import (
 	"lightwave/internal/telemetry"
 )
 
-// zeroVarBurstFactor is the relative spike guard used when a pair's
-// EWMA variance is exactly zero and the detector's sigma test cannot
-// fire: a sample above this multiple of the baseline counts as a burst.
-const zeroVarBurstFactor = 2
+// The predictor's smoothing and burst constants.
+const (
+	// predictAlpha is the EWMA weight for new samples. Higher tracks
+	// shifts faster; lower smooths noise harder.
+	predictAlpha = 0.3
+	// peakDecay multiplies the held per-pair peak each epoch, so a burst
+	// keeps the prediction hedged for a few epochs after it subsides
+	// instead of forever.
+	peakDecay = 0.85
+	// zeroVarBurstFactor is the relative spike guard used when a pair's
+	// EWMA variance is exactly zero and the detector's sigma test cannot
+	// fire: a sample above this multiple of the baseline counts as a
+	// burst.
+	zeroVarBurstFactor = 2
+)
 
 // PredictorConfig parameterizes the demand predictor.
 type PredictorConfig struct {
-	// Alpha is the EWMA weight for new samples (default 0.3). Higher
-	// tracks shifts faster; lower smooths noise harder.
-	Alpha float64
-	// PeakDecay multiplies the held per-pair peak each epoch (default
-	// 0.85), so a burst keeps the prediction hedged for a few epochs
-	// after it subsides instead of forever.
-	PeakDecay float64
-	// BurstSigma is the stddev multiplier above the EWMA baseline that
-	// flags a sample as a burst (default 4, the telemetry.Detector
-	// default).
-	BurstSigma float64
 	// Warmup is the number of epochs before adaptive burst detection
 	// fires (default 8).
 	Warmup int
 }
 
 func (c PredictorConfig) withDefaults() PredictorConfig {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.PeakDecay <= 0 || c.PeakDecay >= 1 {
-		c.PeakDecay = 0.85
-	}
-	if c.BurstSigma <= 0 {
-		c.BurstSigma = 4
-	}
 	if c.Warmup <= 0 {
 		c.Warmup = 8
 	}
@@ -78,8 +69,7 @@ func NewPredictor(blocks int, cfg PredictorConfig) (*Predictor, error) {
 	}
 	for i := range p.det {
 		d := telemetry.NewDetector(fmt.Sprintf("te/pair%d-%d", i/blocks, i%blocks), nil)
-		d.Alpha = cfg.Alpha
-		d.Threshold = cfg.BurstSigma
+		d.Alpha = predictAlpha // bursts keep the detector's 4σ threshold
 		d.Warmup = cfg.Warmup
 		p.det[i] = d
 	}
@@ -134,7 +124,7 @@ func (p *Predictor) Update(observed [][]float64) (UpdateStats, error) {
 			} else if p.det[k].Observe(v) {
 				st.Bursts++
 			}
-			p.peak[k] *= p.cfg.PeakDecay
+			p.peak[k] *= peakDecay
 			if v > p.peak[k] {
 				p.peak[k] = v
 			}

@@ -107,7 +107,7 @@ func TestPredictorTracksSteadyDemand(t *testing.T) {
 }
 
 func TestPredictorBurstHedgesWithoutPoisoningBaseline(t *testing.T) {
-	p, err := NewPredictor(2, PredictorConfig{Alpha: 0.3, PeakDecay: 0.8, Warmup: 4})
+	p, err := NewPredictor(2, PredictorConfig{Warmup: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

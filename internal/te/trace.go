@@ -35,18 +35,18 @@ type TraceConfig struct {
 	DiurnalAmplitude    float64
 	DiurnalPeriodEpochs int
 	// BurstProb is the per-epoch probability of a hot-pair burst adding
-	// BurstFactor x ServiceMeanBps to one random pair (default factor 4).
-	BurstProb   float64
-	BurstFactor float64
-	Seed        uint64
+	// burstFactor x ServiceMeanBps to one random pair.
+	BurstProb float64
+	Seed      uint64
 }
+
+// burstFactor sizes a trace burst in multiples of ServiceMeanBps (of
+// BaseBps when the trace has no services).
+const burstFactor = 4
 
 func (c TraceConfig) withDefaults() TraceConfig {
 	if c.DiurnalPeriodEpochs <= 0 {
 		c.DiurnalPeriodEpochs = 24
-	}
-	if c.BurstFactor <= 0 {
-		c.BurstFactor = 4
 	}
 	return c
 }
@@ -125,9 +125,9 @@ func (c TraceConfig) epochMatrix(e int, svcs []dcn.Service) [][]float64 {
 			for j == i {
 				j = rng.Intn(c.Blocks)
 			}
-			burst := c.BurstFactor * c.ServiceMeanBps
+			burst := burstFactor * c.ServiceMeanBps
 			if burst <= 0 {
-				burst = c.BurstFactor * c.BaseBps
+				burst = burstFactor * c.BaseBps
 			}
 			d[i][j] += burst
 			d[j][i] += burst

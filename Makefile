@@ -14,8 +14,9 @@ GO ?= go
 # pipelined client is shared by N callers, one server connection runs
 # decode, a worker pool and encode concurrently, and both ends flush
 # through one batch writer whose shutdown follows the connection's
-# lifetime) and the daemon lifecycle once (shutdown joins every loop
-# before the store closes), race-test the
+# lifetime) and both daemons' lifecycle once (shutdown joins every loop
+# before the store closes; lwfleetd boots its TE loop from a recovered
+# store), race-test the
 # durable-state subsystem (its group-commit writer batches concurrent
 # appenders and the store is shared by three journal sources plus the
 # checkpointer), race-test fleet intake against the store three times over
@@ -39,7 +40,7 @@ race-sched:
 
 race-ctl:
 	$(GO) test -race -count=3 ./internal/ctlrpc/...
-	$(GO) test -race ./internal/daemon/... ./cmd/lwfd/...
+	$(GO) test -race ./internal/daemon/... ./cmd/lwfd/... ./cmd/lwfleetd/...
 
 race-wal:
 	$(GO) test -race ./internal/wal/...

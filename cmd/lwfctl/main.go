@@ -324,7 +324,7 @@ func parseInts(s string) ([]int, error) {
 
 func printTEStatus(st ctlrpc.TEStatusResult) {
 	if !st.Enabled {
-		fmt.Println("te loop: disabled (start the daemon with -te-epoch)")
+		fmt.Println("te loop: disabled (start lwfleetd with -te-epoch)")
 		return
 	}
 	fmt.Printf("te loop:        %d blocks x %d uplinks, %d trunks live\n",

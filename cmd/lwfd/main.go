@@ -2,10 +2,9 @@
 // fabric (48 Palomar OCSes plus the cube inventory) and serves the ctlrpc
 // control protocol on a TCP address for cmd/lwfctl and other tooling.
 //
-// It can additionally run the online topology-engineering loop
-// (internal/te) over a simulated DCN fabric, reprogramming inter-block
-// trunks as the synthetic offered load shifts; -te-epoch enables it and
-// `lwfctl te status` inspects it.
+// lwfd serves one pod's fabric and nothing else. The DCN
+// topology-engineering loop runs on cmd/lwfleetd (-te-epoch); here
+// te-status answers that the loop is disabled.
 //
 // Link telemetry enters through the observe-ber method (`lwfctl
 // observe-ber`): each pre-FEC BER sample feeds the fabric's per-link
@@ -25,7 +24,7 @@
 //
 // Usage:
 //
-//	lwfd -addr 127.0.0.1:7600 -cubes 64 [-metrics-addr 127.0.0.1:7680] [-te-epoch 2s] [-state-dir /var/lib/lwfd]
+//	lwfd -addr 127.0.0.1:7600 -cubes 64 [-metrics-addr 127.0.0.1:7680] [-state-dir /var/lib/lwfd]
 package main
 
 import (
@@ -37,9 +36,6 @@ import (
 	"lightwave/internal/core"
 	"lightwave/internal/ctlrpc"
 	"lightwave/internal/daemon"
-	"lightwave/internal/dcn"
-	"lightwave/internal/optics"
-	"lightwave/internal/te"
 )
 
 func main() {
@@ -68,16 +64,10 @@ func flags(fs *flag.FlagSet) *daemon.Flags {
 // compose builds the fabric and its server on the shared daemon skeleton.
 func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 	f := d.Flags
-	cfg := core.DefaultConfig(f.Cubes)
-	if f.Transceiver != cfg.Transceiver.Name {
-		gen, err := optics.GenerationByName(f.Transceiver)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Transceiver = gen
+	cfg, err := daemon.PodConfig(f.Cubes, f.Transceiver, d.Reg, d.Alerts)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Metrics = d.Reg
-	cfg.Alerts = d.Alerts
 	fabric, err := core.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("building fabric: %w", err)
@@ -103,20 +93,8 @@ func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 				f.StateDir, applied, failed, store.Log().LastLSN())
 		}
 		store.EndRecovery()
-		store.AttachFabric(srv)
 		srv.SetJournal(store)
 		srv.SetWAL(ctlrpc.StoreWALProvider{Store: store})
-	}
-
-	if f.TEEpoch > 0 {
-		loop, err := d.StartTE(func(fab *dcn.Fabric) (te.Applier, error) {
-			return &te.FabricApplier{F: fab}, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("starting te loop: %w", err)
-		}
-		srv.SetTE(ctlrpc.LoopTEProvider{L: loop})
-		log.Printf("lwfd: te loop on %d blocks x %d uplinks, epoch %s", f.TEBlocks, f.TEUplinks, f.TEEpoch)
 	}
 	return srv, nil
 }

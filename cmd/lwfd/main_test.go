@@ -253,18 +253,24 @@ func TestRestartEquivalence(t *testing.T) {
 	}
 }
 
-// TestNoChaosInjection: lwfd has no fault injector. -chaos is not one of
-// its flags, chaos-inject answers ErrChaosDisabled, and observe-ber is the
+// TestNoChaosInjection: lwfd has no fault injector and no TE loop. -chaos
+// and -te-epoch are not among its flags, chaos-inject answers
+// ErrChaosDisabled, te-status answers disabled, and observe-ber is the
 // daemon's one BER intake, refusing a sample that is not a probability.
 func TestNoChaosInjection(t *testing.T) {
-	fs := flag.NewFlagSet("lwfd", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	flags(fs)
-	if err := fs.Parse([]string{"-chaos"}); err == nil || !strings.Contains(err.Error(), "not defined: -chaos") {
-		t.Fatalf("-chaos parsed: err = %v", err)
+	for _, name := range []string{"-chaos", "-te-epoch"} {
+		fs := flag.NewFlagSet("lwfd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		flags(fs)
+		if err := fs.Parse([]string{name, "1s"}); err == nil || !strings.Contains(err.Error(), "not defined: "+name) {
+			t.Fatalf("%s parsed: err = %v", name, err)
+		}
 	}
 
 	l := startLwfd(t, "")
+	if st, err := l.c.TEStatus(); err != nil || st.Enabled {
+		t.Fatalf("te-status = %+v, %v; want disabled", st, err)
+	}
 	_, err := l.c.ChaosInject(ctlrpc.ChaosInjectParams{Kind: "ber-degrade", TrunkA: 0, TrunkB: 1, BER: 1e-3, DurationSeconds: 1})
 	if err == nil || !strings.HasSuffix(err.Error(), ctlrpc.ErrChaosDisabled.Error()) {
 		t.Fatalf("chaos-inject: err = %v, want %v", err, ctlrpc.ErrChaosDisabled)

@@ -8,7 +8,8 @@
 // loop (internal/te) over a simulated DCN fabric registered as the "dcn"
 // pod: every reconfiguration stage drains and undrains the affected OCSes
 // through the manager, so TE churn shows up on the fleet event stream and
-// in pod status like any other maintenance.
+// in pod status like any other maintenance. -te-blocks and -te-uplinks
+// size the fabric, and `lwfctl te status` inspects the loop.
 //
 // With -chaos the daemon wraps each pod backend in an injectable fault
 // shim and serves the chaos-inject / chaos-status RPCs (lwfctl chaos ...)
@@ -46,8 +47,11 @@ import (
 	"lightwave/internal/ctlrpc"
 	"lightwave/internal/daemon"
 	"lightwave/internal/dcn"
+	"lightwave/internal/fec"
 	"lightwave/internal/fleet"
-	"lightwave/internal/optics"
+	"lightwave/internal/ocs"
+	"lightwave/internal/par"
+	"lightwave/internal/sched"
 	"lightwave/internal/superpod"
 	"lightwave/internal/te"
 	"lightwave/internal/telemetry"
@@ -57,10 +61,12 @@ import (
 // shares plus the fleet daemon's own.
 type config struct {
 	daemon.Flags
-	pods      int
-	chaosOn   bool
-	schedOn   bool
-	schedTick time.Duration
+	pods                int
+	chaosOn             bool
+	schedOn             bool
+	schedTick           time.Duration
+	teEpoch             time.Duration
+	teBlocks, teUplinks int
 }
 
 func main() {
@@ -70,6 +76,9 @@ func main() {
 	flag.BoolVar(&cfg.chaosOn, "chaos", false, "enable fault injection (chaos-inject / chaos-status RPCs)")
 	flag.BoolVar(&cfg.schedOn, "sched", false, "run the online slice scheduler (sched-status / sched-submit RPCs)")
 	flag.DurationVar(&cfg.schedTick, "sched-tick", 2*time.Second, "scheduler wall-clock tick; each tick advances one virtual minute")
+	flag.DurationVar(&cfg.teEpoch, "te-epoch", 0, "topology-engineering epoch length (0 disables the TE loop)")
+	flag.IntVar(&cfg.teBlocks, "te-blocks", 8, "aggregation blocks in the TE loop's DCN fabric")
+	flag.IntVar(&cfg.teUplinks, "te-uplinks", 14, "uplinks per block in the TE loop's DCN fabric")
 	flag.Parse()
 
 	if err := cfg.validate(); err != nil {
@@ -94,6 +103,12 @@ func (cfg config) validate() error {
 	}
 	if cfg.schedTick <= 0 {
 		return fmt.Errorf("-sched-tick must be positive, got %s", cfg.schedTick)
+	}
+	if cfg.teEpoch < 0 {
+		return fmt.Errorf("-te-epoch must not be negative, got %s", cfg.teEpoch)
+	}
+	if cfg.teEpoch > 0 && (cfg.teBlocks < 2 || cfg.teUplinks < 1) {
+		return fmt.Errorf("-te-blocks/-te-uplinks must be at least 2/1, got %d/%d", cfg.teBlocks, cfg.teUplinks)
 	}
 	return nil
 }
@@ -125,19 +140,12 @@ func buildFleet(n, cubes int, transceiver string, reg *telemetry.Registry, alert
 	if chaosOn {
 		injectable = make(map[string]*chaos.FaultyBackend, n)
 	}
+	cfg, err := daemon.PodConfig(cubes, transceiver, reg, alerts)
+	if err != nil {
+		return nil, nil, err
+	}
 	m := fleet.NewManager(fleet.Options{Metrics: reg, Alerts: alerts, Journal: journal})
 	for i := 0; i < n; i++ {
-		cfg := core.DefaultConfig(cubes)
-		if transceiver != cfg.Transceiver.Name {
-			gen, err := optics.GenerationByName(transceiver)
-			if err != nil {
-				m.Close()
-				return nil, nil, err
-			}
-			cfg.Transceiver = gen
-		}
-		cfg.Metrics = reg
-		cfg.Alerts = alerts
 		f, err := core.New(cfg)
 		if err != nil {
 			m.Close()
@@ -160,10 +168,20 @@ func buildFleet(n, cubes int, transceiver string, reg *telemetry.Registry, alert
 
 // compose builds the fleet and its server on the shared daemon skeleton.
 // Recovery order: the store arrives with journaling suppressed
-// (BeginRecovery), the pods are rebuilt, RecoverFleet re-applies the
-// recovered intents, RecoverSched restores the scheduler, EndRecovery
-// resumes journaling, and only then does the TE loop register its pod.
+// (BeginRecovery), the pods are rebuilt — the TE loop's "dcn" pod among
+// them — RecoverFleet re-applies the recovered intents and drains,
+// RecoverSched restores the scheduler, EndRecovery resumes journaling, and
+// only then does the TE loop undrain what the previous run left drained.
 func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
+	// The simulation and control packages this daemon runs report their
+	// par_*, dcn_flowsim_*, te_*, chaos_* and sched_* counters alongside
+	// the fleet's own metrics.
+	par.SetRegistry(d.Reg)
+	dcn.SetRegistry(d.Reg)
+	te.SetRegistry(d.Reg)
+	chaos.SetRegistry(d.Reg)
+	sched.SetRegistry(d.Reg)
+
 	store := d.Store
 	var journal fleet.Journal
 	if store != nil {
@@ -178,6 +196,12 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		return nil, err
 	}
 	d.OnShutdown(m.Close)
+	var loop *te.Loop
+	if cfg.teEpoch > 0 {
+		if loop, err = cfg.newTELoop(m); err != nil {
+			return nil, fmt.Errorf("starting te loop: %w", err)
+		}
+	}
 	if store != nil {
 		if err := store.RecoverFleet(m); err != nil {
 			return nil, fmt.Errorf("lwfleetd: restoring intents: %w", err)
@@ -199,7 +223,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		// injector bookkeeping. OCS outages need a fabric target and are
 		// rejected — the shared te fabric is driven by its own loop.
 		det := telemetry.NewDetector("chaos-ber", d.Alerts)
-		det.HardLimit = chaos.KP4BERLimit
+		det.HardLimit = fec.KP4Threshold
 		inj, err := chaos.NewInjector(chaos.Targets{
 			Fleet:    m,
 			Backends: injectable,
@@ -235,7 +259,6 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 			if applied+failed > 0 {
 				log.Printf("lwfleetd: sched recovery: %d entries replayed, %d failed", applied, failed)
 			}
-			store.AttachSched(s)
 			s.SetJournal(store)
 		}
 		d.Go("sched loop", runner.Run)
@@ -250,18 +273,104 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		store.EndRecovery()
 	}
 
-	if cfg.TEEpoch > 0 {
-		// The DCN fabric joins the fleet as the "dcn" pod; every stage's
-		// OCS drains ride the manager's reconcile path.
-		loop, err := d.StartTE(func(fab *dcn.Fabric) (te.Applier, error) {
-			return te.NewFleetApplier(m, "dcn", fab)
-		})
-		if err != nil {
+	if loop != nil {
+		if err := cfg.runTE(d, m, loop); err != nil {
 			return nil, fmt.Errorf("starting te loop: %w", err)
 		}
 		srv.SetTE(ctlrpc.LoopTEProvider{L: loop})
-		log.Printf("lwfleetd: te loop on %d blocks x %d uplinks, epoch %s (pod \"dcn\")",
-			cfg.TEBlocks, cfg.TEUplinks, cfg.TEEpoch)
+		log.Printf("lwfleetd: te loop on %d blocks x %d uplinks, epoch %s (pod %q)",
+			cfg.teBlocks, cfg.teUplinks, cfg.teEpoch, tePod)
 	}
 	return srv, nil
+}
+
+const (
+	// tePod is the fleet pod the TE loop's DCN fabric joins as.
+	tePod = "dcn"
+	// teTrunkBps is the DCN fabric's per-trunk, per-direction rate.
+	teTrunkBps = 50e9
+)
+
+// newTELoop builds the DCN fabric from the -te-* flags, registers it with
+// the manager as the tePod, and programs the loop's initial mesh onto it.
+// Every stage the loop accepts drains and undrains its OCSes through the
+// manager (te.FleetApplier).
+func (cfg config) newTELoop(m *fleet.Manager) (*te.Loop, error) {
+	fabric, err := dcn.NewFabric(cfg.teBlocks, cfg.teUplinks+2, ocs.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	applier, err := te.NewFleetApplier(m, tePod, fabric)
+	if err != nil {
+		return nil, err
+	}
+	loop, err := te.NewLoop(te.Config{
+		Blocks: cfg.teBlocks, Uplinks: cfg.teUplinks, TrunkBps: teTrunkBps,
+		EpochSeconds: cfg.teEpoch.Seconds(),
+		Applier:      applier,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := fabric.Program(loop.Current()); err != nil {
+		return nil, err
+	}
+	return loop, nil
+}
+
+// runTE undrains, journaled, every OCS the previous run left drained on
+// the tePod — a crash mid-stage leaves a drain without its undrain, and a
+// fresh loop has no stage in flight — then registers the loop's ticker,
+// which feeds one epoch of a synthetic trace every -te-epoch.
+func (cfg config) runTE(d *daemon.Daemon, m *fleet.Manager, loop *te.Loop) error {
+	ps, err := m.PodStatus(tePod)
+	if err != nil {
+		return err
+	}
+	for _, id := range ps.DrainedOCS {
+		if err := m.UndrainOCS(tePod, id); err != nil {
+			return err
+		}
+	}
+	trace := teTrace(cfg.teBlocks)
+	d.Go("te loop", func(ctx context.Context) error {
+		tick := time.NewTicker(cfg.teEpoch)
+		defer tick.Stop()
+		for epoch := 0; ; epoch++ {
+			select {
+			case <-ctx.Done():
+				return nil
+			case <-tick.C:
+			}
+			demand, err := trace.Epoch(epoch % trace.Epochs)
+			if err != nil {
+				return err
+			}
+			plan, err := loop.Advance(demand)
+			if err != nil {
+				return err
+			}
+			if plan.Reconfigure {
+				log.Printf("lwfleetd: te epoch %d: reconfigured in %d stages (gain %.3f, %.2fs, min residual %.2f)",
+					epoch, len(plan.Stages), plan.PredictedGain, plan.Seconds, plan.MinResidualFraction)
+			}
+		}
+	})
+	return nil
+}
+
+// teTrace is the TE loop's offered load: hot service pairs well above
+// trunk rate (so engineering pays), a thin background, a diurnal swing
+// with bursts, and a horizon the ticker wraps around.
+func teTrace(blocks int) te.TraceConfig {
+	return te.TraceConfig{
+		Blocks:           blocks,
+		Epochs:           1 << 16,
+		BaseBps:          teTrunkBps / 50,
+		NumServices:      2 * blocks,
+		ServiceMeanBps:   8 * teTrunkBps,
+		DiurnalAmplitude: 0.3,
+		BurstProb:        0.2,
+		Seed:             1,
+	}
 }

@@ -4,16 +4,20 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"lightwave/internal/chaos"
+	"lightwave/internal/ctlrpc"
+	"lightwave/internal/daemon"
 	"lightwave/internal/dcn"
 	"lightwave/internal/fleet"
 	"lightwave/internal/sched"
 	"lightwave/internal/telemetry"
 	"lightwave/internal/topo"
+	"lightwave/internal/wal"
 )
 
 func TestBuildFleet(t *testing.T) {
@@ -149,7 +153,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestFlowSimCountersOnMetrics mirrors daemon.Start's dcn.SetRegistry wiring: any
+// TestFlowSimCountersOnMetrics mirrors compose's dcn.SetRegistry wiring: any
 // flow-level DCN simulation the daemon performs must surface its
 // dcn_flowsim_* event-loop counters on the shared /metrics registry.
 func TestFlowSimCountersOnMetrics(t *testing.T) {
@@ -240,5 +244,102 @@ func TestSchedCountersOnMetrics(t *testing.T) {
 		if !strings.Contains(string(body), name) {
 			t.Errorf("exposition missing %s", name)
 		}
+	}
+}
+
+// teConfig is a one-pod lwfleetd with the TE loop registered; its
+// hour-long epoch never ticks under a test, so no stage runs.
+func teConfig(stateDir string) config {
+	return config{
+		Flags: daemon.Flags{Addr: "127.0.0.1:0", Cubes: 8, Transceiver: "2x200G-bidi-CWDM4", StateDir: stateDir},
+		pods:  1, schedTick: time.Second,
+		teEpoch: time.Hour, teBlocks: 8, teUplinks: 14,
+	}
+}
+
+func TestValidateTE(t *testing.T) {
+	ok := teConfig("")
+	if err := ok.validate(); err != nil {
+		t.Fatal(err)
+	}
+	for want, mutate := range map[string]func(*config){
+		"-te-epoch must not be negative, got -1s":               func(c *config) { c.teEpoch = -time.Second },
+		"-te-blocks/-te-uplinks must be at least 2/1, got 1/14": func(c *config) { c.teBlocks = 1 },
+	} {
+		cfg := ok
+		mutate(&cfg)
+		if err := cfg.validate(); err == nil || err.Error() != want {
+			t.Errorf("validate() = %v, want %q", err, want)
+		}
+	}
+}
+
+// TestRestartUndrainsTEStage: a crash mid-stage leaves the log holding a
+// TE drain on the "dcn" pod without its undrain. The next boot restores
+// the drain and, since a fresh loop has no stage in flight, journals its
+// undrain: fleet-status, the store's intent state and a reopened store
+// must agree that no OCS of the pod is drained.
+func TestRestartUndrainsTEStage(t *testing.T) {
+	dir := t.TempDir()
+	st, err := wal.OpenStore(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []fleet.JournalEntry{{Op: fleet.OpAddPod, Pod: tePod}, {Op: fleet.OpDrainOCS, Pod: tePod, OCS: 3}} {
+		if err := st.JournalFleet(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg := teConfig(dir)
+	d, err := daemon.Start(ctx, "lwfleetd", &cfg.Flags, cfg.compose)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	running := true
+	stop := func() {
+		if running {
+			running = false
+			cancel()
+			_ = d.Wait()
+		}
+	}
+	t.Cleanup(stop)
+	c, err := ctlrpc.Dial(d.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := c.FleetStatus()
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	booted, err := d.Store.FleetStateCopy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop() // shutdown snapshot, store closed
+
+	if st, err = wal.OpenStore(dir, wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reopened, err := st.FleetStateCopy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(status.Pods, func(p ctlrpc.FleetPodStatus) bool { return p.Name == tePod })
+	if i < 0 || booted.Pods[tePod] == nil || reopened.Pods[tePod] == nil {
+		t.Fatalf("pod %q missing: fleet-status %+v, store %v, reopened store %v", tePod, status.Pods, booted.Pods, reopened.Pods)
+	}
+	live, durable, after := status.Pods[i].DrainedOCS, booted.Pods[tePod].DrainedOCS, reopened.Pods[tePod].DrainedOCS
+	if len(live) != 0 || len(durable) != 0 || len(after) != 0 {
+		t.Fatalf("%s drained OCSes: fleet-status %v, store %v, reopened store %v; want none in all three",
+			tePod, live, durable, after)
 	}
 }

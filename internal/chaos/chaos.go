@@ -45,11 +45,6 @@ var (
 	ErrTarget   = errors.New("chaos: fault targets a seam the injector was not given")
 )
 
-// KP4BERLimit is the hard BER threshold above which a link is out of
-// spec (the 2e-4 KP4 FEC limit the paper's telemetry enforces); a
-// ber-degrade event at or above it administratively drains the trunk.
-const KP4BERLimit = 2e-4
-
 var registry atomic.Pointer[telemetry.Registry]
 
 func init() {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"lightwave/internal/dcn"
+	"lightwave/internal/fec"
 	"lightwave/internal/fleet"
 	"lightwave/internal/ocs"
 	"lightwave/internal/sim"
@@ -261,7 +262,7 @@ func newHarness(cfg EvalConfig, epochs int) (_ *harness, err error) {
 	// BER samples ride the production telemetry path: a detector with the
 	// KP4 FEC ceiling as its hard limit.
 	det := telemetry.NewDetector("chaos-ber", nil)
-	det.HardLimit = KP4BERLimit
+	det.HardLimit = fec.KP4Threshold
 	h.inj, err = NewInjector(Targets{
 		Fleet:     lab.Manager,
 		Backends:  lab.Backends,

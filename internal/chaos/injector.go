@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lightwave/internal/dcn"
+	"lightwave/internal/fec"
 	"lightwave/internal/fleet"
 	"lightwave/internal/telemetry"
 )
@@ -207,7 +208,7 @@ func (in *Injector) liftLocked(ev Event) error {
 		in.trunkUpLocked(ev.Trunk)
 		return nil
 	case KindBERDegrade:
-		if ev.BER >= KP4BERLimit {
+		if ev.BER >= fec.KP4Threshold {
 			in.trunkUpLocked(ev.Trunk)
 		}
 		return nil
@@ -303,7 +304,7 @@ func (in *Injector) berDegradeLocked(ev Event) error {
 	if in.t.Detector != nil {
 		in.t.Detector.Observe(ev.BER)
 	}
-	if ev.BER >= KP4BERLimit {
+	if ev.BER >= fec.KP4Threshold {
 		in.cBERDrains.Inc()
 		in.trunkDownLocked(ev.Trunk)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lightwave/internal/dcn"
+	"lightwave/internal/fec"
 	"lightwave/internal/fleet"
 	"lightwave/internal/telemetry"
 	"lightwave/internal/topo"
@@ -120,7 +121,7 @@ func TestInjectorBERPolicy(t *testing.T) {
 	_, _, inj := testFleet(t)
 	alerts := &telemetry.MemorySink{}
 	det := telemetry.NewDetector("ber", alerts)
-	det.HardLimit = KP4BERLimit
+	det.HardLimit = fec.KP4Threshold
 	inj.t.Detector = det
 	top, err := dcn.UniformMesh(4, 4)
 	if err != nil {
@@ -141,7 +142,7 @@ func TestInjectorBERPolicy(t *testing.T) {
 
 	// At the limit: the trunk drains for the duration and the detector
 	// posts a critical alert.
-	at := Event{Kind: KindBERDegrade, Trunk: [2]int{0, 1}, BER: KP4BERLimit * 2, DurationSeconds: 5}
+	at := Event{Kind: KindBERDegrade, Trunk: [2]int{0, 1}, BER: fec.KP4Threshold * 2, DurationSeconds: 5}
 	if err := inj.Apply(at); err != nil {
 		t.Fatal(err)
 	}

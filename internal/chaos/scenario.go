@@ -23,7 +23,7 @@ const (
 	// DurationSeconds (fiber bump, brief loss of light).
 	KindCircuitFlap Kind = "circuit-flap"
 	// KindBERDegrade feeds a degraded BER sample for one trunk to the
-	// telemetry detector; at or above KP4BERLimit the trunk is drained
+	// telemetry detector; at or above fec.KP4Threshold the trunk is drained
 	// for DurationSeconds.
 	KindBERDegrade Kind = "ber-degrade"
 	// KindPodLoss makes a compute pod's backend reject all mutating

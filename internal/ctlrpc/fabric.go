@@ -11,8 +11,7 @@ import (
 // NewServer returns a server with the per-fabric methods registered
 // (cmd/lwfd). Fabric methods are not concurrency-safe, so mutations take
 // the write lock and reads share the read lock — with each other, and
-// across connections. The provider methods touch the fabric too (lwfd's
-// chaos provider feeds its BER path), so they are classified the same way.
+// across connections.
 func NewServer(f *core.Fabric) *Server {
 	s := &Server{fabric: f, methods: registry{}}
 	for _, m := range []*method{
@@ -34,7 +33,7 @@ func NewServer(f *core.Fabric) *Server {
 	} {
 		s.methods.add(m)
 	}
-	s.registerProviders(lockRead, lockWrite)
+	s.registerProviders()
 	return s
 }
 

@@ -31,7 +31,7 @@ func NewFleetServer(m *fleet.Manager) *Server {
 	} {
 		s.methods.add(e)
 	}
-	s.registerProviders(lockNone, lockNone)
+	s.registerProviders()
 	return s
 }
 

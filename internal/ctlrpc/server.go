@@ -55,7 +55,7 @@ type lockClass uint8
 
 const (
 	// lockNone: the handler's state is concurrency-safe on its own (the
-	// fleet manager and everything attached to the fleet daemon).
+	// fleet manager and every attached provider).
 	lockNone lockClass = iota
 	// lockRead: runs under RLock, concurrently with other reads.
 	lockRead
@@ -128,15 +128,14 @@ func typed[P, R any](fn func(P) (R, error)) handler {
 	}
 }
 
-// registerProviders adds the methods backed by optional providers. read
-// and write are the lock classes their status reads and injections take:
-// the fabric daemon's providers touch the fabric, the fleet daemon's are
-// safe on their own.
-func (s *Server) registerProviders(read, write lockClass) {
-	s.methods.add(&method{name: MethodTEStatus, lock: read, fn: s.handleTEStatus})
-	s.methods.add(&method{name: MethodChaosStatus, lock: read, fn: s.handleChaosStatus})
-	s.methods.add(&method{name: MethodChaosInject, lock: write, fn: s.handleChaosInject})
-	s.methods.add(&method{name: MethodWALStatus, lock: read, fn: s.handleWALStatus})
+// registerProviders adds the methods backed by optional providers. Every
+// provider is safe on its own and touches no fabric, so all of them are
+// lockNone on either server.
+func (s *Server) registerProviders() {
+	s.methods.add(&method{name: MethodTEStatus, fn: s.handleTEStatus})
+	s.methods.add(&method{name: MethodChaosStatus, fn: s.handleChaosStatus})
+	s.methods.add(&method{name: MethodChaosInject, fn: s.handleChaosInject})
+	s.methods.add(&method{name: MethodWALStatus, fn: s.handleWALStatus})
 }
 
 // SetTE attaches a topology-engineering status provider. Call before

@@ -7,7 +7,7 @@ import (
 )
 
 // LoopTEProvider adapts a te.Loop to the TEStatusProvider interface, so
-// both daemons serve te-status with one line of wiring.
+// lwfleetd serves te-status with one line of wiring.
 type LoopTEProvider struct {
 	L *te.Loop
 }

@@ -1,10 +1,10 @@
 // Package daemon is the one lifecycle cmd/lwfd and cmd/lwfleetd share: the
 // common flags and their validation, registry and alert wiring, the
-// -state-dir open → recovery bracket → close, the metrics listener, the
-// TE loop, and a single boot and shutdown order. A daemon's main parses
-// flags and hands Start a compose function that builds its state, fills a
-// ctlrpc.Server and registers its background loops and closers; nothing
-// here knows which daemon it is running.
+// -state-dir open → recovery bracket → close, the metrics listener, one
+// superpod fabric's configuration, and a single boot and shutdown order. A
+// daemon's main parses flags and hands Start a compose function that
+// builds its state, fills a ctlrpc.Server and registers its background
+// loops and closers; nothing here knows which daemon it is running.
 //
 // Boot:     registry + alerts → open store (journaling suppressed) →
 // compose → open the control listener → metrics listener → start every
@@ -29,27 +29,20 @@ import (
 	"syscall"
 	"time"
 
-	"lightwave/internal/chaos"
+	"lightwave/internal/core"
 	"lightwave/internal/ctlrpc"
-	"lightwave/internal/dcn"
-	"lightwave/internal/ocs"
 	"lightwave/internal/optics"
-	"lightwave/internal/par"
-	"lightwave/internal/sched"
-	"lightwave/internal/te"
 	"lightwave/internal/telemetry"
 	"lightwave/internal/wal"
 )
 
 // Flags are the flags both daemons define.
 type Flags struct {
-	Addr, MetricsAddr   string
-	Cubes               int
-	Transceiver         string
-	TEEpoch             time.Duration
-	TEBlocks, TEUplinks int
-	StateDir            string
-	StateSnapshot       time.Duration
+	Addr, MetricsAddr string
+	Cubes             int
+	Transceiver       string
+	StateDir          string
+	StateSnapshot     time.Duration
 }
 
 // Register declares the shared flags; the listen default and the -cubes
@@ -59,9 +52,6 @@ func (f *Flags) Register(fs *flag.FlagSet, addr, cubesHelp string) {
 	fs.IntVar(&f.Cubes, "cubes", 64, cubesHelp)
 	fs.StringVar(&f.Transceiver, "transceiver", "2x200G-bidi-CWDM4", "transceiver generation")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "HTTP /metrics and /debug/pprof listen address (disabled when empty)")
-	fs.DurationVar(&f.TEEpoch, "te-epoch", 0, "topology-engineering epoch length (0 disables the TE loop)")
-	fs.IntVar(&f.TEBlocks, "te-blocks", 8, "aggregation blocks in the TE loop's DCN fabric")
-	fs.IntVar(&f.TEUplinks, "te-uplinks", 14, "uplinks per block in the TE loop's DCN fabric")
 	fs.StringVar(&f.StateDir, "state-dir", "", "durable-state directory: WAL + snapshots with crash recovery (disabled when empty)")
 	fs.DurationVar(&f.StateSnapshot, "state-snapshot", time.Minute, "periodic snapshot + log compaction interval (0 snapshots only on shutdown)")
 }
@@ -75,16 +65,23 @@ func (f *Flags) Validate() error {
 	if _, err := optics.GenerationByName(f.Transceiver); err != nil {
 		return fmt.Errorf("-transceiver: %v", err)
 	}
-	if f.TEEpoch < 0 {
-		return fmt.Errorf("-te-epoch must not be negative, got %s", f.TEEpoch)
-	}
-	if f.TEEpoch > 0 && (f.TEBlocks < 2 || f.TEUplinks < 1) {
-		return fmt.Errorf("-te-blocks/-te-uplinks must be at least 2/1, got %d/%d", f.TEBlocks, f.TEUplinks)
-	}
 	if f.StateSnapshot < 0 {
 		return fmt.Errorf("-state-snapshot must not be negative, got %s", f.StateSnapshot)
 	}
 	return nil
+}
+
+// PodConfig is one superpod fabric's configuration as both daemons build
+// it: the default plant for cubes installed cubes with the named
+// transceiver generation, reporting to reg and alerts.
+func PodConfig(cubes int, transceiver string, reg *telemetry.Registry, alerts telemetry.AlertSink) (core.Config, error) {
+	gen, err := optics.GenerationByName(transceiver)
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg := core.DefaultConfig(cubes)
+	cfg.Transceiver, cfg.Metrics, cfg.Alerts = gen, reg, alerts
+	return cfg, nil
 }
 
 // Daemon is one running control-plane process.
@@ -131,14 +128,6 @@ func (d *Daemon) OnShutdown(fn func()) { d.closers = append(d.closers, fn) }
 // shutdown order before Start returns.
 func Start(ctx context.Context, name string, f *Flags, compose func(*Daemon) (*ctlrpc.Server, error)) (*Daemon, error) {
 	d := &Daemon{Name: name, Flags: f, Reg: telemetry.NewRegistry()}
-	// Whatever simulation or control work the daemon runs reports its
-	// par_*, dcn_flowsim_*, te_*, chaos_* and sched_* counters alongside
-	// its own metrics.
-	par.SetRegistry(d.Reg)
-	dcn.SetRegistry(d.Reg)
-	te.SetRegistry(d.Reg)
-	chaos.SetRegistry(d.Reg)
-	sched.SetRegistry(d.Reg)
 	d.Alerts = telemetry.SinkFunc(func(a telemetry.Alert) {
 		log.Printf("ALERT [%s] %s: %s", a.Severity, a.Source, a.Message)
 	})
@@ -244,74 +233,5 @@ func (d *Daemon) shutdown(clean bool) {
 	}
 	if err := d.Store.Close(); err != nil {
 		log.Printf("%s: closing state dir: %v", d.Name, err)
-	}
-}
-
-// StartTE builds the DCN fabric and TE loop from the -te-* flags and
-// registers the loop's ticker, which feeds one epoch of a synthetic trace
-// every -te-epoch; applier adapts the fabric to however this daemon wants
-// stages applied. Call only when -te-epoch is set.
-func (d *Daemon) StartTE(applier func(*dcn.Fabric) (te.Applier, error)) (*te.Loop, error) {
-	const trunkBps = 50e9
-	f := d.Flags
-	fabric, err := dcn.NewFabric(f.TEBlocks, f.TEUplinks+2, ocs.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	a, err := applier(fabric)
-	if err != nil {
-		return nil, err
-	}
-	loop, err := te.NewLoop(te.Config{
-		Blocks: f.TEBlocks, Uplinks: f.TEUplinks, TrunkBps: trunkBps,
-		EpochSeconds: f.TEEpoch.Seconds(),
-		Applier:      a,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fabric.Program(loop.Current()); err != nil {
-		return nil, err
-	}
-	trace := teTrace(f.TEBlocks, trunkBps)
-	d.Go("te loop", func(ctx context.Context) error {
-		tick := time.NewTicker(f.TEEpoch)
-		defer tick.Stop()
-		for epoch := 0; ; epoch++ {
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-tick.C:
-			}
-			m, err := trace.Epoch(epoch % trace.Epochs)
-			if err != nil {
-				return err
-			}
-			plan, err := loop.Advance(m)
-			if err != nil {
-				return err
-			}
-			if plan.Reconfigure {
-				log.Printf("%s: te epoch %d: reconfigured in %d stages (gain %.3f, %.2fs, min residual %.2f)",
-					d.Name, epoch, len(plan.Stages), plan.PredictedGain, plan.Seconds, plan.MinResidualFraction)
-			}
-		}
-	})
-	return loop, nil
-}
-
-// teTrace is the TE loop's offered load: hot service pairs well above
-// trunk rate (so engineering pays), a thin background, a diurnal swing
-// with bursts, and a horizon the ticker wraps around.
-func teTrace(blocks int, trunkBps float64) te.TraceConfig {
-	return te.TraceConfig{
-		Blocks:           blocks,
-		Epochs:           1 << 16,
-		BaseBps:          trunkBps / 50,
-		NumServices:      2 * blocks,
-		ServiceMeanBps:   8 * trunkBps,
-		DiurnalAmplitude: 0.3,
-		BurstProb:        0.2,
-		Seed:             1,
 	}
 }

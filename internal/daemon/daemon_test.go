@@ -183,11 +183,9 @@ func TestValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for want, mutate := range map[string]func(*Flags){
-		"-cubes must be in 1-64, got 65":                        func(f *Flags) { f.Cubes = 65 },
-		"-transceiver: ":                                        func(f *Flags) { f.Transceiver = "no-such-module" },
-		"-te-epoch must not be negative, got -1s":               func(f *Flags) { f.TEEpoch = -time.Second },
-		"-te-blocks/-te-uplinks must be at least 2/1, got 1/14": func(f *Flags) { f.TEEpoch, f.TEBlocks, f.TEUplinks = time.Second, 1, 14 },
-		"-state-snapshot must not be negative, got -1ms":        func(f *Flags) { f.StateSnapshot = -time.Millisecond },
+		"-cubes must be in 1-64, got 65":                 func(f *Flags) { f.Cubes = 65 },
+		"-transceiver: ":                                 func(f *Flags) { f.Transceiver = "no-such-module" },
+		"-state-snapshot must not be negative, got -1ms": func(f *Flags) { f.StateSnapshot = -time.Millisecond },
 	} {
 		f := ok
 		mutate(&f)

@@ -5,9 +5,9 @@ import (
 	"fmt"
 )
 
-// Package eps ships no code: the Clos builder and latency-under-load model
-// below were deleted because nothing outside tests composed them, and the
-// two spine-port constants the §4.2 spine-full BOM needs live in cost. The
+// Package eps ships no code: the Clos builder below was deleted, with its
+// latency-under-load model, because nothing outside tests composed them, and
+// the two spine-port constants the §4.2 spine-full BOM needs live in cost. The
 // floor tests that exercised the model run against these copies until
 // they are retired; no other test may start using them.
 
@@ -18,9 +18,6 @@ type Chassis struct {
 	Radix int
 	// PortGbps is the per-port rate.
 	PortGbps float64
-	// HopLatencySec is the store-and-forward/pipeline latency per hop
-	// (§3.2.1: hundreds of nanoseconds if not microseconds per hop).
-	HopLatencySec float64
 	// CostUnits is the chassis cost in catalog units.
 	CostUnits float64
 	// PowerW is the chassis power draw.
@@ -31,12 +28,11 @@ type Chassis struct {
 // fabric option.
 func DCNChassis() Chassis {
 	return Chassis{
-		Name:          "eps-64x800g",
-		Radix:         64,
-		PortGbps:      800,
-		HopLatencySec: 600e-9,
-		CostUnits:     265,
-		PowerW:        435,
+		Name:      "eps-64x800g",
+		Radix:     64,
+		PortGbps:  800,
+		CostUnits: 265,
+		PowerW:    435,
 	}
 }
 
@@ -118,30 +114,3 @@ func (c *Clos) BisectionGbps() float64 {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// Latency under load: an EPS pays per-packet processing and queueing at
-// every hop, while an OCS circuit is a piece of glass — §3.2.1: "The
-// absence of per-packet processing within an OCS means only a small amount
-// of deterministic latency is added on a per-hop basis ... other kinds of
-// network fabrics ... can add hundreds of nanoseconds if not microseconds
-// of delay per hop."
-
-// ErrLoad is returned for utilizations outside [0, 1).
-var ErrLoad = errors.New("eps: load must be in [0, 1)")
-
-// ServiceTime returns the serialization time of a packet of the given size
-// on one port.
-func (c Chassis) ServiceTime(packetBytes int) float64 {
-	return float64(packetBytes) * 8 / (c.PortGbps * 1e9)
-}
-
-// HopLatencyUnderLoad returns the mean per-hop latency at the given port
-// utilization: pipeline latency + serialization + M/M/1 queueing delay.
-func (c Chassis) HopLatencyUnderLoad(packetBytes int, load float64) (float64, error) {
-	if load < 0 || load >= 1 {
-		return 0, ErrLoad
-	}
-	s := c.ServiceTime(packetBytes)
-	queue := s * load / (1 - load)
-	return c.HopLatencySec + s + queue, nil
-}

@@ -182,7 +182,7 @@ func DefaultConfig() Config {
 			"lightwave/internal/figures",
 		},
 		// No WallClockFiles: the one wall-clock runner, the TE epoch
-		// ticker, lives in internal/daemon, outside the deterministic set.
+		// ticker, lives in cmd/lwfleetd, outside the deterministic set.
 		LockOrder: []LockClass{
 			// ctlrpc handlers never nest into the injector or manager
 			// while holding Server.mu today; ranking it first declares

@@ -14,24 +14,6 @@ type Applier interface {
 	Apply(plan *Plan) error
 }
 
-// FabricApplier programs each stage's topology directly onto a simulated
-// DCN OCS fabric. dcn.Fabric.Program is incremental, so the hardware
-// churn of each call matches the stage's tear/establish set and trunks
-// shared between stages stay undisturbed.
-type FabricApplier struct {
-	F *dcn.Fabric
-}
-
-// Apply implements Applier.
-func (a *FabricApplier) Apply(plan *Plan) error {
-	for si, st := range plan.Stages {
-		if _, err := a.F.Program(st.After); err != nil {
-			return fmt.Errorf("te: stage %d: %w", si, err)
-		}
-	}
-	return nil
-}
-
 // Config parameterizes a Loop.
 type Config struct {
 	Blocks, Uplinks int

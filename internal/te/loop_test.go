@@ -76,42 +76,17 @@ func TestLoopConvergesAndRespectsCooldown(t *testing.T) {
 	}
 }
 
-func TestLoopFabricApplierKeepsHardwareInSync(t *testing.T) {
-	fabric, err := dcn.NewFabric(8, 16, ocs.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testLoopConfig()
-	cfg.Applier = &FabricApplier{F: fabric}
-	l, err := NewLoop(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed the hardware with the loop's initial mesh.
-	if _, err := fabric.Program(l.Current()); err != nil {
-		t.Fatal(err)
-	}
-	demand := skewed(8, [2]int{0, 1}, [2]int{2, 3})
-	for e := 0; e < 10; e++ {
-		feed(t, l, demand)
-		if !fabric.Matches(l.Current()) {
-			t.Fatalf("epoch %d: hardware diverged from the loop's logical topology", e)
-		}
-	}
-	if l.Status().Reconfigs == 0 {
-		t.Fatal("loop never exercised the applier")
-	}
-}
-
-func TestFleetApplierDrainsThroughManager(t *testing.T) {
+// fleetLoop returns a loop applying through a FleetApplier, its DCN
+// fabric seeded with the loop's initial mesh and registered as the "dcn"
+// pod of a fresh manager.
+func fleetLoop(t *testing.T) (*Loop, *dcn.Fabric, *fleet.Manager) {
+	t.Helper()
 	fabric, err := dcn.NewFabric(8, 16, ocs.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := fleet.NewManager(fleet.Options{})
-	defer m.Close()
-	sub := m.Subscribe(256)
-
+	t.Cleanup(m.Close)
 	ap, err := NewFleetApplier(m, "dcn", fabric)
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +100,26 @@ func TestFleetApplierDrainsThroughManager(t *testing.T) {
 	if _, err := fabric.Program(l.Current()); err != nil {
 		t.Fatal(err)
 	}
+	return l, fabric, m
+}
+
+func TestLoopFabricApplierKeepsHardwareInSync(t *testing.T) {
+	l, fabric, _ := fleetLoop(t)
+	demand := skewed(8, [2]int{0, 1}, [2]int{2, 3})
+	for e := 0; e < 10; e++ {
+		feed(t, l, demand)
+		if !fabric.Matches(l.Current()) {
+			t.Fatalf("epoch %d: hardware diverged from the loop's logical topology", e)
+		}
+	}
+	if l.Status().Reconfigs == 0 {
+		t.Fatal("loop never exercised the applier")
+	}
+}
+
+func TestFleetApplierDrainsThroughManager(t *testing.T) {
+	l, fabric, m := fleetLoop(t)
+	sub := m.Subscribe(256)
 	demand := skewed(8, [2]int{0, 1}, [2]int{2, 3})
 	for e := 0; e < 8; e++ {
 		feed(t, l, demand)
@@ -180,25 +175,7 @@ func TestFleetApplierRacesStatusReads(t *testing.T) {
 	// Status serving reads the dcn pod's circuit count while a stage
 	// reprograms the same switches; the fabric's lock orders the two
 	// (run under -race).
-	fabric, err := dcn.NewFabric(8, 16, ocs.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := fleet.NewManager(fleet.Options{})
-	defer m.Close()
-	ap, err := NewFleetApplier(m, "dcn", fabric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testLoopConfig()
-	cfg.Applier = ap
-	l, err := NewLoop(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fabric.Program(l.Current()); err != nil {
-		t.Fatal(err)
-	}
+	l, _, m := fleetLoop(t)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

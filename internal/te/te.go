@@ -18,8 +18,8 @@
 //	             residual capacity never drops below a configured floor,
 //	             costed with cost.OCSTechnology.ReconfigTime
 //	Applier    — realizes each stage on hardware: dcn.Fabric.Program
-//	             directly, or coordinated through the fleet.Manager
-//	             reconcile path (OCS maintenance drains + events)
+//	             coordinated through the fleet.Manager reconcile path
+//	             (OCS maintenance drains + events)
 //
 // Everything is deterministic at any worker count: randomness flows only
 // through sim.Substream and fan-out only through internal/par, so a fixed
@@ -27,7 +27,7 @@
 //
 // The loop reports te_* counters (epochs, reconfigs, staged drains,
 // predicted-vs-actual error, drained capacity-seconds) in a
-// telemetry.Registry; daemons swap in their own registry with SetRegistry
+// telemetry.Registry; lwfleetd swaps in its own registry with SetRegistry
 // so the counters appear on /metrics.
 package te
 

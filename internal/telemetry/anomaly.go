@@ -73,7 +73,7 @@ func (m *MemorySink) Alerts() []Alert {
 
 // Detector flags anomalous observations in a telemetry stream using an
 // exponentially weighted moving average and variance: a sample more than
-// Threshold standard deviations above the EWMA (after a warmup period)
+// warnSigmas standard deviations above the EWMA (after a warmup period)
 // raises a Warning, and a sample above the HardLimit raises a Critical alert
 // regardless of history. This mirrors the production pattern of combining
 // adaptive baselines with absolute specifications (e.g. the −38 dB return
@@ -81,7 +81,6 @@ func (m *MemorySink) Alerts() []Alert {
 type Detector struct {
 	Source    string
 	Alpha     float64 // EWMA weight for new samples, in (0, 1]
-	Threshold float64 // stddev multiplier for Warning
 	HardLimit float64 // absolute Critical limit
 	Warmup    int     // samples before adaptive alerts fire
 
@@ -102,12 +101,15 @@ func NewDetector(source string, sink AlertSink) *Detector {
 	return &Detector{
 		Source:    source,
 		Alpha:     0.1,
-		Threshold: 4,
 		HardLimit: math.Inf(1),
 		Warmup:    16,
 		sink:      sink,
 	}
 }
+
+// warnSigmas is the stddev multiplier above the baseline at which a
+// sample raises a Warning.
+const warnSigmas = 4
 
 // Observe feeds one sample and reports whether it was flagged anomalous.
 func (d *Detector) Observe(v float64) bool {
@@ -125,7 +127,7 @@ func (d *Detector) Observe(v float64) bool {
 		anomalous = true
 	} else if d.n >= d.Warmup {
 		sd := math.Sqrt(d.vari)
-		if sd > 0 && v > d.mean+d.Threshold*sd {
+		if sd > 0 && v > d.mean+warnSigmas*sd {
 			d.sink.Post(Alert{
 				Source:   d.Source,
 				Severity: Warning,

@@ -153,7 +153,6 @@ func TestDetectorHardLimit(t *testing.T) {
 func TestDetectorAdaptive(t *testing.T) {
 	var sink MemorySink
 	d := NewDetector("loss", &sink)
-	d.Threshold = 4
 	// Establish a baseline around 1.5 with small spread.
 	vals := []float64{1.4, 1.5, 1.6, 1.5, 1.45, 1.55, 1.5, 1.48, 1.52, 1.5,
 		1.47, 1.53, 1.5, 1.49, 1.51, 1.5, 1.5, 1.5, 1.5, 1.5}

@@ -77,12 +77,10 @@ func startSession(t *testing.T, store *wal.Store, recover bool) *session {
 		t.Fatal(err)
 	}
 	if store != nil {
-		if recover {
-			if _, _, err := store.RecoverSched(s); err != nil {
-				t.Fatalf("RecoverSched: %v", err)
-			}
+		// On a fresh store this only attaches the scheduler's section.
+		if _, _, err := store.RecoverSched(s); err != nil {
+			t.Fatalf("RecoverSched: %v", err)
 		}
-		store.AttachSched(s)
 		s.SetJournal(store)
 		if recover {
 			store.EndRecovery()

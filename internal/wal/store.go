@@ -281,22 +281,6 @@ func (st *Store) appendInput(t RecordType, b []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// AttachSched registers the scheduler whose exported state joins future
-// snapshots. Call once the scheduler exists (recovery included).
-func (st *Store) AttachSched(s *sched.Scheduler) {
-	st.mu.Lock()
-	st.schedSrc = s
-	st.mu.Unlock()
-}
-
-// AttachFabric registers lwfd's fabric source, whose exported state joins
-// future snapshots. Call after RecoverFabric.
-func (st *Store) AttachFabric(src FabricSource) {
-	st.mu.Lock()
-	st.fabricSrc = src
-	st.mu.Unlock()
-}
-
 // RecoverFleet pushes the recovered intent store into a live manager.
 // Call between BeginRecovery and EndRecovery, after the daemon has added
 // its pods.
@@ -311,7 +295,8 @@ func (st *Store) RecoverFleet(m *fleet.Manager) error {
 // snapshot's state export, then replay the journaled input tail through
 // the ordinary mutators. Replay errors are tolerated (the cluster may
 // reject an intent mid-recovery; reconciliation converges later) and
-// counted in failed.
+// counted in failed. The restored scheduler's exported state then joins
+// every future snapshot; on a fresh store only that happens.
 func (st *Store) RecoverSched(s *sched.Scheduler) (applied, failed int, err error) {
 	if st.schedSnap != nil {
 		var state sched.State
@@ -323,6 +308,9 @@ func (st *Store) RecoverSched(s *sched.Scheduler) (applied, failed int, err erro
 		}
 	}
 	applied, failed = replay(st.schedTail, s.Apply)
+	st.mu.Lock()
+	st.schedSrc = s
+	st.mu.Unlock()
 	return applied, failed, nil
 }
 
@@ -330,7 +318,8 @@ func (st *Store) RecoverSched(s *sched.Scheduler) (applied, failed int, err erro
 // snapshot's fabric state at the LSN it covers, then re-execute every
 // journaled command after that LSN. The fabric is deterministic, so a
 // command that failed live fails again, with the same partial effect, and
-// is counted in failed.
+// is counted in failed. The restored source's exported state then joins
+// every future snapshot.
 func (st *Store) RecoverFabric(src FabricSource) (applied, failed int, err error) {
 	if st.fabricSnap != nil {
 		var state core.FabricState
@@ -344,6 +333,9 @@ func (st *Store) RecoverFabric(src FabricSource) (applied, failed int, err error
 	applied, failed = replay(st.cmdTail, func(lsn uint64, c Command) error {
 		return src.ApplyCommand(lsn, c.Method, c.Params)
 	})
+	st.mu.Lock()
+	st.fabricSrc = src
+	st.mu.Unlock()
 	return applied, failed, nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"lightwave/internal/mlperf"
 	"lightwave/internal/optics"
 	"lightwave/internal/sched"
-	"lightwave/internal/sim"
 )
 
 // BenchmarkAblationOIM reports the sensitivity penalty of running the bidi
@@ -136,51 +135,4 @@ func BenchmarkAblationBackfill(b *testing.B) {
 		lost = full.Utilization - strict.Utilization
 	}
 	b.ReportMetric(100*lost, "utilization-pp-lost-strict-FIFO")
-}
-
-// BenchmarkAblationInterleaving compares the concatenated codec's burst
-// tolerance with and without cross-codeword interleaving (depth 8 vs 1).
-func BenchmarkAblationInterleaving(b *testing.B) {
-	deep, err := fec.NewCodec()
-	if err != nil {
-		b.Fatal(err)
-	}
-	shallow, err := fec.NewCodec()
-	if err != nil {
-		b.Fatal(err)
-	}
-	shallow.Depth = 1
-	rng := sim.NewRand(77)
-	survive := func(c *fec.Codec) float64 {
-		msgs := make([][]int, c.Depth)
-		for d := range msgs {
-			msgs[d] = make([]int, c.Outer.K())
-			for j := range msgs[d] {
-				msgs[d][j] = rng.Intn(1024)
-			}
-		}
-		frame, err := c.Encode(msgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Destroy four adjacent inner blocks (a connector-scrape burst).
-		n := c.Inner.N()
-		for i := 10 * n; i < 14*n; i++ {
-			frame[i] ^= byte(rng.Intn(2))
-		}
-		if _, _, err := c.DecodeHard(frame); err != nil {
-			return 0
-		}
-		return 1
-	}
-	var deepOK, shallowOK float64
-	for i := 0; i < b.N; i++ {
-		deepOK = survive(deep)
-		shallowOK = survive(shallow)
-	}
-	b.ReportMetric(deepOK, "deep-interleave-survives-burst")
-	b.ReportMetric(shallowOK, "depth1-survives-burst")
-	if deepOK < shallowOK {
-		b.Fatal("interleaving should not hurt burst tolerance")
-	}
 }

@@ -12,7 +12,8 @@
 // array with -json); the exit status is 1 when any unsuppressed
 // diagnostic remains, 2 on driver errors. Suppress a finding with
 // `//lwlint:ignore <analyzer> <reason>` on or directly above the line —
-// the reason is mandatory.
+// the reason is mandatory, and an annotation that silences no finding of
+// an analyzer the run executed is itself reported as stale.
 package main
 
 import (

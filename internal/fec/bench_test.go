@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkRSEncodeKP4(b *testing.B) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	r := sim.NewRand(1)
 	msg := randMsg(r, rs.K(), 1024)
 	b.SetBytes(int64(rs.K() * 10 / 8))
@@ -20,7 +20,7 @@ func BenchmarkRSEncodeKP4(b *testing.B) {
 }
 
 func BenchmarkRSDecodeClean(b *testing.B) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	r := sim.NewRand(2)
 	msg := randMsg(r, rs.K(), 1024)
 	cw, _ := rs.Encode(msg)
@@ -35,7 +35,7 @@ func BenchmarkRSDecodeClean(b *testing.B) {
 }
 
 func BenchmarkRSDecodeWithErrors(b *testing.B) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	r := sim.NewRand(3)
 	msg := randMsg(r, rs.K(), 1024)
 	cw, _ := rs.Encode(msg)

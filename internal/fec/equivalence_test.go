@@ -3,6 +3,8 @@ package fec
 import (
 	"math"
 	"testing"
+
+	"lightwave/internal/sim"
 )
 
 // sweepBERs is a log-spaced sweep of p ∈ [1e-15, 0.5] plus the edge inputs
@@ -44,10 +46,7 @@ func TestTransferMatchesReference(t *testing.T) {
 		checkTransferMatchesReference(t, c, p)
 	}
 	// A second code exercises a table of another size.
-	small, err := NewRS(GF1024(), 60, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := &RS{n: 60, k: 40, t: 10, bits: 10, lnChoose: sim.LogChooseTable(60)}
 	for _, p := range sweepBERs() {
 		if got, want := small.Transfer(p), refRSTransfer(small, p); !sameBits(got, want) {
 			t.Errorf("RS(60,40).Transfer(%g) = %v, reference %v", p, got, want)

@@ -6,25 +6,6 @@ import (
 	"lightwave/internal/fec"
 )
 
-// ExampleRS demonstrates the KP4 Reed-Solomon codec correcting symbol
-// errors.
-func ExampleRS() {
-	rs := fec.NewKP4()
-	msg := make([]int, rs.K())
-	for i := range msg {
-		msg[i] = i % 1024
-	}
-	cw, _ := rs.Encode(msg)
-
-	// Corrupt 15 symbols — the code's full correction radius.
-	for i := 0; i < 15; i++ {
-		cw[i*30] ^= 0x3FF
-	}
-	_, corrected, err := rs.Decode(cw)
-	fmt.Println(corrected, err)
-	// Output: 15 <nil>
-}
-
 // ExampleConcatenated shows the analytic transfer of the concatenated FEC
 // stack cleaning a channel the outer code alone cannot.
 func ExampleConcatenated() {

@@ -13,8 +13,8 @@ import (
 // specified to clean a 2e-4 channel to effectively error-free.
 func TestFidelityKP4(t *testing.T) {
 	rs := NewKP4()
-	if rs.N() != 544 || rs.K() != 514 || rs.T() != 15 {
-		t.Fatalf("KP4 is RS(%d,%d) t=%d, want RS(544,514) t=15", rs.N(), rs.K(), rs.T())
+	if rs.n != 544 || rs.k != 514 || rs.t != 15 {
+		t.Fatalf("KP4 is RS(%d,%d) t=%d, want RS(544,514) t=15", rs.n, rs.k, rs.t)
 	}
 	if got := rs.Transfer(KP4Threshold); got > 1e-13 {
 		t.Errorf("KP4 output at the 2e-4 threshold = %g, want ≤ 1e-13", got)

@@ -20,7 +20,7 @@ func refRSTransfer(r *RS, p float64) float64 {
 	if p >= 1 {
 		return 0.5
 	}
-	m := float64(r.f.Bits())
+	m := float64(r.bits)
 	ps := 1 - math.Pow(1-p, m)
 	if ps >= 1 {
 		ps = 1

@@ -17,7 +17,7 @@ func randMsg(r *sim.Rand, k, size int) []int {
 }
 
 func TestKP4Parameters(t *testing.T) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	if rs.N() != 544 || rs.K() != 514 || rs.T() != 15 {
 		t.Fatalf("KP4 = RS(%d,%d) t=%d", rs.N(), rs.K(), rs.T())
 	}
@@ -40,7 +40,7 @@ func TestNewRSInvalid(t *testing.T) {
 }
 
 func TestRSEncodeDecodeClean(t *testing.T) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	r := sim.NewRand(1)
 	msg := randMsg(r, rs.K(), 1024)
 	cw, err := rs.Encode(msg)
@@ -62,7 +62,7 @@ func TestRSEncodeDecodeClean(t *testing.T) {
 }
 
 func TestRSEncodeErrors(t *testing.T) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	if _, err := rs.Encode(make([]int, 3)); !errors.Is(err, ErrMessageLength) {
 		t.Errorf("err = %v", err)
 	}
@@ -77,7 +77,7 @@ func TestRSEncodeErrors(t *testing.T) {
 }
 
 func TestRSCorrectsUpToT(t *testing.T) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	r := sim.NewRand(7)
 	for trial := 0; trial < 10; trial++ {
 		msg := randMsg(r, rs.K(), 1024)
@@ -103,7 +103,7 @@ func TestRSCorrectsUpToT(t *testing.T) {
 }
 
 func TestRSCorrectsExactlyT(t *testing.T) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	r := sim.NewRand(11)
 	msg := randMsg(r, rs.K(), 1024)
 	cw, _ := rs.Encode(msg)
@@ -117,7 +117,7 @@ func TestRSCorrectsExactlyT(t *testing.T) {
 }
 
 func TestRSDetectsBeyondT(t *testing.T) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	r := sim.NewRand(13)
 	detected := 0
 	const trials = 10
@@ -139,7 +139,7 @@ func TestRSDetectsBeyondT(t *testing.T) {
 }
 
 func TestRSParityPositionErrors(t *testing.T) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	r := sim.NewRand(17)
 	msg := randMsg(r, rs.K(), 1024)
 	cw, _ := rs.Encode(msg)
@@ -217,7 +217,7 @@ func TestRSRoundTripProperty(t *testing.T) {
 }
 
 func TestRSCodewordIsSystematic(t *testing.T) {
-	rs := NewKP4()
+	rs := kp4Codec()
 	r := sim.NewRand(19)
 	msg := randMsg(r, rs.K(), 1024)
 	cw, _ := rs.Encode(msg)

@@ -1,11 +1,37 @@
+// Package fec models the forward-error-correction stack of the paper's
+// bidi transceiver DSP (§3.3.2, Fig 12) as analytic input→output BER
+// transfer functions: the standard "KP4" Reed-Solomon RS(544,514) outer
+// code over 10-bit symbols, an inner soft-decision code standing in for the
+// proprietary low-latency SFEC as a calibrated effective-SNR gain, and
+// their concatenation, whose MaxInputBER is the threshold slice admission
+// checks every circuit's pre-FEC BER against.
 package fec
 
-import "math"
+import (
+	"math"
+
+	"lightwave/internal/sim"
+)
 
 // KP4Threshold is the pre-FEC bit error ratio the KP4 RS(544,514) code is
 // specified to clean up to effectively error-free operation (the horizontal
 // dashed line in Figs 11-12 of the paper).
 const KP4Threshold = 2e-4
+
+// RS is a Reed-Solomon code RS(n, k) over bits-wide symbols, correcting up
+// to t = (n-k)/2 symbol errors, as its bounded-distance transfer function.
+type RS struct {
+	n, k, t, bits int
+	// lnChoose[i] = ln C(n, i): the binomial weights of Transfer's tail
+	// sum, which depend on the code alone.
+	lnChoose []float64
+}
+
+// NewKP4 returns the IEEE 802.3 "KP4" code RS(544, 514) over GF(2^10),
+// t = 15, used as the outer code in the paper's concatenated FEC.
+func NewKP4() *RS {
+	return &RS{n: 544, k: 514, t: 15, bits: 10, lnChoose: sim.LogChooseTable(544)}
+}
 
 // RSTransfer returns the post-FEC output BER of an RS(n,k) code over
 // GF(2^m) symbols for an input (channel) bit error ratio p, assuming
@@ -19,7 +45,7 @@ func (r *RS) Transfer(p float64) float64 {
 	if p >= 1 {
 		return 0.5
 	}
-	m := float64(r.f.Bits())
+	m := float64(r.bits)
 	ps := 1 - math.Pow(1-p, m) // symbol error probability
 	if ps >= 1 {
 		ps = 1
@@ -50,8 +76,7 @@ func (r *RS) Transfer(p float64) float64 {
 // the BER of a channel whose Q-factor is better by the code's net gain
 // (electrical dB). The default gain is calibrated so the concatenated stack
 // reproduces the paper's 1.6 dB optical sensitivity improvement at the KP4
-// threshold (Fig 12); the Chase decoder in this package achieves a
-// comparable gain by measurement (see tests).
+// threshold (Fig 12).
 type InnerTransfer struct {
 	// qGain is the linear Q-factor gain 10^(net electrical dB / 20), fixed
 	// at construction so Transfer does not redo the Pow per call.

@@ -300,32 +300,53 @@ func parseSuppressions(fset *token.FileSet, f *ast.File, known map[string]bool, 
 	return out
 }
 
+// lineKey addresses the findings one analyzer reports on one line.
+type lineKey struct {
+	file     string
+	line     int
+	analyzer string
+}
+
 // applySuppressions drops diagnostics covered by an annotation on the
 // same line or the line directly above.
 func applySuppressions(diags []Diagnostic, sups []suppression) []Diagnostic {
 	if len(sups) == 0 {
 		return diags
 	}
-	type key struct {
-		file     string
-		line     int
-		analyzer string
-	}
-	covered := make(map[key]bool)
+	covered := make(map[lineKey]bool)
 	for _, s := range sups {
 		for _, a := range s.analyzers {
-			covered[key{s.file, s.line, a}] = true
-			covered[key{s.file, s.line + 1, a}] = true
+			covered[lineKey{s.file, s.line, a}] = true
+			covered[lineKey{s.file, s.line + 1, a}] = true
 		}
 	}
 	kept := diags[:0]
 	for _, d := range diags {
-		if covered[key{d.Pos.Filename, d.Pos.Line, d.Analyzer}] {
+		if covered[lineKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}] {
 			continue
 		}
 		kept = append(kept, d)
 	}
 	return kept
+}
+
+// reportStale reports every analyzer an annotation names that ran over
+// the package yet found nothing on the lines the annotation covers: a
+// suppression that silences no finding outlived its reason. Analyzers
+// the run skipped are not judged, so a single-analyzer run leaves the
+// others' annotations alone. diags are the findings before suppression.
+func reportStale(diags []Diagnostic, sups []suppression, ran map[string]bool, report func(token.Pos, string)) {
+	found := make(map[lineKey]bool, len(diags))
+	for _, d := range diags {
+		found[lineKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}] = true
+	}
+	for _, s := range sups {
+		for _, a := range s.analyzers {
+			if ran[a] && !found[lineKey{s.file, s.line, a}] && !found[lineKey{s.file, s.line + 1, a}] {
+				report(s.pos, fmt.Sprintf("stale suppression: //lwlint:ignore %s silences no finding; delete it", a))
+			}
+		}
+	}
 }
 
 // runPackage runs the analyzers over one loaded package, applying
@@ -339,8 +360,10 @@ func runPackage(cfg *Config, pkg *Package, analyzers []*Analyzer, relFile func(t
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
+	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
+		ran[a.Name] = true
 	}
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -358,19 +381,19 @@ func runPackage(cfg *Config, pkg *Package, analyzers []*Analyzer, relFile func(t
 		}
 		a.Run(pass)
 	}
-	// Suppression syntax errors report under the pseudo-analyzer name
-	// "lwlint" and cannot themselves be suppressed.
+	// Suppression syntax errors and stale suppressions report under the
+	// pseudo-analyzer name "lwlint" and cannot themselves be suppressed.
 	meta := &Pass{
 		Cfg: cfg, Fset: pkg.Fset, Files: pkg.Files, ImportPath: pkg.ImportPath,
 		Pkg: pkg.Types, Info: pkg.Info,
 		analyzer: &Analyzer{Name: "lwlint"}, diags: &diags, relFile: relFile,
 	}
+	report := func(pos token.Pos, msg string) { meta.Reportf(pos, "%s", msg) }
 	var sups []suppression
 	for _, f := range pkg.Files {
-		sups = append(sups, parseSuppressions(pkg.Fset, f, known, func(pos token.Pos, msg string) {
-			meta.Reportf(pos, "%s", msg)
-		})...)
+		sups = append(sups, parseSuppressions(pkg.Fset, f, known, report)...)
 	}
+	reportStale(diags, sups, ran, report)
 	diags = applySuppressions(diags, sups)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

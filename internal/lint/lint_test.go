@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"strings"
@@ -112,6 +113,33 @@ func TestApplySuppressions(t *testing.T) {
 		if d.File == "a.go" && d.Analyzer == "walltime" && d.Line != 12 {
 			t.Errorf("diagnostic should have been suppressed: %+v", d)
 		}
+	}
+}
+
+func TestStaleSuppressions(t *testing.T) {
+	mk := func(line int, a string) Diagnostic {
+		return Diagnostic{Pos: token.Position{Filename: "a.go", Line: line}, Analyzer: a}
+	}
+	diags := []Diagnostic{mk(11, "walltime"), mk(20, "maprange")}
+	sups := []suppression{
+		{file: "a.go", line: 10, analyzers: []string{"walltime"}, pos: 1},             // silences line 11
+		{file: "a.go", line: 20, analyzers: []string{"maprange", "walltime"}, pos: 2}, // walltime part stale
+		{file: "a.go", line: 30, analyzers: []string{"walltime"}, pos: 3},             // stale
+		{file: "a.go", line: 40, analyzers: []string{"hotalloc"}, pos: 4},             // hotalloc did not run
+		{file: "b.go", line: 10, analyzers: []string{"walltime"}, pos: 5},             // other file: stale
+	}
+	ran := map[string]bool{"walltime": true, "maprange": true}
+	var got []string
+	reportStale(diags, sups, ran, func(pos token.Pos, msg string) {
+		got = append(got, fmt.Sprintf("%d %s", pos, msg))
+	})
+	want := []string{
+		"2 stale suppression: //lwlint:ignore walltime silences no finding; delete it",
+		"3 stale suppression: //lwlint:ignore walltime silences no finding; delete it",
+		"5 stale suppression: //lwlint:ignore walltime silences no finding; delete it",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("stale reports:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

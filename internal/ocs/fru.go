@@ -56,8 +56,8 @@ func (s *Switch) dropUndrivable() []Circuit {
 }
 
 // dropCircuits tears down every circuit lost reports as a casualty of a
-// hardware failure, counts each on DroppedByFRU and the
-// ocs.circuits_dropped_by_fru metric, and returns them.
+// hardware failure, counts each on the ocs.circuits_dropped_by_fru
+// metric, and returns them.
 func (s *Switch) dropCircuits(lost func(north, south PortID) bool) []Circuit {
 	var dropped []Circuit
 	for n, so := range s.conn {
@@ -66,7 +66,6 @@ func (s *Switch) dropCircuits(lost func(north, south PortID) bool) []Circuit {
 		}
 		dropped = append(dropped, Circuit{North: PortID(n), South: PortID(so), InsertionLossDB: s.loss[[2]int{n, so}]})
 		_ = s.Disconnect(PortID(n)) // the connection provably exists
-		s.droppedByFRU++
 		if s.metricDrops != nil {
 			s.metricDrops.Inc()
 		}
@@ -287,9 +286,3 @@ func (s *Switch) updateUp() {
 		s.dropCircuits(func(PortID, PortID) bool { return true })
 	}
 }
-
-// DroppedByFRU returns the cumulative number of circuits dropped by
-// hardware failures.
-//
-//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
-func (s *Switch) DroppedByFRU() int64 { return s.droppedByFRU }

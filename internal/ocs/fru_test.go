@@ -8,7 +8,12 @@ import (
 )
 
 func TestDriverBoardFailureDropsCircuits(t *testing.T) {
-	s := newTestSwitch(t)
+	cfg := DefaultConfig()
+	cfg.Metrics = telemetry.NewRegistry()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
 		mustConnect(t, s, PortID(i), PortID(i+50))
 	}
@@ -23,8 +28,8 @@ func TestDriverBoardFailureDropsCircuits(t *testing.T) {
 	if s.NumCircuits() != before-len(dropped) {
 		t.Errorf("circuits = %d, want %d", s.NumCircuits(), before-len(dropped))
 	}
-	if s.DroppedByFRU() != int64(len(dropped)) {
-		t.Errorf("DroppedByFRU = %d, want %d", s.DroppedByFRU(), len(dropped))
+	if got := cfg.Metrics.Counter("ocs.circuits_dropped_by_fru").Value(); got != int64(len(dropped)) {
+		t.Errorf("ocs.circuits_dropped_by_fru = %d, want %d", got, len(dropped))
 	}
 	// Remaining circuits are untouched and still drivable.
 	for _, c := range s.Circuits() {
@@ -228,8 +233,8 @@ func TestFRUOutOfRange(t *testing.T) {
 
 // TestFRUDropsAllCounted: every hardware path that drops circuits — a
 // port, a driver board, a mirror, and the chassis going down when its
-// second PSU fails — counts each drop on DroppedByFRU and on the
-// ocs.circuits_dropped_by_fru metric alike.
+// second PSU fails — counts each circuit it tears down on the
+// ocs.circuits_dropped_by_fru metric.
 func TestFRUDropsAllCounted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Metrics = telemetry.NewRegistry()
@@ -241,16 +246,17 @@ func TestFRUDropsAllCounted(t *testing.T) {
 		mustConnect(t, s, PortID(i), PortID(i+60))
 	}
 	metric := cfg.Metrics.Counter("ocs.circuits_dropped_by_fru")
-	last := int64(0)
+	circuits, counted := s.NumCircuits(), int64(0)
 	check := func(step string, wantDrops bool) {
 		t.Helper()
-		if got, want := metric.Value(), s.DroppedByFRU(); got != want {
-			t.Fatalf("after %s: metric counts %d drops, DroppedByFRU %d", step, got, want)
+		lost := int64(circuits - s.NumCircuits())
+		if got := metric.Value() - counted; got != lost {
+			t.Fatalf("after %s: metric counts %d drops, %d circuits went", step, got, lost)
 		}
-		if dropped := s.DroppedByFRU() > last; dropped != wantDrops {
+		if dropped := lost > 0; dropped != wantDrops {
 			t.Fatalf("after %s: dropped circuits = %v, want %v", step, dropped, wantDrops)
 		}
-		last = s.DroppedByFRU()
+		circuits, counted = s.NumCircuits(), metric.Value()
 	}
 	if _, err := s.FailPort(5); err != nil {
 		t.Fatal(err)

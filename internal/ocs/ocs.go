@@ -117,7 +117,6 @@ type Switch struct {
 	fans []bool
 
 	up           bool
-	droppedByFRU int64
 	metricLoss   *telemetry.Distribution
 	metricReconf *telemetry.Counter
 	metricDrops  *telemetry.Counter

@@ -175,6 +175,7 @@ func TestFlowSimCountersOnMetrics(t *testing.T) {
 		"dcn_flowsim_runs_total",
 		"dcn_flowsim_events_total",
 		"dcn_flowsim_recompute_rounds_total",
+		"dcn_flowsim_reused_rounds_total",
 		"dcn_flowsim_pool_hits_total",
 	} {
 		if !strings.Contains(text, name) {

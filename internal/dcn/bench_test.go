@@ -87,16 +87,37 @@ func BenchmarkFlowSimEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxMinRates measures one full max-min fair-share recompute over
-// the steady-state active flow population. It must report 0 allocs/op:
-// the epoch-stamped link arrays make the recompute allocation-free.
+// BenchmarkMaxMinRates times one progressive filling over the
+// steady-state flow population. "from-zero" forces the resume at round 0
+// with no flow changed, every round run: the full recompute. "arrival"
+// times one arrival's resume on the path of the latest arrival, untimed
+// departure in between. Both must report 0 allocs/op.
 func BenchmarkMaxMinRates(b *testing.B) {
-	s := benchEngine(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.maxMinRates()
-	}
+	b.Run("from-zero", func(b *testing.B) {
+		s := benchEngine(b)
+		c := s.order[0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.reordered = true
+			s.maxMinRates(c, 0)
+		}
+	})
+	b.Run("arrival", func(b *testing.B) {
+		s := benchEngine(b)
+		c := s.active[len(s.active)-1].class
+		f := &flow{size: s.w.MeanFlowBytes, started: s.now}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.join(f, c)
+			s.maxMinRates(c, +1)
+			b.StopTimer()
+			s.leave(f)
+			s.maxMinRates(c, -1)
+			b.StartTimer()
+		}
+	})
 }
 
 func BenchmarkFluidThroughput(b *testing.B) {

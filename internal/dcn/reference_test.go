@@ -2,6 +2,10 @@ package dcn
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -232,11 +236,12 @@ func fuzzSim(data []byte) (*Topology, Workload, SimConfig) {
 
 // FuzzMaxMinRates steps the path-class engine and the per-flow reference
 // in lockstep on fuzz-decoded fabrics and requires them to agree bit for
-// bit after every event: the clock, the completions so far, the recompute
-// rounds, and every active flow's path, rate and remaining bytes; then
-// the final SimResult. The seeds under testdata/fuzz/FuzzMaxMinRates are
-// tie-heavy fabrics: uniform meshes of one and two trunks, a star whose
-// leaf pairs all ride transit, and a ring.
+// bit after every event: the clock, the completions so far, the rounds
+// (run plus kept against the reference's), and every active flow's path,
+// rate and remaining bytes; then the final SimResult. The seeds under
+// testdata/fuzz/FuzzMaxMinRates are tie-heavy fabrics (uniform meshes of
+// one and two trunks, a star whose leaf pairs all ride transit, a ring)
+// and the three TestFillingResumeSeeds checks.
 func FuzzMaxMinRates(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		top, w, cfg := fuzzSim(data)
@@ -277,9 +282,11 @@ func assertSameState(t *testing.T, ev int, s *simEngine, r *refEngine) {
 	if k := len(s.fcts) - 1; k >= 0 && !same(s.fcts[k], r.fcts[k]) {
 		t.Fatalf("event %d: completion FCT %v, reference %v", ev, s.fcts[k], r.fcts[k])
 	}
-	if s.recomputeRounds != r.recomputeRounds || s.events != r.events {
-		t.Fatalf("event %d: %d rounds over %d events, reference %d over %d",
-			ev, s.recomputeRounds, s.events, r.recomputeRounds, r.events)
+	// Every reference round is either run or kept from the last filling,
+	// which resumeRound's and fillRound's tests prove unchanged.
+	if s.recomputeRounds+s.reusedRounds != r.recomputeRounds || s.events != r.events {
+		t.Fatalf("event %d: %d run + %d reused rounds over %d events, reference %d over %d",
+			ev, s.recomputeRounds, s.reusedRounds, s.events, r.recomputeRounds, r.events)
 	}
 	if len(s.active) != len(r.active) {
 		t.Fatalf("event %d: %d active flows, reference %d", ev, len(s.active), len(r.active))
@@ -291,9 +298,126 @@ func assertSameState(t *testing.T, ev int, s *simEngine, r *refEngine) {
 			t.Fatalf("event %d: flow %d is %v/%d started %v, reference %v/%d started %v",
 				ev, i, c.hopIdx, c.nhops, f.started, g.hopIdx, g.nhops, g.started)
 		}
-		if !same(f.rate, g.rate) || !same(f.remaining, g.remaining) {
+		if rem := c.remaining[f.slot]; !same(c.rate, g.rate) || !same(rem, g.remaining) {
 			t.Fatalf("event %d: flow %d rate %v remaining %v, reference rate %v remaining %v",
-				ev, i, f.rate, f.remaining, g.rate, g.remaining)
+				ev, i, c.rate, rem, g.rate, g.remaining)
 		}
 	}
+}
+
+// TestFillingResumeSeeds runs the engine over the FuzzMaxMinRates seeds
+// committed for the resume paths and checks that each drives the path it
+// is named for, judged from the active flows rather than the engine's own
+// bookkeeping, and that the engine keeps rounds from one filling to the
+// next on every one of them:
+//
+//   - resume-past-round-0: a completion whose class froze after round 0
+//     and leaves the links in order, so the filling resumes there;
+//   - reorder-one-flow-class-earlier: a completion whose index goes to the
+//     one flow of another class, moving that class earlier and its links
+//     ahead of others, so the filling restarts at round 0;
+//   - class-vanishes-link-drops: the last flow of a class completes and a
+//     link it alone crossed leaves the first-touch order, the others
+//     keeping theirs.
+func TestFillingResumeSeeds(t *testing.T) {
+	for _, c := range []struct {
+		seed string
+		hits func(before, after []int, completed *flow, moved *pathClass, froze int) bool
+	}{
+		{"resume-past-round-0", func(before, after []int, _ *flow, _ *pathClass, froze int) bool {
+			return froze > 0 && !reorders(before, after)
+		}},
+		{"reorder-one-flow-class-earlier", func(before, after []int, _ *flow, moved *pathClass, _ int) bool {
+			return moved != nil && reorders(before, after)
+		}},
+		{"class-vanishes-link-drops", func(before, after []int, completed *flow, _ *pathClass, _ int) bool {
+			return len(completed.class.flows) == 0 && len(after) < len(before) && !reorders(before, after)
+		}},
+	} {
+		t.Run(c.seed, func(t *testing.T) {
+			top, w, cfg := fuzzSim(seedBytes(t, c.seed))
+			s, err := newSimEngine(top, w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits := 0
+			for {
+				before := firstTouch(s)
+				completed := s.done
+				if completed == nil || s.doneAt >= s.next[s.heap[0]] {
+					completed = nil
+				}
+				var moved *pathClass
+				froze := -1
+				if completed != nil {
+					froze = completed.class.round
+					if g := s.active[len(s.active)-1]; g != completed && len(g.class.flows) == 1 && completed.idx < g.class.first {
+						moved = g.class
+					}
+				}
+				if !s.step() {
+					break
+				}
+				if completed != nil && c.hits(before, firstTouch(s), completed, moved, froze) {
+					hits++
+				}
+			}
+			if hits == 0 {
+				t.Errorf("seed never drives the path it is named for")
+			}
+			if s.reusedRounds == 0 {
+				t.Errorf("no round kept across %d events", s.events)
+			}
+		})
+	}
+}
+
+func seedBytes(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzMaxMinRates", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(data)
+}
+
+// firstTouch lists the links in the order the per-flow engine first
+// meets them: active flows in order, hops in order.
+func firstTouch(s *simEngine) []int {
+	seen := make(map[int]bool)
+	var links []int
+	for _, f := range s.active {
+		c := f.class
+		for _, li := range c.hopIdx[:c.nhops] {
+			if !seen[li] {
+				seen[li] = true
+				links = append(links, li)
+			}
+		}
+	}
+	return links
+}
+
+// reorders reports whether the links on both lists are in a different
+// relative order on the second.
+func reorders(before, after []int) bool {
+	pos := make(map[int]int, len(before))
+	for p, li := range before {
+		pos[li] = p
+	}
+	last := -1
+	for _, li := range after {
+		if p, ok := pos[li]; ok {
+			if p < last {
+				return true
+			}
+			last = p
+		}
+	}
+	return false
 }

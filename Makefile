@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test test-bench race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn profile-sched experiments clean
+.PHONY: check vet lint build test test-bench race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn profile-sched profile-recover experiments clean
 
 # The gate every change must pass: vet, build everything, race-test the
 # parallel engine under contention, race-test the TE loop (its Loop is
@@ -119,6 +119,16 @@ profile-dcn:
 # sched.cpuprof`.
 profile-sched:
 	$(GO) test -run '^$$' -bench '^BenchmarkEvaluate$$' -benchtime 40x -cpuprofile sched.cpuprof -o sched.test ./internal/superpod
+
+# CPU profiles of the two stages of the recover_cold ledger workload's
+# boot that do work of their own: OpenStore scanning and folding a
+# log-only history (internal/wal BenchmarkStoreOpen) and building one
+# pod's fabric (internal/core BenchmarkNew, 48 switches selecting their
+# mirrors); inspect with `$(GO) tool pprof wal.test recover-wal.cpuprof`
+# and `$(GO) tool pprof core.test recover-core.cpuprof`.
+profile-recover:
+	$(GO) test -run '^$$' -bench '^BenchmarkStoreOpen$$' -benchtime 200x -cpuprofile recover-wal.cpuprof -o wal.test ./internal/wal
+	$(GO) test -run '^$$' -bench '^BenchmarkNew$$' -benchtime 1000x -cpuprofile recover-core.cpuprof -o core.test ./internal/core
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -16,7 +16,6 @@ package ocs
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"lightwave/internal/sim"
 	"lightwave/internal/telemetry"
@@ -206,11 +205,13 @@ func New(cfg Config) (*Switch, error) {
 // quality makes. Qualities are finite (New floors them).
 func selectBestMirrors(quality []float64, n int) []int {
 	var buf [256]float64
-	sorted := append(buf[:0], quality...)
-	slices.Sort(sorted)
-	cut := sorted[n-1]
-	below, _ := slices.BinarySearch(sorted, cut) // mirrors strictly below the cut
-	ties := n - below
+	cut := nthSmallest(append(buf[:0], quality...), n-1)
+	ties := n // mirrors kept at the cut: n less those strictly below it
+	for _, q := range quality {
+		if q < cut {
+			ties--
+		}
+	}
 	best := make([]int, 0, n)
 	for m, q := range quality {
 		if q < cut || (q == cut && ties > 0) {
@@ -221,6 +222,40 @@ func selectBestMirrors(quality []float64, n int) []int {
 		}
 	}
 	return best
+}
+
+// nthSmallest returns the value sorting v would put at index k, reordering
+// v in place: a quickselect whose three-way partition settles every value
+// equal to the pivot at once, so a die thick with equal qualities costs no
+// more than a varied one.
+func nthSmallest(v []float64, k int) float64 {
+	lo, hi := 0, len(v) // v[k] is in v[lo:hi]
+	for {
+		p := v[lo+(hi-lo)/2]
+		// v[lo:lt] < p, v[lt:i] == p, v[gt:hi] > p, v[i:gt] unread.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch {
+			case v[i] < p:
+				v[lt], v[i] = v[i], v[lt]
+				lt++
+				i++
+			case v[i] > p:
+				gt--
+				v[i], v[gt] = v[gt], v[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
 }
 
 // Radix returns the number of duplex ports.

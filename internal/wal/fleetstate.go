@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lightwave/internal/fleet"
@@ -22,7 +23,8 @@ type FleetState struct {
 // PodIntent is one pod's durable state. Quarantined mirrors the
 // reconciler's last journaled verdict; it is restored for observability
 // but recovery does not force it back into the manager — a restarted
-// manager re-derives health by reconciling.
+// manager re-derives health by reconciling. DrainedOCS is ascending with
+// no repeats; Apply keeps it so by inserting in place.
 type PodIntent struct {
 	Slices      map[string]fleet.SliceIntent `json:"slices"`
 	Drained     bool                         `json:"drained,omitempty"`
@@ -72,13 +74,9 @@ func (fs *FleetState) Apply(e fleet.JournalEntry) {
 		p.Quarantined = false
 	case fleet.OpDrainOCS:
 		p := fs.pod(e.Pod)
-		for _, o := range p.DrainedOCS {
-			if o == e.OCS {
-				return
-			}
+		if i, found := slices.BinarySearch(p.DrainedOCS, e.OCS); !found {
+			p.DrainedOCS = slices.Insert(p.DrainedOCS, i, e.OCS)
 		}
-		p.DrainedOCS = append(p.DrainedOCS, e.OCS)
-		sort.Ints(p.DrainedOCS)
 	case fleet.OpUndrainOCS:
 		p := fs.pod(e.Pod)
 		out := p.DrainedOCS[:0]

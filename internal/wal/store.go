@@ -46,6 +46,7 @@ type Store struct {
 	cmdTail               []logged[Command]
 
 	replayRecords   int
+	replayDecoded   int // records past their section's LSN, whose payload replay decoded
 	replayErrors    int
 	truncatedBytes  int64
 	droppedSegments int
@@ -88,53 +89,43 @@ type storeSnapshot struct {
 
 // OpenStore opens (or creates) a state directory, replays the snapshot
 // and log tail into a materialized fleet state plus pending sched/command
-// tails, and returns a store ready to journal.
+// tails, and returns a store ready to journal. Each record is folded as
+// its segment is scanned; a refused open leaves the directory untouched.
 func OpenStore(dir string, opts Options) (*Store, error) {
-	log, rec, err := Open(dir, opts)
+	st := &Store{fleetState: NewFleetState()}
+	log, rec, err := open(dir, opts, st.loadSnapshot, st.replayRecord)
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{
-		log:             log,
-		fleetState:      NewFleetState(),
-		replayRecords:   len(rec.Records),
-		truncatedBytes:  rec.TruncatedBytes,
-		droppedSegments: rec.DroppedSegments,
-	}
-	if err := st.recover(rec); err != nil {
-		_ = log.Close()
-		return nil, err
-	}
+	st.log = log
+	st.truncatedBytes = rec.TruncatedBytes
+	st.droppedSegments = rec.DroppedSegments
 	return st, nil
 }
 
-// recover loads the snapshot sections and folds or queues every record
-// after them.
-func (st *Store) recover(rec *Recovery) error {
-	if rec.SnapshotState != nil {
-		var snap storeSnapshot
-		if err := json.Unmarshal(rec.SnapshotState, &snap); err != nil {
-			return fmt.Errorf("wal: snapshot payload: %w", err)
-		}
-		if snap.Commands != nil || snap.CmdLSN != 0 {
-			return errors.New(`wal: snapshot carries lwfd's command-list section ("commands"), which predates fabric-state snapshots, so the state directory cannot be read`)
-		}
-		if snap.Fleet != nil {
-			fs, err := DecodeFleetState(snap.Fleet)
-			if err != nil {
-				return err
-			}
-			st.fleetState = fs
-		}
-		st.lastFleetLSN = snap.FleetLSN
-		st.schedSnap, st.schedLSN = snap.Sched, snap.SchedLSN
-		st.fabricSnap, st.fabricLSN = snap.Fabric, snap.FabricLSN
+// loadSnapshot loads the recovered snapshot's sections, before any
+// record is replayed on top of them.
+func (st *Store) loadSnapshot(rec *Recovery) error {
+	if rec.SnapshotState == nil {
+		return nil
 	}
-	for _, r := range rec.Records {
-		if err := st.replayRecord(r); err != nil {
+	var snap storeSnapshot
+	if err := json.Unmarshal(rec.SnapshotState, &snap); err != nil {
+		return fmt.Errorf("wal: snapshot payload: %w", err)
+	}
+	if snap.Commands != nil || snap.CmdLSN != 0 {
+		return errors.New(`wal: snapshot carries lwfd's command-list section ("commands"), which predates fabric-state snapshots, so the state directory cannot be read`)
+	}
+	if snap.Fleet != nil {
+		fs, err := DecodeFleetState(snap.Fleet)
+		if err != nil {
 			return err
 		}
+		st.fleetState = fs
 	}
+	st.lastFleetLSN = snap.FleetLSN
+	st.schedSnap, st.schedLSN = snap.Sched, snap.SchedLSN
+	st.fabricSnap, st.fabricLSN = snap.Fabric, snap.FabricLSN
 	return nil
 }
 
@@ -143,6 +134,7 @@ func (st *Store) recover(rec *Recovery) error {
 // version byte fails the open, because every record after it would be
 // skipped too.
 func (st *Store) replayRecord(r Record) error {
+	st.replayRecords++
 	if r.Type > maxRecordType || r.Type == 0 {
 		st.replayErrors++
 		return nil
@@ -178,6 +170,7 @@ func (st *Store) replayRecord(r Record) error {
 			st.cmdTail = append(st.cmdTail, logged[Command]{r.LSN, c})
 		}
 	}
+	st.replayDecoded++
 	if errors.Is(err, errVersion) {
 		return fmt.Errorf("wal: record at LSN %d predates binary records, so the state directory cannot be read: %w", r.LSN, err)
 	}

@@ -52,21 +52,22 @@ func TestTortureEveryByteOffset(t *testing.T) {
 		if !ok {
 			t.Fatalf("unparseable segment name %q", name)
 		}
-		recs, valid, size, err := scanSegment(path, first)
+		info := segInfo{name: name, before: total}
+		off := int64(0)
+		count, valid, size, err := scanSegment(path, first, func(r Record) error {
+			off += int64(frameHeaderBytes + 1 + len(r.Payload))
+			info.frameEnds = append(info.frameEnds, off)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if valid != size {
 			t.Fatalf("master segment %s has a torn tail", name)
 		}
-		info := segInfo{name: name, size: size, before: total}
-		off := int64(0)
-		for _, r := range recs {
-			off += int64(frameHeaderBytes + 1 + len(r.Payload))
-			info.frameEnds = append(info.frameEnds, off)
-		}
+		info.size = size
 		infos[si] = info
-		total += len(recs)
+		total += count
 	}
 	if total != n {
 		t.Fatalf("master log holds %d records, want %d", total, n)

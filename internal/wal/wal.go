@@ -103,6 +103,7 @@ type Recovery struct {
 	SnapshotCovered uint64
 	// Records are all surviving log records in LSN order, including
 	// ones the snapshot already covers (callers skip by section LSN).
+	// Only Open fills it; OpenStore folds each record as it is scanned.
 	Records []Record
 	// TruncatedBytes counts bytes cut from a torn tail.
 	TruncatedBytes int64
@@ -165,6 +166,24 @@ type Log struct {
 // what survived. The caller owns applying Recovery; the Log is immediately
 // appendable.
 func Open(dir string, opts Options) (*Log, *Recovery, error) {
+	var recs []Record
+	l, rec, err := open(dir, opts, nil, func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	rec.Records = recs
+	return l, rec, nil
+}
+
+// open is Open with the scan handed to the caller: loaded, when set, sees
+// the Recovery once its snapshot is chosen and before any segment is
+// scanned, and visit sees each surviving record in LSN order as its frame
+// is checked. An error from either fails the open before replay has
+// changed anything on disk.
+func open(dir string, opts Options, loaded func(*Recovery) error, visit func(Record) error) (*Log, *Recovery, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
@@ -181,11 +200,10 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		stop:  make(chan struct{}),
 		wdone: make(chan struct{}),
 	}
-	rec, err := l.replay()
+	rec, err := l.replay(loaded, visit)
 	if err != nil {
 		return nil, nil, err
 	}
-	l.met.replayRecords.Add(int64(len(rec.Records)))
 	if rec.TruncatedBytes > 0 || rec.DroppedSegments > 0 {
 		l.met.replayTruncations.Inc()
 	}
@@ -444,8 +462,11 @@ func syncDir(dir string) error {
 }
 
 // replay scans snapshots and segments, truncates any torn tail, and
-// positions the log for appending.
-func (l *Log) replay() (*Recovery, error) {
+// positions the log for appending. Once the newest valid snapshot is
+// chosen it calls loaded (when set), then hands every valid record to
+// visit as its segment is scanned; an error from either returns before
+// any truncation or segment removal.
+func (l *Log) replay(loaded func(*Recovery) error, visit func(Record) error) (*Recovery, error) {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -486,11 +507,16 @@ func (l *Log) replay() (*Recovery, error) {
 		return nil, fmt.Errorf("wal: log resumes at LSN %d but the newest valid snapshot covers only through LSN %d (%d corrupt snapshots skipped): records in between are lost",
 			segs[0].first, rec.SnapshotCovered, rec.SkippedSnapshots)
 	}
+	if loaded != nil {
+		if err := loaded(rec); err != nil {
+			return nil, err
+		}
+	}
 
 	// Scan segments in order. A tear truncates its segment and drops
 	// everything after it; an LSN gap between segments (should not
 	// happen — compaction only removes prefixes) is treated the same.
-	last := uint64(0)
+	last, lastRecord := uint64(0), uint64(0)
 	for i := 0; i < len(segs); i++ {
 		s := &segs[i]
 		// The first listed segment chains off the snapshot (earlier
@@ -508,16 +534,16 @@ func (l *Log) replay() (*Recovery, error) {
 			segs = segs[:i]
 			break
 		}
-		recs, valid, size, err := scanSegment(s.path, s.first)
+		n, valid, size, err := scanSegment(s.path, s.first, visit)
 		if err != nil {
 			return nil, err
 		}
-		rec.Records = append(rec.Records, recs...)
-		s.last = s.first + uint64(len(recs)) - 1
-		if len(recs) == 0 {
-			s.last = s.first - 1
-		}
+		l.met.replayRecords.Add(int64(n))
+		s.last = s.first + uint64(n) - 1
 		last = s.last
+		if n > 0 {
+			lastRecord = s.last
+		}
 		if valid < size { // torn tail
 			rec.TruncatedBytes += size - valid
 			if err := os.Truncate(s.path, valid); err != nil {
@@ -541,10 +567,7 @@ func (l *Log) replay() (*Recovery, error) {
 
 	// Position the sequence after everything we know about: surviving
 	// records and the snapshot LSN (segments may be fully compacted).
-	l.seq = 1
-	if n := len(rec.Records); n > 0 {
-		l.seq = rec.Records[n-1].LSN + 1
-	}
+	l.seq = lastRecord + 1
 	if rec.SnapshotLSN >= l.seq {
 		l.seq = rec.SnapshotLSN + 1
 	}
@@ -576,18 +599,17 @@ func (l *Log) replay() (*Recovery, error) {
 	return rec, nil
 }
 
-// scanSegment decodes records from one segment file. It returns the
-// decoded records, whose payloads alias the segment buffer it read, the
-// byte offset of the last valid frame end, and the file size; valid < size
-// means a torn tail.
-func scanSegment(path string, firstLSN uint64) ([]Record, int64, int64, error) {
+// scanSegment hands visit each record of one segment file whose frame
+// checks, in order; payloads alias the buffer the segment was read into.
+// It returns the number of records visited, the byte offset of the last
+// valid frame end, and the file size; valid < size means a torn tail. A
+// visit error ends the scan and is returned as is.
+func scanSegment(path string, firstLSN uint64, visit func(Record) error) (n int, valid, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("wal: read segment: %w", err)
+		return 0, 0, 0, fmt.Errorf("wal: read segment: %w", err)
 	}
-	var recs []Record
 	off := 0
-	lsn := firstLSN
 	for {
 		if len(data)-off < frameHeaderBytes {
 			break
@@ -601,11 +623,13 @@ func scanSegment(path string, firstLSN uint64) ([]Record, int64, int64, error) {
 		if crc32.Checksum(frame, castagnoli) != want {
 			break
 		}
-		recs = append(recs, Record{LSN: lsn, Type: RecordType(frame[0]), Payload: frame[1:body:body]})
-		lsn++
+		if err := visit(Record{LSN: firstLSN + uint64(n), Type: RecordType(frame[0]), Payload: frame[1:body:body]}); err != nil {
+			return n, int64(off), int64(len(data)), err
+		}
+		n++
 		off += frameHeaderBytes + body
 	}
-	return recs, int64(off), int64(len(data)), nil
+	return n, int64(off), int64(len(data)), nil
 }
 
 func parseName(name, prefix, suffix string) (uint64, bool) {

@@ -425,6 +425,105 @@ func TestCommandListSnapshotRefused(t *testing.T) {
 	}
 }
 
+// TestRefusedOpenLeavesDirectory: an OpenStore that refuses a state
+// directory changes nothing in it — no torn tail is truncated, no segment
+// dropped or created — so the operator still holds the bytes that were
+// refused. Each case is one of the two refusals: a JSON-era record with a
+// torn tail behind it, and a command-list snapshot (over its log, and
+// alone, where a fresh segment would otherwise be created).
+func TestRefusedOpenLeavesDirectory(t *testing.T) {
+	jsonThenTear := func(t *testing.T, dir string) {
+		l, _ := openT(t, dir, Options{NoSync: true})
+		appendT(t, l, RecordFleet, mustEncode(encodeFleet(fleet.JournalEntry{Op: fleet.OpAddPod, Pod: "pod0"})))
+		appendT(t, l, RecordFleet, []byte(`{"op":"add-pod","pod":"pod1"}`))
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg := filepath.Join(dir, listSegments(t, dir)[0])
+		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{9, 0, 0, 0, 1, 2, 3}); err != nil { // half a frame header
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commandList := func(keepLog bool) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			l, _ := openT(t, dir, Options{NoSync: true})
+			appendT(t, l, RecordCommand, mustEncode(encodeCommand(Command{Method: "install-cube", Params: json.RawMessage(`{"cube":12}`)})))
+			old := rawSnapshot(`{"fleetLSN":0,"cmdLSN":1,"commands":[{"method":"install-cube","params":{"cube":12}}]}`)
+			if err := l.Checkpoint(old); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !keepLog {
+				for _, name := range listSegments(t, dir) {
+					if err := os.Remove(filepath.Join(dir, name)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name, refusal string
+		build         func(*testing.T, string)
+	}{
+		{"json-record-before-torn-tail", "predates binary records", jsonThenTear},
+		{"command-list-snapshot", `"commands"`, commandList(true)},
+		{"command-list-snapshot-alone", `"commands"`, commandList(false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.build(t, dir)
+			before := dirBytes(t, dir)
+			st, err := OpenStore(dir, Options{NoSync: true})
+			if err == nil {
+				st.Close()
+				t.Fatal("OpenStore accepted the directory")
+			}
+			if !strings.Contains(err.Error(), tc.refusal) {
+				t.Fatalf("error %q does not name %s", err, tc.refusal)
+			}
+			after := dirBytes(t, dir)
+			for name, b := range before {
+				if a, ok := after[name]; !ok || !bytes.Equal(a, b) {
+					t.Errorf("%s: %d bytes before the refused open, %d after (present %t)", name, len(b), len(a), ok)
+				}
+			}
+			for name := range after {
+				if _, ok := before[name]; !ok {
+					t.Errorf("refused open created %s", name)
+				}
+			}
+		})
+	}
+}
+
+// dirBytes reads every file in dir, by name.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
+}
+
 func TestAppendErrors(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{NoSync: true})

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test test-bench race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn profile-sched profile-recover experiments clean
+.PHONY: check vet lint build test test-bench race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn profile-sched profile-recover experiments size clean
 
 # The gate every change must pass: vet, build everything, race-test the
 # parallel engine under contention, race-test the TE loop (its Loop is
@@ -132,6 +132,14 @@ profile-recover:
 
 experiments:
 	$(GO) run ./cmd/experiments
+
+# The size ledger every CHANGES entry reports, over tracked files (`git
+# add` new ones first): repo-wide Go, non-test Go outside bench/, and the
+# lines of DESIGN.md + EXPERIMENTS.md.
+size:
+	@echo "repo-wide Go lines:             $$(git ls-files '*.go' | xargs cat | wc -l)"
+	@echo "non-test Go lines outside bench: $$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l)"
+	@echo "DESIGN.md + EXPERIMENTS.md lines: $$(cat DESIGN.md EXPERIMENTS.md | wc -l)"
 
 clean:
 	$(GO) clean ./...

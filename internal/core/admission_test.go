@@ -249,7 +249,7 @@ func TestFailedComposeLeavesNoCircuits(t *testing.T) {
 }
 
 // TestFailedReshapeLeavesNoOrphans: the same rollback under ReshapeSlice,
-// whose fresh circuits go through applyCircuits too. After the failure the
+// whose fresh circuits go through ocs.ApplyAll too. After the failure the
 // only live circuits are ones the slice's record still names.
 func TestFailedReshapeLeavesNoOrphans(t *testing.T) {
 	f := newFabric(t, 64)

@@ -148,16 +148,13 @@ func New(cfg Config) (*Fabric, error) {
 		},
 	}
 	f.rx.maxBER = f.rx.stack.MaxInputBER(maxPostFECBER)
-	for i := 0; i < topo.NumOCS; i++ {
-		oc := cfg.OCS
-		oc.Seed = cfg.OCS.Seed + uint64(i)*0x9E37
-		oc.Metrics = cfg.Metrics
-		sw, err := ocs.New(oc)
-		if err != nil {
-			return nil, fmt.Errorf("core: building OCS %d: %w", i, err)
-		}
-		f.switches = append(f.switches, sw)
+	oc := cfg.OCS
+	oc.Metrics = cfg.Metrics
+	sws, err := ocs.NewSwitches(topo.NumOCS, oc)
+	if err != nil {
+		return nil, fmt.Errorf("core: building OCSes: %w", err)
 	}
+	f.switches = sws
 	for c := 0; c < cfg.Cubes; c++ {
 		f.installed[c] = true
 		f.healthy[c] = true
@@ -194,16 +191,6 @@ func (f *Fabric) circuitLive(r topo.CircuitReq) bool {
 	sw := f.switches[r.OCS]
 	got, ok := sw.ConnectionOf(f.PortFor(r.OCS, r.North))
 	return ok && got == f.PortFor(r.OCS, r.South)
-}
-
-// disconnectCircuit tears circuit r down if it is established and reports
-// whether it was. Disconnecting a live circuit cannot fail.
-func (f *Fabric) disconnectCircuit(r topo.CircuitReq) bool {
-	if !f.circuitLive(r) {
-		return false
-	}
-	_ = f.switches[r.OCS].Disconnect(f.PortFor(r.OCS, r.North))
-	return true
 }
 
 // InstalledCubes returns the number of installed cubes.
@@ -374,11 +361,11 @@ func (f *Fabric) place(s *Slice, shape topo.Shape, cubes []int) error {
 // derived ones that are not live and are new to s, or are s's own dark
 // circuits that revive picks (nil picks none, so a reshape or swap keeps
 // an FRU-dropped circuit as dark as it was); stale ones are live circuits
-// of s that the derived set drops. It validates the fresh budgets, tears
-// the stale circuits down and programs the fresh ones, re-establishing the
-// stale ones if programming is refused, so a refused transition leaves the
-// fabric and s as they were. It reports the number of fresh circuits; an
-// intent already in place costs no budget and no allocation.
+// of s that the derived set drops. It validates the fresh budgets, then
+// tears the stale circuits down and programs the fresh ones as one
+// ocs.ApplyAll transaction, so a refused transition leaves the fabric and
+// s as they were. It reports the number of fresh circuits; an intent
+// already in place costs no budget and no allocation.
 func (f *Fabric) realize(s *Slice, shape topo.Shape, cubes []int, revive func(topo.CircuitReq) bool) (int, error) {
 	reqs := s.Circuits
 	same := reqs != nil && s.Shape == shape && slices.Equal(s.Cubes, cubes)
@@ -428,17 +415,25 @@ func (f *Fabric) realize(s *Slice, shape topo.Shape, cubes []int, revive func(to
 		worst = min(worst, m)
 	}
 
-	var stale []topo.CircuitReq
+	// One permutation per OCS: the stale circuits go dark and the fresh
+	// ones are set up, on ports a stale one may free.
+	var perms [topo.NumOCS]ocs.Permutation
+	set := func(r topo.CircuitReq, south ocs.PortID) {
+		if perms[r.OCS] == nil {
+			perms[r.OCS] = ocs.Permutation{}
+		}
+		perms[r.OCS][f.PortFor(r.OCS, r.North)] = south
+	}
 	for _, r := range s.Circuits {
-		if old[r] && f.disconnectCircuit(r) {
-			stale = append(stale, r)
+		if old[r] && f.circuitLive(r) {
+			set(r, ocs.Dark)
 		}
 	}
-	if err := f.applyCircuits(fresh); err != nil {
-		// applyCircuits took its own circuits back, so the ports the stale
-		// circuits held a moment ago are free again.
-		_ = f.applyCircuits(stale)
-		return len(fresh), err
+	for _, r := range fresh {
+		set(r, f.PortFor(r.OCS, r.South))
+	}
+	if err := ocs.ApplyAll(f.switches, perms[:]); err != nil {
+		return len(fresh), fmt.Errorf("core: programming %w", err)
 	}
 
 	if f.metricMargin != nil {
@@ -473,8 +468,8 @@ func (f *Fabric) circuitBudget(r topo.CircuitReq) (optics.Budget, error) {
 
 // validateBudgets checks each circuit's optical budget and post-FEC BER
 // and returns the circuits' link margins in request order. Nothing is
-// programmed or recorded here: realize observes the margins once
-// applyCircuits has accepted the circuits.
+// programmed or recorded here: realize observes the margins once the
+// switches have accepted the circuits.
 //
 //lwlint:hotpath
 func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) ([]float64, error) {
@@ -526,41 +521,6 @@ func (f *Fabric) refreshWorstMargin(s *Slice) error {
 	return nil
 }
 
-// applyCircuits programs the circuits, one batch permutation per OCS, in
-// OCS id order. It is all-or-nothing across switches: when a switch
-// refuses its batch, every circuit this call established on the switches
-// before it is disconnected again. realize hands it circuits over free
-// ports, so there is nothing displaced to restore here.
-func (f *Fabric) applyCircuits(reqs []topo.CircuitReq) error {
-	var perOCS [topo.NumOCS]ocs.Permutation
-	for _, r := range reqs {
-		if perOCS[r.OCS] == nil {
-			perOCS[r.OCS] = ocs.Permutation{}
-		}
-		perOCS[r.OCS][f.PortFor(r.OCS, r.North)] = f.PortFor(r.OCS, r.South)
-	}
-	var established [topo.NumOCS][]ocs.Circuit
-	for id, p := range perOCS {
-		if p == nil {
-			continue
-		}
-		res, err := f.switches[id].Apply(p)
-		established[id] = res.Established
-		if err != nil {
-			for undo := id; undo >= 0; undo-- {
-				for _, c := range established[undo] {
-					// The circuit was connected a moment ago by this call;
-					// the only way Disconnect fails is that something
-					// already dropped it, which is the state wanted.
-					_ = f.switches[undo].Disconnect(c.North)
-				}
-			}
-			return fmt.Errorf("core: programming OCS %d: %w", id, err)
-		}
-	}
-	return nil
-}
-
 // DestroySlice tears a slice down and frees its cubes.
 func (f *Fabric) DestroySlice(name string) error {
 	s, ok := f.slices[name]
@@ -568,7 +528,9 @@ func (f *Fabric) DestroySlice(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoSlice, name)
 	}
 	for _, r := range s.Circuits {
-		f.disconnectCircuit(r)
+		if f.circuitLive(r) { // a live circuit's Disconnect cannot fail
+			_ = f.switches[r.OCS].Disconnect(f.PortFor(r.OCS, r.North))
+		}
 	}
 	for _, c := range s.Cubes {
 		if f.owner[c] == name {

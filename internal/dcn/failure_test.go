@@ -139,6 +139,43 @@ func TestRefusedProgramLeavesFabric(t *testing.T) {
 	}
 }
 
+func TestSwitchRefusalLeavesFabric(t *testing.T) {
+	// The coloring hosts the topology, but switch 0 has lost a driver
+	// board and refuses the circuits its dead ports would carry: the
+	// refusal comes from the hardware, and still no switch changes.
+	blocks, uplinks := 8, 14
+	f := newDCNFabric(t, blocks, 18)
+	t1, _ := UniformMesh(blocks, uplinks)
+	if _, err := f.Program(t1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Switches[0].FailDriverBoard(0); err != nil {
+		t.Fatal(err)
+	}
+	d := UniformDemand(blocks, 1e9)
+	d[0][1], d[1][0] = 40e9, 40e9
+	t2, err := Engineer(blocks, uplinks, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trunks := f.LiveTrunks()
+	circuits := make([][]ocs.Circuit, len(f.Switches))
+	for i, sw := range f.Switches {
+		circuits[i] = sw.Circuits()
+	}
+	if _, err := f.Program(t2); err == nil {
+		t.Fatal("Program over an undrivable port succeeded")
+	}
+	if !reflect.DeepEqual(f.LiveTrunks(), trunks) {
+		t.Errorf("refused Program changed the live trunks:\n got %v\nwant %v", f.LiveTrunks(), trunks)
+	}
+	for i, sw := range f.Switches {
+		if got := sw.Circuits(); !reflect.DeepEqual(got, circuits[i]) {
+			t.Errorf("switch %d: refused Program changed its circuits:\n got %v\nwant %v", i, got, circuits[i])
+		}
+	}
+}
+
 // failSwitches takes switches 0..n-1 out of service.
 func failSwitches(t *testing.T, f *Fabric, n int) {
 	t.Helper()

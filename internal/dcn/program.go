@@ -3,7 +3,7 @@ package dcn
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"lightwave/internal/ocs"
@@ -34,6 +34,7 @@ type Fabric struct {
 var (
 	ErrTooFewSwitches = errors.New("dcn: topology needs more OCSes than the fabric has")
 	ErrBlocksRadix    = errors.New("dcn: block count exceeds OCS radix")
+	ErrBlockCount     = errors.New("dcn: topology block count differs from the fabric's")
 )
 
 // NewFabric builds a physical fabric of numSwitches OCSes for the given
@@ -42,17 +43,11 @@ func NewFabric(blocks, numSwitches int, cfg ocs.Config) (*Fabric, error) {
 	if blocks > cfg.Radix {
 		return nil, fmt.Errorf("%w: %d blocks, radix %d", ErrBlocksRadix, blocks, cfg.Radix)
 	}
-	f := &Fabric{Blocks: blocks}
-	for i := 0; i < numSwitches; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)*0x9E37
-		sw, err := ocs.New(c)
-		if err != nil {
-			return nil, err
-		}
-		f.Switches = append(f.Switches, sw)
+	sws, err := ocs.NewSwitches(numSwitches, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return f, nil
+	return &Fabric{Blocks: blocks, Switches: sws}, nil
 }
 
 // ProgramResult reports what a (re)programming pass did.
@@ -71,17 +66,22 @@ type ProgramResult struct {
 // down this is the §3.4 heal: its lost trunks are re-placed on the
 // survivors and every surviving circuit stays.
 //
-// No hardware is touched until the whole topology has a switch
-// assignment: when the up switches cannot host it, Program returns
-// ErrTooFewSwitches and the fabric is exactly as it was.
+// Program is all-or-nothing. A topology over another block count is
+// refused with ErrBlockCount, one the up switches cannot host with
+// ErrTooFewSwitches, both before any switch is asked; the switches then
+// take the whole change as one ocs.ApplyAll transaction, so a switch that
+// refuses its part leaves every switch as it was.
 func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var res ProgramResult
-	var up []*ocs.Switch
-	for _, sw := range f.Switches {
+	if t.Blocks != f.Blocks {
+		return ProgramResult{}, fmt.Errorf("%w: %d blocks, fabric has %d", ErrBlockCount, t.Blocks, f.Blocks)
+	}
+	// up[c] is the fabric index of the switch colored c.
+	var up []int
+	for i, sw := range f.Switches {
 		if sw.Up() {
-			up = append(up, sw)
+			up = append(up, i)
 		}
 	}
 	// remaining[a][b] = trunks of the target topology not yet matched to
@@ -91,28 +91,19 @@ func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
 		remaining[i] = append([]int(nil), t.Links[i]...)
 	}
 
-	// Pass 1: classify existing circuits. Still-wanted circuits become
-	// pre-colored edges of the assignment (their switch is their color);
-	// stale circuits are collected, and torn down only once the coloring
-	// has succeeded.
-	type circuit struct {
-		sw    *ocs.Switch
-		north ocs.PortID
-	}
-	var stale []circuit
+	// Pass 1: still-wanted circuits become pre-colored edges of the
+	// assignment (their switch is their color).
 	assign := newEdgeAssignment(t.Blocks, len(up))
-	for i, sw := range up {
-		for _, c := range sw.Circuits() {
+	for color, i := range up {
+		for _, c := range f.Switches[i].Circuits() {
 			a, b := int(c.North), int(c.South)
 			if a < t.Blocks && b < t.Blocks && remaining[a][b] > 0 {
 				remaining[a][b]--
 				remaining[b][a]--
-				if _, err := assign.addEdge(a, b, i); err != nil {
-					return res, err
+				if _, err := assign.addEdge(a, b, color); err != nil {
+					return ProgramResult{}, err
 				}
-				continue
 			}
-			stale = append(stale, circuit{sw, c.North})
 		}
 	}
 	// Missing trunks become uncolored edges.
@@ -120,70 +111,47 @@ func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
 		for b := a + 1; b < t.Blocks; b++ {
 			for k := 0; k < remaining[a][b]; k++ {
 				if _, err := assign.addEdge(a, b, -1); err != nil {
-					return res, err
+					return ProgramResult{}, err
 				}
 			}
 		}
 	}
 	if err := assign.colorAll(); err != nil {
-		return res, fmt.Errorf("%w: %v", ErrTooFewSwitches, err)
-	}
-	for _, c := range stale {
-		if err := c.sw.Disconnect(c.north); err != nil {
-			return res, err
-		}
-		res.TornDown++
+		return ProgramResult{}, fmt.Errorf("%w: %v", ErrTooFewSwitches, err)
 	}
 
-	// Pass 2: diff the colored assignment against the hardware. Kempe
-	// repairs may have moved a few surviving trunks to other switches;
-	// those count as churn like any other change.
-	type edge struct{ a, b int }
-	desired := make([]map[edge]int, len(up))
-	for i := range desired {
-		desired[i] = make(map[edge]int)
+	// Pass 2: diff the colored assignment against the hardware, one
+	// permutation per switch: each colored edge a-b wants north a on
+	// south b, and every other circuit goes dark. Kempe repairs may have
+	// moved a few surviving trunks to other switches; those count as
+	// churn like any other change.
+	perms := make([]ocs.Permutation, len(f.Switches))
+	set := func(i int, north, south ocs.PortID) {
+		if perms[i] == nil {
+			perms[i] = ocs.Permutation{}
+		}
+		perms[i][north] = south
 	}
-	for e, c := range assign.color {
-		a, b := assign.ends[e][0], assign.ends[e][1]
-		desired[c][edge{a, b}]++
+	for e, color := range assign.color {
+		set(up[color], ocs.PortID(assign.ends[e][0]), ocs.PortID(assign.ends[e][1]))
 	}
-	for i, sw := range up {
-		// Tear down circuits not desired on this switch anymore.
-		for _, c := range sw.Circuits() {
-			k := edge{int(c.North), int(c.South)}
-			if desired[i][k] > 0 {
-				desired[i][k]--
+	var res ProgramResult
+	for _, i := range up {
+		for _, c := range f.Switches[i].Circuits() {
+			switch so, wanted := perms[i][c.North]; {
+			case wanted && so == c.South:
 				res.Kept++
-				continue
-			}
-			if err := sw.Disconnect(c.North); err != nil {
-				return res, err
-			}
-			res.TornDown++
-		}
-		// Establish in sorted (a, b) order: ranging the map directly
-		// would randomize the hardware programming sequence run-to-run —
-		// and, when a Connect fails mid-program, which circuits exist —
-		// breaking replay determinism (the PR 2 bug class, caught by
-		// lwlint's maprange analyzer).
-		edges := make([]edge, 0, len(desired[i]))
-		for k := range desired[i] {
-			edges = append(edges, k)
-		}
-		sort.Slice(edges, func(x, y int) bool {
-			if edges[x].a != edges[y].a {
-				return edges[x].a < edges[y].a
-			}
-			return edges[x].b < edges[y].b
-		})
-		for _, k := range edges {
-			for j := 0; j < desired[i][k]; j++ {
-				if _, err := sw.Connect(ocs.PortID(k.a), ocs.PortID(k.b)); err != nil {
-					return res, err
-				}
-				res.Established++
+			case wanted: // north moves to another south
+				res.TornDown++
+			default:
+				set(i, c.North, ocs.Dark)
+				res.TornDown++
 			}
 		}
+	}
+	res.Established = len(assign.color) - res.Kept
+	if err := ocs.ApplyAll(f.Switches, perms); err != nil {
+		return ProgramResult{}, fmt.Errorf("dcn: programming %w", err)
 	}
 	return res, nil
 }
@@ -250,15 +218,8 @@ func (f *Fabric) LiveTrunks() [][]int {
 	return links
 }
 
-// Matches reports whether the live hardware state realizes topology t.
+// Matches reports whether the live hardware state realizes topology t; a
+// topology over another block count never does.
 func (f *Fabric) Matches(t *Topology) bool {
-	live := f.LiveTrunks()
-	for i := 0; i < t.Blocks; i++ {
-		for j := 0; j < t.Blocks; j++ {
-			if live[i][j] != t.Links[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return t.Blocks == f.Blocks && slices.EqualFunc(f.LiveTrunks(), t.Links, slices.Equal)
 }

@@ -153,3 +153,22 @@ func TestNewFabricValidation(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+func TestProgramRefusesOtherBlockCount(t *testing.T) {
+	// Ports 8 and 9 belong to no block of an 8-block fabric: a 10-block
+	// topology is refused before any switch is asked, and never matches.
+	f := newDCNFabric(t, 8, 18)
+	top, err := UniformMesh(10, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Program(top); !errors.Is(err, ErrBlockCount) {
+		t.Fatalf("err = %v, want ErrBlockCount", err)
+	}
+	if n := f.Circuits(); n != 0 {
+		t.Errorf("refused Program established %d circuits", n)
+	}
+	if f.Matches(top) {
+		t.Error("a 10-block topology matches an 8-block fabric")
+	}
+}

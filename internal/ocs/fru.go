@@ -65,7 +65,7 @@ func (s *Switch) dropCircuits(lost func(north, south PortID) bool) []Circuit {
 			continue
 		}
 		dropped = append(dropped, Circuit{North: PortID(n), South: PortID(so), InsertionLossDB: s.loss[[2]int{n, so}]})
-		_ = s.Disconnect(PortID(n)) // the connection provably exists
+		s.disconnect(PortID(n))
 		if s.metricDrops != nil {
 			s.metricDrops.Inc()
 		}

@@ -198,6 +198,22 @@ func New(cfg Config) (*Switch, error) {
 	return s, nil
 }
 
+// NewSwitches builds n switches from cfg. Switch i's seed is
+// cfg.Seed + i·0x9E37, so units differ like real hardware.
+func NewSwitches(n int, cfg Config) ([]*Switch, error) {
+	sws := make([]*Switch, n)
+	for i := range sws {
+		c := cfg
+		c.Seed = cfg.Seed + uint64(i)*0x9E37
+		sw, err := New(c)
+		if err != nil {
+			return nil, err
+		}
+		sws[i] = sw
+	}
+	return sws, nil
+}
+
 // selectBestMirrors returns, for each port, the index of the mirror assigned
 // to it: the n lowest-loss mirrors in fabrication order. The n-th lowest
 // quality is the cut; every mirror below it is kept, and of those exactly
@@ -321,7 +337,12 @@ func (s *Switch) Connect(north, south PortID) (Circuit, error) {
 	if !s.portDrivable(south) {
 		return Circuit{}, fmt.Errorf("%w: south %d mirror undrivable", ErrPortFailed, south)
 	}
+	return s.establish(north, south), nil
+}
 
+// establish aligns a circuit between a free, healthy, drivable north and
+// south port and records it.
+func (s *Switch) establish(north, south PortID) Circuit {
 	loss, setup := s.align(north, south)
 	s.conn[north] = int(south)
 	s.rconn[south] = int(north)
@@ -332,7 +353,7 @@ func (s *Switch) Connect(north, south PortID) (Circuit, error) {
 	if s.metricLoss != nil {
 		s.metricLoss.Observe(loss)
 	}
-	return Circuit{North: north, South: south, InsertionLossDB: loss, SetupTime: setup}, nil
+	return Circuit{North: north, South: south, InsertionLossDB: loss, SetupTime: setup}
 }
 
 // align runs the simulated closed-loop camera alignment for a path and
@@ -409,14 +430,19 @@ func (s *Switch) Disconnect(north PortID) error {
 	if int(north) < 0 || int(north) >= s.cfg.Radix {
 		return ErrPortRange
 	}
-	so := s.conn[north]
-	if so == -1 {
+	if s.conn[north] == -1 {
 		return fmt.Errorf("%w: north %d", ErrNotConnected, north)
 	}
+	s.disconnect(north)
+	return nil
+}
+
+// disconnect parks the mirrors of a connected north port.
+func (s *Switch) disconnect(north PortID) {
+	so := s.conn[north]
 	s.conn[north] = -1
 	s.rconn[so] = -1
 	delete(s.loss, [2]int{int(north), so})
-	return nil
 }
 
 // ConnectionOf returns the south port connected to north, if any.

@@ -2,6 +2,7 @@ package ocs
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,114 @@ func TestApplyPropertyPreservesBijection(t *testing.T) {
 	}, &quick.Config{MaxCount: 15})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+func TestApplyDark(t *testing.T) {
+	// Dark tears a north port's circuit down; the same batch may hand the
+	// freed south port to another north port. Each case starts from 0->10
+	// and 1->11; the circuits it names afterwards are the whole switch.
+	for _, tc := range []struct {
+		name    string
+		p       Permutation
+		want    map[PortID]PortID
+		changed int
+		err     error
+	}{
+		{"teardown only", Permutation{0: Dark}, map[PortID]PortID{1: 11}, 1, nil},
+		{"teardown and move of its south", Permutation{0: Dark, 2: 10}, map[PortID]PortID{1: 11, 2: 10}, 2, nil},
+		{"dark on an unconnected port", Permutation{5: Dark}, map[PortID]PortID{0: 10, 1: 11}, 0, nil},
+		{"refused batch tears nothing", Permutation{0: Dark, 2: 999}, map[PortID]PortID{0: 10, 1: 11}, 0, ErrPortRange},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestSwitch(t)
+			mustConnect(t, s, 0, 10)
+			mustConnect(t, s, 1, 11)
+			res, err := s.Apply(tc.p)
+			if !errors.Is(err, tc.err) {
+				t.Fatalf("err = %v, want %v", err, tc.err)
+			}
+			if res.Changed != tc.changed {
+				t.Errorf("Changed = %d, want %d", res.Changed, tc.changed)
+			}
+			got := map[PortID]PortID{}
+			for _, c := range s.Circuits() {
+				got[c.North] = c.South
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("circuits %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+func TestApplyAllIsAllOrNothing(t *testing.T) {
+	// Three switches each carry 0->10; the transaction moves it to 0->20
+	// and adds 1->21 on every switch. When switch k refuses, the switches
+	// before it keep bit-equal circuits, and so does every other.
+	undrivable := func(t *testing.T, s *Switch) PortID {
+		t.Helper()
+		if _, err := s.FailDriverBoard(7); err != nil {
+			t.Fatal(err)
+		}
+		for p := PortID(32); int(p) < s.Radix(); p++ { // clear of the ports the batch names
+			if !s.portDrivable(p) {
+				return p
+			}
+		}
+		t.Fatal("driver board 7 drives no port above 31")
+		return 0
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, sws []*Switch, perms []Permutation)
+		err   error
+	}{
+		{"accepted", func(*testing.T, []*Switch, []Permutation) {}, nil},
+		{"switch 1 down", func(t *testing.T, sws []*Switch, _ []Permutation) {
+			for i := 0; i < 2; i++ {
+				if err := sws[1].FailPSU(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, ErrSwitchDown},
+		{"switch 2 undrivable", func(t *testing.T, sws []*Switch, perms []Permutation) {
+			perms[2][undrivable(t, sws[2])] = 31
+		}, ErrPortFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sws, err := NewSwitches(3, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			perms := make([]Permutation, len(sws))
+			for i, s := range sws {
+				mustConnect(t, s, 0, 10)
+				perms[i] = Permutation{0: 20, 1: 21}
+			}
+			tc.spoil(t, sws, perms)
+			before := make([][]Circuit, len(sws))
+			for i, s := range sws {
+				before[i] = s.Circuits()
+			}
+			err = ApplyAll(sws, perms)
+			if !errors.Is(err, tc.err) {
+				t.Fatalf("err = %v, want %v", err, tc.err)
+			}
+			for i, s := range sws {
+				if tc.err != nil {
+					if got := s.Circuits(); !reflect.DeepEqual(got, before[i]) {
+						t.Errorf("switch %d changed by a refused transaction: %v, want %v", i, got, before[i])
+					}
+					continue
+				}
+				for n, so := range perms[i] {
+					if got, ok := s.ConnectionOf(n); !ok || got != so {
+						t.Errorf("switch %d: north %d -> %d (%v), want %d", i, n, got, ok, so)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -114,8 +114,9 @@ profile-dcn:
 	$(GO) test -run '^$$' -bench 'Figures/(dcn|te|chaos)$$' -benchtime 5x -cpuprofile dcn.cpuprof -o dcn.test .
 
 # CPU profile of the live superpod replay at the sim_sched ledger stage's
-# configuration (internal/superpod BenchmarkEvaluate): core composes and
-# core.New are most of it; inspect with `$(GO) tool pprof sched.test
+# configuration (internal/superpod BenchmarkEvaluate): compose admission
+# (budget walk and pre-FEC BER) is ≈ 60 % of it, core.New ≈ 17 % and
+# the OCS transaction ≈ 7 %; inspect with `$(GO) tool pprof sched.test
 # sched.cpuprof`.
 profile-sched:
 	$(GO) test -run '^$$' -bench '^BenchmarkEvaluate$$' -benchtime 40x -cpuprofile sched.cpuprof -o sched.test ./internal/superpod

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"lightwave/internal/dsp"
 	"lightwave/internal/fec"
@@ -102,6 +103,10 @@ type Fabric struct {
 
 	rx admission
 
+	// perms holds one transition's per-OCS permutations; realize empties
+	// it once ocs.ApplyAll has answered, keeping only the capacity.
+	perms [topo.NumOCS]ocs.Permutation
+
 	metricSlices *telemetry.Counter
 	metricSwaps  *telemetry.Counter
 	metricMargin *telemetry.Distribution
@@ -120,11 +125,17 @@ type admission struct {
 	path     optics.BidiPath
 	receiver dsp.PreparedReceiver
 	stack    fec.Concatenated
-	// maxBER is stack.MaxInputBER(maxPostFECBER): the FEC transfer curve
-	// is monotone, so "post-FEC BER > maxPostFECBER" is "pre-FEC BER >
-	// maxBER" and the per-circuit check is a comparison.
+	// maxBER is maxInputBER(): the FEC transfer curve is monotone, so
+	// "post-FEC BER > maxPostFECBER" is "pre-FEC BER > maxBER" and the
+	// per-circuit check is a comparison.
 	maxBER float64
 }
+
+// maxInputBER bisects the FEC stack for the highest pre-FEC BER that meets
+// maxPostFECBER. Its inputs are constants, so it runs once per process.
+var maxInputBER = sync.OnceValue(func() float64 {
+	return fec.NewConcatenated().MaxInputBER(maxPostFECBER)
+})
 
 // New builds the fabric: 48 OCSes (Appendix A wiring) and the installed
 // cube inventory.
@@ -145,9 +156,9 @@ func New(cfg Config) (*Fabric, error) {
 				cfg.Circulator, cfg.FiberKM),
 			receiver: dsp.DefaultReceiver().Prepare(),
 			stack:    fec.NewConcatenated(),
+			maxBER:   maxInputBER(),
 		},
 	}
-	f.rx.maxBER = f.rx.stack.MaxInputBER(maxPostFECBER)
 	oc := cfg.OCS
 	oc.Metrics = cfg.Metrics
 	sws, err := ocs.NewSwitches(topo.NumOCS, oc)
@@ -407,38 +418,38 @@ func (f *Fabric) realize(s *Slice, shape topo.Shape, cubes []int, revive func(to
 			worst = min(worst, bud.MarginDB)
 		}
 	}
-	margins, err := f.validateBudgets(fresh)
+	admitted, err := f.validateBudgets(fresh)
 	if err != nil {
 		return len(fresh), err
 	}
-	for _, m := range margins {
-		worst = min(worst, m)
+	for _, a := range admitted {
+		worst = min(worst, a.marginDB)
 	}
 
 	// One permutation per OCS: the stale circuits go dark and the fresh
-	// ones are set up, on ports a stale one may free.
-	var perms [topo.NumOCS]ocs.Permutation
-	set := func(r topo.CircuitReq, south ocs.PortID) {
-		if perms[r.OCS] == nil {
-			perms[r.OCS] = ocs.Permutation{}
-		}
-		perms[r.OCS][f.PortFor(r.OCS, r.North)] = south
-	}
+	// ones are set up, on ports a stale one may free. A fresh circuit's
+	// move carries the floor its admission evaluated, which the switch
+	// aligns from.
 	for _, r := range s.Circuits {
 		if old[r] && f.circuitLive(r) {
-			set(r, ocs.Dark)
+			f.perms[r.OCS] = append(f.perms[r.OCS], ocs.Move{North: f.PortFor(r.OCS, r.North), South: ocs.Dark})
 		}
 	}
-	for _, r := range fresh {
-		set(r, f.PortFor(r.OCS, r.South))
+	for i, r := range fresh {
+		f.perms[r.OCS] = append(f.perms[r.OCS], admitted[i].move)
 	}
-	if err := ocs.ApplyAll(f.switches, perms[:]); err != nil {
+	err = ocs.ApplyAll(f.switches, f.perms[:])
+	for o, p := range f.perms {
+		clear(p)
+		f.perms[o] = p[:0]
+	}
+	if err != nil {
 		return len(fresh), fmt.Errorf("core: programming %w", err)
 	}
 
 	if f.metricMargin != nil {
-		for _, m := range margins {
-			f.metricMargin.Observe(m)
+		for _, a := range admitted {
+			f.metricMargin.Observe(a.marginDB)
 		}
 	}
 	for _, c := range s.Cubes {
@@ -456,27 +467,43 @@ func (f *Fabric) realize(s *Slice, shape topo.Shape, cubes []int, revive func(to
 //
 //lwlint:hotpath
 func (f *Fabric) circuitBudget(r topo.CircuitReq) (optics.Budget, error) {
+	bud, _, err := f.price(r)
+	return bud, err
+}
+
+// price evaluates circuit r's move on its OCS through the current port
+// map — the path's intrinsic loss floor, once — and the optical budget
+// that floor gives.
+//
+//lwlint:hotpath
+func (f *Fabric) price(r topo.CircuitReq) (optics.Budget, ocs.Move, error) {
 	sw := f.switches[r.OCS]
-	north := f.PortFor(r.OCS, r.North)
-	loss := sw.IntrinsicLossDB(north, f.PortFor(r.OCS, r.South)) + 0.1 // alignment residual allowance
-	rl, err := sw.ReturnLossDB(north)
+	m := sw.Move(f.PortFor(r.OCS, r.North), f.PortFor(r.OCS, r.South))
+	rl, err := sw.ReturnLossDB(m.North)
 	if err != nil {
-		return optics.Budget{}, err
+		return optics.Budget{}, m, err
 	}
-	return f.rx.path.Budget(loss, rl), nil
+	return f.rx.path.Budget(m.FloorDB()+0.1, rl), m, nil // alignment residual allowance
+}
+
+// admitted is a circuit validateBudgets admitted: its move, floor
+// evaluated, and its link margin.
+type admitted struct {
+	move     ocs.Move
+	marginDB float64
 }
 
 // validateBudgets checks each circuit's optical budget and post-FEC BER
-// and returns the circuits' link margins in request order. Nothing is
-// programmed or recorded here: realize observes the margins once the
-// switches have accepted the circuits.
+// and returns the admitted circuits in request order. Nothing is
+// programmed or recorded here: realize programs the moves and observes
+// the margins once the switches have accepted them.
 //
 //lwlint:hotpath
-func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) ([]float64, error) {
+func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) ([]admitted, error) {
 	//lwlint:ignore hotalloc one buffer per call; the per-circuit loop below is what stays allocation-free
-	margins := make([]float64, len(reqs))
+	out := make([]admitted, len(reqs))
 	for i, r := range reqs {
-		bud, err := f.circuitBudget(r)
+		bud, m, err := f.price(r)
 		if err != nil {
 			return nil, err
 		}
@@ -490,9 +517,9 @@ func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) ([]float64, error) {
 		if ber > f.rx.maxBER {
 			return nil, errPostFEC(r, f.rx.stack.Transfer(ber))
 		}
-		margins[i] = bud.MarginDB
+		out[i] = admitted{m, bud.MarginDB}
 	}
-	return margins, nil
+	return out, nil
 }
 
 func errMargin(r topo.CircuitReq, marginDB float64) error {

@@ -21,9 +21,9 @@ type FabricState struct {
 // SwitchState is one OCS's share: failed ports, the spare port each
 // repaired cube's fibers moved to (PortFor), and live cross-connects.
 type SwitchState struct {
-	FailedPorts []ocs.PortID       `json:"failedPorts,omitempty"`
-	Remaps      map[int]ocs.PortID `json:"remaps,omitempty"`
-	Circuits    ocs.Permutation    `json:"circuits,omitempty"`
+	FailedPorts []ocs.PortID              `json:"failedPorts,omitempty"`
+	Remaps      map[int]ocs.PortID        `json:"remaps,omitempty"`
+	Circuits    map[ocs.PortID]ocs.PortID `json:"circuits,omitempty"` // north → south
 }
 
 // SliceState is one slice of a FabricState. Import recomputes its circuit
@@ -46,7 +46,7 @@ func (f *Fabric) ExportState() FabricState {
 		}
 	}
 	for o, sw := range f.switches {
-		ss := SwitchState{FailedPorts: sw.FailedPorts(), Remaps: map[int]ocs.PortID{}, Circuits: ocs.Permutation{}}
+		ss := SwitchState{FailedPorts: sw.FailedPorts(), Remaps: map[int]ocs.PortID{}, Circuits: map[ocs.PortID]ocs.PortID{}}
 		for _, c := range sw.Circuits() {
 			ss.Circuits[c.North] = c.South
 		}
@@ -100,7 +100,11 @@ func (f *Fabric) ImportState(st FabricState) error {
 				return fmt.Errorf("core: OCS %d: cube %d's spare port %d restored as %d: %v", o, c, ss.Remaps[c], got, err)
 			}
 		}
-		if _, err := sw.Apply(ss.Circuits); err != nil {
+		p := make(ocs.Permutation, 0, len(ss.Circuits))
+		for n, so := range ss.Circuits {
+			p = append(p, ocs.Move{North: n, South: so})
+		}
+		if _, err := sw.Apply(p); err != nil {
 			return fmt.Errorf("core: OCS %d: %w", o, err)
 		}
 	}

@@ -121,34 +121,26 @@ func (f *Fabric) Program(t *Topology) (ProgramResult, error) {
 	}
 
 	// Pass 2: diff the colored assignment against the hardware, one
-	// permutation per switch: each colored edge a-b wants north a on
-	// south b, and every other circuit goes dark. Kempe repairs may have
-	// moved a few surviving trunks to other switches; those count as
-	// churn like any other change.
+	// permutation per switch: every live circuit goes dark unless a
+	// colored edge a-b keeps or moves its north, each edge wanting north a
+	// on south b. Kempe repairs may have moved a few surviving trunks to
+	// other switches; those count as churn like any other change.
 	perms := make([]ocs.Permutation, len(f.Switches))
-	set := func(i int, north, south ocs.PortID) {
-		if perms[i] == nil {
-			perms[i] = ocs.Permutation{}
-		}
-		perms[i][north] = south
-	}
-	for e, color := range assign.color {
-		set(up[color], ocs.PortID(assign.ends[e][0]), ocs.PortID(assign.ends[e][1]))
-	}
 	var res ProgramResult
 	for _, i := range up {
 		for _, c := range f.Switches[i].Circuits() {
-			switch so, wanted := perms[i][c.North]; {
-			case wanted && so == c.South:
-				res.Kept++
-			case wanted: // north moves to another south
-				res.TornDown++
-			default:
-				set(i, c.North, ocs.Dark)
-				res.TornDown++
-			}
+			perms[i] = append(perms[i], ocs.Move{North: c.North, South: ocs.Dark})
+		}
+		res.TornDown += f.Switches[i].NumCircuits()
+	}
+	for e, color := range assign.color {
+		i, north, south := up[color], ocs.PortID(assign.ends[e][0]), ocs.PortID(assign.ends[e][1])
+		perms[i] = append(perms[i], ocs.Move{North: north, South: south})
+		if so, ok := f.Switches[i].ConnectionOf(north); ok && so == south {
+			res.Kept++
 		}
 	}
+	res.TornDown -= res.Kept
 	res.Established = len(assign.color) - res.Kept
 	if err := ocs.ApplyAll(f.Switches, perms); err != nil {
 		return ProgramResult{}, fmt.Errorf("dcn: programming %w", err)

@@ -64,7 +64,7 @@ func (s *Switch) dropCircuits(lost func(north, south PortID) bool) []Circuit {
 		if so == -1 || !lost(PortID(n), PortID(so)) {
 			continue
 		}
-		dropped = append(dropped, Circuit{North: PortID(n), South: PortID(so), InsertionLossDB: s.loss[[2]int{n, so}]})
+		dropped = append(dropped, Circuit{North: PortID(n), South: PortID(so), InsertionLossDB: s.loss[n]})
 		s.disconnect(PortID(n))
 		if s.metricDrops != nil {
 			s.metricDrops.Inc()

@@ -79,6 +79,7 @@ const (
 	mirrorSettle    = 2e-3
 	alignIterations = 6
 	alignRound      = 0.5e-3
+	setupTime       = mirrorSettle + alignIterations*alignRound
 )
 
 // Circuit is an established North→South cross-connection.
@@ -102,7 +103,14 @@ type Switch struct {
 	conn []int
 	// rconn[s] = north port connected to south port s, or -1.
 	rconn []int
-	loss  map[[2]int]float64 // established circuit loss
+	// loss[n] = settled insertion loss of north port n's circuit, dB.
+	loss     []float64
+	circuits int // connected north ports
+
+	// southSeen[s] == stamp marks south port s as targeted by the
+	// permutation being checked; each check takes a new stamp.
+	southSeen []uint32
+	stamp     uint32
 
 	dies       [2]die
 	portMirror [2][]int // portMirror[d][p] = mirror index on die d serving port p
@@ -146,7 +154,8 @@ func New(cfg Config) (*Switch, error) {
 		cfg:        cfg,
 		conn:       make([]int, cfg.Radix),
 		rconn:      make([]int, cfg.Radix),
-		loss:       make(map[[2]int]float64),
+		loss:       make([]float64, cfg.Radix),
+		southSeen:  make([]uint32, cfg.Radix),
 		boards:     make([]bool, cfg.DriverBoards),
 		portFailed: make([]bool, cfg.Radix),
 		portRL:     make([]float64, cfg.Radix),
@@ -337,31 +346,34 @@ func (s *Switch) Connect(north, south PortID) (Circuit, error) {
 	if !s.portDrivable(south) {
 		return Circuit{}, fmt.Errorf("%w: south %d mirror undrivable", ErrPortFailed, south)
 	}
-	return s.establish(north, south), nil
+	loss := s.establish(north, south, s.IntrinsicLossDB(north, south))
+	return Circuit{North: north, South: south, InsertionLossDB: loss, SetupTime: setupTime}, nil
 }
 
 // establish aligns a circuit between a free, healthy, drivable north and
-// south port and records it.
-func (s *Switch) establish(north, south PortID) Circuit {
-	loss, setup := s.align(north, south)
+// south port from the path's intrinsic loss floor, records it and returns
+// its settled loss.
+func (s *Switch) establish(north, south PortID, floor float64) float64 {
+	loss := s.align(north, south, floor)
 	s.conn[north] = int(south)
 	s.rconn[south] = int(north)
-	s.loss[[2]int{int(north), int(south)}] = loss
+	s.loss[north] = loss
+	s.circuits++
 	if s.metricReconf != nil {
 		s.metricReconf.Inc()
 	}
 	if s.metricLoss != nil {
 		s.metricLoss.Observe(loss)
 	}
-	return Circuit{North: north, South: south, InsertionLossDB: loss, SetupTime: setup}
+	return loss
 }
 
 // align runs the simulated closed-loop camera alignment for a path and
-// returns the settled insertion loss and elapsed time. Alignment starts from
-// a coarse open-loop pointing error and converges geometrically toward the
-// path's intrinsic loss floor, mirroring the image-feedback loop of §3.2.2.
-func (s *Switch) align(north, south PortID) (lossDB, setup float64) {
-	floor := s.IntrinsicLossDB(north, south)
+// returns the settled insertion loss; it takes setupTime. Alignment starts
+// from a coarse open-loop pointing error and converges geometrically
+// toward floor, the path's intrinsic loss floor, mirroring the
+// image-feedback loop of §3.2.2.
+func (s *Switch) align(north, south PortID, floor float64) float64 {
 	// Open-loop pointing error before feedback: up to a few dB excess.
 	r := s.pairRand(north, south, 0xA11)
 	excess := 1.5 + 1.0*r.Float64()
@@ -370,8 +382,7 @@ func (s *Switch) align(north, south PortID) (lossDB, setup float64) {
 	}
 	// Residual jitter of the servo.
 	res := 0.02 + 0.02*r.Float64()
-	setup = mirrorSettle + alignIterations*alignRound
-	return floor + excess + res, setup
+	return floor + excess + res
 }
 
 // IntrinsicLossDB returns the manufacturing loss floor of the optical path
@@ -442,7 +453,8 @@ func (s *Switch) disconnect(north PortID) {
 	so := s.conn[north]
 	s.conn[north] = -1
 	s.rconn[so] = -1
-	delete(s.loss, [2]int{int(north), so})
+	s.loss[north] = 0
+	s.circuits--
 }
 
 // ConnectionOf returns the south port connected to north, if any.
@@ -463,11 +475,11 @@ func (s *Switch) Circuits() []Circuit {
 		cs = append(cs, Circuit{
 			North:           PortID(n),
 			South:           PortID(so),
-			InsertionLossDB: s.loss[[2]int{n, so}],
+			InsertionLossDB: s.loss[n],
 		})
 	}
 	return cs
 }
 
 // NumCircuits returns the number of established circuits.
-func (s *Switch) NumCircuits() int { return len(s.loss) }
+func (s *Switch) NumCircuits() int { return s.circuits }

@@ -7,11 +7,12 @@ import (
 	"testing/quick"
 
 	"lightwave/internal/sim"
+	"lightwave/internal/telemetry"
 )
 
 func TestApplyBuildsPermutation(t *testing.T) {
 	s := newTestSwitch(t)
-	p := Permutation{0: 5, 1: 6, 2: 7}
+	p := permOf(map[PortID]PortID{0: 5, 1: 6, 2: 7})
 	res, err := s.Apply(p)
 	if err != nil {
 		t.Fatal(err)
@@ -19,9 +20,9 @@ func TestApplyBuildsPermutation(t *testing.T) {
 	if res.Changed != 3 || len(res.Established) != 3 {
 		t.Fatalf("result = %+v", res)
 	}
-	for n, so := range p {
-		if got, ok := s.ConnectionOf(n); !ok || got != so {
-			t.Errorf("port %d -> %v (%v), want %d", n, got, ok, so)
+	for _, m := range p {
+		if got, ok := s.ConnectionOf(m.North); !ok || got != m.South {
+			t.Errorf("port %d -> %v (%v), want %d", m.North, got, ok, m.South)
 		}
 	}
 }
@@ -32,7 +33,7 @@ func TestApplyLeavesUntouchedCircuitsUndisturbed(t *testing.T) {
 	s := newTestSwitch(t)
 	keep := mustConnect(t, s, 0, 100)
 	mustConnect(t, s, 1, 101)
-	res, err := s.Apply(Permutation{1: 102, 2: 103})
+	res, err := s.Apply(permOf(map[PortID]PortID{1: 102, 2: 103}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestApplyLeavesUntouchedCircuitsUndisturbed(t *testing.T) {
 func TestApplyRejectsStealingBusySouth(t *testing.T) {
 	s := newTestSwitch(t)
 	mustConnect(t, s, 0, 100)
-	_, err := s.Apply(Permutation{1: 100})
+	_, err := s.Apply(permOf(map[PortID]PortID{1: 100}))
 	if !errors.Is(err, ErrPortBusy) {
 		t.Fatalf("err = %v, want ErrPortBusy", err)
 	}
@@ -68,7 +69,7 @@ func TestApplyAllowsRotation(t *testing.T) {
 	s := newTestSwitch(t)
 	mustConnect(t, s, 0, 10)
 	mustConnect(t, s, 1, 11)
-	_, err := s.Apply(Permutation{0: 11, 1: 10})
+	_, err := s.Apply(permOf(map[PortID]PortID{0: 11, 1: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestApplyAllowsRotation(t *testing.T) {
 func TestApplyIdempotentConnectionsNotCounted(t *testing.T) {
 	s := newTestSwitch(t)
 	mustConnect(t, s, 0, 10)
-	res, err := s.Apply(Permutation{0: 10, 1: 11})
+	res, err := s.Apply(permOf(map[PortID]PortID{0: 10, 1: 11}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestApplyIdempotentConnectionsNotCounted(t *testing.T) {
 
 func TestApplyRejectsDuplicateSouth(t *testing.T) {
 	s := newTestSwitch(t)
-	_, err := s.Apply(Permutation{0: 5, 1: 5})
+	_, err := s.Apply(permOf(map[PortID]PortID{0: 5, 1: 5}))
 	if !errors.Is(err, ErrNotBijective) {
 		t.Fatalf("err = %v", err)
 	}
@@ -102,7 +103,7 @@ func TestApplyRejectsDuplicateSouth(t *testing.T) {
 
 func TestApplyOutOfRange(t *testing.T) {
 	s := newTestSwitch(t)
-	if _, err := s.Apply(Permutation{0: 999}); !errors.Is(err, ErrPortRange) {
+	if _, err := s.Apply(permOf(map[PortID]PortID{0: 999})); !errors.Is(err, ErrPortRange) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -113,7 +114,7 @@ func TestApplyBatchDurationIsParallel(t *testing.T) {
 	s := newTestSwitch(t)
 	p := Permutation{}
 	for i := 0; i < 50; i++ {
-		p[PortID(i)] = PortID(i + 60)
+		p = append(p, Move{North: PortID(i), South: PortID(i + 60)})
 	}
 	res, err := s.Apply(p)
 	if err != nil {
@@ -131,7 +132,7 @@ func TestFullPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p[0] != 2 || p[1] != 0 || p[2] != 1 {
+	if want := (Permutation{{North: 0, South: 2}, {North: 1, South: 0}, {North: 2, South: 1}}); !reflect.DeepEqual(p, want) {
 		t.Fatalf("p = %v", p)
 	}
 	if _, err := FullPermutation([]int{0, 0}); !errors.Is(err, ErrNotBijective) {
@@ -151,7 +152,7 @@ func TestApplyPropertyPreservesBijection(t *testing.T) {
 			perm := r.Perm(136)
 			k := r.Intn(30)
 			for i := 0; i < k; i++ {
-				p[PortID(perm[i])] = PortID(perm[(i+40)%136])
+				p = append(p, Move{North: PortID(perm[i]), South: PortID(perm[(i+40)%136])})
 			}
 			_, _ = s.Apply(p) // may fail; state must stay consistent
 			seen := make(map[PortID]bool)
@@ -180,10 +181,13 @@ func TestApplyDark(t *testing.T) {
 		changed int
 		err     error
 	}{
-		{"teardown only", Permutation{0: Dark}, map[PortID]PortID{1: 11}, 1, nil},
-		{"teardown and move of its south", Permutation{0: Dark, 2: 10}, map[PortID]PortID{1: 11, 2: 10}, 2, nil},
-		{"dark on an unconnected port", Permutation{5: Dark}, map[PortID]PortID{0: 10, 1: 11}, 0, nil},
-		{"refused batch tears nothing", Permutation{0: Dark, 2: 999}, map[PortID]PortID{0: 10, 1: 11}, 0, ErrPortRange},
+		{"teardown only", permOf(map[PortID]PortID{0: Dark}), map[PortID]PortID{1: 11}, 1, nil},
+		{"teardown and move of its south", permOf(map[PortID]PortID{0: Dark, 2: 10}), map[PortID]PortID{1: 11, 2: 10}, 2, nil},
+		{"dark on an unconnected port", permOf(map[PortID]PortID{5: Dark}), map[PortID]PortID{0: 10, 1: 11}, 0, nil},
+		{"refused batch tears nothing", permOf(map[PortID]PortID{0: Dark, 2: 999}), map[PortID]PortID{0: 10, 1: 11}, 0, ErrPortRange},
+		{"dark implied by a move of its north", Permutation{{North: 0, South: 12}, {North: 0, South: Dark}}, map[PortID]PortID{0: 12, 1: 11}, 1, nil},
+		{"dark implied by a keep", Permutation{{North: 1, South: 11}, {North: 1, South: Dark}}, map[PortID]PortID{0: 10, 1: 11}, 0, nil},
+		{"north targeted twice", Permutation{{North: 0, South: 12}, {North: 0, South: 13}}, map[PortID]PortID{0: 10, 1: 11}, 0, ErrNotBijective},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestSwitch(t)
@@ -238,7 +242,7 @@ func TestApplyAllIsAllOrNothing(t *testing.T) {
 			}
 		}, ErrSwitchDown},
 		{"switch 2 undrivable", func(t *testing.T, sws []*Switch, perms []Permutation) {
-			perms[2][undrivable(t, sws[2])] = 31
+			perms[2] = append(perms[2], Move{North: undrivable(t, sws[2]), South: 31})
 		}, ErrPortFailed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -249,7 +253,7 @@ func TestApplyAllIsAllOrNothing(t *testing.T) {
 			perms := make([]Permutation, len(sws))
 			for i, s := range sws {
 				mustConnect(t, s, 0, 10)
-				perms[i] = Permutation{0: 20, 1: 21}
+				perms[i] = permOf(map[PortID]PortID{0: 20, 1: 21})
 			}
 			tc.spoil(t, sws, perms)
 			before := make([][]Circuit, len(sws))
@@ -267,9 +271,9 @@ func TestApplyAllIsAllOrNothing(t *testing.T) {
 					}
 					continue
 				}
-				for n, so := range perms[i] {
-					if got, ok := s.ConnectionOf(n); !ok || got != so {
-						t.Errorf("switch %d: north %d -> %d (%v), want %d", i, n, got, ok, so)
+				for _, m := range perms[i] {
+					if got, ok := s.ConnectionOf(m.North); !ok || got != m.South {
+						t.Errorf("switch %d: north %d -> %d (%v), want %d", i, m.North, got, ok, m.South)
 					}
 				}
 			}
@@ -277,17 +281,54 @@ func TestApplyAllIsAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestApplyAllAllocatesNothing: once the switches exist, a transaction
+// over several of them — circuits moved, torn down and set up, floors
+// evaluated up front by Switch.Move or left to the switch — allocates
+// nothing. Two transactions alternate, each undoing the other.
+func TestApplyAllAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Metrics = telemetry.NewRegistry()
+	sws, err := NewSwitches(4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txs [2][]Permutation
+	for k := range txs {
+		txs[k] = make([]Permutation, len(sws))
+	}
+	for i, s := range sws {
+		for n := PortID(0); n < 64; n++ {
+			txs[0][i] = append(txs[0][i], s.Move(n, (n+1)%64))
+			txs[1][i] = append(txs[1][i], Move{North: n, South: (n + 7) % 64})
+		}
+		txs[1][i][5].South = Dark
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := ApplyAll(sws, txs[k%2]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("ApplyAll: %v allocs per transaction", allocs)
+	}
+	if n := sws[0].NumCircuits(); n != 64 && n != 63 {
+		t.Fatalf("%d circuits after the transactions, want 63 or 64", n)
+	}
+}
+
 // FullPermutation builds a Permutation connecting north port i to south port
 // perm[i] for all i; perm must be a bijection on [0, len(perm)).
 func FullPermutation(perm []int) (Permutation, error) {
 	seen := make([]bool, len(perm))
-	p := make(Permutation, len(perm))
+	p := make(Permutation, 0, len(perm))
 	for n, so := range perm {
 		if so < 0 || so >= len(perm) || seen[so] {
 			return nil, ErrNotBijective
 		}
 		seen[so] = true
-		p[PortID(n)] = PortID(so)
+		p = append(p, Move{North: PortID(n), South: PortID(so)})
 	}
 	return p, nil
 }

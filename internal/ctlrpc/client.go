@@ -44,20 +44,14 @@ type Client struct {
 	w    *batchWriter
 
 	mu        sync.Mutex
-	nextID    uint64
+	nextID    uint64                 // IDs are issued in order: 1..nextID
 	pending   map[uint64]pendingCall // in-flight calls and the watch, by ID
-	abandoned map[uint64]bool        // context-abandoned IDs: drop silently
 	broken    error                  // first transport error; sticky
 	streaming bool                   // connection handed over to a Watch
 
 	dead chan struct{} // closed on the first transport error
 
 	unknown atomic.Int64 // responses dropped for an unknown (never-issued) ID
-
-	// Logf, when non-nil, receives diagnostics about dropped responses
-	// with unknown IDs. It defaults to log.Printf; set it before the
-	// first call.
-	Logf func(format string, args ...any)
 }
 
 // pendingCall parks one in-flight call. discard marks callers that will
@@ -83,11 +77,9 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // writer; both end when the client breaks or closes.
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
-		conn:      conn,
-		pending:   make(map[uint64]pendingCall),
-		abandoned: make(map[uint64]bool),
-		dead:      make(chan struct{}),
-		Logf:      log.Printf,
+		conn:    conn,
+		pending: make(map[uint64]pendingCall),
+		dead:    make(chan struct{}),
 	}
 	c.w = newBatchWriter(conn, func(err error) { c.fail(fmt.Errorf("write: %v", err)) })
 	go c.readLoop()
@@ -112,7 +104,6 @@ func (c *Client) fail(err error) {
 	c.broken = err
 	pending := c.pending
 	c.pending = make(map[uint64]pendingCall)
-	c.abandoned = make(map[uint64]bool)
 	close(c.dead)
 	c.mu.Unlock()
 	c.w.close()
@@ -130,9 +121,10 @@ func (c *Client) brokenErr() error {
 }
 
 // readLoop demultiplexes responses to the pending call (or watch stream)
-// registered under their ID. A response carrying an ID that was never
-// issued is logged and dropped — a stray ID must not desynchronize every
-// other call on the stream.
+// registered under their ID. An unmatched ID that was issued answers a
+// call abandoned on its context and is dropped silently; one that was
+// never issued is counted, logged and dropped — a stray ID must not
+// desynchronize every other call on the stream.
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 64*1024)
 	// Hoisted out of the loop: &resp escapes into parseResponse, so an
@@ -157,21 +149,15 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Lock()
 		pc, ok := c.pending[resp.ID]
-		switch {
-		case ok && !pc.stream:
+		if ok && !pc.stream {
 			delete(c.pending, resp.ID)
-		case !ok && c.abandoned[resp.ID]:
-			// The call's context expired before the server answered; the
-			// response is late, not wrong.
-			delete(c.abandoned, resp.ID)
-			c.mu.Unlock()
-			continue
 		}
+		issued := resp.ID != 0 && resp.ID <= c.nextID
 		c.mu.Unlock()
 		if !ok {
-			c.unknown.Add(1)
-			if c.Logf != nil {
-				c.Logf("ctlrpc: dropping response with unknown id %d", resp.ID)
+			if !issued {
+				c.unknown.Add(1)
+				log.Printf("ctlrpc: dropping response with unknown id %d", resp.ID)
 			}
 			continue
 		}
@@ -228,10 +214,7 @@ func (c *Client) register(pc pendingCall) (uint64, error) {
 // response is dropped silently.
 func (c *Client) abandon(id uint64) {
 	c.mu.Lock()
-	if _, ok := c.pending[id]; ok {
-		delete(c.pending, id)
-		c.abandoned[id] = true
-	}
+	delete(c.pending, id)
 	c.mu.Unlock()
 }
 
@@ -267,14 +250,6 @@ func (c *Client) CallContext(ctx context.Context, method string, params, result 
 	}
 	c.w.sendRequest(&req)
 
-	if ctx.Done() == nil {
-		// The context can never fire (context.Background and friends), so
-		// a plain receive skips the select machinery — the common case for
-		// reconcilers and the load harness. A broken client still closes
-		// ch, so this cannot hang on a dead wire.
-		resp, ok := <-ch
-		return c.finish(resp, ok, ch, result)
-	}
 	select {
 	case resp, ok := <-ch:
 		return c.finish(resp, ok, ch, result)

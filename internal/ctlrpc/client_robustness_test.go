@@ -9,7 +9,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -166,8 +165,8 @@ func TestCallContextAlreadyExpired(t *testing.T) {
 }
 
 // TestUnknownResponseIDLoggedAndDropped feeds the client a response with an
-// ID it never issued: the stray is logged, counted and dropped, and the call
-// it was interleaved with still completes with the right payload.
+// ID it never issued: the stray is counted and dropped, and the call it was
+// interleaved with still completes with the right payload.
 func TestUnknownResponseIDLoggedAndDropped(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -207,8 +206,6 @@ func TestUnknownResponseIDLoggedAndDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var logged atomic.Int64
-	c.Logf = func(format string, args ...any) { logged.Add(1) }
 
 	st, err := c.Status()
 	if err != nil {
@@ -224,9 +221,6 @@ func TestUnknownResponseIDLoggedAndDropped(t *testing.T) {
 	}
 	if n := c.UnknownResponses(); n != 1 {
 		t.Fatalf("unknown responses = %d, want 1", n)
-	}
-	if logged.Load() != 1 {
-		t.Fatalf("logged %d drops, want 1", logged.Load())
 	}
 	// The stream stayed in sync: later calls keep working.
 	if _, err := c.Status(); err != nil {

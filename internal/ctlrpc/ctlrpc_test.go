@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"lightwave/internal/core"
+	"lightwave/internal/fleet"
 	"lightwave/internal/telemetry"
 )
 
@@ -314,5 +316,77 @@ func TestServerConnectionCloseMidStream(t *testing.T) {
 	c.Close()
 	if _, err := c2.Status(); err != nil {
 		t.Fatalf("second server session broken: %v", err)
+	}
+}
+
+// TestLockReadIsFabricReadsOnly guards the contract inline read dispatch
+// rests on: the connection reader runs every lockRead entry itself, so only
+// handlers that touch nothing but the fabric may be lockRead. A provider or
+// fleet method there would stall request decoding behind the provider.
+func TestLockReadIsFabricReadsOnly(t *testing.T) {
+	f, err := core.New(core.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fleet.NewManager(fleet.Options{})
+	t.Cleanup(m.Close)
+	fabric, fl := NewServer(f), NewFleetServer(m)
+	for _, s := range []*Server{fabric, fl} {
+		s.SetTE(fixedTE{})
+		s.SetChaos(fixedChaos{})
+		s.SetSched(fixedSched{})
+		s.SetWAL(fixedWAL{})
+		s.SetJournal(refusingJournal{})
+		s.SetMetrics(telemetry.NewRegistry())
+	}
+	lockRead := func(s *Server) []string {
+		var names []string
+		for name, m := range s.methods {
+			if m.lock == lockRead {
+				names = append(names, name)
+			}
+		}
+		slices.Sort(names)
+		return names
+	}
+	if got, want := lockRead(fabric), []string{MethodMetrics, MethodSlice, MethodStatus}; !slices.Equal(got, want) {
+		t.Errorf("NewServer lockRead entries = %v, want %v", got, want)
+	}
+	if got := lockRead(fl); len(got) != 0 {
+		t.Errorf("NewFleetServer lockRead entries = %v, want none", got)
+	}
+}
+
+// recordingJournal keeps every command journaled through it.
+type recordingJournal struct {
+	mu   sync.Mutex
+	cmds []string
+}
+
+func (j *recordingJournal) JournalCommand(method string, params json.RawMessage) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.cmds = append(j.cmds, method+" "+string(params))
+	return uint64(len(j.cmds)), nil
+}
+
+// TestNonJSONParamsNotJournaled: a journal-marked call whose params are no
+// JSON is a bad request, answered before any handler runs, so nothing
+// reaches the journal; the well-formed compose after it is journaled.
+func TestNonJSONParamsNotJournaled(t *testing.T) {
+	f, err := core.New(core.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(f)
+	j := &recordingJournal{}
+	srv.SetJournal(j)
+	compose := `{"id":2,"method":"compose","params":{"name":"a","shape":[4,4,4],"cubes":[0]}}`
+	got := string(runWireScript(t, srv.Serve, nil, sends(`{"id":1,"method":"compose","params":nope}`, compose)))
+	if !strings.Contains(got, `< {"id":0,"error":"bad request: `) {
+		t.Errorf("non-JSON params not answered as a bad request:\n%s", got)
+	}
+	if want := []string{`compose {"name":"a","shape":[4,4,4],"cubes":[0]}`}; !slices.Equal(j.cmds, want) {
+		t.Errorf("journaled %q, want %q", j.cmds, want)
 	}
 }

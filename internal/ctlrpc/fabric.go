@@ -15,9 +15,9 @@ import (
 func NewServer(f *core.Fabric) *Server {
 	s := &Server{fabric: f, methods: registry{}}
 	for _, m := range []*method{
-		{name: MethodStatus, lock: lockRead, inline: true, cached: true, fn: s.handleStatus},
-		{name: MethodSlice, lock: lockRead, inline: true, fn: typed(s.handleSlice)},
-		{name: MethodMetrics, lock: lockRead, inline: true, fn: s.handleMetrics},
+		{name: MethodStatus, lock: lockRead, cached: true, fn: s.handleStatus},
+		{name: MethodSlice, lock: lockRead, fn: typed(s.handleSlice)},
+		{name: MethodMetrics, lock: lockRead, fn: s.handleMetrics},
 
 		{name: MethodCompose, lock: lockWrite, journal: true, fn: typed(s.handleCompose)},
 		{name: MethodDestroy, lock: lockWrite, journal: true, fn: typed(s.handleDestroy)},

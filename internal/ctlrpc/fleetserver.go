@@ -12,7 +12,7 @@ import (
 // watch stream registered (cmd/lwfleetd). Every entry is lockNone: the
 // manager is safe for concurrent use and reconciliation runs in its own
 // workers, so slow pods never block the control socket — and none is
-// inline, because the reader cannot probe the manager's own locking with
+// lockRead, because the reader cannot probe the manager's own locking with
 // a TryRLock.
 func NewFleetServer(m *fleet.Manager) *Server {
 	s := &Server{fleet: m, methods: registry{}}

@@ -184,19 +184,6 @@ func (w *batchWriter) send(resp Response) bool {
 	return w.wake()
 }
 
-// sendBytes appends a batch of pre-encoded lines in one buffer-lock
-// acquisition — the reader's inline batch takes this path, so a burst of
-// cached reads costs one lock and at most one flusher wakeup.
-func (w *batchWriter) sendBytes(b []byte) {
-	if len(b) == 0 {
-		return
-	}
-	w.mu.Lock()
-	w.buf = append(w.buf, b...)
-	w.mu.Unlock()
-	w.wake()
-}
-
 // close makes the flusher write whatever is still buffered and exit; done
 // closes once it has. It does not wait, because a Client closes from its
 // own flusher when a write fails.
@@ -207,13 +194,13 @@ func (w *batchWriter) close() {
 	w.wake()
 }
 
-// serveConn runs the pipelined request loop for one connection. A call
-// whose registry entry is inline-marked executes on the reader when
-// TryRLock succeeds, in place of the worker handoff; the attempt declines
-// rather than blocks, and a batch of inline-served requests then completes
-// synchronously inside one read timeslice — the whole response batch is
-// already encoded when the flusher next runs. A stream entry dedicates the
-// connection to its server-push stream once in-flight workers drained.
+// serveConn runs the pipelined request loop for one connection. A
+// lockRead call executes on the reader when TryRLock succeeds, in place
+// of the worker handoff; the attempt declines rather than blocks, and a
+// pipelined burst of reads is served inside one read timeslice while the
+// flusher's yield loop gathers the answers into one write. A stream entry
+// dedicates the connection to its server-push stream once in-flight
+// workers drained.
 //
 // The connection has one lifetime, a context derived from the server's:
 // the server's end or a write failure cancels it, and the reader's end
@@ -250,10 +237,6 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 
 	var stream *method
 	br := bufio.NewReaderSize(conn, 64*1024)
-	// inlineBuf accumulates inline-served responses while more complete
-	// requests are already buffered, so a pipelined burst of cached reads
-	// reaches the flusher as one append instead of one per response.
-	var inlineBuf []byte
 	// Hoisted out of the loop: &c escapes into parseRequest, so an
 	// in-loop declaration heap-allocates per request. Each channel send
 	// copies the value, so reuse is safe.
@@ -287,20 +270,14 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			stream = c.m
 			break
 		}
-		if c.m != nil && c.m.inline && s.mu.TryRLock() {
-			// Inline execution consumes params before the next read, so
-			// the buffer-aliasing fast-path slices need no detach copy.
+		if c.m != nil && c.m.lock == lockRead && s.mu.TryRLock() {
+			// The handler consumes params before the next read, so the
+			// buffer-aliasing fast-path slices need no detach copy.
 			start := m.begin()
 			resp := s.readLocked(c)
 			s.mu.RUnlock()
 			m.end(start)
-			inlineBuf = appendResponse(inlineBuf, &resp)
-			if !hasCompleteLine(br) {
-				// The next read may block; hand the accumulated batch to
-				// the flusher before parking.
-				w.sendBytes(inlineBuf)
-				inlineBuf = inlineBuf[:0]
-			}
+			w.send(resp)
 			continue
 		}
 		// The fast-path params alias the reader buffer; the worker outlives
@@ -308,16 +285,9 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		if len(c.params) != 0 {
 			c.params = append(json.RawMessage(nil), c.params...)
 		}
-		if len(inlineBuf) > 0 {
-			// The worker handoff below may block on a busy pool; finished
-			// inline responses must not wait behind it.
-			w.sendBytes(inlineBuf)
-			inlineBuf = inlineBuf[:0]
-		}
 		callCh <- c
 	}
 
-	w.sendBytes(inlineBuf) // responses still parked when the loop exited
 	close(callCh)
 	wg.Wait()
 	if stream != nil {
@@ -381,17 +351,6 @@ func readLimitedLine(br *bufio.Reader, max int) (line []byte, tooLong bool, err 
 	}
 }
 
-// hasCompleteLine reports whether the reader already holds a full request
-// line, i.e. whether the next read is guaranteed not to block.
-func hasCompleteLine(br *bufio.Reader) bool {
-	n := br.Buffered()
-	if n == 0 {
-		return false
-	}
-	peek, _ := br.Peek(n)
-	return bytes.IndexByte(peek, '\n') >= 0
-}
-
 // drainLine discards input until the end of the current (overlong) line.
 func drainLine(br *bufio.Reader) error {
 	for {
@@ -419,7 +378,8 @@ func capPrefix(b []byte) []byte {
 // peekRequestID salvages the "id" field from an oversized request's
 // prefix so the typed error lands on the right pending call. The client
 // marshals Request with id first, so the field is almost always within
-// the first kilobyte; 0 (matching no call) is returned when it is not.
+// the first kilobyte; 0 (matching no call) is returned when it is not,
+// or when its value is no uint64.
 func peekRequestID(prefix []byte) uint64 {
 	i := bytes.Index(prefix, []byte(`"id"`))
 	if i < 0 {
@@ -429,14 +389,6 @@ func peekRequestID(prefix []byte) uint64 {
 	for i < len(prefix) && (prefix[i] == ':' || prefix[i] == ' ' || prefix[i] == '\t') {
 		i++
 	}
-	var id uint64
-	start := i
-	for i < len(prefix) && prefix[i] >= '0' && prefix[i] <= '9' {
-		id = id*10 + uint64(prefix[i]-'0')
-		i++
-	}
-	if i == start {
-		return 0
-	}
+	id, _, _ := eatUint(prefix, i)
 	return id
 }

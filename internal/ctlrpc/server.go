@@ -57,7 +57,12 @@ const (
 	// lockNone: the handler's state is concurrency-safe on its own (the
 	// fleet manager and every attached provider).
 	lockNone lockClass = iota
-	// lockRead: runs under RLock, concurrently with other reads.
+	// lockRead: runs under RLock, concurrently with other reads. Only for
+	// handlers that touch nothing but the server's own state and so cannot
+	// block once the read lock is held: the connection reader runs them in
+	// place of a worker handoff. A handler that calls out to an attached
+	// provider is lockNone, because a slow provider must stall one worker,
+	// never request decoding.
 	lockRead
 	// lockWrite: runs under Lock and bumps the generation counter.
 	lockWrite
@@ -70,13 +75,6 @@ type handler func(params json.RawMessage) (any, error)
 type method struct {
 	name string
 	lock lockClass
-	// inline lets the connection reader run the handler in place of a
-	// worker handoff. Only for lockRead handlers that touch nothing but
-	// the server's own state and so cannot block once the read lock is
-	// held: a handler that calls out to an attached provider stays off the
-	// reader, because a slow provider must stall one worker, never request
-	// decoding.
-	inline bool
 	// journal marks mutations that must be durable before their response:
 	// once the handler ran, whatever its verdict, dispatch hands
 	// name+params to the attached Journal, and ApplyCommand accepts the

@@ -3,6 +3,7 @@ package ctlrpc
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strconv"
 )
 
@@ -14,7 +15,9 @@ import (
 // marshaled JSON); decoding takes a fast path through the envelope when
 // the fields arrive in the canonical order both our encoder and
 // encoding/json produce, and falls back to encoding/json for anything
-// else, so interoperability is unchanged.
+// else. A request the fast path claims is one encoding/json accepts, with
+// the same id, method and params (FuzzWireFrames). A response's result
+// payload is not checked: a caller that decodes it refuses non-JSON there.
 
 // appendJSONString appends s as a JSON string literal. Strings needing
 // escapes take the encoding/json path.
@@ -71,29 +74,47 @@ func appendResponse(dst []byte, resp *Response) []byte {
 	return append(dst, '}', '\n')
 }
 
-// eatUint consumes a decimal literal at line[i:].
+// jsonSpace is the whitespace JSON allows between tokens.
+const jsonSpace = " \t\r\n"
+
+// eatUint consumes a decimal literal at line[i:]. It refuses (0, false) a
+// literal that is no JSON number or overflows a uint64, as encoding/json
+// does.
 //
 //lwlint:hotpath
 func eatUint(line []byte, i int) (uint64, int, bool) {
 	var v uint64
 	start := i
 	for i < len(line) && line[i] >= '0' && line[i] <= '9' {
-		v = v*10 + uint64(line[i]-'0')
+		d := uint64(line[i] - '0')
+		if v > (math.MaxUint64-d)/10 || i > start && line[start] == '0' {
+			return 0, i, false
+		}
+		v = v*10 + d
 		i++
 	}
 	return v, i, i > start
 }
 
+// closes reports whether rest is a closing brace and nothing after it but
+// whitespace.
+//
+//lwlint:hotpath
+func closes(rest []byte) bool {
+	return len(rest) > 0 && rest[0] == '}' && len(bytes.TrimLeft(rest[1:], jsonSpace)) == 0
+}
+
 // tail trims one closing brace plus surrounding whitespace off the end of
-// a frame, returning the payload span and whether the frame ended cleanly.
+// a frame, returning the payload span without its surrounding whitespace
+// and whether the frame ended cleanly.
 //
 //lwlint:hotpath
 func tail(line []byte, i int) ([]byte, bool) {
-	rest := bytes.TrimRight(line[i:], " \t\r\n")
+	rest := bytes.TrimRight(line[i:], jsonSpace)
 	if len(rest) == 0 || rest[len(rest)-1] != '}' {
 		return nil, false
 	}
-	return rest[:len(rest)-1], true
+	return bytes.Trim(rest[:len(rest)-1], jsonSpace), true
 }
 
 // parseResponse decodes one response line. The returned Result aliases
@@ -107,11 +128,11 @@ func parseResponse(line []byte, resp *Response) error {
 		id, i, ok := eatUint(rest, 0)
 		if ok {
 			switch {
-			case i < len(rest) && rest[i] == '}':
+			case closes(rest[i:]):
 				*resp = Response{ID: id}
 				return nil
 			case bytes.HasPrefix(rest[i:], []byte(`,"result":`)):
-				if payload, ok := tail(rest, i+len(`,"result":`)); ok {
+				if payload, ok := tail(rest, i+len(`,"result":`)); ok && len(payload) != 0 {
 					*resp = Response{ID: id, Result: payload}
 					return nil
 				}
@@ -133,16 +154,18 @@ func (r registry) parseRequest(line []byte, c *call) error {
 		if ok && bytes.HasPrefix(rest[i:], []byte(`,"method":"`)) {
 			i += len(`,"method":"`)
 			j := i
-			for j < len(rest) && rest[j] != '"' && rest[j] != '\\' {
+			// Escapes, control bytes and non-ASCII (which encoding/json
+			// may rewrite) fall back.
+			for j < len(rest) && rest[j] != '"' && rest[j] != '\\' && rest[j] >= 0x20 && rest[j] < 0x80 {
 				j++
 			}
 			if j < len(rest) && rest[j] == '"' {
 				switch {
-				case j+1 < len(rest) && rest[j+1] == '}':
+				case closes(rest[j+1:]):
 					r.bind(c, id, rest[i:j], nil)
 					return nil
 				case bytes.HasPrefix(rest[j+1:], []byte(`,"params":`)):
-					if payload, ok := tail(rest, j+1+len(`,"params":`)); ok {
+					if payload, ok := tail(rest, j+1+len(`,"params":`)); ok && json.Valid(payload) {
 						r.bind(c, id, rest[i:j], payload)
 						return nil
 					}

@@ -3,6 +3,9 @@ package ctlrpc
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -109,4 +112,120 @@ func TestParseRoundTrip(t *testing.T) {
 	if err := parseResponse([]byte(`not json`), &resp); err == nil {
 		t.Error("garbage response parsed")
 	}
+	// Frames encoding/json refuses: an overflowing id, bytes after the
+	// closing brace, non-JSON params.
+	for _, line := range []string{
+		`{"id":18446744073709551616,"method":"status"}`,
+		`{"id":1,"method":"status"}trailing`,
+		`{"id":1,"method":"status","params":nope}`,
+	} {
+		if err := reg.parseRequest([]byte(line), &req); err == nil {
+			t.Errorf("parseRequest(%s) = %+v, want refused", line, req)
+		}
+	}
+	for _, line := range []string{`{"id":18446744073709551616}`, `{"id":1}trailing`} {
+		if err := parseResponse([]byte(line), &resp); err == nil {
+			t.Errorf("parseResponse(%s) = %+v, want refused", line, resp)
+		}
+	}
+}
+
+// FuzzWireFrames holds the hand-rolled codec to encoding/json. Decoding,
+// every line must be accepted or refused by parseRequest exactly when
+// json.Unmarshal accepts or refuses it, with the same id, method and
+// params; parseResponse the same, except that it does not check a result
+// payload, so a frame it accepts with a non-JSON result is skipped.
+// Encoding, appendRequest and appendResponse must be byte-equal to
+// json.Marshal plus a newline, for arbitrary strings and compact payloads.
+func FuzzWireFrames(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("testdata", "wire", "*.golden"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("wire goldens: %v (%d files)", err, len(goldens))
+	}
+	for _, path := range goldens {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			if req, ok := strings.CutPrefix(line, "> "); ok {
+				f.Add([]byte(req), uint64(i))
+			}
+		}
+	}
+	// Frames the fast path once served although encoding/json refuses them.
+	f.Add([]byte(`{"id":18446744073709551616,"method":"status"}`), uint64(0))
+	f.Add([]byte(`{"id":1,"method":"status"}trailing`), uint64(1))
+	f.Add([]byte(`{"id":1,"method":"compose","params":nope}`), uint64(2))
+
+	reg := registry{}
+	for _, name := range []string{MethodStatus, MethodCompose, MethodSlice} {
+		reg.add(&method{name: name})
+	}
+	f.Fuzz(func(t *testing.T, line []byte, id uint64) {
+		var got call
+		gerr := reg.parseRequest(line, &got)
+		var req Request
+		werr := json.Unmarshal(line, &req)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("request %q: parseRequest err %v, encoding/json err %v", line, gerr, werr)
+		}
+		if gerr == nil {
+			name := got.name
+			if got.m != nil {
+				name = got.m.name
+			}
+			if got.id != req.ID || name != req.Method || !bytes.Equal(got.params, req.Params) {
+				t.Fatalf("request %q: parseRequest {%d %q %q}, encoding/json {%d %q %q}",
+					line, got.id, name, got.params, req.ID, req.Method, req.Params)
+			}
+		}
+
+		var gresp Response
+		gerr = parseResponse(line, &gresp)
+		if gerr != nil || len(gresp.Result) == 0 || json.Valid(gresp.Result) {
+			var resp Response
+			werr = json.Unmarshal(line, &resp)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("response %q: parseResponse err %v, encoding/json err %v", line, gerr, werr)
+			}
+			if gerr == nil && (gresp.ID != resp.ID || gresp.Error != resp.Error || !bytes.Equal(gresp.Result, resp.Result)) {
+				t.Fatalf("response %q: parseResponse %+v, encoding/json %+v", line, gresp, resp)
+			}
+		}
+
+		// A compact payload as encoding/json re-emits it: the line itself
+		// when it is JSON, else the line as a JSON string.
+		payload, err := json.Marshal(string(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if json.Valid(line) {
+			var compact, escaped bytes.Buffer
+			if err := json.Compact(&compact, line); err != nil {
+				t.Fatal(err)
+			}
+			json.HTMLEscape(&escaped, compact.Bytes())
+			payload = escaped.Bytes()
+		}
+		s := string(line)
+		for _, r := range []Request{{ID: id, Method: s}, {ID: id, Method: s, Params: payload}} {
+			want, err := json.Marshal(&r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendRequest(nil, &r); !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("appendRequest(%+v) = %q, encoding/json %q", r, got, want)
+			}
+		}
+		for _, r := range []Response{{ID: id}, {ID: id, Error: s}, {ID: id, Result: payload}, {ID: id, Error: s, Result: payload}} {
+			want, err := json.Marshal(&r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendResponse(nil, &r); !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("appendResponse(%+v) = %q, encoding/json %q", r, got, want)
+			}
+		}
+	})
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test test-bench race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn profile-sched profile-recover experiments size clean
+.PHONY: check vet lint build test test-bench ledger-smoke race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn profile-sched profile-recover experiments size clean
 
 # The gate every change must pass: vet, build everything, race-test the
 # parallel engine under contention, race-test the TE loop (its Loop is
@@ -23,8 +23,8 @@ GO ?= go
 # (intents journal concurrently outside Manager.mu, ordered only by their
 # scope reservations, beside a checkpoint loop), fuzz every Fuzz* target
 # against its reference bodies for ten seconds each, test the nested bench/
-# module, then race-test everything.
-check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke test-bench race
+# module, run every ledger workload for a second, then race-test everything.
+check: vet build race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke test-bench ledger-smoke race
 
 race-par:
 	$(GO) test -race ./internal/par/...
@@ -92,6 +92,24 @@ test:
 # bench/ is a nested module, so `go test ./...` from the root never reaches it.
 test-bench:
 	$(GO) test -C bench ./...
+
+# The workloads BENCHMARK.json names, read from its "workloads" array.
+LEDGER_WORKLOADS = $(shell awk '/"workloads"/ { w = 1 } w && /^  \]/ { w = 0 } w && /"name"/ { gsub(/[",]/, "", $$2); print $$2 }' BENCHMARK.json)
+
+# One second of every ledger workload, each run on its own: a run that
+# exits non-zero, or whose result line (the last on stdout) is not
+# "correct":true with "failed":0, fails the target naming the workload and
+# printing the run's output.
+ledger-smoke:
+	@set -e; [ -n "$(LEDGER_WORKLOADS)" ] || { echo "ledger-smoke: no workloads in BENCHMARK.json"; exit 1; }; \
+	for w in $(LEDGER_WORKLOADS); do \
+		echo "ledger-smoke: $$w"; \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 2>&1) || { printf '%s\n' "$$out"; echo "ledger-smoke: $$w: run failed"; exit 1; }; \
+		case "$$(printf '%s\n' "$$out" | tail -n 1)" in \
+		*'"correct":true'*'"failed":0,'*) ;; \
+		*) printf '%s\n' "$$out"; echo "ledger-smoke: $$w: not correct, or failed operations"; exit 1;; \
+		esac; \
+	done
 
 race:
 	$(GO) test -race ./...

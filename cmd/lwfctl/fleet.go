@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lightwave/internal/ctlrpc"
+	"lightwave/internal/fleet"
 )
 
 // dispatchFleet handles the fleet subcommand family against lwfleetd.
@@ -17,32 +18,7 @@ func dispatchFleet(c *ctlrpc.Client, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("pods: %d  queue depth: %d  quarantined: %d\n",
-			len(st.Pods), st.QueueDepth, st.QuarantinedPods)
-		for _, p := range st.Pods {
-			var flags []string
-			if p.Converged {
-				flags = append(flags, "converged")
-			} else {
-				flags = append(flags, "reconciling")
-			}
-			if p.Drained {
-				flags = append(flags, "drained")
-			}
-			if p.Quarantined {
-				flags = append(flags, "QUARANTINED")
-			}
-			if len(p.DrainedOCS) > 0 {
-				flags = append(flags, fmt.Sprintf("ocs-drained %v", p.DrainedOCS))
-			}
-			fmt.Printf("  %-12s %s\n", p.Name, strings.Join(flags, ", "))
-			fmt.Printf("    cubes %d installed / %d free, %d circuits\n",
-				p.InstalledCubes, p.FreeCubes, p.Circuits)
-			fmt.Printf("    intent %v actual %v\n", p.DesiredSlices, p.ActualSlices)
-			if p.LastError != "" {
-				fmt.Printf("    last error: %s\n", p.LastError)
-			}
-		}
+		printFleetStatus(st)
 		return nil
 
 	case "apply":
@@ -131,5 +107,34 @@ func dispatchFleet(c *ctlrpc.Client, args []string) error {
 	default:
 		usage()
 		return fmt.Errorf("unknown fleet command %q", args[0])
+	}
+}
+
+func printFleetStatus(st fleet.Status) {
+	fmt.Printf("pods: %d  queue depth: %d  quarantined: %d\n",
+		len(st.Pods), st.QueueDepth, st.QuarantinedPods)
+	for _, p := range st.Pods {
+		var flags []string
+		if p.Converged {
+			flags = append(flags, "converged")
+		} else {
+			flags = append(flags, "reconciling")
+		}
+		if p.Drained {
+			flags = append(flags, "drained")
+		}
+		if p.Quarantined {
+			flags = append(flags, "QUARANTINED")
+		}
+		if len(p.DrainedOCS) > 0 {
+			flags = append(flags, fmt.Sprintf("ocs-drained %v", p.DrainedOCS))
+		}
+		fmt.Printf("  %-12s %s\n", p.Name, strings.Join(flags, ", "))
+		fmt.Printf("    cubes %d installed / %d free, %d circuits\n",
+			p.InstalledCubes, p.FreeCubes, p.Circuits)
+		fmt.Printf("    intent %v actual %v\n", p.DesiredSlices, p.ActualSlices)
+		if p.LastError != "" {
+			fmt.Printf("    last error: %s\n", p.LastError)
+		}
 	}
 }

@@ -55,7 +55,7 @@ func printSchedStatus(st ctlrpc.SchedStatusResult) {
 		return
 	}
 	fmt.Printf("sched:          enabled (policy %s, pods %s)\n", st.Policy, strings.Join(st.Pods, ","))
-	fmt.Printf("virtual time:   %.0fs\n", st.VirtualSeconds)
+	fmt.Printf("virtual time:   %.0fs\n", st.Now)
 	fmt.Printf("jobs:           %d submitted, %d started, %d completed, %d preempted\n",
 		st.Submitted, st.Started, st.Completed, st.Preempted)
 	fmt.Printf("live:           %d running, %d queued\n", st.RunningJobs, st.QueueDepth)

@@ -46,7 +46,7 @@ func testSchedDial(t *testing.T) func() *ctlrpc.Client {
 		t.Fatal(err)
 	}
 	srv := ctlrpc.NewFleetServer(m)
-	srv.SetSched(ctlrpc.SchedulerProvider{S: s})
+	srv.SetSched(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

@@ -94,7 +94,7 @@ func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		}
 		store.EndRecovery()
 		srv.SetJournal(store)
-		srv.SetWAL(ctlrpc.StoreWALProvider{Store: store})
+		srv.SetWAL(store)
 	}
 	return srv, nil
 }

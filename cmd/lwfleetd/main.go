@@ -188,7 +188,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		journal = store
 		st := store.Status()
 		log.Printf("lwfleetd: state dir %s: replayed %d records to lsn %d (%d pods, %d slices, %d errors)",
-			cfg.StateDir, st.ReplayRecords, st.Log.LastLSN, st.FleetPods, st.FleetSlices, st.ReplayErrors)
+			cfg.StateDir, st.ReplayRecords, st.LastLSN, st.FleetPods, st.FleetSlices, st.ReplayErrors)
 	}
 
 	m, injectable, err := buildFleet(cfg.pods, cfg.Cubes, cfg.Transceiver, d.Reg, d.Alerts, cfg.chaosOn, journal)
@@ -214,7 +214,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 	// the same registry as the fleet metrics.
 	srv.SetMetrics(d.Reg)
 	if store != nil {
-		srv.SetWAL(ctlrpc.StoreWALProvider{Store: store})
+		srv.SetWAL(store)
 	}
 
 	if cfg.chaosOn {
@@ -234,7 +234,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		}
 		// Stops the lift timers, so nothing mutates state mid-snapshot.
 		d.OnShutdown(inj.Close)
-		srv.SetChaos(ctlrpc.InjectorProvider{In: inj})
+		srv.SetChaos(inj)
 		log.Printf("lwfleetd: fault injection enabled (%d injectable pods)", len(injectable))
 	}
 
@@ -262,7 +262,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 			s.SetJournal(store)
 		}
 		d.Go("sched loop", runner.Run)
-		srv.SetSched(ctlrpc.SchedulerProvider{S: s})
+		srv.SetSched(s)
 		log.Printf("lwfleetd: slice scheduler on %d pods (tick %s, policy %s)",
 			cfg.pods, cfg.schedTick, s.Policy())
 	}
@@ -277,7 +277,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		if err := cfg.runTE(d, m, loop); err != nil {
 			return nil, fmt.Errorf("starting te loop: %w", err)
 		}
-		srv.SetTE(ctlrpc.LoopTEProvider{L: loop})
+		srv.SetTE(loop)
 		log.Printf("lwfleetd: te loop on %d blocks x %d uplinks, epoch %s (pod %q)",
 			cfg.teBlocks, cfg.teUplinks, cfg.teEpoch, tePod)
 	}

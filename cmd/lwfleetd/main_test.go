@@ -334,7 +334,7 @@ func TestRestartUndrainsTEStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := slices.IndexFunc(status.Pods, func(p ctlrpc.FleetPodStatus) bool { return p.Name == tePod })
+	i := slices.IndexFunc(status.Pods, func(p fleet.PodStatus) bool { return p.Name == tePod })
 	if i < 0 || booted.Pods[tePod] == nil || reopened.Pods[tePod] == nil {
 		t.Fatalf("pod %q missing: fleet-status %+v, store %v, reopened store %v", tePod, status.Pods, booted.Pods, reopened.Pods)
 	}

@@ -119,8 +119,8 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 	rep.ReplayErrors = st.ReplayErrors
 	rep.TruncatedBytes = st.TruncatedBytes
 	rep.DroppedSegments = st.DroppedSegments
-	rep.SnapshotLSN = st.Log.SnapshotLSN
-	rep.LastLSN = st.Log.LastLSN
+	rep.SnapshotLSN = st.SnapshotLSN
+	rep.LastLSN = st.LastLSN
 	rep.RecoveredDigest, err = store.FleetDigest()
 	if err != nil {
 		return nil, err

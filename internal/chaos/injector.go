@@ -122,21 +122,26 @@ func (in *Injector) Lift(ev Event) error {
 	return in.liftLocked(ev)
 }
 
-// ApplyLive injects the event now and, for bounded transients, schedules
-// the lift on a wall-clock timer DurationSeconds later — the mode the
-// daemons' chaos-inject RPC uses. After Close the fault is still applied
-// but no lift is scheduled: the daemon is tearing down anyway.
-func (in *Injector) ApplyLive(ev Event) error {
+// ApplyLive refuses an event Scenario.Validate would refuse; otherwise it
+// injects the event now and, for bounded transients, schedules the lift on
+// a wall-clock timer DurationSeconds later — the mode the daemons'
+// chaos-inject RPC uses — and returns the event as applied. After Close
+// the fault is still applied but no lift is scheduled: the daemon is
+// tearing down anyway.
+func (in *Injector) ApplyLive(ev Event) (string, error) {
+	if err := ev.check(); err != nil {
+		return "", fmt.Errorf("%w: %v", ErrScenario, err)
+	}
 	if err := in.Apply(ev); err != nil {
-		return err
+		return "", err
 	}
 	if !ev.needsDuration() {
-		return nil
+		return ev.String(), nil
 	}
 	in.mu.Lock()
 	if in.closed {
 		in.mu.Unlock()
-		return nil
+		return ev.String(), nil
 	}
 	in.lifts.Add(1)
 	var tm *time.Timer
@@ -154,7 +159,7 @@ func (in *Injector) ApplyLive(ev Event) error {
 	})
 	in.timers[tm] = struct{}{}
 	in.mu.Unlock()
-	return nil
+	return ev.String(), nil
 }
 
 // Close stops pending lift timers and waits for in-flight lifts, after
@@ -195,8 +200,11 @@ func (in *Injector) applyLocked(ev Event) error {
 	case KindPodRestore:
 		return in.podRestoreLocked(ev.Pod)
 	case KindStuckDrain, KindSlowDrain:
+		if err := in.t.Fleet.DrainOCS(ev.Pod, ev.OCS); err != nil {
+			return err
+		}
 		in.cDrains.Inc()
-		return in.t.Fleet.DrainOCS(ev.Pod, ev.OCS)
+		return nil
 	default:
 		return fmt.Errorf("%w: unknown kind %q", ErrScenario, ev.Kind)
 	}
@@ -436,13 +444,13 @@ func (in *Injector) PerturbObserved(bps [][]float64, intended, degraded *dcn.Top
 	}
 }
 
-// InjectorStatus snapshots an injector for chaos-status RPCs and tests.
+// InjectorStatus snapshots an injector, and is the chaos-status wire form.
 type InjectorStatus struct {
-	InjectedTotal int
-	ActiveFaults  int
-	TrunksDown    int
-	DownSwitches  int
-	LastFault     string
+	InjectedTotal int    `json:"injectedTotal"`
+	ActiveFaults  int    `json:"activeFaults"`
+	TrunksDown    int    `json:"trunksDown"`
+	DownSwitches  int    `json:"downSwitches"`
+	LastFault     string `json:"lastFault,omitempty"`
 }
 
 // Status snapshots the injector.

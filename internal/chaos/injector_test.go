@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,7 +170,7 @@ func TestInjectorBERPolicy(t *testing.T) {
 func TestInjectorApplyLiveLiftsTransients(t *testing.T) {
 	_, _, inj := testFleet(t)
 	ev := Event{Kind: KindCircuitFlap, Trunk: [2]int{2, 3}, DurationSeconds: 0.02}
-	if err := inj.ApplyLive(ev); err != nil {
+	if _, err := inj.ApplyLive(ev); err != nil {
 		t.Fatal(err)
 	}
 	if st := inj.Status(); st.TrunksDown != 1 {
@@ -181,6 +182,63 @@ func TestInjectorApplyLiveLiftsTransients(t *testing.T) {
 			t.Fatal("flap never lifted")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestApplyLiveRefusals holds the live path to the scripted one: an event
+// Scenario.Validate refuses, ApplyLive refuses too, as it refuses a target
+// the fleet does not have, and every refusal leaves the injector as it
+// found it — same status, no lift timer armed, no chaos_* metric moved.
+func TestApplyLiveRefusals(t *testing.T) {
+	_, _, inj := testFleet(t)
+	t.Cleanup(inj.Close)
+	// A standing fault, so an unchanged status is not just the zero one.
+	if err := inj.Apply(Event{Kind: KindCircuitFlap, Trunk: [2]int{0, 1}, DurationSeconds: 60}); err != nil {
+		t.Fatal(err)
+	}
+	chaosMetrics := func() string {
+		var keep []string
+		for _, line := range strings.Split(Registry().Text(), "\n") {
+			if strings.HasPrefix(line, "chaos_") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	for _, tc := range []struct {
+		name string
+		ev   Event
+	}{
+		{"unknown kind", Event{Kind: "warp-core-breach"}},
+		{"BER above 1", Event{Kind: KindBERDegrade, Trunk: [2]int{2, 3}, BER: 5, DurationSeconds: 1}},
+		{"negative flap duration", Event{Kind: KindCircuitFlap, Trunk: [2]int{2, 3}, DurationSeconds: -1}},
+		{"zero slow-drain duration", Event{Kind: KindSlowDrain, Pod: "pod0", OCS: 3}},
+		{"trunk to itself", Event{Kind: KindCircuitFlap, Trunk: [2]int{2, 2}, DurationSeconds: 1}},
+		{"negative trunk end", Event{Kind: KindBERDegrade, Trunk: [2]int{-1, 2}, BER: 1e-3, DurationSeconds: 1}},
+		{"pod loss with no pod", Event{Kind: KindPodLoss}},
+		{"stuck drain with no pod", Event{Kind: KindStuckDrain, OCS: 3}},
+		{"drain of an unknown pod", Event{Kind: KindSlowDrain, Pod: "ghost", OCS: 3, DurationSeconds: 1}},
+		{"drain of an OCS the pod lacks", Event{Kind: KindStuckDrain, Pod: "pod0", OCS: 99}},
+		{"pod loss of an unknown pod", Event{Kind: KindPodLoss, Pod: "ghost"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantStatus, wantMetrics := inj.Status(), chaosMetrics()
+			if applied, err := inj.ApplyLive(tc.ev); err == nil {
+				t.Fatalf("ApplyLive(%v) = %q, want a refusal", tc.ev, applied)
+			}
+			if got := inj.Status(); got != wantStatus {
+				t.Errorf("status moved: %+v, want %+v", got, wantStatus)
+			}
+			inj.mu.Lock()
+			timers := len(inj.timers)
+			inj.mu.Unlock()
+			if timers != 0 {
+				t.Errorf("%d lift timers armed by a refused event", timers)
+			}
+			if got := chaosMetrics(); got != wantMetrics {
+				t.Errorf("chaos metrics moved:\n%s\nwant\n%s", got, wantMetrics)
+			}
+		})
 	}
 }
 

@@ -40,7 +40,7 @@ const (
 	KindSlowDrain Kind = "slow-drain"
 )
 
-// validKinds is the closed set accepted by Scenario.Validate.
+// validKinds is the closed set Event.check accepts.
 var validKinds = map[Kind]bool{
 	KindOCSOutage: true, KindOCSRestore: true,
 	KindCircuitFlap: true, KindBERDegrade: true,
@@ -110,28 +110,38 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("%w: horizon %g s", ErrScenario, s.HorizonSeconds)
 	}
 	for i, e := range s.Events {
-		if !validKinds[e.Kind] {
-			return fmt.Errorf("%w: event %d has unknown kind %q", ErrScenario, i, e.Kind)
+		if err := e.check(); err != nil {
+			return fmt.Errorf("%w: event %d: %v", ErrScenario, i, err)
 		}
 		if e.At < 0 || e.At >= s.HorizonSeconds {
 			return fmt.Errorf("%w: event %d at %g s outside [0,%g)", ErrScenario, i, e.At, s.HorizonSeconds)
 		}
-		if e.needsDuration() && e.DurationSeconds <= 0 {
-			return fmt.Errorf("%w: event %d (%s) needs a positive duration", ErrScenario, i, e.Kind)
+	}
+	return nil
+}
+
+// check refuses an event no injector can apply, whenever it is due:
+// Scenario.Validate runs it on every scripted event, Injector.ApplyLive on
+// every live one.
+func (e Event) check() error {
+	if !validKinds[e.Kind] {
+		return fmt.Errorf("unknown kind %q", e.Kind)
+	}
+	if e.needsDuration() && !(e.DurationSeconds > 0) {
+		return fmt.Errorf("%s needs a positive duration", e.Kind)
+	}
+	switch e.Kind {
+	case KindPodLoss, KindPodRestore, KindStuckDrain, KindSlowDrain:
+		if e.Pod == "" {
+			return fmt.Errorf("%s needs a pod", e.Kind)
 		}
-		switch e.Kind {
-		case KindPodLoss, KindPodRestore, KindStuckDrain, KindSlowDrain:
-			if e.Pod == "" {
-				return fmt.Errorf("%w: event %d (%s) needs a pod", ErrScenario, i, e.Kind)
-			}
-		case KindCircuitFlap, KindBERDegrade:
-			if e.Trunk[0] == e.Trunk[1] || e.Trunk[0] < 0 || e.Trunk[1] < 0 {
-				return fmt.Errorf("%w: event %d has bad trunk %v", ErrScenario, i, e.Trunk)
-			}
+	case KindCircuitFlap, KindBERDegrade:
+		if e.Trunk[0] == e.Trunk[1] || e.Trunk[0] < 0 || e.Trunk[1] < 0 {
+			return fmt.Errorf("%s has bad trunk %v", e.Kind, e.Trunk)
 		}
-		if e.Kind == KindBERDegrade && !(e.BER > 0 && e.BER < 1) {
-			return fmt.Errorf("%w: event %d needs 0 < BER < 1, got %g", ErrScenario, i, e.BER)
-		}
+	}
+	if e.Kind == KindBERDegrade && !(e.BER > 0 && e.BER < 1) {
+		return fmt.Errorf("%s needs 0 < BER < 1, got %g", e.Kind, e.BER)
 	}
 	return nil
 }

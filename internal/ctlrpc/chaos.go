@@ -51,62 +51,27 @@ type ChaosInjectResult struct {
 }
 
 // ChaosStatusResult reports a daemon's fault-injection state. Enabled is
-// false when the daemon runs without the chaos flag; the remaining
-// fields then carry zero values.
+// false when the daemon runs without the chaos flag; the injector's fields
+// then carry zero values.
 type ChaosStatusResult struct {
-	Enabled       bool   `json:"enabled"`
-	InjectedTotal int    `json:"injectedTotal"`
-	ActiveFaults  int    `json:"activeFaults"`
-	TrunksDown    int    `json:"trunksDown"`
-	DownSwitches  int    `json:"downSwitches"`
-	LastFault     string `json:"lastFault,omitempty"`
+	Enabled bool `json:"enabled"`
+	chaos.InjectorStatus
 }
 
-// ChaosProvider supplies the chaos methods; daemons adapt their injector
-// to it. Implementations must be safe for concurrent use.
+// ChaosProvider supplies the chaos methods; *chaos.Injector implements
+// it. Implementations must be safe for concurrent use.
 type ChaosProvider interface {
-	ChaosInject(ChaosInjectParams) (ChaosInjectResult, error)
-	ChaosStatus() ChaosStatusResult
-}
-
-// InjectorProvider adapts a chaos.Injector to ChaosProvider: events are
-// validated against a one-event scenario, applied live, and bounded
-// transients lift on a wall-clock timer.
-type InjectorProvider struct {
-	In *chaos.Injector
-}
-
-// ChaosInject implements ChaosProvider.
-func (p InjectorProvider) ChaosInject(params ChaosInjectParams) (ChaosInjectResult, error) {
-	ev := params.Event()
-	probe := chaos.Scenario{Name: "rpc", HorizonSeconds: ev.DurationSeconds + 1, Events: []chaos.Event{ev}}
-	if err := probe.Validate(); err != nil {
-		return ChaosInjectResult{}, err
-	}
-	if err := p.In.ApplyLive(ev); err != nil {
-		return ChaosInjectResult{}, err
-	}
-	return ChaosInjectResult{Applied: ev.String()}, nil
-}
-
-// ChaosStatus implements ChaosProvider.
-func (p InjectorProvider) ChaosStatus() ChaosStatusResult {
-	st := p.In.Status()
-	return ChaosStatusResult{
-		Enabled:       true,
-		InjectedTotal: st.InjectedTotal,
-		ActiveFaults:  st.ActiveFaults,
-		TrunksDown:    st.TrunksDown,
-		DownSwitches:  st.DownSwitches,
-		LastFault:     st.LastFault,
-	}
+	// ApplyLive refuses an invalid event, else injects it now and returns
+	// the event as applied.
+	ApplyLive(chaos.Event) (string, error)
+	Status() chaos.InjectorStatus
 }
 
 func (s *Server) handleChaosStatus(json.RawMessage) (any, error) {
 	if s.chaos == nil {
 		return ChaosStatusResult{}, nil
 	}
-	return s.chaos.ChaosStatus(), nil
+	return ChaosStatusResult{Enabled: true, InjectorStatus: s.chaos.Status()}, nil
 }
 
 // handleChaosInject rejects before it decodes: a daemon without the
@@ -115,5 +80,11 @@ func (s *Server) handleChaosInject(params json.RawMessage) (any, error) {
 	if s.chaos == nil {
 		return nil, ErrChaosDisabled
 	}
-	return typed(s.chaos.ChaosInject)(params)
+	return typed(func(p ChaosInjectParams) (any, error) {
+		applied, err := s.chaos.ApplyLive(p.Event())
+		if err != nil {
+			return nil, err
+		}
+		return ChaosInjectResult{Applied: applied}, nil
+	})(params)
 }

@@ -46,7 +46,7 @@ func startChaosFleetServer(t *testing.T) (dial func() *Client, m *fleet.Manager)
 		t.Fatal(err)
 	}
 	srv := NewFleetServer(m)
-	srv.SetChaos(InjectorProvider{In: inj})
+	srv.SetChaos(inj)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

@@ -3,13 +3,15 @@ package ctlrpc
 import (
 	"encoding/json"
 	"fmt"
+
+	"lightwave/internal/fleet"
 )
 
 // Fleet-scoped typed calls, served by NewFleetServer (cmd/lwfleetd).
 
 // FleetStatus fetches fleet state.
-func (c *Client) FleetStatus() (FleetStatusResult, error) {
-	var r FleetStatusResult
+func (c *Client) FleetStatus() (fleet.Status, error) {
+	var r fleet.Status
 	err := c.call(MethodFleetStatus, nil, &r)
 	return r, err
 }

@@ -42,29 +42,6 @@ type DrainParams struct {
 	OCS *int   `json:"ocs,omitempty"`
 }
 
-// FleetPodStatus reports one pod's reconcile state.
-type FleetPodStatus struct {
-	Name                string   `json:"name"`
-	Drained             bool     `json:"drained,omitempty"`
-	DrainedOCS          []int    `json:"drainedOcs,omitempty"`
-	Quarantined         bool     `json:"quarantined,omitempty"`
-	Converged           bool     `json:"converged"`
-	ConsecutiveFailures int      `json:"consecutiveFailures,omitempty"`
-	LastError           string   `json:"lastError,omitempty"`
-	DesiredSlices       []string `json:"desiredSlices,omitempty"`
-	ActualSlices        []string `json:"actualSlices,omitempty"`
-	InstalledCubes      int      `json:"installedCubes"`
-	FreeCubes           int      `json:"freeCubes"`
-	Circuits            int      `json:"circuits"`
-}
-
-// FleetStatusResult reports fleet state.
-type FleetStatusResult struct {
-	Pods            []FleetPodStatus `json:"pods"`
-	QueueDepth      int              `json:"queueDepth"`
-	QuarantinedPods int              `json:"quarantinedPods"`
-}
-
 // WatchAck acknowledges a watch request before the event stream begins.
 type WatchAck struct {
 	Watching bool `json:"watching"`

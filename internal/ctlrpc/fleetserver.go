@@ -69,28 +69,7 @@ func (s *Server) streamEvents(ctx context.Context, send func(Response) bool, id 
 }
 
 func (s *Server) handleFleetStatus(json.RawMessage) (any, error) {
-	st := s.fleet.Status()
-	out := FleetStatusResult{
-		QueueDepth:      st.QueueDepth,
-		QuarantinedPods: st.QuarantinedPods,
-	}
-	for _, ps := range st.Pods {
-		out.Pods = append(out.Pods, FleetPodStatus{
-			Name:                ps.Name,
-			Drained:             ps.Drained,
-			DrainedOCS:          ps.DrainedOCS,
-			Quarantined:         ps.Quarantined,
-			Converged:           ps.Converged,
-			ConsecutiveFailures: ps.ConsecutiveFailures,
-			LastError:           ps.LastError,
-			DesiredSlices:       ps.DesiredSlices,
-			ActualSlices:        ps.ActualSlices,
-			InstalledCubes:      ps.InstalledCubes,
-			FreeCubes:           ps.FreeCubes,
-			Circuits:            ps.Circuits,
-		})
-	}
-	return out, nil
+	return s.fleet.Status(), nil
 }
 
 func (s *Server) handleApplyIntent(p ApplyIntentParams) (any, error) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lightwave/internal/core"
+	"lightwave/internal/te"
 )
 
 // startServerOn brings up a fabric daemon with explicit knobs and returns
@@ -118,10 +119,10 @@ func newGatedTE() *gatedTE {
 	return &gatedTE{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gatedTE) TEStatus() TEStatusResult {
+func (g *gatedTE) Status() te.Status {
 	g.once.Do(func() { close(g.entered) })
 	<-g.release
-	return TEStatusResult{Enabled: true}
+	return te.Status{}
 }
 
 // TestPipelinedRequestsOverlapOnOneConnection proves true pipelining end to

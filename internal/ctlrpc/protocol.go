@@ -44,33 +44,6 @@ const (
 // stays usable.
 const errRequestTooLarge = "request too large"
 
-// TEStatusResult reports the state of a daemon's topology-engineering
-// loop. Enabled is false when the daemon runs no TE loop; the remaining
-// fields then carry zero values.
-type TEStatusResult struct {
-	Enabled                   bool    `json:"enabled"`
-	Blocks                    int     `json:"blocks"`
-	Uplinks                   int     `json:"uplinks"`
-	Epoch                     int     `json:"epoch"`
-	Reconfigs                 int     `json:"reconfigs"`
-	SkippedReconfigs          int     `json:"skippedReconfigs"`
-	Stages                    int     `json:"stages"`
-	TrunksMoved               int     `json:"trunksMoved"`
-	LastGain                  float64 `json:"lastGain"`
-	LastPredictionError       float64 `json:"lastPredictionError"`
-	MinResidualFraction       float64 `json:"minResidualFraction"`
-	DrainedCapacityBpsSeconds float64 `json:"drainedCapacityBpsSeconds"`
-	LastReconfigEpoch         int     `json:"lastReconfigEpoch"`
-	LastReason                string  `json:"lastReason"`
-	CurrentTrunks             int     `json:"currentTrunks"`
-}
-
-// TEStatusProvider supplies the te-status method; daemons adapt their TE
-// loop to it. Implementations must be safe for concurrent use.
-type TEStatusProvider interface {
-	TEStatus() TEStatusResult
-}
-
 // RepairLinkParams addresses a cube's fiber pair on one OCS.
 type RepairLinkParams struct {
 	OCS  int `json:"ocs"`

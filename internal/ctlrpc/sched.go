@@ -23,20 +23,10 @@ var ErrSchedDisabled = errors.New("scheduler disabled (start the daemon with -sc
 // is false when the daemon runs without -sched; the remaining fields
 // then carry zero values.
 type SchedStatusResult struct {
-	Enabled         bool     `json:"enabled"`
-	Policy          string   `json:"policy,omitempty"`
-	Pods            []string `json:"pods,omitempty"`
-	QueueDepth      int      `json:"queueDepth"`
-	RunningJobs     int      `json:"runningJobs"`
-	Submitted       int      `json:"submitted"`
-	Started         int      `json:"started"`
-	Completed       int      `json:"completed"`
-	Preempted       int      `json:"preempted"`
-	Swaps           int      `json:"swaps"`
-	MigratedCubes   int      `json:"migratedCubes"`
-	Utilization     float64  `json:"utilization"`
-	MeanWaitSeconds float64  `json:"meanWaitSeconds"`
-	VirtualSeconds  float64  `json:"virtualSeconds"`
+	Enabled bool     `json:"enabled"`
+	Policy  string   `json:"policy,omitempty"`
+	Pods    []string `json:"pods,omitempty"`
+	sched.SchedulerStats
 }
 
 // SchedSubmitParams is one manual job submission.
@@ -52,61 +42,31 @@ type SchedSubmitResult struct {
 	Placed bool `json:"placed"`
 }
 
-// SchedProvider supplies the scheduler methods. Implementations must be
-// safe for concurrent use.
+// SchedProvider supplies the scheduler methods; *sched.Scheduler
+// implements it. Implementations must be safe for concurrent use.
 type SchedProvider interface {
-	SchedStatus() SchedStatusResult
-	SchedSubmit(SchedSubmitParams) (SchedSubmitResult, error)
-}
-
-// SchedulerProvider adapts a live sched.Scheduler to SchedProvider.
-type SchedulerProvider struct {
-	S *sched.Scheduler
-}
-
-// SchedStatus implements SchedProvider.
-func (p SchedulerProvider) SchedStatus() SchedStatusResult {
-	st := p.S.Stats()
-	return SchedStatusResult{
-		Enabled:         true,
-		Policy:          p.S.Policy(),
-		Pods:            p.S.Pods(),
-		QueueDepth:      st.QueueDepth,
-		RunningJobs:     st.RunningJobs,
-		Submitted:       st.Submitted,
-		Started:         st.Started,
-		Completed:       st.Completed,
-		Preempted:       st.Preempted,
-		Swaps:           st.Swaps,
-		MigratedCubes:   st.MigratedCubes,
-		Utilization:     st.Utilization,
-		MeanWaitSeconds: st.MeanWaitSeconds,
-		VirtualSeconds:  st.Now,
-	}
-}
-
-// SchedSubmit implements SchedProvider.
-func (p SchedulerProvider) SchedSubmit(params SchedSubmitParams) (SchedSubmitResult, error) {
-	id, placed, err := p.S.Submit(sched.JobSpec{
-		Cubes:           params.Cubes,
-		DurationSeconds: params.DurationSeconds,
-	})
-	if err != nil {
-		return SchedSubmitResult{}, err
-	}
-	return SchedSubmitResult{JobID: id, Placed: placed}, nil
+	Policy() string
+	Pods() []string
+	Stats() sched.SchedulerStats
+	Submit(sched.JobSpec) (id int, placed bool, err error)
 }
 
 func (s *Server) handleSchedStatus(json.RawMessage) (any, error) {
 	if s.sched == nil {
 		return SchedStatusResult{}, nil
 	}
-	return s.sched.SchedStatus(), nil
+	return SchedStatusResult{Enabled: true, Policy: s.sched.Policy(), Pods: s.sched.Pods(), SchedulerStats: s.sched.Stats()}, nil
 }
 
 func (s *Server) handleSchedSubmit(params json.RawMessage) (any, error) {
 	if s.sched == nil {
 		return nil, ErrSchedDisabled
 	}
-	return typed(s.sched.SchedSubmit)(params)
+	return typed(func(p SchedSubmitParams) (any, error) {
+		id, placed, err := s.sched.Submit(sched.JobSpec(p))
+		if err != nil {
+			return nil, err
+		}
+		return SchedSubmitResult{JobID: id, Placed: placed}, nil
+	})(params)
 }

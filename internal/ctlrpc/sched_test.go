@@ -41,7 +41,7 @@ func startSchedFleetServer(t *testing.T) func() *Client {
 		t.Fatal(err)
 	}
 	srv := NewFleetServer(m)
-	srv.SetSched(SchedulerProvider{S: s})
+	srv.SetSched(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

@@ -6,37 +6,23 @@ import (
 	"lightwave/internal/te"
 )
 
-// LoopTEProvider adapts a te.Loop to the TEStatusProvider interface, so
-// lwfleetd serves te-status with one line of wiring.
-type LoopTEProvider struct {
-	L *te.Loop
+// TEStatusResult reports the state of a daemon's topology-engineering
+// loop. Enabled is false when the daemon runs no TE loop; the loop's
+// fields then carry zero values.
+type TEStatusResult struct {
+	Enabled bool `json:"enabled"`
+	te.Status
 }
 
-// TEStatus implements TEStatusProvider.
-func (p LoopTEProvider) TEStatus() TEStatusResult {
-	s := p.L.Status()
-	return TEStatusResult{
-		Enabled:                   true,
-		Blocks:                    s.Blocks,
-		Uplinks:                   s.Uplinks,
-		Epoch:                     s.Epoch,
-		Reconfigs:                 s.Reconfigs,
-		SkippedReconfigs:          s.SkippedReconfigs,
-		Stages:                    s.Stages,
-		TrunksMoved:               s.TrunksMoved,
-		LastGain:                  s.LastGain,
-		LastPredictionError:       s.LastPredictionError,
-		MinResidualFraction:       s.MinResidualFraction,
-		DrainedCapacityBpsSeconds: s.DrainedCapacityBpsSeconds,
-		LastReconfigEpoch:         s.LastReconfigEpoch,
-		LastReason:                s.LastReason,
-		CurrentTrunks:             s.CurrentTrunks,
-	}
+// TEStatusProvider supplies the te-status method; *te.Loop implements
+// it. Implementations must be safe for concurrent use.
+type TEStatusProvider interface {
+	Status() te.Status
 }
 
 func (s *Server) handleTEStatus(json.RawMessage) (any, error) {
 	if s.te == nil {
 		return TEStatusResult{}, nil
 	}
-	return s.te.TEStatus(), nil
+	return TEStatusResult{Enabled: true, Status: s.te.Status()}, nil
 }

@@ -15,9 +15,13 @@ import (
 	"testing"
 	"time"
 
+	"lightwave/internal/chaos"
 	"lightwave/internal/core"
 	"lightwave/internal/fleet"
+	"lightwave/internal/sched"
+	"lightwave/internal/te"
 	"lightwave/internal/telemetry"
+	"lightwave/internal/wal"
 )
 
 // The wire goldens pin the raw response line of every method of both
@@ -30,43 +34,48 @@ var updateWire = flag.Bool("update-wire", false, "rewrite testdata/wire/*.golden
 
 type fixedTE struct{}
 
-func (fixedTE) TEStatus() TEStatusResult {
-	return TEStatusResult{Enabled: true, Blocks: 8, Uplinks: 14, Epoch: 3, Reconfigs: 1, Stages: 2,
+func (fixedTE) Status() te.Status {
+	return te.Status{Blocks: 8, Uplinks: 14, Epoch: 3, Reconfigs: 1, Stages: 2,
 		TrunksMoved: 5, LastGain: 0.125, MinResidualFraction: 0.75, LastReason: "gain", CurrentTrunks: 56}
 }
 
 type fixedChaos struct{}
 
-func (fixedChaos) ChaosInject(p ChaosInjectParams) (ChaosInjectResult, error) {
-	if p.Kind == "boom" {
-		return ChaosInjectResult{}, errors.New("provider rejected boom")
+func (fixedChaos) ApplyLive(ev chaos.Event) (string, error) {
+	if ev.Kind == "boom" {
+		return "", errors.New("provider rejected boom")
 	}
-	return ChaosInjectResult{Applied: p.Kind + " " + p.Pod}, nil
+	return string(ev.Kind) + " " + ev.Pod, nil
 }
 
-func (fixedChaos) ChaosStatus() ChaosStatusResult {
-	return ChaosStatusResult{Enabled: true, InjectedTotal: 2, ActiveFaults: 1, LastFault: "pod-loss p0"}
+func (fixedChaos) Status() chaos.InjectorStatus {
+	return chaos.InjectorStatus{InjectedTotal: 2, ActiveFaults: 1, LastFault: "pod-loss p0"}
 }
 
 type fixedSched struct{}
 
-func (fixedSched) SchedStatus() SchedStatusResult {
-	return SchedStatusResult{Enabled: true, Policy: "reconfigurable", Pods: []string{"p0", "p1"},
-		QueueDepth: 1, RunningJobs: 2, Submitted: 3, Started: 2, Utilization: 0.5, VirtualSeconds: 120}
+func (fixedSched) Policy() string { return "reconfigurable" }
+
+func (fixedSched) Pods() []string { return []string{"p0", "p1"} }
+
+func (fixedSched) Stats() sched.SchedulerStats {
+	return sched.SchedulerStats{QueueDepth: 1, RunningJobs: 2, Submitted: 3, Started: 2, Utilization: 0.5, Now: 120}
 }
 
-func (fixedSched) SchedSubmit(p SchedSubmitParams) (SchedSubmitResult, error) {
-	if p.Cubes <= 0 {
-		return SchedSubmitResult{}, errors.New("sched: job needs at least one cube")
+func (fixedSched) Submit(spec sched.JobSpec) (int, bool, error) {
+	if spec.Cubes <= 0 {
+		return 0, false, errors.New("sched: job needs at least one cube")
 	}
-	return SchedSubmitResult{JobID: 7, Placed: true}, nil
+	return 7, true, nil
 }
 
 type fixedWAL struct{}
 
-func (fixedWAL) WALStatus() WALStatusResult {
-	return WALStatusResult{Enabled: true, Dir: "/state", LastLSN: 42, SnapshotLSN: 40, Segments: 1,
-		TotalBytes: 4096, Appends: 42, Fsyncs: 21, FleetPods: 2, FleetSlices: 3, FleetDigest: "abc123"}
+func (fixedWAL) Status() wal.StoreStatus {
+	return wal.StoreStatus{
+		Status: wal.Status{Dir: "/state", LastLSN: 42, SnapshotLSN: 40, Segments: 1,
+			TotalBytes: 4096, Appends: 42, Fsyncs: 21},
+		FleetPods: 2, FleetSlices: 3, FleetDigest: "abc123"}
 }
 
 // refusingJournal fails every command whose params mention "nojournal".

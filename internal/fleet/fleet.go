@@ -508,25 +508,25 @@ func (m *Manager) quarantinedLocked() int {
 
 // PodStatus is a snapshot of one pod.
 type PodStatus struct {
-	Name                string
-	Drained             bool
-	DrainedOCS          []int
-	Quarantined         bool
-	Converged           bool
-	ConsecutiveFailures int
-	LastError           string
-	DesiredSlices       []string
-	ActualSlices        []string
-	InstalledCubes      int
-	FreeCubes           int
-	Circuits            int
+	Name                string   `json:"name"`
+	Drained             bool     `json:"drained,omitempty"`
+	DrainedOCS          []int    `json:"drainedOcs,omitempty"`
+	Quarantined         bool     `json:"quarantined,omitempty"`
+	Converged           bool     `json:"converged"`
+	ConsecutiveFailures int      `json:"consecutiveFailures,omitempty"`
+	LastError           string   `json:"lastError,omitempty"`
+	DesiredSlices       []string `json:"desiredSlices,omitempty"`
+	ActualSlices        []string `json:"actualSlices,omitempty"`
+	InstalledCubes      int      `json:"installedCubes"`
+	FreeCubes           int      `json:"freeCubes"`
+	Circuits            int      `json:"circuits"`
 }
 
-// Status is a snapshot of the fleet.
+// Status is a snapshot of the fleet, and the fleet-status wire form.
 type Status struct {
-	Pods            []PodStatus
-	QueueDepth      int
-	QuarantinedPods int
+	Pods            []PodStatus `json:"pods"`
+	QueueDepth      int         `json:"queueDepth"`
+	QuarantinedPods int         `json:"quarantinedPods"`
 }
 
 // Status snapshots every pod. Backend state is read outside the manager

@@ -63,25 +63,27 @@ type JobSpec struct {
 	DurationSeconds float64
 }
 
-// SchedulerStats is a point-in-time snapshot of the scheduler.
+// SchedulerStats is a point-in-time snapshot of the scheduler, and the
+// sched-status wire form.
 type SchedulerStats struct {
-	Now           float64
-	Submitted     int
-	Started       int
-	Completed     int
-	Preempted     int
-	Swaps         int
-	MigratedCubes int
-	Failures      int
-	Repairs       int
-	QueueDepth    int
-	RunningJobs   int
+	QueueDepth    int `json:"queueDepth"`
+	RunningJobs   int `json:"runningJobs"`
+	Submitted     int `json:"submitted"`
+	Started       int `json:"started"`
+	Completed     int `json:"completed"`
+	Preempted     int `json:"preempted"`
+	Swaps         int `json:"swaps"`
+	MigratedCubes int `json:"migratedCubes"`
 	// Utilization is busy cube-time over available (healthy, pod-up)
 	// cube-time since StartMeasurement (or since construction).
-	Utilization float64
+	Utilization float64 `json:"utilization"`
 	// MeanWaitSeconds is the mean queueing delay of jobs started since
 	// StartMeasurement.
-	MeanWaitSeconds float64
+	MeanWaitSeconds float64 `json:"meanWaitSeconds"`
+	// Now is the scheduler's virtual clock.
+	Now      float64 `json:"virtualSeconds"`
+	Failures int     `json:"failures,omitempty"`
+	Repairs  int     `json:"repairs,omitempty"`
 }
 
 // Scheduler errors.

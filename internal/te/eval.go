@@ -84,11 +84,31 @@ type EvalResult struct {
 	// static mesh (target/static − 1).
 	OnlineGain, OracleGain float64
 	// Loop is the final state of the online loop.
-	Loop Status
+	Loop reportStatus
 	// MinResidualFraction is the lowest in-service capacity fraction any
 	// reconfiguration stage reached (1 if the loop never reconfigured) —
 	// the experiment's witness that the capacity floor held.
 	MinResidualFraction float64
+}
+
+// reportStatus is Status without its te-status wire tags: the report's
+// JSON keeps the Go field names, which the sim_flow ledger's committed
+// digest (bench/expected/sim_flow.sha256) pins.
+type reportStatus struct {
+	Blocks                    int
+	Uplinks                   int
+	Epoch                     int
+	Reconfigs                 int
+	SkippedReconfigs          int
+	Stages                    int
+	TrunksMoved               int
+	LastGain                  float64
+	LastPredictionError       float64
+	MinResidualFraction       float64
+	DrainedCapacityBpsSeconds float64
+	LastReconfigEpoch         int
+	LastReason                string
+	CurrentTrunks             int
 }
 
 // Evaluate replays the trace. Phase A walks the online loop sequentially
@@ -161,7 +181,7 @@ func Evaluate(cfg EvalConfig) (*EvalResult, error) {
 		dcn.Workload{MeanFlowBytes: cfg.MeanFlowBytes, Duration: cfg.SimSeconds},
 		dcn.SimConfig{TrunkBps: cfg.TrunkBps, Seed: cfg.Seed})
 
-	res := &EvalResult{Loop: loop.Status()}
+	res := &EvalResult{Loop: reportStatus(loop.Status())}
 	res.MinResidualFraction = res.Loop.MinResidualFraction // the loop keeps the same minimum
 	res.Static.Name, res.Oracle.Name, res.Online.Name = "static", "oracle", "online"
 	for s, sr := range []*ScenarioResult{&res.Static, &res.Oracle, &res.Online} {

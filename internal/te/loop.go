@@ -30,21 +30,23 @@ type Config struct {
 	Applier Applier
 }
 
-// Status is a point-in-time snapshot of a loop.
+// Status is a point-in-time snapshot of a loop, and the te-status wire
+// form.
 type Status struct {
-	Blocks, Uplinks           int
-	Epoch                     int
-	Reconfigs                 int
-	SkippedReconfigs          int
-	Stages                    int
-	TrunksMoved               int
-	LastGain                  float64
-	LastPredictionError       float64
-	MinResidualFraction       float64
-	DrainedCapacityBpsSeconds float64
-	LastReconfigEpoch         int
-	LastReason                string
-	CurrentTrunks             int
+	Blocks                    int     `json:"blocks"`
+	Uplinks                   int     `json:"uplinks"`
+	Epoch                     int     `json:"epoch"`
+	Reconfigs                 int     `json:"reconfigs"`
+	SkippedReconfigs          int     `json:"skippedReconfigs"`
+	Stages                    int     `json:"stages"`
+	TrunksMoved               int     `json:"trunksMoved"`
+	LastGain                  float64 `json:"lastGain"`
+	LastPredictionError       float64 `json:"lastPredictionError"`
+	MinResidualFraction       float64 `json:"minResidualFraction"`
+	DrainedCapacityBpsSeconds float64 `json:"drainedCapacityBpsSeconds"`
+	LastReconfigEpoch         int     `json:"lastReconfigEpoch"`
+	LastReason                string  `json:"lastReason"`
+	CurrentTrunks             int     `json:"currentTrunks"`
 }
 
 // Loop is the online traffic-engineering state machine: Advance it one

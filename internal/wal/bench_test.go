@@ -158,7 +158,7 @@ func BenchmarkStoreOpen(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*storeOpenRecords), "ns/record")
-	b.ReportMetric(float64(want.Log.TotalBytes)/storeOpenRecords, "B/record")
+	b.ReportMetric(float64(want.TotalBytes)/storeOpenRecords, "B/record")
 }
 
 // TestRecoveryWorkCounts pins the work a cold OpenStore does on a fixed

@@ -176,9 +176,9 @@ func TestCommitFailureUnderConcurrency(t *testing.T) {
 	if err := st.Checkpoint(); !errors.Is(err, injected) {
 		t.Errorf("Checkpoint on a broken log = %v, want a refusal carrying the sticky error", err)
 	}
-	ls := st.Status().Log
+	ls := st.Status()
 	if ls.Broken == "" {
-		t.Error("Status().Log.Broken is empty on a broken log")
+		t.Error("Status().Broken is empty on a broken log")
 	}
 	if ls.TotalBytes != st.log.segBytes {
 		t.Errorf("segment holds %d bytes, want the %d committed ones: the failed batch was not rolled back, or something was written behind it", ls.TotalBytes, st.log.segBytes)
@@ -219,7 +219,7 @@ func TestCommitFailureUnderConcurrency(t *testing.T) {
 		b, _ := re.fleetState.Encode()
 		t.Errorf("reopened state is not the acknowledged prefix: %s", b)
 	}
-	if re.Status().Log.Broken != "" {
+	if re.Status().Broken != "" {
 		t.Error("a reopened log still reports broken")
 	}
 }

@@ -88,9 +88,9 @@ func startSession(t *testing.T, store *wal.Store, recover bool) *session {
 	}
 
 	srv := ctlrpc.NewFleetServer(m)
-	srv.SetSched(ctlrpc.SchedulerProvider{S: s})
+	srv.SetSched(s)
 	if store != nil {
-		srv.SetWAL(ctlrpc.StoreWALProvider{Store: store})
+		srv.SetWAL(store)
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -203,7 +203,7 @@ func waitConverged(t *testing.T, ss *session) {
 
 // normalizeFleet sorts everything order-insensitive so two equal fleets
 // compare equal regardless of map iteration order.
-func normalizeFleet(st ctlrpc.FleetStatusResult) ctlrpc.FleetStatusResult {
+func normalizeFleet(st fleet.Status) fleet.Status {
 	sort.Slice(st.Pods, func(i, j int) bool { return st.Pods[i].Name < st.Pods[j].Name })
 	for i := range st.Pods {
 		sort.Strings(st.Pods[i].DesiredSlices)
@@ -213,7 +213,7 @@ func normalizeFleet(st ctlrpc.FleetStatusResult) ctlrpc.FleetStatusResult {
 	return st
 }
 
-func capture(t *testing.T, ss *session) (ctlrpc.FleetStatusResult, ctlrpc.SchedStatusResult) {
+func capture(t *testing.T, ss *session) (fleet.Status, ctlrpc.SchedStatusResult) {
 	t.Helper()
 	fs, err := ss.cli.FleetStatus()
 	if err != nil {
@@ -229,7 +229,7 @@ func capture(t *testing.T, ss *session) (ctlrpc.FleetStatusResult, ctlrpc.SchedS
 
 // uninterrupted runs both phases with no durability at all: the control
 // every restart variant must answer like.
-func uninterrupted(t *testing.T) (ctlrpc.FleetStatusResult, ctlrpc.SchedStatusResult) {
+func uninterrupted(t *testing.T) (fleet.Status, ctlrpc.SchedStatusResult) {
 	t.Helper()
 	ctl := startSession(t, nil, false)
 	mutatePhase1(t, ctl)

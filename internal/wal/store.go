@@ -438,21 +438,22 @@ func (st *Store) FleetStateCopy() (*FleetState, error) {
 	return DecodeFleetState(b)
 }
 
-// StoreStatus extends the log status with replay and content summaries.
+// StoreStatus extends the log status with replay and content summaries,
+// and is the wal-status wire form.
 type StoreStatus struct {
-	Log             Status
-	ReplayRecords   int
-	ReplayErrors    int
-	TruncatedBytes  int64
-	DroppedSegments int
-	FleetPods       int
-	FleetSlices     int
-	FleetDigest     string
+	Status
+	ReplayRecords   int    `json:"replayRecords"`
+	ReplayErrors    int    `json:"replayErrors"`
+	TruncatedBytes  int64  `json:"truncatedBytes"`
+	DroppedSegments int    `json:"droppedSegments"`
+	FleetPods       int    `json:"fleetPods"`
+	FleetSlices     int    `json:"fleetSlices"`
+	FleetDigest     string `json:"fleetDigest,omitempty"`
 }
 
 // Status summarizes the store for wal-status.
 func (st *Store) Status() StoreStatus {
-	out := StoreStatus{Log: st.log.Status()}
+	out := StoreStatus{Status: st.log.Status()}
 	st.mu.Lock()
 	out.ReplayRecords = st.replayRecords
 	out.ReplayErrors = st.replayErrors

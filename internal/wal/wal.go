@@ -650,18 +650,20 @@ func (l *Log) snapPath(lsn uint64) string {
 
 // Status is a point-in-time summary for the wal-status RPC and lwfctl.
 type Status struct {
-	Dir         string
-	LastLSN     uint64
-	SnapshotLSN uint64
-	Segments    int
-	TotalBytes  int64
-	Appends     int64
-	AppendBytes int64
-	Fsyncs      int64
-	Snapshots   int64
-	Compactions int64
-	// Broken is the sticky commit failure, empty while the log is healthy.
-	Broken string
+	Dir         string `json:"dir,omitempty"`
+	LastLSN     uint64 `json:"lastLSN"`
+	SnapshotLSN uint64 `json:"snapshotLSN"`
+	Segments    int    `json:"segments"`
+	TotalBytes  int64  `json:"totalBytes"`
+	Appends     int64  `json:"appends"`
+	AppendBytes int64  `json:"appendBytes"`
+	Fsyncs      int64  `json:"fsyncs"`
+	Snapshots   int64  `json:"snapshots"`
+	Compactions int64  `json:"compactions"`
+	// Broken is the sticky commit failure, empty while the log is healthy:
+	// set, the daemon refuses every further durable mutation and
+	// checkpoint until restarted.
+	Broken string `json:"broken,omitempty"`
 }
 
 // Status reports the log's current shape. TotalBytes stats the live

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test test-bench ledger-smoke race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn profile-sched profile-recover experiments size clean
+.PHONY: check vet lint build test test-bench ledger-smoke race race-par race-te race-chaos race-sched race-ctl race-wal race-fleet fuzz-smoke bench ledger profile-dcn profile-te profile-sched profile-recover experiments size clean
 
 # The gate every change must pass: vet, build everything, race-test the
 # parallel engine under contention, race-test the TE loop (its Loop is
@@ -130,6 +130,13 @@ ledger:
 # the same data on <metrics-addr>/debug/pprof/profile).
 profile-dcn:
 	$(GO) test -run '^$$' -bench 'Figures/(dcn|te|chaos)$$' -benchtime 5x -cpuprofile dcn.cpuprof -o dcn.test .
+
+# CPU profile of te.Evaluate at 16 blocks × 30 uplinks, the sim_flow te
+# configuration at ROADMAP item 6's scale (internal/te
+# BenchmarkEvaluateScale); inspect with `$(GO) tool pprof te.test
+# te.cpuprof`.
+profile-te:
+	$(GO) test -run '^$$' -bench '^BenchmarkEvaluateScale/16x30$$' -benchtime 2x -cpuprofile te.cpuprof -o te.test ./internal/te
 
 # CPU profile of the live superpod replay at the sim_sched ledger stage's
 # configuration (internal/superpod BenchmarkEvaluate): compose admission

@@ -88,19 +88,23 @@ func BenchmarkFlowSimEvents(b *testing.B) {
 }
 
 // BenchmarkMaxMinRates times one progressive filling over the
-// steady-state flow population. "from-zero" forces the resume at round 0
-// with no flow changed, every round run: the full recompute. "arrival"
+// steady-state flow population. "from-zero" resumes at round 0 with every
+// link marked and no flow changed, every round run: the full recompute. "arrival"
 // times one arrival's resume on the path of the latest arrival, untimed
 // departure in between. Both must report 0 allocs/op.
 func BenchmarkMaxMinRates(b *testing.B) {
 	b.Run("from-zero", func(b *testing.B) {
 		s := benchEngine(b)
-		c := s.order[0]
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.reordered = true
-			s.maxMinRates(c, 0)
+			s.stamp++
+			s.beginFilling(s.rounds[0].next)
+			for _, li := range s.links {
+				s.markLink(li)
+			}
+			s.buildTree()
+			s.finishFilling()
 		}
 	})
 	b.Run("arrival", func(b *testing.B) {

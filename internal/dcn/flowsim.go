@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
+	"sync"
 
 	"lightwave/internal/sim"
 )
@@ -19,16 +21,16 @@ import (
 // The event loop is built for speed without sacrificing reproducibility:
 // arrivals live in an index-tie-broken binary min-heap, flows that share a
 // path are aggregated into one path class that max-min fills as a unit,
-// and the class and per-link state of the last progressive filling is
-// kept across events with a log of its rounds: an arrival or completion
-// rolls the log back to the first round it can change, resumes filling
-// there, and keeps every later round it can show recurs, so only the
-// rest run. All per-link state lives in flat arrays indexed by src*n+dst,
-// and flow structs are pooled. Every tie-break and floating-point
-// accumulation order matches the original linear-scan/map
-// implementation, so results are bit-identical (see golden_test.go for
-// the pinned contract, and reference_test.go for the per-flow engine
-// FuzzMaxMinRates holds this one to).
+// and the last progressive filling is kept across events as a list of
+// its rounds: an arrival or completion resumes filling at the first round
+// it can change and keeps, in place, every later round it can show
+// recurs, so only the rest run, and only the links the event reaches are
+// brought up to date. All per-link state lives in flat arrays indexed by
+// src*n+dst, and flow structs and whole engines are pooled. Every
+// tie-break and floating-point accumulation order matches the original
+// linear-scan/map implementation, so results are bit-identical (see
+// golden_test.go for the pinned contract, and reference_test.go for the
+// per-flow engine FuzzMaxMinRates holds this one to).
 
 // Workload describes the offered traffic.
 type Workload struct {
@@ -85,10 +87,14 @@ type pathClass struct {
 	// indices (one hop for direct, two for transit).
 	hopIdx [2]int
 	nhops  int
-	// rate is the fair share of the last filling (-1 while unfrozen), and
-	// round the index of the round that froze the class.
+	// id is the class's index in simEngine.classes.
+	id int32
+	// round is the slot of the logged round that froze the class (0 while
+	// no round holds it), rate its fair share, and after[h] hop h's
+	// residual capacity once it froze.
+	round int32
 	rate  float64
-	round int
+	after [2]float64
 	// flows are the active flows on the path, in no particular order, and
 	// remaining[i] is flows[i]'s bytes still to send.
 	flows     []*flow
@@ -101,53 +107,18 @@ type pathClass struct {
 	first int
 }
 
-// round is one progressive-filling round in a fillLog: the bottleneck
-// link and its share, and the ends of the round's entries in frozen and
-// undo.
+// round is one progressive-filling round: the bottleneck link and its
+// share, and the classes it froze, frozen[start:end]. Rounds live in
+// slots of simEngine.rounds, linked in log order through prev and next;
+// slot 0 is the list's sentinel. A round's seq grows along the list, and
+// stamp is the filling stamp of the last filling that marked a link one
+// of its classes crosses.
 type round struct {
-	bottleneck         int
-	share              float64
-	frozenEnd, undoEnd int
-}
-
-// linkUndo is one freezing class's change to one of its hops: the link's
-// residual capacity before and after it, and the flows it took off the
-// link's unfrozen count. Undone newest first, a link's capacity ends at
-// the oldest entry's, and its count gains every entry's flows.
-type linkUndo struct {
-	li            int
-	before, after float64
-	flows         int
-}
-
-// fillLog records progressive-filling rounds: round i froze
-// frozen[frozenStart(i):rounds[i].frozenEnd] and changed the links in
-// undo[undoStart(i):rounds[i].undoEnd].
-type fillLog struct {
-	rounds []round
-	frozen []*pathClass
-	undo   []linkUndo
-}
-
-//lwlint:hotpath
-func (l *fillLog) frozenStart(i int) int {
-	if i == 0 {
-		return 0
-	}
-	return l.rounds[i-1].frozenEnd
-}
-
-//lwlint:hotpath
-func (l *fillLog) undoStart(i int) int {
-	if i == 0 {
-		return 0
-	}
-	return l.rounds[i-1].undoEnd
-}
-
-//lwlint:hotpath
-func (l *fillLog) truncate(rounds, frozen, undo int) {
-	l.rounds, l.frozen, l.undo = l.rounds[:rounds], l.frozen[:frozen], l.undo[:undo]
+	bottleneck int
+	share      float64
+	start, end int32
+	prev, next int32
+	seq, stamp uint64
 }
 
 // ErrMismatch is returned when workload and topology disagree on size.
@@ -162,18 +133,18 @@ var ErrMismatch = errors.New("dcn: workload does not match topology")
 // zero-capacity-trunk case).
 var ErrDegenerate = errors.New("dcn: degenerate simulation input")
 
-// simEngine holds one simulation run's entire state. All scratch is
-// allocated once in newSimEngine and reused event-to-event, so the loop
-// itself runs allocation-free in steady state (the fcts slice, the round
-// logs and the pooled per-link and per-class lists grow amortized-O(1)
-// until they reach the run's high water mark).
+// simEngine holds one simulation run's entire state. reset sizes the
+// scratch for a run and keeps what an earlier run grew, so the loop runs
+// allocation-free in steady state and Simulate reuses engines across runs
+// (the fcts slice, the round log and the pooled per-link and per-class
+// lists grow amortized-O(1) until they reach the high water mark).
 type simEngine struct {
 	top   *Topology
 	n     int
 	w     Workload
 	cfg   SimConfig
 	trunk float64
-	rng   *sim.Rand
+	rng   sim.Rand
 
 	pairs []pairRate
 
@@ -197,33 +168,46 @@ type simEngine struct {
 	classes []pathClass
 	order   []*pathClass
 
-	// Progressive-filling state, kept across events. linkCapacity and
-	// linkUnfrozen are each link's residual capacity and unfrozen flows
-	// after the last round; linkClasses are the classes crossing it;
-	// links are the links in first-touch order (classes in order, hops in
-	// order), the order bottleneck ties break in, and linkPos is a link's
-	// place there. A link leaves links when its last class goes.
-	linkCapacity []float64
-	linkUnfrozen []int
-	linkClasses  [][]*pathClass
-	linkPos      []int
-	links        []int
-	unfrozen     int // classes with active flows and no rate yet
-	// reordered is set when a change moved links relative to each other:
-	// the next filling resumes at round 0.
-	reordered bool
+	// Progressive-filling state, kept across events. linkClasses are the
+	// classes crossing a link; links are the links in first-touch order
+	// (classes in order, hops in order), the order bottleneck ties break
+	// in, and linkPos is a link's place there. A link leaves links when
+	// its last class goes. reordered is set when a change moved links
+	// relative to each other, and moved is then the class other than the
+	// changed one that leave moved (nil if none).
+	linkClasses [][]*pathClass
+	linkPos     []int
+	links       []int
+	reordered   bool
+	moved       *pathClass
 	// stamp numbers walks over the links and fillings. During a filling,
 	// a link is marked when linkStamp holds the filling's stamp: its state
-	// may differ from the pending log's.
-	stamp     uint64
-	linkStamp []uint64
+	// may differ from the last filling's, and linkCapacity and
+	// linkUnfrozen hold its residual capacity and unfrozen flows at the
+	// cursor. An unmarked link's entries there are stale and unread.
+	stamp        uint64
+	linkStamp    []uint64
+	linkCapacity []float64
+	linkUnfrozen []int
 
-	// The log of the last filling (see fillLog), and the rounds of the one
-	// before that the filling in progress has yet to keep or drop, from
-	// pending round cursor on.
-	fillLog
-	pending fillLog
-	cursor  int
+	// The round log: rounds[0] is the sentinel of the list of logged
+	// rounds, spare the first free slot (linked through next), and
+	// frozen holds the rounds' classes, with holes where dropped rounds'
+	// were until compactFrozen packs the live ones (live of them) into
+	// spareFrozen. nrounds counts the logged rounds and seq is the next
+	// round sequence number.
+	rounds      []round
+	spare       int32
+	frozen      []int32
+	spareFrozen []int32
+	live        int
+	nrounds     int
+	seq         uint64
+	// During a filling, cursor is the first round of the last filling
+	// still to keep or drop (0 once none is left); the rounds this filling
+	// kept or ran have seq at least fillSeq.
+	cursor  int32
+	fillSeq uint64
 
 	// tree is a tournament over the marked links' fair shares: leaf
 	// tree[width+p] is links[p]'s share if the link is marked (+Inf if
@@ -247,68 +231,85 @@ type simEngine struct {
 	// Telemetry accumulators, flushed to the package registry once per
 	// run (per-event atomics would dominate the loop). recomputeRounds
 	// counts the rounds a filling ran, reusedRounds the rounds it kept
-	// from the last one.
-	events, arrivals, completions, recomputeRounds, reusedRounds, poolHits, poolMisses int64
+	// from the last one, and linkUpdates the link states a filling rebuilt
+	// plus the kept freezes it re-applied to a marked link.
+	events, arrivals, completions, recomputeRounds, reusedRounds, linkUpdates, poolHits, poolMisses int64
 }
 
-// newSimEngine validates the inputs and allocates the run's state. The
-// returned engine is positioned at t=0 with the first arrival of every
-// pair already scheduled.
+// newSimEngine returns an engine reset to the run's inputs.
 func newSimEngine(t *Topology, w Workload, cfg SimConfig) (*simEngine, error) {
+	s := new(simEngine)
+	return s, s.reset(t, w, cfg)
+}
+
+// reset validates the inputs and positions the engine at t=0 with the
+// first arrival of every pair scheduled, reusing the arrays an earlier
+// run grew. Every field a run reads is set here.
+func (s *simEngine) reset(t *Topology, w Workload, cfg SimConfig) error {
 	n := t.Blocks
 	if len(w.Demand) != n {
-		return nil, fmt.Errorf("%w: demand %d blocks, topology %d", ErrMismatch, len(w.Demand), n)
+		return fmt.Errorf("%w: demand %d blocks, topology %d", ErrMismatch, len(w.Demand), n)
 	}
 	if err := t.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if !(cfg.TrunkBps > 0) || math.IsInf(cfg.TrunkBps, 1) {
-		return nil, fmt.Errorf("%w: trunk rate %g B/s", ErrDegenerate, cfg.TrunkBps)
+		return fmt.Errorf("%w: trunk rate %g B/s", ErrDegenerate, cfg.TrunkBps)
 	}
 	if w.MeanFlowBytes <= 0 {
-		return nil, fmt.Errorf("%w: mean flow size %g bytes", ErrDegenerate, w.MeanFlowBytes)
+		return fmt.Errorf("%w: mean flow size %g bytes", ErrDegenerate, w.MeanFlowBytes)
 	}
 	if w.Duration <= 0 {
-		return nil, fmt.Errorf("%w: duration %g s", ErrDegenerate, w.Duration)
+		return fmt.Errorf("%w: duration %g s", ErrDegenerate, w.Duration)
 	}
-	pairs, err := demandPairs(t, w)
+	pairs, err := demandPairs(s.pairs, t, w)
+	s.pairs = pairs
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	width := 1
-	for width < n*n {
-		width <<= 1
-	}
-	s := &simEngine{
-		top:   t,
-		n:     n,
-		w:     w,
-		cfg:   cfg,
-		trunk: cfg.TrunkBps,
-		rng:   sim.NewRand(cfg.Seed),
-		pairs: pairs,
-		next:  make([]float64, len(pairs)),
-		heap:  make([]int32, len(pairs)),
-
-		load:        make([]float64, n*n),
-		linkCapBase: make([]float64, n*n),
-
-		classes: make([]pathClass, n*n*n),
-
-		linkCapacity: make([]float64, n*n),
-		linkUnfrozen: make([]int, n*n),
-		linkClasses:  make([][]*pathClass, n*n),
-		linkPos:      make([]int, n*n),
-		links:        make([]int, 0, n*n),
-		linkStamp:    make([]uint64, n*n),
-		tree:         make([]match, 2*width),
-	}
+	s.top, s.n, s.w, s.cfg, s.trunk = t, n, w, cfg, cfg.TrunkBps
+	s.rng = *sim.NewRand(cfg.Seed)
+	s.next = resize(s.next, len(pairs))
+	s.heap = resize(s.heap, len(pairs))
+	s.load = resize(s.load, n*n)
+	clear(s.load)
+	s.linkCapBase = resize(s.linkCapBase, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			s.linkCapBase[i*n+j] = float64(t.Links[i][j]) * cfg.TrunkBps
 		}
 	}
+	s.free = append(s.free, s.active...)
+	s.active = s.active[:0]
+	s.classes = resize(s.classes, n*n*n)
+	for k := range s.classes {
+		c := &s.classes[k]
+		*c = pathClass{id: int32(k), flows: c.flows[:0], remaining: c.remaining[:0]}
+	}
+	s.order = s.order[:0]
+	s.linkClasses = resize(s.linkClasses, n*n)
+	for i := range s.linkClasses {
+		s.linkClasses[i] = s.linkClasses[i][:0]
+	}
+	s.linkPos = resize(s.linkPos, n*n)
+	s.links = s.links[:0]
+	s.reordered, s.moved = false, nil
+	// linkStamp entries only ever hold stamps already passed.
+	s.linkStamp = resize(s.linkStamp, n*n)
+	s.linkCapacity = resize(s.linkCapacity, n*n)
+	s.linkUnfrozen = resize(s.linkUnfrozen, n*n)
+	s.rounds = append(s.rounds[:0], round{seq: math.MaxUint64})
+	s.spare, s.frozen, s.live, s.nrounds, s.seq, s.cursor = 0, s.frozen[:0], 0, 0, 0, 0
+	width := 1
+	for width < n*n {
+		width <<= 1
+	}
+	s.tree, s.width = resize(s.tree, 2*width), 0
+	s.done, s.doneAt, s.now = nil, 0, 0
+	s.fcts, s.completedBytes, s.transit, s.total = s.fcts[:0], 0, 0, 0
+	s.events, s.arrivals, s.completions, s.recomputeRounds, s.reusedRounds, s.linkUpdates, s.poolHits, s.poolMisses = 0, 0, 0, 0, 0, 0, 0, 0
+
 	for k := range s.pairs {
 		s.next[k] = s.rng.ExpFloat64() / s.pairs[k].rate
 		s.heap[k] = int32(k)
@@ -316,7 +317,16 @@ func newSimEngine(t *Topology, w Workload, cfg SimConfig) (*simEngine, error) {
 	for i := len(s.heap)/2 - 1; i >= 0; i-- {
 		s.siftDown(i)
 	}
-	return s, nil
+	return nil
+}
+
+// resize returns xs with length n, reusing its array when it is large
+// enough. The elements' values are whatever they were.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
 }
 
 // arrivalLess orders pairs by (next arrival time, pair index): among
@@ -464,7 +474,7 @@ func (s *simEngine) join(f *flow, c *pathClass) {
 		}
 		return
 	}
-	c.first, c.least, c.rate = f.idx, 0, -1
+	c.first, c.least = f.idx, 0
 	s.order = append(s.order, c)
 	for h := 0; h < c.nhops; h++ {
 		li := c.hopIdx[h]
@@ -472,7 +482,6 @@ func (s *simEngine) join(f *flow, c *pathClass) {
 		if len(s.linkClasses[li]) > 1 {
 			continue
 		}
-		s.linkCapacity[li], s.linkUnfrozen[li] = s.linkCapBase[li], 0
 		s.linkPos[li] = len(s.links)
 		s.links = append(s.links, li)
 	}
@@ -481,7 +490,7 @@ func (s *simEngine) join(f *flow, c *pathClass) {
 // leave removes f from the active flows and from its class. The last
 // active flow takes f's index, so f's class can move later in class
 // order (or go), and the moved flow's class earlier; either can reorder
-// the links.
+// the links, and the moved class is left in moved if they did.
 //
 //lwlint:hotpath
 func (s *simEngine) leave(f *flow) {
@@ -531,11 +540,14 @@ func (s *simEngine) leave(f *flow) {
 	}
 	if d := g.class; g != f && i < d.first {
 		d.first = i
-		moved = true
+		s.moved, moved = d, true
 	}
 	if moved {
 		s.sortOrder()
 		s.relay()
+	}
+	if !s.reordered {
+		s.moved = nil
 	}
 }
 
@@ -579,6 +591,8 @@ func (s *simEngine) relay() {
 	s.links = s.links[:p]
 }
 
+// result summarizes the run. It sorts fcts in place, after summing them
+// in completion order for the mean, so it is read once per run.
 func (s *simEngine) result() SimResult {
 	var res SimResult
 	res.CompletedFlows = len(s.fcts)
@@ -587,8 +601,9 @@ func (s *simEngine) result() SimResult {
 	}
 	if len(s.fcts) > 0 {
 		res.MeanFCT = sim.Mean(s.fcts)
-		res.MedianFCT = sim.Percentile(s.fcts, 50)
-		res.P99FCT = sim.Percentile(s.fcts, 99)
+		sort.Float64s(s.fcts)
+		res.MedianFCT = sim.PercentileSorted(s.fcts, 50)
+		res.P99FCT = sim.PercentileSorted(s.fcts, 99)
 	}
 	res.ThroughputBps = s.completedBytes / s.w.Duration
 	return res
@@ -604,22 +619,33 @@ func (s *simEngine) flushMetrics() {
 	reg.Counter("dcn_flowsim_completions_total").Add(s.completions)
 	reg.Counter("dcn_flowsim_recompute_rounds_total").Add(s.recomputeRounds)
 	reg.Counter("dcn_flowsim_reused_rounds_total").Add(s.reusedRounds)
+	reg.Counter("dcn_flowsim_link_updates_total").Add(s.linkUpdates)
 	reg.Counter("dcn_flowsim_pool_hits_total").Add(s.poolHits)
 	reg.Counter("dcn_flowsim_pool_misses_total").Add(s.poolMisses)
 	s.events, s.arrivals, s.completions = 0, 0, 0
-	s.recomputeRounds, s.reusedRounds, s.poolHits, s.poolMisses = 0, 0, 0, 0
+	s.recomputeRounds, s.reusedRounds, s.linkUpdates, s.poolHits, s.poolMisses = 0, 0, 0, 0, 0
 }
+
+// engines holds idle engines, so the runs one worker makes reuse one
+// engine's arrays.
+var engines sync.Pool
 
 // Simulate runs the flow-level simulation of the workload on the topology.
 func Simulate(t *Topology, w Workload, cfg SimConfig) (SimResult, error) {
-	s, err := newSimEngine(t, w, cfg)
-	if err != nil {
+	s, _ := engines.Get().(*simEngine)
+	if s == nil {
+		s = new(simEngine)
+	}
+	defer engines.Put(s)
+	if err := s.reset(t, w, cfg); err != nil {
 		return SimResult{}, err
 	}
 	for s.step() {
 	}
 	s.flushMetrics()
-	return s.result(), nil
+	res := s.result()
+	s.top, s.w = nil, Workload{} // the caller's inputs are not the pool's to keep
+	return res, nil
 }
 
 // choosePath picks the direct path when a trunk exists and is not badly
@@ -704,15 +730,17 @@ func routable(t *Topology, i, j int) bool {
 
 // maxMinRates brings the max-min fair rates up to date after class c
 // gained (delta = +1) or lost (delta = -1) a flow, and finds the earliest
-// completion under them. It is progressive filling over path classes that resumes the last filling at the first
-// round the change can alter, and it reproduces the per-flow engine bit
-// for bit (reference_test.go keeps that engine; FuzzMaxMinRates compares
-// them event by event):
+// completion under them. It is progressive filling over path classes that
+// resumes the last filling at the first round the change can alter, and
+// it reproduces the per-flow engine bit for bit (reference_test.go keeps
+// that engine; FuzzMaxMinRates compares them event by event):
 //
 //   - Links are ordered by first touch, classes in order of their first
 //     active flow and hops in order: the per-flow engine's order, the
-//     order bottleneck ties are broken in. If a change reorders them, the
-//     filling resumes at round 0 and reuses nothing.
+//     order bottleneck ties are broken in. A completion that reorders
+//     links moves at most two classes, c and leave's moved class; only
+//     their hops change place relative to other links, so resumeRound
+//     tests and marks them beside c's.
 //   - A link's unfrozen count sums its unfrozen classes' flow counts, so
 //     every share is the same quotient of the same two numbers.
 //   - A freezing class subtracts the round's rate from each of its hops
@@ -724,86 +752,116 @@ func routable(t *Topology, i, j int) bool {
 //   - Rounds before the resume round are kept by resumeRound's test, and
 //     later rounds of the last filling are kept by fillRound's: each
 //     picks the bottleneck and freezes the classes a filling from zero
-//     would.
+//     would. A kept round stays in its slot and touches only its marked
+//     links.
 //
 //lwlint:hotpath
 func (s *simEngine) maxMinRates(c *pathClass, delta int) {
-	from := 0
-	if !s.reordered {
-		from = s.resumeRound(c, delta)
+	s.stamp++ // a new filling, no link marked yet
+	s.beginFilling(s.resumeRound(c, delta))
+	for h := 0; h < c.nhops; h++ {
+		s.markLink(c.hopIdx[h])
 	}
-	s.rollback(from)
-	s.stamp++ // every link is back on the log
-	if s.reordered {
-		s.pending.truncate(0, 0, 0)
-		for _, li := range s.links {
-			s.linkStamp[li] = s.stamp
+	if d := s.moved; d != nil {
+		for h := 0; h < d.nhops; h++ {
+			s.markLink(d.hopIdx[h])
 		}
 	}
-	if delta > 0 && len(c.flows) == 1 {
-		s.unfrozen++
-	}
-	for h := 0; h < c.nhops; h++ {
-		s.linkUnfrozen[c.hopIdx[h]] += delta
-		s.linkStamp[c.hopIdx[h]] = s.stamp
-	}
-	if s.reordered || len(s.links) > s.width {
+	if len(s.links) > s.width {
 		s.buildTree()
 	} else {
-		for h := 0; h < c.nhops; h++ {
-			s.replayLink(c.hopIdx[h])
+		s.replayHops(c)
+		if d := s.moved; d != nil {
+			s.replayHops(d)
 		}
 	}
-	s.reordered = false
-	s.reusedRounds += int64(from)
-	for s.unfrozen > 0 {
-		s.fillRound()
+	s.reordered, s.moved = false, nil
+	s.finishFilling()
+}
+
+// beginFilling starts a filling that keeps the rounds before from and
+// takes the rest as the cursor reaches them.
+//
+//lwlint:hotpath
+func (s *simEngine) beginFilling(from int32) {
+	s.cursor, s.fillSeq = from, s.seq
+	s.reusedRounds += int64(s.nrounds) // less the rounds dropped on the way
+}
+
+// finishFilling keeps, drops and runs rounds until every class is frozen,
+// then finds the earliest completion.
+//
+//lwlint:hotpath
+func (s *simEngine) finishFilling() {
+	for s.fillRound() {
 	}
 	s.earliestCompletion()
 }
 
-// resumeRound returns the first round of the last filling that class c's
-// change by delta flows can alter. Round i stays as it was when its
-// bottleneck is none of c's hops and each hop h keeps a share
-// cap_h(i)/(unfrozen_h(i)+delta) above the round's share, or equal to it
-// with h later in first-touch order: the bottleneck then still wins the
-// round, c is not among the classes it freezes, and every link the round
-// changes changes as before. The round that froze c is the first whose
-// bottleneck is one of c's hops, and a lost flow only raises the hops'
-// shares, so only a gained flow needs the hops' states walked forward
-// from round 0 through the log.
+// resumeRound returns the first round of the last filling (its slot, 0
+// for the end of the log) that class c's change by delta flows can alter.
+// Round i stays as it was when its bottleneck is none of the tested hops
+// and each tested hop h keeps a share cap_h(i)/unfrozen_h(i) above the
+// round's share, or equal to it with h later in first-touch order: the
+// bottleneck then still wins the round, c is not among the classes it
+// freezes, and every link the round changes changes as before. The
+// tested hops are c's and, after a reorder, the moved class's: no other
+// link changed its state or its place relative to another. The round that
+// froze c is the first whose bottleneck is one of c's hops, and a lost
+// flow only raises the hops' shares, so unless links were reordered only
+// a gained flow needs the hops' states walked forward from round 0.
 //
 //lwlint:hotpath
-func (s *simEngine) resumeRound(c *pathClass, delta int) int {
-	from := len(s.rounds)
-	if c.rate >= 0 {
-		from = c.round
-	}
-	if delta < 0 {
+func (s *simEngine) resumeRound(c *pathClass, delta int) int32 {
+	from := c.round
+	if delta < 0 && !s.reordered {
 		return from
 	}
-	// At round 0 a hop's capacity is whole and every flow on it, but the
-	// new one, is unfrozen.
-	var capacity [2]float64
-	var unfrozen [2]int
+	var hops [4]int
+	var capacity, share [4]float64
+	var unfrozen [4]int
+	n := 0
 	for h := 0; h < c.nhops; h++ {
-		li := c.hopIdx[h]
-		capacity[h], unfrozen[h] = s.linkCapBase[li], int(s.load[li])-delta
+		hops[n] = c.hopIdx[h]
+		n++
 	}
-	k := 0
-	for i, r := range s.rounds[:from] {
-		for h := 0; h < c.nhops; h++ {
-			li := c.hopIdx[h]
-			if li == r.bottleneck || s.undercuts(li, capacity[h], unfrozen[h]+delta, r) {
+	if d := s.moved; d != nil {
+		for h := 0; h < d.nhops; h++ {
+			if li := d.hopIdx[h]; li != hops[0] && (c.nhops == 1 || li != hops[1]) {
+				hops[n] = li
+				n++
+			}
+		}
+	}
+	// At round 0 a hop's capacity is whole and every flow on it unfrozen.
+	// The rounds that change a hop are flagged, as marking it will.
+	for k := 0; k < n; k++ {
+		li := hops[k]
+		capacity[k], unfrozen[k] = s.linkCapBase[li], int(s.load[li])
+		share[k] = fairShare(capacity[k], unfrozen[k])
+		for _, x := range s.linkClasses[li] {
+			s.rounds[x.round].stamp = s.stamp
+		}
+	}
+	for i := s.rounds[0].next; i != from; i = s.rounds[i].next {
+		r := &s.rounds[i]
+		for k := 0; k < n; k++ {
+			if li := hops[k]; li == r.bottleneck || share[k] < r.share || share[k] == r.share && s.linkPos[li] < s.linkPos[r.bottleneck] {
 				return i
 			}
 		}
-		for ; k < r.undoEnd; k++ {
-			u := s.undo[k]
-			for h := 0; h < c.nhops; h++ {
-				if u.li == c.hopIdx[h] {
-					capacity[h] = u.after
-					unfrozen[h] -= u.flows
+		if r.stamp != s.stamp {
+			continue
+		}
+		for _, id := range s.frozen[r.start:r.end] {
+			x := &s.classes[id]
+			for h := 0; h < x.nhops; h++ {
+				for k := 0; k < n; k++ {
+					if x.hopIdx[h] == hops[k] {
+						capacity[k] = x.after[h]
+						unfrozen[k] -= len(x.flows)
+						share[k] = fairShare(capacity[k], unfrozen[k])
+					}
 				}
 			}
 		}
@@ -811,78 +869,103 @@ func (s *simEngine) resumeRound(c *pathClass, delta int) int {
 	return from
 }
 
-// undercuts reports whether link li, at the given capacity and unfrozen
-// flows, would win round r from its bottleneck.
+// fairShare is a link's fair share at the given residual capacity and
+// unfrozen flows: +Inf when it has none.
 //
 //lwlint:hotpath
-func (s *simEngine) undercuts(li int, capacity float64, unfrozen int, r round) bool {
-	if unfrozen <= 0 {
+func fairShare(capacity float64, unfrozen int) float64 {
+	if unfrozen > 0 {
+		return capacity / float64(unfrozen)
+	}
+	return math.Inf(1)
+}
+
+// isFrozen reports whether class x is frozen at the cursor: a round before
+// the cursor, or one this filling kept or ran, holds it.
+//
+//lwlint:hotpath
+func (s *simEngine) isFrozen(x *pathClass) bool {
+	if x.round == 0 {
 		return false
 	}
-	share := capacity / float64(unfrozen)
-	return share < r.share || share == r.share && s.linkPos[li] < s.linkPos[r.bottleneck]
+	seq := s.rounds[x.round].seq
+	return seq < s.rounds[s.cursor].seq || seq >= s.fillSeq
 }
 
-// rollback undoes the rounds from round from on and moves them to the
-// pending log: the links they changed get their old capacity and
-// unfrozen flows back, and the classes they froze are unfrozen.
+// markLink marks link li and computes its state at the cursor. Unmarked,
+// the link is where the last filling had it: every round that changed it
+// so far was kept, so its capacity is the least residual its frozen
+// classes left (capacity only falls), and its unfrozen flows are those of
+// its other classes. The rounds its classes froze in are flagged with
+// the filling's stamp: they are the ones that change a marked link.
 //
 //lwlint:hotpath
-func (s *simEngine) rollback(from int) {
-	undoEnd, frozenEnd := 0, 0
-	if from > 0 {
-		undoEnd, frozenEnd = s.rounds[from-1].undoEnd, s.rounds[from-1].frozenEnd
+func (s *simEngine) markLink(li int) {
+	if s.linkStamp[li] == s.stamp {
+		return
 	}
-	p := &s.pending
-	p.rounds = append(p.rounds[:0], s.rounds[from:]...)
-	for i := range p.rounds {
-		p.rounds[i].frozenEnd -= frozenEnd
-		p.rounds[i].undoEnd -= undoEnd
-	}
-	p.frozen = append(p.frozen[:0], s.frozen[frozenEnd:]...)
-	p.undo = append(p.undo[:0], s.undo[undoEnd:]...)
-	s.cursor = 0
-	for k := len(s.undo) - 1; k >= undoEnd; k-- {
-		u := s.undo[k]
-		s.linkCapacity[u.li] = u.before
-		s.linkUnfrozen[u.li] += u.flows
-	}
-	for _, c := range s.frozen[frozenEnd:] {
-		c.rate = -1
-		if len(c.flows) > 0 {
-			s.unfrozen++
+	s.linkStamp[li] = s.stamp
+	s.linkUpdates++
+	capacity, unfrozen := s.linkCapBase[li], 0
+	for _, x := range s.linkClasses[li] {
+		s.rounds[x.round].stamp = s.stamp
+		if !s.isFrozen(x) {
+			unfrozen += len(x.flows)
+			continue
+		}
+		h := 0
+		if x.hopIdx[0] != li {
+			h = 1
+		}
+		if x.after[h] < capacity {
+			capacity = x.after[h]
 		}
 	}
-	s.truncate(from, frozenEnd, undoEnd)
+	s.linkCapacity[li], s.linkUnfrozen[li] = capacity, unfrozen
 }
 
-// fillRound runs one progressive-filling round and logs it. The links
-// marked in this filling are in the tree. Every other link is where the
-// pending log has it, so the first pending round whose bottleneck is
-// unmarked has the least share among them (the earliest in first-touch
-// order on a tie). The round goes to whichever of that round and the
-// tree's bottleneck is less: the pending round is kept, or the tree's
-// bottleneck runs a new one. Pending rounds with a marked bottleneck are
-// dropped on the way.
+// freeze subtracts class x's flows at rate from its hop h, a marked link,
+// and records the residual.
 //
 //lwlint:hotpath
-func (s *simEngine) fillRound() {
-	p := &s.pending
-	for s.cursor < len(p.rounds) && s.linkStamp[p.rounds[s.cursor].bottleneck] == s.stamp {
+func (s *simEngine) freeze(x *pathClass, h int, rate float64) {
+	li := x.hopIdx[h]
+	x.after[h] = subtractFlows(s.linkCapacity[li], rate, len(x.flows))
+	s.linkCapacity[li] = x.after[h]
+	s.linkUnfrozen[li] -= len(x.flows)
+}
+
+// fillRound takes the next progressive-filling round and reports whether
+// there was one. The links marked in this filling are in the tree. Every
+// other link is where the last filling had it, so the first round at the
+// cursor whose bottleneck is unmarked has the least share among them (the
+// earliest in first-touch order on a tie). The round goes to whichever of
+// that round and the tree's bottleneck is less: the logged round is kept,
+// or the tree's bottleneck runs a new one. Logged rounds with a marked
+// bottleneck are dropped on the way.
+//
+//lwlint:hotpath
+func (s *simEngine) fillRound() bool {
+	for s.cursor != 0 && s.linkStamp[s.rounds[s.cursor].bottleneck] == s.stamp {
 		s.dropRound()
 	}
 	top := s.tree[1]
-	if s.cursor < len(p.rounds) {
-		if r := p.rounds[s.cursor]; r.share < top.share || r.share == top.share && s.linkPos[r.bottleneck] < int(top.pos) {
-			s.keepRound(r)
-			return
+	if s.cursor != 0 {
+		if r := &s.rounds[s.cursor]; r.share < top.share || r.share == top.share && s.linkPos[r.bottleneck] < int(top.pos) {
+			s.keepRound()
+			return true
 		}
 	}
+	if math.IsInf(top.share, 1) {
+		return false
+	}
 	s.newRound(top)
+	return true
 }
 
 // newRound freezes the unfrozen classes on the tree's bottleneck at its
-// share (capped at the trunk rate), marking the links they cross.
+// share (capped at the trunk rate) in a round logged before the cursor,
+// marking the links they cross.
 //
 //lwlint:hotpath
 func (s *simEngine) newRound(top match) {
@@ -890,83 +973,118 @@ func (s *simEngine) newRound(top match) {
 	b := s.links[top.pos]
 	// A single flow rides one physical trunk (ECMP hashing), so its rate
 	// is capped at the trunk rate even on multi-trunk pairs.
-	rate := top.share
-	if rate > s.trunk {
-		rate = s.trunk
+	rate := min(top.share, s.trunk)
+	if len(s.frozen)+len(s.linkClasses[b]) > cap(s.frozen) && 2*s.live < len(s.frozen) {
+		s.compactFrozen()
 	}
-	start := len(s.undo)
-	for _, c := range s.linkClasses[b] {
-		if c.rate >= 0 {
+	i := s.insertRound(b, top.share)
+	start := len(s.frozen)
+	for _, x := range s.linkClasses[b] {
+		if s.isFrozen(x) {
 			continue
 		}
-		c.rate, c.round = rate, len(s.rounds)
-		s.unfrozen--
-		s.frozen = append(s.frozen, c)
-		for h := 0; h < c.nhops; h++ {
-			li := c.hopIdx[h]
-			u := linkUndo{li: li, before: s.linkCapacity[li], flows: len(c.flows)}
-			u.after = subtractFlows(u.before, rate, u.flows)
-			s.undo = append(s.undo, u)
-			s.linkCapacity[li] = u.after
-			s.linkUnfrozen[li] -= u.flows
-			s.linkStamp[li] = s.stamp
+		for h := 0; h < x.nhops; h++ {
+			s.markLink(x.hopIdx[h])
+			s.freeze(x, h, rate)
 		}
+		x.rate, x.round = rate, i
+		s.frozen = append(s.frozen, x.id)
 	}
-	s.rounds = append(s.rounds, round{bottleneck: b, share: top.share, frozenEnd: len(s.frozen), undoEnd: len(s.undo)})
-	for _, u := range s.undo[start:] {
-		s.replayLink(u.li)
+	s.rounds[i].end = int32(len(s.frozen))
+	s.live += len(s.frozen) - start
+	for _, id := range s.frozen[start:] {
+		s.replayHops(&s.classes[id])
 	}
 }
 
-// keepRound applies pending round r, the one at the cursor, as this
-// filling's. Its bottleneck is unmarked, so its classes are still the
-// unfrozen ones on it; a marked link it changes gets its capacity
-// recomputed from where it stands.
+// insertRound logs a round on bottleneck b at share before the cursor,
+// its classes to be appended to frozen, and returns its slot.
 //
 //lwlint:hotpath
-func (s *simEngine) keepRound(r round) {
-	p := &s.pending
-	s.reusedRounds++
-	rate := r.share
-	if rate > s.trunk {
-		rate = s.trunk
+func (s *simEngine) insertRound(b int, share float64) int32 {
+	i := s.spare
+	if i != 0 {
+		s.spare = s.rounds[i].next
+	} else {
+		i = int32(len(s.rounds))
+		s.rounds = append(s.rounds, round{})
 	}
-	for _, c := range p.frozen[p.frozenStart(s.cursor):r.frozenEnd] {
-		c.rate, c.round = rate, len(s.rounds)
-		s.unfrozen--
-		s.frozen = append(s.frozen, c)
-	}
-	for _, u := range p.undo[p.undoStart(s.cursor):r.undoEnd] {
-		marked := s.linkStamp[u.li] == s.stamp
-		if marked {
-			u.before = s.linkCapacity[u.li]
-			u.after = subtractFlows(u.before, rate, u.flows)
-		}
-		s.undo = append(s.undo, u)
-		s.linkCapacity[u.li] = u.after
-		s.linkUnfrozen[u.li] -= u.flows
-		if marked {
-			s.replayLink(u.li)
-		}
-	}
-	s.rounds = append(s.rounds, round{bottleneck: r.bottleneck, share: r.share, frozenEnd: len(s.frozen), undoEnd: len(s.undo)})
-	s.cursor++
+	next := s.cursor
+	prev := s.rounds[next].prev
+	start := int32(len(s.frozen))
+	s.rounds[i] = round{bottleneck: b, share: share, start: start, end: start, prev: prev, next: next, seq: s.seq}
+	s.rounds[prev].next, s.rounds[next].prev = i, i
+	s.seq++
+	s.nrounds++
+	return i
 }
 
-// dropRound skips the pending round at the cursor, whose bottleneck is
-// marked: its classes freeze in some later round, so the links it would
-// have changed are marked and enter the tree at their current shares.
+// keepRound keeps the logged round at the cursor as this filling's, in
+// its slot. Its bottleneck is unmarked, so its classes are still the
+// unfrozen ones on it and keep their rates; if it is flagged, a marked
+// link it changes gets its capacity recomputed from where it stands.
+//
+//lwlint:hotpath
+func (s *simEngine) keepRound() {
+	r := &s.rounds[s.cursor]
+	if r.stamp == s.stamp {
+		rate := min(r.share, s.trunk)
+		for _, id := range s.frozen[r.start:r.end] {
+			x := &s.classes[id]
+			for h := 0; h < x.nhops; h++ {
+				if li := x.hopIdx[h]; s.linkStamp[li] == s.stamp {
+					s.linkUpdates++
+					s.freeze(x, h, rate)
+					s.replayLink(li)
+				}
+			}
+		}
+	}
+	r.seq = s.seq
+	s.seq++
+	s.cursor = r.next
+}
+
+// dropRound unlinks the logged round at the cursor, whose bottleneck is
+// marked: its classes freeze in some later round, so the links they
+// cross are marked and enter the tree at their current shares.
 //
 //lwlint:hotpath
 func (s *simEngine) dropRound() {
-	p := &s.pending
-	for _, u := range p.undo[p.undoStart(s.cursor):p.rounds[s.cursor].undoEnd] {
-		if s.linkStamp[u.li] != s.stamp {
-			s.linkStamp[u.li] = s.stamp
-			s.replayLink(u.li)
+	i := s.cursor
+	r := s.rounds[i]
+	for _, id := range s.frozen[r.start:r.end] {
+		x := &s.classes[id]
+		if x.round != i {
+			continue // frozen again by a new round already
+		}
+		x.round = 0
+		for h := 0; h < x.nhops; h++ {
+			if li := x.hopIdx[h]; s.linkStamp[li] != s.stamp {
+				s.markLink(li)
+				s.replayLink(li)
+			}
 		}
 	}
-	s.cursor++
+	s.rounds[r.prev].next, s.rounds[r.next].prev = r.next, r.prev
+	s.rounds[i].next, s.spare = s.spare, i
+	s.live -= int(r.end - r.start)
+	s.nrounds--
+	s.reusedRounds--
+	s.cursor = r.next
+}
+
+// compactFrozen packs the logged rounds' classes into the spare buffer,
+// in log order, and swaps the two.
+func (s *simEngine) compactFrozen() {
+	to := s.spareFrozen[:0]
+	for i := s.rounds[0].next; i != 0; i = s.rounds[i].next {
+		r := &s.rounds[i]
+		start := len(to)
+		to = append(to, s.frozen[r.start:r.end]...)
+		r.start, r.end = int32(start), int32(len(to))
+	}
+	s.frozen, s.spareFrozen = to, s.frozen[:0]
 }
 
 // subtractFlows is a link's capacity after flows flows freeze at rate on
@@ -1071,6 +1189,15 @@ func (s *simEngine) replayLink(li int) {
 	}
 }
 
+// replayHops replays the leaves of class x's hops.
+//
+//lwlint:hotpath
+func (s *simEngine) replayHops(x *pathClass) {
+	for h := 0; h < x.nhops; h++ {
+		s.replayLink(x.hopIdx[h])
+	}
+}
+
 // replay recomputes the share of the link at position p and the matches
 // above it, stopping at the first whose outcome did not change: nothing
 // above that node depends on p.
@@ -1094,10 +1221,7 @@ func (s *simEngine) replay(p int) {
 //lwlint:hotpath
 func (s *simEngine) share(p int) float64 {
 	li := s.links[p]
-	if c := s.linkUnfrozen[li]; c > 0 {
-		return s.linkCapacity[li] / float64(c)
-	}
-	return math.Inf(1)
+	return fairShare(s.linkCapacity[li], s.linkUnfrozen[li])
 }
 
 // winner plays the match at inner node i: the smaller share of its two

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lightwave/internal/par"
+	"lightwave/internal/sim"
 )
 
 // Golden determinism contract for the flow simulator. The values below are
@@ -145,5 +146,70 @@ func TestLoadSweepGoldenAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		par.SetWorkers(workers)
 		check("workers=1/4/8")
+	}
+}
+
+// TestEngineReuseGolden runs every workload above through one engine, in
+// an order that alternates fabric sizes and then in the reverse order,
+// and requires each run's SimResult to equal its golden — a fresh
+// engine's: reset leaves nothing of an earlier run behind.
+func TestEngineReuseGolden(t *testing.T) {
+	type run struct {
+		name string
+		top  *Topology
+		w    Workload
+		cfg  SimConfig
+		want SimResult
+	}
+	small, err := UniformMesh(6, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := UniformMesh(8, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(i int) run {
+		cfg := DefaultSimConfig()
+		cfg.Seed = sim.SubstreamSeed(cfg.Seed, uint64(i))
+		w := Workload{Demand: scaleDemand(UniformDemand(8, 1e9), 8, 21, cfg.TrunkBps, goldenSweepLoads[i]), MeanFlowBytes: 2e9, Duration: 4}
+		return run{"sweep", mesh, w, cfg, goldenSweep[i]}
+	}
+	runs := []run{
+		{"small", small, Workload{Demand: UniformDemand(6, 0.3*50e9), MeanFlowBytes: 2e9, Duration: 5}, DefaultSimConfig(), goldenSmall},
+		sweep(0), sweep(1), sweep(2),
+	}
+	if !testing.Short() {
+		blocks, uplinks, demand, w, cfg := ReferenceExperiment()
+		uni, err := UniformMesh(blocks, uplinks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := Engineer(blocks, uplinks, demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Demand = scaleDemand(demand, blocks, uplinks, cfg.TrunkBps, fctLoad)
+		runs = []run{
+			runs[0], {"reference-uniform", uni, w, cfg, goldenReference.Uniform},
+			runs[1], {"reference-engineered", eng, w, cfg, goldenReference.Engineered},
+			runs[2], runs[0], runs[3],
+		}
+	}
+	s := new(simEngine)
+	for k := 0; k < 2*len(runs); k++ {
+		i := k
+		if k >= len(runs) {
+			i = 2*len(runs) - 1 - k
+		}
+		r := runs[i]
+		if err := s.reset(r.top, r.w, r.cfg); err != nil {
+			t.Fatal(err)
+		}
+		for s.step() {
+		}
+		if got := s.result(); got != r.want {
+			t.Fatalf("run %d (%s) on a reused engine:\n got %+v\nwant %+v", k, r.name, got, r.want)
+		}
 	}
 }

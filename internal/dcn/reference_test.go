@@ -240,8 +240,9 @@ func fuzzSim(data []byte) (*Topology, Workload, SimConfig) {
 // (run plus kept against the reference's), and every active flow's path,
 // rate and remaining bytes; then the final SimResult. The seeds under
 // testdata/fuzz/FuzzMaxMinRates are tie-heavy fabrics (uniform meshes of
-// one and two trunks, a star whose leaf pairs all ride transit, a ring)
-// and the three TestFillingResumeSeeds checks.
+// one and two trunks, a star whose leaf pairs all ride transit, a ring),
+// the three TestFillingResumeSeeds checks, and a reorder whose filling
+// resumes at round 0.
 func FuzzMaxMinRates(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		top, w, cfg := fuzzSim(data)
@@ -307,31 +308,39 @@ func assertSameState(t *testing.T, ev int, s *simEngine, r *refEngine) {
 
 // TestFillingResumeSeeds runs the engine over the FuzzMaxMinRates seeds
 // committed for the resume paths and checks that each drives the path it
-// is named for, judged from the active flows rather than the engine's own
-// bookkeeping, and that the engine keeps rounds from one filling to the
-// next on every one of them:
+// is named for, judged from the active flows and the round log, and that
+// the engine keeps rounds from one filling to the next on every one of
+// them:
 //
 //   - resume-past-round-0: a completion whose class froze after round 0
 //     and leaves the links in order, so the filling resumes there;
 //   - reorder-one-flow-class-earlier: a completion whose index goes to the
 //     one flow of another class, moving that class earlier and its links
-//     ahead of others, so the filling restarts at round 0;
+//     ahead of others, with the filling resuming past round 0 all the
+//     same;
 //   - class-vanishes-link-drops: the last flow of a class completes and a
 //     link it alone crossed leaves the first-touch order, the others
 //     keeping theirs.
 func TestFillingResumeSeeds(t *testing.T) {
+	type event struct {
+		before, after []int
+		completed     *flow
+		moved         *pathClass
+		froze         int  // log position of the round that froze completed's class
+		resumed       bool // the filling left the log's first round untouched
+	}
 	for _, c := range []struct {
 		seed string
-		hits func(before, after []int, completed *flow, moved *pathClass, froze int) bool
+		hits func(e event) bool
 	}{
-		{"resume-past-round-0", func(before, after []int, _ *flow, _ *pathClass, froze int) bool {
-			return froze > 0 && !reorders(before, after)
+		{"resume-past-round-0", func(e event) bool {
+			return e.froze > 0 && !reorders(e.before, e.after)
 		}},
-		{"reorder-one-flow-class-earlier", func(before, after []int, _ *flow, moved *pathClass, _ int) bool {
-			return moved != nil && reorders(before, after)
+		{"reorder-one-flow-class-earlier", func(e event) bool {
+			return e.moved != nil && reorders(e.before, e.after) && e.resumed
 		}},
-		{"class-vanishes-link-drops", func(before, after []int, completed *flow, _ *pathClass, _ int) bool {
-			return len(completed.class.flows) == 0 && len(after) < len(before) && !reorders(before, after)
+		{"class-vanishes-link-drops", func(e event) bool {
+			return len(e.completed.class.flows) == 0 && len(e.after) < len(e.before) && !reorders(e.before, e.after)
 		}},
 	} {
 		t.Run(c.seed, func(t *testing.T) {
@@ -342,23 +351,24 @@ func TestFillingResumeSeeds(t *testing.T) {
 			}
 			hits := 0
 			for {
-				before := firstTouch(s)
-				completed := s.done
-				if completed == nil || s.doneAt >= s.next[s.heap[0]] {
-					completed = nil
+				e := event{before: firstTouch(s), completed: s.done}
+				if e.completed == nil || s.doneAt >= s.next[s.heap[0]] {
+					e.completed = nil
 				}
-				var moved *pathClass
-				froze := -1
-				if completed != nil {
-					froze = completed.class.round
-					if g := s.active[len(s.active)-1]; g != completed && len(g.class.flows) == 1 && completed.idx < g.class.first {
-						moved = g.class
+				head := s.rounds[0].next
+				headSeq := s.rounds[head].seq
+				if e.completed != nil {
+					e.froze = logPos(s, e.completed.class.round)
+					if g := s.active[len(s.active)-1]; g != e.completed && len(g.class.flows) == 1 && e.completed.idx < g.class.first {
+						e.moved = g.class
 					}
 				}
 				if !s.step() {
 					break
 				}
-				if completed != nil && c.hits(before, firstTouch(s), completed, moved, froze) {
+				e.after = firstTouch(s)
+				e.resumed = head != 0 && s.rounds[0].next == head && s.rounds[head].seq == headSeq
+				if e.completed != nil && c.hits(e) {
 					hits++
 				}
 			}
@@ -370,6 +380,15 @@ func TestFillingResumeSeeds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// logPos is the place of round slot i in the engine's round log.
+func logPos(s *simEngine, i int32) int {
+	p := 0
+	for j := s.rounds[0].next; j != i; j = s.rounds[j].next {
+		p++
+	}
+	return p
 }
 
 func seedBytes(t *testing.T, name string) []byte {

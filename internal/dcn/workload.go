@@ -19,10 +19,11 @@ type pairRate struct {
 // validating the demand matrix as it goes: rows must match the topology,
 // entries must be finite and non-negative, at least one pair must carry
 // demand, and every demanded pair must have a usable path — otherwise its
-// flows would be assigned a zero-capacity direct hop and never drain.
-func demandPairs(t *Topology, w Workload) ([]pairRate, error) {
+// flows would be assigned a zero-capacity direct hop and never drain. The
+// pairs are appended to pairs[:0].
+func demandPairs(pairs []pairRate, t *Topology, w Workload) ([]pairRate, error) {
 	n := t.Blocks
-	var pairs []pairRate
+	pairs = pairs[:0]
 	for i := 0; i < n; i++ {
 		if len(w.Demand[i]) != n {
 			return nil, fmt.Errorf("%w: demand row %d has %d entries, topology %d", ErrMismatch, i, len(w.Demand[i]), n)

@@ -93,19 +93,28 @@ func Percentile(xs []float64, p float64) float64 {
 	s := make([]float64, len(xs))
 	copy(s, xs)
 	sort.Float64s(s)
+	return PercentileSorted(s, p)
+}
+
+// PercentileSorted is Percentile of an ascending xs, which it leaves as
+// it is.
+func PercentileSorted(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
 	if p <= 0 {
-		return s[0]
+		return xs[0]
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		return xs[len(xs)-1]
 	}
-	pos := p / 100 * float64(len(s)-1)
+	pos := p / 100 * float64(len(xs)-1)
 	i := int(pos)
 	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[i]
+	if i+1 >= len(xs) {
+		return xs[i]
 	}
-	return s[i]*(1-frac) + s[i+1]*frac
+	return xs[i]*(1-frac) + xs[i+1]*frac
 }
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.

@@ -24,13 +24,16 @@ import (
 // and the last progressive filling is kept across events as a list of
 // its rounds: an arrival or completion resumes filling at the first round
 // it can change and keeps, in place, every later round it can show
-// recurs, so only the rest run, and only the links the event reaches are
-// brought up to date. All per-link state lives in flat arrays indexed by
-// src*n+dst, and flow structs and whole engines are pooled. Every
-// tie-break and floating-point accumulation order matches the original
-// linear-scan/map implementation, so results are bit-identical (see
-// golden_test.go for the pinned contract, and reference_test.go for the
-// per-flow engine FuzzMaxMinRates holds this one to).
+// recurs, so only the rest run, only the links the event reaches are
+// brought up to date, and the filling stops once none of them has an
+// unfrozen flow. A completion re-places only the classes it moved. All
+// per-link state lives in flat arrays indexed by src*n+dst, the active
+// flows' bytes and rates in flat arrays the drain sweeps, and flow
+// structs and whole engines are pooled. Every tie-break and
+// floating-point accumulation order matches the original linear-scan/map
+// implementation, so results are bit-identical (see golden_test.go for
+// the pinned contract, and reference_test.go for the per-flow engine
+// FuzzMaxMinRates holds this one to).
 
 // Workload describes the offered traffic.
 type Workload struct {
@@ -74,8 +77,8 @@ type flow struct {
 	class   *pathClass // the path the flow rides, whose rate it drains at
 	size    float64
 	started float64
-	idx     int // position in the active slice
-	slot    int // position in class.flows (and class.remaining)
+	idx     int // position in the active slice (and in remain and frate)
+	slot    int // position in class.flows
 }
 
 // pathClass is one path — an ordered list of directed links — and the
@@ -95,12 +98,11 @@ type pathClass struct {
 	round int32
 	rate  float64
 	after [2]float64
-	// flows are the active flows on the path, in no particular order, and
-	// remaining[i] is flows[i]'s bytes still to send.
-	flows     []*flow
-	remaining []float64
-	// least is the slot of the flow with the fewest bytes left. The flows
-	// drain by the same clamped subtraction, so it stays the least.
+	// flows are the active flows on the path, in no particular order.
+	flows []*flow
+	// least is the active index of the flow with the fewest bytes left.
+	// The flows drain by the same clamped subtraction, so it stays the
+	// least.
 	least int
 	// first is the lowest active index among the flows: classes are
 	// ordered by it.
@@ -108,17 +110,20 @@ type pathClass struct {
 }
 
 // round is one progressive-filling round: the bottleneck link and its
-// share, and the classes it froze, frozen[start:end]. Rounds live in
-// slots of simEngine.rounds, linked in log order through prev and next;
-// slot 0 is the list's sentinel. A round's seq grows along the list, and
-// stamp is the filling stamp of the last filling that marked a link one
-// of its classes crosses.
+// share, and the classes it froze, frozen[start:end], of which held still
+// have it as their round. Rounds live in slots of simEngine.rounds,
+// linked in log order through prev and next; slot 0 is the list's
+// sentinel. label is an order-maintenance label, strictly increasing
+// along the list (the sentinel's is the largest), and stamp is the
+// filling stamp of the last filling that marked a link one of its
+// classes crosses.
 type round struct {
-	bottleneck int
-	share      float64
-	start, end int32
-	prev, next int32
-	seq, stamp uint64
+	bottleneck   int
+	share        float64
+	start, end   int32
+	prev, next   int32
+	held         int32
+	label, stamp uint64
 }
 
 // ErrMismatch is returned when workload and topology disagree on size.
@@ -126,8 +131,8 @@ var ErrMismatch = errors.New("dcn: workload does not match topology")
 
 // ErrDegenerate is returned for inputs that would otherwise surface deep
 // inside the simulation as NaN/Inf fair-share rates, divide-by-zero, or
-// flows that never drain: a non-positive or non-finite trunk rate,
-// non-positive mean flow size / duration, non-finite or negative demand
+// flows that never drain: a non-positive or non-finite trunk rate, mean
+// flow size or duration, non-finite or negative demand
 // entries, an all-zero demand matrix, or a demanded block pair with no
 // usable path (no direct trunk and no two-hop transit — the
 // zero-capacity-trunk case).
@@ -158,7 +163,11 @@ type simEngine struct {
 	load        []float64 // current flow count per link
 	linkCapBase []float64 // float64(Links[i][j]) * TrunkBps
 
+	// active are the flows in flight; remain[i] is active[i]'s bytes still
+	// to send and frate[i] its class's rate, so the drain is one sweep.
 	active []*flow
+	remain []float64
+	frate  []float64
 	free   []*flow // pooled flow structs of completed flows
 
 	// classes holds one class per possible path, at (src*n+dst)*n+via with
@@ -171,15 +180,20 @@ type simEngine struct {
 	// Progressive-filling state, kept across events. linkClasses are the
 	// classes crossing a link; links are the links in first-touch order
 	// (classes in order, hops in order), the order bottleneck ties break
-	// in, and linkPos is a link's place there. A link leaves links when
-	// its last class goes. reordered is set when a change moved links
-	// relative to each other, and moved is then the class other than the
-	// changed one that leave moved (nil if none).
+	// in, linkPos is a link's place there, and linkKey its sort key there,
+	// 2·first+hop of its first class. A link leaves links when its last
+	// class goes. reordered is set when a change moved links relative to
+	// each other, and moved is then the class other than the changed one
+	// that leave moved (nil if none). placed[:nplaced] are the links leave
+	// re-placed, with their keys before it.
 	linkClasses [][]*pathClass
 	linkPos     []int
+	linkKey     []int
 	links       []int
 	reordered   bool
 	moved       *pathClass
+	placed      [4]placedLink
+	nplaced     int
 	// stamp numbers walks over the links and fillings. During a filling,
 	// a link is marked when linkStamp holds the filling's stamp: its state
 	// may differ from the last filling's, and linkCapacity and
@@ -194,20 +208,17 @@ type simEngine struct {
 	// rounds, spare the first free slot (linked through next), and
 	// frozen holds the rounds' classes, with holes where dropped rounds'
 	// were until compactFrozen packs the live ones (live of them) into
-	// spareFrozen. nrounds counts the logged rounds and seq is the next
-	// round sequence number.
+	// spareFrozen. nrounds counts the logged rounds.
 	rounds      []round
 	spare       int32
 	frozen      []int32
 	spareFrozen []int32
 	live        int
 	nrounds     int
-	seq         uint64
 	// During a filling, cursor is the first round of the last filling
-	// still to keep or drop (0 once none is left); the rounds this filling
-	// kept or ran have seq at least fillSeq.
-	cursor  int32
-	fillSeq uint64
+	// still to keep or drop (0 once none is left): the rounds before it
+	// are this filling's.
+	cursor int32
 
 	// tree is a tournament over the marked links' fair shares: leaf
 	// tree[width+p] is links[p]'s share if the link is marked (+Inf if
@@ -231,10 +242,14 @@ type simEngine struct {
 	// Telemetry accumulators, flushed to the package registry once per
 	// run (per-event atomics would dominate the loop). recomputeRounds
 	// counts the rounds a filling ran, reusedRounds the rounds it kept
-	// from the last one, and linkUpdates the link states a filling rebuilt
+	// from the last one, walkedRounds the logged rounds its cursor reached
+	// (kept or dropped), and linkUpdates the link states a filling rebuilt
 	// plus the kept freezes it re-applied to a marked link.
-	events, arrivals, completions, recomputeRounds, reusedRounds, linkUpdates, poolHits, poolMisses int64
+	events, arrivals, completions, recomputeRounds, reusedRounds, walkedRounds, linkUpdates, poolHits, poolMisses int64
 }
+
+// placedLink is a link leave re-placed and its key before leave.
+type placedLink struct{ li, key int }
 
 // newSimEngine returns an engine reset to the run's inputs.
 func newSimEngine(t *Topology, w Workload, cfg SimConfig) (*simEngine, error) {
@@ -256,10 +271,10 @@ func (s *simEngine) reset(t *Topology, w Workload, cfg SimConfig) error {
 	if !(cfg.TrunkBps > 0) || math.IsInf(cfg.TrunkBps, 1) {
 		return fmt.Errorf("%w: trunk rate %g B/s", ErrDegenerate, cfg.TrunkBps)
 	}
-	if w.MeanFlowBytes <= 0 {
+	if !(w.MeanFlowBytes > 0) || math.IsInf(w.MeanFlowBytes, 1) {
 		return fmt.Errorf("%w: mean flow size %g bytes", ErrDegenerate, w.MeanFlowBytes)
 	}
-	if w.Duration <= 0 {
+	if !(w.Duration > 0) || math.IsInf(w.Duration, 1) {
 		return fmt.Errorf("%w: duration %g s", ErrDegenerate, w.Duration)
 	}
 	pairs, err := demandPairs(s.pairs, t, w)
@@ -281,11 +296,11 @@ func (s *simEngine) reset(t *Topology, w Workload, cfg SimConfig) error {
 		}
 	}
 	s.free = append(s.free, s.active...)
-	s.active = s.active[:0]
+	s.active, s.remain, s.frate = s.active[:0], s.remain[:0], s.frate[:0]
 	s.classes = resize(s.classes, n*n*n)
 	for k := range s.classes {
 		c := &s.classes[k]
-		*c = pathClass{id: int32(k), flows: c.flows[:0], remaining: c.remaining[:0]}
+		*c = pathClass{id: int32(k), flows: c.flows[:0]}
 	}
 	s.order = s.order[:0]
 	s.linkClasses = resize(s.linkClasses, n*n)
@@ -293,14 +308,15 @@ func (s *simEngine) reset(t *Topology, w Workload, cfg SimConfig) error {
 		s.linkClasses[i] = s.linkClasses[i][:0]
 	}
 	s.linkPos = resize(s.linkPos, n*n)
+	s.linkKey = resize(s.linkKey, n*n)
 	s.links = s.links[:0]
 	s.reordered, s.moved = false, nil
 	// linkStamp entries only ever hold stamps already passed.
 	s.linkStamp = resize(s.linkStamp, n*n)
 	s.linkCapacity = resize(s.linkCapacity, n*n)
 	s.linkUnfrozen = resize(s.linkUnfrozen, n*n)
-	s.rounds = append(s.rounds[:0], round{seq: math.MaxUint64})
-	s.spare, s.frozen, s.live, s.nrounds, s.seq, s.cursor = 0, s.frozen[:0], 0, 0, 0, 0
+	s.rounds = append(s.rounds[:0], round{label: math.MaxUint64})
+	s.spare, s.frozen, s.live, s.nrounds, s.cursor = 0, s.frozen[:0], 0, 0, 0
 	width := 1
 	for width < n*n {
 		width <<= 1
@@ -308,7 +324,7 @@ func (s *simEngine) reset(t *Topology, w Workload, cfg SimConfig) error {
 	s.tree, s.width = resize(s.tree, 2*width), 0
 	s.done, s.doneAt, s.now = nil, 0, 0
 	s.fcts, s.completedBytes, s.transit, s.total = s.fcts[:0], 0, 0, 0
-	s.events, s.arrivals, s.completions, s.recomputeRounds, s.reusedRounds, s.linkUpdates, s.poolHits, s.poolMisses = 0, 0, 0, 0, 0, 0, 0, 0
+	s.events, s.arrivals, s.completions, s.recomputeRounds, s.reusedRounds, s.walkedRounds, s.linkUpdates, s.poolHits, s.poolMisses = 0, 0, 0, 0, 0, 0, 0, 0, 0
 
 	for k := range s.pairs {
 		s.next[k] = s.rng.ExpFloat64() / s.pairs[k].rate
@@ -397,18 +413,17 @@ func (s *simEngine) step() bool {
 	if tNext > s.w.Duration {
 		return false
 	}
-	// Drain all active flows to tNext, class by class: every flow of a
-	// class loses the same rate*dt.
+	// Drain all active flows to tNext: each loses its class's rate*dt,
+	// rounded before the subtraction (the conversion forbids fusing them).
 	dt := tNext - s.now
-	for _, c := range s.order {
-		drained := c.rate * dt
-		for i, r := range c.remaining {
-			r -= drained
-			if r < 0 {
-				r = 0
-			}
-			c.remaining[i] = r
+	remain := s.remain
+	frate := s.frate[:len(remain)]
+	for i, r := range remain {
+		r -= float64(frate[i] * dt)
+		if r < 0 {
+			r = 0
 		}
+		remain[i] = r
 	}
 	s.now = tNext
 	s.events++
@@ -456,25 +471,28 @@ func (s *simEngine) step() bool {
 // join appends f, with all its bytes to send, to the active flows on
 // class c. A class that gains its first flow is last in class order, so
 // links it is the first to cross go to the end of the first-touch order.
+// f's rate is set when the filling re-freezes c, as it must: c's hops are
+// marked and c is unfrozen, so only a new round can freeze it.
 //
 //lwlint:hotpath
 func (s *simEngine) join(f *flow, c *pathClass) {
 	f.class = c
 	f.idx = len(s.active)
 	s.active = append(s.active, f)
+	s.remain = append(s.remain, f.size)
+	s.frate = append(s.frate, 0)
 	f.slot = len(c.flows)
 	c.flows = append(c.flows, f)
-	c.remaining = append(c.remaining, f.size)
 	for h := 0; h < c.nhops; h++ {
 		s.load[c.hopIdx[h]]++
 	}
 	if len(c.flows) > 1 {
-		if f.size < c.remaining[c.least] {
-			c.least = f.slot
+		if f.size < s.remain[c.least] {
+			c.least = f.idx
 		}
 		return
 	}
-	c.first, c.least = f.idx, 0
+	c.first, c.least = f.idx, f.idx
 	s.order = append(s.order, c)
 	for h := 0; h < c.nhops; h++ {
 		li := c.hopIdx[h]
@@ -482,15 +500,16 @@ func (s *simEngine) join(f *flow, c *pathClass) {
 		if len(s.linkClasses[li]) > 1 {
 			continue
 		}
-		s.linkPos[li] = len(s.links)
+		s.linkPos[li], s.linkKey[li] = len(s.links), 2*c.first+h
 		s.links = append(s.links, li)
 	}
 }
 
 // leave removes f from the active flows and from its class. The last
 // active flow takes f's index, so f's class can move later in class
-// order (or go), and the moved flow's class earlier; either can reorder
-// the links, and the moved class is left in moved if they did.
+// order (or go), and the moved flow's class earlier: leave re-places
+// those two classes and their hops, and if other links changed order
+// relative to them, sets reordered and leaves the moved class in moved.
 //
 //lwlint:hotpath
 func (s *simEngine) leave(f *flow) {
@@ -499,22 +518,20 @@ func (s *simEngine) leave(f *flow) {
 		s.load[c.hopIdx[h]]--
 	}
 	last := len(c.flows) - 1
-	c.flows[f.slot], c.remaining[f.slot] = c.flows[last], c.remaining[last]
+	c.flows[f.slot] = c.flows[last]
 	c.flows[f.slot].slot = f.slot
-	c.flows, c.remaining = c.flows[:last], c.remaining[:last]
-	i := f.idx
-	g := s.active[len(s.active)-1]
+	c.flows = c.flows[:last]
+	i, end := f.idx, len(s.active)-1
+	g := s.active[end]
 	s.active[i], g.idx = g, i
-	s.active = s.active[:len(s.active)-1]
+	s.remain[i], s.frate[i] = s.remain[end], s.frate[end]
+	s.active, s.remain, s.frate = s.active[:end], s.remain[:end], s.frate[:end]
 
-	moved := false
+	s.nplaced = 0
+	old := c.first
 	if len(c.flows) == 0 {
-		for k, o := range s.order {
-			if o == c {
-				s.order = append(s.order[:k], s.order[k+1:]...)
-				break
-			}
-		}
+		p := s.classAt(old)
+		s.order = append(s.order[:p], s.order[p+1:]...)
 		for h := 0; h < c.nhops; h++ {
 			lc := s.linkClasses[c.hopIdx[h]]
 			for k, o := range lc {
@@ -525,70 +542,183 @@ func (s *simEngine) leave(f *flow) {
 				}
 			}
 		}
-		moved = true
 	} else {
 		first := len(s.active)
-		c.least = 0
-		for k, o := range c.flows {
-			if c.remaining[k] < c.remaining[c.least] {
-				c.least = k
+		c.least = c.flows[0].idx
+		for _, o := range c.flows {
+			if s.remain[o.idx] < s.remain[c.least] {
+				c.least = o.idx
 			}
 			first = min(first, o.idx)
 		}
-		moved = first != c.first
-		c.first = first
+		if first != old {
+			s.placeClass(c, first)
+		}
 	}
-	if d := g.class; g != f && i < d.first {
-		d.first = i
-		s.moved, moved = d, true
+	if len(c.flows) == 0 || c.first != old {
+		// c's hops whose first class it was take their next class's key.
+		for h := 0; h < c.nhops; h++ {
+			li := c.hopIdx[h]
+			if len(s.linkClasses[li]) == 0 {
+				s.removeLink(li)
+			} else if s.linkKey[li] == 2*old+h {
+				s.placeLink(li, s.firstKey(li))
+			}
+		}
 	}
-	if moved {
-		s.sortOrder()
-		s.relay()
+	if d := g.class; g != f {
+		if d.least == end {
+			d.least = i
+		}
+		if i < d.first {
+			s.placeClass(d, i)
+			for h := 0; h < d.nhops; h++ {
+				if li := d.hopIdx[h]; 2*i+h < s.linkKey[li] {
+					s.placeLink(li, 2*i+h)
+				}
+			}
+			s.moved = d
+		}
 	}
+	s.reordered = s.placedOutOfOrder()
 	if !s.reordered {
 		s.moved = nil
 	}
 }
 
-// sortOrder restores class order after leave moved at most two classes.
+// classAt returns the place in class order of the class whose first
+// active index is first, or where one would go.
 //
 //lwlint:hotpath
-func (s *simEngine) sortOrder() {
-	for i := 1; i < len(s.order); i++ {
-		c := s.order[i]
-		j := i
-		for ; j > 0 && s.order[j-1].first > c.first; j-- {
-			s.order[j] = s.order[j-1]
+func (s *simEngine) classAt(first int) int {
+	lo, hi := 0, len(s.order)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.order[m].first < first {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		s.order[j] = c
+	}
+	return lo
+}
+
+// placeClass gives class x, in class order, the first active index first
+// and moves it to its place by it.
+//
+//lwlint:hotpath
+func (s *simEngine) placeClass(x *pathClass, first int) {
+	p, q := s.classAt(x.first), s.classAt(first)
+	if q > p {
+		q-- // x itself is before first
+		copy(s.order[p:q], s.order[p+1:q+1])
+	} else {
+		copy(s.order[q+1:p+1], s.order[q:p])
+	}
+	x.first = first
+	s.order[q] = x
+}
+
+// firstKey is link li's sort key in first-touch order, from its classes'
+// first active indices.
+//
+//lwlint:hotpath
+func (s *simEngine) firstKey(li int) int {
+	key := math.MaxInt
+	for _, x := range s.linkClasses[li] {
+		h := 0
+		if x.hopIdx[0] != li {
+			h = 1
+		}
+		key = min(key, 2*x.first+h)
+	}
+	return key
+}
+
+// linkAt returns the place in first-touch order of the link whose key is
+// key, or where one would go.
+//
+//lwlint:hotpath
+func (s *simEngine) linkAt(key int) int {
+	lo, hi := 0, len(s.links)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.linkKey[s.links[m]] < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// placeLink gives link li the sort key key and moves it to its place in
+// first-touch order by it, noting its key before leave.
+//
+//lwlint:hotpath
+func (s *simEngine) placeLink(li, key int) {
+	k := 0
+	for k < s.nplaced && s.placed[k].li != li {
+		k++
+	}
+	if k == s.nplaced {
+		s.placed[k] = placedLink{li, s.linkKey[li]}
+		s.nplaced++
+	}
+	p, q := s.linkPos[li], s.linkAt(key)
+	if q > p {
+		q-- // li itself is before key
+		for ; p < q; p++ {
+			s.links[p] = s.links[p+1]
+			s.linkPos[s.links[p]] = p
+		}
+	} else {
+		for ; p > q; p-- {
+			s.links[p] = s.links[p-1]
+			s.linkPos[s.links[p]] = p
+		}
+	}
+	s.links[q], s.linkPos[li], s.linkKey[li] = li, q, key
+}
+
+// removeLink takes link li, which no class crosses any more, out of
+// first-touch order; the others keep theirs.
+//
+//lwlint:hotpath
+func (s *simEngine) removeLink(li int) {
+	p := s.linkPos[li]
+	s.links = append(s.links[:p], s.links[p+1:]...)
+	for ; p < len(s.links); p++ {
+		s.linkPos[s.links[p]] = p
 	}
 }
 
-// relay recomputes the first-touch link order from the class order after
-// leave moved or removed a class. Links whose last class went drop out;
-// if the others change order, reordered is set.
+// placedOutOfOrder reports whether the links leave re-placed now stand
+// out of their order before it: the others kept their keys, so the links
+// are in their old order unless a re-placed one and a neighbour of it
+// are not.
 //
 //lwlint:hotpath
-func (s *simEngine) relay() {
-	s.stamp++
-	p, last := 0, -1
-	for _, c := range s.order {
-		for h := 0; h < c.nhops; h++ {
-			li := c.hopIdx[h]
-			if s.linkStamp[li] == s.stamp {
-				continue
-			}
-			s.linkStamp[li] = s.stamp
-			if s.linkPos[li] < last {
-				s.reordered = true
-			}
-			last = s.linkPos[li]
-			s.linkPos[li], s.links[p] = p, li
-			p++
+func (s *simEngine) placedOutOfOrder() bool {
+	for k := 0; k < s.nplaced; k++ {
+		p, key := s.linkPos[s.placed[k].li], s.placed[k].key
+		if p > 0 && s.oldKey(s.links[p-1]) > key || p+1 < len(s.links) && s.oldKey(s.links[p+1]) < key {
+			return true
 		}
 	}
-	s.links = s.links[:p]
+	return false
+}
+
+// oldKey is link li's sort key before leave.
+//
+//lwlint:hotpath
+func (s *simEngine) oldKey(li int) int {
+	for k := 0; k < s.nplaced; k++ {
+		if s.placed[k].li == li {
+			return s.placed[k].key
+		}
+	}
+	return s.linkKey[li]
 }
 
 // result summarizes the run. It sorts fcts in place, after summing them
@@ -619,11 +749,12 @@ func (s *simEngine) flushMetrics() {
 	reg.Counter("dcn_flowsim_completions_total").Add(s.completions)
 	reg.Counter("dcn_flowsim_recompute_rounds_total").Add(s.recomputeRounds)
 	reg.Counter("dcn_flowsim_reused_rounds_total").Add(s.reusedRounds)
+	reg.Counter("dcn_flowsim_rounds_walked_total").Add(s.walkedRounds)
 	reg.Counter("dcn_flowsim_link_updates_total").Add(s.linkUpdates)
 	reg.Counter("dcn_flowsim_pool_hits_total").Add(s.poolHits)
 	reg.Counter("dcn_flowsim_pool_misses_total").Add(s.poolMisses)
 	s.events, s.arrivals, s.completions = 0, 0, 0
-	s.recomputeRounds, s.reusedRounds, s.linkUpdates, s.poolHits, s.poolMisses = 0, 0, 0, 0, 0
+	s.recomputeRounds, s.reusedRounds, s.walkedRounds, s.linkUpdates, s.poolHits, s.poolMisses = 0, 0, 0, 0, 0, 0
 }
 
 // engines holds idle engines, so the runs one worker makes reuse one
@@ -753,12 +884,16 @@ func routable(t *Topology, i, j int) bool {
 //     later rounds of the last filling are kept by fillRound's: each
 //     picks the bottleneck and freezes the classes a filling from zero
 //     would. A kept round stays in its slot and touches only its marked
-//     links.
+//     links, and once no marked link has an unfrozen flow, every round
+//     left is kept untouched.
 //
 //lwlint:hotpath
 func (s *simEngine) maxMinRates(c *pathClass, delta int) {
 	s.stamp++ // a new filling, no link marked yet
 	s.beginFilling(s.resumeRound(c, delta))
+	if len(c.flows) == 0 {
+		s.release(c)
+	}
 	for h := 0; h < c.nhops; h++ {
 		s.markLink(c.hopIdx[h])
 	}
@@ -784,12 +919,12 @@ func (s *simEngine) maxMinRates(c *pathClass, delta int) {
 //
 //lwlint:hotpath
 func (s *simEngine) beginFilling(from int32) {
-	s.cursor, s.fillSeq = from, s.seq
+	s.cursor = from
 	s.reusedRounds += int64(s.nrounds) // less the rounds dropped on the way
 }
 
-// finishFilling keeps, drops and runs rounds until every class is frozen,
-// then finds the earliest completion.
+// finishFilling keeps, drops and runs rounds until no marked link has an
+// unfrozen flow, then finds the earliest completion.
 //
 //lwlint:hotpath
 func (s *simEngine) finishFilling() {
@@ -880,16 +1015,13 @@ func fairShare(capacity float64, unfrozen int) float64 {
 	return math.Inf(1)
 }
 
-// isFrozen reports whether class x is frozen at the cursor: a round before
-// the cursor, or one this filling kept or ran, holds it.
+// isFrozen reports whether class x is frozen at the cursor: a round
+// before the cursor holds it. The sentinel's label is the largest, so a
+// class no round holds is not.
 //
 //lwlint:hotpath
 func (s *simEngine) isFrozen(x *pathClass) bool {
-	if x.round == 0 {
-		return false
-	}
-	seq := s.rounds[x.round].seq
-	return seq < s.rounds[s.cursor].seq || seq >= s.fillSeq
+	return s.rounds[x.round].label < s.rounds[s.cursor].label
 }
 
 // markLink marks link li and computes its state at the cursor. Unmarked,
@@ -936,13 +1068,21 @@ func (s *simEngine) freeze(x *pathClass, h int, rate float64) {
 }
 
 // fillRound takes the next progressive-filling round and reports whether
-// there was one. The links marked in this filling are in the tree. Every
-// other link is where the last filling had it, so the first round at the
-// cursor whose bottleneck is unmarked has the least share among them (the
-// earliest in first-touch order on a tie). The round goes to whichever of
-// that round and the tree's bottleneck is less: the logged round is kept,
-// or the tree's bottleneck runs a new one. Logged rounds with a marked
-// bottleneck are dropped on the way.
+// there was one to run or to keep with work. The links marked in this
+// filling are in the tree. Every other link is where the last filling had
+// it, so the first round at the cursor whose bottleneck is unmarked has
+// the least share among them (the earliest in first-touch order on a
+// tie). The round goes to whichever of that round and the tree's
+// bottleneck is less: the logged round is kept, or the tree's bottleneck
+// runs a new one. Logged rounds with a marked bottleneck are dropped on
+// the way.
+//
+// Once the tree's root is +Inf, no marked link has an unfrozen flow, and
+// the filling ends: every round left would be kept untouched. A logged
+// round's bottleneck carries its unfrozen holders, so none left has a
+// marked bottleneck — the rounds no class holds any more are unlinked
+// when they lose their last holder (release) — and none of their classes
+// crosses a marked link.
 //
 //lwlint:hotpath
 func (s *simEngine) fillRound() bool {
@@ -950,14 +1090,14 @@ func (s *simEngine) fillRound() bool {
 		s.dropRound()
 	}
 	top := s.tree[1]
+	if math.IsInf(top.share, 1) {
+		return false
+	}
 	if s.cursor != 0 {
 		if r := &s.rounds[s.cursor]; r.share < top.share || r.share == top.share && s.linkPos[r.bottleneck] < int(top.pos) {
 			s.keepRound()
 			return true
 		}
-	}
-	if math.IsInf(top.share, 1) {
-		return false
 	}
 	s.newRound(top)
 	return true
@@ -987,10 +1127,16 @@ func (s *simEngine) newRound(top match) {
 			s.markLink(x.hopIdx[h])
 			s.freeze(x, h, rate)
 		}
+		s.release(x)
 		x.rate, x.round = rate, i
+		for _, f := range x.flows {
+			s.frate[f.idx] = rate
+		}
 		s.frozen = append(s.frozen, x.id)
 	}
-	s.rounds[i].end = int32(len(s.frozen))
+	r := &s.rounds[i]
+	r.end = int32(len(s.frozen))
+	r.held = r.end - r.start
 	s.live += len(s.frozen) - start
 	for _, id := range s.frozen[start:] {
 		s.replayHops(&s.classes[id])
@@ -998,7 +1144,9 @@ func (s *simEngine) newRound(top match) {
 }
 
 // insertRound logs a round on bottleneck b at share before the cursor,
-// its classes to be appended to frozen, and returns its slot.
+// its classes to be appended to frozen, and returns its slot. The round's
+// label is the midpoint of its neighbours' (the list's head counts as 0);
+// when they leave no gap, the whole list is relabelled.
 //
 //lwlint:hotpath
 func (s *simEngine) insertRound(b int, share float64) int32 {
@@ -1011,12 +1159,45 @@ func (s *simEngine) insertRound(b int, share float64) int32 {
 	}
 	next := s.cursor
 	prev := s.rounds[next].prev
+	lo, hi := uint64(0), s.rounds[next].label
+	if prev != 0 {
+		lo = s.rounds[prev].label
+	}
 	start := int32(len(s.frozen))
-	s.rounds[i] = round{bottleneck: b, share: share, start: start, end: start, prev: prev, next: next, seq: s.seq}
+	s.rounds[i] = round{bottleneck: b, share: share, start: start, end: start, prev: prev, next: next, label: lo + (hi-lo)/2}
 	s.rounds[prev].next, s.rounds[next].prev = i, i
-	s.seq++
 	s.nrounds++
+	if hi-lo < 2 {
+		s.relabel()
+	}
 	return i
+}
+
+// relabel spaces the logged rounds' labels evenly below the sentinel's.
+//
+//lwlint:hotpath
+func (s *simEngine) relabel() {
+	step := uint64(math.MaxUint64) / uint64(s.nrounds+1)
+	label := uint64(0)
+	for i := s.rounds[0].next; i != 0; i = s.rounds[i].next {
+		label += step
+		s.rounds[i].label = label
+	}
+}
+
+// release takes class x from the round holding it, about to be frozen
+// again or to have no flow. A round no class holds would be dropped when
+// the cursor reached it (its bottleneck is a hop of its classes, so it is
+// marked), and is unlinked now.
+//
+//lwlint:hotpath
+func (s *simEngine) release(x *pathClass) {
+	if i := x.round; i != 0 {
+		x.round = 0
+		if s.rounds[i].held--; s.rounds[i].held == 0 {
+			s.unlinkRound(i)
+		}
+	}
 }
 
 // keepRound keeps the logged round at the cursor as this filling's, in
@@ -1026,6 +1207,7 @@ func (s *simEngine) insertRound(b int, share float64) int32 {
 //
 //lwlint:hotpath
 func (s *simEngine) keepRound() {
+	s.walkedRounds++
 	r := &s.rounds[s.cursor]
 	if r.stamp == s.stamp {
 		rate := min(r.share, s.trunk)
@@ -1040,8 +1222,6 @@ func (s *simEngine) keepRound() {
 			}
 		}
 	}
-	r.seq = s.seq
-	s.seq++
 	s.cursor = r.next
 }
 
@@ -1051,8 +1231,9 @@ func (s *simEngine) keepRound() {
 //
 //lwlint:hotpath
 func (s *simEngine) dropRound() {
+	s.walkedRounds++
 	i := s.cursor
-	r := s.rounds[i]
+	r := &s.rounds[i]
 	for _, id := range s.frozen[r.start:r.end] {
 		x := &s.classes[id]
 		if x.round != i {
@@ -1066,12 +1247,23 @@ func (s *simEngine) dropRound() {
 			}
 		}
 	}
+	s.unlinkRound(i)
+}
+
+// unlinkRound takes logged round i, at or after the cursor, out of the
+// log as dropped, moving the cursor past it.
+//
+//lwlint:hotpath
+func (s *simEngine) unlinkRound(i int32) {
+	r := &s.rounds[i]
+	if s.cursor == i {
+		s.cursor = r.next
+	}
 	s.rounds[r.prev].next, s.rounds[r.next].prev = r.next, r.prev
-	s.rounds[i].next, s.spare = s.spare, i
+	r.next, s.spare = s.spare, i
 	s.live -= int(r.end - r.start)
 	s.nrounds--
 	s.reusedRounds--
-	s.cursor = r.next
 }
 
 // compactFrozen packs the logged rounds' classes into the spare buffer,
@@ -1116,7 +1308,7 @@ func (s *simEngine) earliestCompletion() {
 		if c.rate <= 0 {
 			continue
 		}
-		if t := s.now + c.remaining[c.least]/c.rate; t < s.doneAt {
+		if t := s.now + s.remain[c.least]/c.rate; t < s.doneAt {
 			s.doneAt, first, tied = t, c, false
 		} else if t == s.doneAt {
 			tied = true
@@ -1127,7 +1319,7 @@ func (s *simEngine) earliestCompletion() {
 		return
 	}
 	for _, c := range s.order {
-		if c.rate > 0 && s.now+c.remaining[c.least]/c.rate == s.doneAt {
+		if c.rate > 0 && s.now+s.remain[c.least]/c.rate == s.doneAt {
 			s.scanDone(c)
 		}
 	}
@@ -1141,8 +1333,8 @@ func (s *simEngine) scanDone(c *pathClass) {
 	if c == nil {
 		return
 	}
-	for k, f := range c.flows {
-		if s.now+c.remaining[k]/c.rate == s.doneAt && (s.done == nil || f.idx < s.done.idx) {
+	for _, f := range c.flows {
+		if s.now+s.remain[f.idx]/c.rate == s.doneAt && (s.done == nil || f.idx < s.done.idx) {
 			s.done = f
 		}
 	}

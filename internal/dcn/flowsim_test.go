@@ -1,7 +1,10 @@
 package dcn
 
 import (
+	"errors"
+	"math"
 	"testing"
+	"time"
 )
 
 func testWorkload(blocks int, loadFactor float64) Workload {
@@ -43,20 +46,76 @@ func TestSimulateDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// TestSimulateErrors requires Simulate to refuse inputs it cannot run,
+// each within a deadline: before non-finite mean flow sizes and durations
+// were refused, a NaN or +Inf one looped forever or returned all zeros.
 func TestSimulateErrors(t *testing.T) {
 	top, _ := UniformMesh(6, 15)
-	w := testWorkload(8, 0.2) // mismatched block count
-	if _, err := Simulate(top, w, DefaultSimConfig()); err == nil {
-		t.Fatal("mismatched workload accepted")
+	for _, c := range []struct {
+		name string
+		w    func(w *Workload)
+		want error
+	}{
+		{"mismatched block count", func(w *Workload) { *w = testWorkload(8, 0.2) }, ErrMismatch},
+		{"zero flow size", func(w *Workload) { w.MeanFlowBytes = 0 }, ErrDegenerate},
+		{"empty demand", func(w *Workload) { *w = testWorkload(6, 0) }, ErrDegenerate},
+		{"NaN flow size", func(w *Workload) { w.MeanFlowBytes = math.NaN() }, ErrDegenerate},
+		{"infinite flow size", func(w *Workload) { w.MeanFlowBytes = math.Inf(1) }, ErrDegenerate},
+		{"NaN duration", func(w *Workload) { w.Duration = math.NaN() }, ErrDegenerate},
+		{"infinite duration", func(w *Workload) { w.Duration = math.Inf(1) }, ErrDegenerate},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := testWorkload(6, 0.2)
+			c.w(&w)
+			done := make(chan error, 1)
+			go func() {
+				_, err := Simulate(top, w, DefaultSimConfig())
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, c.want) {
+					t.Fatalf("err = %v, want %v", err, c.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Simulate did not return")
+			}
+		})
 	}
-	w2 := testWorkload(6, 0.2)
-	w2.MeanFlowBytes = 0
-	if _, err := Simulate(top, w2, DefaultSimConfig()); err == nil {
-		t.Fatal("zero flow size accepted")
+}
+
+// TestRoundLabelsRelabel logs 100 rounds at one cursor, more than
+// midpoint labels can separate, so insertRound relabels the log. Labels
+// must still increase along it, and isFrozen must still hold every class
+// of a round before the cursor frozen and no other.
+func TestRoundLabelsRelabel(t *testing.T) {
+	top, _ := UniformMesh(6, 15)
+	s, err := newSimEngine(top, testWorkload(6, 0.2), DefaultSimConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	w3 := testWorkload(6, 0)
-	if _, err := Simulate(top, w3, DefaultSimConfig()); err == nil {
-		t.Fatal("empty demand accepted")
+	at := s.insertRound(0, 1)
+	s.cursor = at
+	label := s.rounds[at].label
+	const n = 100
+	for k := 0; k < n; k++ {
+		s.classes[k].round = s.insertRound(0, 1)
+	}
+	s.classes[n].round = at
+	if s.rounds[at].label == label {
+		t.Fatalf("%d rounds logged at one cursor without a relabel", n)
+	}
+	var prev uint64
+	for i := s.rounds[0].next; i != 0; i = s.rounds[i].next {
+		if s.rounds[i].label <= prev {
+			t.Fatalf("round label %d after %d", s.rounds[i].label, prev)
+		}
+		prev = s.rounds[i].label
+	}
+	for k := 0; k <= n+1; k++ {
+		if got, want := s.isFrozen(&s.classes[k]), k < n; got != want {
+			t.Errorf("class %d (round %d): frozen %t, want %t", k, s.classes[k].round, got, want)
+		}
 	}
 }
 

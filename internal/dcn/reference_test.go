@@ -299,10 +299,43 @@ func assertSameState(t *testing.T, ev int, s *simEngine, r *refEngine) {
 			t.Fatalf("event %d: flow %d is %v/%d started %v, reference %v/%d started %v",
 				ev, i, c.hopIdx, c.nhops, f.started, g.hopIdx, g.nhops, g.started)
 		}
-		if rem := c.remaining[f.slot]; !same(c.rate, g.rate) || !same(rem, g.remaining) {
-			t.Fatalf("event %d: flow %d rate %v remaining %v, reference rate %v remaining %v",
-				ev, i, c.rate, rem, g.rate, g.remaining)
+		if rem := s.remain[i]; !same(c.rate, g.rate) || !same(s.frate[i], c.rate) || !same(rem, g.remaining) {
+			t.Fatalf("event %d: flow %d rate %v (class %v) remaining %v, reference rate %v remaining %v",
+				ev, i, s.frate[i], c.rate, rem, g.rate, g.remaining)
 		}
+	}
+	assertBookkeeping(t, ev, s)
+}
+
+// assertBookkeeping checks what the engine keeps incrementally between
+// events: class order sorted by first active index, the links in the
+// per-flow engine's first-touch order at their places, and round labels
+// strictly increasing along the log.
+func assertBookkeeping(t *testing.T, ev int, s *simEngine) {
+	t.Helper()
+	for k := 1; k < len(s.order); k++ {
+		if s.order[k-1].first >= s.order[k].first {
+			t.Fatalf("event %d: class order has first %d before %d", ev, s.order[k-1].first, s.order[k].first)
+		}
+	}
+	want := firstTouch(s)
+	if len(want) != len(s.links) {
+		t.Fatalf("event %d: links %v, first touch %v", ev, s.links, want)
+	}
+	for p, li := range want {
+		if s.links[p] != li || s.linkPos[li] != p {
+			t.Fatalf("event %d: links %v, first touch %v", ev, s.links, want)
+		}
+	}
+	var label uint64
+	for i := s.rounds[0].next; i != 0; i = s.rounds[i].next {
+		if s.rounds[i].label <= label {
+			t.Fatalf("event %d: round label %d after %d", ev, s.rounds[i].label, label)
+		}
+		label = s.rounds[i].label
+	}
+	if label >= s.rounds[0].label {
+		t.Fatalf("event %d: last round label %d not below the sentinel's", ev, label)
 	}
 }
 
@@ -327,7 +360,7 @@ func TestFillingResumeSeeds(t *testing.T) {
 		completed     *flow
 		moved         *pathClass
 		froze         int  // log position of the round that froze completed's class
-		resumed       bool // the filling left the log's first round untouched
+		resumed       bool // the log's first round stayed: its slot, bottleneck and share
 	}
 	for _, c := range []struct {
 		seed string
@@ -356,7 +389,7 @@ func TestFillingResumeSeeds(t *testing.T) {
 					e.completed = nil
 				}
 				head := s.rounds[0].next
-				headSeq := s.rounds[head].seq
+				headRound := s.rounds[head]
 				if e.completed != nil {
 					e.froze = logPos(s, e.completed.class.round)
 					if g := s.active[len(s.active)-1]; g != e.completed && len(g.class.flows) == 1 && e.completed.idx < g.class.first {
@@ -367,7 +400,8 @@ func TestFillingResumeSeeds(t *testing.T) {
 					break
 				}
 				e.after = firstTouch(s)
-				e.resumed = head != 0 && s.rounds[0].next == head && s.rounds[head].seq == headSeq
+				r := s.rounds[head]
+				e.resumed = head != 0 && s.rounds[0].next == head && r.bottleneck == headRound.bottleneck && r.share == headRound.share
 				if e.completed != nil && c.hits(e) {
 					hits++
 				}

@@ -14,8 +14,10 @@ import (
 // TestSimFlowWorkCounts pins the deterministic work of the three entries
 // the sim_flow ledger workload times: flow-simulator runs, events, the
 // max-min rounds a filling runs and the rounds it keeps from the last
-// one, the link states fillings rebuild or update (link updates), and the
-// cells the epoch flow-replay sweeps. Wall time on these simulators moves
+// one, the logged rounds its cursor reaches (kept or dropped; a filling
+// ends without walking the rest once nothing is left to freeze), the link
+// states fillings rebuild or update (link updates), and the cells the
+// epoch flow-replay sweeps. Wall time on these simulators moves
 // with code layout; these counts move only when the simulated work does,
 // so they are compared exactly. Run plus kept rounds are the rounds the
 // per-flow max-min engine ran from zero on every event (the fromZero
@@ -28,11 +30,11 @@ func TestSimFlowWorkCounts(t *testing.T) {
 	for _, c := range []struct {
 		entry                                  string
 		runs, events, rounds, reused, fromZero int64
-		linkUpdates, replayTrials              int64
+		walked, linkUpdates, replayTrials      int64
 	}{
-		{"dcn", 2, 11981, 20966, 800651, 821617, 51331, 0},
-		{"te", 60, 157437, 212650, 4020112, 4232762, 442741, 60},
-		{"chaos", 7, 42178, 133011, 1035492, 1168503, 250503, 7},
+		{"dcn", 2, 11981, 20966, 800651, 821617, 223753, 51331, 0},
+		{"te", 60, 157437, 212650, 4020112, 4232762, 912538, 442741, 60},
+		{"chaos", 7, 42178, 133011, 1035492, 1168503, 478822, 250503, 7},
 	} {
 		t.Run(c.entry, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
@@ -57,6 +59,7 @@ func TestSimFlowWorkCounts(t *testing.T) {
 				{"dcn_flowsim_events_total", c.events},
 				{"dcn_flowsim_recompute_rounds_total", c.rounds},
 				{"dcn_flowsim_reused_rounds_total", c.reused},
+				{"dcn_flowsim_rounds_walked_total", c.walked},
 				{"dcn_flowsim_link_updates_total", c.linkUpdates},
 				{"par_te_flow_replay_trials_total", c.replayTrials},
 			} {

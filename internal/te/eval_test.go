@@ -1,9 +1,13 @@
 package te
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
+	"time"
 
+	"lightwave/internal/dcn"
 	"lightwave/internal/par"
 )
 
@@ -60,6 +64,27 @@ func TestEvaluateOnlineBeatsStaticAndHoldsFloor(t *testing.T) {
 	}
 	if len(res.Online.PerEpochBps) != 16 {
 		t.Errorf("per-epoch series has %d entries, want 16", len(res.Online.PerEpochBps))
+	}
+}
+
+// TestEvaluateRefusesNaNHorizon: withDefaults fills only non-positive
+// settings, so a NaN SimSeconds reaches the flow simulator, which must
+// refuse it rather than loop forever.
+func TestEvaluateRefusesNaNHorizon(t *testing.T) {
+	cfg := testEvalConfig()
+	cfg.SimSeconds = math.NaN()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Evaluate(cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, dcn.ErrDegenerate) {
+			t.Fatalf("err = %v, want %v", err, dcn.ErrDegenerate)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Evaluate did not return")
 	}
 }
 

@@ -45,11 +45,9 @@ func BenchmarkProgramFabric(b *testing.B) {
 	}
 }
 
-// benchEngine builds a warmed-up simulator engine on the reference
-// experiment's FCT-load workload: the same per-event work that dominates
-// the root BenchmarkFigures/dcn, with an effectively unbounded horizon so
-// the event loop never terminates inside the timed region.
-func benchEngine(b *testing.B) *simEngine {
+// fctRun is the reference experiment's FCT-load run on the uniform mesh:
+// the per-event work that dominates the root BenchmarkFigures/dcn.
+func fctRun(b *testing.B) (*Topology, Workload, SimConfig) {
 	b.Helper()
 	blocks, uplinks, demand, w, cfg := ReferenceExperiment()
 	top, err := UniformMesh(blocks, uplinks)
@@ -57,6 +55,15 @@ func benchEngine(b *testing.B) *simEngine {
 		b.Fatal(err)
 	}
 	w.Demand = scaleDemand(demand, blocks, uplinks, cfg.TrunkBps, fctLoad)
+	return top, w, cfg
+}
+
+// benchEngine builds a warmed-up simulator engine on fctRun with an
+// effectively unbounded horizon, so the event loop never terminates
+// inside the timed region.
+func benchEngine(b *testing.B) *simEngine {
+	b.Helper()
+	top, w, cfg := fctRun(b)
 	w.Duration = 1e12
 	s, err := newSimEngine(top, w, cfg)
 	if err != nil {
@@ -72,19 +79,30 @@ func benchEngine(b *testing.B) *simEngine {
 	return s
 }
 
-// BenchmarkFlowSimEvents measures the per-event cost of the flow
-// simulator's hot loop (arrival/completion handling plus the max-min
-// recompute) in steady state. allocs/op must stay at ~0: the event loop's
-// contract is that it does not allocate once warm.
+// BenchmarkFlowSimEvents times the flow simulator's hot loop (arrival and
+// completion handling plus the max-min update): each iteration is one
+// whole fctRun, from reset to its horizon, on one engine, so every
+// iteration does the same work and ns/event reads the same at any b.N.
+// allocs/op must stay at 0: a warm engine's run does not allocate.
 func BenchmarkFlowSimEvents(b *testing.B) {
-	s := benchEngine(b)
+	top, w, cfg := fctRun(b)
+	s := new(simEngine)
+	run := func() {
+		if err := s.reset(top, w, cfg); err != nil {
+			b.Fatal(err)
+		}
+		for s.step() {
+		}
+	}
+	run() // grows the engine's arrays to the run's high water mark
+	run() // and the flow pool's, which reset grows by the flows left active
+	events := s.events
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.step() {
-			b.Fatal("horizon exhausted")
-		}
+		run()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*events), "ns/event")
 }
 
 // BenchmarkMaxMinRates times one progressive filling over the
@@ -103,7 +121,6 @@ func BenchmarkMaxMinRates(b *testing.B) {
 			for _, li := range s.links {
 				s.markLink(li)
 			}
-			s.buildTree()
 			s.finishFilling()
 		}
 	})

@@ -50,11 +50,13 @@ func BenchmarkPlannerDecide(b *testing.B) {
 }
 
 // BenchmarkEvaluateScale runs the sim_flow ledger's te.Evaluate
-// configuration at 8 blocks (the ledger's own size) and at 16, each with
-// uplinks = 2·blocks − 2: the flow-level replay at the scale ROADMAP item
-// 6 tracks. `make profile-te` profiles the 16-block case.
+// configuration at 8 blocks (the ledger's own size), 16 and 32, each with
+// uplinks = 2·blocks − 2: the flow-level replay at the scales ROADMAP item
+// 6 tracks, and at which DESIGN.md §9 measures the flow simulator's
+// mechanisms. `make profile-te` profiles the 16-block case; one 32-block
+// run takes tens of seconds.
 func BenchmarkEvaluateScale(b *testing.B) {
-	for _, blocks := range []int{8, 16} {
+	for _, blocks := range []int{8, 16, 32} {
 		uplinks := 2*blocks - 2
 		b.Run(fmt.Sprintf("%dx%d", blocks, uplinks), func(b *testing.B) {
 			cfg := EvalConfig{

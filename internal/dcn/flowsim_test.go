@@ -84,41 +84,6 @@ func TestSimulateErrors(t *testing.T) {
 	}
 }
 
-// TestRoundLabelsRelabel logs 100 rounds at one cursor, more than
-// midpoint labels can separate, so insertRound relabels the log. Labels
-// must still increase along it, and isFrozen must still hold every class
-// of a round before the cursor frozen and no other.
-func TestRoundLabelsRelabel(t *testing.T) {
-	top, _ := UniformMesh(6, 15)
-	s, err := newSimEngine(top, testWorkload(6, 0.2), DefaultSimConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := s.insertRound(0, 1)
-	s.cursor = at
-	label := s.rounds[at].label
-	const n = 100
-	for k := 0; k < n; k++ {
-		s.classes[k].round = s.insertRound(0, 1)
-	}
-	s.classes[n].round = at
-	if s.rounds[at].label == label {
-		t.Fatalf("%d rounds logged at one cursor without a relabel", n)
-	}
-	var prev uint64
-	for i := s.rounds[0].next; i != 0; i = s.rounds[i].next {
-		if s.rounds[i].label <= prev {
-			t.Fatalf("round label %d after %d", s.rounds[i].label, prev)
-		}
-		prev = s.rounds[i].label
-	}
-	for k := 0; k <= n+1; k++ {
-		if got, want := s.isFrozen(&s.classes[k]), k < n; got != want {
-			t.Errorf("class %d (round %d): frozen %t, want %t", k, s.classes[k].round, got, want)
-		}
-	}
-}
-
 func TestFCTScalesWithLoad(t *testing.T) {
 	top, _ := UniformMesh(8, 21)
 	light, err := Simulate(top, testWorkload(8, 0.1), DefaultSimConfig())

@@ -58,13 +58,15 @@ race-fleet:
 # JSON codec it replaced) and segment scanner (a slow frame reader), and
 # the flow simulator's path-class max-min (the per-flow engine, every
 # flow's rate and remaining bytes after each event). A failing input lands
-# in the package's testdata/fuzz/ — commit it with the fix.
+# in the package's testdata/fuzz/ — commit it with the fix. Minimizing a
+# new-coverage input runs no comparisons, so it is held to 3 s of the 10
+# (Go's default, 60 s, left a run minimizing for most of its budget).
 fuzz-smoke:
 	@set -e; $(GO) test -list '^Fuzz' ./... | \
 	awk '/^Fuzz/ { t[++n] = $$1 } /^ok/ { for (i = 1; i <= n; i++) print $$2, t[i]; n = 0 }' | \
 	while read -r pkg target; do \
 		echo "fuzz-smoke: $$pkg $$target"; \
-		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 10s $$pkg; \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 10s -fuzzminimizetime 3s $$pkg; \
 	done
 
 # gofmt -l prints unformatted files; any hit fails the target with a

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -35,7 +34,7 @@ func runEach(t *testing.T, isSlow bool) {
 			if code := run([]string{"-only", e.Name}, &out, &errs); code != 0 || errs.Len() != 0 {
 				t.Fatalf("exit %d, stderr %q, report:\n%s", code, errs.String(), out.String())
 			}
-			if got := maskWall(out.String()); got != want[e.Name] {
+			if got := out.String(); got != want[e.Name] {
 				t.Errorf("report moved from testdata/report.golden (record it with -update-golden):\n--- got ---\n%s--- want ---\n%s", got, want[e.Name])
 			}
 		})
@@ -71,21 +70,11 @@ func goldenSections(t *testing.T) map[string]string {
 	}
 	sections := make(map[string]string)
 	var name string
-	for _, line := range strings.SplitAfter(maskWall(string(b)), "\n") {
+	for _, line := range strings.SplitAfter(string(b), "\n") {
 		if header, ok := strings.CutPrefix(line, "==== "); ok {
 			name, _, _ = strings.Cut(header, ":")
 		}
 		sections[name] += line
 	}
 	return sections
-}
-
-// wallTime matches the one wall-clock reading the report carries, the
-// crash-restart drill's reconvergence time.
-var wallTime = regexp.MustCompile(`in [0-9.]+s wall\n`)
-
-// maskWall replaces the report's wall-clock reading, which no two runs
-// need agree on, with a fixed placeholder.
-func maskWall(report string) string {
-	return wallTime.ReplaceAllString(report, "in <wall>s wall\n")
 }

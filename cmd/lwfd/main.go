@@ -36,6 +36,7 @@ import (
 	"lightwave/internal/core"
 	"lightwave/internal/ctlrpc"
 	"lightwave/internal/daemon"
+	"lightwave/internal/wal"
 )
 
 func main() {
@@ -84,7 +85,7 @@ func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 	// mutating command from here on. compose runs before the listener
 	// opens, so no client observes a half-recovered fabric.
 	if store := d.Store; store != nil {
-		applied, failed, err := store.RecoverFabric(srv)
+		j, applied, failed, err := store.Attach(wal.RecordCommand, srv)
 		if err != nil {
 			return nil, fmt.Errorf("lwfd: restoring fabric: %w", err)
 		}
@@ -93,7 +94,7 @@ func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 				f.StateDir, applied, failed, store.Log().LastLSN())
 		}
 		store.EndRecovery()
-		srv.SetJournal(store)
+		srv.SetJournal(j)
 		srv.SetWAL(store)
 	}
 	return srv, nil

@@ -16,9 +16,9 @@ import (
 	"lightwave/internal/daemon"
 )
 
-// lwfd's durable path — JournalCommand on every mutating RPC whose
-// handler ran, ExportFabric into checkpoints, RecoverFabric's import plus
-// tail replay through ApplyCommand at boot — is pinned the way
+// lwfd's durable path — a journaled command for every mutating RPC whose
+// handler ran, the server's Export into checkpoints, and Attach's import
+// plus tail replay through the server's Replay at boot — is pinned the way
 // wal.TestRestartEquivalence pins the fleet daemon's: a scripted mutation
 // stream runs against a journaled daemon that is stopped and reopened from
 // its state directory, and the reopened daemon must answer status and

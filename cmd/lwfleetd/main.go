@@ -55,6 +55,7 @@ import (
 	"lightwave/internal/superpod"
 	"lightwave/internal/te"
 	"lightwave/internal/telemetry"
+	"lightwave/internal/wal"
 )
 
 // config carries the parsed flags into compose: the ones every daemon
@@ -170,8 +171,9 @@ func buildFleet(n, cubes int, transceiver string, reg *telemetry.Registry, alert
 // Recovery order: the store arrives with journaling suppressed
 // (BeginRecovery), the pods are rebuilt — the TE loop's "dcn" pod among
 // them — RecoverFleet re-applies the recovered intents and drains,
-// RecoverSched restores the scheduler, EndRecovery resumes journaling, and
-// only then does the TE loop undrain what the previous run left drained.
+// Attach restores the scheduler's section, EndRecovery resumes
+// journaling, and only then does the TE loop undrain what the previous run
+// left drained.
 func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 	// The simulation and control packages this daemon runs report their
 	// par_*, dcn_flowsim_*, te_*, chaos_* and sched_* counters alongside
@@ -252,14 +254,14 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 			// The scheduler is fresh: import the snapshot's state export,
 			// replay the journaled input tail, and only then start
 			// journaling new inputs.
-			applied, failed, err := store.RecoverSched(s)
+			j, applied, failed, err := store.Attach(wal.RecordSched, s)
 			if err != nil {
 				return nil, fmt.Errorf("lwfleetd: restoring scheduler: %w", err)
 			}
 			if applied+failed > 0 {
 				log.Printf("lwfleetd: sched recovery: %d entries replayed, %d failed", applied, failed)
 			}
-			s.SetJournal(store)
+			s.SetJournal(j)
 		}
 		d.Go("sched loop", runner.Run)
 		srv.SetSched(s)

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"time"
 
 	"lightwave/internal/fleet"
 	"lightwave/internal/sim"
@@ -70,9 +69,6 @@ type CrashRestartReport struct {
 	DesiredSlices    int
 	RealizedFraction float64
 	Reconverged      bool
-	// ReconvergeSeconds is wall-clock recovery-to-convergence time
-	// (excluded from Text; real-time scheduling noise).
-	ReconvergeSeconds float64
 }
 
 // Text renders the deterministic subset of the report.
@@ -138,12 +134,7 @@ func EvaluateCrashRestart(cfg CrashRestartConfig) (*CrashRestartReport, error) {
 	}
 	store.EndRecovery()
 
-	//lwlint:ignore walltime ReconvergeSeconds is the drill's one wall-clock reading; Text leaves it out
-	begin := time.Now()
-	convErr := lab.Settle("post-restart convergence", allConverged)
-	//lwlint:ignore walltime the other end of the same reading
-	rep.ReconvergeSeconds = time.Since(begin).Seconds()
-	rep.Reconverged = convErr == nil
+	rep.Reconverged = lab.Settle("post-restart convergence", allConverged) == nil
 
 	// Goodput proxy: the fraction of recovered desired slices the fresh
 	// backends actually realized.

@@ -363,7 +363,11 @@ type recordingJournal struct {
 	cmds []string
 }
 
-func (j *recordingJournal) JournalCommand(method string, params json.RawMessage) (uint64, error) {
+func (j *recordingJournal) Append(p []byte) (uint64, error) {
+	method, params, err := decodeCommand(p)
+	if err != nil {
+		return 0, err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.cmds = append(j.cmds, method+" "+string(params))

@@ -139,23 +139,3 @@ func (s *Server) handleObserveBER(p ObserveBERParams) (any, error) {
 	anom, err := s.fabric.ObserveLinkBER(topo.OCSID(p.OCS), p.Port, p.BER)
 	return ObserveBERResult{Anomalous: anom}, err
 }
-
-// ExportFabric returns the fabric's state and the LSN of the last
-// journaled command it holds, read together under the lock every
-// journaled command keeps from execution through its append.
-func (s *Server) ExportFabric() (core.FabricState, uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.fabric.ExportState(), s.walLSN
-}
-
-// ImportFabric loads a snapshot's fabric state, which covers the log up
-// to lsn, into the freshly built fabric during recovery, before the
-// server starts serving.
-func (s *Server) ImportFabric(st core.FabricState, lsn uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen.Add(1)
-	s.walLSN = lsn
-	return s.fabric.ImportState(st)
-}

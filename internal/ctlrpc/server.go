@@ -77,8 +77,8 @@ type method struct {
 	lock lockClass
 	// journal marks mutations that must be durable before their response:
 	// once the handler ran, whatever its verdict, dispatch hands
-	// name+params to the attached Journal, and ApplyCommand accepts the
-	// method for recovery replay.
+	// name+params to the attached Journal, and Replay accepts the method
+	// for recovery.
 	journal bool
 	// cached marks a lockRead handler that ignores its params: its encoded
 	// result is reused until the next lockWrite call.
@@ -222,7 +222,7 @@ func (s *Server) execute(m *method, params json.RawMessage, lsn uint64) (any, er
 		// refuses every further append until a restart recovers the
 		// journaled prefix.
 		var jerr error
-		if lsn, jerr = s.journal.JournalCommand(m.name, params); jerr != nil {
+		if lsn, jerr = s.journal.Append(encodeCommand(m.name, params)); jerr != nil {
 			return nil, fmt.Errorf("journal: %w", jerr)
 		}
 	}
@@ -249,18 +249,6 @@ func (s *Server) readLocked(c call) Response {
 		m.cache.Store(&cachedResult{gen: gen, raw: resp.Result})
 	}
 	return resp
-}
-
-// ApplyCommand re-executes the command journaled at lsn during recovery
-// replay, before the server starts serving. It accepts only
-// journal-marked methods.
-func (s *Server) ApplyCommand(lsn uint64, name string, params json.RawMessage) error {
-	m := s.methods[name]
-	if m == nil || !m.journal {
-		return fmt.Errorf("ctlrpc: method %q is not replayable", name)
-	}
-	_, err := s.execute(m, params, lsn)
-	return err
 }
 
 // marshalResponse packages a call's outcome as the wire response.

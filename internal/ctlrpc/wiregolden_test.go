@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -81,8 +80,8 @@ func (fixedWAL) Status() wal.StoreStatus {
 // refusingJournal fails every command whose params mention "nojournal".
 type refusingJournal struct{}
 
-func (refusingJournal) JournalCommand(_ string, params json.RawMessage) (uint64, error) {
-	if bytes.Contains(params, []byte("nojournal")) {
+func (refusingJournal) Append(p []byte) (uint64, error) {
+	if _, params, err := decodeCommand(p); err != nil || bytes.Contains(params, []byte("nojournal")) {
 		return 0, errors.New("disk full")
 	}
 	return 1, nil

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"runtime"
@@ -32,6 +31,24 @@ func newServer(t *testing.T) *ctlrpc.Server {
 	return ctlrpc.NewServer(f)
 }
 
+// command is a journaled command record as lwfd's server writes it: the
+// format version, the method and "{}" as its params.
+func command(method string) []byte {
+	return append(append([]byte{1, byte(len(method))}, method...), 2, '{', '}')
+}
+
+// attach restores a fresh server's section as lwfd's compose does, and
+// returns the server and the journal its commands go through.
+func attach(t *testing.T, d *Daemon) (*ctlrpc.Server, wal.Journal) {
+	t.Helper()
+	srv := newServer(t)
+	j, _, _, err := d.Store.Attach(wal.RecordCommand, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, j
+}
+
 // countCommands reopens a state dir — which fails unless the previous
 // owner really closed it — and counts the journaled commands.
 func countCommands(t *testing.T, dir string) int {
@@ -41,7 +58,7 @@ func countCommands(t *testing.T, dir string) int {
 		t.Fatalf("reopening state dir: %v", err)
 	}
 	defer st.Close()
-	applied, failed, err := st.RecoverFabric(newServer(t))
+	_, applied, failed, err := st.Attach(wal.RecordCommand, newServer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +84,13 @@ func TestShutdownJoinsEveryLoopBeforeStoreCloses(t *testing.T) {
 	var closerErr error
 	var closerSawLoops int32
 	d, err := Start(ctx, "test", testFlags(dir), func(d *Daemon) (*ctlrpc.Server, error) {
+		srv, j := attach(t, d)
 		d.Store.EndRecovery()
 		for i := range lateErrs {
 			d.Go("journaling loop", func(ctx context.Context) error {
 				defer loopsDone.Add(1)
 				for ctx.Err() == nil {
-					if _, err := d.Store.JournalCommand("compose", json.RawMessage(`{}`)); err != nil {
+					if _, err := j.Append(command("compose")); err != nil {
 						return err
 					}
 					journaled.Add(1)
@@ -80,7 +98,7 @@ func TestShutdownJoinsEveryLoopBeforeStoreCloses(t *testing.T) {
 				// Straggle past the cancel, as a real loop finishing its
 				// tick does, and journal once more.
 				time.Sleep(5 * time.Millisecond)
-				if _, lateErrs[i] = d.Store.JournalCommand("compose", json.RawMessage(`{}`)); lateErrs[i] == nil {
+				if _, lateErrs[i] = j.Append(command("compose")); lateErrs[i] == nil {
 					journaled.Add(1)
 				}
 				return nil
@@ -88,10 +106,10 @@ func TestShutdownJoinsEveryLoopBeforeStoreCloses(t *testing.T) {
 		}
 		d.OnShutdown(func() {
 			closerSawLoops = loopsDone.Load()
-			_, closerErr = d.Store.JournalCommand("destroy", json.RawMessage(`{}`))
+			_, closerErr = j.Append(command("destroy"))
 			journaled.Add(1)
 		})
-		return newServer(t), nil
+		return srv, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,16 +165,17 @@ func TestFailedBootTearsDown(t *testing.T) {
 			var loopRan atomic.Bool
 			var order []string
 			_, err := Start(context.Background(), "test", f, func(d *Daemon) (*ctlrpc.Server, error) {
+				srv, j := attach(t, d)
 				d.Store.EndRecovery()
 				d.OnShutdown(func() { order = append(order, "manager") })
 				d.Go("sched loop", func(context.Context) error { loopRan.Store(true); return nil })
 				d.OnShutdown(func() {
 					order = append(order, "injector")
-					if _, err := d.Store.JournalCommand("compose", json.RawMessage(`{}`)); err != nil {
+					if _, err := j.Append(command("compose")); err != nil {
 						t.Errorf("closer found the store closed: %v", err)
 					}
 				})
-				return newServer(t), tc.composeErr
+				return srv, tc.composeErr
 			})
 			if err == nil {
 				t.Fatal("boot succeeded")

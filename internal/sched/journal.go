@@ -1,5 +1,7 @@
 package sched
 
+import "encoding/json"
+
 // The scheduler journal seam. Unlike the fleet intent store — whose
 // journal records *state* — the scheduler journals its *inputs* (submit,
 // advance, fail, repair, pod-down): the scheduler is deterministic given
@@ -45,13 +47,13 @@ type JournalEntry struct {
 	Down bool      `json:"down,omitempty"`
 }
 
-// Journal receives scheduler journal entries and returns the log sequence
-// number each was assigned, so state exports can record how much of the
-// log they cover. Implementations must be safe for concurrent use and are
+// Journal appends one encoded journal entry and returns the log sequence
+// number it was assigned, so state exports can record how much of the log
+// they cover. Implementations must be safe for concurrent use and are
 // called with the scheduler's lock held, so they must not call back into
 // the Scheduler.
 type Journal interface {
-	JournalSched(e JournalEntry) (uint64, error)
+	Append(payload []byte) (uint64, error)
 }
 
 // SetJournal attaches a journal. Attach after recovery replay and before
@@ -68,7 +70,11 @@ func (s *Scheduler) journalLocked(e JournalEntry) error {
 	if s.journal == nil {
 		return nil
 	}
-	lsn, err := s.journal.JournalSched(e)
+	b, err := encodeEntry(e)
+	if err != nil {
+		return err
+	}
+	lsn, err := s.journal.Append(b)
 	if err != nil {
 		return err
 	}
@@ -78,12 +84,35 @@ func (s *Scheduler) journalLocked(e JournalEntry) error {
 	return nil
 }
 
-// Apply replays the journal entry recorded at lsn. It is the recovery
-// path's dispatcher; the entry is re-executed through the ordinary
-// mutators, so placement and id assignment repeat exactly. Like live
-// journaling, it advances the LSN ExportState reports, whether or not the
-// input is accepted again.
-func (s *Scheduler) Apply(lsn uint64, e JournalEntry) error {
+// Export makes the scheduler a wal section: it returns ExportState as
+// JSON and the LSN it covers.
+func (s *Scheduler) Export() ([]byte, uint64, error) {
+	st := s.ExportState()
+	b, err := json.Marshal(st)
+	return b, st.WALLSN, err
+}
+
+// Load imports a snapshot's state export into the fresh scheduler; the
+// export carries the LSN it covers.
+func (s *Scheduler) Load(state []byte, _ uint64) error {
+	var st State
+	if err := json.Unmarshal(state, &st); err != nil {
+		return err
+	}
+	return s.ImportState(st)
+}
+
+// Replay re-executes the journal record appended at lsn. It is the
+// recovery path's dispatcher; the entry is re-executed through the
+// ordinary mutators, so placement and id assignment repeat exactly. Like
+// live journaling, it advances the LSN ExportState reports, whether or
+// not the input is accepted again. A record that does not decode wraps
+// walrec.ErrMalformed.
+func (s *Scheduler) Replay(lsn uint64, payload []byte) error {
+	e, err := decodeEntry(payload)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	s.walLSN = max(s.walLSN, lsn)
 	s.mu.Unlock()

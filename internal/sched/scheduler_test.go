@@ -401,7 +401,11 @@ func TestSchedulerRetriesRejectedPlacementAfterImport(t *testing.T) {
 // recordingJournal keeps every entry it is handed.
 type recordingJournal struct{ entries []JournalEntry }
 
-func (j *recordingJournal) JournalSched(e JournalEntry) (uint64, error) {
+func (j *recordingJournal) Append(p []byte) (uint64, error) {
+	e, err := decodeEntry(p)
+	if err != nil {
+		return 0, err
+	}
 	j.entries = append(j.entries, e)
 	return uint64(len(j.entries)), nil
 }

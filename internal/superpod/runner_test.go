@@ -92,10 +92,10 @@ func TestRunnerTrimsMixToInstalledCubes(t *testing.T) {
 }
 
 // TestRunnerResumesRecoveredClock is the crash-recovery regression: after
-// RecoverSched replays the journal, the scheduler's virtual clock resumes
-// far ahead of the runner's freshly seeded arrival clock. The first tick
-// must re-anchor the arrival stream instead of calling AdvanceTo backwards
-// and killing the loop.
+// the store's Attach replays the journal, the scheduler's virtual clock
+// resumes far ahead of the runner's freshly seeded arrival clock. The
+// first tick must re-anchor the arrival stream instead of calling
+// AdvanceTo backwards and killing the loop.
 func TestRunnerResumesRecoveredClock(t *testing.T) {
 	lab, _ := testLab(t, 0, 1)
 	mgr := lab.Manager

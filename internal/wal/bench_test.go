@@ -37,7 +37,7 @@ func BenchmarkWALAppendNoSync(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	payload := mustEncode(encodeSched(sched.JournalEntry{Op: sched.OpAdvance, T: 1234.5}))
+	payload := schedRecord(func(s *sched.Scheduler) error { return s.AdvanceTo(1234.5) })
 	b.SetBytes(int64(frameHeaderBytes + 1 + len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,10 +1,12 @@
 package wal
 
-// Reference bodies for the record codec and the segment scanner. The JSON
-// record codec is what the log wrote before binary records; it stays here
-// as the differential oracle: every entry the binary codec round-trips must
-// decode to what a JSON round trip gave, nil and empty included, because
-// FleetState.Encode (and the digest over it) tells them apart.
+// Reference bodies for the fleet record codec and the segment scanner. The
+// JSON record codec is what the log wrote before binary records; it stays
+// here as the differential oracle: every entry the binary codec round-trips
+// must decode to what a JSON round trip gave, nil and empty included,
+// because FleetState.Encode (and the digest over it) tells them apart. The
+// scheduler's and the fabric server's codecs have their oracles beside
+// them, in internal/sched and internal/ctlrpc.
 
 import (
 	"bytes"
@@ -27,6 +29,7 @@ import (
 	"lightwave/internal/fleet"
 	"lightwave/internal/sched"
 	"lightwave/internal/topo"
+	"lightwave/internal/walrec"
 )
 
 func jsonDecodeFleet(p []byte) (fleet.JournalEntry, error) {
@@ -35,31 +38,6 @@ func jsonDecodeFleet(p []byte) (fleet.JournalEntry, error) {
 		return fleet.JournalEntry{}, fmt.Errorf("wal: fleet record: %w", err)
 	}
 	return e, nil
-}
-
-func jsonDecodeSched(p []byte) (sched.JournalEntry, error) {
-	var e sched.JournalEntry
-	if err := json.Unmarshal(p, &e); err != nil {
-		return sched.JournalEntry{}, fmt.Errorf("wal: sched record: %w", err)
-	}
-	return e, nil
-}
-
-// jsonCommand is Command as the JSON codec wrote it.
-type jsonCommand struct {
-	Method string          `json:"method"`
-	Params json.RawMessage `json:"params,omitempty"`
-}
-
-func jsonDecodeCommand(p []byte) (jsonCommand, error) {
-	var c jsonCommand
-	if err := json.Unmarshal(p, &c); err != nil {
-		return jsonCommand{}, fmt.Errorf("wal: command record: %w", err)
-	}
-	if c.Method == "" {
-		return jsonCommand{}, fmt.Errorf("wal: command record: empty method")
-	}
-	return c, nil
 }
 
 // jsonRoundTrip is what the JSON codec made of v on replay; ok is false
@@ -156,7 +134,7 @@ func (s *source) sliceIntent() fleet.SliceIntent {
 }
 
 func (s *source) fleetEntry() fleet.JournalEntry {
-	e := fleet.JournalEntry{Op: fleetOps[1+int(s.byte())%(len(fleetOps)-1)], Pod: s.string()}
+	e := fleet.JournalEntry{Op: fleet.JournalOps[int(s.byte())%len(fleet.JournalOps)], Pod: s.string()}
 	if s.byte()%2 == 1 {
 		in := s.sliceIntent()
 		e.Slice = &in
@@ -174,33 +152,6 @@ func (s *source) fleetEntry() fleet.JournalEntry {
 	e.OCS = s.int()
 	e.Detail = s.string()
 	return e
-}
-
-func (s *source) schedEntry() sched.JournalEntry {
-	e := sched.JournalEntry{Op: schedOps[1+int(s.byte())%(len(schedOps)-1)]}
-	if s.byte()%2 == 1 {
-		e.Spec = &sched.JobSpec{Cubes: s.int(), DurationSeconds: math.Float64frombits(s.u64())}
-	}
-	e.T = math.Float64frombits(s.u64())
-	e.Pod = s.string()
-	e.Cube = s.int()
-	e.Down = s.byte()%2 == 1
-	return e
-}
-
-// command reports whether the params are absent or compact JSON, which the
-// oracle reproduces byte for byte; other params are raw bytes, which the
-// binary codec keeps as they came and JSON compacts or refuses.
-func (s *source) command() (Command, bool) {
-	c := Command{Method: "m" + s.string()}
-	switch s.byte() % 3 {
-	case 1:
-		c.Params, _ = json.Marshal(s.string())
-	case 2:
-		c.Params = append(json.RawMessage(nil), s.take(int(s.byte()%16))...)
-		return c, false
-	}
-	return c, true
 }
 
 // allocated reports the heap bytes f allocates: the least of three runs,
@@ -226,14 +177,15 @@ func mustEncode(p []byte, err error) []byte {
 	return p
 }
 
-// seedPayloads are one record of every fleet and sched op and both command
-// shapes, as the encoder writes them, plus a JSON-era payload.
+// seedPayloads are one record of every fleet op, as the encoder writes
+// them, one of every other section's op as its owner writes it (a foreign
+// payload the fleet decoder must refuse cleanly), and a JSON-era payload.
 func seedPayloads() [][]byte {
 	in := slice("train", 0, 1, 2, 3)
 	empty := fleet.SliceIntent{Name: "e", Shape: topo.Shape{X: 4, Y: 4, Z: 4}, Cubes: []int{}}
 	var out [][]byte
 	add := func(b []byte, err error) { out = append(out, mustEncode(b, err)) }
-	for _, op := range fleetOps[1:] {
+	for _, op := range fleet.JournalOps {
 		e := fleet.JournalEntry{Op: op, Pod: "pod0"}
 		switch op {
 		case fleet.OpSetSlice:
@@ -249,13 +201,18 @@ func seedPayloads() [][]byte {
 		}
 		add(encodeFleet(e))
 	}
-	for _, op := range schedOps[1:] {
-		e := sched.JournalEntry{Op: op, Pod: "pod2", Cube: 5, T: 1234.5}
-		if op == sched.OpSubmit {
-			e.Spec = &sched.JobSpec{Cubes: 8, DurationSeconds: 3600}
-		}
-		e.Down = op == sched.OpPodDown
-		add(encodeSched(e))
+	for _, input := range []func(*sched.Scheduler) error{
+		func(s *sched.Scheduler) error {
+			_, _, err := s.Submit(sched.JobSpec{Cubes: 8, DurationSeconds: 3600})
+			return err
+		},
+		func(s *sched.Scheduler) error { return s.AdvanceTo(1234.5) },
+		func(s *sched.Scheduler) error { return s.FailCube("pod0", 5) },
+		func(s *sched.Scheduler) error { s.FailCube("pod0", 5); return s.RepairCube("pod0", 5) },
+		func(s *sched.Scheduler) error { return s.SetPodDown("pod0", true) },
+		func(s *sched.Scheduler) error { s.StartMeasurement(); return nil },
+	} {
+		out = append(out, schedRecord(input))
 	}
 	add(encodeCommand(Command{Method: "ensure", Params: json.RawMessage(`{"name":"s1","shape":[4,4,8],"cubes":[0,1]}`)}))
 	add(encodeCommand(Command{Method: "status"}))
@@ -263,78 +220,69 @@ func seedPayloads() [][]byte {
 }
 
 // TestEveryJournalOpHasCode reads the JournalOp constants out of the fleet
-// and sched sources: one missing from its package's JournalOps would make
-// every append of that op fail at run time.
+// sources: one missing from fleet.JournalOps would make every append of
+// that op fail at run time.
 func TestEveryJournalOpHasCode(t *testing.T) {
-	for pkg, code := range map[string]func(string) error{
-		"fleet": func(op string) error { _, err := opCode(fleetOps, fleet.JournalOp(op)); return err },
-		"sched": func(op string) error { _, err := opCode(schedOps, sched.JournalOp(op)); return err },
-	} {
-		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("%s sources: %v, %v", pkg, files, err)
+	files, err := filepath.Glob(filepath.Join("..", "fleet", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("fleet sources: %v, %v", files, err)
+	}
+	seen := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
 		}
-		seen := 0
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
 				continue
 			}
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.CONST {
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "JournalOp" {
 					continue
 				}
-				for _, spec := range gd.Specs {
-					vs := spec.(*ast.ValueSpec)
-					if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "JournalOp" {
-						continue
+				for _, v := range vs.Values {
+					op, err := strconv.Unquote(v.(*ast.BasicLit).Value)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, v := range vs.Values {
-						op, err := strconv.Unquote(v.(*ast.BasicLit).Value)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := code(op); err != nil {
-							t.Errorf("%s op %q: %v", pkg, op, err)
-						}
-						seen++
+					if _, err := walrec.OpCode(fleet.JournalOps, fleet.JournalOp(op)); err != nil {
+						t.Errorf("fleet op %q: %v", op, err)
 					}
+					seen++
 				}
 			}
 		}
-		if seen == 0 {
-			t.Errorf("found no %s.JournalOp constants", pkg)
-		}
+	}
+	if seen == 0 {
+		t.Error("found no fleet.JournalOp constants")
 	}
 }
 
 // FuzzRecordCodec runs every input both ways. As a payload it goes through
-// all three decoders, which must not panic, must allocate within a fixed
+// the fleet decoder, which must not panic, must allocate within a fixed
 // multiple of its length (a decoded SliceIntent is 64 B, its shortest
-// encoding 5 B), and whatever they accept must re-encode to a fixed point.
-// As a generator it yields one entry of each type, which must decode to
-// itself — times bit for bit — and to what the JSON codec made of it.
+// encoding 5 B), and whatever it accepts must re-encode to a fixed point.
+// As a generator it yields one entry, which must decode to itself and to
+// what the JSON codec made of it.
 func FuzzRecordCodec(f *testing.F) {
 	for _, p := range seedPayloads() {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		limit := 16*uint64(len(data)) + 1024
-		for _, typ := range []RecordType{RecordFleet, RecordSched, RecordCommand} {
-			var b1 []byte
-			var err error
-			if n := allocated(func() { b1, err = reencode(typ, data) }); n > limit {
-				t.Fatalf("type %d: decoding %d bytes allocated %d", typ, len(data), n)
-			}
-			if err != nil {
-				continue
-			}
-			if b2, err := reencode(typ, b1); err != nil || !bytes.Equal(b1, b2) {
-				t.Fatalf("type %d: re-encoding %x gave %x, %v", typ, b1, b2, err)
+		var b1 []byte
+		var err error
+		if n, limit := allocated(func() { b1, err = reencode(data) }), 16*uint64(len(data))+1024; n > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err == nil {
+			if b2, err := reencode(b1); err != nil || !bytes.Equal(b1, b2) {
+				t.Fatalf("re-encoding %x gave %x, %v", b1, b2, err)
 			}
 		}
 
@@ -351,58 +299,16 @@ func FuzzRecordCodec(f *testing.F) {
 		if want, ok := jsonRoundTrip(fe, jsonDecodeFleet); !ok || !reflect.DeepEqual(got, want) {
 			t.Fatalf("fleet entry %+v: binary gave %+v, JSON %+v (ok=%t)", fe, got, want, ok)
 		}
-
-		se := src.schedEntry()
-		if b, err = encodeSched(se); err != nil {
-			t.Fatal(err)
-		}
-		gs, err := decodeSched(b)
-		if err != nil {
-			t.Fatalf("decodeSched(encodeSched(%+v)): %v", se, err)
-		}
-		if math.Float64bits(gs.T) != math.Float64bits(se.T) || (se.Spec != nil) != (gs.Spec != nil) ||
-			se.Spec != nil && math.Float64bits(gs.Spec.DurationSeconds) != math.Float64bits(se.Spec.DurationSeconds) {
-			t.Fatalf("sched entry %+v decoded as %+v: times not bit-exact", se, gs)
-		}
-		if want, ok := jsonRoundTrip(se, jsonDecodeSched); ok && !reflect.DeepEqual(gs, want) {
-			t.Fatalf("sched entry %+v: binary gave %+v, JSON %+v", se, gs, want)
-		}
-
-		ce, isJSON := src.command()
-		if b, err = encodeCommand(ce); err != nil {
-			t.Fatal(err)
-		}
-		gc, err := decodeCommand(b)
-		if err != nil || gc.Method != ce.Method || !bytes.Equal(gc.Params, ce.Params) || (gc.Params == nil) != (len(ce.Params) == 0) {
-			t.Fatalf("command %+v decoded as %+v, %v", ce, gc, err)
-		}
-		if want, ok := jsonRoundTrip(jsonCommand(ce), jsonDecodeCommand); isJSON && (!ok || !reflect.DeepEqual(gc, Command(want))) {
-			t.Fatalf("command %+v: binary gave %+v, JSON %+v", ce, gc, want)
-		}
 	})
 }
 
-// reencode decodes p as a record of type typ and encodes the result.
-func reencode(typ RecordType, p []byte) ([]byte, error) {
-	switch typ {
-	case RecordFleet:
-		e, err := decodeFleet(p)
-		if err != nil {
-			return nil, err
-		}
-		return encodeFleet(e)
-	case RecordSched:
-		e, err := decodeSched(p)
-		if err != nil {
-			return nil, err
-		}
-		return encodeSched(e)
-	}
-	c, err := decodeCommand(p)
+// reencode decodes p as a fleet record and encodes the result.
+func reencode(p []byte) ([]byte, error) {
+	e, err := decodeFleet(p)
 	if err != nil {
 		return nil, err
 	}
-	return encodeCommand(c)
+	return encodeFleet(e)
 }
 
 // FuzzSegmentScan opens a log whose only segment holds arbitrary bytes. It
@@ -411,7 +317,7 @@ func reencode(typ RecordType, p []byte) ([]byte, error) {
 func FuzzSegmentScan(f *testing.F) {
 	// Short seeds: minimizing an input reruns two opens per candidate.
 	seg := appendFrame(nil, RecordFleet, mustEncode(encodeFleet(fleet.JournalEntry{Op: fleet.OpAddPod, Pod: "pod0"})))
-	seg = appendFrame(seg, RecordSched, mustEncode(encodeSched(sched.JournalEntry{Op: sched.OpAdvance, T: 60})))
+	seg = appendFrame(seg, RecordSched, schedRecord(func(s *sched.Scheduler) error { return s.AdvanceTo(60) }))
 	seg = appendFrame(seg, RecordCommand, mustEncode(encodeCommand(Command{Method: "status"})))
 	f.Add(seg)
 	f.Add(seg[:len(seg)-3])

@@ -78,10 +78,11 @@ func startSession(t *testing.T, store *wal.Store, recover bool) *session {
 	}
 	if store != nil {
 		// On a fresh store this only attaches the scheduler's section.
-		if _, _, err := store.RecoverSched(s); err != nil {
-			t.Fatalf("RecoverSched: %v", err)
+		j, _, _, err := store.Attach(wal.RecordSched, s)
+		if err != nil {
+			t.Fatalf("Attach: %v", err)
 		}
-		s.SetJournal(store)
+		s.SetJournal(j)
 		if recover {
 			store.EndRecovery()
 		}

@@ -316,7 +316,15 @@ func TestCheckpointCoveredNeverRegresses(t *testing.T) {
 	if !ok || first <= 1 {
 		t.Fatalf("checkpoint compacted nothing: the log still starts at LSN %d", first)
 	}
-	if _, err := st.JournalSched(sched.JournalEntry{Op: sched.OpAdvance, T: 1}); err != nil {
+	// The scheduler ran once and is gone: its record stays in the log, and
+	// this run attaches no scheduler section.
+	if _, err := st.Log().Append(RecordSched, schedRecord(func(s *sched.Scheduler) error { return s.AdvanceTo(1) })); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = OpenStore(dir, opts); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.JournalFleet(fleet.JournalEntry{Op: fleet.OpRemoveSlice, Pod: "pod0", Name: "s00"}); err != nil {
@@ -347,47 +355,6 @@ func TestCheckpointCoveredNeverRegresses(t *testing.T) {
 	}
 	if s := st.Status(); got != want || s.FleetSlices != 19 || s.ReplayErrors != 0 {
 		t.Fatalf("reopen: %d slices, %d replay errors, digest match %t", s.FleetSlices, s.ReplayErrors, got == want)
-	}
-}
-
-// TestPreBinaryRecordRefused: a malformed binary payload is counted and
-// skipped, but a payload with an unknown version byte — a JSON record from
-// before binary records — fails the open rather than booting without it.
-func TestPreBinaryRecordRefused(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{NoSync: true})
-	good, err := encodeFleet(fleet.JournalEntry{Op: fleet.OpAddPod, Pod: "pod0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendT(t, l, RecordFleet, good)
-	appendT(t, l, RecordFleet, []byte{recordV1, 0xff})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenStore(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := st.Status(); s.ReplayErrors != 1 || s.FleetPods != 1 {
-		t.Fatalf("malformed v1 record: %d replay errors, %d pods", s.ReplayErrors, s.FleetPods)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l, _ = openT(t, dir, Options{NoSync: true})
-	appendT(t, l, RecordFleet, []byte(`{"op":"add-pod","pod":"pod1"}`))
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = OpenStore(dir, Options{NoSync: true})
-	if err == nil {
-		st.Close()
-		t.Fatal("OpenStore replayed a JSON-era record")
-	}
-	if !strings.Contains(err.Error(), "LSN 3") || !strings.Contains(err.Error(), "predates binary records") {
-		t.Fatalf("error %q does not name LSN 3 and the pre-binary format", err)
 	}
 }
 

@@ -8,7 +8,7 @@
 //
 // Link telemetry enters through the observe-ber method (`lwfctl
 // observe-ber`): each pre-FEC BER sample feeds the fabric's per-link
-// detector, and a reading above the KP4 threshold raises a critical alert.
+// detector, and a reading above the KP4 threshold writes an Error record.
 // lwfd has no fault injector; chaos-inject answers "chaos injection
 // disabled", and fleet fault drills run on lwfleetd -chaos.
 //
@@ -28,10 +28,8 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log"
 
 	"lightwave/internal/core"
 	"lightwave/internal/ctlrpc"
@@ -42,17 +40,7 @@ import (
 func main() {
 	f := flags(flag.CommandLine)
 	flag.Parse()
-
-	if err := f.Validate(); err != nil {
-		log.Fatalf("lwfd: %v", err)
-	}
-	d, err := daemon.Start(context.Background(), "lwfd", f, compose)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := d.Wait(); err != nil {
-		log.Fatal(err)
-	}
+	daemon.Main("lwfd", f, f.Validate, compose)
 }
 
 // flags declares lwfd's command line on fs: the flags both daemons share.
@@ -65,7 +53,7 @@ func flags(fs *flag.FlagSet) *daemon.Flags {
 // compose builds the fabric and its server on the shared daemon skeleton.
 func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 	f := d.Flags
-	cfg, err := daemon.PodConfig(f.Cubes, f.Transceiver, d.Reg, d.Alerts)
+	cfg, err := daemon.PodConfig(f.Cubes, f.Transceiver, d.Reg, d.Log)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +61,7 @@ func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("building fabric: %w", err)
 	}
-	log.Printf("lwfd: %d cubes, %s modules", f.Cubes, cfg.Transceiver.Name)
+	d.Log.Info("fabric", "cubes", f.Cubes, "transceiver", cfg.Transceiver.Name)
 
 	srv := ctlrpc.NewServer(fabric)
 	// ctl_requests_total / ctl_inflight / ctl_request_latency_seconds ride
@@ -90,8 +78,7 @@ func compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 			return nil, fmt.Errorf("lwfd: restoring fabric: %w", err)
 		}
 		if applied+failed > 0 {
-			log.Printf("lwfd: state dir %s: replayed %d commands (%d refused) to lsn %d",
-				f.StateDir, applied, failed, store.Log().LastLSN())
+			d.Log.Info("replayed commands", "dir", f.StateDir, "applied", applied, "refused", failed, "lsn", store.Log().LastLSN())
 		}
 		store.EndRecovery()
 		srv.SetJournal(j)

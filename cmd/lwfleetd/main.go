@@ -39,7 +39,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"time"
 
 	"lightwave/internal/chaos"
@@ -81,17 +81,7 @@ func main() {
 	flag.IntVar(&cfg.teBlocks, "te-blocks", 8, "aggregation blocks in the TE loop's DCN fabric")
 	flag.IntVar(&cfg.teUplinks, "te-uplinks", 14, "uplinks per block in the TE loop's DCN fabric")
 	flag.Parse()
-
-	if err := cfg.validate(); err != nil {
-		log.Fatalf("lwfleetd: %v", err)
-	}
-	d, err := daemon.Start(context.Background(), "lwfleetd", &cfg.Flags, cfg.compose)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := d.Wait(); err != nil {
-		log.Fatal(err)
-	}
+	daemon.Main("lwfleetd", &cfg.Flags, cfg.validate, cfg.compose)
 }
 
 // validate adds the fleet daemon's own flags to the shared checks.
@@ -133,7 +123,7 @@ func newSchedRunner(m *fleet.Manager, podNames []string, cubes int, tick time.Du
 // chaosOn each pod backend is wrapped in a chaos.FaultyBackend so the
 // chaos-inject RPC can fail it; the map is nil otherwise. journal, when
 // non-nil, receives every intent mutation write-ahead.
-func buildFleet(n, cubes int, transceiver string, reg *telemetry.Registry, alerts telemetry.AlertSink, chaosOn bool, journal fleet.Journal) (*fleet.Manager, map[string]*chaos.FaultyBackend, error) {
+func buildFleet(n, cubes int, transceiver string, reg *telemetry.Registry, log *slog.Logger, chaosOn bool, journal fleet.Journal) (*fleet.Manager, map[string]*chaos.FaultyBackend, error) {
 	if n < 1 {
 		return nil, nil, fmt.Errorf("lwfleetd: need at least 1 pod, got %d", n)
 	}
@@ -141,11 +131,11 @@ func buildFleet(n, cubes int, transceiver string, reg *telemetry.Registry, alert
 	if chaosOn {
 		injectable = make(map[string]*chaos.FaultyBackend, n)
 	}
-	cfg, err := daemon.PodConfig(cubes, transceiver, reg, alerts)
+	cfg, err := daemon.PodConfig(cubes, transceiver, reg, log)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := fleet.NewManager(fleet.Options{Metrics: reg, Alerts: alerts, Journal: journal})
+	m := fleet.NewManager(fleet.Options{Metrics: reg, Log: log, Journal: journal})
 	for i := 0; i < n; i++ {
 		f, err := core.New(cfg)
 		if err != nil {
@@ -189,11 +179,11 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 	if store != nil {
 		journal = store
 		st := store.Status()
-		log.Printf("lwfleetd: state dir %s: replayed %d records to lsn %d (%d pods, %d slices, %d errors)",
-			cfg.StateDir, st.ReplayRecords, st.LastLSN, st.FleetPods, st.FleetSlices, st.ReplayErrors)
+		d.Log.Info("replayed records", "dir", cfg.StateDir, "records", st.ReplayRecords, "lsn", st.LastLSN,
+			"pods", st.FleetPods, "slices", st.FleetSlices, "errors", st.ReplayErrors)
 	}
 
-	m, injectable, err := buildFleet(cfg.pods, cfg.Cubes, cfg.Transceiver, d.Reg, d.Alerts, cfg.chaosOn, journal)
+	m, injectable, err := buildFleet(cfg.pods, cfg.Cubes, cfg.Transceiver, d.Reg, d.Log, cfg.chaosOn, journal)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +199,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 			return nil, fmt.Errorf("lwfleetd: restoring intents: %w", err)
 		}
 	}
-	log.Printf("lwfleetd: %d pods x %d cubes, %s modules", cfg.pods, cfg.Cubes, cfg.Transceiver)
+	d.Log.Info("fleet", "pods", cfg.pods, "cubes", cfg.Cubes, "transceiver", cfg.Transceiver)
 
 	srv := ctlrpc.NewFleetServer(m)
 	// ctl_requests_total / ctl_inflight / ctl_request_latency_seconds ride
@@ -224,7 +214,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		// backends, drains through the manager, trunk impairments as
 		// injector bookkeeping. OCS outages need a fabric target and are
 		// rejected — the shared te fabric is driven by its own loop.
-		det := telemetry.NewDetector("chaos-ber", d.Alerts)
+		det := telemetry.NewDetector(d.Log.With("detector", "chaos-ber"))
 		det.HardLimit = fec.KP4Threshold
 		inj, err := chaos.NewInjector(chaos.Targets{
 			Fleet:    m,
@@ -237,7 +227,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 		// Stops the lift timers, so nothing mutates state mid-snapshot.
 		d.OnShutdown(inj.Close)
 		srv.SetChaos(inj)
-		log.Printf("lwfleetd: fault injection enabled (%d injectable pods)", len(injectable))
+		d.Log.Info("fault injection enabled", "pods", len(injectable))
 	}
 
 	if cfg.schedOn {
@@ -259,14 +249,13 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 				return nil, fmt.Errorf("lwfleetd: restoring scheduler: %w", err)
 			}
 			if applied+failed > 0 {
-				log.Printf("lwfleetd: sched recovery: %d entries replayed, %d failed", applied, failed)
+				d.Log.Info("replayed scheduler inputs", "applied", applied, "failed", failed)
 			}
 			s.SetJournal(j)
 		}
 		d.Go("sched loop", runner.Run)
 		srv.SetSched(s)
-		log.Printf("lwfleetd: slice scheduler on %d pods (tick %s, policy %s)",
-			cfg.pods, cfg.schedTick, s.Policy())
+		d.Log.Info("slice scheduler", "pods", cfg.pods, "tick", cfg.schedTick, "policy", s.Policy())
 	}
 
 	// Recovery is complete; journal everything from here on, including the
@@ -280,8 +269,7 @@ func (cfg config) compose(d *daemon.Daemon) (*ctlrpc.Server, error) {
 			return nil, fmt.Errorf("starting te loop: %w", err)
 		}
 		srv.SetTE(loop)
-		log.Printf("lwfleetd: te loop on %d blocks x %d uplinks, epoch %s (pod %q)",
-			cfg.teBlocks, cfg.teUplinks, cfg.teEpoch, tePod)
+		d.Log.Info("te loop", "blocks", cfg.teBlocks, "uplinks", cfg.teUplinks, "epoch", cfg.teEpoch, "pod", tePod)
 	}
 	return srv, nil
 }
@@ -353,8 +341,8 @@ func (cfg config) runTE(d *daemon.Daemon, m *fleet.Manager, loop *te.Loop) error
 				return err
 			}
 			if plan.Reconfigure {
-				log.Printf("lwfleetd: te epoch %d: reconfigured in %d stages (gain %.3f, %.2fs, min residual %.2f)",
-					epoch, len(plan.Stages), plan.PredictedGain, plan.Seconds, plan.MinResidualFraction)
+				d.Log.Info("te reconfigured", "epoch", epoch, "stages", len(plan.Stages), "gain", plan.PredictedGain,
+					"seconds", plan.Seconds, "min_residual", plan.MinResidualFraction)
 			}
 		}
 	})

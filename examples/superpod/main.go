@@ -10,6 +10,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"log/slog"
+	"os"
 
 	"lightwave/internal/core"
 	"lightwave/internal/mlperf"
@@ -20,8 +22,8 @@ import (
 func main() {
 	cfg := core.DefaultConfig(64)
 	cfg.Metrics = telemetry.NewRegistry()
-	sink := &telemetry.MemorySink{}
-	cfg.Alerts = sink
+	// Alerts print as they happen, one slog record each.
+	cfg.Log = slog.New(slog.NewTextHandler(os.Stdout, nil))
 	fabric, err := core.New(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -68,9 +70,6 @@ func main() {
 	}
 	if _, err := fabric.ObserveLinkBER(topo.OCSID(3), 17, 8e-4); err != nil { // above the KP4 threshold
 		log.Fatal(err)
-	}
-	for _, a := range sink.Alerts() {
-		fmt.Printf("alert: [%s] %s: %s\n", a.Severity, a.Source, a.Message)
 	}
 
 	// Hardware faults: an HV driver board on OCS 5 drops circuits; then a

@@ -261,7 +261,7 @@ func newHarness(cfg EvalConfig, epochs int) (_ *harness, err error) {
 
 	// BER samples ride the production telemetry path: a detector with the
 	// KP4 FEC ceiling as its hard limit.
-	det := telemetry.NewDetector("chaos-ber", nil)
+	det := telemetry.NewDetector(nil)
 	det.HardLimit = fec.KP4Threshold
 	h.inj, err = NewInjector(Targets{
 		Fleet:     lab.Manager,

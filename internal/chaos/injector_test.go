@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -120,8 +122,8 @@ func TestInjectorTrunkBookkeeping(t *testing.T) {
 
 func TestInjectorBERPolicy(t *testing.T) {
 	_, _, inj := testFleet(t)
-	alerts := &telemetry.MemorySink{}
-	det := telemetry.NewDetector("ber", alerts)
+	var buf bytes.Buffer
+	det := telemetry.NewDetector(slog.New(slog.NewTextHandler(&buf, nil)))
 	det.HardLimit = fec.KP4Threshold
 	inj.t.Detector = det
 	top, err := dcn.UniformMesh(4, 4)
@@ -142,7 +144,7 @@ func TestInjectorBERPolicy(t *testing.T) {
 	}
 
 	// At the limit: the trunk drains for the duration and the detector
-	// posts a critical alert.
+	// writes an Error record.
 	at := Event{Kind: KindBERDegrade, Trunk: [2]int{0, 1}, BER: fec.KP4Threshold * 2, DurationSeconds: 5}
 	if err := inj.Apply(at); err != nil {
 		t.Fatal(err)
@@ -150,14 +152,8 @@ func TestInjectorBERPolicy(t *testing.T) {
 	if deg := inj.Degraded(top); deg.Links[0][1] != top.Links[0][1]-1 {
 		t.Fatalf("limit-exceeding BER did not drain the trunk")
 	}
-	found := false
-	for _, a := range alerts.Alerts() {
-		if a.Severity == telemetry.Critical {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no critical alert for a BER beyond the hard limit")
+	if n := strings.Count(buf.String(), " level=ERROR "); n != 1 {
+		t.Errorf("%d Error records for one BER beyond the hard limit:\n%s", n, buf.String())
 	}
 	if err := inj.Lift(at); err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"sort"
 	"sync"
@@ -40,9 +41,10 @@ type Config struct {
 	FiberKM float64
 	// SafetyMarginDB is the minimum accepted link margin.
 	SafetyMarginDB float64
-	// Metrics and Alerts receive telemetry; nil disables them.
+	// Metrics receives telemetry and Log the BER detectors' alerts; nil
+	// disables each.
 	Metrics *telemetry.Registry
-	Alerts  telemetry.AlertSink
+	Log     *slog.Logger
 }
 
 // DefaultConfig returns a production-style configuration with the 2x200G

@@ -105,13 +105,14 @@ func (f *Fabric) RepairLink(o topo.OCSID, cube int) (ocs.PortID, error) {
 }
 
 // ObserveLinkBER feeds one pre-FEC BER measurement for the receive lane of
-// cube `north` on OCS o into the fabric's anomaly detection. Readings above
-// the KP4 threshold raise a Critical alert immediately; readings far above
-// the link's own baseline raise Warnings (the production pattern of §3.2.2
-// and Fig 13's monitoring). It never changes the fabric: the repair a
-// Critical reading calls for is the operator's journaled RepairLink. A
-// sample naming no switch or cube, or whose BER is not in (0, 1), is
-// refused and creates no detector.
+// cube `north` on OCS o into the fabric's anomaly detection. A reading
+// above the KP4 threshold writes an Error record to Config.Log at once,
+// and one far above the link's own baseline a Warn record, each carrying
+// ocs and cube (the production pattern of §3.2.2 and Fig 13's
+// monitoring). It never changes the fabric: the repair an Error reading
+// calls for is the operator's journaled RepairLink. A sample naming no
+// switch or cube, or whose BER is not in (0, 1), is refused and creates
+// no detector.
 func (f *Fabric) ObserveLinkBER(o topo.OCSID, north int, ber float64) (bool, error) {
 	if _, err := f.Switch(o); err != nil {
 		return false, err
@@ -122,8 +123,11 @@ func (f *Fabric) ObserveLinkBER(o topo.OCSID, north int, ber float64) (bool, err
 	key := fmt.Sprintf("ber/ocs%d/cube%d", o, north)
 	det, ok := f.berDetectors[key]
 	if !ok {
-		sink := f.cfg.Alerts
-		det = telemetry.NewDetector(key, sink)
+		log := f.cfg.Log
+		if log != nil {
+			log = log.With("ocs", int(o), "cube", north)
+		}
+		det = telemetry.NewDetector(log)
 		det.HardLimit = fec.KP4Threshold
 		f.berDetectors[key] = det
 	}

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"log/slog"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"lightwave/internal/ocs"
-	"lightwave/internal/telemetry"
 	"lightwave/internal/topo"
 )
 
@@ -113,8 +115,8 @@ func TestHealthErrors(t *testing.T) {
 
 func TestBERMonitoringAlerts(t *testing.T) {
 	cfg := DefaultConfig(4)
-	sink := &telemetry.MemorySink{}
-	cfg.Alerts = sink
+	var buf bytes.Buffer
+	cfg.Log = slog.New(slog.NewTextHandler(&buf, nil))
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,13 +127,14 @@ func TestBERMonitoringAlerts(t *testing.T) {
 			t.Fatalf("healthy BER: anomalous %t, err %v", anom, err)
 		}
 	}
-	// A reading above the KP4 threshold must raise a Critical alert.
+	// A reading above the KP4 threshold must write one Error record
+	// naming the link.
 	if anom, err := f.ObserveLinkBER(3, 7, 5e-4); err != nil || !anom {
 		t.Fatalf("threshold breach: anomalous %t, err %v", anom, err)
 	}
-	alerts := sink.Alerts()
-	if len(alerts) != 1 || alerts[0].Severity != telemetry.Critical {
-		t.Fatalf("alerts = %v", alerts)
+	recs := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(recs) != 1 || !strings.Contains(recs[0], " level=ERROR ") || !strings.Contains(recs[0], " ocs=3 cube=7 ") {
+		t.Fatalf("records:\n%s", buf.String())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -157,7 +156,6 @@ func (c *Client) readLoop() {
 		if !ok {
 			if !issued {
 				c.unknown.Add(1)
-				log.Printf("ctlrpc: dropping response with unknown id %d", resp.ID)
 			}
 			continue
 		}

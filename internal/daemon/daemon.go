@@ -1,12 +1,13 @@
 // Package daemon is the one lifecycle cmd/lwfd and cmd/lwfleetd share: the
-// common flags and their validation, registry and alert wiring, the
+// common flags and their validation, the registry and the logger, the
 // -state-dir open → recovery bracket → close, the metrics listener, one
-// superpod fabric's configuration, and a single boot and shutdown order. A
-// daemon's main parses flags and hands Start a compose function that
-// builds its state, fills a ctlrpc.Server and registers its background
-// loops and closers; nothing here knows which daemon it is running.
+// superpod fabric's configuration, a single boot and shutdown order, and
+// the one exit path. A daemon's main parses flags and hands Main a
+// compose function that builds its state, fills a ctlrpc.Server and
+// registers its background loops and closers; nothing here knows which
+// daemon it is running.
 //
-// Boot:     registry + alerts → open store (journaling suppressed) →
+// Boot:     registry + logger → open store (journaling suppressed) →
 // compose → open the control listener → metrics listener → start every
 // registered loop (plus the periodic checkpoint) → serve.
 //
@@ -21,7 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -73,25 +74,25 @@ func (f *Flags) Validate() error {
 
 // PodConfig is one superpod fabric's configuration as both daemons build
 // it: the default plant for cubes installed cubes with the named
-// transceiver generation, reporting to reg and alerts.
-func PodConfig(cubes int, transceiver string, reg *telemetry.Registry, alerts telemetry.AlertSink) (core.Config, error) {
+// transceiver generation, reporting to reg and log.
+func PodConfig(cubes int, transceiver string, reg *telemetry.Registry, log *slog.Logger) (core.Config, error) {
 	gen, err := optics.GenerationByName(transceiver)
 	if err != nil {
 		return core.Config{}, err
 	}
 	cfg := core.DefaultConfig(cubes)
-	cfg.Transceiver, cfg.Metrics, cfg.Alerts = gen, reg, alerts
+	cfg.Transceiver, cfg.Metrics, cfg.Log = gen, reg, log
 	return cfg, nil
 }
 
 // Daemon is one running control-plane process.
 type Daemon struct {
-	Name  string // log prefix
 	Flags *Flags
-	// Reg receives every subsystem's metrics and backs /metrics; Alerts
-	// logs each alert.
-	Reg    *telemetry.Registry
-	Alerts telemetry.AlertSink
+	// Reg receives every subsystem's metrics and backs /metrics. Log is
+	// slog's default logger tagged daemon=<name>: the daemon's own
+	// records and every alert go through it.
+	Reg *telemetry.Registry
+	Log *slog.Logger
 	// Store is nil without -state-dir. It is opened with journaling
 	// suppressed; compose calls Store.EndRecovery once it has rebuilt
 	// what the log already records.
@@ -122,15 +123,29 @@ func (d *Daemon) Go(name string, fn func(context.Context) error) {
 // on every exit path.
 func (d *Daemon) OnShutdown(fn func()) { d.closers = append(d.closers, fn) }
 
-// Start boots a daemon through to serving: it wires the registry, opens
-// the store, runs compose, then opens the listeners and starts the loops
-// and the server. On error everything compose registered is torn down in
-// shutdown order before Start returns.
+// Main is a daemon command's main after flag parsing: it runs validate,
+// then Start and Wait, and exits the process with status 1 through an
+// Error record on the first error.
+func Main(name string, f *Flags, validate func() error, compose func(*Daemon) (*ctlrpc.Server, error)) {
+	err := validate()
+	if err == nil {
+		var d *Daemon
+		if d, err = Start(context.Background(), name, f, compose); err == nil {
+			err = d.Wait()
+		}
+	}
+	if err != nil {
+		slog.Error("exit", "daemon", name, "err", err)
+		os.Exit(1)
+	}
+}
+
+// Start boots a daemon through to serving: it wires the registry and the
+// logger, opens the store, runs compose, then opens the listeners and
+// starts the loops and the server. On error everything compose registered
+// is torn down in shutdown order before Start returns.
 func Start(ctx context.Context, name string, f *Flags, compose func(*Daemon) (*ctlrpc.Server, error)) (*Daemon, error) {
-	d := &Daemon{Name: name, Flags: f, Reg: telemetry.NewRegistry()}
-	d.Alerts = telemetry.SinkFunc(func(a telemetry.Alert) {
-		log.Printf("ALERT [%s] %s: %s", a.Severity, a.Source, a.Message)
-	})
+	d := &Daemon{Flags: f, Reg: telemetry.NewRegistry(), Log: slog.Default().With("daemon", name)}
 
 	ctx, d.cancel = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	if f.StateDir != "" {
@@ -157,14 +172,14 @@ func (d *Daemon) boot(ctx context.Context, compose func(*Daemon) (*ctlrpc.Server
 	if d.lis, err = net.Listen("tcp", d.Flags.Addr); err != nil {
 		return err
 	}
-	log.Printf("%s: serving on %s", d.Name, d.lis.Addr())
+	d.Log.Info("serving", "addr", d.lis.Addr())
 	if d.Flags.MetricsAddr != "" {
 		mlis, err := d.Reg.ServeMetrics(ctx, d.Flags.MetricsAddr)
 		if err != nil {
 			d.lis.Close()
 			return err
 		}
-		log.Printf("%s: metrics on http://%s/metrics", d.Name, mlis.Addr())
+		d.Log.Info("serving metrics", "addr", mlis.Addr())
 	}
 	if d.Store != nil && d.Flags.StateSnapshot > 0 {
 		d.Go("periodic snapshot", d.checkpointEvery)
@@ -174,7 +189,7 @@ func (d *Daemon) boot(ctx context.Context, compose func(*Daemon) (*ctlrpc.Server
 		go func() {
 			defer d.wg.Done()
 			if err := l.fn(ctx); err != nil {
-				log.Printf("%s: %s stopped: %v", d.Name, l.name, err)
+				d.Log.Error("loop stopped", "loop", l.name, "err", err)
 			}
 		}()
 	}
@@ -192,7 +207,7 @@ func (d *Daemon) checkpointEvery(ctx context.Context) error {
 			return nil
 		case <-tick.C:
 			if err := d.Store.Checkpoint(); err != nil {
-				log.Printf("%s: periodic snapshot: %v", d.Name, err)
+				d.Log.Error("periodic snapshot", "err", err)
 			}
 		}
 	}
@@ -226,12 +241,12 @@ func (d *Daemon) shutdown(clean bool) {
 	}
 	if clean {
 		if err := d.Store.Checkpoint(); err != nil {
-			log.Printf("%s: shutdown snapshot: %v", d.Name, err)
+			d.Log.Error("shutdown snapshot", "err", err)
 		} else {
-			log.Printf("%s: shutdown snapshot at lsn %d", d.Name, d.Store.Log().LastLSN())
+			d.Log.Info("shutdown snapshot", "lsn", d.Store.Log().LastLSN())
 		}
 	}
 	if err := d.Store.Close(); err != nil {
-		log.Printf("%s: closing state dir: %v", d.Name, err)
+		d.Log.Error("closing state dir", "err", err)
 	}
 }

@@ -1,8 +1,12 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"log"
+	"log/slog"
 	"net"
 	"runtime"
 	"strings"
@@ -193,6 +197,43 @@ func TestFailedBootTearsDown(t *testing.T) {
 				t.Errorf("recovered %d commands, want the closer's 1", got)
 			}
 		})
+	}
+}
+
+// TestShutdownSnapshotRecord: the daemon writes through slog's default
+// logger tagged with its name, and the clean exit's snapshot record
+// carries the LSN the snapshot covers, the log's last.
+func TestShutdownSnapshotRecord(t *testing.T) {
+	var buf bytes.Buffer
+	old, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
+	t.Cleanup(func() { slog.SetDefault(old); log.SetOutput(w); log.SetFlags(flags) })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := testFlags(t.TempDir())
+	f.StateSnapshot = 0
+	d, err := Start(ctx, "test", f, func(d *Daemon) (*ctlrpc.Server, error) {
+		srv, j := attach(t, d)
+		d.Store.EndRecovery()
+		for _, m := range []string{"compose", "destroy"} {
+			if _, err := j.Append(command(m)); err != nil {
+				return nil, err
+			}
+		}
+		return srv, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := d.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	lsn := d.Store.Log().LastLSN()
+	want := fmt.Sprintf(`level=INFO msg="shutdown snapshot" daemon=test lsn=%d`+"\n", lsn)
+	if lsn != 2 || !strings.Contains(buf.String(), want) {
+		t.Errorf("last LSN %d, want 2; records:\n%s", lsn, buf.String())
 	}
 }
 

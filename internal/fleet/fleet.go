@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -42,9 +43,10 @@ type Options struct {
 	// Metrics receives fleet instrumentation; nil creates a private
 	// registry (exposed via Metrics()).
 	Metrics *telemetry.Registry
-	// Alerts receives quarantine alerts; nil disables alerting. A sink is
-	// called with the pod's scope reserved: it must not mutate that pod.
-	Alerts telemetry.AlertSink
+	// Log receives one Error record, carrying pod=, per quarantine; nil
+	// discards it. Its handler runs with the pod's scope held: it must
+	// not mutate that pod.
+	Log *slog.Logger
 	// BaseBackoff is the first retry delay after a failed reconcile
 	// (default 50ms); each further failure doubles it up to MaxBackoff
 	// (default 5s), with ±50% jitter.

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -169,14 +171,9 @@ func TestReconcileConverges(t *testing.T) {
 // convergence event for every applied intent.
 func TestFleetQuarantineAndConvergence(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var alerts []telemetry.Alert
-	var alertMu sync.Mutex
+	var log bytes.Buffer // written once, before the quarantine it reports is visible
 	opts := fastOptions(reg)
-	opts.Alerts = telemetry.SinkFunc(func(a telemetry.Alert) {
-		alertMu.Lock()
-		alerts = append(alerts, a)
-		alertMu.Unlock()
-	})
+	opts.Log = slog.New(slog.NewTextHandler(&log, nil))
 	m := NewManager(opts)
 	defer m.Close()
 
@@ -275,11 +272,9 @@ func TestFleetQuarantineAndConvergence(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
 	}
-	alertMu.Lock()
-	gotAlerts := len(alerts)
-	alertMu.Unlock()
-	if gotAlerts != 1 {
-		t.Errorf("alerts = %d", gotAlerts)
+	recs := strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")
+	if len(recs) != 1 || !strings.Contains(recs[0], " level=ERROR ") || !strings.Contains(recs[0], " pod=bad ") {
+		t.Errorf("records:\n%s", log.String())
 	}
 
 	// (c) The watch client saw a convergence event for every applied

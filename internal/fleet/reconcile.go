@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lightwave/internal/sim"
-	"lightwave/internal/telemetry"
 )
 
 // reconcileResult reports what one reconcile pass did.
@@ -156,12 +155,8 @@ func (m *Manager) recordFailure(p *pod, err error) bool {
 		return false
 	}
 	_ = m.journal(JournalEntry{Op: OpQuarantine, Pod: p.name, Detail: err.Error()})
-	if m.opts.Alerts != nil {
-		m.opts.Alerts.Post(telemetry.Alert{
-			Source:   "fleet/" + p.name,
-			Severity: telemetry.Critical,
-			Message:  fmt.Sprintf("pod quarantined after %d consecutive reconcile failures: %v", m.opts.QuarantineAfter, err),
-		})
+	if m.opts.Log != nil {
+		m.opts.Log.Error("pod quarantined", "pod", p.name, "failures", m.opts.QuarantineAfter, "err", err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -226,6 +226,7 @@ func DefaultConfig() Config {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerSimrand,
+		AnalyzerStdlog,
 		AnalyzerWalltime,
 		AnalyzerMaprange,
 		AnalyzerLocknest,

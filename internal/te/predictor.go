@@ -68,7 +68,7 @@ func NewPredictor(blocks int, cfg PredictorConfig) (*Predictor, error) {
 		last:   make([]float64, blocks*blocks),
 	}
 	for i := range p.det {
-		d := telemetry.NewDetector(fmt.Sprintf("te/pair%d-%d", i/blocks, i%blocks), nil)
+		d := telemetry.NewDetector(nil)
 		d.Alpha = predictAlpha // bursts keep the detector's 4σ threshold
 		d.Warmup = cfg.Warmup
 		p.det[i] = d

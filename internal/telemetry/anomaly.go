@@ -1,90 +1,25 @@
 package telemetry
 
 import (
-	"fmt"
+	"log/slog"
 	"math"
 	"sync"
 )
 
-// Severity classifies an alert.
-type Severity int
-
-// Alert severities, in increasing order of urgency.
-const (
-	Info Severity = iota
-	Warning
-	Critical
-)
-
-// String returns the conventional lowercase name of the severity.
-func (s Severity) String() string {
-	switch s {
-	case Info:
-		return "info"
-	case Warning:
-		return "warning"
-	case Critical:
-		return "critical"
-	default:
-		return fmt.Sprintf("severity(%d)", int(s))
-	}
-}
-
-// Alert is an anomaly report emitted by a Detector.
-type Alert struct {
-	Source   string
-	Severity Severity
-	Message  string
-	Value    float64
-}
-
-// AlertSink receives alerts. Implementations must be safe for concurrent
-// use; the fabric control plane registers one to react to link degradation.
-type AlertSink interface {
-	Post(Alert)
-}
-
-// SinkFunc adapts a function to the AlertSink interface.
-type SinkFunc func(Alert)
-
-// Post implements AlertSink.
-func (f SinkFunc) Post(a Alert) { f(a) }
-
-// MemorySink is an AlertSink that retains alerts in memory, for tests and
-// in-process consumers.
-type MemorySink struct {
-	mu     sync.Mutex
-	alerts []Alert
-}
-
-// Post implements AlertSink.
-func (m *MemorySink) Post(a Alert) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.alerts = append(m.alerts, a)
-}
-
-// Alerts returns a copy of all alerts posted so far.
-func (m *MemorySink) Alerts() []Alert {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Alert(nil), m.alerts...)
-}
-
 // Detector flags anomalous observations in a telemetry stream using an
 // exponentially weighted moving average and variance: a sample more than
 // warnSigmas standard deviations above the EWMA (after a warmup period)
-// raises a Warning, and a sample above the HardLimit raises a Critical alert
-// regardless of history. This mirrors the production pattern of combining
-// adaptive baselines with absolute specifications (e.g. the −38 dB return
-// loss spec and the 2e-4 KP4 BER threshold).
+// writes a Warn record, and a sample above the HardLimit writes an Error
+// record regardless of history; each record carries the sample's value.
+// This mirrors the production pattern of combining adaptive baselines
+// with absolute specifications (e.g. the −38 dB return loss spec and the
+// 2e-4 KP4 BER threshold).
 type Detector struct {
-	Source    string
 	Alpha     float64 // EWMA weight for new samples, in (0, 1]
-	HardLimit float64 // absolute Critical limit
+	HardLimit float64 // absolute Error limit
 	Warmup    int     // samples before adaptive alerts fire
 
-	sink AlertSink
+	log *slog.Logger
 
 	mu   sync.Mutex
 	n    int
@@ -92,23 +27,19 @@ type Detector struct {
 	vari float64
 }
 
-// NewDetector returns a detector posting to sink. A nil sink discards
-// alerts.
-func NewDetector(source string, sink AlertSink) *Detector {
-	if sink == nil {
-		sink = SinkFunc(func(Alert) {})
-	}
+// NewDetector returns a detector writing its alerts to log, whose
+// attributes name what it watches. A nil log discards them.
+func NewDetector(log *slog.Logger) *Detector {
 	return &Detector{
-		Source:    source,
 		Alpha:     0.1,
 		HardLimit: math.Inf(1),
 		Warmup:    16,
-		sink:      sink,
+		log:       log,
 	}
 }
 
 // warnSigmas is the stddev multiplier above the baseline at which a
-// sample raises a Warning.
+// sample writes a Warn record.
 const warnSigmas = 4
 
 // Observe feeds one sample and reports whether it was flagged anomalous.
@@ -118,22 +49,16 @@ func (d *Detector) Observe(v float64) bool {
 
 	anomalous := false
 	if v > d.HardLimit {
-		d.sink.Post(Alert{
-			Source:   d.Source,
-			Severity: Critical,
-			Message:  fmt.Sprintf("value %.4g exceeds hard limit %.4g", v, d.HardLimit),
-			Value:    v,
-		})
+		if d.log != nil {
+			d.log.Error("value exceeds hard limit", "value", v, "limit", d.HardLimit)
+		}
 		anomalous = true
 	} else if d.n >= d.Warmup {
 		sd := math.Sqrt(d.vari)
 		if sd > 0 && v > d.mean+warnSigmas*sd {
-			d.sink.Post(Alert{
-				Source:   d.Source,
-				Severity: Warning,
-				Message:  fmt.Sprintf("value %.4g is %.1f sigma above baseline %.4g", v, (v-d.mean)/sd, d.mean),
-				Value:    v,
-			})
+			if d.log != nil {
+				d.log.Warn("value above baseline", "value", v, "sigma", (v-d.mean)/sd, "baseline", d.mean)
+			}
 			anomalous = true
 		}
 	}

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"log/slog"
 	"math"
 	"testing"
 )
@@ -10,8 +12,8 @@ import (
 // repeat burst still is. This is the property the te predictor's burst
 // guard relies on when chaos injects BER/flap storms.
 func TestDetectorBurstThenSilence(t *testing.T) {
-	sink := &MemorySink{}
-	d := NewDetector("trunk0/ber", sink)
+	var buf bytes.Buffer
+	d := NewDetector(slog.New(slog.NewJSONHandler(&buf, nil)))
 
 	// Warm up on a noisy-but-healthy baseline (1e-9 ± small wiggle).
 	for i := 0; i < 64; i++ {
@@ -45,9 +47,13 @@ func TestDetectorBurstThenSilence(t *testing.T) {
 	if !d.Observe(1e-6) {
 		t.Fatal("repeat burst not flagged")
 	}
-	for _, a := range sink.Alerts() {
-		if a.Severity != Warning {
-			t.Fatalf("unexpected severity %v for adaptive alert", a.Severity)
+	recs := records(t, &buf)
+	if len(recs) != 11 {
+		t.Fatalf("%d records for 11 flagged samples", len(recs))
+	}
+	for _, r := range recs {
+		if r["level"] != "WARN" {
+			t.Fatalf("adaptive alert at level %v", r["level"])
 		}
 	}
 }
@@ -55,8 +61,8 @@ func TestDetectorBurstThenSilence(t *testing.T) {
 // Before warmup completes, only the hard limit fires: a cold detector must
 // not raise adaptive alerts off a near-empty baseline.
 func TestDetectorBurstDuringWarmup(t *testing.T) {
-	sink := &MemorySink{}
-	d := NewDetector("trunk1/ber", sink)
+	var buf bytes.Buffer
+	d := NewDetector(slog.New(slog.NewJSONHandler(&buf, nil)))
 	d.HardLimit = 2e-4 // the KP4 FEC threshold
 
 	for i := 0; i < d.Warmup-1; i++ {
@@ -70,17 +76,15 @@ func TestDetectorBurstDuringWarmup(t *testing.T) {
 	if !d.Observe(3e-4) {
 		t.Fatal("hard-limit violation not flagged during warmup")
 	}
-	alerts := sink.Alerts()
-	if len(alerts) != 1 || alerts[0].Severity != Critical {
-		t.Fatalf("want exactly one critical alert, got %+v", alerts)
+	if recs := records(t, &buf); len(recs) != 1 || recs[0]["level"] != "ERROR" {
+		t.Fatalf("want exactly one Error record, got %v", recs)
 	}
 }
 
 // A perfectly flat baseline has zero variance, so the sigma rule cannot
 // fire; the hard limit is the only defense and must still work.
 func TestDetectorZeroVarianceStream(t *testing.T) {
-	sink := &MemorySink{}
-	d := NewDetector("trunk2/ber", sink)
+	d := NewDetector(nil)
 	d.HardLimit = 2e-4
 
 	for i := 0; i < 64; i++ {
@@ -105,7 +109,7 @@ func TestDetectorZeroVarianceStream(t *testing.T) {
 // phase is clean, and the baseline stays near the healthy level
 // throughout.
 func TestDetectorRepeatedBurstSilenceCycles(t *testing.T) {
-	d := NewDetector("trunk3/ber", nil)
+	d := NewDetector(nil)
 	for i := 0; i < 64; i++ {
 		d.Observe(1e-9 * (1 + 0.02*float64(i%7)))
 	}

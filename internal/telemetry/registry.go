@@ -6,9 +6,8 @@
 // switches had a large blast radius").
 //
 // It offers a concurrency-safe metric registry (counters, gauges,
-// histograms), an EWMA-based anomaly detector used for BER and insertion-loss
-// monitoring, and an alert sink abstraction that the fabric control plane
-// subscribes to.
+// histograms) and an EWMA-based anomaly detector used for BER and
+// insertion-loss monitoring, which writes its alerts as log/slog records.
 package telemetry
 
 import (

@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -134,25 +137,39 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
+// records decodes the JSON records a slog.JSONHandler wrote to b.
+func records(t *testing.T, b *bytes.Buffer) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	for dec := json.NewDecoder(bytes.NewReader(b.Bytes())); dec.More(); {
+		var r map[string]any
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 func TestDetectorHardLimit(t *testing.T) {
-	var sink MemorySink
-	d := NewDetector("ber", &sink)
+	var buf bytes.Buffer
+	d := NewDetector(slog.New(slog.NewJSONHandler(&buf, nil)).With("link", "ber"))
 	d.HardLimit = 2e-4
 	if !d.Observe(3e-4) {
 		t.Fatal("hard-limit breach not flagged")
 	}
-	alerts := sink.Alerts()
-	if len(alerts) != 1 || alerts[0].Severity != Critical {
-		t.Fatalf("alerts = %v", alerts)
+	recs := records(t, &buf)
+	if len(recs) != 1 || recs[0]["level"] != "ERROR" {
+		t.Fatalf("records = %v", recs)
 	}
-	if alerts[0].Source != "ber" {
-		t.Errorf("source = %q", alerts[0].Source)
+	if recs[0]["link"] != "ber" || recs[0]["value"] != 3e-4 || recs[0]["limit"] != 2e-4 {
+		t.Errorf("attributes = %v", recs[0])
 	}
 }
 
 func TestDetectorAdaptive(t *testing.T) {
-	var sink MemorySink
-	d := NewDetector("loss", &sink)
+	var buf bytes.Buffer
+	d := NewDetector(slog.New(slog.NewJSONHandler(&buf, nil)))
 	// Establish a baseline around 1.5 with small spread.
 	vals := []float64{1.4, 1.5, 1.6, 1.5, 1.45, 1.55, 1.5, 1.48, 1.52, 1.5,
 		1.47, 1.53, 1.5, 1.49, 1.51, 1.5, 1.5, 1.5, 1.5, 1.5}
@@ -164,17 +181,13 @@ func TestDetectorAdaptive(t *testing.T) {
 	if !d.Observe(3.0) {
 		t.Fatal("6-sigma excursion not flagged")
 	}
-	if len(sink.Alerts()) != 1 {
-		t.Fatalf("alerts = %v", sink.Alerts())
-	}
-	if sink.Alerts()[0].Severity != Warning {
-		t.Errorf("severity = %v", sink.Alerts()[0].Severity)
+	if recs := records(t, &buf); len(recs) != 1 || recs[0]["level"] != "WARN" || recs[0]["value"] != 3.0 {
+		t.Fatalf("records = %v", recs)
 	}
 }
 
 func TestDetectorWarmupSuppresses(t *testing.T) {
-	var sink MemorySink
-	d := NewDetector("x", &sink)
+	d := NewDetector(nil)
 	// Before warmup no adaptive alerts fire even for wild swings.
 	for _, v := range []float64{1, 100, 1, 100, 1} {
 		if d.Observe(v) {
@@ -184,8 +197,7 @@ func TestDetectorWarmupSuppresses(t *testing.T) {
 }
 
 func TestDetectorAnomalyDoesNotPolluteBaseline(t *testing.T) {
-	var sink MemorySink
-	d := NewDetector("x", &sink)
+	d := NewDetector(nil)
 	d.Warmup = 4
 	for i := 0; i < 20; i++ {
 		d.Observe(1.0 + 0.01*float64(i%3))
@@ -199,28 +211,10 @@ func TestDetectorAnomalyDoesNotPolluteBaseline(t *testing.T) {
 }
 
 func TestDetectorNilSink(t *testing.T) {
-	d := NewDetector("x", nil)
+	d := NewDetector(nil)
 	d.HardLimit = 1
 	if !d.Observe(2) {
-		t.Fatal("nil-sink detector should still flag")
-	}
-}
-
-func TestSeverityString(t *testing.T) {
-	if Info.String() != "info" || Warning.String() != "warning" || Critical.String() != "critical" {
-		t.Fatal("severity names wrong")
-	}
-	if Severity(9).String() != "severity(9)" {
-		t.Fatalf("unknown severity = %q", Severity(9).String())
-	}
-}
-
-func TestSinkFunc(t *testing.T) {
-	var got []Alert
-	s := SinkFunc(func(a Alert) { got = append(got, a) })
-	s.Post(Alert{Message: "hi"})
-	if len(got) != 1 || got[0].Message != "hi" {
-		t.Fatalf("got = %v", got)
+		t.Fatal("a detector with no logger should still flag")
 	}
 }
 

@@ -226,6 +226,60 @@ func TestParentStateDirectory(t *testing.T) {
 	}
 }
 
+// TestUnattachedSectionCarriedForward: a boot that never attaches an
+// owner section (lwfleetd without -sched) checkpoints the section's
+// snapshot state forward at its LSN, so a later boot that attaches it
+// restores every job, although the first checkpoint compacted the
+// records behind that state.
+func TestUnattachedSectionCarriedForward(t *testing.T) {
+	const jobs = 30
+	dir := t.TempDir()
+	open := func() *wal.Store {
+		t.Helper()
+		st, err := wal.OpenStore(dir, wal.Options{NoSync: true, SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	checkpointAndClose := func(st *wal.Store) {
+		t.Helper()
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attachSched := func(st *wal.Store) *sched.Scheduler {
+		t.Helper()
+		s := newFixtureOwners(t).s
+		j, _, _, err := st.Attach(wal.RecordSched, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetJournal(j)
+		return s
+	}
+
+	st := open()
+	s := attachSched(st)
+	for i := 0; i < jobs; i++ {
+		if _, _, err := s.Submit(sched.JobSpec{Cubes: 2, DurationSeconds: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpointAndClose(st)
+	checkpointAndClose(open()) // a boot without the scheduler
+
+	st = open()
+	defer st.Close()
+	if got := attachSched(st).Stats(); got.Submitted != jobs || got.QueueDepth+got.RunningJobs != jobs {
+		t.Fatalf("restored %d submitted, %d queued and %d running; want %d jobs",
+			got.Submitted, got.QueueDepth, got.RunningJobs, jobs)
+	}
+}
+
 // TestPreBinaryRecordRefused: a malformed binary payload is counted and
 // skipped — by the open for a fleet record, by Attach for an owner
 // section's — but a payload with an unknown version byte, a JSON record

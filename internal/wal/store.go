@@ -313,20 +313,25 @@ func (st *Store) Attach(t RecordType, s Section) (j Journal, applied, failed int
 	return Journal{st, t}, applied, failed, nil
 }
 
-// Snapshot implements Snapshotter: capture every attached section and
+// Snapshot implements Snapshotter: capture every attached section, carry
+// forward the loaded state of a section no owner attached this boot, and
 // compute the covered LSN as the weakest section floor, so compaction
 // never deletes a record some section still needs.
 func (st *Store) Snapshot() ([]byte, uint64, error) {
 	var snap storeSnapshot
-	var floors [maxRecordType + 1]uint64 // a section's LSN; 0 for one not attached
+	var floors [maxRecordType + 1]uint64 // a section's LSN; 0 for one with no state
 
 	// The owner sections first, without holding st.mu: each owner reads
 	// its state and LSN under its own lock, which a mutator may hold while
 	// it waits in Journal.Append → st.mu.
 	var srcs [maxRecordType + 1]Section
 	st.mu.Lock()
-	for t := range st.sections {
-		srcs[t] = st.sections[t].src
+	for t, sec := range st.sections {
+		srcs[t] = sec.src
+		if sec.src == nil && sec.state != nil {
+			_, s, l := snap.section(RecordType(t))
+			*s, *l, floors[t] = sec.state, sec.lsn, sec.lsn
+		}
 	}
 	st.mu.Unlock()
 	for t, src := range srcs {

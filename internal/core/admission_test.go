@@ -32,10 +32,7 @@ func TestAdmissionThresholdMatchesPostFEC(t *testing.T) {
 			for n := 0; n < 64; n++ {
 				for s := 0; s < 64; s++ {
 					r := topo.CircuitReq{OCS: topo.OCSID(o), North: n, South: s}
-					bud, err := f.circuitBudget(r)
-					if err != nil {
-						t.Fatal(err)
-					}
+					bud := exactBudget(t, f, r)
 					mpi := dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true}
 					oldReject := rx.PostFECBER(bud.RxPowerDBm, mpi, f.rx.stack) > maxPostFECBER
 					newReject := f.rx.receiver.BER(bud.RxPowerDBm, mpi) > f.rx.maxBER
@@ -65,7 +62,8 @@ func TestAdmissionThresholdMatchesPostFEC(t *testing.T) {
 // and a receiver calibrated from scratch for each circuit, bit for bit, over
 // every identity-wired port pair of every OCS on three plants: the default
 // one, the long-fiber one astride the threshold, and one built with the
-// legacy telecom circulator.
+// legacy telecom circulator. The reflection-free column, the received
+// power and margin a sure admission reads, must match the link too.
 func TestAdmissionMatchesLinkBudget(t *testing.T) {
 	rx := dsp.DefaultReceiver()
 	long, telecom := DefaultConfig(64), DefaultConfig(64)
@@ -86,10 +84,12 @@ func TestAdmissionMatchesLinkBudget(t *testing.T) {
 				}
 				for s := 0; s < 64; s++ {
 					r := topo.CircuitReq{OCS: topo.OCSID(o), North: n, South: s}
-					got, err := f.circuitBudget(r)
+					got := exactBudget(t, f, r)
+					m, _, err := f.move(r)
 					if err != nil {
 						t.Fatal(err)
 					}
+					gotRx, gotMargin := f.rx.path.Margin(ocsLossDB(m))
 					loss := sw.IntrinsicLossDB(ocs.PortID(n), ocs.PortID(s)) + 0.1
 					want, err := optics.NewBidiLink(a, b, cfg.Circulator, loss, rl, cfg.FiberKM).BudgetTowardB()
 					if err != nil {
@@ -104,10 +104,12 @@ func TestAdmissionMatchesLinkBudget(t *testing.T) {
 						{got.DispersionPenaltyDB, want.DispersionPenaltyDB},
 						{got.MarginDB, want.MarginDB},
 						{gotBER, wantBER},
+						{gotRx, want.RxPowerDBm},
+						{gotMargin, want.MarginDB},
 					} {
 						if math.Float64bits(q[0]) != math.Float64bits(q[1]) {
-							t.Fatalf("%.2f km, %+v, circuit %+v: admission priced %+v (BER %v), a fresh link %+v (BER %v)",
-								cfg.FiberKM, cfg.Circulator, r, got, gotBER, want, wantBER)
+							t.Fatalf("%.2f km, %+v, circuit %+v: admission priced %+v (BER %v; reflection-free rx %v, margin %v), a fresh link %+v (BER %v)",
+								cfg.FiberKM, cfg.Circulator, r, got, gotBER, gotRx, gotMargin, want, wantBER)
 						}
 					}
 				}
@@ -116,25 +118,69 @@ func TestAdmissionMatchesLinkBudget(t *testing.T) {
 	}
 }
 
-// TestCircuitAdmissionAllocatesNothing: pricing one circuit's budget and
-// its pre-FEC BER allocates nothing.
+// TestCircuitAdmissionAllocatesNothing: admitting one circuit allocates
+// nothing, on the sure-admit path of the default plant and on the exact
+// one, which prices a 25.5 km circuit's full budget and pre-FEC BER.
 func TestCircuitAdmissionAllocatesNothing(t *testing.T) {
-	f := newFabric(t, 4)
-	r := topo.CircuitReq{OCS: 7, North: 1, South: 2}
-	var ber float64
-	allocs := testing.AllocsPerRun(100, func() {
-		bud, err := f.circuitBudget(r)
+	long := DefaultConfig(4)
+	long.FiberKM, long.SafetyMarginDB = 25.5, -50
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		berCurves int
+	}{
+		{"sure", DefaultConfig(4), 0},
+		{"exact", long, 1},
+	} {
+		f, err := New(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ber = f.rx.receiver.BER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true})
-	})
-	if allocs != 0 {
-		t.Fatalf("one circuit's budget and BER: %v allocs", allocs)
+		r := topo.CircuitReq{OCS: 7, North: 1, South: 2}
+		if tc.berCurves > 0 {
+			r = belowBound(t, f)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := f.admit(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: admitting one circuit: %v allocs", tc.name, allocs)
+		}
+		if f.berCurves != 101*tc.berCurves { // AllocsPerRun runs once more to warm up
+			t.Errorf("%s: %d BER curves over 101 admissions, want %d each", tc.name, f.berCurves, tc.berCurves)
+		}
 	}
-	if ber <= 0 || ber > f.rx.maxBER {
-		t.Fatalf("BER %v outside (0, %v]", ber, f.rx.maxBER)
+}
+
+// belowBound returns a circuit of f's that is received below the
+// sure-admit power and that the BER check admits.
+func belowBound(t *testing.T, f *Fabric) topo.CircuitReq {
+	t.Helper()
+	for n := 0; n < 64; n++ {
+		for s := 0; s < 64; s++ {
+			r := topo.CircuitReq{OCS: 7, North: n, South: s}
+			bud := exactBudget(t, f, r)
+			if bud.RxPowerDBm < f.rx.sureRxDBm &&
+				f.rx.receiver.BER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true}) <= f.rx.maxBER {
+				return r
+			}
+		}
 	}
+	t.Fatal("no circuit of OCS 7 is admitted below the sure-admit power")
+	return topo.CircuitReq{}
+}
+
+// exactBudget is circuit r's full optical budget, reflections included:
+// what admission prices a circuit received below the sure-admit power by.
+func exactBudget(t testing.TB, f *Fabric, r topo.CircuitReq) optics.Budget {
+	t.Helper()
+	m, rl, err := f.move(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.rx.path.Budget(ocsLossDB(m), rl)
 }
 
 // TestRejectionWording checks the rejection path still reports the
@@ -148,10 +194,7 @@ func TestRejectionWording(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := composeReqs(t, topo.Shape{X: 4, Y: 4, Z: 4}, []int{0})
-	bud, err := f.circuitBudget(reqs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	bud := exactBudget(t, f, reqs[0])
 	postFEC := dsp.DefaultReceiver().PostFECBER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true}, f.rx.stack)
 	want := fmt.Sprintf("core: insufficient optical link margin: circuit ocs=%d %d->%d post-FEC BER %.2g",
 		reqs[0].OCS, reqs[0].North, reqs[0].South, postFEC)
@@ -299,11 +342,11 @@ func TestRejectedComposeObservesNoMargins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := f.circuitBudget(ok.Circuits[0])
+	first, err := f.circuitMargin(ok.Circuits[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.MarginDB < cfg.SafetyMarginDB {
+	if first < cfg.SafetyMarginDB {
 		t.Fatal("the rejected circuit is the first one; the test would not see earlier observations")
 	}
 
@@ -337,9 +380,9 @@ func TestRejectedComposeObservesNoMargins(t *testing.T) {
 	}
 }
 
-// BenchmarkValidateBudgets prices admission alone — every circuit's budget
-// and pre-FEC BER, nothing programmed — over the 384 circuits of an 8-cube
-// slice, reported per circuit.
+// BenchmarkValidateBudgets prices admission alone, nothing programmed,
+// over the 384 circuits of an 8-cube slice, reported per circuit. On the
+// default plant every circuit is sure-admitted from its margin.
 func BenchmarkValidateBudgets(b *testing.B) {
 	f, err := New(DefaultConfig(8))
 	if err != nil {
@@ -392,4 +435,160 @@ func BenchmarkComposeSlice(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestNewRefusesUnpricedConfig: a cube count out of range, or a fiber
+// length or safety margin admission cannot price, is refused with
+// ErrConfig, and no fabric is built. Zero fiber and a negative safety
+// margin stay legal.
+func TestNewRefusesUnpricedConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"no cubes", func(c *Config) { c.Cubes = 0 }},
+		{"65 cubes", func(c *Config) { c.Cubes = 65 }},
+		{"fiber NaN", func(c *Config) { c.FiberKM = math.NaN() }},
+		{"fiber +Inf", func(c *Config) { c.FiberKM = math.Inf(1) }},
+		{"fiber -Inf", func(c *Config) { c.FiberKM = math.Inf(-1) }},
+		{"fiber negative", func(c *Config) { c.FiberKM = -5 }},
+		{"margin NaN", func(c *Config) { c.SafetyMarginDB = math.NaN() }},
+		{"margin +Inf", func(c *Config) { c.SafetyMarginDB = math.Inf(1) }},
+		{"margin -Inf", func(c *Config) { c.SafetyMarginDB = math.Inf(-1) }},
+	} {
+		cfg := DefaultConfig(4)
+		tc.set(&cfg)
+		if f, err := New(cfg); !errors.Is(err, ErrConfig) || f != nil {
+			t.Errorf("%s: New = %v, %v; want nil, ErrConfig", tc.name, f, err)
+		}
+	}
+	cfg := DefaultConfig(4)
+	cfg.FiberKM, cfg.SafetyMarginDB = 0, -50
+	if _, err := New(cfg); err != nil {
+		t.Errorf("zero fiber, −50 dB safety margin: %v", err)
+	}
+}
+
+// TestSureAdmissionIsExact makes the sure-admit bound's soundness a gate.
+// On plants astride the FEC edge, with the margin check out of the way,
+// every identity-wired port pair of every OCS gets the same verdict from
+// validateBudgets as from the exact form: the pre-FEC BER of its full
+// budget against maxBER. Every plant sends circuits down the exact path,
+// and every plant but the telecom-circulator one at 26.5 km, where no
+// circuit is received as high as the bound, down the sure one.
+func TestSureAdmissionIsExact(t *testing.T) {
+	for _, km := range []float64{24, 25.5, 26.5} {
+		for _, circ := range []optics.Circulator{optics.DefaultCirculator(), optics.TelecomCirculator()} {
+			cfg := DefaultConfig(64)
+			cfg.FiberKM, cfg.Circulator, cfg.SafetyMarginDB = km, circ, -50
+			f, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var req [1]topo.CircuitReq
+			exact, wrong := 0, 0
+			for o := 0; o < topo.NumOCS; o++ {
+				for n := 0; n < 64; n++ {
+					for s := 0; s < 64; s++ {
+						req[0] = topo.CircuitReq{OCS: topo.OCSID(o), North: n, South: s}
+						before := f.berCurves
+						_, err := f.validateBudgets(req[:])
+						if err != nil && !errors.Is(err, ErrLinkBudget) {
+							t.Fatal(err)
+						}
+						bud := exactBudget(t, f, req[0])
+						admit := f.rx.receiver.BER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true}) <= f.rx.maxBER
+						if (err == nil) != admit {
+							if wrong++; wrong <= 3 {
+								t.Errorf("%v km, %+v, circuit %+v: validateBudgets err = %v, exact form admits = %v",
+									km, circ, req[0], err, admit)
+							}
+						}
+						exact += f.berCurves - before
+					}
+				}
+			}
+			sure := topo.NumOCS*64*64 - exact
+			t.Logf("%v km, %+v: %d sure, %d exact, %d verdicts differ", km, circ, sure, exact, wrong)
+			if wrong > 0 {
+				t.Errorf("%v km, %+v: %d verdicts differ from the exact form", km, circ, wrong)
+			}
+			noSure := km == 26.5 && circ == optics.TelecomCirculator()
+			if exact == 0 || (sure == 0) != noSure {
+				t.Errorf("%v km, %+v: %d circuits sure-admitted, %d priced in full; want both paths taken", km, circ, sure, exact)
+			}
+		}
+	}
+}
+
+// TestAdmissionWorkCounts pins the BER curves admission evaluates: none to
+// compose every cube of a default pod, whose every circuit is received
+// above the sure-admit power, and a fixed count for the same pod's
+// circuits on the 25.5 km plant astride the FEC edge.
+func TestAdmissionWorkCounts(t *testing.T) {
+	shape := topo.Shape{X: 16, Y: 16, Z: 16}
+	f := newFabric(t, 64)
+	s, err := f.ComposeSlice("pod", shape, seq(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Circuits) != 64*topo.NumOCS || f.berCurves != 0 {
+		t.Errorf("default pod: %d BER curves over %d circuits, want 0 over %d", f.berCurves, len(s.Circuits), 64*topo.NumOCS)
+	}
+
+	cfg := DefaultConfig(64)
+	cfg.FiberKM, cfg.SafetyMarginDB = 25.5, -50
+	if f, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	admitted := 0
+	for _, r := range s.Circuits {
+		if _, err := f.admit(r); err == nil {
+			admitted++
+		} else if !errors.Is(err, ErrLinkBudget) {
+			t.Fatal(err)
+		}
+	}
+	if f.berCurves != 251 || admitted != 3048 { // every one of the 3072 priced in full before the bound
+		t.Errorf("25.5 km pod: %d BER curves, %d of %d circuits admitted; want 251, 3048",
+			f.berCurves, admitted, len(s.Circuits))
+	}
+}
+
+// FuzzSureAdmission holds the sure-admit bound to the exact form beyond
+// the plants a fabric builds: any fiber length up to 40 km, either
+// circulator, an OCS loss floor up to 10 dB and a port return loss up to
+// ocs.ReturnLossCeilingDB. A circuit received at or above the bound must
+// have a pre-FEC BER within maxBER, and the reflection-free received power
+// and margin must equal the full budget's bit for bit.
+//
+// The seeds in testdata/fuzz/FuzzSureAdmission put circuits at the bound
+// (edge-*) and just past the FEC edge at the ceiling return loss, with a
+// pre-FEC BER 5 % over maxBER (over-edge-*), where a bound bisected at
+// 2·maxBER or without the echo would sure-admit them.
+func FuzzSureAdmission(f *testing.F) {
+	f.Fuzz(func(t *testing.T, km float64, telecom bool, floorDB, belowCeilingDB float64) {
+		fold := func(x, span float64) float64 { // any float onto [0, span)
+			if x = math.Mod(math.Abs(x), span); math.IsNaN(x) {
+				return 0
+			}
+			return x
+		}
+		cfg := DefaultConfig(1)
+		cfg.FiberKM = fold(km, 40)
+		if telecom {
+			cfg.Circulator = optics.TelecomCirculator()
+		}
+		a := newAdmission(cfg)
+		loss, rl := fold(floorDB, 10)+0.1, ocs.ReturnLossCeilingDB-fold(belowCeilingDB, 40)
+		bud := a.path.Budget(loss, rl)
+		rx, margin := a.path.Margin(loss)
+		if math.Float64bits(rx) != math.Float64bits(bud.RxPowerDBm) || math.Float64bits(margin) != math.Float64bits(bud.MarginDB) {
+			t.Fatalf("%v km, OCS loss %v dB: reflection-free rx %v, margin %v; budget %+v", cfg.FiberKM, loss, rx, margin, bud)
+		}
+		if ber := a.receiver.BER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true}); rx >= a.sureRxDBm && ber > a.maxBER {
+			t.Fatalf("%v km, OCS loss %v dB, return loss %v dB: rx %v dBm ≥ sure-admit %v dBm, but BER %v > %v",
+				cfg.FiberKM, loss, rl, rx, a.sureRxDBm, ber, a.maxBER)
+		}
+	})
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -37,9 +38,11 @@ type Config struct {
 	// OCS configures each Palomar switch; Seed is perturbed per switch so
 	// units differ like real hardware.
 	OCS ocs.Config
-	// FiberKM is the typical cube-to-OCS-to-cube fiber length.
+	// FiberKM is the typical cube-to-OCS-to-cube fiber length: finite
+	// and not negative.
 	FiberKM float64
-	// SafetyMarginDB is the minimum accepted link margin.
+	// SafetyMarginDB is the minimum accepted link margin: finite, and
+	// negative only to take the margin check out of the way.
 	SafetyMarginDB float64
 	// Metrics receives telemetry and Log the BER detectors' alerts; nil
 	// disables each.
@@ -85,6 +88,7 @@ var (
 	ErrLinkBudget    = errors.New("core: insufficient optical link margin")
 	ErrNoSpareCube   = errors.New("core: no healthy free cube for swap")
 	ErrNotInstalled  = errors.New("core: cube not installed")
+	ErrConfig        = errors.New("core: invalid configuration")
 )
 
 // Fabric is the control plane of one superpod lightwave fabric.
@@ -104,6 +108,9 @@ type Fabric struct {
 	portMap map[portKey]ocs.PortID
 
 	rx admission
+	// berCurves counts the circuits admission priced in full, reflection
+	// walk and BER curve: those received below rx.sureRxDBm.
+	berCurves int
 
 	// perms holds one transition's per-OCS permutations; realize empties
 	// it once ocs.ApplyAll has answered, keeping only the capacity.
@@ -131,6 +138,61 @@ type admission struct {
 	// "post-FEC BER > maxPostFECBER" is "pre-FEC BER > maxBER" and the
 	// per-circuit check is a comparison.
 	maxBER float64
+	// sureRxDBm is the sure-admit received power (sureAdmitRxDBm): a
+	// circuit received at or above it is admitted on its margin alone.
+	sureRxDBm float64
+}
+
+// newAdmission prepares cfg's admission models and bisects its sure-admit
+// power.
+func newAdmission(cfg Config) admission {
+	a := admission{
+		path: optics.NewBidiPath(optics.NewTransceiver(cfg.Transceiver), optics.NewTransceiver(cfg.Transceiver),
+			cfg.Circulator, cfg.FiberKM),
+		receiver: defaultReceiver(),
+		stack:    fec.NewConcatenated(),
+		maxBER:   maxInputBER(),
+	}
+	a.sureRxDBm = a.sureAdmitRxDBm()
+	return a
+}
+
+// sureAdmitRxDBm bisects, to the float fixed point, the lowest received
+// power in [−30, 10] dBm whose pre-FEC BER is at most maxBER/2 under the
+// loudest echo any circuit can return: OCS loss 0 and the ceiling return
+// loss, ocs.ReturnLossCeilingDB. A circuit's OCS loss is positive and its
+// port's return loss at most the ceiling, so its absolute echo power is at
+// most that one. At a fixed absolute interferer power pInt, each PAM4
+// level's squared Q-argument is c²p²/(th2 + a·p + b·p² + d·p·pInt), whose
+// p-derivative has the sign of 2·th2 + a·p + d·p·pInt > 0: the BER falls
+// as the received power p rises and rises with pInt. So a circuit
+// received at or above the bound has pre-FEC BER ≤ maxBER/2, and the
+// halved threshold absorbs the rounding between this form and the
+// circuit's own. The bound is +Inf when no power in range qualifies.
+func (a *admission) sureAdmitRxDBm() float64 {
+	loud := a.path.Budget(0, ocs.ReturnLossCeilingDB)
+	echoDBm := loud.RxPowerDBm + loud.MPIDB
+	clean := func(rxDBm float64) bool {
+		return a.receiver.BER(rxDBm, dsp.MPICondition{MPIDB: echoDBm - rxDBm, OIM: true}) <= a.maxBER/2
+	}
+	lo, hi := -30.0, 10.0
+	if !clean(hi) {
+		return math.Inf(1)
+	}
+	if clean(lo) {
+		return lo
+	}
+	for {
+		mid := lo + (hi-lo)/2
+		if mid == lo || mid == hi {
+			return hi
+		}
+		if clean(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
 }
 
 // maxInputBER bisects the FEC stack for the highest pre-FEC BER that meets
@@ -139,11 +201,24 @@ var maxInputBER = sync.OnceValue(func() float64 {
 	return fec.NewConcatenated().MaxInputBER(maxPostFECBER)
 })
 
+// defaultReceiver is the calibrated lane receiver every circuit is judged
+// by. Calibrating it bisects the thermal noise over 200 BER evaluations of
+// constant inputs, so it runs once per process.
+var defaultReceiver = sync.OnceValue(func() dsp.PreparedReceiver {
+	return dsp.DefaultReceiver().Prepare()
+})
+
 // New builds the fabric: 48 OCSes (Appendix A wiring) and the installed
 // cube inventory.
 func New(cfg Config) (*Fabric, error) {
 	if cfg.Cubes < 1 || cfg.Cubes > 64 {
-		return nil, fmt.Errorf("core: cube count %d out of range [1,64]", cfg.Cubes)
+		return nil, fmt.Errorf("%w: cube count %d out of range [1,64]", ErrConfig, cfg.Cubes)
+	}
+	if math.IsNaN(cfg.FiberKM) || math.IsInf(cfg.FiberKM, 0) || cfg.FiberKM < 0 {
+		return nil, fmt.Errorf("%w: fiber length %v km", ErrConfig, cfg.FiberKM)
+	}
+	if math.IsNaN(cfg.SafetyMarginDB) || math.IsInf(cfg.SafetyMarginDB, 0) {
+		return nil, fmt.Errorf("%w: safety margin %v dB", ErrConfig, cfg.SafetyMarginDB)
 	}
 	f := &Fabric{
 		cfg:          cfg,
@@ -153,13 +228,7 @@ func New(cfg Config) (*Fabric, error) {
 		slices:       make(map[string]*Slice),
 		portMap:      make(map[portKey]ocs.PortID),
 		berDetectors: make(map[string]*telemetry.Detector),
-		rx: admission{
-			path: optics.NewBidiPath(optics.NewTransceiver(cfg.Transceiver), optics.NewTransceiver(cfg.Transceiver),
-				cfg.Circulator, cfg.FiberKM),
-			receiver: dsp.DefaultReceiver().Prepare(),
-			stack:    fec.NewConcatenated(),
-			maxBER:   maxInputBER(),
-		},
+		rx:           newAdmission(cfg),
 	}
 	oc := cfg.OCS
 	oc.Metrics = cfg.Metrics
@@ -400,7 +469,7 @@ func (f *Fabric) realize(s *Slice, shape topo.Shape, cubes []int, revive func(to
 		return 0, nil
 	}
 
-	// Kept circuits' margins come from circuitBudget, fresh ones' from
+	// Kept circuits' margins come from circuitMargin, fresh ones' from
 	// validation. Until a circuit is kept (a compose), fresh is reqs. A
 	// kept circuit leaves old, so the live circuits left in old are the
 	// stale ones: a fresh circuit is dark.
@@ -413,11 +482,11 @@ func (f *Fabric) realize(s *Slice, shape topo.Shape, cubes []int, revive func(to
 				continue
 			}
 			delete(old, r)
-			bud, err := f.circuitBudget(r)
+			margin, err := f.circuitMargin(r)
 			if err != nil {
 				return 0, err
 			}
-			worst = min(worst, bud.MarginDB)
+			worst = min(worst, margin)
 		}
 	}
 	admitted, err := f.validateBudgets(fresh)
@@ -464,29 +533,34 @@ func (f *Fabric) realize(s *Slice, shape topo.Shape, cubes []int, revive func(to
 	return len(fresh), nil
 }
 
-// circuitBudget computes one circuit's optical budget on its target OCS
-// through the current port map.
+// circuitMargin computes one circuit's link margin on its target OCS
+// through the current port map. The margin needs no reflection walk.
 //
 //lwlint:hotpath
-func (f *Fabric) circuitBudget(r topo.CircuitReq) (optics.Budget, error) {
-	bud, _, err := f.price(r)
-	return bud, err
+func (f *Fabric) circuitMargin(r topo.CircuitReq) (float64, error) {
+	m, _, err := f.move(r)
+	if err != nil {
+		return 0, err
+	}
+	_, margin := f.rx.path.Margin(ocsLossDB(m))
+	return margin, nil
 }
 
-// price evaluates circuit r's move on its OCS through the current port
-// map — the path's intrinsic loss floor, once — and the optical budget
-// that floor gives.
+// move evaluates circuit r's move on its OCS through the current port map
+// — the path's intrinsic loss floor, once — and the return loss of the
+// port it leaves by.
 //
 //lwlint:hotpath
-func (f *Fabric) price(r topo.CircuitReq) (optics.Budget, ocs.Move, error) {
+func (f *Fabric) move(r topo.CircuitReq) (ocs.Move, float64, error) {
 	sw := f.switches[r.OCS]
 	m := sw.Move(f.PortFor(r.OCS, r.North), f.PortFor(r.OCS, r.South))
 	rl, err := sw.ReturnLossDB(m.North)
-	if err != nil {
-		return optics.Budget{}, m, err
-	}
-	return f.rx.path.Budget(m.FloorDB()+0.1, rl), m, nil // alignment residual allowance
+	return m, rl, err
 }
+
+// ocsLossDB is the OCS element's insertion loss a move is priced at: its
+// floor and the alignment residual allowance.
+func ocsLossDB(m ocs.Move) float64 { return m.FloorDB() + 0.1 }
 
 // admitted is a circuit validateBudgets admitted: its move, floor
 // evaluated, and its link margin.
@@ -505,23 +579,42 @@ func (f *Fabric) validateBudgets(reqs []topo.CircuitReq) ([]admitted, error) {
 	//lwlint:ignore hotalloc one buffer per call; the per-circuit loop below is what stays allocation-free
 	out := make([]admitted, len(reqs))
 	for i, r := range reqs {
-		bud, m, err := f.price(r)
+		a, err := f.admit(r)
 		if err != nil {
 			return nil, err
 		}
-		if bud.MarginDB < f.cfg.SafetyMarginDB {
-			return nil, errMargin(r, bud.MarginDB)
-		}
-		// End-to-end check: post-FEC BER must be clean at the delivered
-		// power with the link's MPI. The threshold form decides it; the
-		// transfer curve itself is only evaluated to word a rejection.
-		ber := f.rx.receiver.BER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true})
-		if ber > f.rx.maxBER {
-			return nil, errPostFEC(r, f.rx.stack.Transfer(ber))
-		}
-		out[i] = admitted{m, bud.MarginDB}
+		out[i] = a
 	}
 	return out, nil
+}
+
+// admit decides one circuit: its margin against the safety floor, then its
+// post-FEC BER at the delivered power and MPI. A circuit received at or
+// above rx.sureRxDBm meets the BER check by construction, so only one
+// below it pays for the reflection walk and the pre-FEC BER curve.
+//
+//lwlint:hotpath
+func (f *Fabric) admit(r topo.CircuitReq) (admitted, error) {
+	m, rl, err := f.move(r)
+	if err != nil {
+		return admitted{}, err
+	}
+	loss := ocsLossDB(m)
+	rx, margin := f.rx.path.Margin(loss)
+	if margin < f.cfg.SafetyMarginDB {
+		return admitted{}, errMargin(r, margin)
+	}
+	if !(rx >= f.rx.sureRxDBm) { // a NaN takes the exact path too
+		// The threshold form decides it; the transfer curve itself is
+		// only evaluated to word a rejection.
+		f.berCurves++
+		bud := f.rx.path.Budget(loss, rl)
+		ber := f.rx.receiver.BER(bud.RxPowerDBm, dsp.MPICondition{MPIDB: bud.MPIDB, OIM: true})
+		if ber > f.rx.maxBER {
+			return admitted{}, errPostFEC(r, f.rx.stack.Transfer(ber))
+		}
+	}
+	return admitted{m, margin}, nil
 }
 
 func errMargin(r topo.CircuitReq, marginDB float64) error {
@@ -540,11 +633,11 @@ func errPostFEC(r topo.CircuitReq, postFECBER float64) error {
 func (f *Fabric) refreshWorstMargin(s *Slice) error {
 	worst := 1e9
 	for _, r := range s.Circuits {
-		bud, err := f.circuitBudget(r)
+		margin, err := f.circuitMargin(r)
 		if err != nil {
 			return err
 		}
-		worst = min(worst, bud.MarginDB)
+		worst = min(worst, margin)
 	}
 	s.WorstMarginDB = worst
 	return nil

@@ -212,11 +212,11 @@ func TestTransitionsLeaveDarkCircuitsDark(t *testing.T) {
 			s, _ := f.GetSlice("job")
 			kept, worst := 0, 1e9
 			for _, r := range s.Circuits {
-				bud, err := f.circuitBudget(r)
+				margin, err := f.circuitMargin(r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				worst = min(worst, bud.MarginDB)
+				worst = min(worst, margin)
 				switch {
 				case dark[r] && f.circuitLive(r):
 					t.Errorf("dropped circuit %+v re-programmed", r)

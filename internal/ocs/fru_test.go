@@ -286,3 +286,48 @@ func TestFRUDropsAllCounted(t *testing.T) {
 		t.Errorf("%d circuits survive the chassis going down", s.NumCircuits())
 	}
 }
+
+// TestReturnLossUnderCeiling: every port of every switch a fabric builds
+// returns at most ReturnLossCeilingDB, before and after each FRU
+// operation. Slice admission prices its sure-admit bound at that ceiling.
+func TestReturnLossUnderCeiling(t *testing.T) {
+	sws, err := NewSwitches(48, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sws {
+		for p := 0; p < 60; p++ {
+			mustConnect(t, s, PortID(p), PortID(p+60))
+		}
+		check := func(step string) {
+			t.Helper()
+			for p := 0; p < s.Radix(); p++ {
+				if rl, err := s.ReturnLossDB(PortID(p)); err != nil || rl > ReturnLossCeilingDB {
+					t.Fatalf("switch %d, after %s: port %d return loss %v dB (err %v), ceiling %v dB",
+						i, step, p, rl, err, ReturnLossCeilingDB)
+				}
+			}
+		}
+		check("New")
+		for _, op := range []struct {
+			name string
+			do   func() error
+		}{
+			{"FailPort", func() error { _, err := s.FailPort(5); return err }},
+			{"SpareFor", func() error { _, err := s.SpareFor(5); return err }},
+			{"RepairPort", func() error { return s.RepairPort(5) }},
+			{"FailDriverBoard", func() error { _, err := s.FailDriverBoard(1); return err }},
+			{"ReplaceDriverBoard", func() error { return s.ReplaceDriverBoard(1) }},
+			{"FailMirror", func() error { _, _, err := s.FailMirror(0, s.portMirror[0][10]); return err }},
+			{"FailFan", func() error { return s.FailFan(0) }},
+			{"ReplaceFan", func() error { return s.ReplaceFan(0) }},
+			{"FailPSU", func() error { return s.FailPSU(0) }},
+			{"ReplacePSU", func() error { return s.ReplacePSU(0) }},
+		} {
+			if err := op.do(); err != nil {
+				t.Fatalf("switch %d: %s: %v", i, op.name, err)
+			}
+			check(op.name)
+		}
+	}
+}

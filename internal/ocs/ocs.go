@@ -82,6 +82,12 @@ const (
 	setupTime       = mirrorSettle + alignIterations*alignRound
 )
 
+// ReturnLossCeilingDB is the worst return loss any port has: New clamps
+// every port at or below it (the spec is < −38 dB) and nothing else
+// writes a port's return loss, so an echo priced at it bounds every
+// port's.
+const ReturnLossCeilingDB = -39.0
+
 // Circuit is an established North→South cross-connection.
 type Circuit struct {
 	North, South PortID
@@ -194,8 +200,8 @@ func New(cfg Config) (*Switch, error) {
 		// Return loss: typically −46 dB with manufacturing spread
 		// (Fig 10b); spec is < −38 dB.
 		rl := -46 + 1.5*s.mfg.NormFloat64()
-		if rl > -39 {
-			rl = -39 - s.mfg.Float64()
+		if rl > ReturnLossCeilingDB {
+			rl = ReturnLossCeilingDB - s.mfg.Float64()
 		}
 		s.portRL[p] = rl
 	}

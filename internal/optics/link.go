@@ -213,6 +213,20 @@ func (p *BidiPath) Budget(ocsLossDB, ocsReturnDB float64) Budget {
 	return w.finish(p.a, p.b, p.dispersionDB)
 }
 
+// Margin is Budget's RxPowerDBm and MarginDB, bit for bit, without the
+// reflection walk: the same losses added in the same order, and no echo.
+//
+//lwlint:hotpath
+func (p *BidiPath) Margin(ocsLossDB float64) (rxPowerDBm, marginDB float64) {
+	loss := p.prefix.loss
+	chain := bidiChain(ocsLossDB, NoReflection, p.fiberKM)
+	for _, e := range chain[bidiOCS:] {
+		loss += e.LossDB
+	}
+	rxPowerDBm = p.a.Gen.TxPowerDBm - (loss + p.prefix.circIL)
+	return rxPowerDBm, rxPowerDBm - p.b.Gen.SensitivityDBm - p.dispersionDB
+}
+
 // NewBidiLink assembles a single-strand bidirectional link through an OCS,
 // circulator to circulator; ocsLossDB/ocsReturnDB come from the OCS model
 // for the specific cross-connection in use.

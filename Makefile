@@ -162,12 +162,19 @@ experiments:
 	$(GO) run ./cmd/experiments
 
 # The size ledger every CHANGES entry reports, over tracked files (`git
-# add` new ones first): repo-wide Go, non-test Go outside bench/, and the
-# lines of DESIGN.md + EXPERIMENTS.md.
+# add` new ones first): repo-wide Go, non-test Go outside bench/, the
+# lines of DESIGN.md + EXPERIMENTS.md, and the loan ledger — per lwlint
+# analyzer, the //lwlint:ignore suppressions naming it in non-test Go
+# (the analyzers' own testdata corpora excluded).
 size:
 	@echo "repo-wide Go lines:             $$(git ls-files '*.go' | xargs cat | wc -l)"
 	@echo "non-test Go lines outside bench: $$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l)"
 	@echo "DESIGN.md + EXPERIMENTS.md lines: $$(cat DESIGN.md EXPERIMENTS.md | wc -l)"
+	@named=$$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^internal/lint/testdata/' | \
+		xargs grep -h '^[[:space:]]*//lwlint:ignore ' | awk '{ print $$2 }' | tr ',' '\n'); \
+	for a in $$($(GO) run ./cmd/lwlint -list | awk '{ print $$1 }'); do \
+		printf '%-31s %s\n' "lwlint:ignore $$a:" "$$(printf '%s\n' "$$named" | grep -cx "$$a")"; \
+	done
 
 clean:
 	$(GO) clean ./...

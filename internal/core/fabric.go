@@ -119,7 +119,14 @@ type Fabric struct {
 	metricSlices *telemetry.Counter
 	metricSwaps  *telemetry.Counter
 	metricMargin *telemetry.Distribution
-	berDetectors map[string]*telemetry.Detector
+	berDetectors map[berLink]*telemetry.Detector
+}
+
+// berLink names the receive lane ObserveLinkBER keeps one detector for:
+// one cube's port on one OCS.
+type berLink struct {
+	ocs  topo.OCSID
+	cube int
 }
 
 // maxPostFECBER is the post-FEC bit error ratio a circuit must reach at its
@@ -227,7 +234,7 @@ func New(cfg Config) (*Fabric, error) {
 		owner:        make([]string, 64),
 		slices:       make(map[string]*Slice),
 		portMap:      make(map[portKey]ocs.PortID),
-		berDetectors: make(map[string]*telemetry.Detector),
+		berDetectors: make(map[berLink]*telemetry.Detector),
 		rx:           newAdmission(cfg),
 	}
 	oc := cfg.OCS

@@ -142,8 +142,8 @@ func fuzzRun(t *testing.T, cfg Config, seed uint64, steps int, each func(*Fabric
 			owner := f.owner[c]
 			if _, err := f.RepairLink(o, c); err != nil && owner != "" {
 				// The failed port's circuits stay dark when the spare is
-				// refused. What a slice owns then is ROADMAP item 8's
-				// open decision, so retire the slice as the scheduler
+				// refused. What a slice owns then is ROADMAP item 3's
+				// open drop rule, so retire the slice as the scheduler
 				// would.
 				if err := f.DestroySlice(owner); err != nil {
 					t.Fatalf("step %d destroy after refused link repair: %v", step, err)

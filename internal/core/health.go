@@ -120,7 +120,7 @@ func (f *Fabric) ObserveLinkBER(o topo.OCSID, north int, ber float64) (bool, err
 	if north < 0 || north >= 64 || !(ber > 0 && ber < 1) {
 		return false, fmt.Errorf("core: BER sample for cube %d: want a cube in 0-63 and 0 < BER < 1, got %g", north, ber)
 	}
-	key := fmt.Sprintf("ber/ocs%d/cube%d", o, north)
+	key := berLink{o, north}
 	det, ok := f.berDetectors[key]
 	if !ok {
 		log := f.cfg.Log

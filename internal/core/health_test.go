@@ -182,7 +182,7 @@ func TestObserveLinkBERRefusesBadSamples(t *testing.T) {
 		}
 	}
 	// The refused samples never reached the live detector either.
-	if mean, _ := f.berDetectors["ber/ocs0/cube0"].Baseline(); mean != 1e-6 {
+	if mean, _ := f.berDetectors[berLink{0, 0}].Baseline(); mean != 1e-6 {
 		t.Errorf("detector baseline %g, want 1e-6", mean)
 	}
 }

@@ -824,20 +824,6 @@ func (s *simEngine) transitScore(src, dst, via int) (score float64, ok bool) {
 	return math.Max(s1, s2), true
 }
 
-// routable reports whether the pair (i, j) has a direct trunk or at least
-// one two-hop transit path on t.
-func routable(t *Topology, i, j int) bool {
-	if t.Links[i][j] > 0 {
-		return true
-	}
-	for v := 0; v < t.Blocks; v++ {
-		if v != i && v != j && t.Links[i][v] > 0 && t.Links[v][j] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // earliestCompletion finds the flow that drains first under the current
 // rates, the earliest-index one on a tie. A class's flows finish in the
 // order of their remaining bytes, so one division per class finds the

@@ -3,7 +3,6 @@ package dcn
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"lightwave/internal/ocs"
@@ -213,5 +212,5 @@ func (f *Fabric) LiveTrunks() [][]int {
 // Matches reports whether the live hardware state realizes topology t; a
 // topology over another block count never does.
 func (f *Fabric) Matches(t *Topology) bool {
-	return t.Blocks == f.Blocks && slices.EqualFunc(f.LiveTrunks(), t.Links, slices.Equal)
+	return t.SameTrunks(&Topology{Blocks: f.Blocks, Links: f.LiveTrunks()})
 }

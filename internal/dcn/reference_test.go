@@ -226,7 +226,7 @@ func fuzzSim(data []byte) (*Topology, Workload, SimConfig) {
 	for i := range w.Demand {
 		w.Demand[i] = make([]float64, n)
 		for j := range w.Demand[i] {
-			if b := next(); i != j && b%3 != 0 && routable(top, i, j) {
+			if b := next(); i != j && b%3 != 0 && top.Routable(i, j) {
 				w.Demand[i][j] = float64(b%4) * 0.5 * cfg.TrunkBps
 			}
 		}

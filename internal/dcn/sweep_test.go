@@ -76,17 +76,17 @@ func TestSimulateRejectsUnroutablePair(t *testing.T) {
 
 func TestRoutableHelper(t *testing.T) {
 	top, _ := UniformMesh(4, 9)
-	if !routable(top, 0, 1) {
+	if !top.Routable(0, 1) {
 		t.Fatal("uniform mesh pair not routable")
 	}
 	top.Links[0][1] = 0
-	if !routable(top, 0, 1) {
+	if !top.Routable(0, 1) {
 		t.Fatal("two-hop path not found")
 	}
 	for b := 0; b < 4; b++ {
 		top.Links[0][b] = 0
 	}
-	if routable(top, 0, 1) {
+	if top.Routable(0, 1) {
 		t.Fatal("isolated source reported routable")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Topology is the logical inter-block topology: Links[i][j] direct trunks
@@ -45,6 +46,59 @@ func (t *Topology) Degree(i int) int {
 		d += n
 	}
 	return d
+}
+
+// Trunks returns the number of undirected trunks.
+func (t *Topology) Trunks() int {
+	n := 0
+	for i := range t.Links {
+		for j := i + 1; j < len(t.Links[i]); j++ {
+			n += t.Links[i][j]
+		}
+	}
+	return n
+}
+
+// SameTrunks reports whether u carries the same trunk matrix over the same
+// blocks; the port budgets are not compared.
+func (t *Topology) SameTrunks(u *Topology) bool {
+	return t.Blocks == u.Blocks && slices.EqualFunc(t.Links, u.Links, slices.Equal)
+}
+
+// Clone returns a deep copy of t.
+func (t *Topology) Clone() *Topology {
+	out := &Topology{Blocks: t.Blocks, UplinksPerBlock: t.UplinksPerBlock, Links: make([][]int, len(t.Links))}
+	for i := range t.Links {
+		out.Links[i] = append([]int(nil), t.Links[i]...)
+	}
+	return out
+}
+
+// Routable reports whether the pair (i, j) has a direct trunk or at least
+// one two-hop transit path.
+func (t *Topology) Routable(i, j int) bool {
+	if t.Links[i][j] > 0 {
+		return true
+	}
+	for v := 0; v < t.Blocks; v++ {
+		if v != i && v != j && t.Links[i][v] > 0 && t.Links[v][j] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// AllRoutable reports whether every block pair is Routable — the
+// invariant the flow simulator and the fluid solver both rely on.
+func (t *Topology) AllRoutable() bool {
+	for i := 0; i < t.Blocks; i++ {
+		for j := i + 1; j < t.Blocks; j++ {
+			if !t.Routable(i, j) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Validate checks symmetry, zero diagonal, and per-block budgets.

@@ -34,7 +34,7 @@ func demandPairs(pairs []pairRate, t *Topology, w Workload) ([]pairRate, error) 
 				return nil, fmt.Errorf("%w: demand[%d][%d] = %g", ErrDegenerate, i, j, d)
 			}
 			if i != j && d > 0 {
-				if !routable(t, i, j) {
+				if !t.Routable(i, j) {
 					return nil, fmt.Errorf("%w: demand on pair (%d,%d) with no direct trunk or two-hop path", ErrDegenerate, i, j)
 				}
 				pairs = append(pairs, pairRate{i: i, j: j, rate: d / w.MeanFlowBytes})

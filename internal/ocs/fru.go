@@ -29,8 +29,6 @@ func (s *Switch) FailDriverBoard(b int) ([]Circuit, error) {
 // ReplaceDriverBoard hot-swaps board b back into service. Circuits dropped
 // by its failure are not re-established automatically; that is the control
 // plane's job.
-//
-//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) ReplaceDriverBoard(b int) error {
 	if b < 0 || b >= s.cfg.DriverBoards {
 		return ErrDriverBoard
@@ -43,8 +41,6 @@ func (s *Switch) ReplaceDriverBoard(b int) error {
 }
 
 // DriverBoardHealthy reports the health of board b.
-//
-//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) DriverBoardHealthy(b int) bool {
 	return b >= 0 && b < s.cfg.DriverBoards && s.boards[b]
 }
@@ -77,8 +73,6 @@ func (s *Switch) dropCircuits(lost func(north, south PortID) bool) []Circuit {
 // manufacturing-spare repair: the affected port is remapped to the
 // best-quality unused healthy mirror on that die. It returns the circuits
 // dropped by the failure and whether a spare was available.
-//
-//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) FailMirror(d, m int) (dropped []Circuit, repaired bool, err error) {
 	if d < 0 || d > 1 || m < 0 || m >= s.cfg.MirrorsPerDie {
 		return nil, false, ErrMirrorRange
@@ -128,26 +122,6 @@ func (s *Switch) bestSpareMirror(d int) int {
 	return best
 }
 
-// SpareMirrors returns the number of healthy unassigned mirrors on die d.
-//
-//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
-func (s *Switch) SpareMirrors(d int) int {
-	if d < 0 || d > 1 {
-		return 0
-	}
-	inUse := make(map[int]bool, len(s.portMirror[d]))
-	for _, m := range s.portMirror[d] {
-		inUse[m] = true
-	}
-	n := 0
-	for m := 0; m < s.cfg.MirrorsPerDie; m++ {
-		if !inUse[m] && s.dies[d].ok[m] {
-			n++
-		}
-	}
-	return n
-}
-
 // FailPort marks a duplex port failed (damaged pigtail or collimator) and
 // drops every circuit touching it. The paper reserves 8 ports per switch
 // as "spares for link testing and repairs"; SpareFor hands one out.
@@ -171,21 +145,6 @@ func (s *Switch) FailedPorts() []PortID {
 		}
 	}
 	return out
-}
-
-// RepairPort returns a failed port to service (after a pigtail replacement
-// or collimator repair).
-//
-//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
-func (s *Switch) RepairPort(p PortID) error {
-	if int(p) < 0 || int(p) >= s.cfg.Radix {
-		return ErrPortRange
-	}
-	if !s.portFailed[p] {
-		return fmt.Errorf("ocs: port %d not failed", p)
-	}
-	s.portFailed[p] = false
-	return nil
 }
 
 // SpareFor allocates one of the reserved spare ports (the top SparePorts of
@@ -214,7 +173,7 @@ func (s *Switch) SpareFor(failed PortID) (PortID, error) {
 
 // SparesLeft returns the number of unallocated healthy spare ports.
 //
-//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
+//lwlint:ignore deadexport the test seam core's import-equivalence fuzz check compares each restored switch's spare ports on
 func (s *Switch) SparesLeft() int {
 	n := 0
 	for p := s.cfg.Radix - s.cfg.SparePorts; p < s.cfg.Radix; p++ {
@@ -247,8 +206,6 @@ func (s *Switch) ReplacePSU(i int) error {
 }
 
 // FailFan marks fan i failed. Cooling tolerates a single fan failure.
-//
-//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) FailFan(i int) error {
 	if i < 0 || i >= len(s.fans) {
 		return fmt.Errorf("ocs: fan %d out of range", i)
@@ -259,8 +216,6 @@ func (s *Switch) FailFan(i int) error {
 }
 
 // ReplaceFan hot-swaps fan i back.
-//
-//lwlint:ignore deadexport FRU surface the ROADMAP FuzzFabricOps item (b) drives through Fabric.Switch(o)
 func (s *Switch) ReplaceFan(i int) error {
 	if i < 0 || i >= len(s.fans) {
 		return fmt.Errorf("ocs: fan %d out of range", i)

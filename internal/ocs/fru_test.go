@@ -95,21 +95,17 @@ func TestDriverBoardFailureIdempotent(t *testing.T) {
 
 func TestMirrorFailureRepairsFromSpares(t *testing.T) {
 	s := newTestSwitch(t)
-	if s.SpareMirrors(0) != 40 {
-		t.Fatalf("SpareMirrors = %d, want 40 (176-136)", s.SpareMirrors(0))
-	}
 	// Fail the mirror serving port 5 on die 0.
 	m := s.portMirror[0][5]
-	dropped, repaired, err := s.FailMirror(0, m)
+	_, repaired, err := s.FailMirror(0, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !repaired {
 		t.Fatal("port not repaired despite spares")
 	}
-	_ = dropped
-	if s.SpareMirrors(0) != 39 {
-		t.Errorf("SpareMirrors = %d after repair, want 39", s.SpareMirrors(0))
+	if spare := s.portMirror[0][5]; spare == m || !s.dies[0].ok[spare] {
+		t.Errorf("port 5 remapped from mirror %d to %d, want a healthy spare", m, spare)
 	}
 	// Port 5 must be usable again.
 	if _, err := s.Connect(5, 9); err != nil {
@@ -229,6 +225,9 @@ func TestFRUOutOfRange(t *testing.T) {
 	if err := s.ReplaceFan(-1); err == nil {
 		t.Error("fan -1 accepted")
 	}
+	if _, err := s.FailPort(999); !errors.Is(err, ErrPortRange) {
+		t.Errorf("port 999: err = %v", err)
+	}
 }
 
 // TestFRUDropsAllCounted: every hardware path that drops circuits — a
@@ -315,7 +314,6 @@ func TestReturnLossUnderCeiling(t *testing.T) {
 		}{
 			{"FailPort", func() error { _, err := s.FailPort(5); return err }},
 			{"SpareFor", func() error { _, err := s.SpareFor(5); return err }},
-			{"RepairPort", func() error { return s.RepairPort(5) }},
 			{"FailDriverBoard", func() error { _, err := s.FailDriverBoard(1); return err }},
 			{"ReplaceDriverBoard", func() error { return s.ReplaceDriverBoard(1) }},
 			{"FailMirror", func() error { _, _, err := s.FailMirror(0, s.portMirror[0][10]); return err }},

@@ -10,10 +10,11 @@ import (
 // reliability tests, manufacturing screens, and the ability to field
 // replace failed sub-assemblies leads to the chassis typically achieving
 // greater than 99.98% availability in the field today." The lifetime
-// simulation injects component failures at their MTBFs, applies the
-// redundancy rules of the FRU design (redundant PSUs and fans, hot-
-// swappable driver boards, a non-redundant control board), and accounts
-// downtime until field repair completes.
+// simulation injects component failures at their MTBFs into one Switch
+// through its FRU methods (fru.go: redundant PSUs and fans, hot-swappable
+// driver boards, on-die spare mirrors), adds the non-redundant control
+// board the switch does not model, and accounts downtime until field
+// repair completes.
 
 // ReliabilityParams are the component failure/repair statistics.
 type ReliabilityParams struct {
@@ -62,10 +63,13 @@ type LifetimeReport struct {
 var ErrBadLifetime = errors.New("ocs: non-positive lifetime")
 
 // SimulateLifetime runs one chassis for the given number of years and
-// reports downtime and repair activity. The chassis is considered down
-// when power or cooling redundancy is exhausted, the control board is
-// dead, or a maintenance window is open; driver-board failures degrade
-// circuits but do not down the chassis (they are hot-swapped).
+// reports downtime and repair activity. The chassis is a Switch built from
+// DefaultConfig, failed and repaired through its own FRU methods, so the
+// redundancy rule is the switch's: it is down when it is not Up (power or
+// cooling redundancy exhausted), when the control board is dead, or while
+// a maintenance window is open. Driver-board failures degrade circuits but
+// do not down the chassis (they are hot-swapped), and a mirror failure
+// takes a die's spare mirror until the die has none, then the port.
 func SimulateLifetime(p ReliabilityParams, years float64, rng *sim.Rand) (LifetimeReport, error) {
 	if years <= 0 {
 		return LifetimeReport{}, ErrBadLifetime
@@ -73,23 +77,23 @@ func SimulateLifetime(p ReliabilityParams, years float64, rng *sim.Rand) (Lifeti
 	if rng == nil {
 		rng = sim.NewRand(0x0C5)
 	}
+	sw, err := New(DefaultConfig())
+	if err != nil {
+		return LifetimeReport{}, err
+	}
 	horizon := years * 8766 // hours
 
 	var q sim.Queue
 	rep := LifetimeReport{Years: years}
 
-	psuDown, fanDown, boardDown := 0, 0, 0
+	// The switch models neither the control board nor maintenance.
 	controlDown := false
 	maintenance := false
-	mirrorSpares := 2 * 40 // two dies × (176-136) manufacturing spares
 
 	downSince := -1.0
-	isDown := func() bool {
-		return psuDown >= 2 || fanDown >= 2 || controlDown || maintenance
-	}
 	reassess := func() {
 		now := float64(q.Now())
-		if isDown() {
+		if !sw.Up() || controlDown || maintenance {
 			if downSince < 0 {
 				downSince = now
 			}
@@ -98,59 +102,61 @@ func SimulateLifetime(p ReliabilityParams, years float64, rng *sim.Rand) (Lifeti
 			downSince = -1
 		}
 	}
+	// fail takes the first healthy one of n units out of service and
+	// schedules its field replacement; with none healthy it does nothing.
+	fail := func(n int, healthy func(int) bool, down, replace func(int)) {
+		for i := range n {
+			if healthy(i) {
+				down(i)
+				q.After(rng.ExpFloat64()*p.RepairHours, func() {
+					replace(i)
+					rep.FRUReplaced++
+					reassess()
+				})
+				break
+			}
+		}
+		reassess()
+	}
 
 	// Failure processes: one recurring generator per component class.
 	type proc struct {
 		rate float64 // failures/hour across the population
 		fire func()
 	}
-	var procs []proc
-	repair := func(fix func()) {
-		q.After(rng.ExpFloat64()*p.RepairHours, func() {
-			fix()
-			rep.FRUReplaced++
-			reassess()
-		})
-	}
-	procs = append(procs,
-		proc{2 / p.PSUMTBFHours, func() {
-			if psuDown < 2 {
-				psuDown++
-				repair(func() { psuDown-- })
-			}
-			reassess()
+	// Every unit index below is in range and every replaced unit failed,
+	// so the FRU methods return no error.
+	procs := []proc{
+		{float64(len(sw.psu)) / p.PSUMTBFHours, func() {
+			fail(len(sw.psu), func(i int) bool { return sw.psu[i] },
+				func(i int) { _ = sw.FailPSU(i) }, func(i int) { _ = sw.ReplacePSU(i) })
 		}},
-		proc{4 / p.FanMTBFHours, func() {
-			if fanDown < 4 {
-				fanDown++
-				repair(func() { fanDown-- })
-			}
-			reassess()
+		{float64(len(sw.fans)) / p.FanMTBFHours, func() {
+			fail(len(sw.fans), func(i int) bool { return sw.fans[i] },
+				func(i int) { _ = sw.FailFan(i) }, func(i int) { _ = sw.ReplaceFan(i) })
 		}},
-		proc{8 / p.DriverMTBFHours, func() {
+		{float64(sw.cfg.DriverBoards) / p.DriverMTBFHours, func() {
 			rep.DriverFailures++
-			if boardDown < 8 {
-				boardDown++
-				repair(func() { boardDown-- })
-			}
-			reassess()
+			fail(sw.cfg.DriverBoards, sw.DriverBoardHealthy,
+				func(b int) { _, _ = sw.FailDriverBoard(b) }, func(b int) { _ = sw.ReplaceDriverBoard(b) })
 		}},
-		proc{1 / p.ControlMTBFHours, func() {
-			if !controlDown {
-				controlDown = true
-				repair(func() { controlDown = false })
-			}
-			reassess()
+		{1 / p.ControlMTBFHours, func() {
+			fail(1, func(int) bool { return !controlDown },
+				func(int) { controlDown = true }, func(int) { controlDown = false })
 		}},
-		proc{272 / p.MirrorMTBFHours, func() { // 2 dies × 136 in-service mirrors
+		// Every port has one in-service mirror on each die. Failures
+		// alternate dies and walk the ports, skipping ports already lost.
+		{float64(len(sw.dies)*sw.cfg.Radix) / p.MirrorMTBFHours, func() {
+			d, start := rep.MirrorFailures%len(sw.dies), rep.MirrorFailures/len(sw.dies)
 			rep.MirrorFailures++
-			if mirrorSpares > 0 {
-				mirrorSpares--
-			} else {
-				rep.PortsLost++
+			for i := range sw.cfg.Radix {
+				if port := (start + i) % sw.cfg.Radix; !sw.portFailed[port] {
+					_, _, _ = sw.FailMirror(d, sw.portMirror[d][port])
+					break
+				}
 			}
 		}},
-	)
+	}
 	if p.MaintenancePerYear > 0 {
 		procs = append(procs, proc{p.MaintenancePerYear / 8766, func() {
 			if !maintenance {
@@ -187,6 +193,7 @@ func SimulateLifetime(p ReliabilityParams, years float64, rng *sim.Rand) (Lifeti
 		rep.DowntimeHours += horizon - downSince
 	}
 	rep.Availability = 1 - rep.DowntimeHours/horizon
+	rep.PortsLost = len(sw.FailedPorts())
 	return rep, nil
 }
 

@@ -82,6 +82,36 @@ func TestRedundancyAbsorbsSingleFaults(t *testing.T) {
 	}
 }
 
+func TestRedundancyExhaustionDownsChassis(t *testing.T) {
+	// The other side of the redundancy rule: with repairs far slower than
+	// failures, both PSUs (or two of the four fans) are out most of the
+	// time, and the switch the lifetime runs is down with them.
+	for _, c := range []struct {
+		name string
+		set  func(*ReliabilityParams)
+	}{
+		{"psu", func(p *ReliabilityParams) { p.PSUMTBFHours = 100 }},
+		{"fan", func(p *ReliabilityParams) { p.FanMTBFHours = 100 }},
+	} {
+		p := ReliabilityParams{
+			PSUMTBFHours:     1e12,
+			FanMTBFHours:     1e12,
+			DriverMTBFHours:  1e12,
+			ControlMTBFHours: 1e12,
+			MirrorMTBFHours:  1e12,
+			RepairHours:      1e4,
+		}
+		c.set(&p)
+		rep, err := SimulateLifetime(p, 1, sim.NewRand(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Availability >= 0.5 {
+			t.Errorf("%s: availability = %v with redundancy exhausted, want < 0.5", c.name, rep.Availability)
+		}
+	}
+}
+
 func TestMirrorSparesAbsorbFailures(t *testing.T) {
 	// With 80 on-die spares and the default per-mirror MTBF, a 10-year
 	// lifetime should essentially never exhaust spares.

@@ -77,25 +77,3 @@ func TestSpareExhaustion(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-func TestRepairPort(t *testing.T) {
-	s := newTestSwitch(t)
-	if err := s.RepairPort(3); err == nil {
-		t.Fatal("repairing a healthy port accepted")
-	}
-	if _, err := s.FailPort(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RepairPort(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Connect(3, 4); err != nil {
-		t.Fatalf("repaired port unusable: %v", err)
-	}
-	if _, err := s.FailPort(999); !errors.Is(err, ErrPortRange) {
-		t.Errorf("err = %v", err)
-	}
-	if err := s.RepairPort(999); !errors.Is(err, ErrPortRange) {
-		t.Errorf("err = %v", err)
-	}
-}

@@ -188,7 +188,7 @@ func (l *Loop) Advance(bps [][]float64) (*Plan, error) {
 func (l *Loop) Current() *dcn.Topology {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return cloneTopology(l.current)
+	return l.current.Clone()
 }
 
 // Status snapshots the loop.
@@ -209,6 +209,6 @@ func (l *Loop) Status() Status {
 		DrainedCapacityBpsSeconds: l.drainedBpsSeconds,
 		LastReconfigEpoch:         l.lastReconfigEpoch,
 		LastReason:                l.lastReason,
-		CurrentTrunks:             trunkCount(l.current),
+		CurrentTrunks:             l.current.Trunks(),
 	}
 }

@@ -104,7 +104,7 @@ func (p *Planner) Decide(current *dcn.Topology, predicted [][]float64) (*Plan, e
 		return nil, err
 	}
 	plan.Target = target
-	if sameLinks(current, target) {
+	if current.SameTrunks(target) {
 		plan.Reason = "topology already optimal for predicted demand"
 		return plan, nil
 	}
@@ -165,12 +165,12 @@ func (p *Planner) stagePlan(current, target *dcn.Topology) ([]Stage, error) {
 			}
 		}
 	}
-	totalTrunks := trunkCount(current)
+	totalTrunks := current.Trunks()
 	if totalTrunks == 0 {
 		return nil, fmt.Errorf("%w: current topology has no trunks", ErrConfig)
 	}
 
-	work := cloneTopology(current)
+	work := current.Clone()
 	var stages []Stage
 	for len(tears) > 0 || len(adds) > 0 {
 		var stage Stage
@@ -179,14 +179,14 @@ func (p *Planner) stagePlan(current, target *dcn.Topology) ([]Stage, error) {
 			t0 := tears[0]
 			work.Links[t0[0]][t0[1]]--
 			work.Links[t0[1]][t0[0]]--
-			frac := float64(trunkCount(work)) / float64(totalTrunks)
-			if (frac < capacityFloor || !allPairsRoutable(work)) && len(stage.Tear) > 0 {
+			frac := float64(work.Trunks()) / float64(totalTrunks)
+			if (frac < capacityFloor || !work.AllRoutable()) && len(stage.Tear) > 0 {
 				// This tear belongs to the next stage.
 				work.Links[t0[0]][t0[1]]++
 				work.Links[t0[1]][t0[0]]++
 				break
 			}
-			if frac < capacityFloor || !allPairsRoutable(work) {
+			if frac < capacityFloor || !work.AllRoutable() {
 				// Even a single-trunk stage violates the floor (or
 				// disconnects a pair): the plan cannot be staged safely.
 				work.Links[t0[0]][t0[1]]++
@@ -197,7 +197,7 @@ func (p *Planner) stagePlan(current, target *dcn.Topology) ([]Stage, error) {
 			stage.Tear = append(stage.Tear, t0)
 			tears = tears[1:]
 		}
-		stage.ResidualFraction = float64(trunkCount(work)) / float64(totalTrunks)
+		stage.ResidualFraction = float64(work.Trunks()) / float64(totalTrunks)
 		// Establish phase: bring up every pending trunk the freed ports
 		// admit. New circuits do not disturb live traffic, so they do
 		// not count against the floor.
@@ -220,72 +220,11 @@ func (p *Planner) stagePlan(current, target *dcn.Topology) ([]Stage, error) {
 		}
 		changes := len(stage.Tear) + len(stage.Establish)
 		stage.Seconds = planTech.PodReconfigTime(changes, cfg.Uplinks) + stageOverheadSeconds
-		stage.After = cloneTopology(work)
+		stage.After = work.Clone()
 		stages = append(stages, stage)
 	}
-	if !sameLinks(work, target) {
+	if !work.SameTrunks(target) {
 		return nil, fmt.Errorf("%w: staged topology does not converge to target", ErrConfig)
 	}
 	return stages, nil
-}
-
-// sameLinks reports whether two topologies carry identical trunk
-// matrices.
-func sameLinks(a, b *dcn.Topology) bool {
-	if a.Blocks != b.Blocks {
-		return false
-	}
-	for i := range a.Links {
-		for j := range a.Links[i] {
-			if a.Links[i][j] != b.Links[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// cloneTopology deep-copies a topology.
-func cloneTopology(t *dcn.Topology) *dcn.Topology {
-	out := &dcn.Topology{Blocks: t.Blocks, UplinksPerBlock: t.UplinksPerBlock}
-	out.Links = make([][]int, t.Blocks)
-	for i := range t.Links {
-		out.Links[i] = append([]int(nil), t.Links[i]...)
-	}
-	return out
-}
-
-// trunkCount sums the undirected trunks of a topology.
-func trunkCount(t *dcn.Topology) int {
-	n := 0
-	for i := range t.Links {
-		for j := i + 1; j < len(t.Links[i]); j++ {
-			n += t.Links[i][j]
-		}
-	}
-	return n
-}
-
-// allPairsRoutable reports whether every block pair has a direct trunk or
-// a two-hop transit path — the routability invariant the flow simulator
-// and the fluid solver both rely on.
-func allPairsRoutable(t *dcn.Topology) bool {
-	n := t.Blocks
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if t.Links[i][j] > 0 {
-				continue
-			}
-			ok := false
-			for v := 0; v < n && !ok; v++ {
-				if v != i && v != j && t.Links[i][v] > 0 && t.Links[v][j] > 0 {
-					ok = true
-				}
-			}
-			if !ok {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -76,7 +76,7 @@ func TestPlannerHysteresisHoldsSmallGain(t *testing.T) {
 	if plan.Reconfigure {
 		t.Fatalf("gain %g cleared the %g threshold", plan.PredictedGain, minGain)
 	}
-	if sameLinks(mesh, plan.Target) {
+	if mesh.SameTrunks(plan.Target) {
 		t.Fatal("target equals the mesh; the hold is not hysteresis")
 	}
 	if plan.PredictedGain >= minGain || !strings.Contains(plan.Reason, "hysteresis") {
@@ -111,28 +111,28 @@ func TestPlannerReconfiguresOnSkew(t *testing.T) {
 	if len(plan.Stages) == 0 {
 		t.Fatal("reconfiguring plan has no stages")
 	}
-	work := cloneTopology(mesh)
-	total := trunkCount(mesh)
+	work := mesh.Clone()
+	total := mesh.Trunks()
 	for si, st := range plan.Stages {
 		for _, tr := range st.Tear {
 			work.Links[tr[0]][tr[1]]--
 			work.Links[tr[1]][tr[0]]--
 		}
-		frac := float64(trunkCount(work)) / float64(total)
+		frac := float64(work.Trunks()) / float64(total)
 		if frac < capacityFloor-1e-9 {
 			t.Fatalf("stage %d residual %g below floor %g", si, frac, capacityFloor)
 		}
 		if st.ResidualFraction < capacityFloor-1e-9 {
 			t.Fatalf("stage %d reports residual %g below floor %g", si, st.ResidualFraction, capacityFloor)
 		}
-		if !allPairsRoutable(work) {
+		if !work.AllRoutable() {
 			t.Fatalf("stage %d drained topology loses two-hop routability", si)
 		}
 		for _, ad := range st.Establish {
 			work.Links[ad[0]][ad[1]]++
 			work.Links[ad[1]][ad[0]]++
 		}
-		if !sameLinks(work, st.After) {
+		if !work.SameTrunks(st.After) {
 			t.Fatalf("stage %d After does not match the replayed tear/establish sets", si)
 		}
 		if err := st.After.Validate(); err != nil {
@@ -142,7 +142,7 @@ func TestPlannerReconfiguresOnSkew(t *testing.T) {
 			t.Fatalf("stage %d has non-positive duration", si)
 		}
 	}
-	if !sameLinks(work, plan.Target) {
+	if !work.SameTrunks(plan.Target) {
 		t.Fatal("stages do not converge to the target topology")
 	}
 	if plan.MinResidualFraction < capacityFloor-1e-9 {

@@ -57,15 +57,16 @@ type EpochSim struct {
 func ReplayFlows(rows [][]*dcn.Topology, demand [][][]float64, w dcn.Workload, sc dcn.SimConfig) [][]EpochSim {
 	epochs := len(demand)
 	sc.MaxTransit = maxTransit
-	// same[i] is the first cell of epoch i%epochs whose topology equals
-	// cell i's; cells lists those that are their own.
+	// same[i] is the first cell of epoch i%epochs that Simulate sees as
+	// cell i's fabric (the same port budget and trunk matrix); cells lists
+	// those that are their own.
 	same := make([]int, len(rows)*epochs)
 	var cells []int
 	for i := range same {
 		r, e := i/epochs, i%epochs
 		same[i] = i
 		for q := 0; q < r; q++ {
-			if sameTopology(rows[q][e], rows[r][e]) {
+			if a, b := rows[q][e], rows[r][e]; a.UplinksPerBlock == b.UplinksPerBlock && a.SameTrunks(b) {
 				same[i] = q*epochs + e
 				break
 			}
@@ -94,10 +95,4 @@ func ReplayFlows(rows [][]*dcn.Topology, demand [][][]float64, w dcn.Workload, s
 		out[r] = flat[r*epochs : (r+1)*epochs]
 	}
 	return out
-}
-
-// sameTopology reports whether Simulate would see a and b as the same
-// fabric: the same port budget and the same trunk matrix.
-func sameTopology(a, b *dcn.Topology) bool {
-	return a.UplinksPerBlock == b.UplinksPerBlock && sameLinks(a, b)
 }

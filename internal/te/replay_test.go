@@ -22,10 +22,10 @@ func TestReplayFlowsCopiesRepeatedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sameTopology(mesh, eng) {
+	if mesh.SameTrunks(eng) {
 		t.Fatal("engineered topology equals the mesh; the test needs two fabrics")
 	}
-	rows := [][]*dcn.Topology{{mesh, mesh}, {cloneTopology(mesh), eng}}
+	rows := [][]*dcn.Topology{{mesh, mesh}, {mesh.Clone(), eng}}
 	demand := [][][]float64{dcn.UniformDemand(6, 20e9), dcn.SkewedDemand(6, 10e9, 3, 4, 2)}
 	w := dcn.Workload{MeanFlowBytes: 1e9, Duration: 0.5}
 	sc := dcn.SimConfig{TrunkBps: 50e9, Seed: 3}

@@ -22,8 +22,16 @@ import (
 func main() {
 	cfg := core.DefaultConfig(64)
 	cfg.Metrics = telemetry.NewRegistry()
-	// Alerts print as they happen, one slog record each.
-	cfg.Log = slog.New(slog.NewTextHandler(os.Stdout, nil))
+	// Alerts print as they happen, one slog record each, without the
+	// timestamp so that every run prints the same lines.
+	cfg.Log = slog.New(slog.NewTextHandler(os.Stdout, &slog.HandlerOptions{
+		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+			if a.Key == slog.TimeKey && len(groups) == 0 {
+				return slog.Attr{}
+			}
+			return a
+		},
+	}))
 	fabric, err := core.New(cfg)
 	if err != nil {
 		log.Fatal(err)

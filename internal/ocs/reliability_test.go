@@ -112,6 +112,43 @@ func TestRedundancyExhaustionDownsChassis(t *testing.T) {
 	}
 }
 
+// TestLifetimeFanThreshold puts the chassis where two of four fans are
+// out for a quarter of the time and three or more for under a tenth, so
+// the lifetime's availability tells "down at two fans" from "down at
+// three". Fan failures arrive at 4/MTBF per hour and each takes the first
+// healthy fan, and every failed fan is replaced independently: the count
+// of failed fans is the Erlang loss system with 4 servers and offered
+// load a = 4 × repair / MTBF, whose stationary P(k) ∝ aᵏ/k!.
+func TestLifetimeFanThreshold(t *testing.T) {
+	p := ReliabilityParams{
+		PSUMTBFHours:     1e12,
+		FanMTBFHours:     400,
+		DriverMTBFHours:  1e12,
+		ControlMTBFHours: 1e12,
+		MirrorMTBFHours:  1e12,
+		RepairHours:      100,
+	}
+	a := 4 * p.RepairHours / p.FanMTBFHours
+	weight, total, upWeight := 1.0, 0.0, 0.0
+	for k := 0; k <= 4; k++ {
+		if k > 0 {
+			weight *= a / float64(k)
+		}
+		total += weight
+		if k <= 1 {
+			upWeight += weight
+		}
+	}
+	want := upWeight / total // 0.738; down only at three fans, 0.923
+	rep, err := SimulateLifetime(p, 100, sim.NewRand(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rep.Availability - want; d < -0.03 || d > 0.03 {
+		t.Fatalf("availability = %.4f, want %.4f ± 0.03 (chassis down at two failed fans)", rep.Availability, want)
+	}
+}
+
 func TestMirrorSparesAbsorbFailures(t *testing.T) {
 	// With 80 on-die spares and the default per-mirror MTBF, a 10-year
 	// lifetime should essentially never exhaust spares.

@@ -98,7 +98,6 @@ func (p *Pod) index(x, y, z int) int {
 var (
 	ErrNotPlaced = errors.New("sched: job does not fit")
 	ErrBadCube   = errors.New("sched: invalid cube")
-	ErrNotOwner  = errors.New("sched: cube not owned by job")
 )
 
 // cubesOf lists the cubes of a mask, ascending (nil for none).

@@ -163,21 +163,13 @@ type Scheduler struct {
 	queue   []*queuedJob
 	running map[int]*runningJob
 	done    completionHeap
-	now     float64
-	nextID  int
+	tally   Tally
 
 	// rejected is set while a queued job may be waiting on the cluster
 	// rather than on cubes: a scan ended early on an Ops error, or the
 	// state was imported (the flag is not exported). Only then does a
 	// tick with no completions need to scan the queue again.
 	rejected bool
-
-	submitted, started, completed, preempted int
-	swaps, migrated, failures, repairs       int
-	busyIntegral, availIntegral              float64
-	lastAccount                              float64
-	waitSum                                  float64
-	waitCount                                int
 
 	cSubmitted, cStarted, cCompleted, cPreempted *telemetry.Counter
 	cSwaps, cMigrated, cFailures, cRepairs       *telemetry.Counter
@@ -282,7 +274,7 @@ func (s *Scheduler) Pods() []string {
 func (s *Scheduler) Now() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.now
+	return s.tally.Now
 }
 
 // sliceName is the fleet slice name carrying a job.
@@ -291,7 +283,7 @@ func sliceName(job int) string { return fmt.Sprintf("job-%d", job) }
 // accrueTo integrates busy and available cube-time up to t and moves the
 // virtual clock there.
 func (s *Scheduler) accrueTo(t float64) {
-	dt := t - s.lastAccount
+	dt := t - s.tally.LastAccount
 	if dt > 0 {
 		busy, avail := 0, 0
 		for _, sp := range s.pods {
@@ -302,20 +294,20 @@ func (s *Scheduler) accrueTo(t float64) {
 			busy += b
 			avail += b + sp.mirror.FreeCubes()
 		}
-		s.busyIntegral += float64(busy) * dt
-		s.availIntegral += float64(avail) * dt
-		s.lastAccount = t
+		s.tally.BusyIntegral += float64(busy) * dt
+		s.tally.AvailIntegral += float64(avail) * dt
+		s.tally.LastAccount = t
 	}
-	if t > s.now {
-		s.now = t
+	if t > s.tally.Now {
+		s.tally.Now = t
 	}
 }
 
 func (s *Scheduler) updateGaugesLocked() {
 	s.gQueue.Set(float64(len(s.queue)))
 	s.gRunning.Set(float64(len(s.running)))
-	if s.availIntegral > 0 {
-		s.gUtil.Set(s.busyIntegral / s.availIntegral)
+	if s.tally.AvailIntegral > 0 {
+		s.gUtil.Set(s.tally.BusyIntegral / s.tally.AvailIntegral)
 	}
 }
 
@@ -342,11 +334,11 @@ func (s *Scheduler) Submit(spec JobSpec) (int, bool, error) {
 	if err := s.journalLocked(JournalEntry{Op: OpSubmit, Spec: &spec}); err != nil {
 		return 0, false, err
 	}
-	id := s.nextID
-	s.nextID++
-	s.submitted++
+	id := s.tally.NextID
+	s.tally.NextID++
+	s.tally.Submitted++
 	s.cSubmitted.Inc()
-	s.queue = append(s.queue, &queuedJob{id: id, spec: spec, arrived: s.now})
+	s.queue = append(s.queue, &queuedJob{id: id, spec: spec, arrived: s.tally.Now})
 	err := s.tryPlaceLocked()
 	_, placed := s.running[id]
 	s.updateGaugesLocked()
@@ -359,12 +351,12 @@ func (s *Scheduler) Submit(spec JobSpec) (int, bool, error) {
 func (s *Scheduler) AdvanceTo(t float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t < s.now {
-		return fmt.Errorf("%w: %.3f < %.3f", ErrTimeWarp, t, s.now)
+	if t < s.tally.Now {
+		return fmt.Errorf("%w: %.3f < %.3f", ErrTimeWarp, t, s.tally.Now)
 	}
 	// A same-time tick with an empty queue cannot change state; skip the
 	// journal write so idle daemon ticks do not grow the log.
-	if t > s.now || len(s.queue) > 0 {
+	if t > s.tally.Now || len(s.queue) > 0 {
 		if err := s.journalLocked(JournalEntry{Op: OpAdvance, T: t}); err != nil {
 			return err
 		}
@@ -375,7 +367,7 @@ func (s *Scheduler) AdvanceTo(t float64) error {
 		s.accrueTo(rj.end)
 		delete(s.running, rj.id)
 		rj.pod.mirror.Release(rj.id)
-		s.completed++
+		s.tally.Completed++
 		s.cCompleted.Inc()
 		if s.cfg.Ops != nil {
 			if err := s.cfg.Ops.RemoveJobSlice(rj.pod.name, sliceName(rj.id)); err != nil && firstErr == nil {
@@ -429,22 +421,22 @@ func (s *Scheduler) tryPlaceLocked() error {
 				continue
 			}
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			wait := s.now - j.arrived
-			s.waitSum += wait
-			s.waitCount++
+			wait := s.tally.Now - j.arrived
+			s.tally.WaitSum += wait
+			s.tally.WaitCount++
 			s.dWait.Observe(wait)
 			rj := &runningJob{
 				id:    j.id,
 				pod:   sp,
 				spec:  j.spec,
 				cubes: cubes,
-				start: s.now,
-				end:   s.now + j.spec.DurationSeconds,
+				start: s.tally.Now,
+				end:   s.tally.Now + j.spec.DurationSeconds,
 			}
 			rj.shape = topo.MaxBisectionShape(j.spec.Cubes)
 			s.running[j.id] = rj
 			heap.Push(&s.done, rj)
-			s.started++
+			s.tally.Started++
 			s.cStarted.Inc()
 			placedAny = true
 			break
@@ -499,7 +491,7 @@ func (s *Scheduler) defragPodLocked(sp *schedPod) error {
 	if res.MigratedCubes == 0 {
 		return nil
 	}
-	s.migrated += res.MigratedCubes
+	s.tally.MigratedCubes += res.MigratedCubes
 	s.cMigrated.Add(int64(res.MigratedCubes))
 	var firstErr error
 	for _, mv := range res.Moves {
@@ -523,7 +515,7 @@ func (s *Scheduler) preemptLocked(rj *runningJob) error {
 	heap.Remove(&s.done, rj.heapIdx)
 	delete(s.running, rj.id)
 	rj.pod.mirror.Release(rj.id)
-	s.preempted++
+	s.tally.Preempted++
 	s.cPreempted.Inc()
 	if s.cfg.Ops != nil {
 		return s.cfg.Ops.RemoveJobSlice(rj.pod.name, sliceName(rj.id))
@@ -548,12 +540,12 @@ func (s *Scheduler) FailCube(pod string, cube int) error {
 	if err := s.journalLocked(JournalEntry{Op: OpFailCube, Pod: pod, Cube: cube}); err != nil {
 		return err
 	}
-	s.accrueTo(s.now)
+	s.accrueTo(s.tally.Now)
 	job, wasBusy, err := sp.mirror.Fail(cube)
 	if err != nil {
 		return err
 	}
-	s.failures++
+	s.tally.Failures++
 	s.cFailures.Inc()
 	var firstErr error
 	if wasBusy {
@@ -562,7 +554,7 @@ func (s *Scheduler) FailCube(pod string, cube int) error {
 		if _, reconf := s.placer.(Reconfigurable); reconf && rj != nil {
 			if _, err := sp.mirror.SwapCube(job); err == nil {
 				swapped = true
-				s.swaps++
+				s.tally.Swaps++
 				s.cSwaps.Inc()
 				rj.cubes = sp.mirror.JobCubes(job)
 				if s.cfg.Ops != nil {
@@ -598,11 +590,11 @@ func (s *Scheduler) RepairCube(pod string, cube int) error {
 	if err := s.journalLocked(JournalEntry{Op: OpRepairCube, Pod: pod, Cube: cube}); err != nil {
 		return err
 	}
-	s.accrueTo(s.now)
+	s.accrueTo(s.tally.Now)
 	if err := sp.mirror.Repair(cube); err != nil {
 		return err
 	}
-	s.repairs++
+	s.tally.Repairs++
 	s.cRepairs.Inc()
 	err := s.tryPlaceLocked()
 	s.updateGaugesLocked()
@@ -626,7 +618,7 @@ func (s *Scheduler) SetPodDown(pod string, down bool) error {
 	if err := s.journalLocked(JournalEntry{Op: OpPodDown, Pod: pod, Down: down}); err != nil {
 		return err
 	}
-	s.accrueTo(s.now)
+	s.accrueTo(s.tally.Now)
 	sp.down = down
 	var firstErr error
 	if down {
@@ -650,18 +642,6 @@ func (s *Scheduler) SetPodDown(pod string, down bool) error {
 	return firstErr
 }
 
-// CubeState reports a cube's state in a pod's mirror — evaluators use it
-// to decide whether a pre-generated fault event still applies.
-func (s *Scheduler) CubeState(pod string, cube int) (CubeState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sp := s.byName[pod]
-	if sp == nil {
-		return Failed, fmt.Errorf("%w: %q", ErrUnknownPod, pod)
-	}
-	return sp.mirror.State(cube), nil
-}
-
 // StartMeasurement zeroes the utilization and wait accumulators — called
 // after warmup so steady-state numbers are not diluted by the fill-up
 // transient. Counters (submitted, started, …) keep accumulating.
@@ -671,11 +651,11 @@ func (s *Scheduler) StartMeasurement() {
 	// Best-effort journal: a measurement reset is observability state, not
 	// placement state, so a journal failure must not block it.
 	_ = s.journalLocked(JournalEntry{Op: OpMeasure})
-	s.accrueTo(s.now)
-	s.busyIntegral = 0
-	s.availIntegral = 0
-	s.waitSum = 0
-	s.waitCount = 0
+	s.accrueTo(s.tally.Now)
+	s.tally.BusyIntegral = 0
+	s.tally.AvailIntegral = 0
+	s.tally.WaitSum = 0
+	s.tally.WaitCount = 0
 }
 
 // Stats snapshots the scheduler.
@@ -683,23 +663,23 @@ func (s *Scheduler) Stats() SchedulerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := SchedulerStats{
-		Now:           s.now,
-		Submitted:     s.submitted,
-		Started:       s.started,
-		Completed:     s.completed,
-		Preempted:     s.preempted,
-		Swaps:         s.swaps,
-		MigratedCubes: s.migrated,
-		Failures:      s.failures,
-		Repairs:       s.repairs,
+		Now:           s.tally.Now,
+		Submitted:     s.tally.Submitted,
+		Started:       s.tally.Started,
+		Completed:     s.tally.Completed,
+		Preempted:     s.tally.Preempted,
+		Swaps:         s.tally.Swaps,
+		MigratedCubes: s.tally.MigratedCubes,
+		Failures:      s.tally.Failures,
+		Repairs:       s.tally.Repairs,
 		QueueDepth:    len(s.queue),
 		RunningJobs:   len(s.running),
 	}
-	if s.availIntegral > 0 {
-		st.Utilization = s.busyIntegral / s.availIntegral
+	if s.tally.AvailIntegral > 0 {
+		st.Utilization = s.tally.BusyIntegral / s.tally.AvailIntegral
 	}
-	if s.waitCount > 0 {
-		st.MeanWaitSeconds = s.waitSum / float64(s.waitCount)
+	if s.tally.WaitCount > 0 {
+		st.MeanWaitSeconds = s.tally.WaitSum / float64(s.tally.WaitCount)
 	}
 	return st
 }

@@ -1,84 +1,6 @@
 package sched
 
-import (
-	"errors"
-
-	"lightwave/internal/sim"
-)
-
-// JobMix describes the offered workload: a distribution over slice sizes
-// (in cubes) with mean job duration.
-type JobMix struct {
-	// Sizes and Weights define the slice-size distribution.
-	Sizes   []int
-	Weights []float64
-	// MeanDuration is the mean (exponential) job runtime in seconds.
-	MeanDuration float64
-	// ArrivalRate is jobs per second (Poisson).
-	ArrivalRate float64
-}
-
-var (
-	errNonPositive = errors.New("sched: non-positive simulation parameters")
-	errBadMix      = errors.New("sched: invalid job mix")
-)
-
-// Validate reports whether the mix can drive a job stream: positive
-// rates, and a size distribution with one non-negative weight per
-// positive size and some weight to draw from.
-func (m JobMix) Validate() error {
-	if m.ArrivalRate <= 0 || m.MeanDuration <= 0 {
-		return errNonPositive
-	}
-	if len(m.Sizes) == 0 || len(m.Sizes) != len(m.Weights) {
-		return errBadMix
-	}
-	total := 0.0
-	for i, w := range m.Weights {
-		if m.Sizes[i] <= 0 || w < 0 {
-			return errBadMix
-		}
-		total += w
-	}
-	if total <= 0 {
-		return errBadMix
-	}
-	return nil
-}
-
-// Sample draws one job from a validated mix: the size first, then the
-// duration. Every job stream in the tree (Simulate, superpod.Evaluate,
-// superpod.Runner) draws through here, so a seed means the same jobs
-// everywhere.
-func (m JobMix) Sample(rng *sim.Rand) JobSpec {
-	total := 0.0
-	for _, w := range m.Weights {
-		total += w
-	}
-	x := rng.Float64() * total
-	size := m.Sizes[len(m.Sizes)-1]
-	for i, w := range m.Weights {
-		if x < w {
-			size = m.Sizes[i]
-			break
-		}
-		x -= w
-	}
-	return JobSpec{Cubes: size, DurationSeconds: rng.ExpFloat64() * m.MeanDuration}
-}
-
-// ProductionMix returns a TPU-fleet-like mix: many small slices, a steady
-// stream of mid-size slices, occasional very large ones (§4.2.2: "In
-// practice, a distribution of slice sizes running different size models is
-// used").
-func ProductionMix() JobMix {
-	return JobMix{
-		Sizes:        []int{1, 2, 4, 8, 16, 32},
-		Weights:      []float64{0.30, 0.25, 0.20, 0.15, 0.07, 0.03},
-		MeanDuration: 1000,
-		ArrivalRate:  0.03,
-	}
-}
+import "lightwave/internal/sim"
 
 // ReferenceConfig returns the calibrated §4.2.4 experiment configuration:
 // a saturating job stream with aggressive backfill, long enough to wash out
@@ -120,11 +42,16 @@ type SimConfig struct {
 }
 
 // Simulate runs the job stream against a pod under the given placement
-// policy and returns utilization statistics. It is a seeded event stream
-// in front of a mirror-only Scheduler that adopts pod as its one mirror:
-// arrivals, cube failures and repairs are drawn from one sim.Rand on a
-// sim.Queue, and every scheduling decision is the Scheduler's.
+// policy and returns utilization statistics. It replays the stream's
+// events (arrivals from sim.NewRand(Seed), cube faults from its fault
+// substream) on a mirror-only Scheduler that adopts pod as its one
+// mirror, so every scheduling decision is the Scheduler's.
 func Simulate(pod *Pod, placer Placer, mix JobMix, cfg SimConfig) (Stats, error) {
+	return simulate(pod, placer, mix, cfg, nil)
+}
+
+// simulate is Simulate with j journaling the scheduler's inputs.
+func simulate(pod *Pod, placer Placer, mix JobMix, cfg SimConfig, j Journal) (Stats, error) {
 	if cfg.Duration <= 0 {
 		return Stats{}, errNonPositive
 	}
@@ -140,57 +67,32 @@ func Simulate(pod *Pod, placer Placer, mix JobMix, cfg SimConfig) (Stats, error)
 	if err != nil {
 		return Stats{}, err
 	}
-	rng := sim.NewRand(cfg.Seed)
-	var q sim.Queue
-	// advance moves the scheduler to the firing event's time. The first
-	// error is kept and ends the stream: later events fire but apply
-	// nothing.
-	var runErr error
-	advance := func() bool {
-		if runErr == nil {
-			runErr = s.AdvanceTo(float64(q.Now()))
+	s.SetJournal(j)
+	stream := Stream{Mix: mix, Horizon: cfg.Duration, Pods: 1, Cubes: pod.Cubes(),
+		CubeMTBF: cfg.CubeMTBF, MeanRepair: cfg.MeanRepair, Seed: cfg.Seed}
+	// A cube the pod came in with failed stays failed: the stream's
+	// faults on it are not the pod's.
+	handedFailed := ^(pod.free | pod.busy)
+	for _, ev := range stream.Events(sim.NewRand(cfg.Seed)) {
+		if err := s.AdvanceTo(ev.At); err != nil {
+			return Stats{}, err
 		}
-		return runErr == nil
+		switch {
+		case ev.Kind == Arrival:
+			_, _, err = s.Submit(ev.Job)
+		case handedFailed&(1<<ev.Cube) != 0:
+			// Not the stream's to fail or repair.
+		case ev.Kind == CubeFail:
+			err = s.FailCube(podName, ev.Cube)
+		case ev.Kind == CubeRepair:
+			err = s.RepairCube(podName, ev.Cube)
+		}
+		if err != nil {
+			return Stats{}, err
+		}
 	}
-
-	var arrive func()
-	arrive = func() {
-		if advance() {
-			_, _, runErr = s.Submit(mix.Sample(rng))
-		}
-		q.After(rng.ExpFloat64()/mix.ArrivalRate, arrive)
-	}
-	q.After(rng.ExpFloat64()/mix.ArrivalRate, arrive)
-
-	if cfg.CubeMTBF > 0 {
-		rate := float64(pod.Cubes()) / cfg.CubeMTBF
-		repairT := cfg.MeanRepair
-		if repairT <= 0 {
-			repairT = 3600
-		}
-		var fail func()
-		fail = func() {
-			cube := rng.Intn(pod.Cubes())
-			// An already-failed cube has a repair in flight; injecting
-			// again would schedule a duplicate repair timer.
-			if pod.State(cube) != Failed {
-				if advance() {
-					runErr = s.FailCube(podName, cube)
-				}
-				q.After(rng.ExpFloat64()*repairT, func() {
-					if advance() {
-						runErr = s.RepairCube(podName, cube)
-					}
-				})
-			}
-			q.After(rng.ExpFloat64()/rate, fail)
-		}
-		q.After(rng.ExpFloat64()/rate, fail)
-	}
-
-	q.RunUntil(sim.Time(cfg.Duration))
-	if !advance() {
-		return Stats{}, runErr
+	if err := s.AdvanceTo(cfg.Duration); err != nil {
+		return Stats{}, err
 	}
 
 	st := s.Stats()
@@ -201,7 +103,7 @@ func Simulate(pod *Pod, placer Placer, mix JobMix, cfg SimConfig) (Stats, error)
 		// The offline denominator is every cube for the whole run, failed
 		// or not; SchedulerStats.Utilization divides by available
 		// cube-time instead.
-		Utilization: s.busyIntegral / (float64(pod.Cubes()) * cfg.Duration),
+		Utilization: s.tally.BusyIntegral / (float64(pod.Cubes()) * cfg.Duration),
 		Completed:   st.Completed,
 		MeanWait:    st.MeanWaitSeconds,
 		Preempted:   st.Preempted,

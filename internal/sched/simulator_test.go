@@ -116,10 +116,10 @@ func TestUtilizationBounded(t *testing.T) {
 // float64 values the pre-Scheduler event loop produced (recorded at the
 // commit before Simulate became a stream driver over Scheduler): the
 // offline run and the scheduler are one policy only if these never move.
-// The rows with a cube MTBF were recorded at the commit before the
-// scheduler's scan began skipping sizes it had just been refused, and hold
-// the skip to the full scan on the failure, repair, swap and preemption
-// paths.
+// The rows with a cube MTBF were recorded when Simulate began drawing its
+// faults from the stream's fault substream (sim.Substream(Seed, 100))
+// instead of its arrival generator; they hold the failure, repair, swap
+// and preemption paths.
 func TestSimulateGolden(t *testing.T) {
 	type row struct {
 		placer     string
@@ -152,21 +152,21 @@ func TestSimulateGolden(t *testing.T) {
 		}},
 		// Cube failures and repairs under the bench's window.
 		{20000, 64, 5, 50000, 5000, []row{
-			{"reconfigurable", Stats{Utilization: 0.8927182968405434, Completed: 403, MeanWait: 1248.9748869357447, Preempted: 15, Swaps: 10, Started: 433, Running: 15}, 0},
-			{"contiguous", Stats{Utilization: 0.798198108622717, Completed: 376, MeanWait: 1268.563761839938, Preempted: 21, Started: 411, Running: 14}, 0},
-			{"contiguous+defrag", Stats{Utilization: 0.8486287095517555, Completed: 408, MeanWait: 903.8238171050415, Preempted: 22, Started: 439, Running: 9}, 2988},
+			{"reconfigurable", Stats{Utilization: 0.8856595785155817, Completed: 395, MeanWait: 1610.640245488513, Preempted: 12, Swaps: 8, Started: 424, Running: 17}, 0},
+			{"contiguous", Stats{Utilization: 0.7370804754732859, Completed: 331, MeanWait: 1459.658442476379, Preempted: 15, Started: 360, Running: 14}, 0},
+			{"contiguous+defrag", Stats{Utilization: 0.8563991840137689, Completed: 366, MeanWait: 1494.9300185144775, Preempted: 20, Started: 404, Running: 18}, 2396},
 		}},
 		// Heavy failures under the default window (6).
 		{50000, 0, 11, 20000, 4000, []row{
-			{"reconfigurable", Stats{Utilization: 0.7835701113113795, Completed: 550, MeanWait: 15101.057454663813, Preempted: 28, Swaps: 86, Started: 588, Running: 10}, 0},
-			{"contiguous", Stats{Utilization: 0.17069477228714905, Completed: 133, MeanWait: 6755.269937104706, Preempted: 22, Started: 155}, 0},
-			{"contiguous+defrag", Stats{Utilization: 0.1542129307307981, Completed: 130, MeanWait: 6215.645216523767, Preempted: 25, Started: 155}, 990},
+			{"reconfigurable", Stats{Utilization: 0.7661017448120815, Completed: 520, MeanWait: 13972.51853798423, Preempted: 33, Swaps: 96, Started: 565, Running: 12}, 0},
+			{"contiguous", Stats{Utilization: 0.24401529149292858, Completed: 196, MeanWait: 12075.48054840304, Preempted: 38, Started: 239, Running: 5}, 0},
+			{"contiguous+defrag", Stats{Utilization: 0.24938610899197247, Completed: 202, MeanWait: 11723.604362986918, Preempted: 33, Started: 239, Running: 4}, 1698},
 		}},
 		// Rare failures, default repair time.
 		{30000, 16, 2, 100000, 0, []row{
-			{"reconfigurable", Stats{Utilization: 0.950473926428208, Completed: 435, MeanWait: 6556.0374896696785, Preempted: 6, Swaps: 2, Started: 452, Running: 11}, 0},
-			{"contiguous", Stats{Utilization: 0.8496388561929245, Completed: 396, MeanWait: 6281.905883618677, Preempted: 5, Started: 409, Running: 8}, 0},
-			{"contiguous+defrag", Stats{Utilization: 0.9214779425912244, Completed: 421, MeanWait: 6357.336080457375, Preempted: 8, Started: 447, Running: 18}, 1915},
+			{"reconfigurable", Stats{Utilization: 0.9152609580015911, Completed: 430, MeanWait: 5411.432628555033, Preempted: 4, Swaps: 13, Started: 440, Running: 6}, 0},
+			{"contiguous", Stats{Utilization: 0.7735619570392589, Completed: 376, MeanWait: 5560.237874562779, Preempted: 12, Started: 392, Running: 4}, 0},
+			{"contiguous+defrag", Stats{Utilization: 0.8338948039162405, Completed: 414, MeanWait: 5106.3315438161235, Preempted: 15, Started: 432, Running: 3}, 2848},
 		}},
 	}
 	for _, c := range cases {

@@ -14,7 +14,16 @@ import (
 // integrals, so sched-status output is identical after a restart.
 type State struct {
 	WALLSN uint64 `json:"walLSN,omitempty"`
+	Tally
 
+	Queue   []QueuedJobState  `json:"queue,omitempty"`
+	Running []RunningJobState `json:"running,omitempty"`
+	Pods    []PodState        `json:"pods"`
+}
+
+// Tally is the scheduler's clock, next job id, counts and integrals, which
+// the scheduler keeps as one value and a State carries whole.
+type Tally struct {
 	Now         float64 `json:"now"`
 	LastAccount float64 `json:"lastAccount"`
 	NextID      int     `json:"nextID"`
@@ -32,10 +41,6 @@ type State struct {
 	AvailIntegral float64 `json:"availIntegral"`
 	WaitSum       float64 `json:"waitSum"`
 	WaitCount     int     `json:"waitCount"`
-
-	Queue   []QueuedJobState  `json:"queue,omitempty"`
-	Running []RunningJobState `json:"running,omitempty"`
-	Pods    []PodState        `json:"pods"`
 }
 
 // PodState exports one pod mirror: which cubes are failed and whether the
@@ -68,24 +73,7 @@ type RunningJobState struct {
 func (s *Scheduler) ExportState() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := State{
-		WALLSN:        s.walLSN,
-		Now:           s.now,
-		LastAccount:   s.lastAccount,
-		NextID:        s.nextID,
-		Submitted:     s.submitted,
-		Started:       s.started,
-		Completed:     s.completed,
-		Preempted:     s.preempted,
-		Swaps:         s.swaps,
-		MigratedCubes: s.migrated,
-		Failures:      s.failures,
-		Repairs:       s.repairs,
-		BusyIntegral:  s.busyIntegral,
-		AvailIntegral: s.availIntegral,
-		WaitSum:       s.waitSum,
-		WaitCount:     s.waitCount,
-	}
+	st := State{WALLSN: s.walLSN, Tally: s.tally}
 	for _, j := range s.queue {
 		st.Queue = append(st.Queue, QueuedJobState{ID: j.id, Spec: j.spec, Arrived: j.arrived})
 	}
@@ -124,7 +112,7 @@ func (s *Scheduler) ExportState() State {
 func (s *Scheduler) ImportState(st State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.submitted != 0 || len(s.running) != 0 || len(s.queue) != 0 {
+	if s.tally.Submitted != 0 || len(s.running) != 0 || len(s.queue) != 0 {
 		return fmt.Errorf("sched: ImportState on a non-fresh scheduler")
 	}
 	for _, ps := range st.Pods {
@@ -176,21 +164,7 @@ func (s *Scheduler) ImportState(st State) error {
 	}
 	s.rejected = true
 	s.walLSN = st.WALLSN
-	s.now = st.Now
-	s.lastAccount = st.LastAccount
-	s.nextID = st.NextID
-	s.submitted = st.Submitted
-	s.started = st.Started
-	s.completed = st.Completed
-	s.preempted = st.Preempted
-	s.swaps = st.Swaps
-	s.migrated = st.MigratedCubes
-	s.failures = st.Failures
-	s.repairs = st.Repairs
-	s.busyIntegral = st.BusyIntegral
-	s.availIntegral = st.AvailIntegral
-	s.waitSum = st.WaitSum
-	s.waitCount = st.WaitCount
+	s.tally = st.Tally
 	s.cSubmitted.Add(int64(st.Submitted))
 	s.cStarted.Add(int64(st.Started))
 	s.cCompleted.Add(int64(st.Completed))

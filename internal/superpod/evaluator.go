@@ -66,63 +66,17 @@ func (c EvalConfig) withDefaults() EvalConfig {
 	if c.BackfillWindow <= 0 {
 		c.BackfillWindow = 64
 	}
-	if c.MeanRepairSeconds <= 0 {
-		c.MeanRepairSeconds = 3600
-	}
 	return c
 }
 
-// event kinds, replayed in (time, generation order).
-type evKind int
-
-const (
-	evArrival evKind = iota
-	evWarmup
-	evFail
-	evRepair
-	evPodLoss
-	evPodRestore
-)
-
-type event struct {
-	at   float64
-	kind evKind
-	pod  int // pod index (fail/repair/loss/restore)
-	cube int
-	spec sched.JobSpec
-}
-
-// genEvents builds the shared deterministic stream: arrivals from one
-// substream, per-pod failure/repair pairs from per-pod substreams, plus
-// the warmup marker and the configured pod-loss window.
-func genEvents(cfg EvalConfig) []event {
-	var evs []event
-	arr := sim.Substream(cfg.Seed, 1)
-	for t := arr.ExpFloat64() / cfg.Mix.ArrivalRate; t < cfg.HorizonSeconds; t += arr.ExpFloat64() / cfg.Mix.ArrivalRate {
-		evs = append(evs, event{at: t, kind: evArrival, spec: cfg.Mix.Sample(arr)})
-	}
-	evs = append(evs, event{at: cfg.WarmupSeconds, kind: evWarmup})
-	if cfg.CubeMTBF > 0 {
-		for p := 0; p < cfg.Pods; p++ {
-			rng := sim.Substream(cfg.Seed, 100+uint64(p))
-			rate := float64(cfg.CubesPerPod) / cfg.CubeMTBF
-			for t := rng.ExpFloat64() / rate; t < cfg.HorizonSeconds; t += rng.ExpFloat64() / rate {
-				cube := rng.Intn(cfg.CubesPerPod)
-				evs = append(evs, event{at: t, kind: evFail, pod: p, cube: cube})
-				if rt := t + rng.ExpFloat64()*cfg.MeanRepairSeconds; rt < cfg.HorizonSeconds {
-					evs = append(evs, event{at: rt, kind: evRepair, pod: p, cube: cube})
-				}
-			}
-		}
-	}
-	if cfg.PodLossAtSeconds > 0 {
-		evs = append(evs, event{at: cfg.PodLossAtSeconds, kind: evPodLoss, pod: cfg.Pods - 1})
-		if cfg.PodRestoreAtSeconds > cfg.PodLossAtSeconds {
-			evs = append(evs, event{at: cfg.PodRestoreAtSeconds, kind: evPodRestore, pod: cfg.Pods - 1})
-		}
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
-	return evs
+// events is the job stream every policy replays, its arrivals drawn from
+// sim.Substream(Seed, 1).
+func (c EvalConfig) events() []sched.Event {
+	return sched.Stream{
+		Mix: c.Mix, Horizon: c.HorizonSeconds, Pods: c.Pods, Cubes: c.CubesPerPod,
+		Warmup: c.WarmupSeconds, CubeMTBF: c.CubeMTBF, MeanRepair: c.MeanRepairSeconds, Seed: c.Seed,
+		PodLossAt: c.PodLossAtSeconds, PodRestoreAt: c.PodRestoreAtSeconds,
+	}.Events(sim.Substream(c.Seed, 1))
 }
 
 // PolicyOutcome is one placement policy's ride through the stream.
@@ -187,7 +141,7 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 	if err := cfg.Mix.Validate(); err != nil {
 		return nil, fmt.Errorf("superpod: %w", err)
 	}
-	events := genEvents(cfg)
+	events := cfg.events()
 
 	rep := &Report{
 		Pods: cfg.Pods, CubesPerPod: cfg.CubesPerPod,
@@ -195,12 +149,12 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 		Seed: cfg.Seed,
 	}
 	for _, ev := range events {
-		switch ev.kind {
-		case evArrival:
+		switch ev.Kind {
+		case sched.Arrival:
 			rep.Arrivals++
-		case evFail:
+		case sched.CubeFail:
 			rep.FailEvents++
-		case evPodLoss:
+		case sched.PodLoss:
 			rep.PodLossEvts++
 		}
 	}
@@ -211,7 +165,7 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 		err error
 	}
 	outs := par.Sweep("superpod_eval", policies, func(_ int, pol sched.Placer) out {
-		po, err := runPolicy(cfg, events, pol)
+		po, err := runPolicy(cfg, events, pol, nil)
 		return out{po, err}
 	})
 	for i, o := range outs {
@@ -225,8 +179,9 @@ func Evaluate(cfg EvalConfig) (*Report, error) {
 }
 
 // runPolicy builds one live control plane — the chaos lab over real
-// core.Fabric pods — and replays the stream.
-func runPolicy(cfg EvalConfig, events []event, pol sched.Placer) (PolicyOutcome, error) {
+// core.Fabric pods — and replays the stream, j journaling the scheduler's
+// inputs.
+func runPolicy(cfg EvalConfig, events []sched.Event, pol sched.Placer, j sched.Journal) (PolicyOutcome, error) {
 	po := PolicyOutcome{Policy: pol.Name()}
 
 	fbs := make([]*fleet.FabricBackend, cfg.Pods)
@@ -256,27 +211,26 @@ func runPolicy(cfg EvalConfig, events []event, pol sched.Placer) (PolicyOutcome,
 	if err != nil {
 		return po, err
 	}
+	s.SetJournal(j)
 
 	settle := func(what string) error { return lab.Settle(what, fleet.Status.Settled) }
 
 	down := make([]bool, cfg.Pods)
 	for _, ev := range events {
-		if err := s.AdvanceTo(ev.at); err != nil {
+		if err := s.AdvanceTo(ev.At); err != nil {
 			return po, err
 		}
-		switch ev.kind {
-		case evArrival:
-			if _, _, err := s.Submit(ev.spec); err != nil {
+		switch ev.Kind {
+		case sched.Arrival:
+			if _, _, err := s.Submit(ev.Job); err != nil {
 				return po, err
 			}
-		case evWarmup:
+		case sched.Warmup:
 			s.StartMeasurement()
-		case evFail:
-			st, err := s.CubeState(pods[ev.pod], ev.cube)
-			if err != nil {
-				return po, err
-			}
-			if down[ev.pod] || st == sched.Failed {
+		case sched.CubeFail:
+			// The fabric's cube health is the scheduler's: a failure or
+			// repair lands on both or neither.
+			if down[ev.Pod] || !fbs[ev.Pod].CubeHealthy(ev.Cube) {
 				po.FailsSkipped++
 				continue
 			}
@@ -284,39 +238,35 @@ func runPolicy(cfg EvalConfig, events []event, pol sched.Placer) (PolicyOutcome,
 			// cube (intent updates), the fleet realizes the moves, and only
 			// then is the cube marked failed on the hardware — so the mark
 			// must find it unowned.
-			if err := s.FailCube(pods[ev.pod], ev.cube); err != nil {
+			if err := s.FailCube(pods[ev.Pod], ev.Cube); err != nil {
 				return po, err
 			}
-			if err := settle(fmt.Sprintf("cube %d failure on %s", ev.cube, pods[ev.pod])); err != nil {
+			if err := settle(fmt.Sprintf("cube %d failure on %s", ev.Cube, pods[ev.Pod])); err != nil {
 				return po, err
 			}
-			rc, err := fbs[ev.pod].FailCube(ev.cube)
+			rc, err := fbs[ev.Pod].FailCube(ev.Cube)
 			if err != nil {
 				return po, err
 			}
 			if rc != -1 {
-				return po, fmt.Errorf("cube %d on %s still owned at hardware failure (swap rc=%d)", ev.cube, pods[ev.pod], rc)
+				return po, fmt.Errorf("cube %d on %s still owned at hardware failure (swap rc=%d)", ev.Cube, pods[ev.Pod], rc)
 			}
 			po.FailsApplied++
-		case evRepair:
-			st, err := s.CubeState(pods[ev.pod], ev.cube)
-			if err != nil {
-				return po, err
-			}
-			if down[ev.pod] || st != sched.Failed {
+		case sched.CubeRepair:
+			if down[ev.Pod] || fbs[ev.Pod].CubeHealthy(ev.Cube) {
 				po.RepairsSkipped++
 				continue
 			}
 			// Hardware first so the cube is genuinely usable when the
 			// scheduler immediately re-places queued jobs onto it.
-			if err := fbs[ev.pod].RepairCube(ev.cube); err != nil {
+			if err := fbs[ev.Pod].RepairCube(ev.Cube); err != nil {
 				return po, err
 			}
-			if err := s.RepairCube(pods[ev.pod], ev.cube); err != nil {
+			if err := s.RepairCube(pods[ev.Pod], ev.Cube); err != nil {
 				return po, err
 			}
 			po.RepairsApplied++
-		case evPodLoss:
+		case sched.PodLoss:
 			// Arrivals do not wait for the reconciler, so the fabric may lag
 			// the scheduler by many passes here. Catch up first: the fault
 			// must land on exactly the scheduler's running slices, not on
@@ -328,36 +278,36 @@ func runPolicy(cfg EvalConfig, events []event, pol sched.Placer) (PolicyOutcome,
 			// destroy of an evicted slice, or the ensure of a kept one), so
 			// the retry budget must run out; an empty pod has nothing to
 			// fail on and reconverges. Wait for whichever the stream implies.
-			settled := chaos.Recovered(pods[ev.pod])
-			if len(fbs[ev.pod].Slices()) > 0 {
-				settled = chaos.Quarantined(pods[ev.pod])
+			settled := chaos.Recovered(pods[ev.Pod])
+			if len(fbs[ev.Pod].Slices()) > 0 {
+				settled = chaos.Quarantined(pods[ev.Pod])
 			}
-			lab.Backends[pods[ev.pod]].Fail(errors.New("superpod: pod lost"))
-			if err := s.SetPodDown(pods[ev.pod], true); err != nil {
+			lab.Backends[pods[ev.Pod]].Fail(errors.New("superpod: pod lost"))
+			if err := s.SetPodDown(pods[ev.Pod], true); err != nil {
 				return po, err
 			}
-			if err := mgr.Poke(pods[ev.pod]); err != nil {
+			if err := mgr.Poke(pods[ev.Pod]); err != nil {
 				return po, err
 			}
 			if err := lab.Settle("pod loss settle", settled); err != nil {
 				return po, err
 			}
-			ps, err := mgr.PodStatus(pods[ev.pod])
+			ps, err := mgr.PodStatus(pods[ev.Pod])
 			if err != nil {
 				return po, err
 			}
 			po.Quarantined = ps.Quarantined
-			down[ev.pod] = true
-		case evPodRestore:
-			lab.Backends[pods[ev.pod]].Heal()
-			if err := mgr.UndrainPod(pods[ev.pod]); err != nil {
+			down[ev.Pod] = true
+		case sched.PodRestore:
+			lab.Backends[pods[ev.Pod]].Heal()
+			if err := mgr.UndrainPod(pods[ev.Pod]); err != nil {
 				return po, err
 			}
-			if err := lab.Settle("pod restore settle", chaos.Recovered(pods[ev.pod])); err != nil {
+			if err := lab.Settle("pod restore settle", chaos.Recovered(pods[ev.Pod])); err != nil {
 				return po, err
 			}
-			down[ev.pod] = false
-			if err := s.SetPodDown(pods[ev.pod], false); err != nil {
+			down[ev.Pod] = false
+			if err := s.SetPodDown(pods[ev.Pod], false); err != nil {
 				return po, err
 			}
 		}
@@ -375,7 +325,10 @@ func runPolicy(cfg EvalConfig, events []event, pol sched.Placer) (PolicyOutcome,
 	// Consistency: every up pod's fabric must carry exactly the
 	// scheduler's running slices, with cube health in lockstep.
 	po.Consistent = true
-	want := s.RunningSlices()
+	want, failed := s.RunningSlices(), map[string][]int{}
+	for _, ps := range s.ExportState().Pods {
+		failed[ps.Name] = ps.Failed
+	}
 	for i, name := range pods {
 		if down[i] {
 			continue // backend faulted: intent cannot be realized
@@ -388,11 +341,7 @@ func runPolicy(cfg EvalConfig, events []event, pol sched.Placer) (PolicyOutcome,
 			po.Consistent = false
 		}
 		for c := 0; c < cfg.CubesPerPod; c++ {
-			st, err := s.CubeState(name, c)
-			if err != nil {
-				return po, err
-			}
-			if (st == sched.Failed) == fbs[i].CubeHealthy(c) {
+			if slices.Contains(failed[name], c) == fbs[i].CubeHealthy(c) {
 				po.Consistent = false
 			}
 		}

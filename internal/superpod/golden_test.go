@@ -11,9 +11,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden 
 
 // TestEvaluateGolden pins the live three-policy report on a stream with
 // cube failures and repairs but no pod loss — the shape of the bench's
-// sim_sched configuration at a short horizon on small pods. Recorded at
-// the commit before the evaluator's control plane moved onto the chaos
-// lab.
+// sim_sched configuration at a short horizon on small pods. Re-recorded
+// when the job stream stopped failing a cube it already held failed: the
+// old stream's 6 failures held one such duplicate (fails=5/6), whose repair
+// draw shifted every later fault.
 func TestEvaluateGolden(t *testing.T) {
 	cfg := testConfig()
 	cfg.HorizonSeconds = 1500

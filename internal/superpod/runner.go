@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,15 +36,15 @@ type RunnerConfig struct {
 const virtualPerTick = 60
 
 // Runner drives a sched.Scheduler against the live fleet on a wall-clock
-// ticker: each tick samples Poisson arrivals from the mix over the next
-// virtual-time window and advances the scheduler through them. Fleet
-// quarantine/recovery events feed back as pod down/up transitions, closing
-// the scheduling↔fleet↔chaos loop inside the daemon.
+// ticker: each tick submits the job stream's arrivals (sched.Arrivals on
+// sim.Substream(Seed, 7)) that fall in the next virtual-time window and
+// advances the scheduler through them. Fleet quarantine/recovery events
+// feed back as pod down/up transitions, closing the scheduling↔fleet↔chaos
+// loop inside the daemon.
 type Runner struct {
-	cfg   RunnerConfig
-	s     *sched.Scheduler
-	rng   *sim.Rand
-	nextA float64 // next arrival's virtual time
+	cfg      RunnerConfig
+	s        *sched.Scheduler
+	arrivals *sched.Arrivals
 }
 
 // NewRunner builds the scheduler over the fleet.
@@ -87,8 +88,7 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := sim.Substream(cfg.Seed, 7)
-	return &Runner{cfg: cfg, s: s, rng: rng, nextA: rng.ExpFloat64() / cfg.Mix.ArrivalRate}, nil
+	return &Runner{cfg: cfg, s: s, arrivals: sched.NewArrivals(cfg.Mix, sim.Substream(cfg.Seed, 7))}, nil
 }
 
 // Scheduler returns the runner's scheduler (for status serving and manual
@@ -104,18 +104,16 @@ func (r *Runner) tick() error {
 	// Re-anchor the next arrival to the recovered clock instead of
 	// retroactively submitting the downtime gap (which would also trip
 	// AdvanceTo's monotonicity check and kill the loop).
-	if r.nextA < now {
-		r.nextA = now + r.rng.ExpFloat64()/r.cfg.Mix.ArrivalRate
-	}
+	r.arrivals.Resume(now)
 	target := now + virtualPerTick
-	for r.nextA < target {
-		if err := r.s.AdvanceTo(r.nextA); err != nil {
+	for r.arrivals.Peek() < target {
+		t, job := r.arrivals.Next()
+		if err := r.s.AdvanceTo(t); err != nil {
 			return err
 		}
-		if _, _, err := r.s.Submit(r.cfg.Mix.Sample(r.rng)); err != nil {
+		if _, _, err := r.s.Submit(job); err != nil {
 			return err
 		}
-		r.nextA += r.rng.ExpFloat64() / r.cfg.Mix.ArrivalRate
 	}
 	return r.s.AdvanceTo(target)
 }
@@ -148,14 +146,7 @@ func (r *Runner) Run(ctx context.Context) error {
 // handleEvent maps fleet health transitions onto the scheduler. Events for
 // pods the scheduler does not manage are ignored.
 func (r *Runner) handleEvent(ev fleet.Event) error {
-	isOurs := false
-	for _, p := range r.cfg.Pods {
-		if p == ev.Pod {
-			isOurs = true
-			break
-		}
-	}
-	if !isOurs {
+	if !slices.Contains(r.cfg.Pods, ev.Pod) {
 		return nil
 	}
 	switch ev.Type {
